@@ -4,7 +4,7 @@
 
 use age_bench::{run_experiment, Harness, Settings};
 use age_datasets::{DatasetKind, Scale};
-use age_sim::{CipherChoice, Defense, PolicyKind, Runner};
+use age_sim::{CipherChoice, Defense, PolicyKind, Runner, SweepCell};
 use std::time::Duration;
 
 fn main() {
@@ -24,13 +24,10 @@ fn main() {
     // Table 1 cell: per-event size statistics of one adaptive policy.
     let runner = Runner::new(DatasetKind::Epilepsy, Scale::Small, 3);
     h.bench("experiment/table1_cell", || {
-        let res = runner.run(
-            PolicyKind::Linear,
-            Defense::Standard,
-            0.7,
-            CipherChoice::ChaCha20,
-            false,
-        );
+        let res = runner.run(&SweepCell {
+            enforce_budget: false,
+            ..SweepCell::new(PolicyKind::Linear, Defense::Standard, 0.7)
+        });
         res.size_stats_by_label()
     });
 
@@ -46,7 +43,7 @@ fn main() {
             (PolicyKind::Deviation, Defense::Padded),
             (PolicyKind::Deviation, Defense::Age),
         ] {
-            let res = runner.run(p, d, 0.5, CipherChoice::ChaCha20, true);
+            let res = runner.run(&SweepCell::new(p, d, 0.5));
             total += res.mean_mae() + res.weighted_mae();
         }
         total
@@ -55,32 +52,17 @@ fn main() {
     // Figure 5 cell: one budget's series on Activity.
     let activity = Runner::new(DatasetKind::Activity, Scale::Small, 3);
     h.bench("experiment/fig5_cell", || {
-        let std_res = activity.run(
-            PolicyKind::Linear,
-            Defense::Standard,
-            0.5,
-            CipherChoice::ChaCha20,
-            true,
-        );
-        let age_res = activity.run(
-            PolicyKind::Linear,
-            Defense::Age,
-            0.5,
-            CipherChoice::ChaCha20,
-            true,
-        );
+        let std_res = activity.run(&SweepCell::new(PolicyKind::Linear, Defense::Standard, 0.5));
+        let age_res = activity.run(&SweepCell::new(PolicyKind::Linear, Defense::Age, 0.5));
         (std_res.mean_mae(), age_res.mean_mae())
     });
 
     // Table 6 cell: NMI plus a reduced permutation test.
     let pavement = Runner::new(DatasetKind::Pavement, Scale::Small, 3);
-    let res = pavement.run(
-        PolicyKind::Linear,
-        Defense::Standard,
-        0.5,
-        CipherChoice::ChaCha20,
-        false,
-    );
+    let res = pavement.run(&SweepCell {
+        enforce_budget: false,
+        ..SweepCell::new(PolicyKind::Linear, Defense::Standard, 0.5)
+    });
     let obs = res.observations();
     let labels: Vec<usize> = obs.iter().map(|&(l, _)| l).collect();
     let sizes: Vec<usize> = obs.iter().map(|&(_, m)| m).collect();
@@ -89,13 +71,10 @@ fn main() {
     });
 
     // Figure 6 / Figure 7 cell: one classifier attack evaluation.
-    let epilepsy_res = runner.run(
-        PolicyKind::Linear,
-        Defense::Standard,
-        0.5,
-        CipherChoice::ChaCha20,
-        false,
-    );
+    let epilepsy_res = runner.run(&SweepCell {
+        enforce_budget: false,
+        ..SweepCell::new(PolicyKind::Linear, Defense::Standard, 0.5)
+    });
     let epilepsy_obs = epilepsy_res.observations();
     let attack = age_attack::ClassifierAttack {
         total_samples: 300,
@@ -107,28 +86,19 @@ fn main() {
     // Table 7 cell: a Skip RNN run with and without AGE.
     let strawberry = Runner::new(DatasetKind::Strawberry, Scale::Small, 3);
     // Train once outside the timing loop (the paper trains offline too).
-    let _ = strawberry.run(
-        PolicyKind::SkipRnn,
-        Defense::Standard,
-        0.5,
-        CipherChoice::ChaCha20,
-        false,
-    );
+    let _ = strawberry.run(&SweepCell {
+        enforce_budget: false,
+        ..SweepCell::new(PolicyKind::SkipRnn, Defense::Standard, 0.5)
+    });
     h.bench("experiment/table7_cell", || {
-        let std_res = strawberry.run(
-            PolicyKind::SkipRnn,
-            Defense::Standard,
-            0.5,
-            CipherChoice::ChaCha20,
-            false,
-        );
-        let age_res = strawberry.run(
-            PolicyKind::SkipRnn,
-            Defense::Age,
-            0.5,
-            CipherChoice::ChaCha20,
-            false,
-        );
+        let std_res = strawberry.run(&SweepCell {
+            enforce_budget: false,
+            ..SweepCell::new(PolicyKind::SkipRnn, Defense::Standard, 0.5)
+        });
+        let age_res = strawberry.run(&SweepCell {
+            enforce_budget: false,
+            ..SweepCell::new(PolicyKind::SkipRnn, Defense::Age, 0.5)
+        });
         (std_res.nmi(), age_res.nmi())
     });
 
@@ -143,7 +113,7 @@ fn main() {
             Defense::Pruned,
         ] {
             total += tiselac
-                .run(PolicyKind::Linear, d, 0.5, CipherChoice::ChaCha20, true)
+                .run(&SweepCell::new(PolicyKind::Linear, d, 0.5))
                 .mean_mae();
         }
         total
@@ -151,14 +121,11 @@ fn main() {
 
     // Table 9/10 cell: one MCU-mode run (75 sequences, AES-128 CBC).
     h.bench("experiment/table910_cell", || {
-        let res = activity.run_limited(
-            PolicyKind::Linear,
-            Defense::Age,
-            0.7,
-            CipherChoice::Aes128Cbc,
-            true,
-            Some(75),
-        );
+        let res = activity.run(&SweepCell {
+            cipher: CipherChoice::Aes128Cbc,
+            limit: Some(75),
+            ..SweepCell::new(PolicyKind::Linear, Defense::Age, 0.7)
+        });
         (res.mean_energy(), res.mean_mae())
     });
 

@@ -76,20 +76,14 @@ pub fn attackers(s: &Settings) -> String {
             seed: s.seed,
             ..Default::default()
         };
-        let std_res = runner.run(
-            PolicyKind::Linear,
-            Defense::Standard,
-            0.7,
-            CipherChoice::ChaCha20,
-            false,
-        );
-        let age_res = runner.run(
-            PolicyKind::Linear,
-            Defense::Age,
-            0.7,
-            CipherChoice::ChaCha20,
-            false,
-        );
+        let std_res = runner.run(&SweepCell {
+            enforce_budget: false,
+            ..SweepCell::new(PolicyKind::Linear, Defense::Standard, 0.7)
+        });
+        let age_res = runner.run(&SweepCell {
+            enforce_budget: false,
+            ..SweepCell::new(PolicyKind::Linear, Defense::Age, 0.7)
+        });
         let std_out = attack.run(&std_res.observations());
         let age_out = attack.run(&age_res.observations());
         let _ = writeln!(
@@ -121,13 +115,10 @@ pub fn timing(s: &Settings) -> String {
         "Defense", "gaps", "timing NMI", "attack (%)", "baseline"
     );
     for defense in [Defense::Standard, Defense::Padded, Defense::Age] {
-        let res = runner.run(
-            PolicyKind::Linear,
-            defense,
-            0.7,
-            CipherChoice::ChaCha20,
-            false,
-        );
+        let res = runner.run(&SweepCell {
+            enforce_budget: false,
+            ..SweepCell::new(PolicyKind::Linear, defense, 0.7)
+        });
         let sends: Vec<(usize, u64)> = res
             .records
             .iter()
@@ -182,37 +173,20 @@ pub fn faults(s: &Settings) -> String {
         ..FaultPlan::NONE
     };
     for defense in [Defense::Standard, Defense::Age] {
-        let result = runner.run_with_transport(
-            PolicyKind::Linear,
-            defense,
-            0.7,
-            CipherChoice::ChaCha20Poly1305,
-            false,
-            None,
-            Some(age_sim::FaultSetup::new(plan)),
-        );
-        let run = age_sim::FaultyRun {
-            delivered: result
-                .records
-                .iter()
-                .filter(|r| !r.violated && !r.lost)
-                .map(|r| (r.label, r.message_bytes))
-                .collect(),
-            dropped_labels: result
-                .records
-                .iter()
-                .filter(|r| !r.violated && r.lost)
-                .map(|r| r.label)
-                .collect(),
-        };
+        let result = runner.run(&SweepCell {
+            cipher: CipherChoice::ChaCha20Poly1305,
+            enforce_budget: false,
+            faults: Some(age_sim::FaultSetup::new(plan)),
+            ..SweepCell::new(PolicyKind::Linear, defense, 0.7)
+        });
         let retried = result.transport.map_or(0, |t| t.link.frames_retried);
         let _ = writeln!(
             out,
             "  {:<10} {:>14.3} {:>16.3} {:>9} {:>9}",
             defense.name(),
-            run.delivered_nmi(),
-            run.drop_indicator_nmi(),
-            run.dropped_labels.len(),
+            result.delivered_nmi(),
+            result.drop_indicator_nmi(),
+            result.losses(),
             retried
         );
     }
@@ -572,13 +546,10 @@ pub fn lifetime(s: &Settings) -> String {
         "Defense", "mJ/sequence", "lifetime (h)"
     );
     for defense in [Defense::Standard, Defense::Padded, Defense::Age] {
-        let res = runner.run(
-            PolicyKind::Linear,
-            defense,
-            0.7,
-            CipherChoice::ChaCha20,
-            false,
-        );
+        let res = runner.run(&SweepCell {
+            enforce_budget: false,
+            ..SweepCell::new(PolicyKind::Linear, defense, 0.7)
+        });
         let cost = res.mean_energy();
         let battery = Battery::from_mah(230.0, 3.0);
         let hours = battery.lifetime_hours(MilliJoules(cost.0), 6.0);
@@ -711,13 +682,10 @@ pub fn utility(s: &Settings) -> String {
     let _ = writeln!(out, "  {:<12} {:>14.1}", "true data", truth_acc);
 
     for defense in [Defense::Standard, Defense::Age] {
-        let result = runner.run(
-            PolicyKind::Linear,
-            defense,
-            0.7,
-            CipherChoice::ChaCha20,
-            false,
-        );
+        let result = runner.run(&SweepCell {
+            enforce_budget: false,
+            ..SweepCell::new(PolicyKind::Linear, defense, 0.7)
+        });
         // Re-run the pipeline to get reconstructions (the runner reports
         // errors, so rebuild reconstructions from the decoded batches).
         let cfg = runner.batch_config();
@@ -725,17 +693,12 @@ pub fn utility(s: &Settings) -> String {
         let policy = runner.policy(PolicyKind::Linear, 0.7);
         let encoder: Box<dyn Encoder> = match defense {
             Defense::Standard => Box::new(age_core::StandardEncoder),
-            _ => {
-                let m_b = target::target_bytes(cfg, 0.7);
-                let plain = target::plaintext_budget(
-                    target::reduced_target_bytes(m_b),
-                    cipher.kind(),
-                    cipher.overhead(),
-                    16,
-                )
-                .max(AgeEncoder::min_target_bytes(cfg));
-                Box::new(AgeEncoder::new(plain))
-            }
+            _ => Box::new(AgeEncoder::new(target::age_plaintext_bytes(
+                cfg,
+                0.7,
+                cipher.kind(),
+                cipher.overhead(),
+            ))),
         };
         let mut correct = 0usize;
         for seq in runner.test_sequences() {
@@ -781,13 +744,10 @@ pub fn importance(s: &Settings) -> String {
         "Defense", "average", "median", "std", "IQR"
     );
     for defense in [Defense::Standard, Defense::Age] {
-        let res = runner.run(
-            PolicyKind::Linear,
-            defense,
-            0.7,
-            CipherChoice::ChaCha20,
-            false,
-        );
+        let res = runner.run(&SweepCell {
+            enforce_budget: false,
+            ..SweepCell::new(PolicyKind::Linear, defense, 0.7)
+        });
         let samples = attack.build_samples(&res.observations());
         let imp = permutation_importance(&samples, &attack, 3);
         let _ = writeln!(
@@ -820,13 +780,10 @@ pub fn harvest(s: &Settings) -> String {
         "Defense", "batches", "skipped", "NMI"
     );
     for defense in [Defense::Standard, Defense::Padded, Defense::Age] {
-        let res = runner.run(
-            PolicyKind::Linear,
-            defense,
-            0.7,
-            CipherChoice::ChaCha20,
-            false,
-        );
+        let res = runner.run(&SweepCell {
+            enforce_budget: false,
+            ..SweepCell::new(PolicyKind::Linear, defense, 0.7)
+        });
         // Replay the per-sequence costs against a harvested store; income
         // is set just below the standard policy's mean cost so eclipse
         // periods force hard choices.
@@ -1000,13 +957,7 @@ pub fn design(s: &Settings) -> String {
         for margin in [1.0, Runner::FIT_MARGIN] {
             let runner =
                 Runner::new(DatasetKind::Password, s.scale, s.seed).with_fit_margin(margin);
-            let res = runner.run(
-                PolicyKind::Linear,
-                Defense::Standard,
-                0.5,
-                CipherChoice::ChaCha20,
-                true,
-            );
+            let res = runner.run(&SweepCell::new(PolicyKind::Linear, Defense::Standard, 0.5));
             let _ = writeln!(
                 out,
                 "      {:<10.2} {:>7}/{:<4} {:>10.4}",

@@ -242,7 +242,12 @@ pub fn table1(s: &Settings) -> String {
         PolicyKind::SkipRnn,
     ]
     .iter()
-    .map(|&p| runner.run(p, Defense::Standard, 0.7, CipherChoice::ChaCha20, false))
+    .map(|&p| {
+        runner.run(&SweepCell {
+            enforce_budget: false,
+            ..SweepCell::new(p, Defense::Standard, 0.7)
+        })
+    })
     .collect();
     let stats: Vec<_> = results.iter().map(|r| r.size_stats_by_label()).collect();
     for label in 0..4 {
@@ -439,11 +444,7 @@ pub fn fig5(s: &Settings) -> String {
             (PolicyKind::Deviation, Defense::Age),
         ]
         .iter()
-        .map(|&(p, d)| {
-            runner
-                .run(p, d, rate, CipherChoice::ChaCha20, true)
-                .mean_mae()
-        })
+        .map(|&(p, d)| runner.run(&SweepCell::new(p, d, rate)).mean_mae())
         .collect();
         let _ = writeln!(
             out,
@@ -483,7 +484,10 @@ pub fn table6(s: &Settings) -> String {
                 (PolicyKind::Linear, &mut lin),
                 (PolicyKind::Deviation, &mut dev),
             ] {
-                let res = runner.run(p, Defense::Standard, rate, CipherChoice::ChaCha20, false);
+                let res = runner.run(&SweepCell {
+                    enforce_budget: false,
+                    ..SweepCell::new(p, Defense::Standard, rate)
+                });
                 store.push(res.nmi());
                 let obs = res.observations();
                 let labels: Vec<usize> = obs.iter().map(|&(l, _)| l).collect();
@@ -496,24 +500,18 @@ pub fn table6(s: &Settings) -> String {
             }
             lin_age = lin_age.max(
                 runner
-                    .run(
-                        PolicyKind::Linear,
-                        Defense::Age,
-                        rate,
-                        CipherChoice::ChaCha20,
-                        false,
-                    )
+                    .run(&SweepCell {
+                        enforce_budget: false,
+                        ..SweepCell::new(PolicyKind::Linear, Defense::Age, rate)
+                    })
                     .nmi(),
             );
             dev_age = dev_age.max(
                 runner
-                    .run(
-                        PolicyKind::Deviation,
-                        Defense::Age,
-                        rate,
-                        CipherChoice::ChaCha20,
-                        false,
-                    )
+                    .run(&SweepCell {
+                        enforce_budget: false,
+                        ..SweepCell::new(PolicyKind::Deviation, Defense::Age, rate)
+                    })
                     .nmi(),
             );
         }
@@ -560,7 +558,10 @@ pub fn fig6(s: &Settings) -> String {
         ] {
             let mut accs = Vec::new();
             for &rate in &RATES {
-                let res = runner.run(p, d, rate, CipherChoice::ChaCha20, false);
+                let res = runner.run(&SweepCell {
+                    enforce_budget: false,
+                    ..SweepCell::new(p, d, rate)
+                });
                 let outcome = attack.run(&res.observations());
                 accs.push(outcome.mean_accuracy() * 100.0);
                 baseline = outcome.baseline * 100.0;
@@ -600,13 +601,10 @@ pub fn fig7(s: &Settings) -> String {
     let mut out =
         String::from("Figure 7: seizure confusion matrices (Epilepsy, Linear, one budget)\n");
     for defense in [Defense::Standard, Defense::Age] {
-        let res = runner.run(
-            PolicyKind::Linear,
-            defense,
-            0.7,
-            CipherChoice::ChaCha20,
-            false,
-        );
+        let res = runner.run(&SweepCell {
+            enforce_budget: false,
+            ..SweepCell::new(PolicyKind::Linear, defense, 0.7)
+        });
         let outcome = attack.run(&res.observations());
         // Collapse the 4-class confusion into seizure (label 0) vs other.
         let m = &outcome.confusion;
@@ -644,20 +642,14 @@ pub fn table7(s: &Settings) -> String {
         let mut atk_std: f64 = 0.0;
         let mut atk_age: f64 = 0.0;
         for &rate in &RATES {
-            let std_res = runner.run(
-                PolicyKind::SkipRnn,
-                Defense::Standard,
-                rate,
-                CipherChoice::ChaCha20,
-                false,
-            );
-            let age_res = runner.run(
-                PolicyKind::SkipRnn,
-                Defense::Age,
-                rate,
-                CipherChoice::ChaCha20,
-                false,
-            );
+            let std_res = runner.run(&SweepCell {
+                enforce_budget: false,
+                ..SweepCell::new(PolicyKind::SkipRnn, Defense::Standard, rate)
+            });
+            let age_res = runner.run(&SweepCell {
+                enforce_budget: false,
+                ..SweepCell::new(PolicyKind::SkipRnn, Defense::Age, rate)
+            });
             mae_std += std_res.mean_mae();
             mae_age += age_res.mean_mae();
             nmi_std = nmi_std.max(std_res.nmi());
@@ -696,13 +688,13 @@ pub fn table8(s: &Settings) -> String {
                 .into_iter()
                 .enumerate()
             {
-                let age_res = runner.run(policy, Defense::Age, rate, CipherChoice::ChaCha20, true);
+                let age_res = runner.run(&SweepCell::new(policy, Defense::Age, rate));
                 let base = age_res.mean_mae();
                 if base <= 0.0 {
                     continue;
                 }
                 for (vi, &variant) in variants.iter().enumerate() {
-                    let res = runner.run(policy, variant, rate, CipherChoice::ChaCha20, true);
+                    let res = runner.run(&SweepCell::new(policy, variant, rate));
                     pct[vi][pi].push(100.0 * (res.mean_mae() - base) / base);
                 }
             }
@@ -780,14 +772,11 @@ pub fn table910(s: &Settings) -> (String, String) {
             .iter()
             .map(|&rate| {
                 runner
-                    .run_limited(
-                        PolicyKind::Uniform,
-                        Defense::Standard,
-                        rate,
-                        CipherChoice::Aes128Cbc,
-                        true,
-                        Some(MCU_SEQS),
-                    )
+                    .run(&SweepCell {
+                        cipher: CipherChoice::Aes128Cbc,
+                        limit: Some(MCU_SEQS),
+                        ..SweepCell::new(PolicyKind::Uniform, Defense::Standard, rate)
+                    })
                     .records
                     .iter()
                     .filter(|r| !r.violated)
@@ -800,8 +789,11 @@ pub fn table910(s: &Settings) -> (String, String) {
             let mut row9 = format!("  {name:<10}");
             let mut row10 = format!("  {name:<10}");
             for (ri, &rate) in MCU_RATES.iter().enumerate() {
-                let res =
-                    runner.run_limited(p, d, rate, CipherChoice::Aes128Cbc, true, Some(MCU_SEQS));
+                let res = runner.run(&SweepCell {
+                    cipher: CipherChoice::Aes128Cbc,
+                    limit: Some(MCU_SEQS),
+                    ..SweepCell::new(p, d, rate)
+                });
                 let _ = write!(row9, " {:>8.2}", res.mean_energy().0);
                 let _ = write!(row10, " {:>8.4}", res.mean_mae());
                 // §5.7: flag energy significantly above Uniform's (one-sided,

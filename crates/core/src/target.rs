@@ -79,6 +79,34 @@ pub fn plaintext_budget(
     }
 }
 
+/// AGE's plaintext target at a budget rate: the reduced `M_B`
+/// ([`reduced_target_bytes`] of [`target_bytes`]) fitted to the cipher's
+/// framing with 16-byte blocks ([`plaintext_budget`]), and never below the
+/// smallest target the encoder accepts
+/// ([`AgeEncoder::min_target_bytes`](crate::AgeEncoder::min_target_bytes)).
+///
+/// # Examples
+///
+/// ```
+/// use age_core::{target, BatchConfig};
+/// use age_crypto::CipherKind;
+/// use age_fixed::Format;
+///
+/// let cfg = BatchConfig::new(50, 6, Format::new(16, 13)?)?;
+/// // M_B = 420 bytes, reduced by 30; a 12-byte nonce leaves 378.
+/// assert_eq!(target::age_plaintext_bytes(&cfg, 0.7, CipherKind::Stream, 12), 378);
+/// # Ok::<(), Box<dyn std::error::Error>>(())
+/// ```
+pub fn age_plaintext_bytes(
+    cfg: &BatchConfig,
+    rate: f64,
+    kind: CipherKind,
+    overhead: usize,
+) -> usize {
+    let on_air = reduced_target_bytes(target_bytes(cfg, rate));
+    plaintext_budget(on_air, kind, overhead, 16).max(crate::AgeEncoder::min_target_bytes(cfg))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

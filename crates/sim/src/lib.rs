@@ -10,22 +10,20 @@
 //! (the server substitutes random values).
 //!
 //! [`Runner`] caches the generated dataset, fitted thresholds, and the
-//! trained Skip RNN so a full table sweep does not refit per cell.
+//! trained Skip RNN so a full table sweep does not refit per cell. Its one
+//! entry point, [`Runner::run`], takes a [`SweepCell`] naming every
+//! experiment axis; [`run_cells`] fans a grid of cells out over threads.
 //!
 //! # Examples
 //!
 //! ```
 //! use age_datasets::{DatasetKind, Scale};
-//! use age_sim::{CipherChoice, Defense, PolicyKind, Runner};
+//! use age_sim::{Defense, PolicyKind, Runner, SweepCell};
 //!
 //! let runner = Runner::new(DatasetKind::Epilepsy, Scale::Small, 42);
-//! let result = runner.run(
-//!     PolicyKind::Linear,
-//!     Defense::Age,
-//!     0.5,
-//!     CipherChoice::ChaCha20,
-//!     true,
-//! );
+//! // Budget-enforced and ChaCha20-sealed; override any other axis with
+//! // struct-update syntax, e.g. `SweepCell { limit: Some(10), ..cell }`.
+//! let result = runner.run(&SweepCell::new(PolicyKind::Linear, Defense::Age, 0.5));
 //! // AGE: every transmitted message has the same size.
 //! let sizes: Vec<usize> = result
 //!     .records
@@ -40,7 +38,6 @@ pub mod clock;
 pub mod fleet;
 #[cfg(feature = "telemetry")]
 pub mod monitor;
-pub mod node;
 mod runner;
 pub mod sweep;
 pub mod threats;
@@ -52,4 +49,4 @@ pub use runner::{
     Runner, SequenceRecord, TransportSummary,
 };
 pub use sweep::{default_threads, run_cells, SweepCell, SweepOptions};
-pub use threats::{run_multi_event, run_with_faults, FaultyRun, MultiEventRun};
+pub use threats::{run_multi_event, MultiEventRun};

@@ -4,6 +4,7 @@ use std::collections::HashMap;
 use std::sync::Mutex;
 
 use crate::clock::{ClockModel, VirtualClock};
+use crate::sweep::SweepCell;
 use age_core::{
     target, AgeEncoder, Batch, BatchConfig, EncodeScratch, Encoder, PaddedEncoder, PrunedEncoder,
     SingleEncoder, StandardEncoder, UnshiftedEncoder,
@@ -324,6 +325,32 @@ impl ExperimentResult {
         age_attack::nmi(&labels, &sizes)
     }
 
+    /// NMI between event labels and the sizes of the messages the server
+    /// received (sent, not lost in transit). AGE must keep it at 0 even
+    /// over a faulty link (§4.5).
+    pub fn delivered_nmi(&self) -> f64 {
+        let (labels, sizes): (Vec<usize>, Vec<usize>) = self
+            .records
+            .iter()
+            .filter(|r| !r.violated && !r.lost)
+            .map(|r| (r.label, r.message_bytes))
+            .unzip();
+        age_attack::nmi(&labels, &sizes)
+    }
+
+    /// NMI between event labels and whether each sent message was
+    /// delivered or lost — near zero when faults strike independently of
+    /// the events, the assumption behind AGE's §4.5 fault argument.
+    pub fn drop_indicator_nmi(&self) -> f64 {
+        let (labels, delivered): (Vec<usize>, Vec<usize>) = self
+            .records
+            .iter()
+            .filter(|r| !r.violated)
+            .map(|r| (r.label, usize::from(!r.lost)))
+            .unzip();
+        age_attack::nmi(&labels, &delivered)
+    }
+
     /// `(label, inter-transmission gap µs)` pairs for successive sent
     /// frames — what a timing-only eavesdropper observes. Each gap is
     /// labeled with the *arriving* frame's event, whose radio
@@ -435,16 +462,30 @@ impl Runner {
     /// Generates the dataset and prepares an experiment runner.
     pub fn new(kind: DatasetKind, scale: Scale, seed: u64) -> Self {
         Self::with_dataset(Dataset::generate(kind, scale, seed), seed)
+            .expect("generated datasets hold enough sequences with Table 3 specs")
     }
 
     /// Prepares a runner over an existing dataset — including one built
     /// from real recordings via [`Dataset::from_sequences`].
-    pub fn with_dataset(data: Dataset, seed: u64) -> Self {
+    ///
+    /// # Errors
+    ///
+    /// Fails if the dataset's spec is not a valid batch configuration, or
+    /// if it holds fewer than two sequences: at least one is needed to fit
+    /// thresholds on and one to evaluate.
+    pub fn with_dataset(data: Dataset, seed: u64) -> Result<Self, String> {
         let spec = *data.spec();
         let batch_cfg = BatchConfig::new(spec.seq_len, spec.features, spec.format)
-            .expect("Table 3 specs are valid batch configurations");
-        let train_count = ((data.sequences().len() as f64 * Self::TRAIN_FRAC) as usize)
-            .clamp(1, data.sequences().len() - 1);
+            .map_err(|e| format!("dataset `{}`: {e}", spec.name))?;
+        let len = data.sequences().len();
+        if len < 2 {
+            return Err(format!(
+                "dataset `{}` has {len} sequence(s); a runner needs at least 2 \
+                 (one to fit on, one to evaluate)",
+                spec.name
+            ));
+        }
+        let train_count = ((len as f64 * Self::TRAIN_FRAC) as usize).clamp(1, len - 1);
         let mut lo = f64::INFINITY;
         let mut hi = f64::NEG_INFINITY;
         for seq in data.sequences() {
@@ -453,7 +494,7 @@ impl Runner {
                 hi = hi.max(v);
             }
         }
-        Runner {
+        Ok(Runner {
             data,
             batch_cfg,
             energy: EnergyModel::msp430(),
@@ -463,7 +504,7 @@ impl Runner {
             fit_margin: Self::FIT_MARGIN,
             thresholds: Mutex::new(HashMap::new()),
             skip_rnn: Mutex::new(None),
-        }
+        })
     }
 
     /// Overrides the offline-fit safety margin (default
@@ -668,10 +709,12 @@ impl Runner {
                 ))
             }
             fixed => {
-                let m_b = target::target_bytes(&self.batch_cfg, rate);
-                let on_air = target::reduced_target_bytes(m_b);
-                let plain = target::plaintext_budget(on_air, cipher.kind(), cipher.overhead(), 16)
-                    .max(AgeEncoder::min_target_bytes(&self.batch_cfg));
+                let plain = target::age_plaintext_bytes(
+                    &self.batch_cfg,
+                    rate,
+                    cipher.kind(),
+                    cipher.overhead(),
+                );
                 match fixed {
                     Defense::Age => Box::new(AgeEncoder::new(plain)),
                     Defense::Single => Box::new(SingleEncoder::new(plain)),
@@ -683,103 +726,117 @@ impl Runner {
         }
     }
 
-    /// Runs one experiment over the test split.
-    ///
-    /// `enforce_budget = true` applies the long-term energy budget with the
-    /// paper's violation semantics; `false` evaluates rate-targeted
-    /// sampling without budgets (used for the Skip RNN study, §5.5).
-    pub fn run(
-        &self,
-        policy: PolicyKind,
-        defense: Defense,
-        rate: f64,
-        cipher: CipherChoice,
-        enforce_budget: bool,
-    ) -> ExperimentResult {
-        self.run_limited(policy, defense, rate, cipher, enforce_budget, None)
-    }
-
-    /// Like [`Runner::run`] but over only the first `limit` test sequences —
-    /// the MCU experiments use 75 (§5.7).
-    pub fn run_limited(
-        &self,
-        policy_kind: PolicyKind,
-        defense: Defense,
-        rate: f64,
-        cipher_choice: CipherChoice,
-        enforce_budget: bool,
-        limit: Option<usize>,
-    ) -> ExperimentResult {
-        self.run_with_transport(
-            policy_kind,
-            defense,
-            rate,
-            cipher_choice,
-            enforce_budget,
-            limit,
-            None,
-        )
-    }
-
     /// Derives an independent, reproducible fault-stream seed for one
     /// experiment cell: a pure function of the runner seed, the plan seed,
     /// and the cell coordinates, so sweeps stay byte-identical at any
     /// thread count while no two cells share a fault pattern.
-    fn transport_seed(
-        &self,
-        policy: PolicyKind,
-        defense: Defense,
-        rate: f64,
-        cipher: CipherChoice,
-        plan_seed: u64,
-    ) -> u64 {
+    fn transport_seed(&self, cell: &SweepCell, plan_seed: u64) -> u64 {
         let mut s = self.seed
             ^ plan_seed.rotate_left(31)
-            ^ rate.to_bits().rotate_left(13)
-            ^ ((policy as u64) << 3)
-            ^ ((defense as u64) << 7)
-            ^ ((cipher as u64) << 11);
+            ^ cell.rate.to_bits().rotate_left(13)
+            ^ ((cell.policy as u64) << 3)
+            ^ ((cell.defense as u64) << 7)
+            ^ ((cell.cipher as u64) << 11);
         // SplitMix64 finalizer to decorrelate neighbouring cells.
         s = (s ^ (s >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
         s = (s ^ (s >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
         s ^ (s >> 31)
     }
 
-    /// Like [`Runner::run_limited`] but optionally routing every message
-    /// through the real [`age_transport`] link: frames are sealed under
-    /// per-sequence nonces, pushed through a deterministic fault channel,
-    /// retried with exponential backoff (retransmission energy is charged
-    /// against the same budget), and decoded only if the receiver accepts
-    /// them. Undelivered or undecodable sequences become `lost` records —
-    /// the server substitutes a guess, exactly like a budget violation,
-    /// but the energy stays spent and the attacker still saw the frames.
+    /// Builds the fault-injected link for a cell: channel, retry policy,
+    /// optional epoch ratchet, and optional journal with its power-cut
+    /// schedule.
+    fn transport_step(&self, cell: &SweepCell, setup: FaultSetup) -> TransportStep {
+        let channel_seed = self.transport_seed(cell, setup.plan.seed);
+        let channel = FaultChannel::with_seed(setup.plan, channel_seed);
+        let mut link = match setup.rekey_interval {
+            Some(interval) => {
+                // Both endpoints ratchet from the same per-cell root; the
+                // receiver's epoch-skip budget covers the jump a
+                // journal-block brownout can produce.
+                let root =
+                    age_crypto::kdf::sensor_root(&age_crypto::kdf::fleet_secret(channel_seed), 0);
+                Link::with_parts(
+                    Sensor::with_rekey(root, interval, 0, chacha20poly1305_factory),
+                    Receiver::with_ratchet(
+                        root,
+                        MAX_SKIP,
+                        epoch_skip_budget(MAX_SKIP, interval),
+                        chacha20poly1305_factory,
+                    ),
+                    channel,
+                    setup.retry,
+                )
+            }
+            None => Link::with_channel(
+                cell.cipher.build(),
+                cell.cipher.build(),
+                channel,
+                setup.retry,
+            ),
+        };
+        // With a brownout schedule the sensor sends through the NVM
+        // journal, and an independent seeded stream decides where the
+        // power cuts fall. Both streams are pure functions of the cell
+        // coordinates, like the channel's.
+        let mut cuts = None;
+        if let Some(power) = setup.power {
+            let base = self.transport_seed(cell, power.seed);
+            let nvm = NvmStore::with_seed(power.nvm, base ^ 0xA5A5_5A5A_0F0F_F0F0);
+            link = link.with_journal(SequenceJournal::new(nvm, power.block));
+            cuts = Some((
+                DetRng::seed_from_u64(base ^ 0x0FF1_CE00_D15E_A5ED),
+                power.reset_rate,
+            ));
+        }
+        TransportStep {
+            nvm_writes: link.journal_write_attempts(),
+            link,
+            retry: setup.retry,
+            rekeying: setup.rekey_interval.is_some(),
+            cuts,
+            #[cfg(feature = "telemetry")]
+            wire_epoch: 0,
+        }
+    }
+
+    /// Runs one experiment cell over the test split, or over its first
+    /// `cell.limit` sequences (the MCU experiments use 75, §5.7).
     ///
-    /// With `faults: None` this is byte-identical to [`Runner::run_limited`].
-    // One positional argument per experiment axis, mirroring `run_limited`;
-    // bundling them would just move the axis list into a one-off struct.
-    #[allow(clippy::too_many_arguments)]
-    pub fn run_with_transport(
-        &self,
-        policy_kind: PolicyKind,
-        defense: Defense,
-        rate: f64,
-        cipher_choice: CipherChoice,
-        enforce_budget: bool,
-        limit: Option<usize>,
-        faults: Option<FaultSetup>,
-    ) -> ExperimentResult {
+    /// Every sequence is sampled, encoded and handed to the link step;
+    /// once all messages are out, the server decodes and interpolates what
+    /// arrived, in evaluation order. `cell.enforce_budget` applies the
+    /// long-term energy budget with the paper's violation semantics;
+    /// `false` evaluates rate-targeted sampling without budgets (the Skip
+    /// RNN study, §5.5).
+    ///
+    /// With `cell.faults: None` each message is sealed and opened directly.
+    /// With `Some(setup)` it goes through the real [`age_transport`] link:
+    /// frames are sealed under per-sequence nonces, pushed through a
+    /// deterministic fault channel, retried with exponential backoff
+    /// (retransmission energy is charged against the same budget), and
+    /// decoded only if the receiver accepts them. Undelivered or
+    /// undecodable sequences become `lost` records — the server substitutes
+    /// a guess, exactly like a budget violation, but the energy stays spent
+    /// and the attacker still saw the frames.
+    pub fn run(&self, cell: &SweepCell) -> ExperimentResult {
         let spec = self.data.spec();
         let d = spec.features;
-        let cipher = cipher_choice.build();
-        let policy = self.policy(policy_kind, rate);
+        let cipher = cell.cipher.build();
+        let policy = self.policy(cell.policy, cell.rate);
         let test_all = self.test_sequences();
-        let test = match limit {
+        let test = match cell.limit {
             Some(n) => &test_all[..n.min(test_all.len())],
             None => test_all,
         };
-        let encoder = self.encoder(defense, rate, cipher.as_ref(), policy.as_ref(), test);
-        let budget_per_seq = self.budget_per_seq(rate, cipher_choice);
-        let mut ledger = BudgetLedger::new(budget_per_seq * test.len() as f64);
+        let encoder = self.encoder(
+            cell.defense,
+            cell.rate,
+            cipher.as_ref(),
+            policy.as_ref(),
+            test,
+        );
+        let budget_per_seq = self.budget_per_seq(cell.rate, cell.cipher);
         let mut rng = DetRng::seed_from_u64(self.seed ^ 0xBAD_B0D6E7);
 
         // Name the telemetry stream for this experiment cell; the encoders
@@ -789,21 +846,31 @@ impl Runner {
         // eavesdropper of a single deployment ever observes.
         let label = format!(
             "{}/{}/{}/r{:.2}",
-            self.data.spec().name,
-            policy_kind.name(),
-            defense.name(),
-            rate
+            spec.name,
+            cell.policy.name(),
+            cell.defense.name(),
+            cell.rate
         );
-        // Virtual time for this cell. Advancement is unconditional — never
-        // feature-gated — so telemetry and MCU builds walk the exact same
-        // schedule and produce identical `sent_at_us` stamps; only the
-        // emission side (wire records, trace spans) is gated.
-        let mut clock = VirtualClock::new(ClockModel::default());
-        let mut tracer = Tracer::new(&label);
-        #[cfg(feature = "telemetry")]
-        let cell_epoch = age_telemetry::begin_epoch(&format!(
-            "{label}|{cipher_choice:?}|budget={enforce_budget}|limit={limit:?}|faults={faults:?}"
-        ));
+        let mut state = CellState {
+            energy: &self.energy,
+            defense: cell.defense,
+            features: d,
+            enforce_budget: cell.enforce_budget,
+            ledger: BudgetLedger::new(budget_per_seq * test.len() as f64),
+            // Virtual time for this cell. Advancement is unconditional —
+            // never feature-gated — so telemetry and MCU builds walk the
+            // exact same schedule and produce identical `sent_at_us`
+            // stamps; only the emission side (wire records, trace spans) is
+            // gated.
+            clock: VirtualClock::new(ClockModel::default()),
+            tracer: Tracer::new(&label),
+            arrived: HashMap::new(),
+            #[cfg(feature = "telemetry")]
+            cell_epoch: age_telemetry::begin_epoch(&format!(
+                "{label}|{:?}|budget={}|limit={:?}|faults={:?}",
+                cell.cipher, cell.enforce_budget, cell.limit, cell.faults
+            )),
+        };
         #[cfg(feature = "telemetry")]
         {
             age_telemetry::set_context_label(&label);
@@ -814,453 +881,99 @@ impl Runner {
             // differ only in cipher or budget still hold distinct keys.
             // Rekeying cells later refine this base string with the link's
             // key epoch, so a rotation also rotates the audit cell.
-            age_telemetry::set_context_epoch(&cell_epoch);
+            age_telemetry::set_context_epoch(&state.cell_epoch);
         }
+        let mut link = match cell.faults {
+            None => LinkStep::Direct {
+                cipher,
+                message: Vec::new(),
+            },
+            Some(setup) => LinkStep::Transport(Box::new(self.transport_step(cell, setup))),
+        };
 
-        let mut records = Vec::with_capacity(test.len());
+        // Pass 1 — the sensor: sample, encode, and hand each message to
+        // the link step.
         let mut scratch = EncodeScratch::new();
         let mut plaintext = Vec::new();
-        let mut message = Vec::new();
-        let mut opened = Vec::new();
-        let mut transport = None;
-
-        if let Some(setup) = faults {
-            let channel_seed =
-                self.transport_seed(policy_kind, defense, rate, cipher_choice, setup.plan.seed);
-            let mut link = match setup.rekey_interval {
-                Some(interval) => {
-                    // Both endpoints ratchet from the same per-cell root;
-                    // the receiver's epoch-skip budget covers the jump a
-                    // journal-block brownout can produce.
-                    let root = age_crypto::kdf::sensor_root(
-                        &age_crypto::kdf::fleet_secret(channel_seed),
-                        0,
-                    );
-                    Link::with_parts(
-                        Sensor::with_rekey(root, interval, 0, chacha20poly1305_factory),
-                        Receiver::with_ratchet(
-                            root,
-                            MAX_SKIP,
-                            epoch_skip_budget(MAX_SKIP, interval),
-                            chacha20poly1305_factory,
-                        ),
-                        FaultChannel::with_seed(setup.plan, channel_seed),
-                        setup.retry,
-                    )
-                }
-                None => Link::with_channel(
-                    cipher_choice.build(),
-                    cipher_choice.build(),
-                    FaultChannel::with_seed(setup.plan, channel_seed),
-                    setup.retry,
-                ),
-            };
-            // With a brownout schedule the sensor sends through the NVM
-            // journal, and an independent seeded stream decides where the
-            // power cuts fall. Both streams are pure functions of the cell
-            // coordinates, like the channel's.
-            let mut cuts = None;
-            if let Some(power) = setup.power {
-                let base =
-                    self.transport_seed(policy_kind, defense, rate, cipher_choice, power.seed);
-                let nvm = NvmStore::with_seed(power.nvm, base ^ 0xA5A5_5A5A_0F0F_F0F0);
-                link = link.with_journal(SequenceJournal::new(nvm, power.block));
-                cuts = Some((
-                    DetRng::seed_from_u64(base ^ 0x0FF1_CE00_D15E_A5ED),
-                    power.reset_rate,
-                ));
-            }
-            let mut nvm_writes = link.journal_write_attempts();
-            // The key epoch the wire-record audit currently attributes
-            // frames to; epoch 0 keeps the base cell string so static
-            // cells emit byte-identical records.
-            #[cfg(feature = "telemetry")]
-            let mut wire_epoch = 0u64;
-
-            /// Sensor-side state of one sequence, pending the decode pass.
-            struct Pending {
-                label: usize,
-                wire_seq: u64,
-                weight: f64,
-                collected: usize,
-                frame_len: usize,
-                attempts: u32,
-                energy_mj: f64,
-                violated: bool,
-                sent_at_us: u64,
-                epoch: u64,
-            }
-            // Pass 1 — transmit. Accepted payloads are keyed by sequence
-            // number because a reordered frame can surface during a later
-            // send (or only at the final flush).
-            let mut pending = Vec::with_capacity(test.len());
-            let mut arrived: HashMap<u64, Vec<u8>> = HashMap::new();
-            for (i, seq) in test.iter().enumerate() {
-                let truth = &seq.values;
-                tracer.begin("sequence", "sim", clock.now_us());
-                // The sensing window ticks whether or not the message later
-                // clears the budget: sampling time is spent either way.
-                tracer.begin("sample", "sim", clock.now_us());
+        let mut pending = Vec::with_capacity(test.len());
+        for (i, seq) in test.iter().enumerate() {
+            let truth = &seq.values;
+            state.tracer.begin("sequence", "sim", state.clock.now_us());
+            // The sensing window ticks whether or not the message later
+            // clears the budget: sampling time is spent either way.
+            state.span("sample", "sim", |clock| {
                 clock.advance_samples(spec.seq_len as u64);
-                tracer.end(clock.now_us());
-                let weight = std_deviation(truth);
-                let indices = policy.sample(truth, d);
-                let k = indices.len();
-                let mut values = Vec::with_capacity(k * d);
-                for &t in &indices {
-                    values.extend_from_slice(&truth[t * d..(t + 1) * d]);
-                }
-                let batch = Batch::new(indices, values).expect("policy output is a valid batch");
-                // Publish the ground-truth event so per-batch records and
-                // wire records can be correlated against it by the audit.
-                #[cfg(feature = "telemetry")]
-                {
-                    age_telemetry::set_context_event(Some(seq.label));
-                    age_telemetry::set_context_vtime(clock.now_us());
-                }
-                tracer.begin("encode", "encode", clock.now_us());
-                encoder
-                    .encode_into(&batch, &self.batch_cfg, &mut scratch, &mut plaintext)
-                    .expect("experiment encoders are configured with feasible targets");
-                clock.advance_encode();
-                tracer.end(clock.now_us());
-                // Rekeying links always seal with the AEAD factory, so the
-                // energy model's frame length comes from the AEAD layout
-                // regardless of the cell's nominal cipher choice.
-                let frame_len = match setup.rekey_interval {
-                    Some(_) => ChaCha20Poly1305::new([0u8; 32]).message_len(plaintext.len()),
-                    None => cipher.message_len(plaintext.len()),
-                };
-                let base_cost =
-                    self.energy
-                        .sequence_cost(k, k * d, frame_len, defense.encoder_cost());
-                // Brownout injection: before this message goes out, the
-                // schedule may cut power — either before anything happened
-                // (a plain reboot) or in the torn window after the journal
-                // reserved a sequence and sealed the frame but before the
-                // radio fired. Both draws happen unconditionally so the
-                // schedule never depends on earlier outcomes.
-                if let Some((cut_rng, reset_rate)) = cuts.as_mut() {
-                    let cut = cut_rng.gen_bool(*reset_rate);
-                    let torn_window = cut_rng.gen_bool(0.5);
-                    if cut {
-                        if torn_window {
-                            link.abort_send(&plaintext);
-                        } else {
-                            link.reboot_sensor();
-                        }
-                    }
-                }
-                if enforce_budget && !ledger.try_spend(base_cost) {
-                    pending.push(Pending {
-                        label: seq.label,
-                        wire_seq: u64::MAX,
-                        weight,
-                        collected: 0,
-                        frame_len: 0,
-                        attempts: 0,
-                        energy_mj: 0.0,
-                        violated: true,
-                        sent_at_us: 0,
-                        epoch: link.sensor().epoch(),
-                    });
-                    tracer.end(clock.now_us());
-                    continue;
-                }
-                // With a journal the link hands out the persisted sequence;
-                // without one, sequences track the evaluation index exactly
-                // as before recovery existed.
-                tracer.begin("seal", "crypto", clock.now_us());
-                clock.advance_seal();
-                tracer.end(clock.now_us());
-                // Rekeying links route through `send` even without a
-                // journal: the RAM counter produces the same 0,1,2,…
-                // numbering as the evaluation index, and `send` is where
-                // the watermark rotation lives.
-                let delivery = if link.has_journal() || setup.rekey_interval.is_some() {
-                    link.send(&plaintext)
-                } else {
-                    link.send_as(i as u64, &plaintext)
-                };
-                // Journal flash writes (reservations, plus any brownout
-                // recovery work since the last send) precede the radio.
-                // This reads the same write counter the energy block below
-                // settles, so the two see an identical per-sequence delta.
-                let flash_writes = link.journal_write_attempts() - nvm_writes;
-                if flash_writes > 0 {
-                    tracer.begin("flash", "nvm", clock.now_us());
-                    clock.advance_flash(flash_writes as u64);
-                    tracer.end(clock.now_us());
-                }
-                // Replay the link's attempt schedule on the virtual clock:
-                // each retransmission waits its capped backoff and then
-                // radiates the same frame. The wire record is stamped with
-                // the *first* radiation's completion — the instant an
-                // eavesdropper first sees the message — while every retry
-                // gets its own trace span.
-                let mut sent_at_us = 0;
-                for attempt in 0..delivery.attempts {
-                    if attempt > 0 {
-                        clock.advance_backoff_ms(setup.retry.timeout_ms(attempt - 1));
-                    }
-                    tracer.begin("attempt", "link", clock.now_us());
-                    let done = clock.advance_radio(delivery.frame_len);
-                    tracer.end(done);
-                    if attempt == 0 {
-                        sent_at_us = done;
-                    }
-                }
-                if delivery.delivered {
-                    tracer.begin("ack", "link", clock.now_us());
-                    clock.advance_ack();
-                    tracer.end(clock.now_us());
-                }
-                // Audit the *sealed* frame as the eavesdropper saw it — the
-                // frame went on the air even if it was later lost in
-                // transit. Zero attempts means the journal's NVM write was
-                // exhausted and nothing ever radiated, so there is nothing
-                // to observe.
-                if delivery.attempts > 0 {
-                    debug_assert_eq!(delivery.frame_len, frame_len);
-                    // A rotation rotates the audit cell too: wire records
-                    // seal under the link's key epoch, so the run-wide
-                    // nonce audit keys on (cell, epoch, sequence) exactly
-                    // like the fleet's (sensor, epoch, sequence).
-                    #[cfg(feature = "telemetry")]
-                    if setup.rekey_interval.is_some() && delivery.epoch != wire_epoch {
-                        wire_epoch = delivery.epoch;
-                        age_telemetry::set_context_epoch(&format!("{cell_epoch}|e{wire_epoch}"));
-                    }
-                    #[cfg(feature = "telemetry")]
-                    if age_telemetry::active() {
-                        age_telemetry::emit_wire(
-                            defense.name(),
-                            delivery.sequence,
-                            seq.label,
-                            delivery.frame_len,
-                            sent_at_us,
-                        );
-                    }
-                }
-                // The radio spends retransmission energy before the sensor
-                // can veto it; charging it may exhaust the ledger and
-                // violate *later* sequences. Journal flash writes (cuts and
-                // reservations alike) are billed against the same ledger.
-                let retrans = self
-                    .energy
-                    .retransmission_cost(frame_len, delivery.attempts.saturating_sub(1));
-                if enforce_budget && retrans.0 > 0.0 {
-                    let _ = ledger.try_spend(retrans);
-                }
-                let journal_mj = {
-                    let writes = link.journal_write_attempts();
-                    let cost = self.energy.journal_write_cost(writes - nvm_writes);
-                    nvm_writes = writes;
-                    cost
-                };
-                if enforce_budget && journal_mj.0 > 0.0 {
-                    let _ = ledger.try_spend(journal_mj);
-                }
-                for (seq_no, payload) in delivery.payloads {
-                    arrived.entry(seq_no).or_insert(payload);
-                }
-                pending.push(Pending {
-                    label: seq.label,
-                    wire_seq: delivery.sequence,
-                    weight,
-                    collected: k,
-                    frame_len: if delivery.attempts > 0 { frame_len } else { 0 },
-                    attempts: delivery.attempts,
-                    energy_mj: base_cost.0 + retrans.0 + journal_mj.0,
-                    violated: false,
-                    sent_at_us,
-                    epoch: delivery.epoch,
-                });
-                tracer.end(clock.now_us());
-            }
-            for (seq_no, payload) in link.flush() {
-                arrived.entry(seq_no).or_insert(payload);
-            }
-
-            // Pass 2 — decode what arrived, in evaluation order.
-            for (i, info) in pending.into_iter().enumerate() {
-                let truth = &test[i].values;
-                if info.violated {
-                    let guess: Vec<f64> = (0..truth.len())
-                        .map(|_| rng.gen_range(self.bounds.0..=self.bounds.1))
-                        .collect();
-                    records.push(SequenceRecord {
-                        label: info.label,
-                        message_bytes: 0,
-                        mae: mae(&guess, truth),
-                        weight: info.weight,
-                        energy_mj: 0.0,
-                        violated: true,
-                        collected: 0,
-                        attempts: 0,
-                        lost: false,
-                        sent_at_us: 0,
-                        epoch: info.epoch,
-                    });
-                    continue;
-                }
-                let decoded = arrived.remove(&info.wire_seq).and_then(|payload| {
-                    match encoder.decode(&payload, &self.batch_cfg) {
-                        Ok(batch) => Some(batch),
-                        Err(_) => {
-                            // Graceful degradation: an undecodable payload
-                            // (possible under unauthenticated ciphers) skips
-                            // the batch instead of panicking.
-                            #[cfg(feature = "telemetry")]
-                            age_telemetry::metrics::global::FRAMES_DECODE_FAILED.add(1);
-                            None
-                        }
-                    }
-                });
-                match decoded {
-                    Some(batch) => {
-                        let recon = interpolate(batch.indices(), batch.values(), spec.seq_len, d);
-                        records.push(SequenceRecord {
-                            label: info.label,
-                            message_bytes: info.frame_len,
-                            mae: mae(&recon, truth),
-                            weight: info.weight,
-                            energy_mj: info.energy_mj,
-                            violated: false,
-                            collected: info.collected,
-                            attempts: info.attempts,
-                            lost: false,
-                            sent_at_us: info.sent_at_us,
-                            epoch: info.epoch,
-                        });
-                    }
-                    None => {
-                        // Lost in transit or mangled beyond decoding: the
-                        // server guesses, the attacker still saw the
-                        // fixed-size frames, and the energy stays spent.
-                        let guess: Vec<f64> = (0..truth.len())
-                            .map(|_| rng.gen_range(self.bounds.0..=self.bounds.1))
-                            .collect();
-                        records.push(SequenceRecord {
-                            label: info.label,
-                            message_bytes: info.frame_len,
-                            mae: mae(&guess, truth),
-                            weight: info.weight,
-                            energy_mj: info.energy_mj,
-                            violated: false,
-                            collected: info.collected,
-                            attempts: info.attempts,
-                            lost: true,
-                            sent_at_us: info.sent_at_us,
-                            epoch: info.epoch,
-                        });
-                    }
-                }
-            }
-            transport = Some(TransportSummary {
-                link: *link.stats(),
-                channel: *link.channel_stats(),
             });
-        } else {
-            for (i, seq) in test.iter().enumerate() {
-                let truth = &seq.values;
-                tracer.begin("sequence", "sim", clock.now_us());
-                tracer.begin("sample", "sim", clock.now_us());
-                clock.advance_samples(spec.seq_len as u64);
-                tracer.end(clock.now_us());
-                let weight = std_deviation(truth);
-                let indices = policy.sample(truth, d);
-                let k = indices.len();
-                let mut values = Vec::with_capacity(k * d);
-                for &t in &indices {
-                    values.extend_from_slice(&truth[t * d..(t + 1) * d]);
-                }
-                let batch = Batch::new(indices, values).expect("policy output is a valid batch");
-                #[cfg(feature = "telemetry")]
-                {
-                    age_telemetry::set_context_event(Some(seq.label));
-                    age_telemetry::set_context_vtime(clock.now_us());
-                }
-                tracer.begin("encode", "encode", clock.now_us());
+            let indices = policy.sample(truth, d);
+            let k = indices.len();
+            let mut values = Vec::with_capacity(k * d);
+            for &t in &indices {
+                values.extend_from_slice(&truth[t * d..(t + 1) * d]);
+            }
+            let batch = Batch::new(indices, values).expect("policy output is a valid batch");
+            // Publish the ground-truth event so per-batch records and wire
+            // records can be correlated against it by the audit.
+            #[cfg(feature = "telemetry")]
+            {
+                age_telemetry::set_context_event(Some(seq.label));
+                age_telemetry::set_context_vtime(state.clock.now_us());
+            }
+            state.span("encode", "encode", |clock| {
                 encoder
                     .encode_into(&batch, &self.batch_cfg, &mut scratch, &mut plaintext)
                     .expect("experiment encoders are configured with feasible targets");
                 clock.advance_encode();
-                tracer.end(clock.now_us());
-                tracer.begin("seal", "crypto", clock.now_us());
-                cipher.seal_into(i as u64, &plaintext, &mut message);
-                clock.advance_seal();
-                tracer.end(clock.now_us());
-                let cost =
-                    self.energy
-                        .sequence_cost(k, k * d, message.len(), defense.encoder_cost());
-
-                if enforce_budget && !ledger.try_spend(cost) {
-                    // Budget exhausted: the sequence is lost; the server can
-                    // only guess within the data range (§5.1).
-                    let guess: Vec<f64> = (0..truth.len())
-                        .map(|_| rng.gen_range(self.bounds.0..=self.bounds.1))
-                        .collect();
-                    records.push(SequenceRecord {
-                        label: seq.label,
-                        message_bytes: 0,
-                        mae: mae(&guess, truth),
-                        weight,
-                        energy_mj: 0.0,
-                        violated: true,
-                        collected: 0,
-                        attempts: 0,
-                        lost: false,
-                        sent_at_us: 0,
-                        epoch: 0,
-                    });
-                    tracer.end(clock.now_us());
-                    continue;
-                }
-
-                // Budget cleared: the sealed message is transmitted. Its
-                // on-air size — and the send time that size shapes — is
-                // what the audit must correlate with events.
-                tracer.begin("attempt", "link", clock.now_us());
-                let sent_at_us = clock.advance_radio(message.len());
-                tracer.end(sent_at_us);
-                #[cfg(feature = "telemetry")]
-                if age_telemetry::active() {
-                    age_telemetry::emit_wire(
-                        defense.name(),
-                        i as u64,
-                        seq.label,
-                        message.len(),
-                        sent_at_us,
-                    );
-                }
-                tracer.begin("ack", "link", clock.now_us());
-                clock.advance_ack();
-                tracer.end(clock.now_us());
-
-                cipher
-                    .open_into(&message, &mut opened)
-                    .expect("sealed messages always open");
-                let decoded = encoder
-                    .decode(&opened, &self.batch_cfg)
-                    .expect("own messages always decode");
-                let recon = interpolate(decoded.indices(), decoded.values(), spec.seq_len, d);
-                records.push(SequenceRecord {
-                    label: seq.label,
-                    message_bytes: message.len(),
-                    mae: mae(&recon, truth),
-                    weight,
-                    energy_mj: cost.0,
-                    violated: false,
-                    collected: k,
-                    attempts: 1,
-                    lost: false,
-                    sent_at_us,
-                    epoch: 0,
-                });
-                tracer.end(clock.now_us());
-            }
+            });
+            pending.push(link.transmit(&mut state, i as u64, seq.label, k, &plaintext));
+            state.tracer.end(state.clock.now_us());
         }
+        let transport = link.finish(&mut state.arrived);
+
+        // Pass 2 — the server: decode what arrived, in evaluation order.
+        let records = test
+            .iter()
+            .zip(pending)
+            .map(|(seq, sent)| {
+                let truth = &seq.values;
+                let violated = sent.wire_seq.is_none();
+                let decoded = sent
+                    .wire_seq
+                    .and_then(|wire_seq| state.arrived.remove(&wire_seq))
+                    .and_then(|payload| {
+                        // Graceful degradation: an undecodable payload
+                        // (possible under unauthenticated ciphers) skips
+                        // the batch instead of panicking.
+                        let batch = encoder.decode(&payload, &self.batch_cfg);
+                        #[cfg(feature = "telemetry")]
+                        if batch.is_err() {
+                            age_telemetry::metrics::global::FRAMES_DECODE_FAILED.add(1);
+                        }
+                        batch.ok()
+                    });
+                let recon = match &decoded {
+                    Some(batch) => interpolate(batch.indices(), batch.values(), spec.seq_len, d),
+                    // Over budget, lost in transit, or mangled beyond
+                    // decoding: the server can only guess within the data
+                    // range (§5.1).
+                    None => (0..truth.len())
+                        .map(|_| rng.gen_range(self.bounds.0..=self.bounds.1))
+                        .collect(),
+                };
+                SequenceRecord {
+                    label: seq.label,
+                    message_bytes: sent.message_bytes,
+                    mae: mae(&recon, truth),
+                    weight: std_deviation(truth),
+                    energy_mj: sent.energy_mj,
+                    violated,
+                    collected: sent.collected,
+                    attempts: sent.attempts,
+                    lost: !violated && decoded.is_none(),
+                    sent_at_us: sent.sent_at_us,
+                    epoch: sent.epoch,
+                }
+            })
+            .collect();
 
         // The event and virtual-time contexts are per-cell state; clear
         // them so batches emitted outside an experiment (warm-up,
@@ -1273,11 +986,299 @@ impl Runner {
 
         ExperimentResult {
             records,
-            rate,
-            policy: policy_kind.name(),
-            defense: defense.name(),
+            rate: cell.rate,
+            policy: cell.policy.name(),
+            defense: cell.defense.name(),
             budget_per_seq,
             transport,
+        }
+    }
+}
+
+/// Per-cell state the per-sequence loop and its link step advance together.
+struct CellState<'r> {
+    energy: &'r EnergyModel,
+    defense: Defense,
+    features: usize,
+    enforce_budget: bool,
+    ledger: BudgetLedger,
+    clock: VirtualClock,
+    tracer: Tracer,
+    /// Payloads the server accepted, keyed by wire sequence number: a
+    /// reordered frame can surface during a later send, or only at the
+    /// final flush.
+    arrived: HashMap<u64, Vec<u8>>,
+    /// The cell's nonce-audit identity (see [`Runner::run`]).
+    #[cfg(feature = "telemetry")]
+    cell_epoch: String,
+}
+
+impl CellState<'_> {
+    /// Runs `step` on the virtual clock inside a trace span.
+    fn span<T>(
+        &mut self,
+        name: &str,
+        cat: &'static str,
+        step: impl FnOnce(&mut VirtualClock) -> T,
+    ) -> T {
+        self.tracer.begin(name, cat, self.clock.now_us());
+        let out = step(&mut self.clock);
+        self.tracer.end(self.clock.now_us());
+        out
+    }
+
+    /// Hands a frame that went on the air to the leakage audit, as the
+    /// eavesdropper saw it.
+    #[cfg_attr(not(feature = "telemetry"), allow(unused_variables))]
+    fn emit_wire(&self, sequence: u64, event: usize, frame_len: usize, sent_at_us: u64) {
+        #[cfg(feature = "telemetry")]
+        if age_telemetry::active() {
+            age_telemetry::emit_wire(self.defense.name(), sequence, event, frame_len, sent_at_us);
+        }
+    }
+
+    /// The sensor's energy for a `k`-step batch sent as `frame_len` bytes.
+    fn sequence_cost(&self, k: usize, frame_len: usize) -> MilliJoules {
+        self.energy
+            .sequence_cost(k, k * self.features, frame_len, self.defense.encoder_cost())
+    }
+}
+
+/// One sequence's link-step outcome, pending the server's decode pass.
+#[derive(Default)]
+struct Pending {
+    /// Sequence number the payload arrives under; `None` if the budget
+    /// vetoed the message.
+    wire_seq: Option<u64>,
+    message_bytes: usize,
+    collected: usize,
+    attempts: u32,
+    energy_mj: f64,
+    sent_at_us: u64,
+    epoch: u64,
+}
+
+impl Pending {
+    /// A sequence lost to the energy budget: nothing sent, nothing spent.
+    fn violated(epoch: u64) -> Self {
+        Pending {
+            epoch,
+            ..Pending::default()
+        }
+    }
+}
+
+/// How a cell's sealed messages travel from sensor to server.
+enum LinkStep {
+    /// Seal and open under the cell's cipher: frames are numbered by
+    /// evaluation index and every message arrives on its first attempt.
+    Direct {
+        cipher: Box<dyn Cipher>,
+        message: Vec<u8>,
+    },
+    /// The fault-injected [`age_transport::Link`].
+    Transport(Box<TransportStep>),
+}
+
+/// The transport link plus the per-cell schedules that drive it.
+struct TransportStep {
+    link: Link,
+    retry: RetryPolicy,
+    rekeying: bool,
+    /// Power-cut stream and per-message cut probability.
+    cuts: Option<(DetRng, f64)>,
+    /// Journal write attempts already billed.
+    nvm_writes: usize,
+    /// The key epoch the wire-record audit currently attributes frames to;
+    /// epoch 0 keeps the base cell string so static cells emit
+    /// byte-identical records.
+    #[cfg(feature = "telemetry")]
+    wire_epoch: u64,
+}
+
+impl LinkStep {
+    /// Sends sequence `index`'s encoded `plaintext` (`k` collected steps,
+    /// ground-truth event `label`), charging its energy to the cell's
+    /// ledger and its time to the cell's clock.
+    fn transmit(
+        &mut self,
+        state: &mut CellState,
+        index: u64,
+        label: usize,
+        k: usize,
+        plaintext: &[u8],
+    ) -> Pending {
+        match self {
+            LinkStep::Direct { cipher, message } => {
+                state.span("seal", "crypto", |clock| {
+                    cipher.seal_into(index, plaintext, message);
+                    clock.advance_seal();
+                });
+                let cost = state.sequence_cost(k, message.len());
+                if state.enforce_budget && !state.ledger.try_spend(cost) {
+                    return Pending::violated(0);
+                }
+                // Budget cleared: the sealed message is transmitted. Its
+                // on-air size — and the send time that size shapes — is
+                // what the audit must correlate with events.
+                let sent_at_us = state.span("attempt", "link", |clock| {
+                    clock.advance_radio(message.len())
+                });
+                state.emit_wire(index, label, message.len(), sent_at_us);
+                state.span("ack", "link", VirtualClock::advance_ack);
+                let payload = cipher.open(message).expect("sealed messages always open");
+                state.arrived.insert(index, payload);
+                Pending {
+                    wire_seq: Some(index),
+                    message_bytes: message.len(),
+                    collected: k,
+                    attempts: 1,
+                    energy_mj: cost.0,
+                    sent_at_us,
+                    epoch: 0,
+                }
+            }
+            LinkStep::Transport(step) => step.transmit(state, index, label, k, plaintext),
+        }
+    }
+
+    /// Releases frames a reordering fault still holds and returns the
+    /// transport counters (`None` on the direct path).
+    fn finish(self, arrived: &mut HashMap<u64, Vec<u8>>) -> Option<TransportSummary> {
+        let LinkStep::Transport(mut step) = self else {
+            return None;
+        };
+        for (seq_no, payload) in step.link.flush() {
+            arrived.entry(seq_no).or_insert(payload);
+        }
+        Some(TransportSummary {
+            link: *step.link.stats(),
+            channel: *step.link.channel_stats(),
+        })
+    }
+}
+
+impl TransportStep {
+    fn transmit(
+        &mut self,
+        state: &mut CellState,
+        index: u64,
+        label: usize,
+        k: usize,
+        plaintext: &[u8],
+    ) -> Pending {
+        let link = &mut self.link;
+        let frame_len = link.sensor().frame_len(plaintext.len());
+        let base_cost = state.sequence_cost(k, frame_len);
+        // Brownout injection: before this message goes out, the schedule
+        // may cut power — either before anything happened (a plain reboot)
+        // or in the torn window after the journal reserved a sequence and
+        // sealed the frame but before the radio fired. Both draws happen
+        // unconditionally so the schedule never depends on earlier
+        // outcomes.
+        if let Some((cut_rng, reset_rate)) = self.cuts.as_mut() {
+            let cut = cut_rng.gen_bool(*reset_rate);
+            let torn_window = cut_rng.gen_bool(0.5);
+            if cut {
+                if torn_window {
+                    link.abort_send(plaintext);
+                } else {
+                    link.reboot_sensor();
+                }
+            }
+        }
+        if state.enforce_budget && !state.ledger.try_spend(base_cost) {
+            return Pending::violated(link.sensor().epoch());
+        }
+        state.span("seal", "crypto", VirtualClock::advance_seal);
+        // With a journal the link hands out the persisted sequence; without
+        // one, sequences track the evaluation index. Rekeying links route
+        // through `send` even without a journal: the RAM counter produces
+        // the same 0,1,2,… numbering as the evaluation index, and `send` is
+        // where the watermark rotation lives.
+        let delivery = if link.has_journal() || self.rekeying {
+            link.send(plaintext)
+        } else {
+            link.send_as(index, plaintext)
+        };
+        // Journal flash writes (reservations, plus any brownout recovery
+        // work since the last send) precede the radio. This reads the same
+        // write counter the energy block below settles, so the two see an
+        // identical per-sequence delta.
+        let writes = link.journal_write_attempts();
+        let flash_writes = writes - self.nvm_writes;
+        self.nvm_writes = writes;
+        if flash_writes > 0 {
+            state.span("flash", "nvm", |clock| {
+                clock.advance_flash(flash_writes as u64);
+            });
+        }
+        // Replay the link's attempt schedule on the virtual clock: each
+        // retransmission waits its capped backoff and then radiates the
+        // same frame. The wire record is stamped with the *first*
+        // radiation's completion — the instant an eavesdropper first sees
+        // the message — while every retry gets its own trace span.
+        let mut sent_at_us = 0;
+        for attempt in 0..delivery.attempts {
+            if attempt > 0 {
+                state
+                    .clock
+                    .advance_backoff_ms(self.retry.timeout_ms(attempt - 1));
+            }
+            let done = state.span("attempt", "link", |clock| {
+                clock.advance_radio(delivery.frame_len)
+            });
+            if attempt == 0 {
+                sent_at_us = done;
+            }
+        }
+        if delivery.delivered {
+            state.span("ack", "link", VirtualClock::advance_ack);
+        }
+        // Audit the *sealed* frame as the eavesdropper saw it — the frame
+        // went on the air even if it was later lost in transit. Zero
+        // attempts means the journal's NVM write was exhausted and nothing
+        // ever radiated, so there is nothing to observe.
+        if delivery.attempts > 0 {
+            debug_assert_eq!(delivery.frame_len, frame_len);
+            // A rotation rotates the audit cell too: wire records seal
+            // under the link's key epoch, so the run-wide nonce audit keys
+            // on (cell, epoch, sequence) exactly like the fleet's (sensor,
+            // epoch, sequence).
+            #[cfg(feature = "telemetry")]
+            if self.rekeying && delivery.epoch != self.wire_epoch {
+                self.wire_epoch = delivery.epoch;
+                age_telemetry::set_context_epoch(&format!(
+                    "{}|e{}",
+                    state.cell_epoch, self.wire_epoch
+                ));
+            }
+            state.emit_wire(delivery.sequence, label, delivery.frame_len, sent_at_us);
+        }
+        // The radio spends retransmission energy before the sensor can veto
+        // it; charging it may exhaust the ledger and violate *later*
+        // sequences. Journal flash writes (cuts and reservations alike) are
+        // billed against the same ledger.
+        let retrans = state
+            .energy
+            .retransmission_cost(frame_len, delivery.attempts.saturating_sub(1));
+        let journal_mj = state.energy.journal_write_cost(flash_writes);
+        for extra in [retrans, journal_mj] {
+            if state.enforce_budget && extra.0 > 0.0 {
+                let _ = state.ledger.try_spend(extra);
+            }
+        }
+        for (seq_no, payload) in delivery.payloads {
+            state.arrived.entry(seq_no).or_insert(payload);
+        }
+        Pending {
+            wire_seq: Some(delivery.sequence),
+            message_bytes: if delivery.attempts > 0 { frame_len } else { 0 },
+            collected: k,
+            attempts: delivery.attempts,
+            energy_mj: base_cost.0 + retrans.0 + journal_mj.0,
+            sent_at_us,
+            epoch: delivery.epoch,
         }
     }
 }
@@ -1309,13 +1310,10 @@ mod tests {
     #[test]
     fn age_messages_have_constant_size() {
         let r = runner();
-        let res = r.run(
-            PolicyKind::Linear,
-            Defense::Age,
-            0.5,
-            CipherChoice::ChaCha20,
-            false,
-        );
+        let res = r.run(&SweepCell {
+            enforce_budget: false,
+            ..SweepCell::new(PolicyKind::Linear, Defense::Age, 0.5)
+        });
         let sizes: Vec<usize> = res.observations().iter().map(|&(_, s)| s).collect();
         assert!(!sizes.is_empty());
         assert!(
@@ -1328,13 +1326,10 @@ mod tests {
     #[test]
     fn standard_adaptive_messages_vary_and_leak() {
         let r = runner();
-        let res = r.run(
-            PolicyKind::Linear,
-            Defense::Standard,
-            0.5,
-            CipherChoice::ChaCha20,
-            false,
-        );
+        let res = r.run(&SweepCell {
+            enforce_budget: false,
+            ..SweepCell::new(PolicyKind::Linear, Defense::Standard, 0.5)
+        });
         let sizes: Vec<usize> = res.observations().iter().map(|&(_, s)| s).collect();
         let distinct: std::collections::HashSet<usize> = sizes.iter().copied().collect();
         assert!(distinct.len() > 3, "adaptive sizes should vary");
@@ -1344,13 +1339,7 @@ mod tests {
     #[test]
     fn uniform_messages_do_not_leak() {
         let r = runner();
-        let res = r.run(
-            PolicyKind::Uniform,
-            Defense::Standard,
-            0.5,
-            CipherChoice::ChaCha20,
-            true,
-        );
+        let res = r.run(&SweepCell::new(PolicyKind::Uniform, Defense::Standard, 0.5));
         assert_eq!(res.nmi(), 0.0);
         assert_eq!(res.violations(), 0, "uniform exactly meets its own budget");
     }
@@ -1358,20 +1347,8 @@ mod tests {
     #[test]
     fn padding_violates_tight_budgets() {
         let r = runner();
-        let padded = r.run(
-            PolicyKind::Linear,
-            Defense::Padded,
-            0.3,
-            CipherChoice::ChaCha20,
-            true,
-        );
-        let age = r.run(
-            PolicyKind::Linear,
-            Defense::Age,
-            0.3,
-            CipherChoice::ChaCha20,
-            true,
-        );
+        let padded = r.run(&SweepCell::new(PolicyKind::Linear, Defense::Padded, 0.3));
+        let age = r.run(&SweepCell::new(PolicyKind::Linear, Defense::Age, 0.3));
         assert!(
             padded.violations() > 0,
             "padding should blow the 30% budget"
@@ -1383,20 +1360,14 @@ mod tests {
     #[test]
     fn age_error_close_to_standard() {
         let r = runner();
-        let std_res = r.run(
-            PolicyKind::Linear,
-            Defense::Standard,
-            0.7,
-            CipherChoice::ChaCha20,
-            false,
-        );
-        let age_res = r.run(
-            PolicyKind::Linear,
-            Defense::Age,
-            0.7,
-            CipherChoice::ChaCha20,
-            false,
-        );
+        let std_res = r.run(&SweepCell {
+            enforce_budget: false,
+            ..SweepCell::new(PolicyKind::Linear, Defense::Standard, 0.7)
+        });
+        let age_res = r.run(&SweepCell {
+            enforce_budget: false,
+            ..SweepCell::new(PolicyKind::Linear, Defense::Age, 0.7)
+        });
         // AGE is lossy but must stay close (paper: ~1% median penalty; we
         // allow a loose factor at small scale).
         assert!(
@@ -1410,13 +1381,11 @@ mod tests {
     #[test]
     fn block_cipher_keeps_fixed_sizes() {
         let r = runner();
-        let res = r.run(
-            PolicyKind::Deviation,
-            Defense::Age,
-            0.5,
-            CipherChoice::Aes128Cbc,
-            false,
-        );
+        let res = r.run(&SweepCell {
+            cipher: CipherChoice::Aes128Cbc,
+            enforce_budget: false,
+            ..SweepCell::new(PolicyKind::Deviation, Defense::Age, 0.5)
+        });
         let sizes: Vec<usize> = res.observations().iter().map(|&(_, s)| s).collect();
         assert!(sizes.windows(2).all(|w| w[0] == w[1]));
         // CBC framing: IV + padded body.
@@ -1426,13 +1395,10 @@ mod tests {
     #[test]
     fn size_stats_by_label_cover_events() {
         let r = runner();
-        let res = r.run(
-            PolicyKind::Linear,
-            Defense::Standard,
-            0.5,
-            CipherChoice::ChaCha20,
-            false,
-        );
+        let res = r.run(&SweepCell {
+            enforce_budget: false,
+            ..SweepCell::new(PolicyKind::Linear, Defense::Standard, 0.5)
+        });
         let stats = res.size_stats_by_label();
         assert!(
             stats.len() >= 3,
@@ -1446,40 +1412,46 @@ mod tests {
     #[test]
     fn limited_runs_use_fewer_sequences() {
         let r = runner();
-        let res = r.run_limited(
-            PolicyKind::Uniform,
-            Defense::Standard,
-            0.5,
-            CipherChoice::ChaCha20,
-            false,
-            Some(5),
-        );
+        let res = r.run(&SweepCell {
+            enforce_budget: false,
+            limit: Some(5),
+            ..SweepCell::new(PolicyKind::Uniform, Defense::Standard, 0.5)
+        });
         assert_eq!(res.records.len(), 5);
     }
 
     #[test]
     fn skip_rnn_policy_runs_end_to_end() {
         let r = runner();
-        let res = r.run(
-            PolicyKind::SkipRnn,
-            Defense::Age,
-            0.5,
-            CipherChoice::ChaCha20,
-            false,
-        );
+        let res = r.run(&SweepCell {
+            enforce_budget: false,
+            ..SweepCell::new(PolicyKind::SkipRnn, Defense::Age, 0.5)
+        });
         assert!(!res.records.is_empty());
         assert_eq!(res.nmi(), 0.0);
-        let std_res = r.run(
-            PolicyKind::SkipRnn,
-            Defense::Standard,
-            0.5,
-            CipherChoice::ChaCha20,
-            false,
-        );
+        let std_res = r.run(&SweepCell {
+            enforce_budget: false,
+            ..SweepCell::new(PolicyKind::SkipRnn, Defense::Standard, 0.5)
+        });
         // The learned policy's collection count varies across sequences.
         let counts: std::collections::HashSet<usize> =
             std_res.records.iter().map(|r| r.collected).collect();
         assert!(counts.len() > 1, "Skip RNN should be data-dependent");
+    }
+
+    #[test]
+    fn with_dataset_needs_a_sequence_to_fit_and_one_to_test() {
+        let generated = Dataset::generate(DatasetKind::Epilepsy, Scale::Small, 7);
+        let first = |n: usize| {
+            Dataset::from_sequences(DatasetKind::Epilepsy, generated.sequences()[..n].to_vec())
+                .expect("valid sequences")
+        };
+        let err = Runner::with_dataset(first(1), 7)
+            .err()
+            .expect("one sequence cannot be split into fit and test");
+        assert!(err.contains("at least 2"), "{err}");
+        let runner = Runner::with_dataset(first(2), 7).expect("two sequences split 1 + 1");
+        assert_eq!(runner.test_sequences().len(), 1);
     }
 
     #[test]

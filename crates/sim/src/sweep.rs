@@ -1,7 +1,7 @@
 //! Parallel, deterministic execution of experiment grids.
 //!
 //! A full table sweep is embarrassingly parallel: each (policy, defense,
-//! rate, cipher) cell is an independent [`Runner::run_limited`] call over an
+//! rate, cipher) cell is an independent [`Runner::run`] call over an
 //! immutable dataset. This module fans a grid of [`SweepCell`]s out over a
 //! small work-stealing pool — scoped threads pulling cell indices off one
 //! shared [`AtomicUsize`] cursor — and merges the results **by cell index**,
@@ -26,8 +26,9 @@ use age_telemetry::Sink;
 
 use crate::runner::{CipherChoice, Defense, ExperimentResult, FaultSetup, PolicyKind, Runner};
 
-/// One experiment cell: the arguments of a [`Runner::run_with_transport`]
-/// call.
+/// One experiment cell: every axis of a [`Runner::run`] call. Build one
+/// with [`SweepCell::new`] and override the other axes with struct-update
+/// syntax (`SweepCell { enforce_budget: false, ..SweepCell::new(p, d, r) }`).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SweepCell {
     /// Sampling policy to run.
@@ -139,16 +140,7 @@ pub fn run_cells(
                 loop {
                     let i = cursor.fetch_add(1, Ordering::Relaxed);
                     let Some(cell) = cells.get(i) else { break };
-                    let result = runner.run_with_transport(
-                        cell.policy,
-                        cell.defense,
-                        cell.rate,
-                        cell.cipher,
-                        cell.enforce_budget,
-                        cell.limit,
-                        cell.faults,
-                    );
-                    done.push((i, result));
+                    done.push((i, runner.run(cell)));
                 }
                 done
             }));
@@ -203,16 +195,7 @@ mod tests {
             },
         );
         for (cell, result) in cells.iter().zip(&swept) {
-            let direct = runner.run_with_transport(
-                cell.policy,
-                cell.defense,
-                cell.rate,
-                cell.cipher,
-                cell.enforce_budget,
-                cell.limit,
-                cell.faults,
-            );
-            assert_eq!(*result, direct);
+            assert_eq!(*result, runner.run(cell));
         }
     }
 

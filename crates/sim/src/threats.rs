@@ -5,8 +5,12 @@
 //! - **Faults** (§4.5): AGE guarantees fixed-length messages *absent
 //!   external faults*; a dropped packet shows the attacker a missing
 //!   message. AGE's security argument is that faults occur independently of
-//!   the sensed events — [`run_with_faults`] simulates an unreliable link
-//!   so tests can verify the delivered-message sizes still carry zero
+//!   the sensed events — a [`SweepCell`](crate::SweepCell) with `faults`
+//!   set runs over an unreliable link, and
+//!   [`ExperimentResult::delivered_nmi`](crate::ExperimentResult::delivered_nmi)
+//!   and
+//!   [`drop_indicator_nmi`](crate::ExperimentResult::drop_indicator_nmi)
+//!   check that the delivered sizes and the drop pattern carry no
 //!   information.
 //! - **Multi-event batches** (§3.1): the paper's evaluation gives the
 //!   attacker the easiest setting (one event per batch) and notes the
@@ -17,82 +21,8 @@
 use age_core::{target, AgeEncoder, Batch, BatchConfig, Encoder, StandardEncoder};
 
 use age_datasets::Sequence;
-use age_transport::{FaultPlan, RetryPolicy};
 
-use crate::runner::{CipherChoice, Defense, FaultSetup, PolicyKind, Runner};
-
-/// Observations surviving an unreliable link.
-#[derive(Debug, Clone)]
-pub struct FaultyRun {
-    /// `(label, size)` of messages the attacker saw (delivered).
-    pub delivered: Vec<(usize, usize)>,
-    /// Labels of messages the network dropped.
-    pub dropped_labels: Vec<usize>,
-}
-
-impl FaultyRun {
-    /// NMI between labels and delivered sizes — must be 0 for AGE.
-    pub fn delivered_nmi(&self) -> f64 {
-        let labels: Vec<usize> = self.delivered.iter().map(|&(l, _)| l).collect();
-        let sizes: Vec<usize> = self.delivered.iter().map(|&(_, s)| s).collect();
-        age_attack::nmi(&labels, &sizes)
-    }
-
-    /// NMI between labels and the delivered/dropped indicator — near zero
-    /// when faults are independent of events (the §4.5 assumption).
-    pub fn drop_indicator_nmi(&self) -> f64 {
-        let mut labels: Vec<usize> = self.delivered.iter().map(|&(l, _)| l).collect();
-        let mut indicator: Vec<usize> = vec![1; labels.len()];
-        labels.extend(self.dropped_labels.iter().copied());
-        indicator.extend(std::iter::repeat_n(0usize, self.dropped_labels.len()));
-        age_attack::nmi(&labels, &indicator)
-    }
-}
-
-/// Runs an experiment through the real [`age_transport`] link under `plan`'s
-/// fault rates and `retry`'s retransmission policy. Faults are drawn from a
-/// deterministic stream seeded by the plan and the cell coordinates, so the
-/// run is reproducible at any thread count. A message counts as *dropped*
-/// when the transport abandoned it (or the server could not decode what
-/// arrived) — retransmissions that eventually get through still count as
-/// delivered.
-pub fn run_with_faults(
-    runner: &Runner,
-    policy: PolicyKind,
-    defense: Defense,
-    rate: f64,
-    cipher: CipherChoice,
-    plan: FaultPlan,
-    retry: RetryPolicy,
-) -> FaultyRun {
-    let result = runner.run_with_transport(
-        policy,
-        defense,
-        rate,
-        cipher,
-        false,
-        None,
-        Some(FaultSetup {
-            plan,
-            retry,
-            power: None,
-            rekey_interval: None,
-        }),
-    );
-    let mut delivered = Vec::new();
-    let mut dropped_labels = Vec::new();
-    for record in result.records.iter().filter(|r| !r.violated) {
-        if record.lost {
-            dropped_labels.push(record.label);
-        } else {
-            delivered.push((record.label, record.message_bytes));
-        }
-    }
-    FaultyRun {
-        delivered,
-        dropped_labels,
-    }
-}
+use crate::runner::{CipherChoice, Defense, PolicyKind, Runner};
 
 /// Result of a multi-event batching run.
 #[derive(Debug, Clone)]
@@ -139,13 +69,12 @@ pub fn run_multi_event(
     let cipher = runner.cipher(cipher);
     let encoder: Box<dyn Encoder> = match defense {
         Defense::Standard => Box::new(StandardEncoder),
-        Defense::Age => {
-            let m_b = target::target_bytes(&cfg, rate);
-            let on_air = target::reduced_target_bytes(m_b);
-            let plain = target::plaintext_budget(on_air, cipher.kind(), cipher.overhead(), 16)
-                .max(AgeEncoder::min_target_bytes(&cfg));
-            Box::new(AgeEncoder::new(plain))
-        }
+        Defense::Age => Box::new(AgeEncoder::new(target::age_plaintext_bytes(
+            &cfg,
+            rate,
+            cipher.kind(),
+            cipher.overhead(),
+        ))),
         other => panic!(
             "multi-event runs support Standard and AGE, not {}",
             other.name()
@@ -183,37 +112,51 @@ pub fn run_multi_event(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{ExperimentResult, FaultSetup, SweepCell};
     use age_datasets::{DatasetKind, Scale};
+    use age_transport::{FaultPlan, RetryPolicy};
 
     fn runner() -> Runner {
         Runner::new(DatasetKind::Epilepsy, Scale::Small, 17)
     }
 
+    /// An unbudgeted Linear run at 50% over a link dropping frames.
+    fn run_with_drops(
+        r: &Runner,
+        defense: Defense,
+        cipher: CipherChoice,
+        plan: FaultPlan,
+        retry: RetryPolicy,
+    ) -> ExperimentResult {
+        r.run(&SweepCell {
+            cipher,
+            enforce_budget: false,
+            faults: Some(FaultSetup::new(plan).with_retry(retry)),
+            ..SweepCell::new(PolicyKind::Linear, defense, 0.5)
+        })
+    }
+
     #[test]
     fn age_sizes_stay_constant_under_faults() {
         let r = runner();
-        let run = run_with_faults(
+        let run = run_with_drops(
             &r,
-            PolicyKind::Linear,
             Defense::Age,
-            0.5,
             CipherChoice::ChaCha20,
             FaultPlan::drops(0.3, 1),
             RetryPolicy::none(),
         );
-        assert!(!run.delivered.is_empty());
+        assert!(run.records.iter().any(|r| !r.lost));
         assert_eq!(run.delivered_nmi(), 0.0);
-        assert!(!run.dropped_labels.is_empty());
+        assert!(run.losses() > 0);
     }
 
     #[test]
     fn independent_faults_carry_little_information() {
         let r = runner();
-        let run = run_with_faults(
+        let run = run_with_drops(
             &r,
-            PolicyKind::Linear,
             Defense::Age,
-            0.5,
             CipherChoice::ChaCha20,
             FaultPlan::drops(0.2, 2),
             RetryPolicy::none(),
@@ -229,11 +172,9 @@ mod tests {
     #[test]
     fn standard_still_leaks_under_faults() {
         let r = runner();
-        let run = run_with_faults(
+        let run = run_with_drops(
             &r,
-            PolicyKind::Linear,
             Defense::Standard,
-            0.5,
             CipherChoice::ChaCha20,
             FaultPlan::drops(0.2, 3),
             RetryPolicy::none(),
@@ -244,29 +185,25 @@ mod tests {
     #[test]
     fn retries_recover_most_messages() {
         let r = runner();
-        let fire_and_forget = run_with_faults(
+        let fire_and_forget = run_with_drops(
             &r,
-            PolicyKind::Linear,
             Defense::Age,
-            0.5,
             CipherChoice::ChaCha20Poly1305,
             FaultPlan::drops(0.4, 9),
             RetryPolicy::none(),
         );
-        let with_retries = run_with_faults(
+        let with_retries = run_with_drops(
             &r,
-            PolicyKind::Linear,
             Defense::Age,
-            0.5,
             CipherChoice::ChaCha20Poly1305,
             FaultPlan::drops(0.4, 9),
             RetryPolicy::default(),
         );
         assert!(
-            with_retries.dropped_labels.len() < fire_and_forget.dropped_labels.len(),
+            with_retries.losses() < fire_and_forget.losses(),
             "retries must recover messages: {} vs {}",
-            with_retries.dropped_labels.len(),
-            fire_and_forget.dropped_labels.len()
+            with_retries.losses(),
+            fire_and_forget.losses()
         );
         assert_eq!(with_retries.delivered_nmi(), 0.0);
     }

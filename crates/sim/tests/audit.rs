@@ -9,8 +9,7 @@ use std::sync::Arc;
 
 use age_datasets::{DatasetKind, Scale};
 use age_sim::{
-    run_cells, CipherChoice, Defense, FaultPlan, FaultSetup, PolicyKind, Runner, SweepCell,
-    SweepOptions,
+    run_cells, Defense, FaultPlan, FaultSetup, PolicyKind, Runner, SweepCell, SweepOptions,
 };
 use age_telemetry::{install_thread, LeakageSink, RecordingSink};
 
@@ -148,15 +147,11 @@ fn audited_sizes_are_the_sealed_frames_the_transport_sent() {
     });
     let result = {
         let _guard = install_thread(sink.clone());
-        runner.run_with_transport(
-            PolicyKind::Linear,
-            Defense::Age,
-            0.5,
-            CipherChoice::ChaCha20,
-            false,
-            None,
-            Some(faults),
-        )
+        runner.run(&SweepCell {
+            enforce_budget: false,
+            faults: Some(faults),
+            ..SweepCell::new(PolicyKind::Linear, Defense::Age, 0.5)
+        })
     };
     let wires = sink.wire_records();
     // One wire record per transmitted (non-violated) sequence, in order —
@@ -203,13 +198,10 @@ fn batch_records_carry_the_event_label() {
     let runner = runner();
     let result = {
         let _guard = install_thread(sink.clone());
-        runner.run(
-            PolicyKind::Linear,
-            Defense::Age,
-            0.5,
-            CipherChoice::ChaCha20,
-            false,
-        )
+        runner.run(&SweepCell {
+            enforce_budget: false,
+            ..SweepCell::new(PolicyKind::Linear, Defense::Age, 0.5)
+        })
     };
     let records = sink.records();
     assert_eq!(records.len(), result.records.len());

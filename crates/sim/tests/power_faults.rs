@@ -183,15 +183,11 @@ fn journal_writes_are_billed_against_the_same_ledger() {
         nvm: NvmFaultPlan::NONE,
     });
     let run = |setup| {
-        runner.run_with_transport(
-            PolicyKind::Linear,
-            Defense::Age,
-            0.6,
-            CipherChoice::ChaCha20,
-            true,
-            Some(40),
-            Some(setup),
-        )
+        runner.run(&SweepCell {
+            limit: Some(40),
+            faults: Some(setup),
+            ..SweepCell::new(PolicyKind::Linear, Defense::Age, 0.6)
+        })
     };
     let without = run(base_setup);
     let with = run(journal_setup);

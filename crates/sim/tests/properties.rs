@@ -3,7 +3,7 @@
 //! Driven by the workspace's deterministic PRNG (no external test deps).
 
 use age_datasets::{DatasetKind, Scale};
-use age_sim::{CipherChoice, Defense, PolicyKind, Runner};
+use age_sim::{CipherChoice, Defense, PolicyKind, Runner, SweepCell};
 use age_telemetry::DetRng;
 
 const CASES: usize = 12;
@@ -53,7 +53,11 @@ fn fixed_defenses_never_leak() {
         let defense = random_fixed_defense(&mut rng);
         let rate_pct = rng.gen_range(30u32..=100);
         let runner = Runner::new(kind, Scale::Small, 5);
-        let res = runner.run(policy, defense, f64::from(rate_pct) / 100.0, cipher, false);
+        let res = runner.run(&SweepCell {
+            cipher,
+            enforce_budget: false,
+            ..SweepCell::new(policy, defense, f64::from(rate_pct) / 100.0)
+        });
         let sizes: std::collections::HashSet<usize> =
             res.observations().iter().map(|&(_, s)| s).collect();
         assert!(
@@ -75,13 +79,10 @@ fn runs_are_well_formed() {
         let rate_pct = rng.gen_range(30u32..=100);
         let enforce = rng.gen_bool(0.5);
         let runner = Runner::new(kind, Scale::Small, 6);
-        let res = runner.run(
-            policy,
-            Defense::Standard,
-            f64::from(rate_pct) / 100.0,
-            CipherChoice::ChaCha20,
-            enforce,
-        );
+        let res = runner.run(&SweepCell {
+            enforce_budget: enforce,
+            ..SweepCell::new(policy, Defense::Standard, f64::from(rate_pct) / 100.0)
+        });
         assert_eq!(res.records.len(), runner.test_sequences().len());
         for r in &res.records {
             assert!(r.mae.is_finite() && r.mae >= 0.0);
@@ -100,13 +101,10 @@ fn unenforced_runs_never_violate() {
         let policy = random_policy(&mut rng);
         let rate_pct = rng.gen_range(30u32..=100);
         let runner = Runner::new(kind, Scale::Small, 7);
-        let res = runner.run(
-            policy,
-            Defense::Age,
-            f64::from(rate_pct) / 100.0,
-            CipherChoice::ChaCha20,
-            false,
-        );
+        let res = runner.run(&SweepCell {
+            enforce_budget: false,
+            ..SweepCell::new(policy, Defense::Age, f64::from(rate_pct) / 100.0)
+        });
         assert_eq!(res.violations(), 0);
     }
 }

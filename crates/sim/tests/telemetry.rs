@@ -8,7 +8,7 @@ use std::io::{self, Write};
 use std::sync::{Arc, Mutex};
 
 use age_datasets::{DatasetKind, Scale};
-use age_sim::{CipherChoice, Defense, PolicyKind, Runner};
+use age_sim::{Defense, PolicyKind, Runner, SweepCell};
 use age_telemetry::metrics::global;
 use age_telemetry::{
     install_thread, set_context_label, set_timings_enabled, JsonlSink, RecordingSink, Summary,
@@ -37,13 +37,10 @@ fn runner_emits_one_record_per_batch_with_the_message_layout() {
     let calls_before = global::ENCODE_CALLS.get();
     let result = {
         let _guard = install_thread(sink.clone());
-        runner.run(
-            PolicyKind::Uniform,
-            Defense::Age,
-            0.5,
-            CipherChoice::ChaCha20,
-            false,
-        )
+        runner.run(&SweepCell {
+            enforce_budget: false,
+            ..SweepCell::new(PolicyKind::Uniform, Defense::Age, 0.5)
+        })
     };
     let records = sink.records();
     assert_eq!(records.len(), result.records.len());
@@ -80,13 +77,10 @@ fn summary_stddev_is_zero_for_fixed_defenses_and_positive_for_standard() {
     {
         let _guard = install_thread(sink.clone());
         for defense in [Defense::Age, Defense::Padded, Defense::Standard] {
-            runner.run(
-                PolicyKind::Linear,
-                defense,
-                0.5,
-                CipherChoice::ChaCha20,
-                false,
-            );
+            runner.run(&SweepCell {
+                enforce_budget: false,
+                ..SweepCell::new(PolicyKind::Linear, defense, 0.5)
+            });
         }
     }
     let records = sink.records();
@@ -134,13 +128,7 @@ fn capture_run(seed: u64) -> Vec<u8> {
     {
         let _guard = install_thread(sink);
         let runner = Runner::new(DatasetKind::Epilepsy, Scale::Small, seed);
-        runner.run(
-            PolicyKind::Linear,
-            Defense::Age,
-            0.5,
-            CipherChoice::ChaCha20,
-            true,
-        );
+        runner.run(&SweepCell::new(PolicyKind::Linear, Defense::Age, 0.5));
     }
     set_timings_enabled(true);
     let bytes = buf.0.lock().unwrap().clone();

@@ -65,15 +65,12 @@ fn age_wire_frames_stay_sealed_size_under_faults() {
         seed: 5,
         ..FaultPlan::NONE
     });
-    let result = runner.run_with_transport(
-        PolicyKind::Linear,
-        Defense::Age,
-        0.5,
-        CipherChoice::ChaCha20Poly1305,
-        false,
-        None,
-        Some(setup),
-    );
+    let result = runner.run(&SweepCell {
+        cipher: CipherChoice::ChaCha20Poly1305,
+        enforce_budget: false,
+        faults: Some(setup),
+        ..SweepCell::new(PolicyKind::Linear, Defense::Age, 0.5)
+    });
     let transport = result.transport.expect("fault runs report transport stats");
     // Every frame the attacker tapped — including retransmissions and
     // corrupted copies — had exactly the sealed fixed size.
@@ -109,15 +106,12 @@ fn corrupted_frames_are_skipped_not_fatal() {
         ..FaultPlan::NONE
     })
     .with_retry(RetryPolicy::none());
-    let result = runner.run_with_transport(
-        PolicyKind::Linear,
-        Defense::Age,
-        0.5,
-        CipherChoice::ChaCha20Poly1305,
-        false,
-        None,
-        Some(setup),
-    );
+    let result = runner.run(&SweepCell {
+        cipher: CipherChoice::ChaCha20Poly1305,
+        enforce_budget: false,
+        faults: Some(setup),
+        ..SweepCell::new(PolicyKind::Linear, Defense::Age, 0.5)
+    });
     let transport = result.transport.expect("fault runs report transport stats");
     // AEAD rejects the flipped bits; the receiver skips those batches and
     // the run completes with guessed values instead of a panic.
@@ -136,24 +130,18 @@ fn corrupted_frames_are_skipped_not_fatal() {
 fn retransmission_energy_is_charged() {
     let runner = Runner::new(DatasetKind::Epilepsy, Scale::Small, 7);
     let plan = FaultPlan::drops(0.3, 4);
-    let clean = runner.run_with_transport(
-        PolicyKind::Linear,
-        Defense::Age,
-        0.5,
-        CipherChoice::ChaCha20Poly1305,
-        false,
-        None,
-        Some(FaultSetup::new(FaultPlan::NONE)),
-    );
-    let faulty = runner.run_with_transport(
-        PolicyKind::Linear,
-        Defense::Age,
-        0.5,
-        CipherChoice::ChaCha20Poly1305,
-        false,
-        None,
-        Some(FaultSetup::new(plan)),
-    );
+    let clean = runner.run(&SweepCell {
+        cipher: CipherChoice::ChaCha20Poly1305,
+        enforce_budget: false,
+        faults: Some(FaultSetup::new(FaultPlan::NONE)),
+        ..SweepCell::new(PolicyKind::Linear, Defense::Age, 0.5)
+    });
+    let faulty = runner.run(&SweepCell {
+        cipher: CipherChoice::ChaCha20Poly1305,
+        enforce_budget: false,
+        faults: Some(FaultSetup::new(plan)),
+        ..SweepCell::new(PolicyKind::Linear, Defense::Age, 0.5)
+    });
     let energy =
         |r: &age_sim::ExperimentResult| -> f64 { r.records.iter().map(|rec| rec.energy_mj).sum() };
     let retried = faulty.transport.unwrap().link.frames_retried;
@@ -183,15 +171,12 @@ fn fault_runs_bump_transport_counters() {
         seed: 8,
         ..FaultPlan::NONE
     });
-    let _ = runner.run_with_transport(
-        PolicyKind::Linear,
-        Defense::Age,
-        0.5,
-        CipherChoice::ChaCha20Poly1305,
-        false,
-        None,
-        Some(setup),
-    );
+    let _ = runner.run(&SweepCell {
+        cipher: CipherChoice::ChaCha20Poly1305,
+        enforce_budget: false,
+        faults: Some(setup),
+        ..SweepCell::new(PolicyKind::Linear, Defense::Age, 0.5)
+    });
     // Counters are global and monotone, so concurrent tests can only push
     // them further up — strict increase is still a sound assertion.
     assert!(global::FRAMES_SENT.get() > sent_before);

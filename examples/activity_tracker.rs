@@ -9,7 +9,7 @@
 
 use age::attack::ClassifierAttack;
 use age::datasets::{DatasetKind, Scale};
-use age::sim::{CipherChoice, Defense, PolicyKind, Runner};
+use age::sim::{Defense, PolicyKind, Runner, SweepCell};
 
 fn main() {
     println!("== Activity tracker (Activity dataset) ==\n");
@@ -31,11 +31,7 @@ fn main() {
             (PolicyKind::Deviation, Defense::Age),
         ]
         .iter()
-        .map(|&(p, d)| {
-            runner
-                .run(p, d, rate, CipherChoice::ChaCha20, true)
-                .mean_mae()
-        })
+        .map(|&(p, d)| runner.run(&SweepCell::new(p, d, rate)).mean_mae())
         .collect();
         println!(
             "{:>5}% {:>12.4} {:>12.4} {:>12.4} {:>12.4} {:>12.4}",
@@ -54,7 +50,10 @@ fn main() {
         (PolicyKind::Linear, Defense::Standard),
         (PolicyKind::Linear, Defense::Age),
     ] {
-        let res = runner.run(policy, defense, 0.5, CipherChoice::ChaCha20, false);
+        let res = runner.run(&SweepCell {
+            enforce_budget: false,
+            ..SweepCell::new(policy, defense, 0.5)
+        });
         let outcome = attack.run(&res.observations());
         println!(
             "  {:<10} {:<5}  NMI {:.3}   attack {:.1}% (baseline {:.1}%)",

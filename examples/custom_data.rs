@@ -10,12 +10,13 @@
 //! ```
 
 use age::attack::nmi;
-use age::core::{inspect_message, target, AgeEncoder, BatchConfig, Encoder};
+use age::core::{inspect_message, target, AgeEncoder, Batch, BatchConfig, Encoder};
 use age::crypto::{ChaCha20, Cipher};
 use age::datasets::{read_sequences, write_sequences, Dataset, DatasetKind, Scale};
 use age::fixed::Format;
-use age::sampling::LinearPolicy;
-use age::sim::node::{Link, Sensor, Server};
+use age::reconstruct::{interpolate, mae};
+use age::sampling::{LinearPolicy, Policy};
+use age::transport::{FaultPlan, Link, RetryPolicy};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // --- Stand-in for "your data": export a generated set to CSV. ---
@@ -38,55 +39,49 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let cfg = BatchConfig::new(seq_len, features, Format::new(16, 10)?)?;
 
     // Size the fixed message for a 60% collection-rate budget.
-    let cipher = ChaCha20::new([0xC0; 32]);
-    let m_b = target::target_bytes(&cfg, 0.6);
-    let plain = target::plaintext_budget(
-        target::reduced_target_bytes(m_b),
-        cipher.kind(),
-        cipher.overhead(),
-        16,
-    )
-    .max(AgeEncoder::min_target_bytes(&cfg));
+    let key = [0xC0; 32];
+    let cipher = ChaCha20::new(key);
+    let plain = target::age_plaintext_bytes(&cfg, 0.6, cipher.kind(), cipher.overhead());
     println!(
         "AGE target: {plain} bytes plaintext ({} bytes on air)",
         cipher.message_len(plain)
     );
 
-    let mut sensor = Sensor::new(
-        cfg,
-        Box::new(LinearPolicy::new(2.0)),
-        Box::new(AgeEncoder::new(plain)),
+    // Sensor and server ends of one sealed session over a link that drops
+    // 5% of frames, with no retransmissions.
+    let policy = LinearPolicy::new(2.0);
+    let encoder = AgeEncoder::new(plain);
+    let mut link = Link::new(
         Box::new(cipher),
+        Box::new(ChaCha20::new(key)),
+        FaultPlan::drops(0.05, 1),
+        RetryPolicy::none(),
     );
-    let server = Server::new(
-        cfg,
-        Box::new(AgeEncoder::new(plain)),
-        Box::new(ChaCha20::new([0xC0; 32])),
-    );
-    let mut link = Link::lossy(0.05, 1); // 5% packet loss
 
     let mut observations = Vec::new();
     let mut total_mae = 0.0;
     let mut received = 0usize;
     for seq in &sequences {
-        let message = sensor.process(&seq.values);
-        observations.push((seq.label, message.len()));
-        if let Some(delivered) = link.transmit(message) {
-            let recon = server.receive(&delivered)?;
-            total_mae += recon
-                .iter()
-                .zip(&seq.values)
-                .map(|(a, b)| (a - b).abs())
-                .sum::<f64>()
-                / seq.values.len() as f64;
+        let indices = policy.sample(&seq.values, features);
+        let values = indices
+            .iter()
+            .flat_map(|&t| &seq.values[t * features..(t + 1) * features])
+            .copied()
+            .collect();
+        let delivery = link.send(&encoder.encode(&Batch::new(indices, values)?, &cfg)?);
+        observations.push((seq.label, delivery.frame_len));
+        for (_, payload) in delivery.payloads {
+            let batch = encoder.decode(&payload, &cfg)?;
+            let recon = interpolate(batch.indices(), batch.values(), seq_len, features);
+            total_mae += mae(&recon, &seq.values);
             received += 1;
         }
     }
 
     println!(
         "\nlink: {} delivered, {} dropped; mean reconstruction MAE {:.4}",
-        link.delivered(),
-        link.dropped(),
+        link.stats().frames_delivered,
+        link.stats().messages_lost,
         total_mae / received.max(1) as f64
     );
     let labels: Vec<usize> = observations.iter().map(|&(l, _)| l).collect();
@@ -98,7 +93,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // Peek inside one message to see where the bits went.
     let one = AgeEncoder::new(plain).encode(
-        &age::core::Batch::new(
+        &Batch::new(
             (0..seq_len / 2).map(|i| i * 2).collect(),
             sequences[0]
                 .values

@@ -8,7 +8,7 @@
 //! ```
 
 use age::datasets::{DatasetKind, Scale};
-use age::sim::{CipherChoice, Defense, PolicyKind, Runner};
+use age::sim::{CipherChoice, Defense, PolicyKind, Runner, SweepCell};
 
 fn main() {
     println!("== Nanosatellite downlink (Tiselac dataset) ==\n");
@@ -21,27 +21,17 @@ fn main() {
     for pct in [30u32, 40, 50, 60, 70, 80, 90, 100] {
         let rate = pct as f64 / 100.0;
         let budget = runner.budget_per_seq(rate, CipherChoice::ChaCha20);
-        let std_res = runner.run(
+        let std_res = runner.run(&SweepCell::new(
             PolicyKind::Deviation,
             Defense::Standard,
             rate,
-            CipherChoice::ChaCha20,
-            true,
-        );
-        let padded = runner.run(
+        ));
+        let padded = runner.run(&SweepCell::new(
             PolicyKind::Deviation,
             Defense::Padded,
             rate,
-            CipherChoice::ChaCha20,
-            true,
-        );
-        let age_res = runner.run(
-            PolicyKind::Deviation,
-            Defense::Age,
-            rate,
-            CipherChoice::ChaCha20,
-            true,
-        );
+        ));
+        let age_res = runner.run(&SweepCell::new(PolicyKind::Deviation, Defense::Age, rate));
         println!(
             "{:<10} {:>6}% {:>12.3} {:>12.3} {:>12.3} {:>4}/{:>2}/{:<3}",
             format!("{budget}"),

@@ -7,7 +7,7 @@
 
 use age::attack::ClassifierAttack;
 use age::datasets::{DatasetKind, Scale};
-use age::sim::{CipherChoice, Defense, PolicyKind, Runner};
+use age::sim::{Defense, PolicyKind, Runner, SweepCell};
 
 fn main() {
     println!("== Wearable seizure monitor (Epilepsy dataset) ==\n");
@@ -15,13 +15,10 @@ fn main() {
     let kind = runner.dataset().kind();
 
     for defense in [Defense::Standard, Defense::Age] {
-        let result = runner.run(
-            PolicyKind::Linear,
-            defense,
-            0.7,
-            CipherChoice::ChaCha20,
-            false,
-        );
+        let result = runner.run(&SweepCell {
+            enforce_budget: false,
+            ..SweepCell::new(PolicyKind::Linear, defense, 0.7)
+        });
 
         println!("-- Linear policy, defense: {} --", result.defense);
         println!("   mean reconstruction MAE: {:.4}", result.mean_mae());

@@ -180,17 +180,6 @@ fn build_policy(opts: &Options, rate: f64, span: f64, d: usize) -> Result<Box<dy
     })
 }
 
-fn age_target(cfg: &BatchConfig, rate: f64, cipher: &dyn Cipher) -> usize {
-    let m_b = target::target_bytes(cfg, rate);
-    target::plaintext_budget(
-        target::reduced_target_bytes(m_b),
-        cipher.kind(),
-        cipher.overhead(),
-        16,
-    )
-    .max(AgeEncoder::min_target_bytes(cfg))
-}
-
 fn simulate(opts: &Options) -> Result<(), String> {
     let (sequences, cfg) = load(opts)?;
     let rate: f64 = opts.flag_parse("rate", 0.6)?;
@@ -215,7 +204,12 @@ fn simulate(opts: &Options) -> Result<(), String> {
     let encoder: Box<dyn Encoder> = match opts.flag("defense").unwrap_or("age") {
         "standard" => Box::new(StandardEncoder),
         "padded" => Box::new(PaddedEncoder::for_config(&cfg)),
-        "age" => Box::new(AgeEncoder::new(age_target(&cfg, rate, cipher.as_ref()))),
+        "age" => Box::new(AgeEncoder::new(target::age_plaintext_bytes(
+            &cfg,
+            rate,
+            cipher.kind(),
+            cipher.overhead(),
+        ))),
         other => return Err(format!("unknown defense '{other}'")),
     };
     let model = EnergyModel::msp430();
@@ -281,7 +275,12 @@ fn inspect(opts: &Options) -> Result<(), String> {
     let (sequences, cfg) = load(opts)?;
     let rate: f64 = opts.flag_parse("rate", 0.6)?;
     let cipher = ChaCha20::new([0x42; 32]);
-    let encoder = AgeEncoder::new(age_target(&cfg, rate, &cipher));
+    let encoder = AgeEncoder::new(target::age_plaintext_bytes(
+        &cfg,
+        rate,
+        cipher.kind(),
+        cipher.overhead(),
+    ));
     let d = cfg.features();
     let policy = LinearPolicy::new(0.0); // collect everything: worst case
     let seq = &sequences[0];

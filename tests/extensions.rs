@@ -1,5 +1,5 @@
-//! Integration tests for the beyond-the-paper components: the node API,
-//! AEAD links, MCU paths, the feedback policy, compression leakage, and
+//! Integration tests for the beyond-the-paper components: AEAD transport
+//! links, MCU paths, the feedback policy, compression leakage, and
 //! battery accounting — all working together.
 
 use age::attack::{nmi, welch_t_test};
@@ -8,54 +8,54 @@ use age::core::{inspect_message, target, AgeEncoder, Batch, BatchConfig, DeltaCo
 use age::crypto::ChaCha20Poly1305;
 use age::datasets::{read_sequences, write_sequences, Dataset, DatasetKind, Scale};
 use age::energy::{Battery, EncoderCost, EnergyModel};
+use age::reconstruct::interpolate;
 use age::sampling::mcu::RawLinearPolicy;
 use age::sampling::{FeedbackPolicy, LinearPolicy, Policy};
-use age::sim::node::{Link, Sensor, Server};
+use age::sim::SweepCell;
+use age::transport::{FaultPlan, Link, RetryPolicy};
 
 #[test]
 fn authenticated_pipeline_with_losses_and_battery() {
     let data = Dataset::generate(DatasetKind::Epilepsy, Scale::Small, 21);
     let spec = *data.spec();
-    let cfg = BatchConfig::new(spec.seq_len, spec.features, spec.format).unwrap();
-    let m_b = target::target_bytes(&cfg, 0.6);
-    let plain = target::plaintext_budget(
-        target::reduced_target_bytes(m_b),
-        age::crypto::CipherKind::Stream,
-        28,
-        16,
-    )
-    .max(AgeEncoder::min_target_bytes(&cfg));
+    let d = spec.features;
+    let cfg = BatchConfig::new(spec.seq_len, d, spec.format).unwrap();
+    let plain = target::age_plaintext_bytes(&cfg, 0.6, age::crypto::CipherKind::Stream, 28);
 
-    let mut sensor = Sensor::new(
-        cfg,
-        Box::new(LinearPolicy::new(0.4)),
-        Box::new(AgeEncoder::new(plain)),
+    let policy = LinearPolicy::new(0.4);
+    let encoder = AgeEncoder::new(plain);
+    let mut link = Link::new(
         Box::new(ChaCha20Poly1305::new([0xEE; 32])),
-    );
-    let server = Server::new(
-        cfg,
-        Box::new(AgeEncoder::new(plain)),
         Box::new(ChaCha20Poly1305::new([0xEE; 32])),
+        FaultPlan::drops(0.15, 4),
+        RetryPolicy::none(),
     );
-    let mut link = Link::lossy(0.15, 4);
     let model = EnergyModel::msp430();
     let mut battery = Battery::from_mah(230.0, 3.0);
 
     let mut sizes = std::collections::HashSet::new();
     let mut received = 0usize;
     for seq in data.sequences() {
-        let message = sensor.process(&seq.values);
-        sizes.insert(message.len());
-        let k = message.len(); // cost uses real message size
-        battery.draw(model.sequence_cost(20, 60, k, EncoderCost::Age));
-        if let Some(delivered) = link.transmit(message) {
-            let recon = server.receive(&delivered).unwrap();
+        let indices = policy.sample(&seq.values, d);
+        let values = indices
+            .iter()
+            .flat_map(|&t| &seq.values[t * d..(t + 1) * d])
+            .copied()
+            .collect();
+        let batch = Batch::new(indices, values).unwrap();
+        let delivery = link.send(&encoder.encode(&batch, &cfg).unwrap());
+        sizes.insert(delivery.frame_len);
+        // cost uses real message size
+        battery.draw(model.sequence_cost(20, 60, delivery.frame_len, EncoderCost::Age));
+        for (_, payload) in delivery.payloads {
+            let batch = encoder.decode(&payload, &cfg).unwrap();
+            let recon = interpolate(batch.indices(), batch.values(), spec.seq_len, d);
             assert_eq!(recon.len(), seq.values.len());
             received += 1;
         }
     }
     assert_eq!(sizes.len(), 1, "AEAD framing must keep sizes constant");
-    assert!(received > 0 && link.dropped() > 0);
+    assert!(received > 0 && link.stats().messages_lost > 0);
     assert!(battery.fraction_remaining() > 0.9);
 }
 
@@ -181,14 +181,11 @@ fn real_data_path_runs_the_full_experiment_suite() {
     let data = Dataset::from_sequences(DatasetKind::Epilepsy, loaded).unwrap();
     assert_eq!(data.sequences(), generated.sequences());
 
-    let runner = age::sim::Runner::with_dataset(data, 33);
-    let res = runner.run(
-        age::sim::PolicyKind::Linear,
-        age::sim::Defense::Age,
-        0.6,
-        age::sim::CipherChoice::ChaCha20,
-        false,
-    );
+    let runner = age::sim::Runner::with_dataset(data, 33).unwrap();
+    let res = runner.run(&SweepCell {
+        enforce_budget: false,
+        ..SweepCell::new(age::sim::PolicyKind::Linear, age::sim::Defense::Age, 0.6)
+    });
     assert_eq!(res.nmi(), 0.0);
     assert!(!res.records.is_empty());
 

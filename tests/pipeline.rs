@@ -7,7 +7,7 @@ use age::datasets::{Dataset, DatasetKind, Scale};
 use age::fixed::Format;
 use age::reconstruct::{interpolate, mae};
 use age::sampling::{DeviationPolicy, LinearPolicy, Policy, UniformPolicy};
-use age::sim::{CipherChoice, Defense, PolicyKind, Runner};
+use age::sim::{Defense, PolicyKind, Runner, SweepCell};
 
 /// Builds a batch by running a policy over a dataset sequence.
 fn sample_batch(policy: &dyn Policy, values: &[f64], d: usize) -> Batch {
@@ -189,13 +189,10 @@ fn end_to_end_attack_reproduces_the_papers_story() {
         ..Default::default()
     };
 
-    let leaky = runner.run(
-        PolicyKind::Linear,
-        Defense::Standard,
-        0.7,
-        CipherChoice::ChaCha20,
-        false,
-    );
+    let leaky = runner.run(&SweepCell {
+        enforce_budget: false,
+        ..SweepCell::new(PolicyKind::Linear, Defense::Standard, 0.7)
+    });
     let leaky_outcome = attack.run(&leaky.observations());
     assert!(
         leaky_outcome.mean_accuracy() > leaky_outcome.baseline + 0.15,
@@ -204,13 +201,10 @@ fn end_to_end_attack_reproduces_the_papers_story() {
         leaky_outcome.baseline
     );
 
-    let defended = runner.run(
-        PolicyKind::Linear,
-        Defense::Age,
-        0.7,
-        CipherChoice::ChaCha20,
-        false,
-    );
+    let defended = runner.run(&SweepCell {
+        enforce_budget: false,
+        ..SweepCell::new(PolicyKind::Linear, Defense::Age, 0.7)
+    });
     let defended_outcome = attack.run(&defended.observations());
     assert!(
         (defended_outcome.mean_accuracy() - defended_outcome.baseline).abs() < 0.05,
@@ -224,13 +218,10 @@ fn end_to_end_attack_reproduces_the_papers_story() {
 fn all_nine_datasets_run_through_the_pipeline() {
     for kind in DatasetKind::all() {
         let runner = Runner::new(kind, Scale::Small, 3);
-        let res = runner.run(
-            PolicyKind::Linear,
-            Defense::Age,
-            0.5,
-            CipherChoice::ChaCha20,
-            false,
-        );
+        let res = runner.run(&SweepCell {
+            enforce_budget: false,
+            ..SweepCell::new(PolicyKind::Linear, Defense::Age, 0.5)
+        });
         assert!(!res.records.is_empty(), "{kind}");
         assert_eq!(res.nmi(), 0.0, "{kind}: AGE must not leak");
         assert!(res.mean_mae().is_finite(), "{kind}");
