@@ -55,3 +55,6 @@ pub use age_sampling as sampling;
 pub use age_sim as sim;
 pub use age_telemetry as telemetry;
 pub use age_transport as transport;
+
+#[cfg(test)]
+mod node;
