@@ -112,22 +112,23 @@ impl Cipher for ChaCha20Poly1305 {
     }
 
     fn open_into(&self, message: &[u8], out: &mut Vec<u8>) -> Result<(), OpenError> {
-        if message.len() < NONCE_LEN + TAG_LEN {
-            return Err(OpenError::Truncated {
-                len: message.len(),
-                min: NONCE_LEN + TAG_LEN,
-            });
-        }
-        let nonce: [u8; NONCE_LEN] = message[..NONCE_LEN].try_into().expect("checked length");
-        let (body, tag_bytes) = message[NONCE_LEN..].split_at(message.len() - NONCE_LEN - TAG_LEN);
-        let expected = self.mac(&nonce, body);
-        let tag: [u8; 16] = tag_bytes.try_into().expect("16-byte tag");
-        if !tags_equal(&expected, &tag) {
+        let truncated = OpenError::Truncated {
+            len: message.len(),
+            min: NONCE_LEN + TAG_LEN,
+        };
+        let Some((nonce, rest)) = message.split_first_chunk::<NONCE_LEN>() else {
+            return Err(truncated);
+        };
+        let Some((body, tag)) = rest.split_last_chunk::<TAG_LEN>() else {
+            return Err(truncated);
+        };
+        let expected = self.mac(nonce, body);
+        if !tags_equal(&expected, tag) {
             return Err(OpenError::BadPadding); // authentication failure
         }
         out.clear();
         out.extend_from_slice(body);
-        ChaCha20::new(self.key).apply_keystream(&nonce, 1, out);
+        ChaCha20::new(self.key).apply_keystream(nonce, 1, out);
         Ok(())
     }
 

@@ -74,8 +74,8 @@ pub const MAX_OKM_LEN: usize = 255 * 32;
 /// requires inverting a truncated permutation — the same hardness the
 /// ChaCha20 block function itself rests on.
 pub fn hchacha20(key: &[u8; 32], input: &[u8; 16]) -> [u8; 32] {
-    let counter = u32::from_le_bytes(input[0..4].try_into().expect("4-byte chunk"));
-    let nonce: [u8; 12] = input[4..16].try_into().expect("12-byte tail");
+    let [c0, c1, c2, c3, nonce @ ..] = *input;
+    let counter = u32::from_le_bytes([c0, c1, c2, c3]);
     let words = permuted_words(&base_state(key, counter, &nonce));
     let mut out = [0u8; 32];
     for (i, bytes) in out.chunks_exact_mut(4).enumerate() {
@@ -176,7 +176,7 @@ const CHAIN_STEP_INFO: &[u8] = b"age/v1/chain-step";
 /// reveals the chain, and the chain step is one-way, so advancing destroys
 /// the ability to recompute any earlier epoch's key.
 ///
-/// The ratchet only moves forward: [`seek`](EpochRatchet::advance) walks
+/// The ratchet only moves forward: [`seek`](EpochRatchet::seek) walks
 /// the chain toward a later epoch; there is deliberately no way back.
 #[derive(Clone)]
 pub struct EpochRatchet {

@@ -16,9 +16,12 @@
 use age_core::{AgeEncoder, Batch, BatchConfig, Encoder};
 use age_crypto::ChaCha20Poly1305;
 use age_fixed::Format;
-use age_gateway::{derive_key, Cohort, FleetFrame, Gateway, GatewayConfig};
+use age_gateway::{
+    derive_key, derive_root, stagger_phase, Cohort, FleetFrame, Gateway, GatewayConfig,
+    GatewayError,
+};
 use age_telemetry::alloc::{self, CountingAllocator};
-use age_transport::Sensor;
+use age_transport::{chacha20poly1305_factory, ReceiveError, Sensor};
 
 #[global_allocator]
 static ALLOC: CountingAllocator = CountingAllocator::new();
@@ -35,9 +38,16 @@ fn batch_cfg() -> BatchConfig {
 /// means the session's histograms see exactly one (event, size) and one
 /// (event, gap) key per class — all created during warm-up.
 fn frames(count: usize) -> Vec<FleetFrame> {
+    sealed_frames(
+        Sensor::new(Box::new(ChaCha20Poly1305::new(derive_key(SEED, SENSOR)))),
+        count,
+    )
+}
+
+/// [`frames`] from a sensor of its own.
+fn sealed_frames(mut sensor: Sensor, count: usize) -> Vec<FleetFrame> {
     let cfg = batch_cfg();
     let age = AgeEncoder::new(160);
-    let mut sensor = Sensor::new(Box::new(ChaCha20Poly1305::new(derive_key(SEED, SENSOR))));
     (0..count)
         .map(|i| {
             let event = i % 3;
@@ -196,4 +206,59 @@ fn steady_state_rejections_are_allocation_free() {
         "steady-state rejection allocated {} times ({} bytes)",
         delta.allocations, delta.bytes,
     );
+}
+
+/// Forged frames and stale replays fail every key a rekeying session
+/// holds, so each one probes the whole epoch skip budget. The session
+/// derives those probe ciphers once and keeps them: after the first
+/// forgery has filled its probe cache, further forgeries and replays
+/// from more than one epoch back must not touch the heap.
+#[test]
+fn rekeying_rejections_reuse_the_probe_cache() {
+    const INTERVAL: u64 = 16;
+    let mut config = GatewayConfig::new(
+        batch_cfg(),
+        vec![Cohort::new("AGE", Box::new(AgeEncoder::new(160)))],
+        SEED,
+        1,
+    );
+    config.rekey_interval = Some(INTERVAL);
+    let mut gateway = Gateway::new(config);
+    gateway.provision(SENSOR, 0).unwrap();
+
+    let sensor = Sensor::with_rekey(
+        derive_root(SEED, SENSOR),
+        INTERVAL,
+        stagger_phase(SEED, SENSOR, INTERVAL),
+        chacha20poly1305_factory,
+    );
+    // Five epochs of genuine traffic: the session ends at epoch 4 or 5,
+    // so the first sixteen frames are at least two epochs old.
+    let valid = sealed_frames(sensor, 5 * INTERVAL as usize);
+    for frame in &valid {
+        gateway.ingest(frame).expect("genuine frame accepted");
+    }
+    let mut forged = valid[valid.len() - 1].clone();
+    forged.wire[30] ^= 0x40;
+    let stale = &valid[..10];
+    // The first forgery derives the probe cache.
+    gateway.ingest(&forged).expect_err("forged frame rejected");
+
+    let before = alloc::snapshot();
+    for frame in std::iter::repeat_n(&forged, 10).chain(stale) {
+        let verdict = gateway.ingest(frame);
+        assert!(
+            matches!(verdict, Err(GatewayError::Receive(ReceiveError::Cipher(_)))),
+            "{verdict:?}"
+        );
+    }
+    let delta = alloc::snapshot().since(before);
+    assert_eq!(
+        delta.allocations, 0,
+        "rejecting forged and stale frames allocated {} times ({} bytes)",
+        delta.allocations, delta.bytes,
+    );
+    let report = gateway.fleet_report();
+    assert_eq!(report.stats.accepted, valid.len() as u64);
+    assert_eq!(report.stats.rejected(), 21);
 }

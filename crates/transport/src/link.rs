@@ -1,6 +1,8 @@
 //! The framed sensor→server session: sealing, receive-side checks, and the
 //! retry/backoff loop.
 
+use std::collections::VecDeque;
+
 use age_crypto::{Cipher, EpochRatchet, OpenError};
 
 use crate::fault::{ChannelStats, FaultChannel, FaultPlan};
@@ -382,10 +384,18 @@ impl ReceiverStats {
     }
 }
 
-/// Rekey state for a [`Receiver`]: the ratchet at the current epoch plus
-/// the skew-tolerance machinery.
+/// Rekey state for a [`Receiver`]: the ratchet, the ciphers it has
+/// already derived for the epochs ahead, and the skew-tolerance
+/// machinery.
 struct ReceiverRekey {
+    /// The chain at the far end of `ahead`: epoch `epoch + ahead.len()`.
     ratchet: EpochRatchet,
+    /// Ciphers for epochs `epoch + 1 ..= epoch + ahead.len()`, derived
+    /// on demand by the forward probe and kept until the receiver moves
+    /// past their epoch, so forged and stale frames, which probe all
+    /// `skip` of them, derive each key once per session rather than once
+    /// per frame. Never longer than `skip`.
+    ahead: VecDeque<Box<dyn Cipher>>,
     /// Cipher for the previous epoch, kept so stragglers sealed just
     /// before a rotation still open (the deliberate skew-tolerance
     /// trade-off: one old epoch key stays in memory until the next
@@ -410,7 +420,9 @@ pub struct Receiver {
     /// Epoch the most recently accepted frame actually opened under —
     /// `epoch - 1` for a straggler accepted via the previous-epoch cipher.
     last_epoch: u64,
-    rekey: Option<ReceiverRekey>,
+    /// Boxed so receivers without rekey state (every static gateway
+    /// session) pay one pointer for it, not the whole struct.
+    rekey: Option<Box<ReceiverRekey>>,
 }
 
 impl Receiver {
@@ -459,12 +471,13 @@ impl Receiver {
     ) -> Self {
         let ratchet = EpochRatchet::new(root);
         let mut receiver = Receiver::with_max_skip(factory(ratchet.key()), max_skip);
-        receiver.rekey = Some(ReceiverRekey {
+        receiver.rekey = Some(Box::new(ReceiverRekey {
             ratchet,
+            ahead: VecDeque::new(),
             prev_cipher: None,
             skip: epoch_skip.max(1),
             factory,
-        });
+        }));
         receiver
     }
 
@@ -553,9 +566,10 @@ impl Receiver {
     /// Opens `frame` under the current epoch key, then — on a
     /// rekey-capable receiver — retries under the previous epoch's key
     /// (straggler sealed just before a rotation) and finally probes up to
-    /// `skip` future epochs (the sensor rotated, perhaps several times
-    /// across a brownout; a successful forward open commits the receiver
-    /// to the new epoch). Returns the epoch the frame opened under.
+    /// `skip` future epochs in order (the sensor rotated, perhaps several
+    /// times across a brownout; a successful forward open commits the
+    /// receiver to the new epoch). Returns the epoch the frame opened
+    /// under.
     ///
     /// The replay window is shared across epochs — sequence numbers are
     /// global — so skew handling needs no window surgery: whatever epoch a
@@ -566,7 +580,7 @@ impl Receiver {
             Ok(()) => return Ok(self.epoch),
             Err(err) => err,
         };
-        let Some(rekey) = self.rekey.as_mut() else {
+        let Some(rekey) = self.rekey.as_deref_mut() else {
             return Err(err);
         };
         // The straggler path first: one cheap trial, no key derivation.
@@ -576,19 +590,29 @@ impl Receiver {
                 return Ok(self.epoch - 1);
             }
         }
-        // Forward probes. Deriving a candidate key is a handful of
-        // permutations, and this path only runs for frames the current
-        // key already rejected — genuine rotations, not steady traffic.
-        let mut probe = rekey.ratchet.clone();
-        for _ in 0..rekey.skip {
-            let key_below = probe.key();
-            probe.advance();
-            let candidate = (rekey.factory)(probe.key());
+        // Forward probes. Genuine rotations usually stop at the first
+        // candidate, but every forged frame and every replay older than
+        // the previous epoch walks all `skip` of them, so each candidate
+        // is derived once, on first use, and queued in `ahead`.
+        for offset in 0..rekey.skip as usize {
+            if offset == rekey.ahead.len() {
+                rekey.ratchet.advance();
+                rekey.ahead.push_back((rekey.factory)(rekey.ratchet.key()));
+            }
+            let Some(candidate) = rekey.ahead.get(offset) else {
+                break;
+            };
             if candidate.open_into(frame, payload).is_ok() {
-                rekey.prev_cipher = Some((rekey.factory)(key_below));
-                rekey.ratchet = probe;
-                self.epoch = rekey.ratchet.epoch();
-                self.cipher = candidate;
+                // Promote the hit to current and the epoch below it to
+                // previous; the other entries it passed are behind the
+                // receiver now and are dropped with the drain.
+                let below = rekey.ahead.drain(..offset).next_back();
+                let Some(hit) = rekey.ahead.pop_front() else {
+                    break;
+                };
+                let old = std::mem::replace(&mut self.cipher, hit);
+                rekey.prev_cipher = Some(below.unwrap_or(old));
+                self.epoch += offset as u64 + 1;
                 self.stats.epoch_advances += 1;
                 return Ok(self.epoch);
             }
@@ -1466,6 +1490,41 @@ mod tests {
     fn rekey_link(interval: u64, plan: FaultPlan, retry: RetryPolicy) -> Link {
         let (sensor, receiver) = rekey_pair(interval);
         Link::with_parts(sensor, receiver, FaultChannel::new(plan), retry)
+    }
+
+    #[test]
+    fn probe_cache_never_outgrows_the_skip_budget() {
+        let (mut sensor, mut receiver) = rekey_pair(16);
+        let skip = epoch_skip_budget(MAX_SKIP, 16);
+        let check = |receiver: &Receiver| {
+            let rekey = receiver.rekey.as_deref().expect("rekeying receiver");
+            assert!(rekey.ahead.len() as u64 <= skip, "{}", rekey.ahead.len());
+            assert_eq!(
+                rekey.ratchet.epoch(),
+                receiver.epoch() + rekey.ahead.len() as u64,
+                "the ratchet sits at the far end of the queue"
+            );
+            rekey.ahead.len() as u64
+        };
+        assert_eq!(check(&receiver), 0, "nothing is derived up front");
+        let mut forged = sensor.seal(b"forged").1;
+        forged[20] ^= 1;
+        for round in 0..4u64 {
+            // A forgery walks the whole budget and fills the queue...
+            assert!(receiver.receive(&forged).is_err());
+            assert_eq!(check(&receiver), skip);
+            // ...a brownout jump consumes the entries it passes...
+            sensor.reboot_at(sensor.next_sequence() + 16 * (3 + round));
+            let before = receiver.epoch();
+            assert!(receiver.receive(&sensor.seal(b"genuine").1).is_ok());
+            assert_eq!(receiver.epoch(), before + 3 + round);
+            assert_eq!(check(&receiver), skip - 3 - round);
+            // ...and in-order rotations take one entry each.
+            for i in 0..40u8 {
+                assert!(receiver.receive(&sensor.seal(&[i; 8]).1).is_ok());
+                check(&receiver);
+            }
+        }
     }
 
     #[test]
