@@ -30,7 +30,6 @@ use age_bench::{run_gateway, GatewayRunConfig};
 use age_gateway::Gateway;
 use age_sim::fleet::{fleet_gateway_config, generate, FleetConfig};
 use age_telemetry::alloc::{self, CountingAllocator};
-#[cfg(feature = "telemetry")]
 use age_telemetry::MonitorConfig;
 
 #[global_allocator]
@@ -63,17 +62,13 @@ fn measure_steady(
         ..FleetConfig::new(sensors, seed)
     };
     let traffic = generate(&fleet);
-    #[cfg_attr(not(feature = "telemetry"), allow(unused_mut))]
     let mut gateway_config = fleet_gateway_config(&fleet, 1);
-    #[cfg(feature = "telemetry")]
     if monitored {
         gateway_config.monitor = Some(MonitorConfig {
             window_us: 500_000,
             ..MonitorConfig::default()
         });
     }
-    #[cfg(not(feature = "telemetry"))]
-    let _ = monitored;
     let mut gateway = Gateway::new(gateway_config);
     for sensor_id in 0..fleet.sensors {
         // cohort_of is always in range for the two fleet cohorts.
@@ -122,17 +117,13 @@ fn min_steady(
 /// provisioned gateway (replay windows forbid reusing one), warm it on
 /// the first 75% of the trace, time the rest. Returns ns/frame.
 fn timed_pass(fleet: &FleetConfig, traffic: &age_sim::fleet::FleetTraffic, monitored: bool) -> f64 {
-    #[cfg_attr(not(feature = "telemetry"), allow(unused_mut))]
     let mut gateway_config = fleet_gateway_config(fleet, 1);
-    #[cfg(feature = "telemetry")]
     if monitored {
         gateway_config.monitor = Some(MonitorConfig {
             window_us: 500_000,
             ..MonitorConfig::default()
         });
     }
-    #[cfg(not(feature = "telemetry"))]
-    let _ = monitored;
     let mut gateway = Gateway::new(gateway_config);
     for sensor_id in 0..fleet.sensors {
         let _ = gateway.provision(sensor_id, fleet.cohort_of(sensor_id));
@@ -227,21 +218,18 @@ fn check_mode() -> ! {
         eprintln!("FAIL: ns_per_frame {ns_per_frame:.0} exceeds 3x the committed {committed:.0}");
         failed = true;
     }
-    #[cfg(feature = "telemetry")]
-    {
-        let (base_ns, monitored_ns) = min_steady_paired(1_000, 40, 2022, true, None);
-        let overhead = monitored_ns / base_ns.max(1e-9);
-        println!(
-            "monitored ingest: {monitored_ns:.0} ns/frame ({:.1}% overhead, limit 10%)",
+    let (base_ns, monitored_ns) = min_steady_paired(1_000, 40, 2022, true, None);
+    let overhead = monitored_ns / base_ns.max(1e-9);
+    println!(
+        "monitored ingest: {monitored_ns:.0} ns/frame ({:.1}% overhead, limit 10%)",
+        (overhead - 1.0) * 100.0
+    );
+    if overhead > 1.10 {
+        eprintln!(
+            "FAIL: streaming monitor costs {:.1}% per frame (limit 10%)",
             (overhead - 1.0) * 100.0
         );
-        if overhead > 1.10 {
-            eprintln!(
-                "FAIL: streaming monitor costs {:.1}% per frame (limit 10%)",
-                (overhead - 1.0) * 100.0
-            );
-            failed = true;
-        }
+        failed = true;
     }
     // Staggered rekeying pays at each epoch boundary: the boundary frame
     // fails trial-opens under the current and previous keys (two full AEAD
@@ -338,7 +326,6 @@ fn main() {
     let min_occupancy = run.occupancy.iter().copied().min().unwrap_or(0);
     let balance = max_occupancy as f64 / (min_occupancy.max(1)) as f64;
     let (steady_ns, steady_allocs) = min_steady(1_000, 40, config.seed, false, None);
-    #[cfg(feature = "telemetry")]
     let (monitored_ns, monitor_overhead) = {
         let (ns, _) = min_steady(1_000, 40, config.seed, true, None);
         (ns, ns / steady_ns.max(1e-9))
@@ -356,19 +343,16 @@ fn main() {
     println!(
         "steady single-thread ingest: {steady_ns:.0} ns/frame, {steady_allocs:.4} allocs/frame"
     );
-    #[cfg(feature = "telemetry")]
-    {
-        println!(
-            "monitored ingest: {monitored_ns:.0} ns/frame \
-             ({:.1}% streaming-monitor overhead)",
-            (monitor_overhead - 1.0) * 100.0
-        );
-        println!(
-            "leakage gate: {}, nonce audits: {}",
-            if run.gate_passed() { "PASS" } else { "FAIL" },
-            if run.nonce_clean { "clean" } else { "VIOLATED" }
-        );
-    }
+    println!(
+        "monitored ingest: {monitored_ns:.0} ns/frame \
+         ({:.1}% streaming-monitor overhead)",
+        (monitor_overhead - 1.0) * 100.0
+    );
+    println!(
+        "leakage gate: {}, nonce audits: {}",
+        if run.gate_passed() { "PASS" } else { "FAIL" },
+        if run.nonce_clean { "clean" } else { "VIOLATED" }
+    );
 
     let mut json = String::with_capacity(1024);
     let _ = write!(
@@ -398,25 +382,21 @@ fn main() {
         max_occupancy,
         balance,
     );
-    #[cfg(feature = "telemetry")]
-    {
-        let _ = write!(
-            json,
-            ",\n  \"monitored_ns_per_frame\": {:.1},\n  \"monitor_overhead_ratio\": {:.4},\n  \
-             \"gate_passed\": {},\n  \"nonce_clean\": {}",
-            monitored_ns,
-            monitor_overhead,
-            run.gate_passed(),
-            run.nonce_clean
-        );
-    }
+    let _ = write!(
+        json,
+        ",\n  \"monitored_ns_per_frame\": {:.1},\n  \"monitor_overhead_ratio\": {:.4},\n  \
+         \"gate_passed\": {},\n  \"nonce_clean\": {}",
+        monitored_ns,
+        monitor_overhead,
+        run.gate_passed(),
+        run.nonce_clean
+    );
     json.push_str("\n}\n");
     match std::fs::write(&out_path, &json) {
         Ok(()) => println!("[report written to {out_path}]"),
         Err(e) => die(&format!("cannot write '{out_path}': {e}")),
     }
 
-    #[cfg(feature = "telemetry")]
     if !run.gate_passed() || !run.nonce_clean {
         std::process::exit(1);
     }

@@ -15,10 +15,9 @@
 //! cargo run -p age-bench --release --bin bench_leakage -- --out target/LEAKAGE.json
 //! ```
 
-#[cfg(feature = "telemetry")]
-fn main() {
-    use age_bench::{audit, Settings};
+use age_bench::{audit, Settings};
 
+fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     // Quick scale by default: the gate separates NMI ≈ 0 from NMI ≫ 0.05,
     // which small runs already do decisively, and CI wants fast legs.
@@ -80,10 +79,4 @@ fn main() {
         eprintln!("leakage gate FAILED");
         std::process::exit(1);
     }
-}
-
-#[cfg(not(feature = "telemetry"))]
-fn main() {
-    eprintln!("bench_leakage requires the `telemetry` feature (this binary was built without it)");
-    std::process::exit(2);
 }

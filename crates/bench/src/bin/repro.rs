@@ -13,19 +13,20 @@
 //!
 //! `--telemetry <path>` streams one JSON object per encoded batch to `path`
 //! (stage timings, group layout, message length) and prints a per-stream
-//! summary table after the experiments; requires the `telemetry` feature.
+//! summary table after the experiments. The only option that needs the
+//! `telemetry` feature: the per-batch records come from the encoders'
+//! instrumentation, which a `--no-default-features` build compiles out.
 //!
 //! `--audit` watches the sealed wire frames every experiment transmits,
 //! scores per-stream leakage (NMI between event labels and frame sizes,
 //! plus a seeded permutation p-value), prints the audit table, and writes
-//! `LEAKAGE.json` (`--audit-out <path>` to relocate); requires the
-//! `telemetry` feature.
+//! `LEAKAGE.json` (`--audit-out <path>` to relocate).
 //!
 //! `--power-faults <rate>` overrides the power-cut rate used by the
 //! `resets` extension and arms the run-wide nonce-uniqueness auditor: if
 //! any two sealed frames in the whole run shared an (epoch, sequence) pair
 //! — a reused nonce — the process exits non-zero. `--audit` arms the same
-//! auditor. Requires the `telemetry` feature.
+//! auditor.
 //!
 //! `--rekey-interval <n>` overrides the epoch length used by the `rekey`
 //! extension (the link ratchets to a fresh key every `n` sequence numbers)
@@ -36,16 +37,14 @@
 //! (sample → encode → seal → link attempts → ack) and writes them as
 //! Chrome `trace_event` JSON — load the file in `chrome://tracing` or
 //! Perfetto. Timestamps are virtual microseconds, not wall time, so the
-//! file is byte-deterministic for a fixed seed. Requires the `telemetry`
-//! feature.
+//! file is byte-deterministic for a fixed seed.
 //!
 //! `--gateway` runs the fleet-scale ingest experiment instead of (or in
 //! addition to) the paper experiments: `--sensors N` simulated sensors
 //! drain through a `--shards K` sharded gateway, a per-shard ingest
 //! table is printed, the deterministic run artifact is written to
-//! `GATEWAY.json` (`--gateway-out <path>` to relocate), and with the
-//! `telemetry` feature the two-channel leakage gate plus both nonce
-//! audits must pass or the process exits non-zero (deferred to the end
+//! `GATEWAY.json` (`--gateway-out <path>` to relocate), and the
+//! two-channel leakage gate plus both nonce audits must pass or the process exits non-zero (deferred to the end
 //! of the run so trace/telemetry artifacts still land). The artifact is
 //! byte-identical at any `--shards`/`--threads` value — CI's
 //! determinism leg compares two such runs with `cmp`. Combined with
@@ -57,13 +56,12 @@
 //! health snapshots) and writes one JSON line per virtual half-second
 //! to `path`, plus a Prometheus-style exposition of the final snapshot
 //! to `<path>.prom`. The stream is byte-identical at any shard/thread
-//! count — CI `cmp`s it at 1 vs 4 shards. Implies `--gateway`;
-//! requires the `telemetry` feature.
+//! count — CI `cmp`s it at 1 vs 4 shards. Implies `--gateway`.
 //!
 //! `--postmortem <dir>` arms postmortem capture for the monitored run:
 //! the first windowed alarm (or dirty nonce audit, or end-of-run gate
 //! failure) freezes the merged flight-recorder ring into
-//! `<dir>/POSTMORTEM.json`. Implies `--gateway`; requires `telemetry`.
+//! `<dir>/POSTMORTEM.json`. Implies `--gateway`.
 //!
 //! `--inject-regression <us>` injects the monitor-leg regression
 //! scenario into the monitored run: after virtual time `us`, defended
@@ -275,46 +273,18 @@ fn main() {
     }
     ids.dedup();
 
-    #[cfg(not(feature = "telemetry"))]
-    {
-        if telemetry_path.is_some() {
-            eprintln!(
-                "--telemetry requires the `telemetry` feature (this binary was built without it)"
-            );
-            std::process::exit(2);
-        }
-        if audit {
-            eprintln!(
-                "--audit requires the `telemetry` feature (this binary was built without it)"
-            );
-            std::process::exit(2);
-        }
-        if trace_path.is_some() {
-            eprintln!(
-                "--trace requires the `telemetry` feature (this binary was built without it)"
-            );
-            std::process::exit(2);
-        }
-        if health_out.is_some() || postmortem_dir.is_some() || inject_regression_us.is_some() {
-            eprintln!(
-                "--health/--postmortem/--inject-regression require the `telemetry` feature \
-                 (this binary was built without it)"
-            );
-            std::process::exit(2);
-        }
-        if power_fault_rate.is_some() || rekey_interval.is_some() {
-            eprintln!(
-                "note: built without the `telemetry` feature — power faults and rekeying \
-                 still run, but the nonce-uniqueness auditor is unavailable"
-            );
-        }
-        let _ = audit_out;
+    // Per-batch records come from the encoders' own instrumentation, which
+    // a `--no-default-features` (sensor-flavored) build compiles out.
+    if telemetry_path.is_some() && !cfg!(feature = "telemetry") {
+        eprintln!(
+            "--telemetry requires the `telemetry` feature (this binary was built without it)"
+        );
+        std::process::exit(2);
     }
 
     // Sinks go in before the gateway runs: shard tracers snapshot the
     // trace switch at construction, so `--trace --gateway` only records
     // ingest spans if the trace sink is already installed here.
-    #[cfg(feature = "telemetry")]
     let (summary_sink, leakage_sink, nonce_sink, trace_sink) = {
         use std::sync::Arc;
         let mut sinks: Vec<Arc<dyn age_telemetry::Sink>> = Vec::new();
@@ -362,7 +332,6 @@ fn main() {
     // A failed gate or nonce audit no longer exits on the spot: the
     // verdict is deferred to the end of `main` so the trace, telemetry,
     // health, and postmortem artifacts still land for the postmortem.
-    #[cfg(feature = "telemetry")]
     let mut gateway_failed = false;
 
     if gateway {
@@ -384,14 +353,11 @@ fn main() {
         println!("shard occupancy: {:?} sessions", run.occupancy);
         println!("per-shard ingest:");
         print!("{}", age_gateway::shard_table(&run.shard_reports));
-        #[cfg(feature = "telemetry")]
-        {
-            print!("{}", run.leakage);
-            println!(
-                "nonce audits (seal-side and gateway-side): {}",
-                if run.nonce_clean { "clean" } else { "VIOLATED" }
-            );
-        }
+        print!("{}", run.leakage);
+        println!(
+            "nonce audits (seal-side and gateway-side): {}",
+            if run.nonce_clean { "clean" } else { "VIOLATED" }
+        );
         match std::fs::write(&gateway_out, run.gateway_json()) {
             Ok(()) => println!("[gateway report written to {gateway_out}]"),
             Err(e) => {
@@ -405,7 +371,6 @@ fn main() {
             shards,
             start.elapsed().as_secs_f64()
         );
-        #[cfg(feature = "telemetry")]
         if !run.gate_passed() || !run.nonce_clean {
             eprintln!("gateway run FAILED its leakage gate or nonce audit");
             gateway_failed = true;
@@ -413,7 +378,6 @@ fn main() {
 
         // The monitored rerun: same fleet, ingested tick by tick with
         // the streaming monitor, flight recorder, and health snapshots.
-        #[cfg(feature = "telemetry")]
         if health_out.is_some() || postmortem_dir.is_some() || inject_regression_us.is_some() {
             let mut monitor_config = match inject_regression_us {
                 Some(after_us) => {
@@ -512,78 +476,75 @@ fn main() {
         }
     }
 
-    #[cfg(feature = "telemetry")]
+    if summary_sink.is_some()
+        || leakage_sink.is_some()
+        || nonce_sink.is_some()
+        || trace_sink.is_some()
     {
-        if summary_sink.is_some()
-            || leakage_sink.is_some()
-            || nonce_sink.is_some()
-            || trace_sink.is_some()
-        {
-            age_telemetry::clear_global();
+        age_telemetry::clear_global();
+    }
+    if trace_sink.is_some() {
+        age_telemetry::set_trace_enabled(false);
+    }
+    // Transport counters accumulate process-globally, so the rollup is
+    // printed here rather than folded into per-stream summaries.
+    let transport = age_telemetry::TransportRollup::capture();
+    if !transport.is_empty() {
+        println!("transport rollup (all experiments):");
+        print!("{transport}");
+    }
+    if let Some(summary) = summary_sink {
+        let summary = summary.take();
+        if !summary.is_empty() {
+            println!("telemetry summary (message sizes per stream):");
+            print!("{summary}");
         }
-        if trace_sink.is_some() {
-            age_telemetry::set_trace_enabled(false);
+        if let Some(path) = &telemetry_path {
+            println!("[per-batch records written to {path}]");
         }
-        // Transport counters accumulate process-globally, so the rollup is
-        // printed here rather than folded into per-stream summaries.
-        let transport = age_telemetry::TransportRollup::capture();
-        if !transport.is_empty() {
-            println!("transport rollup (all experiments):");
-            print!("{transport}");
+    }
+    if let Some(leakage) = leakage_sink {
+        let report = age_bench::audit::finalize(&leakage.take(), &settings);
+        if report.entries.is_empty() {
+            println!("leakage audit: no wire frames observed (did the experiments transmit?)");
+        } else {
+            println!("leakage audit (sealed wire frames per stream):");
+            print!("{report}");
         }
-        if let Some(summary) = summary_sink {
-            let summary = summary.take();
-            if !summary.is_empty() {
-                println!("telemetry summary (message sizes per stream):");
-                print!("{summary}");
-            }
-            if let Some(path) = &telemetry_path {
-                println!("[per-batch records written to {path}]");
-            }
-        }
-        if let Some(leakage) = leakage_sink {
-            let report = age_bench::audit::finalize(&leakage.take(), &settings);
-            if report.entries.is_empty() {
-                println!("leakage audit: no wire frames observed (did the experiments transmit?)");
-            } else {
-                println!("leakage audit (sealed wire frames per stream):");
-                print!("{report}");
-            }
-            match std::fs::write(&audit_out, report.to_json()) {
-                Ok(()) => println!("[leakage report written to {audit_out}]"),
-                Err(e) => {
-                    eprintln!("cannot write leakage report '{audit_out}': {e}");
-                    std::process::exit(2);
-                }
+        match std::fs::write(&audit_out, report.to_json()) {
+            Ok(()) => println!("[leakage report written to {audit_out}]"),
+            Err(e) => {
+                eprintln!("cannot write leakage report '{audit_out}': {e}");
+                std::process::exit(2);
             }
         }
-        if let Some(trace) = trace_sink {
-            let spans = trace.take();
-            let path = trace_path.as_deref().expect("trace sink implies a path");
-            match std::fs::write(path, age_telemetry::render_chrome_json(&spans)) {
-                Ok(()) => println!(
-                    "[{} virtual-clock spans written to {path} (chrome://tracing format)]",
-                    spans.len()
-                ),
-                Err(e) => {
-                    eprintln!("cannot write trace '{path}': {e}");
-                    std::process::exit(2);
-                }
+    }
+    if let Some(trace) = trace_sink {
+        let spans = trace.take();
+        let path = trace_path.as_deref().expect("trace sink implies a path");
+        match std::fs::write(path, age_telemetry::render_chrome_json(&spans)) {
+            Ok(()) => println!(
+                "[{} virtual-clock spans written to {path} (chrome://tracing format)]",
+                spans.len()
+            ),
+            Err(e) => {
+                eprintln!("cannot write trace '{path}': {e}");
+                std::process::exit(2);
             }
         }
-        if let Some(nonce) = nonce_sink {
-            let audit = nonce.take();
-            println!("nonce audit (run-wide (epoch, sequence) uniqueness):");
-            print!("{audit}");
-            if !audit.is_clean() {
-                eprintln!("nonce audit FAILED: a (key, nonce) pair was used twice");
-                std::process::exit(1);
-            }
-        }
-        // The deferred gateway verdict: every artifact above has been
-        // written, so a failed gate or nonce audit can exit non-zero now.
-        if gateway_failed {
+    }
+    if let Some(nonce) = nonce_sink {
+        let audit = nonce.take();
+        println!("nonce audit (run-wide (epoch, sequence) uniqueness):");
+        print!("{audit}");
+        if !audit.is_clean() {
+            eprintln!("nonce audit FAILED: a (key, nonce) pair was used twice");
             std::process::exit(1);
         }
+    }
+    // The deferred gateway verdict: every artifact above has been
+    // written, so a failed gate or nonce audit can exit non-zero now.
+    if gateway_failed {
+        std::process::exit(1);
     }
 }

@@ -237,18 +237,15 @@ pub fn resets(s: &Settings) -> String {
     // A worker thread sink would shadow repro's process-global sinks (the
     // run-wide nonce auditor among them), so the extension only audits
     // privately when nothing global is listening.
-    #[cfg(feature = "telemetry")]
     let sink = if age_telemetry::active() {
         None
     } else {
         Some(std::sync::Arc::new(age_telemetry::NonceAuditSink::new()))
     };
-    #[cfg_attr(not(feature = "telemetry"), allow(unused_mut))]
     let mut options = SweepOptions {
         threads: s.threads,
         ..Default::default()
     };
-    #[cfg(feature = "telemetry")]
     if let Some(sink) = &sink {
         options.sink = Some(sink.clone());
     }
@@ -271,7 +268,6 @@ pub fn resets(s: &Settings) -> String {
             }
         );
     }
-    #[cfg(feature = "telemetry")]
     match sink {
         Some(sink) => {
             let audit = sink.take();
@@ -331,18 +327,15 @@ pub fn rekey(s: &Settings) -> String {
 
     // Like `resets`: audit privately only when repro's process-global
     // nonce auditor is not already listening.
-    #[cfg(feature = "telemetry")]
     let sink = if age_telemetry::active() {
         None
     } else {
         Some(std::sync::Arc::new(age_telemetry::NonceAuditSink::new()))
     };
-    #[cfg_attr(not(feature = "telemetry"), allow(unused_mut))]
     let mut options = SweepOptions {
         threads: s.threads,
         ..Default::default()
     };
-    #[cfg(feature = "telemetry")]
     if let Some(sink) = &sink {
         options.sink = Some(sink.clone());
     }
@@ -364,7 +357,6 @@ pub fn rekey(s: &Settings) -> String {
             }
         );
     }
-    #[cfg(feature = "telemetry")]
     match sink {
         Some(sink) => {
             let audit = sink.take();

@@ -11,9 +11,7 @@ use std::time::Instant;
 use age_gateway::{FleetReport, Gateway, LatencyHistogram, ShardReport};
 use age_sim::fleet::{fleet_gateway_config, generate, FleetConfig};
 
-#[cfg(feature = "telemetry")]
 use crate::audit::default_gate;
-#[cfg(feature = "telemetry")]
 use age_telemetry::{LeakageReport, MonitorConfig};
 
 /// Shape of one gateway run.
@@ -74,16 +72,13 @@ pub struct GatewayRun {
     pub generate_seconds: f64,
     /// Scored leakage report over the aggregated fleet traffic, with
     /// the pinned gate verdict stamped.
-    #[cfg(feature = "telemetry")]
     pub leakage: LeakageReport,
     /// Seal-side and gateway-side nonce audits both clean.
-    #[cfg(feature = "telemetry")]
     pub nonce_clean: bool,
 }
 
 impl GatewayRun {
     /// Whether the two-channel leakage gate passed on fleet traffic.
-    #[cfg(feature = "telemetry")]
     pub fn gate_passed(&self) -> bool {
         self.leakage.gate.as_ref().is_some_and(|g| g.passed)
     }
@@ -95,13 +90,10 @@ impl GatewayRun {
         let mut out = String::with_capacity(4096);
         out.push_str("{\n\"version\": 1,\n\"fleet\": ");
         out.push_str(&self.report.to_json());
-        #[cfg(feature = "telemetry")]
-        {
-            out.push_str(",\n\"nonce_clean\": ");
-            out.push_str(if self.nonce_clean { "true" } else { "false" });
-            out.push_str(",\n\"leakage\": ");
-            out.push_str(&self.leakage.to_json());
-        }
+        out.push_str(",\n\"nonce_clean\": ");
+        out.push_str(if self.nonce_clean { "true" } else { "false" });
+        out.push_str(",\n\"leakage\": ");
+        out.push_str(&self.leakage.to_json());
         out.push_str("}\n");
         out
     }
@@ -118,7 +110,6 @@ pub fn run_gateway(config: &GatewayRunConfig) -> GatewayRun {
 
     let mut gateway_config = fleet_gateway_config(&fleet, config.shards);
     gateway_config.record_latency = config.record_latency;
-    #[cfg(feature = "telemetry")]
     if config.monitored {
         gateway_config.monitor = Some(MonitorConfig {
             window_us: 500_000,
@@ -135,7 +126,6 @@ pub fn run_gateway(config: &GatewayRunConfig) -> GatewayRun {
     gateway.run(&traffic.frames, config.threads);
     let ingest_seconds = ingest_start.elapsed().as_secs_f64();
 
-    #[cfg(feature = "telemetry")]
     let leakage = {
         let mut report = gateway
             .leakage_audit()
@@ -143,7 +133,6 @@ pub fn run_gateway(config: &GatewayRunConfig) -> GatewayRun {
         report.gate = Some(default_gate().evaluate(&report.entries));
         report
     };
-    #[cfg(feature = "telemetry")]
     let nonce_clean = traffic.sealed_nonces.is_clean() && gateway.nonce_audit().is_clean();
 
     GatewayRun {
@@ -153,9 +142,7 @@ pub fn run_gateway(config: &GatewayRunConfig) -> GatewayRun {
         latency: gateway.latency(),
         ingest_seconds,
         generate_seconds,
-        #[cfg(feature = "telemetry")]
         leakage,
-        #[cfg(feature = "telemetry")]
         nonce_clean,
     }
 }

@@ -9,7 +9,6 @@
 //! but the qualitative shape — who wins, where padding collapses, which
 //! policies leak — reproduces. EXPERIMENTS.md records a measured run.
 
-#[cfg(feature = "telemetry")]
 pub mod audit;
 pub mod extensions;
 pub mod gateway;

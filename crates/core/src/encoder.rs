@@ -661,124 +661,6 @@ mod tests {
     }
 
     #[test]
-    #[ignore]
-    fn profile_stages() {
-        use crate::group::{
-            form_groups_into, measurement_exponents_into, merge_groups_in_place,
-            optimize_partition_in_place, select_max_groups, MergeScratch,
-        };
-        use std::time::Instant;
-        let c = cfg();
-        let d = c.features();
-        let k = c.max_len();
-        let batch = Batch::new(
-            (0..k).collect(),
-            (0..k * d)
-                .map(|i| {
-                    let x = i as f64;
-                    (x * 0.17).sin() * (1.0 + (i % 7) as f64) - 2.5
-                })
-                .collect(),
-        )
-        .unwrap();
-        let enc = AgeEncoder::new(220);
-        let mut scratch = EncodeScratch::new();
-        let mut out = Vec::new();
-        let time = |label: &str, mut f: Box<dyn FnMut() + '_>| {
-            for _ in 0..1000 {
-                f();
-            }
-            let iters = 200_000u32;
-            let start = Instant::now();
-            for _ in 0..iters {
-                f();
-            }
-            let ns = start.elapsed().as_nanos() as f64 / f64::from(iters);
-            println!("{label}: {ns:.0} ns");
-        };
-        time(
-            "full encode",
-            Box::new(|| {
-                enc.encode_into(&batch, &c, &mut scratch, &mut out).unwrap();
-                std::hint::black_box(out.len());
-            }),
-        );
-        let mut exps = Vec::new();
-        time(
-            "exponents",
-            Box::new(|| {
-                measurement_exponents_into(&batch, c.format().integer_bits(), &mut exps);
-                std::hint::black_box(exps.len());
-            }),
-        );
-        let mut groups = Vec::new();
-        time(
-            "form_groups",
-            Box::new(|| {
-                form_groups_into(&exps, &mut groups);
-                std::hint::black_box(groups.len());
-            }),
-        );
-        let target_bits = 220usize * 8;
-        let fixed_bits = AgeEncoder::fixed_bits(&c);
-        let entry_bits = AgeEncoder::entry_bits(&c);
-        let max_groups = select_max_groups(
-            target_bits - fixed_bits,
-            k * d * 16,
-            entry_bits,
-            AgeEncoder::MIN_GROUPS,
-        )
-        .min(MAX_GROUPS);
-        let mut merge = MergeScratch::default();
-        let mut merged = Vec::new();
-        time(
-            "merge",
-            Box::new(|| {
-                merged.clear();
-                merged.extend_from_slice(&groups);
-                merge_groups_in_place(&mut merged, max_groups, &mut merge);
-                std::hint::black_box(merged.len());
-            }),
-        );
-        let base = merged.clone();
-        let mut split_log = Vec::new();
-        let mut trial = Vec::new();
-        let mut part = Vec::new();
-        time(
-            "optimize_partition",
-            Box::new(|| {
-                part.clear();
-                part.extend_from_slice(&base);
-                optimize_partition_in_place(
-                    &mut part,
-                    d,
-                    16,
-                    target_bits - fixed_bits,
-                    entry_bits,
-                    max_groups,
-                    &mut split_log,
-                    &mut trial,
-                );
-                std::hint::black_box(part.len());
-            }),
-        );
-        let mut widths = Vec::new();
-        time(
-            "assign_widths",
-            Box::new(|| {
-                assign_widths_into(
-                    &part,
-                    d,
-                    16,
-                    target_bits - fixed_bits - entry_bits * part.len(),
-                    &mut widths,
-                );
-                std::hint::black_box(widths.len());
-            }),
-        );
-    }
-
-    #[test]
     fn min_target_accounts_for_framing() {
         let c = cfg();
         // 16 (k) + 50 (bitmask) + 8 (count) + 18 (one entry) bits = 12 bytes.

@@ -6,6 +6,11 @@
 //! Message framing: `nonce (12) || ciphertext || tag (16)` — 28 bytes of
 //! constant overhead, so AGE's fixed-length property passes through intact.
 
+#![cfg_attr(
+    not(test),
+    deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)
+)]
+
 use crate::chacha20::{chacha20_block, ChaCha20};
 use crate::cipher::{Cipher, CipherKind, OpenError};
 use crate::poly1305::{tags_equal, Poly1305};

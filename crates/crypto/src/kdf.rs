@@ -45,6 +45,11 @@
 //! assert_ne!(sensor.key(), k0);
 //! ```
 
+#![cfg_attr(
+    not(test),
+    deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)
+)]
+
 use crate::chacha20::{base_state, permuted_words};
 
 /// Domain-separation tags for the absorb phases. Each tagged block is

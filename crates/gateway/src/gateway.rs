@@ -5,7 +5,6 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
 use age_core::{BatchConfig, Encoder};
-#[cfg(feature = "telemetry")]
 use age_telemetry::{FleetNonceAudit, FlightRecord, LeakageAudit, MonitorConfig, WindowedMonitor};
 use age_transport::ReceiverStats;
 
@@ -70,12 +69,10 @@ pub struct GatewayConfig {
     pub record_latency: bool,
     /// Windowed streaming leakage monitor; `None` (the default) scores
     /// nothing mid-run and adds nothing to the ingest path.
-    #[cfg(feature = "telemetry")]
     pub monitor: Option<MonitorConfig>,
     /// Flight-recorder ring capacity *per shard* (0 disables). The ring
     /// is preallocated at shard construction, so steady-state recording
     /// never allocates.
-    #[cfg(feature = "telemetry")]
     pub recorder_capacity: usize,
 }
 
@@ -93,9 +90,7 @@ impl GatewayConfig {
             rekey_interval: None,
             max_datagram_len: 4096,
             record_latency: false,
-            #[cfg(feature = "telemetry")]
             monitor: None,
-            #[cfg(feature = "telemetry")]
             recorder_capacity: 256,
         }
     }
@@ -349,7 +344,6 @@ impl Gateway {
     /// Window counts are sums and the watermark is a max, so the result
     /// — and every alarm scored from it — is byte-identical at any
     /// shard or thread count.
-    #[cfg(feature = "telemetry")]
     pub fn monitor(&self) -> Option<WindowedMonitor> {
         let config = self.config.monitor?;
         let mut merged = WindowedMonitor::new(config.window_us, self.config.cohorts.len());
@@ -367,7 +361,6 @@ impl Gateway {
     /// was evicted, the merged list is byte-identical at any shard
     /// count; once rings wrap, retention (but not ordering) depends on
     /// how sensors were sharded.
-    #[cfg(feature = "telemetry")]
     pub fn flight_records(&self) -> (Vec<FlightRecord>, u64) {
         let mut records = Vec::new();
         let mut dropped = 0u64;
@@ -383,7 +376,6 @@ impl Gateway {
     /// gap histograms, keyed `(label, cohort name)`. Pre-binned counts
     /// merge commutatively, so the audit — and the report scored from
     /// it — is byte-identical at any shard/thread count.
-    #[cfg(feature = "telemetry")]
     pub fn leakage_audit(&self) -> LeakageAudit {
         let mut audit = LeakageAudit::new();
         for shard in &self.shards {
@@ -406,7 +398,6 @@ impl Gateway {
     /// means a frame was accepted twice — cross-shard confusion or a
     /// replay-window failure — independent of the seal-side audit the
     /// fleet driver keeps.
-    #[cfg(feature = "telemetry")]
     pub fn nonce_audit(&self) -> FleetNonceAudit {
         let mut merged = FleetNonceAudit::default();
         for shard in &self.shards {

@@ -20,12 +20,10 @@
 
 use crate::shard::ShardStats;
 
-#[cfg(feature = "telemetry")]
 use age_telemetry::{Alarm, FlightRecord};
 
 /// The per-rung rejection counters in report order, shared by the
 /// health JSONL schema, the Prometheus exposition, and the postmortem.
-#[cfg(feature = "telemetry")]
 pub(crate) fn rung_counters(stats: &ShardStats) -> [(&'static str, u64); 8] {
     [
         ("header_truncated", stats.header_truncated),
@@ -87,7 +85,6 @@ pub fn shard_table(reports: &[ShardReport]) -> String {
 }
 
 /// One stream's latest-closed-window scores inside a health snapshot.
-#[cfg(feature = "telemetry")]
 #[derive(Debug, Clone, PartialEq)]
 pub struct StreamHealth {
     /// Stream (cohort) name.
@@ -105,7 +102,6 @@ pub struct StreamHealth {
 }
 
 /// One periodic health record — a single `HEALTH.jsonl` line.
-#[cfg(feature = "telemetry")]
 #[derive(Debug, Clone, PartialEq)]
 pub struct HealthSnapshot {
     /// 1-based tick counter.
@@ -134,7 +130,6 @@ pub struct HealthSnapshot {
     pub alarming: Vec<String>,
 }
 
-#[cfg(feature = "telemetry")]
 impl HealthSnapshot {
     /// One stable JSONL line (trailing newline included): fixed field
     /// order, integers except the two fixed-precision floats, no
@@ -258,7 +253,6 @@ impl HealthSnapshot {
 /// cumulative fleet counters, and the merged flight-recorder contents
 /// in arrival order. Stable field order, fixed-precision floats, no
 /// wall-clock anything — byte-deterministic for a given configuration.
-#[cfg(feature = "telemetry")]
 pub fn render_postmortem(
     trigger: &str,
     triggered_at_us: u64,
@@ -333,7 +327,6 @@ pub fn render_postmortem(
 }
 
 /// Minimal JSON string escaping, matching the fleet report's rules.
-#[cfg(feature = "telemetry")]
 fn json_escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
     for c in s.chars() {
@@ -391,7 +384,6 @@ mod tests {
         assert!(row.contains("8192"), "p99 column: {row}");
     }
 
-    #[cfg(feature = "telemetry")]
     mod telemetry_gated {
         use super::*;
         use age_telemetry::AlarmKind;

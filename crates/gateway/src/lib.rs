@@ -70,6 +70,11 @@
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 
+#![cfg_attr(
+    not(test),
+    deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)
+)]
+
 mod frame;
 mod gateway;
 mod health;
@@ -80,9 +85,7 @@ mod shard;
 
 pub use frame::{sensor_id_of, FleetFrame, GatewayError, HeaderError, HEADER_LEN};
 pub use gateway::{Cohort, CohortReport, FleetReport, Gateway, GatewayConfig};
-#[cfg(feature = "telemetry")]
-pub use health::{render_postmortem, HealthSnapshot, StreamHealth};
-pub use health::{shard_table, ShardReport};
+pub use health::{render_postmortem, shard_table, HealthSnapshot, ShardReport, StreamHealth};
 pub use latency::LatencyHistogram;
 pub use route::{derive_key, derive_root, shard_of, stagger_phase};
 pub use shard::{CohortStats, ShardStats};

@@ -7,7 +7,6 @@
 //! byte-identical at any shard or thread count.
 
 use age_crypto::ChaCha20Poly1305;
-#[cfg(feature = "telemetry")]
 use age_telemetry::LeakageStream;
 use age_transport::{chacha20poly1305_factory, epoch_skip_budget, Receiver};
 
@@ -35,10 +34,8 @@ pub(crate) struct Session {
     /// measure the interleaving, not any sensor's cadence.
     pub(crate) last_send_us: Option<u64>,
     /// Size histogram of this sensor's accepted frames.
-    #[cfg(feature = "telemetry")]
     pub(crate) sizes: LeakageStream,
     /// Gap histogram of this sensor's accepted frames.
-    #[cfg(feature = "telemetry")]
     pub(crate) gaps: LeakageStream,
 }
 
@@ -50,9 +47,7 @@ impl Session {
             cohort,
             epoch,
             last_send_us: None,
-            #[cfg(feature = "telemetry")]
             sizes: LeakageStream::default(),
-            #[cfg(feature = "telemetry")]
             gaps: LeakageStream::default(),
         }
     }
@@ -71,9 +66,7 @@ impl Session {
             cohort,
             epoch: 0,
             last_send_us: None,
-            #[cfg(feature = "telemetry")]
             sizes: LeakageStream::default(),
-            #[cfg(feature = "telemetry")]
             gaps: LeakageStream::default(),
         }
     }
@@ -97,15 +90,10 @@ impl Session {
             Some(prev) if sent_at_us > prev => Some(sent_at_us - prev),
             _ => None,
         };
-        #[cfg(feature = "telemetry")]
-        {
-            self.sizes.observe(event, wire_len);
-            if let Some(gap) = gap_us {
-                self.gaps.observe(event, gap as usize);
-            }
+        self.sizes.observe(event, wire_len);
+        if let Some(gap) = gap_us {
+            self.gaps.observe(event, gap as usize);
         }
-        #[cfg(not(feature = "telemetry"))]
-        let _ = (event, wire_len);
         // A non-advancing stamp is a sensor clock restart; no gap is
         // recorded across the seam, same as `LeakageAudit::observe_timed`.
         self.last_send_us = Some(sent_at_us);

@@ -12,15 +12,12 @@
 use std::collections::BTreeMap;
 
 use age_core::{Batch, EncodeScratch};
-#[cfg(feature = "telemetry")]
 use age_telemetry::{
     FleetNonceAudit, FlightRecord, FlightRecorder, IngestRung, Tracer, WindowedMonitor,
 };
 use age_transport::{ReceiveError, ReceiverStats};
 
-#[cfg(feature = "telemetry")]
-use crate::frame::sensor_id_of;
-use crate::frame::{FleetFrame, GatewayError, HeaderError, HEADER_LEN};
+use crate::frame::{sensor_id_of, FleetFrame, GatewayError, HeaderError, HEADER_LEN};
 use crate::gateway::GatewayConfig;
 use crate::latency::LatencyHistogram;
 use crate::session::Session;
@@ -31,15 +28,11 @@ use crate::session::Session;
 /// stamp with nominal stage widths — enough to see per-shard ordering
 /// and rejection mix on a Chrome-trace timeline, deterministic by
 /// construction.
-#[cfg(feature = "telemetry")]
 const DECODE_SPAN_US: u64 = 60;
-#[cfg(feature = "telemetry")]
 const AUDIT_SPAN_US: u64 = 40;
-#[cfg(feature = "telemetry")]
 const REJECT_SPAN_US: u64 = 20;
 
 /// Maps a rejection to the flight-recorder rung that counted it.
-#[cfg(feature = "telemetry")]
 fn rung_of(error: &GatewayError) -> IngestRung {
     match error {
         GatewayError::Header(HeaderError::Truncated { .. }) => IngestRung::HeaderTruncated,
@@ -185,22 +178,17 @@ pub(crate) struct Shard {
     sessions: BTreeMap<u64, Session>,
     pub(crate) stats: ShardStats,
     pub(crate) cohorts: Vec<CohortStats>,
-    #[cfg(feature = "telemetry")]
     pub(crate) nonces: FleetNonceAudit,
     pub(crate) latency: LatencyHistogram,
     /// Windowed leakage monitor (present when the config enables it).
-    #[cfg(feature = "telemetry")]
     pub(crate) monitor: Option<WindowedMonitor>,
     /// Ring of recent ingest events for postmortem dumps.
-    #[cfg(feature = "telemetry")]
     pub(crate) recorder: FlightRecorder,
     /// Virtual-time span tracer (inert unless `repro --trace` enabled
     /// collection before the gateway was built).
-    #[cfg(feature = "telemetry")]
     tracer: Tracer,
     /// The epoch a rotation during the current ingest landed on, handed
     /// from the hot path to the flight recorder (`None` steady-state).
-    #[cfg(feature = "telemetry")]
     rotated_to: Option<u64>,
     payload: Vec<u8>,
     decoded: Batch,
@@ -209,24 +197,17 @@ pub(crate) struct Shard {
 
 impl Shard {
     pub(crate) fn new(config: &GatewayConfig, index: usize) -> Shard {
-        #[cfg(not(feature = "telemetry"))]
-        let _ = index;
         Shard {
             sessions: BTreeMap::new(),
             stats: ShardStats::default(),
             cohorts: vec![CohortStats::default(); config.cohorts.len()],
-            #[cfg(feature = "telemetry")]
             nonces: FleetNonceAudit::default(),
             latency: LatencyHistogram::new(),
-            #[cfg(feature = "telemetry")]
             monitor: config
                 .monitor
                 .map(|m| WindowedMonitor::new(m.window_us, config.cohorts.len())),
-            #[cfg(feature = "telemetry")]
             recorder: FlightRecorder::with_capacity(config.recorder_capacity),
-            #[cfg(feature = "telemetry")]
             tracer: Tracer::new(&format!("gateway/shard-{index:02}")),
-            #[cfg(feature = "telemetry")]
             rotated_to: None,
             payload: Vec::new(),
             decoded: Batch::empty(),
@@ -283,7 +264,6 @@ impl Shard {
             let ns = u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX);
             self.latency.record(ns);
         }
-        #[cfg(feature = "telemetry")]
         self.observe_ingest(frame, &result);
         result
     }
@@ -292,7 +272,6 @@ impl Shard {
     /// recorder, and (when tracing) the ingest span tree. Allocation-free
     /// in steady state — the recorder overwrites in place and the
     /// monitor's current-window bins already exist.
-    #[cfg(feature = "telemetry")]
     fn observe_ingest(&mut self, frame: &FleetFrame, result: &Result<u64, GatewayError>) {
         if let Some(monitor) = self.monitor.as_mut() {
             monitor.observe_frame(frame.sent_at_us, result.is_ok());
@@ -412,31 +391,23 @@ impl Shard {
         if epoch_now > epoch_before {
             self.stats.rotations += 1;
             session.epoch = epoch_now;
-            #[cfg(feature = "telemetry")]
-            {
-                self.rotated_to = Some(epoch_now);
-            }
+            self.rotated_to = Some(epoch_now);
         }
         let gap_us = session.observe_accepted(frame.event, wire.len(), frame.sent_at_us);
-        #[cfg(not(feature = "telemetry"))]
-        let _ = gap_us;
-        #[cfg(feature = "telemetry")]
-        {
-            // Keyed on the epoch the frame actually *opened* under (a
-            // straggler opens one epoch behind the receiver's current) —
-            // on static sessions `last_epoch` is always 0, matching the
-            // provisioned epoch exactly.
-            self.nonces
-                .observe(sensor_id, session.receiver.last_epoch(), sequence);
-            if let Some(monitor) = self.monitor.as_mut() {
-                monitor.observe_accepted(
-                    session.cohort,
-                    frame.event,
-                    wire.len(),
-                    gap_us,
-                    frame.sent_at_us,
-                );
-            }
+        // Keyed on the epoch the frame actually *opened* under (a
+        // straggler opens one epoch behind the receiver's current) —
+        // on static sessions `last_epoch` is always 0, matching the
+        // provisioned epoch exactly.
+        self.nonces
+            .observe(sensor_id, session.receiver.last_epoch(), sequence);
+        if let Some(monitor) = self.monitor.as_mut() {
+            monitor.observe_accepted(
+                session.cohort,
+                frame.event,
+                wire.len(),
+                gap_us,
+                frame.sent_at_us,
+            );
         }
         Ok(sequence)
     }

@@ -110,7 +110,6 @@ fn steady_state_ingest_is_allocation_free() {
 /// the same warm-up that grows the session's. One giant window keeps
 /// the monitor from rolling (a roll allocates fresh window state, which
 /// is fine once per window but must not happen per frame).
-#[cfg(feature = "telemetry")]
 #[test]
 fn monitored_steady_state_ingest_is_allocation_free() {
     use age_telemetry::MonitorConfig;

@@ -98,13 +98,10 @@ fn rekeying_fleet_is_fully_accepted_and_nonce_clean() {
     );
     // Global sequence numbers: epochs partition the same per-sensor
     // sequence stream, so the audit sees every sensor across multiple
-    // epochs with zero overlap. (The audit is telemetry-only state.)
-    #[cfg(feature = "telemetry")]
-    {
-        let audit = gateway.nonce_audit();
-        assert!(audit.is_clean(), "{audit}");
-        assert!(audit.cells() > SENSORS as usize);
-    }
+    // epochs with zero overlap.
+    let audit = gateway.nonce_audit();
+    assert!(audit.is_clean(), "{audit}");
+    assert!(audit.cells() > SENSORS as usize);
 }
 
 #[test]
@@ -135,7 +132,6 @@ fn report_is_byte_identical_across_shard_and_thread_counts() {
             reference,
             "report diverged at {shards} shards / {threads} threads"
         );
-        #[cfg(feature = "telemetry")]
         assert!(gateway.nonce_audit().is_clean());
     }
 }

@@ -5,8 +5,6 @@
 //! short lone `ingest` when rejected — with the schematic virtual
 //! durations pinned, and the rendered Chrome trace is byte-identical
 //! across runs.
-#![cfg(feature = "telemetry")]
-
 use std::sync::{Arc, Mutex};
 
 use age_core::{AgeEncoder, Batch, BatchConfig, Encoder};

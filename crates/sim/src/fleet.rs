@@ -27,9 +27,7 @@ use age_fixed::Format;
 use age_gateway::{
     derive_key, derive_root, stagger_phase, Cohort, FleetFrame, Gateway, GatewayConfig,
 };
-use age_telemetry::DetRng;
-#[cfg(feature = "telemetry")]
-use age_telemetry::FleetNonceAudit;
+use age_telemetry::{DetRng, FleetNonceAudit};
 use age_transport::{chacha20poly1305_factory, Sensor};
 
 use crate::clock::{ClockModel, VirtualClock};
@@ -155,7 +153,6 @@ pub struct FleetTraffic {
     /// Seal-side nonce audit: one observation per sealed frame,
     /// recorded *before* the channel. The run-wide backstop that no
     /// sensor ever sealed two frames under one `(epoch, sequence)`.
-    #[cfg(feature = "telemetry")]
     pub sealed_nonces: FleetNonceAudit,
 }
 
@@ -164,7 +161,6 @@ pub fn generate(config: &FleetConfig) -> FleetTraffic {
     let batch_cfg = fleet_batch_config();
     let cohorts = fleet_cohorts();
     let mut frames = Vec::with_capacity(config.sensors as usize * config.frames_per_sensor);
-    #[cfg(feature = "telemetry")]
     let mut sealed_nonces = FleetNonceAudit::default();
     let mut scratch = EncodeScratch::new();
     let mut payload = Vec::new();
@@ -236,10 +232,7 @@ pub fn generate(config: &FleetConfig) -> FleetTraffic {
             // `seal_into` rotates *before* sealing when the watermark
             // demands it, so the post-seal epoch is the one this frame
             // was sealed under (always 0 for static fleets).
-            #[cfg(feature = "telemetry")]
             sealed_nonces.observe(sensor_id, sensor.epoch(), sequence);
-            #[cfg(not(feature = "telemetry"))]
-            let _ = sequence;
             let frame = FleetFrame::encode(sensor_id, &sealed, event, 0);
             let sent_at_us = clock.advance_radio(frame.wire.len());
             let mut frame = FleetFrame {
@@ -262,7 +255,6 @@ pub fn generate(config: &FleetConfig) -> FleetTraffic {
     frames.sort_by_key(|f| (f.sent_at_us, f.sensor_id().unwrap_or(0)));
     FleetTraffic {
         frames,
-        #[cfg(feature = "telemetry")]
         sealed_nonces,
     }
 }
@@ -309,7 +301,6 @@ mod tests {
         assert!(std_sizes.len() > 1, "Std cohort must leak via size");
     }
 
-    #[cfg(feature = "telemetry")]
     #[test]
     fn seal_side_nonce_audit_is_clean() {
         let traffic = generate(&FleetConfig::new(30, 3));
@@ -317,7 +308,6 @@ mod tests {
         assert_eq!(traffic.sealed_nonces.sensors(), 30);
     }
 
-    #[cfg(feature = "telemetry")]
     #[test]
     fn rekeying_fleet_seals_across_epochs_without_reuse() {
         let mut config = FleetConfig::new(30, 3);

@@ -36,7 +36,6 @@
 
 pub mod clock;
 pub mod fleet;
-#[cfg(feature = "telemetry")]
 pub mod monitor;
 mod runner;
 pub mod sweep;

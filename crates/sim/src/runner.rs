@@ -795,7 +795,6 @@ impl Runner {
             retry: setup.retry,
             rekeying: setup.rekey_interval.is_some(),
             cuts,
-            #[cfg(feature = "telemetry")]
             wire_epoch: 0,
         }
     }
@@ -857,32 +856,26 @@ impl Runner {
             features: d,
             enforce_budget: cell.enforce_budget,
             ledger: BudgetLedger::new(budget_per_seq * test.len() as f64),
-            // Virtual time for this cell. Advancement is unconditional —
-            // never feature-gated — so telemetry and MCU builds walk the
-            // exact same schedule and produce identical `sent_at_us`
-            // stamps; only the emission side (wire records, trace spans) is
-            // gated.
+            // Virtual time for this cell. Advancement is unconditional, so
+            // every run walks the same schedule and produces identical
+            // `sent_at_us` stamps whether or not anything is listening.
             clock: VirtualClock::new(ClockModel::default()),
             tracer: Tracer::new(&label),
             arrived: HashMap::new(),
-            #[cfg(feature = "telemetry")]
             cell_epoch: age_telemetry::begin_epoch(&format!(
                 "{label}|{:?}|budget={}|limit={:?}|faults={:?}",
                 cell.cipher, cell.enforce_budget, cell.limit, cell.faults
             )),
         };
-        #[cfg(feature = "telemetry")]
-        {
-            age_telemetry::set_context_label(&label);
-            // The nonce audit keys on (epoch, sequence): every run of every
-            // cell gets a fresh key epoch, so only a genuine re-seal within
-            // one run — a broken reboot recovery — collides. The identity
-            // includes every axis the label omits, because two cells that
-            // differ only in cipher or budget still hold distinct keys.
-            // Rekeying cells later refine this base string with the link's
-            // key epoch, so a rotation also rotates the audit cell.
-            age_telemetry::set_context_epoch(&state.cell_epoch);
-        }
+        age_telemetry::set_context_label(&label);
+        // The nonce audit keys on (epoch, sequence): every run of every
+        // cell gets a fresh key epoch, so only a genuine re-seal within
+        // one run — a broken reboot recovery — collides. The identity
+        // includes every axis the label omits, because two cells that
+        // differ only in cipher or budget still hold distinct keys.
+        // Rekeying cells later refine this base string with the link's
+        // key epoch, so a rotation also rotates the audit cell.
+        age_telemetry::set_context_epoch(&state.cell_epoch);
         let mut link = match cell.faults {
             None => LinkStep::Direct {
                 cipher,
@@ -913,11 +906,8 @@ impl Runner {
             let batch = Batch::new(indices, values).expect("policy output is a valid batch");
             // Publish the ground-truth event so per-batch records and wire
             // records can be correlated against it by the audit.
-            #[cfg(feature = "telemetry")]
-            {
-                age_telemetry::set_context_event(Some(seq.label));
-                age_telemetry::set_context_vtime(state.clock.now_us());
-            }
+            age_telemetry::set_context_event(Some(seq.label));
+            age_telemetry::set_context_vtime(state.clock.now_us());
             state.span("encode", "encode", |clock| {
                 encoder
                     .encode_into(&batch, &self.batch_cfg, &mut scratch, &mut plaintext)
@@ -944,7 +934,6 @@ impl Runner {
                         // (possible under unauthenticated ciphers) skips
                         // the batch instead of panicking.
                         let batch = encoder.decode(&payload, &self.batch_cfg);
-                        #[cfg(feature = "telemetry")]
                         if batch.is_err() {
                             age_telemetry::metrics::global::FRAMES_DECODE_FAILED.add(1);
                         }
@@ -978,11 +967,8 @@ impl Runner {
         // The event and virtual-time contexts are per-cell state; clear
         // them so batches emitted outside an experiment (warm-up,
         // calibration) aren't mislabeled or phantom-stamped.
-        #[cfg(feature = "telemetry")]
-        {
-            age_telemetry::set_context_event(None);
-            age_telemetry::set_context_vtime(0);
-        }
+        age_telemetry::set_context_event(None);
+        age_telemetry::set_context_vtime(0);
 
         ExperimentResult {
             records,
@@ -1009,7 +995,6 @@ struct CellState<'r> {
     /// final flush.
     arrived: HashMap<u64, Vec<u8>>,
     /// The cell's nonce-audit identity (see [`Runner::run`]).
-    #[cfg(feature = "telemetry")]
     cell_epoch: String,
 }
 
@@ -1029,9 +1014,7 @@ impl CellState<'_> {
 
     /// Hands a frame that went on the air to the leakage audit, as the
     /// eavesdropper saw it.
-    #[cfg_attr(not(feature = "telemetry"), allow(unused_variables))]
     fn emit_wire(&self, sequence: u64, event: usize, frame_len: usize, sent_at_us: u64) {
-        #[cfg(feature = "telemetry")]
         if age_telemetry::active() {
             age_telemetry::emit_wire(self.defense.name(), sequence, event, frame_len, sent_at_us);
         }
@@ -1092,7 +1075,6 @@ struct TransportStep {
     /// The key epoch the wire-record audit currently attributes frames to;
     /// epoch 0 keeps the base cell string so static cells emit
     /// byte-identical records.
-    #[cfg(feature = "telemetry")]
     wire_epoch: u64,
 }
 
@@ -1245,7 +1227,6 @@ impl TransportStep {
             // under the link's key epoch, so the run-wide nonce audit keys
             // on (cell, epoch, sequence) exactly like the fleet's (sensor,
             // epoch, sequence).
-            #[cfg(feature = "telemetry")]
             if self.rekeying && delivery.epoch != self.wire_epoch {
                 self.wire_epoch = delivery.epoch;
                 age_telemetry::set_context_epoch(&format!(

@@ -109,7 +109,6 @@ fn shard_occupancy_partitions_the_fleet() {
     );
 }
 
-#[cfg(feature = "telemetry")]
 mod telemetry_gated {
     use super::*;
     use age_sim::fleet::fleet_gateway_config;

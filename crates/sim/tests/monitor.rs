@@ -3,8 +3,6 @@
 //! windowed alarm *while frames are still in flight* (the end-of-run
 //! gate structurally cannot), and the postmortem freezes a
 //! deterministic flight-recorder dump at the moment of the trigger.
-#![cfg(feature = "telemetry")]
-
 use age_sim::fleet::FleetConfig;
 use age_sim::monitor::{
     corruption_scenario, regression_scenario, run_monitored, MonitorRunConfig, MonitoredRun,

@@ -5,8 +5,6 @@
 //! against the same energy ledger as the radio. The run-wide nonce auditor
 //! is also proven to *fail* when a sensor reboots without the journal.
 
-#![cfg(feature = "telemetry")]
-
 use std::collections::BTreeSet;
 use std::sync::Arc;
 

@@ -3,8 +3,6 @@
 //! resets — must stay nonce-clean, keep the wire byte-constant through
 //! every epoch boundary, and remain byte-identical at any thread count.
 
-#![cfg(feature = "telemetry")]
-
 use std::sync::Arc;
 
 use age_sim::{

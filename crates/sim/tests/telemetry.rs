@@ -1,6 +1,7 @@
 //! Integration tests tying the experiment runner to the telemetry layer:
-//! per-batch record emission, the constant-size (stddev = 0) invariant, and
-//! byte-identical JSONL output across identically-seeded runs.
+//! per-batch record emission (event label included), the constant-size
+//! (stddev = 0) invariant, and byte-identical JSONL output across
+//! identically-seeded runs.
 
 #![cfg(feature = "telemetry")]
 
@@ -147,4 +148,22 @@ fn identically_seeded_runs_write_byte_identical_jsonl() {
     );
     let third = capture_run(2023);
     assert_ne!(first, third, "a different seed must change the stream");
+}
+
+#[test]
+fn batch_records_carry_the_event_label() {
+    let sink = Arc::new(RecordingSink::new());
+    let runner = Runner::new(DatasetKind::Epilepsy, Scale::Small, 7);
+    let result = {
+        let _guard = install_thread(sink.clone());
+        runner.run(&SweepCell {
+            enforce_budget: false,
+            ..SweepCell::new(PolicyKind::Linear, Defense::Age, 0.5)
+        })
+    };
+    let records = sink.records();
+    assert_eq!(records.len(), result.records.len());
+    for (rec, seq) in records.iter().zip(&result.records) {
+        assert_eq!(rec.event, Some(seq.label));
+    }
 }

@@ -37,9 +37,13 @@
 //!   generator the rest of the workspace uses instead of an external `rand`
 //!   dependency.
 //!
-//! Producers (the `age-core` encoders) gate their instrumentation behind a
-//! `telemetry` cargo feature; with it off, every call site compiles away
-//! and this crate is only linked for [`rng`].
+//! The feature fork covers only the code a sensor links: the `age-core`
+//! encoders and the `age-transport` link gate their instrumentation behind
+//! their `telemetry` features, and this crate gates its audit plumbing
+//! behind `audit`. With all three off, every sensor-side call site
+//! compiles away. The host crates (`age-gateway`, `age-sim`, `age-bench`)
+//! always enable `audit`: the gateway's and simulator's audits model the
+//! server and the eavesdropper, not the sensor.
 
 pub mod alloc;
 pub mod leakage;

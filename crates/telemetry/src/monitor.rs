@@ -37,6 +37,11 @@
 //! channel-independent plumbing health (an auth-failure flood, a replay
 //! storm) over the same windows.
 
+#![cfg_attr(
+    not(test),
+    deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)
+)]
+
 use std::collections::BTreeMap;
 use std::fmt;
 

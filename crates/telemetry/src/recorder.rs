@@ -14,6 +14,11 @@
 //! with enough capacity that no shard evicted, the merged record list is
 //! byte-identical at any shard count.
 
+#![cfg_attr(
+    not(test),
+    deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)
+)]
+
 /// The ingest pipeline stage a frame ended at — `Accepted`, or the
 /// rejection rung that dropped it. Mirrors the gateway's per-rung
 /// counters one-to-one.

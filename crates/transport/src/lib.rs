@@ -55,6 +55,11 @@
 //! assert!(link.channel_stats().wire_lengths_constant());
 //! ```
 
+#![cfg_attr(
+    not(test),
+    deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)
+)]
+
 mod fault;
 mod link;
 mod persist;
