@@ -5,13 +5,17 @@
 //! tag covers `aad || pad || ciphertext || pad || len(aad) || len(ct)`.
 //! Message framing: `nonce (12) || ciphertext || tag (16)` — 28 bytes of
 //! constant overhead, so AGE's fixed-length property passes through intact.
+//!
+//! One four-block keystream pass at counter 0 yields both the Poly1305 key
+//! (block 0) and the first 192 payload bytes (blocks 1–3), which covers a
+//! whole fleet frame; longer payloads continue at counter 4.
 
 #![cfg_attr(
     not(test),
     deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)
 )]
 
-use crate::chacha20::{chacha20_block, ChaCha20};
+use crate::chacha20::{base_state, keystream4, words_to_bytes, xor_keystream, xor_words};
 use crate::cipher::{Cipher, CipherKind, OpenError};
 use crate::poly1305::{tags_equal, Poly1305};
 
@@ -40,33 +44,57 @@ pub struct ChaCha20Poly1305 {
     key: [u8; 32],
 }
 
+/// The first keystream pass of a message: blocks 0–3 at counter 0, held on
+/// the stack.
+struct FirstPass {
+    state: [u32; 16],
+    blocks: [u32; 64],
+}
+
+impl FirstPass {
+    fn new(key: &[u8; 32], nonce: &[u8; NONCE_LEN]) -> Self {
+        let state = base_state(key, 0, nonce);
+        FirstPass {
+            blocks: keystream4(&state),
+            state,
+        }
+    }
+
+    /// The one-time Poly1305 key (RFC 7539 §2.6): the first 32 bytes of
+    /// block 0.
+    fn poly_key(&self) -> [u8; 32] {
+        words_to_bytes(&self.blocks)
+    }
+
+    /// XORs the payload keystream (counter 1 onward) into `data`: blocks
+    /// 1–3 of this pass, then fresh passes from counter 4.
+    fn apply(&self, data: &mut [u8]) {
+        let (head, tail) = data.split_at_mut(data.len().min(192));
+        xor_words(head, &self.blocks[16..]);
+        let mut next = self.state;
+        next[12] = 4;
+        xor_keystream(next, tail);
+    }
+}
+
+/// Tags the authenticated transcript `ciphertext || pad || len(aad) ||
+/// len(ct)`: whole ciphertext blocks go straight into [`Poly1305`], then one
+/// zero-padded block and one length block (the AAD is empty here — the
+/// sensor protocol has no unencrypted header besides the nonce).
+fn tag(poly_key: &[u8; 32], ciphertext: &[u8]) -> [u8; 16] {
+    let mut mac = Poly1305::new(poly_key);
+    mac.update(ciphertext);
+    mac.update(&[0u8; 16][..(16 - ciphertext.len() % 16) % 16]);
+    let mut lengths = [0u8; 16];
+    lengths[8..].copy_from_slice(&(ciphertext.len() as u64).to_le_bytes());
+    mac.update(&lengths);
+    mac.finalize()
+}
+
 impl ChaCha20Poly1305 {
     /// Creates an AEAD with a 256-bit key.
     pub fn new(key: [u8; 32]) -> Self {
         ChaCha20Poly1305 { key }
-    }
-
-    /// Derives the one-time Poly1305 key (RFC 7539 §2.6): the first 32
-    /// bytes of ChaCha20 block 0.
-    fn poly_key(&self, nonce: &[u8; NONCE_LEN]) -> [u8; 32] {
-        let block = chacha20_block(&self.key, 0, nonce);
-        let mut key = [0u8; 32];
-        key.copy_from_slice(&block[..32]);
-        key
-    }
-
-    /// Tags the authenticated transcript `ciphertext || pad || len(aad) ||
-    /// len(ct)` by streaming it into an incremental [`Poly1305`], so no heap
-    /// copy of the transcript is ever built (the AAD is empty here — the
-    /// sensor protocol has no unencrypted header besides the nonce).
-    fn mac(&self, nonce: &[u8; NONCE_LEN], ciphertext: &[u8]) -> [u8; 16] {
-        let mut mac = Poly1305::new(&self.poly_key(nonce));
-        mac.update(ciphertext);
-        let zeros = [0u8; 16];
-        mac.update(&zeros[..(16 - ciphertext.len() % 16) % 16]);
-        mac.update(&0u64.to_le_bytes()); // aad length
-        mac.update(&(ciphertext.len() as u64).to_le_bytes());
-        mac.finalize()
     }
 
     fn nonce_for(sequence: u64) -> [u8; NONCE_LEN] {
@@ -107,12 +135,10 @@ impl Cipher for ChaCha20Poly1305 {
         out.reserve(self.message_len(plaintext.len()));
         out.extend_from_slice(&nonce);
         out.extend_from_slice(plaintext);
-        {
-            let (_, body) = out.split_at_mut(NONCE_LEN);
-            // RFC 7539 §2.8: payload uses counter 1.
-            ChaCha20::new(self.key).apply_keystream(&nonce, 1, body);
-        }
-        let tag = self.mac(&nonce, &out[NONCE_LEN..]);
+        let pass = FirstPass::new(&self.key, &nonce);
+        let poly_key = pass.poly_key();
+        pass.apply(&mut out[NONCE_LEN..]);
+        let tag = tag(&poly_key, &out[NONCE_LEN..]);
         out.extend_from_slice(&tag);
     }
 
@@ -124,16 +150,18 @@ impl Cipher for ChaCha20Poly1305 {
         let Some((nonce, rest)) = message.split_first_chunk::<NONCE_LEN>() else {
             return Err(truncated);
         };
-        let Some((body, tag)) = rest.split_last_chunk::<TAG_LEN>() else {
+        let Some((body, received)) = rest.split_last_chunk::<TAG_LEN>() else {
             return Err(truncated);
         };
-        let expected = self.mac(nonce, body);
-        if !tags_equal(&expected, tag) {
+        // Verify before decrypting: no unauthenticated plaintext reaches
+        // `out`.
+        let pass = FirstPass::new(&self.key, nonce);
+        if !tags_equal(&tag(&pass.poly_key(), body), received) {
             return Err(OpenError::BadPadding); // authentication failure
         }
         out.clear();
         out.extend_from_slice(body);
-        ChaCha20::new(self.key).apply_keystream(nonce, 1, out);
+        pass.apply(out);
         Ok(())
     }
 
@@ -154,8 +182,7 @@ mod tests {
         let nonce = [
             0x00, 0x00, 0x00, 0x00, 0x00, 0x01, 0x02, 0x03, 0x04, 0x05, 0x06, 0x07,
         ];
-        let aead = ChaCha20Poly1305::new(key);
-        let poly_key = aead.poly_key(&nonce);
+        let poly_key = FirstPass::new(&key, &nonce).poly_key();
         // RFC 7539 §2.6.2 one-time key vector.
         let expected: [u8; 32] = [
             0x8a, 0xd5, 0xa0, 0x8b, 0x90, 0x5f, 0x81, 0xcc, 0x81, 0x50, 0x40, 0x27, 0x4a, 0xb2,

@@ -27,6 +27,8 @@
 //! assert_eq!(opened, b"batch bytes");
 //! ```
 
+#![deny(unsafe_code)]
+
 mod aead;
 mod aes;
 mod chacha20;

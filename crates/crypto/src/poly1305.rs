@@ -1,10 +1,21 @@
 //! Poly1305 one-time authenticator (RFC 7539 §2.5).
 //!
-//! Implemented with five 26-bit limbs so all products fit in `u64` — the
-//! classic portable construction. The incremental [`Poly1305`] state lets
-//! [`crate::ChaCha20Poly1305`] authenticate the RFC transcript
+//! Implemented with three 44/44/42-bit limbs and `u128` products (the
+//! poly1305-donna-64 form): a block costs nine 64×64→128 multiplies
+//! instead of the 26-bit form's twenty-five 32×32→64. The final reduction
+//! selects `h` or `h − p` with a mask, not a branch, so its timing does not
+//! depend on the secret accumulator. The incremental [`Poly1305`] state
+//! lets [`crate::ChaCha20Poly1305`] authenticate the RFC transcript
 //! (`ciphertext || pad || lengths`) piecewise without assembling it in a
 //! heap buffer; a forged or corrupted message is rejected before decoding.
+
+#![cfg_attr(
+    not(test),
+    deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)
+)]
+
+const MASK44: u64 = (1 << 44) - 1;
+const MASK42: u64 = (1 << 42) - 1;
 
 /// Incremental Poly1305 state: feed the message with [`Poly1305::update`]
 /// in arbitrary pieces, then consume with [`Poly1305::finalize`].
@@ -24,43 +35,37 @@
 /// ```
 #[derive(Debug, Clone)]
 pub struct Poly1305 {
-    r: [u32; 5],
-    s: [u32; 5],
-    h: [u32; 5],
+    /// Clamped `r` in 44/44/42-bit limbs.
+    r: [u64; 3],
+    /// `20·r1`, `20·r2`: the folding terms for limb products at or above
+    /// 2¹³⁰ (2¹³⁰ ≡ 5, and the 44/44/42 split adds a factor 4).
+    s: [u64; 2],
+    h: [u64; 3],
     pad: u128,
     buffer: [u8; 16],
     buffered: usize,
 }
 
+/// Splits a 128-bit value into 44/44/42-bit limbs.
+fn limbs(value: u128) -> [u64; 3] {
+    [
+        value as u64 & MASK44,
+        (value >> 44) as u64 & MASK44,
+        (value >> 88) as u64,
+    ]
+}
+
 impl Poly1305 {
     /// Starts a MAC computation under a 32-byte one-time key.
     pub fn new(key: &[u8; 32]) -> Self {
+        let half = |at: usize| u128::from_le_bytes(core::array::from_fn(|i| key[at + i]));
         // r is clamped per the RFC.
-        let mut r_bytes = [0u8; 16];
-        r_bytes.copy_from_slice(&key[..16]);
-        r_bytes[3] &= 15;
-        r_bytes[7] &= 15;
-        r_bytes[11] &= 15;
-        r_bytes[15] &= 15;
-        r_bytes[4] &= 252;
-        r_bytes[8] &= 252;
-        r_bytes[12] &= 252;
-
-        let le32 = |b: &[u8]| -> u32 { u32::from_le_bytes(b.try_into().expect("4 bytes")) };
-
-        // Five 26-bit limbs of r, plus the 5·r folding terms.
-        let r = [
-            le32(&r_bytes[0..4]) & 0x3ff_ffff,
-            (le32(&r_bytes[3..7]) >> 2) & 0x3ff_ff03,
-            (le32(&r_bytes[6..10]) >> 4) & 0x3ff_c0ff,
-            (le32(&r_bytes[9..13]) >> 6) & 0x3f0_3fff,
-            (le32(&r_bytes[12..16]) >> 8) & 0x00f_ffff,
-        ];
+        let r = limbs(half(0) & 0x0fff_fffc_0fff_fffc_0fff_fffc_0fff_ffff);
         Poly1305 {
             r,
-            s: [0, r[1] * 5, r[2] * 5, r[3] * 5, r[4] * 5],
-            h: [0; 5],
-            pad: u128::from_le_bytes(key[16..32].try_into().expect("16 bytes")),
+            s: [r[1] * 20, r[2] * 20],
+            h: [0; 3],
+            pad: half(16),
             buffer: [0u8; 16],
             buffered: 0,
         }
@@ -69,80 +74,39 @@ impl Poly1305 {
     /// Absorbs one 16-byte block; `hibit` is 1 for full message blocks and
     /// 0 for the final padded partial block (whose padding bit sits inside
     /// the 16 bytes).
-    fn process(&mut self, block: &[u8; 16], hibit: u32) {
-        let [r0, r1, r2, r3, r4] = self.r;
-        let [_, s1, s2, s3, s4] = self.s;
-        let [mut h0, mut h1, mut h2, mut h3, mut h4] = self.h;
+    #[inline(always)]
+    fn process(&mut self, block: &[u8; 16], hibit: u64) {
+        let [r0, r1, r2] = self.r.map(u128::from);
+        let [s1, s2] = self.s.map(u128::from);
+        let [t0, t1, t2] = limbs(u128::from_le_bytes(*block));
 
-        // Add the block (with its high bit) to the accumulator.
-        let t0 = u32::from_le_bytes(block[0..4].try_into().expect("4 bytes"));
-        let t1 = u32::from_le_bytes(block[3..7].try_into().expect("4 bytes"));
-        let t2 = u32::from_le_bytes(block[6..10].try_into().expect("4 bytes"));
-        let t3 = u32::from_le_bytes(block[9..13].try_into().expect("4 bytes"));
-        let t4 = u32::from_le_bytes(block[12..16].try_into().expect("4 bytes"));
-        h0 = h0.wrapping_add(t0 & 0x3ff_ffff);
-        h1 = h1.wrapping_add((t1 >> 2) & 0x3ff_ffff);
-        h2 = h2.wrapping_add((t2 >> 4) & 0x3ff_ffff);
-        h3 = h3.wrapping_add((t3 >> 6) & 0x3ff_ffff);
-        h4 = h4.wrapping_add((t4 >> 8) | (hibit << 24));
+        // Add the block (with its high bit at 2^128) to the accumulator.
+        let h0 = u128::from(self.h[0] + t0);
+        let h1 = u128::from(self.h[1] + t1);
+        let h2 = u128::from(self.h[2] + (t2 | (hibit << 40)));
 
-        // h *= r (mod 2^130 - 5), schoolbook with 5·x folding.
-        let d0 = u64::from(h0) * u64::from(r0)
-            + u64::from(h1) * u64::from(s4)
-            + u64::from(h2) * u64::from(s3)
-            + u64::from(h3) * u64::from(s2)
-            + u64::from(h4) * u64::from(s1);
-        let mut d1 = u64::from(h0) * u64::from(r1)
-            + u64::from(h1) * u64::from(r0)
-            + u64::from(h2) * u64::from(s4)
-            + u64::from(h3) * u64::from(s3)
-            + u64::from(h4) * u64::from(s2);
-        let mut d2 = u64::from(h0) * u64::from(r2)
-            + u64::from(h1) * u64::from(r1)
-            + u64::from(h2) * u64::from(r0)
-            + u64::from(h3) * u64::from(s4)
-            + u64::from(h4) * u64::from(s3);
-        let mut d3 = u64::from(h0) * u64::from(r3)
-            + u64::from(h1) * u64::from(r2)
-            + u64::from(h2) * u64::from(r1)
-            + u64::from(h3) * u64::from(r0)
-            + u64::from(h4) * u64::from(s4);
-        let mut d4 = u64::from(h0) * u64::from(r4)
-            + u64::from(h1) * u64::from(r3)
-            + u64::from(h2) * u64::from(r2)
-            + u64::from(h3) * u64::from(r1)
-            + u64::from(h4) * u64::from(r0);
+        // h *= r (mod 2^130 - 5), schoolbook with 20·r folding.
+        let d0 = h0 * r0 + h1 * s2 + h2 * s1;
+        let d1 = h0 * r1 + h1 * r0 + h2 * s2;
+        let d2 = h0 * r2 + h1 * r1 + h2 * r0;
 
-        // Carry propagation.
-        let mut c = (d0 >> 26) as u32;
-        h0 = (d0 & 0x3ff_ffff) as u32;
-        d1 += u64::from(c);
-        c = (d1 >> 26) as u32;
-        h1 = (d1 & 0x3ff_ffff) as u32;
-        d2 += u64::from(c);
-        c = (d2 >> 26) as u32;
-        h2 = (d2 & 0x3ff_ffff) as u32;
-        d3 += u64::from(c);
-        c = (d3 >> 26) as u32;
-        h3 = (d3 & 0x3ff_ffff) as u32;
-        d4 += u64::from(c);
-        c = (d4 >> 26) as u32;
-        h4 = (d4 & 0x3ff_ffff) as u32;
-        h0 += c * 5;
-        let c2 = h0 >> 26;
-        h0 &= 0x3ff_ffff;
-        h1 += c2;
-
-        self.h = [h0, h1, h2, h3, h4];
+        // Partial carry propagation: limbs end up at most a few bits over.
+        let d1 = d1 + (d0 >> 44);
+        let d2 = d2 + (d1 >> 44);
+        let mut h0 = (d0 as u64 & MASK44) + (d2 >> 42) as u64 * 5;
+        let h1 = (d1 as u64 & MASK44) + (h0 >> 44);
+        h0 &= MASK44;
+        self.h = [h0, h1, d2 as u64 & MASK42];
     }
 
     /// Feeds message bytes into the MAC.
     pub fn update(&mut self, mut data: &[u8]) {
         if self.buffered > 0 {
             let want = (16 - self.buffered).min(data.len());
-            self.buffer[self.buffered..self.buffered + want].copy_from_slice(&data[..want]);
+            let (head, rest) = data.split_at(want);
+            self.buffer[self.buffered..self.buffered + want].copy_from_slice(head);
             self.buffered += want;
-            data = &data[want..];
+            data = rest;
             if self.buffered < 16 {
                 return;
             }
@@ -150,11 +114,10 @@ impl Poly1305 {
             self.process(&block, 1);
             self.buffered = 0;
         }
-        let mut chunks = data.chunks_exact(16);
-        for chunk in chunks.by_ref() {
-            self.process(chunk.try_into().expect("16-byte chunk"), 1);
+        let (blocks, rest) = data.as_chunks::<16>();
+        for block in blocks {
+            self.process(block, 1);
         }
-        let rest = chunks.remainder();
         self.buffer[..rest.len()].copy_from_slice(rest);
         self.buffered = rest.len();
     }
@@ -168,55 +131,34 @@ impl Poly1305 {
             self.process(&block, 0);
         }
 
-        let [mut h0, mut h1, mut h2, mut h3, mut h4] = self.h;
+        // Fully carry h; it is then below 2^130 but may still be >= p.
+        let [mut h0, mut h1, mut h2] = self.h;
+        h1 += h0 >> 44;
+        h0 &= MASK44;
+        h2 += h1 >> 44;
+        h1 &= MASK44;
+        h0 += (h2 >> 42) * 5;
+        h2 &= MASK42;
+        h1 += h0 >> 44;
+        h0 &= MASK44;
+        h2 += h1 >> 44;
+        h1 &= MASK44;
 
-        // Final reduction: h mod 2^130 - 5.
-        let mut c = h1 >> 26;
-        h1 &= 0x3ff_ffff;
-        h2 += c;
-        c = h2 >> 26;
-        h2 &= 0x3ff_ffff;
-        h3 += c;
-        c = h3 >> 26;
-        h3 &= 0x3ff_ffff;
-        h4 += c;
-        c = h4 >> 26;
-        h4 &= 0x3ff_ffff;
-        h0 += c * 5;
-        c = h0 >> 26;
-        h0 &= 0x3ff_ffff;
-        h1 += c;
+        // g = h + 5 - 2^130 = h - p; keep g iff it did not borrow, chosen
+        // with a mask so no branch depends on the secret accumulator.
+        let mut g0 = h0 + 5;
+        let mut g1 = h1 + (g0 >> 44);
+        g0 &= MASK44;
+        let g2 = (h2 + (g1 >> 44)).wrapping_sub(1 << 42);
+        g1 &= MASK44;
+        let keep_g = (g2 >> 63).wrapping_sub(1);
+        let h0 = (h0 & !keep_g) | (g0 & keep_g);
+        let h1 = (h1 & !keep_g) | (g1 & keep_g);
+        let h2 = (h2 & !keep_g) | (g2 & keep_g);
 
-        // Compute h + -p and select.
-        let mut g0 = h0.wrapping_add(5);
-        c = g0 >> 26;
-        g0 &= 0x3ff_ffff;
-        let mut g1 = h1.wrapping_add(c);
-        c = g1 >> 26;
-        g1 &= 0x3ff_ffff;
-        let mut g2 = h2.wrapping_add(c);
-        c = g2 >> 26;
-        g2 &= 0x3ff_ffff;
-        let mut g3 = h3.wrapping_add(c);
-        c = g3 >> 26;
-        g3 &= 0x3ff_ffff;
-        let g4 = h4.wrapping_add(c).wrapping_sub(1 << 26);
-
-        if g4 >> 31 == 0 {
-            h0 = g0;
-            h1 = g1;
-            h2 = g2;
-            h3 = g3;
-            h4 = g4;
-        }
-
-        // Serialize h and add s = key[16..32] (mod 2^128).
-        let h_low = u128::from(h0)
-            | (u128::from(h1) << 26)
-            | (u128::from(h2) << 52)
-            | (u128::from(h3) << 78)
-            | (u128::from(h4) << 104);
-        h_low.wrapping_add(self.pad).to_le_bytes()
+        // Serialize h mod 2^128 and add s = key[16..32] (mod 2^128).
+        let h = u128::from(h0) | (u128::from(h1) << 44) | (u128::from(h2) << 88);
+        h.wrapping_add(self.pad).to_le_bytes()
     }
 }
 
