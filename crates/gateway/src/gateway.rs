@@ -149,7 +149,7 @@ impl Gateway {
             }
             None => {
                 let key = derive_key(self.config.fleet_seed, sensor_id);
-                Session::new(key, cohort, 0)
+                Session::new(key, cohort)
             }
         };
         if let Some(slot) = self.shards.get_mut(shard) {
@@ -372,21 +372,19 @@ impl Gateway {
         (records, dropped)
     }
 
-    /// Assembles the fleet leakage audit from every session's size and
-    /// gap histograms, keyed `(label, cohort name)`. Pre-binned counts
-    /// merge commutatively, so the audit — and the report scored from
-    /// it — is byte-identical at any shard/thread count.
+    /// Assembles the fleet leakage audit from every shard's per-cohort
+    /// size and gap histograms, keyed `(label, cohort name)`. A cohort
+    /// gets an entry once it has a provisioned sensor or an accepted
+    /// frame. Pre-binned counts merge commutatively, so the audit — and
+    /// the report scored from it — is byte-identical at any shard/thread
+    /// count.
     pub fn leakage_audit(&self) -> LeakageAudit {
         let mut audit = LeakageAudit::new();
         for shard in &self.shards {
-            for session in shard.sessions().values() {
-                if let Some(cohort) = self.config.cohorts.get(session.cohort) {
-                    audit.absorb(
-                        &self.config.label,
-                        &cohort.name,
-                        &session.sizes,
-                        &session.gaps,
-                    );
+            let streams = shard.cohorts.iter().zip(&shard.leakage);
+            for (cohort, (stats, (sizes, gaps))) in self.config.cohorts.iter().zip(streams) {
+                if stats.sensors > 0 || !sizes.is_empty() {
+                    audit.absorb(&self.config.label, &cohort.name, sizes, gaps);
                 }
             }
         }

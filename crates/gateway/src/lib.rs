@@ -3,9 +3,10 @@
 //! One sensor per link is the paper's setting; real deployments
 //! aggregate. This crate scales the receive side to a fleet: a
 //! *gateway* holds a session table mapping sensor id → (session key,
-//! replay window, key epoch, per-sensor leakage histograms), sharded by
-//! a pure hash of the sensor id so every shard owns a disjoint slice of
-//! the fleet and steady-state ingest is lock-free and allocation-free.
+//! replay window, cohort, gap anchor), sharded by a pure hash of the
+//! sensor id so every shard owns a disjoint slice of the fleet (and one
+//! pair of leakage histograms per cohort) and steady-state ingest is
+//! lock-free and allocation-free.
 //!
 //! The design invariant everything else hangs off of: **reports are a
 //! commutative fold.** Shard routing is a pure function of the sensor

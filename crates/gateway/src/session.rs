@@ -1,13 +1,13 @@
 //! One sensor's server-side session state.
 //!
 //! The session table maps sensor id → (receive keys, replay window,
-//! epoch, per-sensor leakage histograms). Everything a shard rolls up
-//! at report time is either kept here per sensor or merged
-//! commutatively, which is what lets the fleet report come out
+//! cohort, gap anchor). A session holds only what receiving needs; the
+//! leakage histograms its accepted frames feed live in the shard, one
+//! size and one gap stream per cohort, and merge commutatively with
+//! every other shard's — which is what lets the fleet report come out
 //! byte-identical at any shard or thread count.
 
 use age_crypto::ChaCha20Poly1305;
-use age_telemetry::LeakageStream;
 use age_transport::{chacha20poly1305_factory, epoch_skip_budget, Receiver};
 
 /// The far-future skip tolerance, shared with every single-link receiver:
@@ -20,35 +20,22 @@ pub(crate) struct Session {
     /// Authenticates and replay-checks this sensor's frames.
     pub(crate) receiver: Receiver,
     /// Index into the gateway's cohort table (selects the decoder and
-    /// the leakage stream name).
+    /// the leakage streams its frames feed).
     pub(crate) cohort: usize,
-    /// Latest key epoch the receiver has followed; rekeying sessions
-    /// refresh it after every accept, static sessions keep the
-    /// provisioned value (0). The nonce audit keys on the epoch each
-    /// frame actually *opened* under, so reuse across a rekey is
-    /// distinguishable from reuse within one.
-    pub(crate) epoch: u64,
     /// Virtual send stamp of the last *accepted* frame; the anchor for
     /// per-sensor inter-transmission gaps. Kept per session because the
     /// fleet interleaves sensors arbitrarily — a shared gap clock would
     /// measure the interleaving, not any sensor's cadence.
-    pub(crate) last_send_us: Option<u64>,
-    /// Size histogram of this sensor's accepted frames.
-    pub(crate) sizes: LeakageStream,
-    /// Gap histogram of this sensor's accepted frames.
-    pub(crate) gaps: LeakageStream,
+    last_send_us: Option<u64>,
 }
 
 impl Session {
     /// A fresh session over `key` in `cohort`.
-    pub(crate) fn new(key: [u8; 32], cohort: usize, epoch: u64) -> Session {
+    pub(crate) fn new(key: [u8; 32], cohort: usize) -> Session {
         Session {
             receiver: Receiver::with_max_skip(Box::new(ChaCha20Poly1305::new(key)), MAX_SKIP),
             cohort,
-            epoch,
             last_send_us: None,
-            sizes: LeakageStream::default(),
-            gaps: LeakageStream::default(),
         }
     }
 
@@ -64,38 +51,20 @@ impl Session {
                 chacha20poly1305_factory,
             ),
             cohort,
-            epoch: 0,
             last_send_us: None,
-            sizes: LeakageStream::default(),
-            gaps: LeakageStream::default(),
         }
     }
 
-    /// Feeds one accepted frame into the session's leakage histograms:
-    /// the wire size always, and — when this is not the session's first
-    /// frame and the stamp advanced — the gap since the previous accept,
-    /// labeled with the arriving frame's event (matching
-    /// `LeakageAudit::observe_timed` semantics exactly).
-    ///
-    /// Returns the gap that was recorded, if any, so the shard can feed
-    /// the same observation into its windowed monitor without
-    /// re-deriving the session's gap-anchor rules.
-    pub(crate) fn observe_accepted(
-        &mut self,
-        event: usize,
-        wire_len: usize,
-        sent_at_us: u64,
-    ) -> Option<u64> {
+    /// Moves the gap anchor to an accepted frame's send stamp and
+    /// returns the gap since the previous accept: `None` for the
+    /// session's first frame, and for a non-advancing stamp (a sensor
+    /// clock restart; no gap is recorded across the seam), matching
+    /// `LeakageAudit::observe_timed` exactly.
+    pub(crate) fn gap_to(&mut self, sent_at_us: u64) -> Option<u64> {
         let gap_us = match self.last_send_us {
             Some(prev) if sent_at_us > prev => Some(sent_at_us - prev),
             _ => None,
         };
-        self.sizes.observe(event, wire_len);
-        if let Some(gap) = gap_us {
-            self.gaps.observe(event, gap as usize);
-        }
-        // A non-advancing stamp is a sensor clock restart; no gap is
-        // recorded across the seam, same as `LeakageAudit::observe_timed`.
         self.last_send_us = Some(sent_at_us);
         gap_us
     }

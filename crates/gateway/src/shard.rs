@@ -4,16 +4,17 @@
 //! [`shard_of`](crate::shard_of)) and all the scratch buffers the
 //! open→decode path needs, so steady-state ingest touches no heap and
 //! takes no locks. Every rollup a shard accumulates — counters, cohort
-//! stats, nonce sets, leakage histograms held by its sessions — merges
-//! commutatively, which is the whole determinism story: any partition
-//! of the fleet into shards, processed by any number of threads, folds
-//! to the same bytes.
+//! stats, nonce sets, one size and one gap leakage histogram per cohort
+//! — merges commutatively, which is the whole determinism story: any
+//! partition of the fleet into shards, processed by any number of
+//! threads, folds to the same bytes.
 
 use std::collections::BTreeMap;
 
 use age_core::{Batch, EncodeScratch};
 use age_telemetry::{
-    FleetNonceAudit, FlightRecord, FlightRecorder, IngestRung, Tracer, WindowedMonitor,
+    FleetNonceAudit, FlightRecord, FlightRecorder, IngestRung, LeakageStream, Tracer,
+    WindowedMonitor,
 };
 use age_transport::{ReceiveError, ReceiverStats};
 
@@ -178,6 +179,10 @@ pub(crate) struct Shard {
     sessions: BTreeMap<u64, Session>,
     pub(crate) stats: ShardStats,
     pub(crate) cohorts: Vec<CohortStats>,
+    /// `(sizes, gaps)`: the `(event, wire bytes)` and `(event, gap µs)`
+    /// histograms of each cohort's accepted frames, indexed like
+    /// `cohorts`. They outlive the sessions that fed them.
+    pub(crate) leakage: Vec<(LeakageStream, LeakageStream)>,
     pub(crate) nonces: FleetNonceAudit,
     pub(crate) latency: LatencyHistogram,
     /// Windowed leakage monitor (present when the config enables it).
@@ -201,6 +206,7 @@ impl Shard {
             sessions: BTreeMap::new(),
             stats: ShardStats::default(),
             cohorts: vec![CohortStats::default(); config.cohorts.len()],
+            leakage: vec![Default::default(); config.cohorts.len()],
             nonces: FleetNonceAudit::default(),
             latency: LatencyHistogram::new(),
             monitor: config
@@ -226,7 +232,8 @@ impl Shard {
     pub(crate) fn insert_session(&mut self, sensor_id: u64, session: Session) {
         let cohort = session.cohort;
         // Re-provisioning replaces the session; keep cohort headcounts
-        // exact either way.
+        // exact either way. The frames it already delivered stay in its
+        // cohort's leakage histograms: an eavesdropper saw them.
         if let Some(old) = self.sessions.insert(sensor_id, session) {
             if let Some(stats) = self.cohorts.get_mut(old.cohort) {
                 stats.sensors = stats.sensors.saturating_sub(1);
@@ -390,14 +397,18 @@ impl Shard {
         let epoch_now = session.receiver.epoch();
         if epoch_now > epoch_before {
             self.stats.rotations += 1;
-            session.epoch = epoch_now;
             self.rotated_to = Some(epoch_now);
         }
-        let gap_us = session.observe_accepted(frame.event, wire.len(), frame.sent_at_us);
+        let gap_us = session.gap_to(frame.sent_at_us);
+        if let Some((sizes, gaps)) = self.leakage.get_mut(session.cohort) {
+            sizes.observe(frame.event, wire.len());
+            if let Some(gap) = gap_us {
+                gaps.observe(frame.event, gap as usize);
+            }
+        }
         // Keyed on the epoch the frame actually *opened* under (a
         // straggler opens one epoch behind the receiver's current) —
-        // on static sessions `last_epoch` is always 0, matching the
-        // provisioned epoch exactly.
+        // on static sessions `last_epoch` is always 0.
         self.nonces
             .observe(sensor_id, session.receiver.last_epoch(), sequence);
         if let Some(monitor) = self.monitor.as_mut() {

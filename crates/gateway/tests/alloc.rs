@@ -4,9 +4,12 @@
 //! per-frame allocation is a throughput cliff and a fragmentation
 //! hazard. After a warm-up pass has grown the shard's payload buffer,
 //! decode scratch, and created every histogram bin the traffic will
-//! touch (one size and one gap key per event class, the session's
-//! nonce run, the per-sensor BTree nodes), the full frame → open →
-//! decode → rollup path must not allocate at all.
+//! touch (one size and one gap key per event class in the cohort's
+//! histograms, the session's nonce run, the per-sensor BTree nodes),
+//! the full frame → open → decode → rollup path must not allocate at
+//! all. A freshly provisioned session joins histograms that already
+//! hold its cohort's keys, so its first frames cost little more than
+//! its own nonce run.
 //!
 //! This test binary owns its `#[global_allocator]`; the counting
 //! allocator's counters are thread-local, so measurement runs on the
@@ -35,17 +38,23 @@ fn batch_cfg() -> BatchConfig {
 
 /// Valid frames from one AGE sensor on a constant cadence, cycling the
 /// three event classes. Constant frame size (AGE) + constant cadence
-/// means the session's histograms see exactly one (event, size) and one
+/// means the cohort's histograms see exactly one (event, size) and one
 /// (event, gap) key per class — all created during warm-up.
 fn frames(count: usize) -> Vec<FleetFrame> {
+    frames_of(SENSOR, count)
+}
+
+/// [`frames`] from static-key sensor `sensor_id`.
+fn frames_of(sensor_id: u64, count: usize) -> Vec<FleetFrame> {
     sealed_frames(
-        Sensor::new(Box::new(ChaCha20Poly1305::new(derive_key(SEED, SENSOR)))),
+        sensor_id,
+        Sensor::new(Box::new(ChaCha20Poly1305::new(derive_key(SEED, sensor_id)))),
         count,
     )
 }
 
 /// [`frames`] from a sensor of its own.
-fn sealed_frames(mut sensor: Sensor, count: usize) -> Vec<FleetFrame> {
+fn sealed_frames(sensor_id: u64, mut sensor: Sensor, count: usize) -> Vec<FleetFrame> {
     let cfg = batch_cfg();
     let age = AgeEncoder::new(160);
     (0..count)
@@ -60,7 +69,7 @@ fn sealed_frames(mut sensor: Sensor, count: usize) -> Vec<FleetFrame> {
             let payload = age.encode(&batch, &cfg).unwrap();
             let mut sealed = Vec::new();
             sensor.seal_into(&payload, &mut sealed);
-            FleetFrame::encode(SENSOR, &sealed, event, (i as u64 + 1) * 260_000)
+            FleetFrame::encode(sensor_id, &sealed, event, (i as u64 + 1) * 260_000)
         })
         .collect()
 }
@@ -102,6 +111,46 @@ fn steady_state_ingest_is_allocation_free() {
     let report = gateway.fleet_report();
     assert_eq!(report.stats.accepted, all.len() as u64);
     assert_eq!(report.stats.rejected(), 0);
+}
+
+/// A sensor's first frames feed histograms its cohort already holds,
+/// so a fresh session allocates only its own bookkeeping: the nonce
+/// audit's run for it, plus the odd node split of that audit's map.
+#[test]
+fn fresh_sessions_join_the_cohort_histograms() {
+    const SESSIONS: u64 = 100;
+    const FRAMES: usize = 4;
+    let config = GatewayConfig::new(
+        batch_cfg(),
+        vec![Cohort::new("AGE", Box::new(AgeEncoder::new(160)))],
+        SEED,
+        1,
+    );
+    let mut gateway = Gateway::new(config);
+    let warm: Vec<FleetFrame> = (0..SESSIONS).flat_map(|id| frames_of(id, FRAMES)).collect();
+    let fresh: Vec<FleetFrame> = (SESSIONS..2 * SESSIONS)
+        .flat_map(|id| frames_of(id, FRAMES))
+        .collect();
+    for id in 0..2 * SESSIONS {
+        gateway.provision(id, 0).unwrap();
+    }
+    for frame in &warm {
+        gateway.ingest(frame).expect("warm-up frame accepted");
+    }
+
+    let before = alloc::snapshot();
+    for frame in &fresh {
+        gateway.ingest(frame).expect("fresh-session frame accepted");
+    }
+    let delta = alloc::snapshot().since(before);
+    let per_session = delta.allocations as f64 / SESSIONS as f64;
+    assert!(
+        per_session <= 2.0,
+        "fresh sessions allocated {per_session:.2} times each ({} bytes in all)",
+        delta.bytes,
+    );
+    let report = gateway.fleet_report();
+    assert_eq!(report.stats.accepted, 2 * SESSIONS * FRAMES as u64);
 }
 
 /// The streaming monitor and flight recorder ride the same hot path,
@@ -233,7 +282,7 @@ fn rekeying_rejections_reuse_the_probe_cache() {
     );
     // Five epochs of genuine traffic: the session ends at epoch 4 or 5,
     // so the first sixteen frames are at least two epochs old.
-    let valid = sealed_frames(sensor, 5 * INTERVAL as usize);
+    let valid = sealed_frames(SENSOR, sensor, 5 * INTERVAL as usize);
     for frame in &valid {
         gateway.ingest(frame).expect("genuine frame accepted");
     }

@@ -14,7 +14,8 @@
 //! AGE's constant frames therefore leave on a metronome cadence while
 //! the `Std` baseline's event-sized frames shift their own send times —
 //! the fleet-level reproduction of the paper's size-begets-timing
-//! leakage, measured per sensor by the gateway's session histograms.
+//! leakage, with gaps measured per sensor and binned into the gateway's
+//! per-cohort histograms.
 //!
 //! Generation is per-sensor-deterministic: a sensor's frames depend
 //! only on `(seed, sensor_id)`, never on how many other sensors exist,

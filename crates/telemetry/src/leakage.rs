@@ -6,7 +6,11 @@
 //! [`LeakageStream`] maintains the joint empirical distribution of
 //! `(event label, wire size)` pairs as counts — never raw traces — so the
 //! normalized mutual information and a seeded permutation-test p-value can
-//! be computed at any point, online, from O(distinct pairs) state.
+//! be computed at any point, online, from O(distinct pairs) state. It is
+//! the workspace's one `(event, value)` count table: sweep audits, the
+//! gateway's per-cohort histograms and the windowed monitor's windows all
+//! hold it, and only the joint counts are kept — the marginals are
+//! rebuilt when a stream is scored.
 //!
 //! Everything is count-based and iterated in `BTreeMap` order, so two audits
 //! that observed the same multiset of pairs produce bit-identical floats
@@ -106,15 +110,15 @@ pub fn permutation_test_pairs(
 /// The streaming joint distribution of `(event label, wire size)` for one
 /// audited stream.
 ///
-/// State is counts keyed by a `BTreeMap`, so [`merge`](Self::merge) is
-/// commutative and associative and every derived float is a pure function
-/// of the observed multiset — the determinism contract parallel sweeps rely
-/// on.
+/// State is the joint counts keyed by a `BTreeMap` and their total, so
+/// [`merge`](Self::merge) is commutative and associative and every
+/// derived float is a pure function of the observed multiset — the
+/// determinism contract parallel sweeps rely on. The label and size
+/// marginals are rebuilt from the joint counts when a stream is scored,
+/// in key order, so ingest pays one map increment per observation.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct LeakageStream {
     joint: BTreeMap<(usize, usize), u64>,
-    labels: BTreeMap<usize, u64>,
-    sizes: BTreeMap<usize, u64>,
     total: u64,
 }
 
@@ -135,8 +139,6 @@ impl LeakageStream {
             return;
         }
         *self.joint.entry((label, size)).or_default() += n;
-        *self.labels.entry(label).or_default() += n;
-        *self.sizes.entry(size).or_default() += n;
         self.total += n;
     }
 
@@ -158,35 +160,45 @@ impl LeakageStream {
         self.total == 0
     }
 
+    /// One marginal of the joint counts, in key order; `key` picks the
+    /// label or the size out of a joint key.
+    fn marginal(&self, key: fn(&(usize, usize)) -> usize) -> BTreeMap<usize, u64> {
+        let mut counts = BTreeMap::new();
+        for (pair, &c) in &self.joint {
+            *counts.entry(key(pair)).or_default() += c;
+        }
+        counts
+    }
+
     /// Number of distinct wire sizes seen. `1` is the constant-size
     /// invariant the AGE/Padded defenses must exhibit.
     pub fn distinct_sizes(&self) -> usize {
-        self.sizes.len()
+        self.marginal(|&(_, m)| m).len()
     }
 
     /// Number of distinct event labels seen.
     pub fn distinct_labels(&self) -> usize {
-        self.labels.len()
+        self.marginal(|&(l, _)| l).len()
     }
 
     /// Smallest wire size observed, if any.
     pub fn min_size(&self) -> Option<usize> {
-        self.sizes.keys().next().copied()
+        self.joint.keys().map(|&(_, m)| m).min()
     }
 
     /// Largest wire size observed, if any.
     pub fn max_size(&self) -> Option<usize> {
-        self.sizes.keys().next_back().copied()
+        self.joint.keys().map(|&(_, m)| m).max()
     }
 
     /// Entropy (bits) of the label marginal.
     pub fn label_entropy(&self) -> f64 {
-        entropy_from_counts(self.labels.values().copied())
+        entropy_from_counts(self.marginal(|&(l, _)| l).into_values())
     }
 
     /// Entropy (bits) of the size marginal.
     pub fn size_entropy(&self) -> f64 {
-        entropy_from_counts(self.sizes.values().copied())
+        entropy_from_counts(self.marginal(|&(_, m)| m).into_values())
     }
 
     /// Normalized mutual information `2·I(L,M)/(H(L)+H(M))` of the counts
@@ -197,8 +209,10 @@ impl LeakageStream {
         if self.total == 0 {
             return 0.0;
         }
-        let h_l = self.label_entropy();
-        let h_m = self.size_entropy();
+        let labels = self.marginal(|&(l, _)| l);
+        let sizes = self.marginal(|&(_, m)| m);
+        let h_l = entropy_from_counts(labels.values().copied());
+        let h_m = entropy_from_counts(sizes.values().copied());
         if h_l + h_m == 0.0 {
             return 0.0;
         }
@@ -206,8 +220,8 @@ impl LeakageStream {
         let mut mi = 0.0;
         for (&(l, m), &c) in &self.joint {
             let p_joint = c as f64 / n;
-            let p_l = self.labels[&l] as f64 / n;
-            let p_m = self.sizes[&m] as f64 / n;
+            let p_l = labels[&l] as f64 / n;
+            let p_m = sizes[&m] as f64 / n;
             mi += p_joint * (p_joint / (p_l * p_m)).log2();
         }
         (2.0 * mi / (h_l + h_m)).clamp(0.0, 1.0)
@@ -366,8 +380,8 @@ mod audit {
 
         /// Folds externally collected size and gap histograms into the
         /// `(label, encoder)` stream. This is the entry point for fleet
-        /// gateways that keep one histogram pair per sensor session (the
-        /// per-`(label, encoder)` [`observe_timed`](Self::observe_timed)
+        /// gateways that keep one histogram pair per cohort in each shard
+        /// (the per-`(label, encoder)` [`observe_timed`](Self::observe_timed)
         /// gap state is arrival-order sensitive and would mis-measure
         /// interleaved multi-sensor traffic): sessions extract their own
         /// gaps against their own last-send stamp, and the pre-binned

@@ -23,11 +23,10 @@
 //!    the same splitmix constant the rest of the workspace uses.
 //! 3. **Cheap ingest.** Frames arrive in virtual-time order within a
 //!    shard, so observations hit a "current window" fast path: scalar
-//!    counter bumps plus one or two small-map increments. The window's
-//!    joint counts are only expanded into a
-//!    [`LeakageStream`] at scoring time, and
-//!    p-values are only computed for windows whose NMI already crossed
-//!    the threshold.
+//!    counter bumps plus one or two joint-count increments on the
+//!    window's [`LeakageStream`]s (which keep no marginals; those are
+//!    rebuilt at scoring time), and p-values are only computed for
+//!    windows whose NMI already crossed the threshold.
 //!
 //! Alarm semantics mirror the end-of-run gate: a **size** alarm needs
 //! window NMI above the threshold on a defended stream with enough
@@ -120,15 +119,12 @@ impl WindowTraffic {
     }
 }
 
-/// Joint `(event, value)` counts for one stream in one window — the
-/// size channel and the gap channel, kept as bare maps so the ingest
-/// path pays one ordered-map increment instead of a full
-/// [`LeakageStream`] update (marginals are reconstructed at scoring
-/// time).
+/// Joint `(event, value)` counts for one stream in one window: the
+/// size channel and the gap channel, each scored as it is.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 struct WindowCounts {
-    sizes: BTreeMap<(usize, usize), u64>,
-    gaps: BTreeMap<(usize, usize), u64>,
+    sizes: LeakageStream,
+    gaps: LeakageStream,
 }
 
 impl WindowCounts {
@@ -137,22 +133,9 @@ impl WindowCounts {
     }
 
     fn add(&mut self, other: &WindowCounts) {
-        for (&k, &n) in &other.sizes {
-            *self.sizes.entry(k).or_insert(0) += n;
-        }
-        for (&k, &n) in &other.gaps {
-            *self.gaps.entry(k).or_insert(0) += n;
-        }
+        self.sizes.merge(&other.sizes);
+        self.gaps.merge(&other.gaps);
     }
-}
-
-/// Expands joint counts into a scoreable stream.
-fn stream_of(counts: &BTreeMap<(usize, usize), u64>) -> LeakageStream {
-    let mut stream = LeakageStream::new();
-    for (&(label, value), &n) in counts {
-        stream.observe_n(label, value, n);
-    }
-    stream
 }
 
 /// The NMI scores of one stream in one closed window (no p-values —
@@ -371,9 +354,9 @@ impl WindowedMonitor {
         } else {
             self.streams.entry((window, stream)).or_default()
         };
-        *counts.sizes.entry((event, wire_bytes)).or_insert(0) += 1;
+        counts.sizes.observe(event, wire_bytes);
         if let Some(gap) = gap_us {
-            *counts.gaps.entry((event, gap as usize)).or_insert(0) += 1;
+            counts.gaps.observe(event, gap as usize);
         }
     }
 
@@ -435,9 +418,7 @@ impl WindowedMonitor {
     /// Scores one stream's channels in one window; `None` if the stream
     /// saw nothing there.
     pub fn score(&self, window: u64, stream: usize) -> Option<WindowScore> {
-        let counts = self.counts_in(window, stream)?;
-        let sizes = stream_of(&counts.sizes);
-        let gaps = stream_of(&counts.gaps);
+        let WindowCounts { sizes, gaps } = self.counts_in(window, stream)?;
         Some(WindowScore {
             window,
             stream,
@@ -485,11 +466,10 @@ impl WindowedMonitor {
                 });
             }
             for &stream in defended {
-                let Some(counts) = self.counts_in(window, stream) else {
+                let Some(WindowCounts { sizes, gaps }) = self.counts_in(window, stream) else {
                     continue;
                 };
                 let name = names.get(stream).copied().unwrap_or("?");
-                let sizes = stream_of(&counts.sizes);
                 if sizes.total() >= config.min_observations && sizes.nmi() > config.nmi_threshold {
                     alarms.push(Alarm {
                         kind: AlarmKind::SizeLeak,
@@ -503,7 +483,6 @@ impl WindowedMonitor {
                         observations: sizes.total(),
                     });
                 }
-                let gaps = stream_of(&counts.gaps);
                 if gaps.total() >= config.min_observations && gaps.nmi() > config.nmi_threshold {
                     let p = gaps.permutation_p(
                         config.permutations,
