@@ -17,38 +17,40 @@
 
 use age_bench::{audit, Settings};
 
+/// Takes the value after a flag and parses it; prints `error` and exits 2
+/// when the value is missing or `parse` rejects it.
+fn flag_value<T>(
+    args: &mut impl Iterator<Item = String>,
+    error: &str,
+    parse: impl FnOnce(&str) -> Option<T>,
+) -> T {
+    match args.next().as_deref().and_then(parse) {
+        Some(value) => value,
+        None => {
+            eprintln!("{error}");
+            std::process::exit(2);
+        }
+    }
+}
+
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
+    let mut args = std::env::args().skip(1);
     // Quick scale by default: the gate separates NMI ≈ 0 from NMI ≫ 0.05,
     // which small runs already do decisively, and CI wants fast legs.
     let mut settings = Settings::quick();
     let mut out = String::from("LEAKAGE.json");
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
+    while let Some(arg) = args.next() {
+        match arg.as_str() {
             "--quick" => settings = Settings::quick(),
             "--standard" => settings = Settings::standard(),
             "--full" => settings = Settings::full(),
             "--threads" => {
-                i += 1;
-                match args.get(i).and_then(|n| n.parse::<usize>().ok()) {
-                    Some(n) if n > 0 => settings.threads = n,
-                    _ => {
-                        eprintln!("--threads needs a positive integer");
-                        std::process::exit(2);
-                    }
-                }
+                settings.threads =
+                    flag_value(&mut args, "--threads needs a positive integer", |n| {
+                        n.parse().ok().filter(|&n| n > 0)
+                    });
             }
-            "--out" => {
-                i += 1;
-                match args.get(i) {
-                    Some(path) => out = path.clone(),
-                    None => {
-                        eprintln!("--out needs a path");
-                        std::process::exit(2);
-                    }
-                }
-            }
+            "--out" => out = flag_value(&mut args, "--out needs a path", |p| Some(p.to_string())),
             other => {
                 eprintln!(
                     "unknown argument '{other}'; usage: bench_leakage \
@@ -57,7 +59,6 @@ fn main() {
                 std::process::exit(2);
             }
         }
-        i += 1;
     }
 
     let start = std::time::Instant::now();

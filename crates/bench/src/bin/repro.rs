@@ -73,8 +73,24 @@ use std::time::Instant;
 
 use age_bench::{run_experiment, run_extension, Settings, EXPERIMENTS, EXTENSIONS};
 
+/// Takes the value after a flag and parses it; prints `error` and exits 2
+/// when the value is missing or `parse` rejects it.
+fn flag_value<T>(
+    args: &mut impl Iterator<Item = String>,
+    error: &str,
+    parse: impl FnOnce(&str) -> Option<T>,
+) -> T {
+    match args.next().as_deref().and_then(parse) {
+        Some(value) => value,
+        None => {
+            eprintln!("{error}");
+            std::process::exit(2);
+        }
+    }
+}
+
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
+    let mut args = std::env::args().skip(1);
     let mut settings = Settings::standard();
     let mut ids: Vec<String> = Vec::new();
     let mut telemetry_path: Option<String> = None;
@@ -92,154 +108,90 @@ fn main() {
     let mut health_out: Option<String> = None;
     let mut postmortem_dir: Option<String> = None;
     let mut inject_regression_us: Option<u64> = None;
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
+    let path = |p: &str| Some(p.to_string());
+    while let Some(arg) = args.next() {
+        match arg.as_str() {
             "--audit" => audit = true,
             "--gateway" => gateway = true,
             "--gateway-out" => {
-                i += 1;
-                match args.get(i) {
-                    Some(path) => {
-                        gateway = true;
-                        gateway_out = path.clone();
-                    }
-                    None => {
-                        eprintln!("--gateway-out needs an output path");
-                        std::process::exit(2);
-                    }
-                }
+                gateway_out = flag_value(&mut args, "--gateway-out needs an output path", path);
+                gateway = true;
             }
             "--sensors" => {
-                i += 1;
-                match args.get(i).and_then(|n| n.parse::<u64>().ok()) {
-                    Some(n) if n > 0 => sensors = n,
-                    _ => {
-                        eprintln!("--sensors needs a positive integer");
-                        std::process::exit(2);
-                    }
-                }
+                sensors = flag_value(&mut args, "--sensors needs a positive integer", |n| {
+                    n.parse().ok().filter(|&n| n > 0)
+                });
             }
             "--shards" => {
-                i += 1;
-                match args.get(i).and_then(|n| n.parse::<usize>().ok()) {
-                    Some(n) if n > 0 => shards = n,
-                    _ => {
-                        eprintln!("--shards needs a positive integer");
-                        std::process::exit(2);
-                    }
-                }
+                shards = flag_value(&mut args, "--shards needs a positive integer", |n| {
+                    n.parse().ok().filter(|&n| n > 0)
+                });
             }
             "--audit-out" => {
-                i += 1;
-                match args.get(i) {
-                    Some(path) => {
-                        audit = true;
-                        audit_out = path.clone();
-                    }
-                    None => {
-                        eprintln!("--audit-out needs an output path");
-                        std::process::exit(2);
-                    }
-                }
+                audit_out = flag_value(&mut args, "--audit-out needs an output path", path);
+                audit = true;
             }
             "--quick" => settings = Settings::quick(),
             "--full" => settings = Settings::full(),
             "--threads" => {
-                i += 1;
-                match args.get(i).and_then(|n| n.parse::<usize>().ok()) {
-                    Some(n) if n > 0 => threads = Some(n),
-                    _ => {
-                        eprintln!("--threads needs a positive integer");
-                        std::process::exit(2);
-                    }
-                }
+                threads = Some(flag_value(
+                    &mut args,
+                    "--threads needs a positive integer",
+                    |n| n.parse().ok().filter(|&n| n > 0),
+                ));
             }
             "--faults" => {
-                i += 1;
-                match args.get(i).and_then(|n| n.parse::<f64>().ok()) {
-                    Some(rate) if (0.0..=1.0).contains(&rate) => fault_rate = Some(rate),
-                    _ => {
-                        eprintln!("--faults needs a rate in 0.0..=1.0");
-                        std::process::exit(2);
-                    }
-                }
+                fault_rate = Some(flag_value(
+                    &mut args,
+                    "--faults needs a rate in 0.0..=1.0",
+                    |n| n.parse().ok().filter(|rate| (0.0..=1.0).contains(rate)),
+                ));
             }
             "--power-faults" => {
-                i += 1;
-                match args.get(i).and_then(|n| n.parse::<f64>().ok()) {
-                    Some(rate) if (0.0..=1.0).contains(&rate) => power_fault_rate = Some(rate),
-                    _ => {
-                        eprintln!("--power-faults needs a rate in 0.0..=1.0");
-                        std::process::exit(2);
-                    }
-                }
+                power_fault_rate = Some(flag_value(
+                    &mut args,
+                    "--power-faults needs a rate in 0.0..=1.0",
+                    |n| n.parse().ok().filter(|rate| (0.0..=1.0).contains(rate)),
+                ));
             }
             "--rekey-interval" => {
-                i += 1;
-                match args.get(i).and_then(|n| n.parse::<u64>().ok()) {
-                    Some(n) if n > 0 => rekey_interval = Some(n),
-                    _ => {
-                        eprintln!("--rekey-interval needs a positive integer");
-                        std::process::exit(2);
-                    }
-                }
+                rekey_interval = Some(flag_value(
+                    &mut args,
+                    "--rekey-interval needs a positive integer",
+                    |n| n.parse().ok().filter(|&n| n > 0),
+                ));
             }
             "--telemetry" => {
-                i += 1;
-                match args.get(i) {
-                    Some(path) => telemetry_path = Some(path.clone()),
-                    None => {
-                        eprintln!("--telemetry needs an output path");
-                        std::process::exit(2);
-                    }
-                }
+                telemetry_path = Some(flag_value(
+                    &mut args,
+                    "--telemetry needs an output path",
+                    path,
+                ));
             }
             "--trace" => {
-                i += 1;
-                match args.get(i) {
-                    Some(path) => trace_path = Some(path.clone()),
-                    None => {
-                        eprintln!("--trace needs an output path");
-                        std::process::exit(2);
-                    }
-                }
+                trace_path = Some(flag_value(&mut args, "--trace needs an output path", path))
             }
             "--health" => {
-                i += 1;
-                match args.get(i) {
-                    Some(path) => health_out = Some(path.clone()),
-                    None => {
-                        eprintln!("--health needs an output path");
-                        std::process::exit(2);
-                    }
-                }
+                health_out = Some(flag_value(&mut args, "--health needs an output path", path))
             }
             "--postmortem" => {
-                i += 1;
-                match args.get(i) {
-                    Some(dir) => postmortem_dir = Some(dir.clone()),
-                    None => {
-                        eprintln!("--postmortem needs an output directory");
-                        std::process::exit(2);
-                    }
-                }
+                postmortem_dir = Some(flag_value(
+                    &mut args,
+                    "--postmortem needs an output directory",
+                    path,
+                ));
             }
             "--inject-regression" => {
-                i += 1;
-                match args.get(i).and_then(|n| n.parse::<u64>().ok()) {
-                    Some(us) => inject_regression_us = Some(us),
-                    None => {
-                        eprintln!("--inject-regression needs a virtual-time threshold in µs");
-                        std::process::exit(2);
-                    }
-                }
+                inject_regression_us = Some(flag_value(
+                    &mut args,
+                    "--inject-regression needs a virtual-time threshold in µs",
+                    |n| n.parse().ok(),
+                ));
             }
             "all" => ids.extend(EXPERIMENTS.iter().map(|s| s.to_string())),
             "extensions" => ids.extend(EXTENSIONS.iter().map(|s| s.to_string())),
             other => ids.push(other.to_string()),
         }
-        i += 1;
     }
     // Applied after the scale flags so `--threads 2 --quick` still works.
     if let Some(n) = threads {

@@ -10,6 +10,10 @@
 //!    is written directly from the RFC 7539 quarter-round pseudocode —
 //!    scalar, index-based, sharing no code with the crate's lane-sliced
 //!    permutation — and must agree with `hchacha20` on random inputs.
+//!
+//! One anchor is external: the permutation underneath `hchacha20` is the
+//! ChaCha20 block function without its feed-forward, so its output is pinned
+//! to the RFC 7539 §2.3.2 test vector (`hchacha20_matches_rfc7539_2_3_2`).
 
 use age_crypto::kdf::{expand, extract, fleet_secret, hchacha20, sensor_root, EpochRatchet};
 
@@ -27,6 +31,32 @@ fn hchacha20_known_answer() {
         hex(&hchacha20(&key, &input)),
         "969e1d9115842722d5eae8d284f3b3df60f137195872dc2cfb786bf75a22054d"
     );
+}
+
+#[test]
+fn hchacha20_matches_rfc7539_2_3_2() {
+    // RFC 7539 §2.3.2: key 00..1f, block counter 1, nonce
+    // 000000090000004a00000000. Each expected word is the section's
+    // serialized block output word minus the initial state word
+    // (`wrapping_sub`), i.e. the state after 20 rounds before the
+    // feed-forward; hchacha20 returns words 0..4 and 12..16 of it.
+    let key: [u8; 32] = core::array::from_fn(|i| i as u8);
+    let mut input = [0u8; 16];
+    input[..4].copy_from_slice(&1u32.to_le_bytes());
+    input[4..].copy_from_slice(&[0, 0, 0, 0x09, 0, 0, 0, 0x4a, 0, 0, 0, 0]);
+    // Words 0..4, then words 12..16.
+    let words: [u32; 8] = [
+        0x8377_78ab,
+        0xe238_d763,
+        0xa67a_e21e,
+        0x5950_bb2f,
+        0xd19c_12b4,
+        0xb04e_16de,
+        0x9e83_d0cb,
+        0x4e3c_50a2,
+    ];
+    let expected: Vec<u8> = words.iter().flat_map(|w| w.to_le_bytes()).collect();
+    assert_eq!(hchacha20(&key, &input).as_slice(), expected.as_slice());
 }
 
 #[test]

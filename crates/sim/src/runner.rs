@@ -17,7 +17,7 @@ use age_reconstruct::{interpolate, mae, std_deviation};
 use age_sampling::{
     fit_threshold, DeviationPolicy, LinearPolicy, Policy, RandomPolicy, UniformPolicy,
 };
-use age_telemetry::{DetRng, Tracer};
+use age_telemetry::{DetRng, Tracer, WireRecord};
 use age_transport::{
     chacha20poly1305_factory, epoch_skip_budget, ChannelStats, FaultChannel, FaultPlan, Link,
     LinkStats, NvmFaultPlan, NvmStore, Receiver, RetryPolicy, Sensor, SequenceJournal, MAX_SKIP,
@@ -850,6 +850,17 @@ impl Runner {
             cell.defense.name(),
             cell.rate
         );
+        // The nonce audit keys on (epoch, sequence): every run of every
+        // cell gets a fresh key epoch, so only a genuine re-seal within
+        // one run — a broken reboot recovery — collides. The identity
+        // includes every axis the label omits, because two cells that
+        // differ only in cipher or budget still hold distinct keys.
+        // Rekeying cells later refine `wire_epoch` with the link's key
+        // epoch, so a rotation also rotates the audit cell.
+        let cell_epoch = age_telemetry::begin_epoch(&format!(
+            "{label}|{:?}|budget={}|limit={:?}|faults={:?}",
+            cell.cipher, cell.enforce_budget, cell.limit, cell.faults
+        ));
         let mut state = CellState {
             energy: &self.energy,
             defense: cell.defense,
@@ -862,20 +873,11 @@ impl Runner {
             clock: VirtualClock::new(ClockModel::default()),
             tracer: Tracer::new(&label),
             arrived: HashMap::new(),
-            cell_epoch: age_telemetry::begin_epoch(&format!(
-                "{label}|{:?}|budget={}|limit={:?}|faults={:?}",
-                cell.cipher, cell.enforce_budget, cell.limit, cell.faults
-            )),
+            wire_epoch: cell_epoch.clone(),
+            cell_epoch,
+            label,
         };
-        age_telemetry::set_context_label(&label);
-        // The nonce audit keys on (epoch, sequence): every run of every
-        // cell gets a fresh key epoch, so only a genuine re-seal within
-        // one run — a broken reboot recovery — collides. The identity
-        // includes every axis the label omits, because two cells that
-        // differ only in cipher or budget still hold distinct keys.
-        // Rekeying cells later refine this base string with the link's
-        // key epoch, so a rotation also rotates the audit cell.
-        age_telemetry::set_context_epoch(&state.cell_epoch);
+        age_telemetry::set_context_label(&state.label);
         let mut link = match cell.faults {
             None => LinkStep::Direct {
                 cipher,
@@ -994,8 +996,13 @@ struct CellState<'r> {
     /// reordered frame can surface during a later send, or only at the
     /// final flush.
     arrived: HashMap<u64, Vec<u8>>,
+    /// The stream label stamped onto this cell's records.
+    label: String,
     /// The cell's nonce-audit identity (see [`Runner::run`]).
     cell_epoch: String,
+    /// The epoch stamped onto wire records: `cell_epoch`, refined by the
+    /// link's key epoch once a rekeying link has rotated.
+    wire_epoch: String,
 }
 
 impl CellState<'_> {
@@ -1014,9 +1021,17 @@ impl CellState<'_> {
 
     /// Hands a frame that went on the air to the leakage audit, as the
     /// eavesdropper saw it.
-    fn emit_wire(&self, sequence: u64, event: usize, frame_len: usize, sent_at_us: u64) {
+    fn emit_wire(&self, seq: u64, event: usize, wire_bytes: usize, virtual_time: u64) {
         if age_telemetry::active() {
-            age_telemetry::emit_wire(self.defense.name(), sequence, event, frame_len, sent_at_us);
+            age_telemetry::emit_wire(&WireRecord {
+                label: self.label.clone(),
+                encoder: self.defense.name().to_string(),
+                seq,
+                event,
+                wire_bytes,
+                epoch: self.wire_epoch.clone(),
+                virtual_time,
+            });
         }
     }
 
@@ -1229,10 +1244,7 @@ impl TransportStep {
             // epoch, sequence).
             if self.rekeying && delivery.epoch != self.wire_epoch {
                 self.wire_epoch = delivery.epoch;
-                age_telemetry::set_context_epoch(&format!(
-                    "{}|e{}",
-                    state.cell_epoch, self.wire_epoch
-                ));
+                state.wire_epoch = format!("{}|e{}", state.cell_epoch, self.wire_epoch);
             }
             state.emit_wire(delivery.sequence, label, delivery.frame_len, sent_at_us);
         }

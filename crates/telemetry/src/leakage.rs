@@ -28,8 +28,8 @@
 //! The math here (entropy, NMI, permutation test) is the single source of
 //! truth for the workspace: `age-attack::nmi` delegates to it. The audit
 //! plumbing ([`LeakageAudit`], [`LeakageSink`], [`LeakageGate`],
-//! [`LeakageReport`]) is gated behind the `audit` cargo feature so
-//! MCU-flavored builds compile it out entirely.
+//! [`LeakageReport`]) lives in the private `audit` module; no sensor code
+//! links it.
 
 use std::collections::BTreeMap;
 
@@ -252,10 +252,8 @@ impl LeakageStream {
     }
 }
 
-#[cfg(feature = "audit")]
 pub use audit::{GateOutcome, LeakageAudit, LeakageEntry, LeakageGate, LeakageReport, LeakageSink};
 
-#[cfg(feature = "audit")]
 mod audit {
     use std::collections::BTreeMap;
     use std::fmt;
@@ -1006,7 +1004,6 @@ mod tests {
         assert_eq!(leaky.permutation_p(0, 42), 1.0);
     }
 
-    #[cfg(feature = "audit")]
     mod audit_tests {
         use super::super::*;
         use crate::record::WireRecord;

@@ -12,86 +12,73 @@
 //!
 //! - [`metrics`] — lock-free [`Counter`]s and fixed-bucket [`Histogram`]s.
 //! - [`span`] — a [`Stopwatch`] for per-stage wall-clock timings, and a
-//!   [`Tracer`] for hierarchical virtual-time spans (a no-op without the
-//!   `audit` feature); behind `audit`, [`trace`] renders collected spans
-//!   as Chrome `trace_event` JSON.
+//!   [`Tracer`] for hierarchical virtual-time spans, which [`trace`]
+//!   renders as Chrome `trace_event` JSON.
 //! - [`record`] — the per-batch [`BatchRecord`] schema (mirrors
 //!   `age-core`'s `inspect_message` layout) with stable JSONL output.
 //! - [`sink`] — pluggable destinations: [`NullSink`], [`RecordingSink`]
 //!   (tests), [`JsonlSink`] (runs), [`FanoutSink`], with thread-local and
-//!   process-global installation.
+//!   process-global installation. Batch records take their stream label
+//!   from the thread context; [`WireRecord`]s arrive fully filled in by
+//!   the caller.
 //! - [`summary`] — [`Summary`] rollups whose message-size stddev column is
 //!   the machine-checkable constant-size invariant, with p50/p95/p99
 //!   encode-time percentiles.
 //! - [`leakage`] — streaming `(event label, wire size)` joint distributions
-//!   with online NMI and a seeded permutation test; behind the `audit`
-//!   feature, the [`LeakageAudit`]/[`LeakageSink`] pipeline and the
-//!   [`LeakageGate`] CI regression gate.
+//!   with online NMI and a seeded permutation test, the
+//!   [`LeakageAudit`]/[`LeakageSink`] pipeline and the [`LeakageGate`] CI
+//!   regression gate.
+//! - [`nonce`] — the run-wide and fleet-wide nonce-uniqueness audits.
 //! - [`monitor`] — tumbling virtual-time windows scoring the same two
 //!   channels *mid-run*, raising deterministic [`Alarm`]s when a window
-//!   crosses the gate threshold (behind `audit`).
+//!   crosses the gate threshold.
 //! - [`recorder`] — the fixed-capacity [`FlightRecorder`] ring of recent
-//!   ingest events backing the gateway's postmortem dumps (behind
-//!   `audit`).
+//!   ingest events backing the gateway's postmortem dumps.
 //! - [`rng`] — [`DetRng`], the deterministic SplitMix64/xoshiro256**
 //!   generator the rest of the workspace uses instead of an external `rand`
 //!   dependency.
 //!
-//! The feature fork covers only the code a sensor links: the `age-core`
-//! encoders and the `age-transport` link gate their instrumentation behind
-//! their `telemetry` features, and this crate gates its audit plumbing
-//! behind `audit`. With all three off, every sensor-side call site
-//! compiles away. The host crates (`age-gateway`, `age-sim`, `age-bench`)
-//! always enable `audit`: the gateway's and simulator's audits model the
+//! This crate has one shape; it carries no feature fork of its own. The
+//! fork lives in the code a sensor links: the `age-core` encoders and the
+//! `age-transport` link gate their instrumentation behind their
+//! `telemetry` features, and with both off every sensor-side call site
+//! compiles away. Those crates use only the basics here (records,
+//! [`Stopwatch`], [`emit`], [`stamp`], [`metrics::global`], [`DetRng`]);
+//! the audits, monitor, recorder and tracer are reached only from the
+//! host crates (`age-gateway`, `age-sim`, `age-bench`), which model the
 //! server and the eavesdropper, not the sensor.
 
 pub mod alloc;
 pub mod leakage;
 pub mod metrics;
-#[cfg(feature = "audit")]
 pub mod monitor;
-#[cfg(feature = "audit")]
 pub mod nonce;
 pub mod record;
-#[cfg(feature = "audit")]
 pub mod recorder;
 pub mod rng;
 pub mod sink;
 pub mod span;
 pub mod summary;
-#[cfg(feature = "audit")]
 pub mod trace;
 
-pub use leakage::{entropy_from_counts, nmi_pairs, permutation_test_pairs, LeakageStream};
-#[cfg(feature = "audit")]
 pub use leakage::{
-    GateOutcome, LeakageAudit, LeakageEntry, LeakageGate, LeakageReport, LeakageSink,
+    entropy_from_counts, nmi_pairs, permutation_test_pairs, GateOutcome, LeakageAudit,
+    LeakageEntry, LeakageGate, LeakageReport, LeakageSink, LeakageStream,
 };
 pub use metrics::{Counter, Histogram};
-#[cfg(feature = "audit")]
 pub use monitor::{Alarm, AlarmKind, MonitorConfig, WindowScore, WindowTraffic, WindowedMonitor};
-#[cfg(feature = "audit")]
 pub use nonce::{
     begin_epoch, reset_epoch_counters, FleetNonceAudit, FleetNonceReuse, NonceAudit,
     NonceAuditSink, NonceReuse, SeqSet,
 };
-#[cfg(feature = "audit")]
-pub use record::WireRecord;
-pub use record::{BatchRecord, GroupRecord, StageTimings};
-#[cfg(feature = "audit")]
+pub use record::{BatchRecord, GroupRecord, StageTimings, WireRecord};
 pub use recorder::{FlightRecord, FlightRecorder, IngestRung};
 pub use rng::{DetRng, SliceShuffle};
 pub use sink::{
-    active, clear_global, context_epoch, context_event, context_vtime, emit, install_global,
-    install_thread, set_context_epoch, set_context_event, set_context_label, set_context_vtime,
-    set_timings_enabled, stamp, timings_enabled, FanoutSink, JsonlSink, NullSink, RecordingSink,
-    Sink, ThreadSinkGuard,
+    active, clear_global, context_event, context_vtime, emit, emit_span, emit_wire, install_global,
+    install_thread, set_context_event, set_context_label, set_context_vtime, set_timings_enabled,
+    stamp, timings_enabled, FanoutSink, JsonlSink, NullSink, RecordingSink, Sink, ThreadSinkGuard,
 };
-#[cfg(feature = "audit")]
-pub use sink::{emit_span, emit_wire};
-#[cfg(feature = "audit")]
-pub use span::SpanEvent;
-pub use span::{set_trace_enabled, trace_enabled, Stopwatch, Tracer};
+pub use span::{set_trace_enabled, trace_enabled, SpanEvent, Stopwatch, Tracer};
 pub use summary::{StreamStats, Summary, SummarySink, TransportRollup};
-#[cfg(feature = "audit")]
 pub use trace::{render_chrome_json, TraceSink};

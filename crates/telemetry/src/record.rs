@@ -216,10 +216,9 @@ impl BatchRecord {
 /// stream sent it, the ground-truth event active at the time, and the exact
 /// on-air size in bytes. This — not the plaintext encoding — is what the
 /// leakage audit correlates against labels.
-#[cfg(feature = "audit")]
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct WireRecord {
-    /// Stream label from the thread context (dataset/policy/defense/rate).
+    /// Stream label (dataset/policy/defense/rate), set by the emitter.
     pub label: String,
     /// Defense/encoder name (`"Std"`, `"AGE"`, `"Padded"`, …). Owned so
     /// records survive JSON round-trips.
@@ -232,8 +231,9 @@ pub struct WireRecord {
     pub wire_bytes: usize,
     /// Key epoch the frame was sealed in: the scope within which `seq`
     /// must be unique for nonce uniqueness to hold (one epoch per cell
-    /// run; empty when the emitter set none, in which case auditors fall
-    /// back to `label`). Appended to the wire-line schema; absent in lines
+    /// run, refined by the link's key epoch after each rotation; empty
+    /// when the emitter set none, in which case auditors fall back to
+    /// `label`). Appended to the wire-line schema; absent in lines
     /// written by older builds, which parse back as empty.
     pub epoch: String,
     /// Virtual send time in simulated microseconds: when the frame's first
@@ -245,7 +245,6 @@ pub struct WireRecord {
     pub virtual_time: u64,
 }
 
-#[cfg(feature = "audit")]
 impl WireRecord {
     /// Serializes as one compact JSON object (no trailing newline), with a
     /// leading `"kind":"wire"` discriminator so wire lines can share a
@@ -551,7 +550,6 @@ mod tests {
         assert!(BatchRecord::from_json(&garbled).is_none());
     }
 
-    #[cfg(feature = "audit")]
     #[test]
     fn wire_record_round_trips_through_json() {
         let original = WireRecord {
@@ -579,7 +577,6 @@ mod tests {
         assert!(!WireRecord::is_wire_line(&sample().to_json()));
     }
 
-    #[cfg(feature = "audit")]
     #[test]
     fn wire_virtual_time_tolerates_absence_but_rejects_malformation() {
         let original = WireRecord {

@@ -22,10 +22,7 @@ use std::path::Path;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, RwLock};
 
-use crate::record::BatchRecord;
-#[cfg(feature = "audit")]
-use crate::record::WireRecord;
-#[cfg(feature = "audit")]
+use crate::record::{BatchRecord, WireRecord};
 use crate::span::SpanEvent;
 
 /// A destination for per-batch telemetry records.
@@ -38,12 +35,10 @@ pub trait Sink: Send + Sync {
 
     /// Consumes one sealed-frame observation (leakage audit). Default:
     /// ignored, so sinks that only care about batches need no change.
-    #[cfg(feature = "audit")]
     fn record_wire(&self, _record: &WireRecord) {}
 
     /// Consumes one closed virtual-time span (trace export). Default:
     /// ignored — only trace sinks care.
-    #[cfg(feature = "audit")]
     fn record_span(&self, _span: &SpanEvent) {}
 
     /// Flushes buffered output, if any.
@@ -63,7 +58,6 @@ impl Sink for NullSink {
 #[derive(Debug, Default)]
 pub struct RecordingSink {
     records: Mutex<Vec<BatchRecord>>,
-    #[cfg(feature = "audit")]
     wires: Mutex<Vec<WireRecord>>,
 }
 
@@ -94,13 +88,11 @@ impl RecordingSink {
     }
 
     /// A clone of every wire record seen so far.
-    #[cfg(feature = "audit")]
     pub fn wire_records(&self) -> Vec<WireRecord> {
         self.wires.lock().unwrap().clone()
     }
 
     /// Drains and returns all wire records.
-    #[cfg(feature = "audit")]
     pub fn take_wires(&self) -> Vec<WireRecord> {
         std::mem::take(&mut *self.wires.lock().unwrap())
     }
@@ -111,7 +103,6 @@ impl Sink for RecordingSink {
         self.records.lock().unwrap().push(record.clone());
     }
 
-    #[cfg(feature = "audit")]
     fn record_wire(&self, record: &WireRecord) {
         self.wires.lock().unwrap().push(record.clone());
     }
@@ -164,7 +155,6 @@ impl<W: Write + Send> Sink for JsonlSink<W> {
         let _ = writeln!(w, "{line}");
     }
 
-    #[cfg(feature = "audit")]
     fn record_wire(&self, record: &WireRecord) {
         let mut w = self.writer.lock().unwrap();
         let _ = writeln!(w, "{}", record.to_json());
@@ -185,14 +175,12 @@ impl Sink for FanoutSink {
         }
     }
 
-    #[cfg(feature = "audit")]
     fn record_wire(&self, record: &WireRecord) {
         for sink in &self.0 {
             sink.record_wire(record);
         }
     }
 
-    #[cfg(feature = "audit")]
     fn record_span(&self, span: &SpanEvent) {
         for sink in &self.0 {
             sink.record_span(span);
@@ -215,7 +203,6 @@ thread_local! {
     static CONTEXT_LABEL: RefCell<String> = const { RefCell::new(String::new()) };
     static BATCH_COUNTER: Cell<u64> = const { Cell::new(0) };
     static CONTEXT_EVENT: Cell<Option<usize>> = const { Cell::new(None) };
-    static CONTEXT_EPOCH: RefCell<String> = const { RefCell::new(String::new()) };
     static CONTEXT_VTIME: Cell<u64> = const { Cell::new(0) };
 }
 
@@ -254,23 +241,6 @@ pub fn set_context_event(event: Option<usize>) {
 /// The event label most recently published via [`set_context_event`].
 pub fn context_event() -> Option<usize> {
     CONTEXT_EVENT.with(Cell::get)
-}
-
-/// Sets the key epoch stamped onto wire records emitted from this thread —
-/// the scope within which sequence numbers must be unique (one epoch per
-/// cell run; the nonce-uniqueness auditor keys on (epoch, seq)). Empty (the
-/// default) means "unscoped": auditors fall back to the stream label.
-pub fn set_context_epoch(epoch: &str) {
-    CONTEXT_EPOCH.with(|e| {
-        let mut e = e.borrow_mut();
-        e.clear();
-        e.push_str(epoch);
-    });
-}
-
-/// The epoch most recently published via [`set_context_epoch`].
-pub fn context_epoch() -> String {
-    CONTEXT_EPOCH.with(|e| e.borrow().clone())
 }
 
 /// Publishes this thread's current virtual time (simulated microseconds),
@@ -345,61 +315,35 @@ pub fn active() -> bool {
     THREAD_SINK.with(|stack| !stack.borrow().is_empty()) || GLOBAL_ACTIVE.load(Ordering::Acquire)
 }
 
-/// Sends a record to the innermost thread-local sink, falling back to the
-/// global sink; drops it if neither is installed.
-pub fn emit(record: &BatchRecord) {
+/// Hands `deliver` the innermost thread-local sink, falling back to the
+/// global sink; does nothing if neither is installed.
+fn route(deliver: impl FnOnce(&dyn Sink)) {
     let local = THREAD_SINK.with(|stack| stack.borrow().last().cloned());
-    if let Some(sink) = local {
-        sink.record_batch(record);
-        return;
-    }
-    let global = GLOBAL_SINK.read().unwrap().clone();
-    if let Some(sink) = global {
-        sink.record_batch(record);
+    if let Some(sink) = local.or_else(|| GLOBAL_SINK.read().unwrap().clone()) {
+        deliver(&*sink);
     }
 }
 
-/// Builds a [`WireRecord`] from the thread context (stream label) plus the
-/// caller's frame facts, and routes it like [`emit`]. Transmit paths call
+/// Sends a record to the innermost thread-local sink, falling back to the
+/// global sink; drops it if neither is installed.
+pub fn emit(record: &BatchRecord) {
+    route(|sink| sink.record_batch(record));
+}
+
+/// Routes one sealed-frame observation like [`emit`]. Transmit paths call
 /// this once per sealed frame actually put on the air, so the audit sees
-/// exactly what an eavesdropper would; `virtual_time` is the frame's first
-/// radiation time on the simulator's deterministic clock (0 if unclocked).
-#[cfg(feature = "audit")]
-pub fn emit_wire(encoder: &str, seq: u64, event: usize, wire_bytes: usize, virtual_time: u64) {
-    let record = WireRecord {
-        label: CONTEXT_LABEL.with(|l| l.borrow().clone()),
-        encoder: encoder.to_string(),
-        seq,
-        event,
-        wire_bytes,
-        epoch: CONTEXT_EPOCH.with(|e| e.borrow().clone()),
-        virtual_time,
-    };
-    let local = THREAD_SINK.with(|stack| stack.borrow().last().cloned());
-    if let Some(sink) = local {
-        sink.record_wire(&record);
-        return;
-    }
-    let global = GLOBAL_SINK.read().unwrap().clone();
-    if let Some(sink) = global {
-        sink.record_wire(&record);
-    }
+/// exactly what an eavesdropper would. The caller fills in every field,
+/// stream label and key epoch included: wire records read no thread
+/// context.
+pub fn emit_wire(record: &WireRecord) {
+    route(|sink| sink.record_wire(record));
 }
 
 /// Routes one closed span like [`emit`]. Called by [`crate::span::Tracer`]
 /// when tracing is enabled; most sinks ignore spans (trait default), so the
 /// cost with only audit sinks installed is one virtual dispatch.
-#[cfg(feature = "audit")]
 pub fn emit_span(span: &SpanEvent) {
-    let local = THREAD_SINK.with(|stack| stack.borrow().last().cloned());
-    if let Some(sink) = local {
-        sink.record_span(span);
-        return;
-    }
-    let global = GLOBAL_SINK.read().unwrap().clone();
-    if let Some(sink) = global {
-        sink.record_span(span);
-    }
+    route(|sink| sink.record_span(span));
 }
 
 /// Whether instrumented encoders should collect wall-clock stage timings on
@@ -566,28 +510,28 @@ mod tests {
         assert_eq!(b.virtual_time, 0);
     }
 
-    #[cfg(feature = "audit")]
     #[test]
-    fn emit_wire_routes_to_thread_sink_with_context_label() {
+    fn emit_wire_routes_the_callers_record_to_the_thread_sink() {
+        let record = WireRecord {
+            label: "epi/Linear/Std/r0.50".into(),
+            encoder: "Std".into(),
+            seq: 7,
+            event: 2,
+            wire_bytes: 86,
+            epoch: "cell|e3".into(),
+            virtual_time: 1_234_567,
+        };
         let sink = Arc::new(RecordingSink::new());
         {
             let _guard = install_thread(sink.clone());
-            set_context_label("epi/Linear/Std/r0.50");
-            emit_wire("Std", 7, 2, 86, 1_234_567);
+            // The thread context does not leak into wire records.
+            set_context_label("other");
+            emit_wire(&record);
         }
         set_context_label("");
-        let wires = sink.wire_records();
-        assert_eq!(wires.len(), 1);
-        assert_eq!(wires[0].label, "epi/Linear/Std/r0.50");
-        assert_eq!(wires[0].encoder, "Std");
-        assert_eq!(
-            (wires[0].seq, wires[0].event, wires[0].wire_bytes),
-            (7, 2, 86)
-        );
-        assert_eq!(wires[0].virtual_time, 1_234_567);
+        assert_eq!(sink.wire_records(), vec![record]);
     }
 
-    #[cfg(feature = "audit")]
     #[test]
     fn jsonl_sink_writes_wire_lines() {
         let sink = JsonlSink::new(std::io::Cursor::new(Vec::new()));

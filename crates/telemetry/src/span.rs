@@ -16,10 +16,6 @@
 //!   [`SpanEvent`]s for Chrome-trace export. Because the timestamps are
 //!   virtual, traces are byte-identical across runs and thread counts —
 //!   the opposite trade-off from `Stopwatch`, which is real but noisy.
-//!
-//! Without the `audit` feature, `Tracer` compiles to a zero-sized no-op
-//! with the same method signatures, so MCU-profile builds pay nothing (the
-//! `span_noop` integration test pins this with a counting allocator).
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Instant;
@@ -87,7 +83,6 @@ pub fn trace_enabled() -> bool {
 /// so spans from concurrently-running cells never interleave on one
 /// timeline. A span with `cat == "meta"` is the track's name announcement
 /// (emitted once per tracer) rather than a timed region.
-#[cfg(feature = "audit")]
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SpanEvent {
     /// Span name (`"sequence"`, `"encode"`, `"attempt"`, …); for meta
@@ -113,7 +108,6 @@ pub struct SpanEvent {
 /// [`sink::active`](crate::sink::active); a disabled tracer's methods are
 /// early-return no-ops, so per-sequence instrumentation costs two branches
 /// when tracing is off.
-#[cfg(feature = "audit")]
 #[derive(Debug)]
 pub struct Tracer {
     enabled: bool,
@@ -121,7 +115,6 @@ pub struct Tracer {
     stack: Vec<(String, &'static str, u64)>,
 }
 
-#[cfg(feature = "audit")]
 impl Tracer {
     /// Creates a tracer for the stream named `label` and announces the
     /// track to the sink (a `cat == "meta"` span), if tracing is enabled.
@@ -180,34 +173,8 @@ impl Tracer {
     }
 }
 
-/// No-op stand-in compiled without the `audit` feature: same surface, zero
-/// size, zero work — MCU-profile callers keep their instrumentation lines.
-#[cfg(not(feature = "audit"))]
-#[derive(Debug)]
-pub struct Tracer;
-
-#[cfg(not(feature = "audit"))]
-impl Tracer {
-    /// No-op; see the `audit`-enabled `Tracer`.
-    pub fn new(_label: &str) -> Self {
-        Tracer
-    }
-
-    /// Always `false` without the `audit` feature.
-    pub fn is_enabled(&self) -> bool {
-        false
-    }
-
-    /// No-op; see the `audit`-enabled `Tracer`.
-    pub fn begin(&mut self, _name: &str, _cat: &'static str, _now_us: u64) {}
-
-    /// No-op; see the `audit`-enabled `Tracer`.
-    pub fn end(&mut self, _now_us: u64) {}
-}
-
 /// FNV-1a over the label bytes: the track identity for [`SpanEvent`]s.
 /// Stable across runs and platforms (pure arithmetic, no RandomState).
-#[cfg(feature = "audit")]
 fn fnv1a(label: &str) -> u64 {
     let mut hash = 0xcbf2_9ce4_8422_2325u64;
     for byte in label.bytes() {
@@ -279,7 +246,6 @@ mod tests {
         assert!(!trace_enabled());
     }
 
-    #[cfg(feature = "audit")]
     mod tracer {
         use super::super::*;
         use crate::sink::install_thread;

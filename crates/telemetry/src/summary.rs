@@ -125,7 +125,6 @@ impl StreamStats {
 #[derive(Debug, Default)]
 pub struct Summary {
     streams: BTreeMap<(String, &'static str), StreamStats>,
-    #[cfg(feature = "audit")]
     leakage: crate::leakage::LeakageAudit,
 }
 
@@ -180,24 +179,15 @@ impl Summary {
 
     /// Whether nothing was observed.
     pub fn is_empty(&self) -> bool {
-        #[cfg(feature = "audit")]
-        {
-            self.streams.is_empty() && self.leakage.is_empty()
-        }
-        #[cfg(not(feature = "audit"))]
-        {
-            self.streams.is_empty()
-        }
+        self.streams.is_empty() && self.leakage.is_empty()
     }
 
     /// Folds one sealed-frame observation into the leakage rollup.
-    #[cfg(feature = "audit")]
     pub fn observe_wire(&mut self, record: &crate::record::WireRecord) {
         self.leakage.observe_wire(record);
     }
 
     /// The leakage audit accumulated alongside the size/timing rollup.
-    #[cfg(feature = "audit")]
     pub fn leakage(&self) -> &crate::leakage::LeakageAudit {
         &self.leakage
     }
@@ -212,8 +202,8 @@ impl fmt::Display for Summary {
     /// mimic                age            200    52     52   52.0   0.000    1042    10.8    14.2    19.5
     /// ```
     ///
-    /// With the `audit` feature, a leakage section follows when wire frames
-    /// were observed: per-stream frame counts, distinct sizes, and NMI.
+    /// A leakage section follows when wire frames were observed:
+    /// per-stream frame counts, distinct sizes, and NMI.
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         writeln!(
             f,
@@ -252,7 +242,6 @@ impl fmt::Display for Summary {
                 stats.encode_us_p99(),
             )?;
         }
-        #[cfg(feature = "audit")]
         if !self.leakage.is_empty() {
             writeln!(f, "\nleakage audit (sealed wire frames per stream):")?;
             writeln!(
@@ -301,7 +290,6 @@ impl Sink for SummarySink {
         self.summary.lock().unwrap().observe(record);
     }
 
-    #[cfg(feature = "audit")]
     fn record_wire(&self, record: &crate::record::WireRecord) {
         self.summary.lock().unwrap().observe_wire(record);
     }
@@ -500,7 +488,6 @@ mod tests {
         assert!(!table.contains("enc µs"), "{table}");
     }
 
-    #[cfg(feature = "audit")]
     #[test]
     fn summary_rolls_up_wire_records_and_displays_leakage() {
         use crate::record::WireRecord;
