@@ -52,12 +52,21 @@ pub(crate) fn write_standard(
     }
 }
 
-/// Decodes a standard-layout prefix, ignoring any trailing bytes (the
-/// padded defense leaves zero padding after the payload). Callers that
-/// require an exact length check it against
-/// [`BatchConfig::standard_message_bytes`] for the decoded `k`.
-pub(crate) fn decode_standard(message: &[u8], cfg: &BatchConfig) -> Result<Batch, DecodeError> {
-    let fmt = cfg.format();
+/// Decodes the standard layout into `out`: the one decode loop behind the
+/// standard and padded encoders.
+///
+/// With `exact`, the message must be exactly as long as its declared count
+/// implies; that is checked before any index or value is read. Without it,
+/// trailing bytes are ignored (the padded defense leaves zero padding after
+/// the payload). Each measurement's values decode in one
+/// [`BitReader::read_dequantized`] pass. On error `out`'s contents are
+/// unspecified.
+pub(crate) fn decode_standard_into(
+    message: &[u8],
+    cfg: &BatchConfig,
+    exact: bool,
+    out: &mut Batch,
+) -> Result<(), DecodeError> {
     let mut r = BitReader::new(message);
     let k = usize::from(r.read_u16()?);
     if k > cfg.max_len() {
@@ -65,21 +74,31 @@ pub(crate) fn decode_standard(message: &[u8], cfg: &BatchConfig) -> Result<Batch
             "measurement count exceeds batch maximum",
         ));
     }
-    let mut indices = Vec::with_capacity(k);
-    let mut values = Vec::with_capacity(k * cfg.features());
-    for _ in 0..k {
+    let expected = cfg.standard_message_bytes(k);
+    if exact && message.len() != expected {
+        return Err(DecodeError::Length {
+            len: message.len(),
+            expected,
+        });
+    }
+    out.clear();
+    let (indices, values) = out.parts_mut();
+    indices.reserve(k);
+    values.resize(k * cfg.features(), 0.0);
+    for measurement in values.chunks_exact_mut(cfg.features()) {
         // `index_bits` can address past `max_len` when it is not a power of
         // two, so a corrupted index must be range-checked explicitly.
         let index = r.read_bits(cfg.index_bits())? as usize;
         if index >= cfg.max_len() {
             return Err(DecodeError::Corrupt("decoded index out of range"));
         }
-        indices.push(index);
-        for _ in 0..cfg.features() {
-            values.push(fmt.dequantize(fmt.from_bits(r.read_bits(fmt.width())?)));
+        if indices.last().is_some_and(|&prev| prev >= index) {
+            return Err(DecodeError::Corrupt("decoded indices not increasing"));
         }
+        indices.push(index);
+        r.read_dequantized(cfg.format(), measurement)?;
     }
-    Batch::new(indices, values).map_err(|_| DecodeError::Corrupt("decoded indices not increasing"))
+    Ok(())
 }
 
 /// The standard adaptive-sampling message: a count, then each collected
@@ -132,17 +151,9 @@ impl Encoder for StandardEncoder {
     }
 
     fn decode(&self, message: &[u8], cfg: &BatchConfig) -> Result<Batch, DecodeError> {
-        let batch = decode_standard(message, cfg)?;
-        // The standard layout has no padding: the message must be exactly
-        // as long as its declared measurement count implies.
-        let expected = cfg.standard_message_bytes(batch.len());
-        if message.len() != expected {
-            return Err(DecodeError::Length {
-                len: message.len(),
-                expected,
-            });
-        }
-        Ok(batch)
+        let mut out = Batch::empty();
+        decode_standard_into(message, cfg, true, &mut out)?;
+        Ok(out)
     }
 
     fn decode_into(
@@ -153,40 +164,9 @@ impl Encoder for StandardEncoder {
         out: &mut Batch,
     ) -> Result<(), DecodeError> {
         let _ = scratch;
-        let fmt = cfg.format();
-        let mut r = BitReader::new(message);
-        let k = usize::from(r.read_u16()?);
-        if k > cfg.max_len() {
-            return Err(DecodeError::Corrupt(
-                "measurement count exceeds batch maximum",
-            ));
-        }
-        // Exact-length check up front: the declared count fixes the layout.
-        let expected = cfg.standard_message_bytes(k);
-        if message.len() != expected {
-            return Err(DecodeError::Length {
-                len: message.len(),
-                expected,
-            });
-        }
-        out.clear();
-        let (indices, values) = out.parts_mut();
-        indices.reserve(k);
-        values.reserve(k * cfg.features());
-        for _ in 0..k {
-            let index = r.read_bits(cfg.index_bits())? as usize;
-            if index >= cfg.max_len() {
-                return Err(DecodeError::Corrupt("decoded index out of range"));
-            }
-            if indices.last().is_some_and(|&prev| prev >= index) {
-                return Err(DecodeError::Corrupt("decoded indices not increasing"));
-            }
-            indices.push(index);
-            for _ in 0..cfg.features() {
-                values.push(fmt.dequantize(fmt.from_bits(r.read_bits(fmt.width())?)));
-            }
-        }
-        Ok(())
+        // The standard layout has no padding: the declared count fixes the
+        // exact message length.
+        decode_standard_into(message, cfg, true, out)
     }
 }
 
@@ -266,6 +246,19 @@ impl Encoder for PaddedEncoder {
     }
 
     fn decode(&self, message: &[u8], cfg: &BatchConfig) -> Result<Batch, DecodeError> {
+        let mut out = Batch::empty();
+        self.decode_into(message, cfg, &mut EncodeScratch::new(), &mut out)?;
+        Ok(out)
+    }
+
+    fn decode_into(
+        &self,
+        message: &[u8],
+        cfg: &BatchConfig,
+        scratch: &mut EncodeScratch,
+        out: &mut Batch,
+    ) -> Result<(), DecodeError> {
+        let _ = scratch;
         // Padded frames are fixed-length by construction; anything else has
         // been truncated or extended in transit.
         if message.len() != self.pad_to {
@@ -274,7 +267,7 @@ impl Encoder for PaddedEncoder {
                 expected: self.pad_to,
             });
         }
-        decode_standard(message, cfg)
+        decode_standard_into(message, cfg, false, out)
     }
 }
 
@@ -395,12 +388,25 @@ mod tests {
                 expected
             })
         );
-        // Truncation starves the declared count of payload bits, so it is
-        // reported as the bit-level Truncated error.
-        assert!(matches!(
-            StandardEncoder.decode(&msg[..msg.len() - 1], &c),
-            Err(DecodeError::Truncated(_))
-        ));
+        // Truncation is caught by the same exact-length check, before any
+        // payload bit is read, on both decode paths.
+        let truncated = Err(DecodeError::Length {
+            len: expected - 1,
+            expected,
+        });
+        assert_eq!(StandardEncoder.decode(&msg[..msg.len() - 1], &c), truncated);
+        let mut out = Batch::empty();
+        assert_eq!(
+            StandardEncoder
+                .decode_into(
+                    &msg[..msg.len() - 1],
+                    &c,
+                    &mut EncodeScratch::new(),
+                    &mut out
+                )
+                .map(|()| out),
+            truncated
+        );
         // A forged count that understates the payload is caught by the
         // exact-length check instead of being silently accepted.
         let mut short_count = msg.clone();

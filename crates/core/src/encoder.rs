@@ -389,7 +389,6 @@ impl crate::Encoder for AgeEncoder {
         let d = cfg.features();
         let groups = &mut scratch.groups;
         let widths = &mut scratch.widths;
-        let lane = &mut scratch.quant_bits;
         out.clear();
         let (indices, values) = out.parts_mut();
         let mut r = BitReader::new(message);
@@ -442,20 +441,19 @@ impl crate::Encoder for AgeEncoder {
                 "group counts disagree with measurement count",
             ));
         }
-        values.reserve(k * d);
+        // Each group's lane decodes straight into its pre-sized slice of the
+        // row-major values; a width-0 group keeps its zeros.
+        values.resize(k * d, 0.0);
+        let mut t = 0usize;
         for (g, &width) in groups.iter().zip(widths.iter()) {
+            let lane = &mut values[t * d..(t + g.count) * d];
+            t += g.count;
             if width == 0 {
-                values.extend(std::iter::repeat_n(0.0, g.count * d));
                 continue;
             }
             let fmt = Format::new(width, i16::from(width) - i16::from(g.exponent))
                 .map_err(|_| DecodeError::Corrupt("group width/exponent pair is invalid"))?;
-            lane.clear();
-            lane.reserve(g.count * d);
-            for _ in 0..g.count * d {
-                lane.push(r.read_bits(width)?);
-            }
-            fmt.dequantize_bits_slice(lane, values);
+            r.read_dequantized(fmt, lane)?;
         }
         // By construction the indices are strictly increasing and the value
         // count is `k·d`; mirror the `Batch::new` consistency check anyway so

@@ -60,7 +60,8 @@ pub struct EncodeScratch {
     pub(crate) prev_raw: Vec<i64>,
     /// Lane buffer of quantized two's complement patterns, filled per group
     /// by `Format::quantize_bits_slice` and drained by
-    /// `BitWriter::write_fields` (also reused by word-level decoding).
+    /// `BitWriter::write_fields`. Encode-only: decoders read each lane
+    /// straight into the batch with `BitReader::read_dequantized`.
     pub(crate) quant_bits: Vec<u64>,
     /// Lane buffer of quantized raw integers for the delta codec.
     pub(crate) quant_raw: Vec<i64>,

@@ -135,13 +135,11 @@ fn ablation_encoders_are_allocation_free_in_steady_state() {
 /// MCU deployment depends on: a sensor sampling for months cannot afford a
 /// heap that fragments, and the receiving server amortizes one buffer set
 /// across millions of frames.
-#[test]
-fn full_round_trip_is_allocation_free_in_steady_state() {
+fn assert_round_trip_allocation_free(name: &str, encoder: &dyn Encoder) {
     use age_crypto::ChaCha20Poly1305;
     use age_transport::{Receiver, Sensor};
 
     let cfg = cfg();
-    let encoder = AgeEncoder::new(220);
     let key = [0x42u8; 32];
     let mut sensor = Sensor::new(Box::new(ChaCha20Poly1305::new(key)));
     let mut receiver = Receiver::new(Box::new(ChaCha20Poly1305::new(key)));
@@ -204,12 +202,25 @@ fn full_round_trip_is_allocation_free_in_steady_state() {
         assert_eq!(
             delta.allocations,
             0,
-            "round trip: batch #{bi} (k={}) allocated {} times ({} bytes) in steady state",
+            "{name} round trip: batch #{bi} (k={}) allocated {} times ({} bytes) in steady state",
             batch.len(),
             delta.allocations,
             delta.bytes,
         );
     }
+}
+
+#[test]
+fn full_round_trip_is_allocation_free_in_steady_state() {
+    assert_round_trip_allocation_free("AGE", &AgeEncoder::new(220));
+}
+
+/// The fleet's second cohort: the gateway decodes its leaky baseline frames
+/// with `StandardEncoder::decode_into`. The padded defense shares its loop.
+#[test]
+fn standard_layout_round_trips_are_allocation_free_in_steady_state() {
+    assert_round_trip_allocation_free("Standard", &StandardEncoder);
+    assert_round_trip_allocation_free("Padded", &PaddedEncoder::for_config(&cfg()));
 }
 
 #[test]

@@ -7,12 +7,15 @@
 //! Mutations are drawn from the workspace's deterministic PRNG with a fixed
 //! seed and iteration count, so a failure reproduces exactly.
 
+mod common;
+
 use age_core::{
-    AgeEncoder, Batch, BatchConfig, Encoder, PaddedEncoder, PrunedEncoder, SingleEncoder,
-    StandardEncoder, UnshiftedEncoder,
+    AgeEncoder, Batch, BatchConfig, EncodeScratch, Encoder, PaddedEncoder, PrunedEncoder,
+    SingleEncoder, StandardEncoder, UnshiftedEncoder,
 };
 use age_fixed::Format;
 use age_telemetry::{DetRng, SliceShuffle};
+use common::{exact, mutate};
 
 const CASES: usize = 96;
 const MUTATIONS_PER_MESSAGE: usize = 12;
@@ -41,32 +44,23 @@ fn config_and_batch(rng: &mut DetRng) -> (BatchConfig, Batch) {
     (cfg, batch)
 }
 
-/// Applies one random mutation: truncate, extend with noise, or flip bits.
-fn mutate(rng: &mut DetRng, message: &[u8]) -> Vec<u8> {
-    let mut out = message.to_vec();
-    match rng.gen_range(0u32..3) {
-        0 => {
-            // Truncate to a strictly shorter prefix (possibly empty).
-            let keep = rng.gen_range(0usize..out.len().max(1));
-            out.truncate(keep);
-        }
-        1 => {
-            // Extend with random trailing bytes.
-            let extra = rng.gen_range(1usize..32);
-            out.extend((0..extra).map(|_| rng.gen_range(0u32..256) as u8));
-        }
-        _ => {
-            // Flip one to four random bits in place.
-            if !out.is_empty() {
-                for _ in 0..rng.gen_range(1u32..=4) {
-                    let byte = rng.gen_range(0usize..out.len());
-                    let bit = rng.gen_range(0u32..8);
-                    out[byte] ^= 1 << bit;
-                }
-            }
-        }
-    }
-    out
+/// A fixed-length target with random headroom over what every encoder's
+/// framing needs.
+fn fixed_target(rng: &mut DetRng, cfg: &BatchConfig) -> usize {
+    let extra = rng.gen_range(8usize..200);
+    AgeEncoder::min_target_bytes(cfg).max((16 + cfg.max_len() + 6 * 6).div_ceil(8)) + extra
+}
+
+/// Every encoder, fixed-length ones at `target` bytes.
+fn encoders(cfg: &BatchConfig, target: usize) -> Vec<Box<dyn Encoder>> {
+    vec![
+        Box::new(AgeEncoder::new(target)),
+        Box::new(StandardEncoder),
+        Box::new(PaddedEncoder::for_config(cfg)),
+        Box::new(SingleEncoder::new(target)),
+        Box::new(UnshiftedEncoder::new(target)),
+        Box::new(PrunedEncoder::new(target)),
+    ]
 }
 
 /// Whatever `decode` accepted must be a structurally valid batch for `cfg`:
@@ -97,19 +91,8 @@ fn mutated_messages_never_panic_the_decoders() {
     let mut rng = DetRng::seed_from_u64(0xF0_22ED);
     for _ in 0..CASES {
         let (cfg, batch) = config_and_batch(&mut rng);
-        let extra = rng.gen_range(8usize..200);
-        let target = AgeEncoder::min_target_bytes(&cfg)
-            .max((16 + cfg.max_len() + 6 * 6).div_ceil(8))
-            + extra;
-        let encoders: Vec<Box<dyn Encoder>> = vec![
-            Box::new(AgeEncoder::new(target)),
-            Box::new(StandardEncoder),
-            Box::new(PaddedEncoder::for_config(&cfg)),
-            Box::new(SingleEncoder::new(target)),
-            Box::new(UnshiftedEncoder::new(target)),
-            Box::new(PrunedEncoder::new(target)),
-        ];
-        for enc in &encoders {
+        let target = fixed_target(&mut rng, &cfg);
+        for enc in &encoders(&cfg, target) {
             let valid = enc.encode(&batch, &cfg).expect("valid batches encode");
             for _ in 0..MUTATIONS_PER_MESSAGE {
                 let mutated = mutate(&mut rng, &valid);
@@ -128,19 +111,8 @@ fn unmutated_messages_still_decode() {
     let mut rng = DetRng::seed_from_u64(0xF0_22EE);
     for _ in 0..16 {
         let (cfg, batch) = config_and_batch(&mut rng);
-        let extra = rng.gen_range(8usize..200);
-        let target = AgeEncoder::min_target_bytes(&cfg)
-            .max((16 + cfg.max_len() + 6 * 6).div_ceil(8))
-            + extra;
-        let encoders: Vec<Box<dyn Encoder>> = vec![
-            Box::new(AgeEncoder::new(target)),
-            Box::new(StandardEncoder),
-            Box::new(PaddedEncoder::for_config(&cfg)),
-            Box::new(SingleEncoder::new(target)),
-            Box::new(UnshiftedEncoder::new(target)),
-            Box::new(PrunedEncoder::new(target)),
-        ];
-        for enc in &encoders {
+        let target = fixed_target(&mut rng, &cfg);
+        for enc in &encoders(&cfg, target) {
             let msg = enc.encode(&batch, &cfg).expect("valid batches encode");
             let decoded = enc
                 .decode(&msg, &cfg)
@@ -148,4 +120,40 @@ fn unmutated_messages_still_decode() {
             assert_valid(&decoded, &cfg, enc.name());
         }
     }
+}
+
+#[test]
+fn decode_and_decode_into_agree_on_every_mutation() {
+    // The simulator decodes with `decode`, the gateway with `decode_into`
+    // into a reused batch: the same bytes must get the same verdict, down to
+    // the error value and the bits of every decoded value.
+    let mut rng = DetRng::seed_from_u64(0xF0_22EF);
+    let mut scratch = EncodeScratch::new();
+    let mut reused = Batch::empty();
+    let mut checked = 0usize;
+    for _ in 0..CASES {
+        let (cfg, batch) = config_and_batch(&mut rng);
+        let target = fixed_target(&mut rng, &cfg);
+        for enc in &encoders(&cfg, target) {
+            let valid = enc.encode(&batch, &cfg).expect("valid batches encode");
+            for m in 0..=MUTATIONS_PER_MESSAGE {
+                let message = if m == 0 {
+                    valid.clone()
+                } else {
+                    mutate(&mut rng, &valid)
+                };
+                let into = enc
+                    .decode_into(&message, &cfg, &mut scratch, &mut reused)
+                    .map(|()| reused.clone());
+                assert_eq!(
+                    exact(enc.decode(&message, &cfg)),
+                    exact(into),
+                    "{}: decode and decode_into disagree on mutation {m}",
+                    enc.name()
+                );
+                checked += 1;
+            }
+        }
+    }
+    assert_eq!(checked, CASES * 6 * (MUTATIONS_PER_MESSAGE + 1));
 }

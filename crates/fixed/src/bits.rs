@@ -5,14 +5,18 @@
 //! here use MSB-first order within each byte, matching how a microcontroller
 //! would shift bits onto a radio buffer.
 //!
-//! Both sides operate on a `u64` word accumulator: the writer shifts fields
-//! into the low end of a word and spills eight big-endian bytes per 64-bit
-//! flush; the reader refills a word from the byte slice and peels fields off
-//! its high end. The wire format is identical to a bit-at-a-time
-//! implementation (a property test in `tests/properties.rs` pins this against
-//! a reference oracle) — only the number of memory operations changes.
+//! The writer shifts fields into the low end of a `u64` accumulator and
+//! spills eight big-endian bytes per 64-bit flush. The reader is a bit
+//! cursor: each read loads the eight bytes under the cursor as one word and
+//! shifts the field out of it, and [`BitReader::read_dequantized`] decodes a
+//! whole fixed-point lane straight to `f64` that way. The wire format is
+//! identical to a bit-at-a-time implementation (property tests in
+//! `tests/properties.rs` pin both sides against a reference oracle) — only
+//! the number of memory operations changes.
 
 use std::fmt;
+
+use crate::Format;
 
 /// Accumulates bit fields into a byte vector, MSB first.
 ///
@@ -271,9 +275,11 @@ impl std::error::Error for BitReaderError {}
 
 /// Reads bit fields from a byte slice, MSB first.
 ///
-/// The mirror of [`BitWriter`]: a `u64` accumulator is refilled eight bytes
-/// at a time (big-endian) and fields are peeled off its high end, so a read
-/// touches memory once per 64 bits instead of once per bit.
+/// The mirror of [`BitWriter`], kept as a plain bit cursor: every read loads
+/// the eight big-endian bytes under the cursor as one word and shifts the
+/// field out of it, so a read touches memory once per field, not once per
+/// bit. [`BitReader::read_dequantized`] decodes a whole fixed-point lane the
+/// same way in one pass.
 ///
 /// # Examples
 ///
@@ -288,29 +294,35 @@ impl std::error::Error for BitReaderError {}
 #[derive(Debug, Clone)]
 pub struct BitReader<'a> {
     bytes: &'a [u8],
-    /// Index of the next byte not yet pulled into the accumulator.
-    byte_pos: usize,
-    /// Prefetched bits, left-aligned: the high `acc_bits` bits are valid and
-    /// the next bit of the stream is the most significant.
-    acc: u64,
-    /// Number of valid bits in `acc`.
-    acc_bits: u8,
+    /// Bits consumed so far; the next field starts `pos % 8` bits below the
+    /// top of byte `pos / 8`.
+    pos: usize,
 }
 
 impl<'a> BitReader<'a> {
     /// Creates a reader over `bytes`.
     pub fn new(bytes: &'a [u8]) -> Self {
-        BitReader {
-            bytes,
-            byte_pos: 0,
-            acc: 0,
-            acc_bits: 0,
-        }
+        BitReader { bytes, pos: 0 }
     }
 
     /// Bits not yet consumed.
     pub fn remaining_bits(&self) -> usize {
-        usize::from(self.acc_bits) + (self.bytes.len() - self.byte_pos) * 8
+        self.bytes.len() * 8 - self.pos
+    }
+
+    /// The eight bytes from byte `index` on as a big-endian word; the last
+    /// few bytes of the slice are zero-padded to a whole word.
+    #[inline]
+    fn window(&self, index: usize) -> u64 {
+        let tail = self.bytes.get(index..).unwrap_or_default();
+        match tail.first_chunk::<8>() {
+            Some(chunk) => u64::from_be_bytes(*chunk),
+            None => {
+                let mut word = [0u8; 8];
+                word[..tail.len()].copy_from_slice(tail);
+                u64::from_be_bytes(word)
+            }
+        }
     }
 
     /// Reads `count` bits as the low bits of a `u64`, most significant first.
@@ -330,51 +342,54 @@ impl<'a> BitReader<'a> {
         if count == 0 {
             return Ok(0);
         }
-        if self.acc_bits == 0 {
-            self.refill();
+        let (index, lead) = (self.pos / 8, self.pos % 8);
+        // The window holds the next `64 - lead` bits; a field wider than
+        // that takes its last bits from the ninth byte.
+        let mut word = self.window(index) << lead;
+        if usize::from(count) > 64 - lead {
+            word |= u64::from(self.bytes.get(index + 8).copied().unwrap_or(0)) >> (8 - lead);
         }
-        if count <= self.acc_bits {
-            return Ok(self.take(count));
-        }
-        // Straddles the refill boundary: take what the accumulator has, then
-        // the rest from a fresh word. `first >= 1` here, so `rest <= 63`.
-        let first = self.acc_bits;
-        let rest = count - first;
-        let high = self.take(first);
-        self.refill();
-        let low = self.take(rest);
-        Ok((high << rest) | low)
+        self.pos += usize::from(count);
+        Ok(word >> (64 - u32::from(count)))
     }
 
-    /// Peels the high `count` bits off the accumulator.
-    /// Caller must ensure `1 <= count <= self.acc_bits`.
-    #[inline]
-    fn take(&mut self, count: u8) -> u64 {
-        debug_assert!(count >= 1 && count <= self.acc_bits);
-        let out = self.acc >> (64 - u32::from(count));
-        self.acc = if count == 64 { 0 } else { self.acc << count };
-        self.acc_bits -= count;
-        out
-    }
-
-    /// Refills the empty accumulator from the byte slice: a whole word when
-    /// eight bytes remain, otherwise whatever tail is left, left-aligned.
-    fn refill(&mut self) {
-        debug_assert_eq!(self.acc_bits, 0);
-        let tail = &self.bytes[self.byte_pos..];
-        if let Some(chunk) = tail.first_chunk::<8>() {
-            self.acc = u64::from_be_bytes(*chunk);
-            self.acc_bits = 64;
-            self.byte_pos += 8;
-        } else {
-            let mut acc = 0u64;
-            for &b in tail {
-                acc = (acc << 8) | u64::from(b);
-            }
-            self.acc = acc << (8 * (8 - tail.len()));
-            self.acc_bits = (8 * tail.len()) as u8;
-            self.byte_pos = self.bytes.len();
+    /// Reads `out.len()` consecutive `fmt.width()`-bit two's complement
+    /// fields and stores each one's real value in its slot: a group's whole
+    /// lane decoded in one pass.
+    ///
+    /// Bit-identical to filling each slot with
+    /// `fmt.dequantize(fmt.from_bits(self.read_bits(fmt.width())?))`,
+    /// including on failure: if the stream ends inside the lane, the fields
+    /// that fit are stored, the reader stops after them, and the error is
+    /// the one the first failing per-field read returns.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`BitReaderError`] if fewer than `out.len() * fmt.width()`
+    /// bits remain.
+    pub fn read_dequantized(&mut self, fmt: Format, out: &mut [f64]) -> Result<(), BitReaderError> {
+        let width = usize::from(fmt.width());
+        let fits = out.len().min(self.remaining_bits() / width);
+        let step = fmt.step();
+        // The field lands at the top of the shifted window and the
+        // arithmetic shift brings it down sign-extended. A field is at most
+        // `Format::MAX_WIDTH` = 32 bits and starts fewer than 8 bits into
+        // its window, so one window always holds it.
+        let shift = 64 - u32::from(fmt.width());
+        let mut pos = self.pos;
+        for slot in &mut out[..fits] {
+            let raw = ((self.window(pos / 8) << (pos % 8)) as i64) >> shift;
+            *slot = raw as f64 * step;
+            pos += width;
         }
+        self.pos = pos;
+        if fits < out.len() {
+            return Err(BitReaderError {
+                requested: fmt.width(),
+                remaining: self.remaining_bits(),
+            });
+        }
+        Ok(())
     }
 
     /// Reads a full byte.
@@ -573,8 +588,8 @@ mod tests {
 
     #[test]
     fn reads_straddle_refill_boundaries() {
-        // 24 bytes so several word refills happen; read widths that never
-        // divide 64 evenly to force boundary-straddling reads.
+        // 24 bytes so reads start in several different windows; widths that
+        // never divide 64 evenly force reads that straddle a window's end.
         let bytes: Vec<u8> = (0..24).map(|i| (i as u8).wrapping_mul(37) ^ 0x5A).collect();
         let mut word = BitReader::new(&bytes);
         let mut slow_pos = 0usize;

@@ -256,28 +256,6 @@ impl Format {
             *bits = (raw as u64) & mask;
         }
     }
-
-    /// Sign-extends and dequantizes a slice of `width`-bit patterns,
-    /// appending the real values to `out`.
-    ///
-    /// The step factor is hoisted out of the loop (one `2^e` for the whole
-    /// group instead of one per sample); bit-identical to
-    /// `fmt.dequantize(fmt.from_bits(b))` per element.
-    pub fn dequantize_bits_slice(&self, bits: &[u64], out: &mut Vec<f64>) {
-        let step = self.step();
-        let mask = self.mask();
-        let sign_bit = 1u64 << (self.width - 1);
-        out.reserve(bits.len());
-        for &b in bits {
-            let b = b & mask;
-            let raw = if b & sign_bit != 0 {
-                (b | !mask) as i64
-            } else {
-                b as i64
-            };
-            out.push(raw as f64 * step);
-        }
-    }
 }
 
 impl fmt::Display for Format {
@@ -530,16 +508,6 @@ mod tests {
                 let raw = fmt.quantize(x);
                 assert_eq!(raws[i], raw, "{fmt} x={x}");
                 assert_eq!(bits[i], fmt.to_bits(raw), "{fmt} x={x}");
-            }
-            let mut values = vec![7.0]; // appends after existing content
-            fmt.dequantize_bits_slice(&bits, &mut values);
-            assert_eq!(values[0], 7.0);
-            for (i, &b) in bits.iter().enumerate() {
-                assert_eq!(
-                    values[i + 1],
-                    fmt.dequantize(fmt.from_bits(b)),
-                    "{fmt} bits={b:#x}"
-                );
             }
         }
     }

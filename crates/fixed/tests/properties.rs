@@ -353,3 +353,75 @@ fn pad_to_bytes_is_byte_exact() {
         assert_eq!(w.into_bytes().len(), target);
     }
 }
+
+/// The per-field loop `read_dequantized` replaces: `read_bits` → `from_bits`
+/// → `dequantize` into each slot, stopping at the first failing read.
+fn per_field_lane(
+    r: &mut BitReader<'_>,
+    fmt: Format,
+    out: &mut [f64],
+) -> Result<(), age_fixed::BitReaderError> {
+    for slot in out {
+        *slot = fmt.dequantize(fmt.from_bits(r.read_bits(fmt.width())?));
+    }
+    Ok(())
+}
+
+#[test]
+fn read_dequantized_matches_the_per_field_loop() {
+    // Every width at every lead offset. Each lane is read from slices that
+    // end 0..=7 whole bytes after it (so its last field sits in the final
+    // 1..=8 bytes, through the zero-padded tail window) and from one slice
+    // too short to hold it.
+    let mut rng = DetRng::seed_from_u64(0xFC);
+    for width in 1..=32u8 {
+        for lead in 0..=63u8 {
+            let n = rng.gen_range(1i64..=40) as i16;
+            let fmt = Format::new(width, i16::from(width) - n).expect("valid by construction");
+            let fields = rng.gen_range(0usize..=40);
+            let needed = (usize::from(lead) + fields * usize::from(width)).div_ceil(8);
+            let lead_bytes = usize::from(lead).div_ceil(8);
+            let mut lengths: Vec<usize> = (0..8).map(|extra| needed + extra).collect();
+            if lead_bytes < needed {
+                lengths.push(rng.gen_range(lead_bytes..needed));
+            }
+            for len in lengths {
+                let bytes: Vec<u8> = (0..len).map(|_| rng.next_u64() as u8).collect();
+                let mut lane = BitReader::new(&bytes);
+                let mut looped = BitReader::new(&bytes);
+                lane.read_bits(lead).expect("the slice holds the lead");
+                looped.read_bits(lead).expect("the slice holds the lead");
+                // Sentinels show which slots each side wrote.
+                let mut got = vec![f64::NAN; fields];
+                let mut want = vec![f64::NAN; fields];
+                let case = format!("{fmt} lead={lead} fields={fields} len={len}");
+                assert_eq!(
+                    lane.read_dequantized(fmt, &mut got),
+                    per_field_lane(&mut looped, fmt, &mut want),
+                    "{case}"
+                );
+                assert_eq!(lane.remaining_bits(), looped.remaining_bits(), "{case}");
+                let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(&got), bits(&want), "{case}");
+                // Both readers stopped at the same bit: what follows matches.
+                let rest = lane.remaining_bits().min(64) as u8;
+                assert_eq!(lane.read_bits(rest), looped.read_bits(rest), "{case}");
+                // The kernel and `read_bits` share the window load, so pin
+                // the slots to the bit-serial oracle too: every field it can
+                // read, then untouched sentinels.
+                let mut slow = reference::SlowReader::new(&bytes);
+                slow.read_bits(lead);
+                for (i, &value) in got.iter().enumerate() {
+                    match slow.read_bits(width) {
+                        Some(b) => assert_eq!(
+                            value.to_bits(),
+                            fmt.dequantize(fmt.from_bits(b)).to_bits(),
+                            "{case} slot {i}"
+                        ),
+                        None => assert!(value.is_nan(), "{case} slot {i} written"),
+                    }
+                }
+            }
+        }
+    }
+}
