@@ -2,7 +2,7 @@
 
 use std::fmt::Write as _;
 
-use age_attack::{most_frequent_rate, nmi, permutation_test, welch_t_test, ClassifierAttack};
+use age_attack::{permutation_test, welch_t_test, ClassifierAttack};
 use age_core::{AgeEncoder, Batch, Encoder, StandardEncoder};
 use age_datasets::{DatasetKind, Scale};
 use age_reconstruct::{interpolate, mae, median, quartiles};
@@ -883,18 +883,6 @@ pub fn overhead(s: &Settings) -> String {
         saving - (age_mj * model.age_compute_factor - std_mj)
     );
     out
-}
-
-/// Smoke check used by tests: the most-frequent-event rate of a label set.
-pub fn baseline_rate(labels: &[usize]) -> f64 {
-    most_frequent_rate(labels)
-}
-
-/// Re-export for the benches: quick NMI on raw observations.
-pub fn observations_nmi(observations: &[(usize, usize)]) -> f64 {
-    let labels: Vec<usize> = observations.iter().map(|&(l, _)| l).collect();
-    let sizes: Vec<usize> = observations.iter().map(|&(_, m)| m).collect();
-    nmi(&labels, &sizes)
 }
 
 #[cfg(test)]

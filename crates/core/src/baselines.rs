@@ -5,6 +5,7 @@ use age_fixed::{BitReader, BitWriter};
 use crate::batch::{Batch, BatchConfig};
 use crate::error::{DecodeError, EncodeError};
 use crate::scratch::EncodeScratch;
+use crate::telemetry::{Probe, Stage};
 use crate::Encoder;
 
 /// Checks a batch against the standard layout's constraints. Split from the
@@ -137,16 +138,17 @@ impl Encoder for StandardEncoder {
         scratch: &mut EncodeScratch,
         out: &mut Vec<u8>,
     ) -> Result<(), EncodeError> {
-        #[cfg(feature = "telemetry")]
-        let mut stopwatch = age_telemetry::active().then(age_telemetry::Stopwatch::start);
+        let mut probe = Probe::start(batch.len());
         validate_standard(batch, cfg)?;
         out.clear();
         out.reserve(cfg.standard_message_bytes(batch.len()));
         let mut w = BitWriter::from_vec(std::mem::take(out));
         write_standard(batch, cfg, &mut w, &mut scratch.quant_bits);
         *out = w.into_bytes();
-        #[cfg(feature = "telemetry")]
-        emit_flat_record("Standard", batch, cfg, out.len(), None, &mut stopwatch);
+        probe.lap(Stage::Pack);
+        probe.finish(&mut scratch.context, batch.len(), out.len(), || {
+            standard_layout("Standard", batch.len(), cfg, None)
+        });
         Ok(())
     }
 
@@ -216,8 +218,7 @@ impl Encoder for PaddedEncoder {
         scratch: &mut EncodeScratch,
         out: &mut Vec<u8>,
     ) -> Result<(), EncodeError> {
-        #[cfg(feature = "telemetry")]
-        let mut stopwatch = age_telemetry::active().then(age_telemetry::Stopwatch::start);
+        let mut probe = Probe::start(batch.len());
         validate_standard(batch, cfg)?;
         let min = cfg.standard_message_bytes(batch.len());
         if min > self.pad_to {
@@ -233,15 +234,10 @@ impl Encoder for PaddedEncoder {
         debug_assert_eq!(w.byte_len(), min);
         w.pad_to_bytes(self.pad_to);
         *out = w.into_bytes();
-        #[cfg(feature = "telemetry")]
-        emit_flat_record(
-            "Padded",
-            batch,
-            cfg,
-            out.len(),
-            Some(self.pad_to),
-            &mut stopwatch,
-        );
+        probe.lap(Stage::Pack);
+        probe.finish(&mut scratch.context, batch.len(), out.len(), || {
+            standard_layout("Padded", batch.len(), cfg, Some(self.pad_to))
+        });
         Ok(())
     }
 
@@ -271,36 +267,22 @@ impl Encoder for PaddedEncoder {
     }
 }
 
-/// Emits a telemetry record for a standard-layout message: a `k` header,
-/// one index-directory entry per measurement, and full-width values.
-#[cfg(feature = "telemetry")]
-fn emit_flat_record(
+/// The telemetry layout of a standard-layout message of `k` measurements:
+/// a `k` header, one index-directory entry per measurement, and full-width
+/// values.
+fn standard_layout(
     encoder: &'static str,
-    batch: &Batch,
+    k: usize,
     cfg: &BatchConfig,
-    message_len: usize,
     target_bytes: Option<usize>,
-    stopwatch: &mut Option<age_telemetry::Stopwatch>,
-) {
-    let k = batch.len();
-    let pack_ns = stopwatch.as_mut().map_or(0, |sw| sw.lap());
-    crate::telemetry::count_encode(k, k, message_len, pack_ns);
-    if stopwatch.is_some() {
-        crate::telemetry::emit_record(age_telemetry::BatchRecord {
-            encoder,
-            input_len: k,
-            kept_len: k,
-            header_bits: crate::encoder::K_BITS,
-            directory_bits: k * usize::from(cfg.index_bits()),
-            data_bits: k * cfg.features() * usize::from(cfg.format().width()),
-            message_len,
-            target_bytes,
-            timings: age_telemetry::StageTimings {
-                pack_ns,
-                ..Default::default()
-            },
-            ..Default::default()
-        });
+) -> age_telemetry::BatchRecord {
+    age_telemetry::BatchRecord {
+        encoder,
+        header_bits: crate::encoder::K_BITS,
+        directory_bits: k * usize::from(cfg.index_bits()),
+        data_bits: k * cfg.features() * usize::from(cfg.format().width()),
+        target_bytes,
+        ..Default::default()
     }
 }
 

@@ -10,6 +10,7 @@ use crate::group::{
 };
 use crate::prune::{prune_count, prune_incremental, prune_into};
 use crate::scratch::EncodeScratch;
+use crate::telemetry::{Probe, Stage};
 
 /// Bits used to store a group's exponent in the directory.
 pub(crate) const EXP_BITS: u8 = 6;
@@ -47,24 +48,20 @@ pub(crate) const MAX_GROUPS: usize = 255;
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct AgeEncoder {
     target_bytes: usize,
-    min_width: u8,
-    min_groups: usize,
     refined: bool,
     split_groups: bool,
 }
 
 impl AgeEncoder {
-    /// Default minimum bits per value retained by pruning (`w_min`, §4.2).
+    /// Minimum bits per value retained by pruning (`w_min`, §4.2).
     pub const MIN_WIDTH: u8 = 5;
-    /// Default minimum number of groups (`G0`, §4.3).
+    /// Minimum number of groups (`G0`, §4.3).
     pub const MIN_GROUPS: usize = 6;
 
     /// Creates an encoder that emits messages of exactly `target_bytes`.
     pub fn new(target_bytes: usize) -> Self {
         AgeEncoder {
             target_bytes,
-            min_width: Self::MIN_WIDTH,
-            min_groups: Self::MIN_GROUPS,
             refined: false,
             split_groups: true,
         }
@@ -86,31 +83,9 @@ impl AgeEncoder {
         self
     }
 
-    /// Overrides the pruning width floor `w_min`.
-    pub fn with_min_width(mut self, min_width: u8) -> Self {
-        self.min_width = min_width.max(1);
-        self
-    }
-
-    /// Overrides the group floor `G0`.
-    pub fn with_min_groups(mut self, min_groups: usize) -> Self {
-        self.min_groups = min_groups.clamp(1, MAX_GROUPS);
-        self
-    }
-
     /// The fixed message length in bytes.
     pub fn target_bytes(&self) -> usize {
         self.target_bytes
-    }
-
-    /// The pruning width floor `w_min`.
-    pub fn min_width(&self) -> u8 {
-        self.min_width
-    }
-
-    /// The group floor `G0`.
-    pub fn min_groups(&self) -> usize {
-        self.min_groups
     }
 
     /// Header + bitmask + group-count bits for a configuration.
@@ -195,21 +170,17 @@ impl crate::Encoder for AgeEncoder {
             split_log,
             trial_widths,
             quant_bits,
+            context,
             ..
         } = scratch;
-        #[cfg(feature = "telemetry")]
-        let input_len = batch.len();
-        #[cfg(feature = "telemetry")]
-        let mut stopwatch = age_telemetry::active().then(age_telemetry::Stopwatch::start);
-        #[cfg(feature = "telemetry")]
-        let mut stage_ns = age_telemetry::StageTimings::default();
+        let mut probe = Probe::start(batch.len());
 
-        // §4.2: prune so every survivor gets at least `min_width` bits, with
+        // §4.2: prune so every survivor gets at least `w_min` bits, with
         // directory space reserved for `G0` groups.
         let prune_budget = target_bits
             .saturating_sub(fixed_bits)
-            .saturating_sub(entry_bits * self.min_groups);
-        let drop = prune_count(batch.len(), d, self.min_width, prune_budget);
+            .saturating_sub(entry_bits * Self::MIN_GROUPS);
+        let drop = prune_count(batch.len(), d, Self::MIN_WIDTH, prune_budget);
         let batch = if drop > 0 {
             if self.refined {
                 *pruned = prune_incremental(batch, drop);
@@ -221,25 +192,18 @@ impl crate::Encoder for AgeEncoder {
             batch
         };
         let k = batch.len();
-        #[cfg(feature = "telemetry")]
-        if let Some(sw) = stopwatch.as_mut() {
-            stage_ns.prune_ns = sw.lap();
-        }
+        probe.lap(Stage::Prune);
 
         // §4.3: exponent-aware groups, merged down to at most G.
         measurement_exponents_into(batch, cfg.format().integer_bits(), exponents);
         form_groups_into(exponents, groups);
-        #[cfg(feature = "telemetry")]
         let groups_initial = groups.len();
-        #[cfg(feature = "telemetry")]
-        if let Some(sw) = stopwatch.as_mut() {
-            stage_ns.group_ns = sw.lap();
-        }
+        probe.lap(Stage::Group);
         let max_groups = select_max_groups(
             target_bits.saturating_sub(fixed_bits),
             k * d * usize::from(w0),
             entry_bits,
-            self.min_groups,
+            Self::MIN_GROUPS,
         )
         .min(MAX_GROUPS);
         if self.refined {
@@ -261,20 +225,14 @@ impl crate::Encoder for AgeEncoder {
                 trial_widths,
             );
         }
-        #[cfg(feature = "telemetry")]
-        if let Some(sw) = stopwatch.as_mut() {
-            stage_ns.merge_ns = sw.lap();
-        }
+        probe.lap(Stage::Merge);
 
         // §4.4: per-group widths under the remaining budget.
         let data_budget = target_bits
             .saturating_sub(fixed_bits)
             .saturating_sub(entry_bits * groups.len());
         assign_widths_into(groups, d, w0, data_budget, widths);
-        #[cfg(feature = "telemetry")]
-        if let Some(sw) = stopwatch.as_mut() {
-            stage_ns.quantize_ns = sw.lap();
-        }
+        probe.lap(Stage::Quantize);
 
         // Assemble the message, cycling `out`'s allocation through the
         // writer (the reserve doubles as the capacity hint for cold buffers).
@@ -325,44 +283,30 @@ impl crate::Encoder for AgeEncoder {
         w.pad_to_bytes(self.target_bytes);
         *out = w.into_bytes();
         debug_assert_eq!(out.len(), self.target_bytes);
-        #[cfg(feature = "telemetry")]
-        {
-            if let Some(sw) = stopwatch.as_mut() {
-                stage_ns.pack_ns = sw.lap();
-            }
-            crate::telemetry::count_encode(input_len, k, out.len(), stage_ns.total_ns());
-            if stopwatch.is_some() {
-                let directory_bits = entry_bits * groups.len();
-                let data_bits: usize = groups
-                    .iter()
-                    .zip(widths.iter())
-                    .map(|(g, &width)| g.count * d * usize::from(width))
-                    .sum();
-                crate::telemetry::emit_record(age_telemetry::BatchRecord {
-                    encoder: "AGE",
-                    input_len,
-                    kept_len: k,
-                    groups_initial,
-                    groups_final: groups.len(),
-                    groups: groups
-                        .iter()
-                        .zip(widths.iter())
-                        .map(|(g, &width)| age_telemetry::GroupRecord {
-                            count: g.count,
-                            exponent: i32::from(g.exponent),
-                            width,
-                        })
-                        .collect(),
-                    header_bits: fixed_bits,
-                    directory_bits,
-                    data_bits,
-                    message_len: out.len(),
-                    target_bytes: Some(self.target_bytes),
-                    timings: stage_ns,
-                    ..Default::default()
-                });
-            }
-        }
+        probe.lap(Stage::Pack);
+        probe.finish(context, k, out.len(), || age_telemetry::BatchRecord {
+            encoder: "AGE",
+            groups_initial,
+            groups_final: groups.len(),
+            groups: groups
+                .iter()
+                .zip(widths.iter())
+                .map(|(g, &width)| age_telemetry::GroupRecord {
+                    count: g.count,
+                    exponent: i32::from(g.exponent),
+                    width,
+                })
+                .collect(),
+            header_bits: fixed_bits,
+            directory_bits: entry_bits * groups.len(),
+            data_bits: groups
+                .iter()
+                .zip(widths.iter())
+                .map(|(g, &width)| g.count * d * usize::from(width))
+                .sum(),
+            target_bytes: Some(self.target_bytes),
+            ..Default::default()
+        });
         Ok(())
     }
 

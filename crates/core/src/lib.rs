@@ -57,7 +57,6 @@ pub mod mcu;
 pub mod prune;
 mod scratch;
 pub mod target;
-#[cfg(feature = "telemetry")]
 mod telemetry;
 mod variants;
 
@@ -67,7 +66,7 @@ pub use compress::DeltaCodec;
 pub use encoder::AgeEncoder;
 pub use error::{BatchError, DecodeError, EncodeError};
 pub use inspect::{inspect_message, GroupLayout, MessageLayout};
-pub use scratch::EncodeScratch;
+pub use scratch::{EncodeScratch, StreamContext};
 pub use variants::{PrunedEncoder, SingleEncoder, UnshiftedEncoder};
 
 /// A batch encoder: turns collected measurements into message bytes and back.
@@ -92,7 +91,8 @@ pub trait Encoder {
     /// touching the heap, which is what makes the encoder viable on an MCU
     /// (§4.5) and keeps the simulation sweep allocation-quiet. `out` is
     /// cleared first, so it always holds exactly one message on success; on
-    /// error its contents are unspecified.
+    /// error its contents are unspecified. With a telemetry sink installed,
+    /// the batch record is stamped with `scratch.context`.
     ///
     /// # Errors
     ///
@@ -107,7 +107,8 @@ pub trait Encoder {
     ) -> Result<(), EncodeError>;
 
     /// Encodes a batch into freshly allocated message bytes — a convenience
-    /// wrapper over [`Encoder::encode_into`] for one-shot callers.
+    /// wrapper over [`Encoder::encode_into`] for one-shot callers. Its
+    /// scratch is fresh, so its telemetry record belongs to no stream.
     ///
     /// # Errors
     ///

@@ -285,8 +285,8 @@ pub fn encode_raw(
     // §4.2 pruning (integer scores).
     let prune_budget = target_bits
         .saturating_sub(fixed_bits)
-        .saturating_sub(entry_bits * encoder.min_groups());
-    let per_measurement = usize::from(encoder.min_width()) * d;
+        .saturating_sub(entry_bits * AgeEncoder::MIN_GROUPS);
+    let per_measurement = usize::from(AgeEncoder::MIN_WIDTH) * d;
     let max_keep = prune_budget
         .checked_div(per_measurement)
         .unwrap_or(batch.len());
@@ -316,7 +316,7 @@ pub fn encode_raw(
         target_bits.saturating_sub(fixed_bits),
         k * d * usize::from(w0),
         entry_bits,
-        encoder.min_groups(),
+        AgeEncoder::MIN_GROUPS,
     )
     .min(MAX_GROUPS);
     let groups = merge_groups(groups, max_groups);

@@ -9,6 +9,10 @@
 //! call has grown each buffer to its steady-state size, encoding performs
 //! zero heap allocations (enforced by the counting-allocator test in
 //! `tests/alloc.rs`).
+//!
+//! The scratch also carries the [`StreamContext`] the encoders stamp onto
+//! their telemetry records, so a record's stream is whatever its caller
+//! set on the scratch it encoded through, never state left on the thread.
 
 use crate::batch::Batch;
 use crate::group::{Group, MergeScratch};
@@ -65,6 +69,44 @@ pub struct EncodeScratch {
     pub(crate) quant_bits: Vec<u64>,
     /// Lane buffer of quantized raw integers for the delta codec.
     pub(crate) quant_raw: Vec<i64>,
+    /// The stream the batch records of encodes through this scratch belong
+    /// to. Callers that name streams (the simulator's runner) set it; a
+    /// fresh scratch gives unlabelled records numbered from 0.
+    pub context: StreamContext,
+}
+
+/// Stream context stamped onto each per-batch telemetry record an encoder
+/// emits through an [`EncodeScratch`].
+///
+/// Only read when a telemetry sink is installed; encoders built without
+/// the `telemetry` feature never look at it.
+///
+/// # Examples
+///
+/// ```
+/// use age_core::EncodeScratch;
+///
+/// let mut scratch = EncodeScratch::new();
+/// assert_eq!(scratch.context.label, "");
+/// scratch.context.label = "Epilepsy/Linear/AGE/r0.70".into();
+/// scratch.context.event = Some(3);
+/// scratch.context.virtual_time = 1_280_000;
+/// assert_eq!(scratch.context.batch, 0);
+/// ```
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct StreamContext {
+    /// Stream label (`dataset/policy/defense/r<rate>` in the simulator);
+    /// empty when unset.
+    pub label: String,
+    /// Ground-truth event being sensed, which the leakage audit
+    /// correlates message sizes against; `None` when unknown.
+    pub event: Option<usize>,
+    /// Virtual time (simulated microseconds) at which the batch's sensing
+    /// window closed; 0 without a virtual clock.
+    pub virtual_time: u64,
+    /// Sequence number of the next record; each emitted record takes it
+    /// and advances it by one.
+    pub batch: u64,
 }
 
 impl EncodeScratch {

@@ -18,6 +18,7 @@ use crate::batch::{Batch, BatchConfig};
 use crate::error::{DecodeError, EncodeError};
 use crate::prune::{prune_count, prune_into};
 use crate::scratch::EncodeScratch;
+use crate::telemetry::{Probe, Stage};
 use crate::Encoder;
 
 const K_BITS: usize = 16;
@@ -93,17 +94,10 @@ fn read_header_and_mask(
     Ok(indices)
 }
 
-/// Even partition of `k` measurements into `parts` group counts (first
-/// groups take the remainder). Zero-count groups are allowed.
-fn even_groups(k: usize, parts: usize) -> Vec<usize> {
-    let base = k / parts;
-    let extra = k % parts;
-    (0..parts).map(|i| base + usize::from(i < extra)).collect()
-}
-
-/// [`even_groups`] for the fixed [`UNSHIFTED_GROUPS`] partition, on the
-/// stack so the encode path stays allocation-free.
-fn even_groups_fixed(k: usize) -> [usize; UNSHIFTED_GROUPS] {
+/// Even partition of `k` measurements into the [`UNSHIFTED_GROUPS`] group
+/// counts (first groups take the remainder; zero-count groups are
+/// allowed), on the stack so the encode path stays allocation-free.
+fn even_groups(k: usize) -> [usize; UNSHIFTED_GROUPS] {
     let base = k / UNSHIFTED_GROUPS;
     let extra = k % UNSHIFTED_GROUPS;
     std::array::from_fn(|i| base + usize::from(i < extra))
@@ -153,12 +147,7 @@ impl Encoder for SingleEncoder {
         validate(batch, cfg, self.target_bytes, min)?;
         let d = cfg.features();
         let fmt0 = cfg.format();
-        #[cfg(feature = "telemetry")]
-        let input_len = batch.len();
-        #[cfg(feature = "telemetry")]
-        let mut stopwatch = age_telemetry::active().then(age_telemetry::Stopwatch::start);
-        #[cfg(feature = "telemetry")]
-        let mut stage_ns = age_telemetry::StageTimings::default();
+        let mut probe = Probe::start(batch.len());
         let data_budget = self.target_bytes * 8 - Self::fixed_bits(cfg);
         let total = batch.len() * d;
         let width = data_budget
@@ -173,10 +162,7 @@ impl Encoder for SingleEncoder {
         } else {
             (batch, width)
         };
-        #[cfg(feature = "telemetry")]
-        if let Some(sw) = stopwatch.as_mut() {
-            stage_ns.quantize_ns = sw.lap();
-        }
+        probe.lap(Stage::Quantize);
 
         out.clear();
         out.reserve(self.target_bytes);
@@ -191,36 +177,26 @@ impl Encoder for SingleEncoder {
         }
         w.pad_to_bytes(self.target_bytes);
         *out = w.into_bytes();
-        #[cfg(feature = "telemetry")]
-        {
-            if let Some(sw) = stopwatch.as_mut() {
-                stage_ns.pack_ns = sw.lap();
+        probe.lap(Stage::Pack);
+        probe.finish(&mut scratch.context, batch.len(), out.len(), || {
+            age_telemetry::BatchRecord {
+                encoder: "Single",
+                groups_final: usize::from(width > 0),
+                groups: (width > 0)
+                    .then(|| age_telemetry::GroupRecord {
+                        count: batch.len(),
+                        exponent: i32::from(fmt0.integer_bits().min(width)),
+                        width,
+                    })
+                    .into_iter()
+                    .collect(),
+                header_bits: K_BITS + cfg.max_len(),
+                directory_bits: usize::from(WIDTH_BITS),
+                data_bits: batch.len() * d * usize::from(width),
+                target_bytes: Some(self.target_bytes),
+                ..Default::default()
             }
-            crate::telemetry::count_encode(input_len, batch.len(), out.len(), stage_ns.total_ns());
-            if stopwatch.is_some() {
-                crate::telemetry::emit_record(age_telemetry::BatchRecord {
-                    encoder: "Single",
-                    input_len,
-                    kept_len: batch.len(),
-                    groups_final: usize::from(width > 0),
-                    groups: (width > 0)
-                        .then(|| age_telemetry::GroupRecord {
-                            count: batch.len(),
-                            exponent: i32::from(fmt0.integer_bits().min(width)),
-                            width,
-                        })
-                        .into_iter()
-                        .collect(),
-                    header_bits: K_BITS + cfg.max_len(),
-                    directory_bits: usize::from(WIDTH_BITS),
-                    data_bits: batch.len() * d * usize::from(width),
-                    message_len: out.len(),
-                    target_bytes: Some(self.target_bytes),
-                    timings: stage_ns,
-                    ..Default::default()
-                });
-            }
-        }
+        });
         Ok(())
     }
 
@@ -245,10 +221,8 @@ impl Encoder for SingleEncoder {
         }
         let fmt = Format::from_integer_bits(width, cfg.format().integer_bits().min(width))
             .map_err(|_| DecodeError::Corrupt("invalid width field"))?;
-        let mut values = Vec::with_capacity(indices.len() * cfg.features());
-        for _ in 0..indices.len() * cfg.features() {
-            values.push(fmt.dequantize(fmt.from_bits(r.read_bits(width)?)));
-        }
+        let mut values = vec![0.0; indices.len() * cfg.features()];
+        r.read_dequantized(fmt, &mut values)?;
         Batch::new(indices, values).map_err(|_| DecodeError::Corrupt("decoded batch invalid"))
     }
 }
@@ -296,12 +270,7 @@ impl Encoder for UnshiftedEncoder {
         validate(batch, cfg, self.target_bytes, min)?;
         let d = cfg.features();
         let fmt0 = cfg.format();
-        #[cfg(feature = "telemetry")]
-        let input_len = batch.len();
-        #[cfg(feature = "telemetry")]
-        let mut stopwatch = age_telemetry::active().then(age_telemetry::Stopwatch::start);
-        #[cfg(feature = "telemetry")]
-        let mut stage_ns = age_telemetry::StageTimings::default();
+        let mut probe = Probe::start(batch.len());
         let data_budget = self.target_bytes * 8 - Self::fixed_bits(cfg);
         let total = batch.len() * d;
         // Like Single, drop everything when nothing fits.
@@ -311,7 +280,7 @@ impl Encoder for UnshiftedEncoder {
         } else {
             batch
         };
-        let counts = even_groups_fixed(batch.len());
+        let counts = even_groups(batch.len());
         let total = batch.len() * d;
 
         let base = data_budget
@@ -336,10 +305,7 @@ impl Encoder for UnshiftedEncoder {
                 }
             }
         }
-        #[cfg(feature = "telemetry")]
-        if let Some(sw) = stopwatch.as_mut() {
-            stage_ns.quantize_ns = sw.lap();
-        }
+        probe.lap(Stage::Quantize);
 
         out.clear();
         out.reserve(self.target_bytes);
@@ -365,42 +331,32 @@ impl Encoder for UnshiftedEncoder {
         }
         w.pad_to_bytes(self.target_bytes);
         *out = w.into_bytes();
-        #[cfg(feature = "telemetry")]
-        {
-            if let Some(sw) = stopwatch.as_mut() {
-                stage_ns.pack_ns = sw.lap();
+        probe.lap(Stage::Pack);
+        probe.finish(&mut scratch.context, batch.len(), out.len(), || {
+            age_telemetry::BatchRecord {
+                encoder: "Unshifted",
+                groups_initial: UNSHIFTED_GROUPS,
+                groups_final: UNSHIFTED_GROUPS,
+                groups: counts
+                    .iter()
+                    .zip(&widths)
+                    .map(|(&count, &width)| age_telemetry::GroupRecord {
+                        count,
+                        exponent: i32::from(fmt0.integer_bits().min(width)),
+                        width,
+                    })
+                    .collect(),
+                header_bits: K_BITS + cfg.max_len(),
+                directory_bits: UNSHIFTED_GROUPS * usize::from(WIDTH_BITS),
+                data_bits: counts
+                    .iter()
+                    .zip(&widths)
+                    .map(|(&c, &width)| c * d * usize::from(width))
+                    .sum(),
+                target_bytes: Some(self.target_bytes),
+                ..Default::default()
             }
-            crate::telemetry::count_encode(input_len, batch.len(), out.len(), stage_ns.total_ns());
-            if stopwatch.is_some() {
-                crate::telemetry::emit_record(age_telemetry::BatchRecord {
-                    encoder: "Unshifted",
-                    input_len,
-                    kept_len: batch.len(),
-                    groups_initial: UNSHIFTED_GROUPS,
-                    groups_final: UNSHIFTED_GROUPS,
-                    groups: counts
-                        .iter()
-                        .zip(&widths)
-                        .map(|(&count, &width)| age_telemetry::GroupRecord {
-                            count,
-                            exponent: i32::from(fmt0.integer_bits().min(width)),
-                            width,
-                        })
-                        .collect(),
-                    header_bits: K_BITS + cfg.max_len(),
-                    directory_bits: UNSHIFTED_GROUPS * usize::from(WIDTH_BITS),
-                    data_bits: counts
-                        .iter()
-                        .zip(&widths)
-                        .map(|(&c, &width)| c * d * usize::from(width))
-                        .sum(),
-                    message_len: out.len(),
-                    target_bytes: Some(self.target_bytes),
-                    timings: stage_ns,
-                    ..Default::default()
-                });
-            }
-        }
+        });
         Ok(())
     }
 
@@ -421,22 +377,22 @@ impl Encoder for UnshiftedEncoder {
             }
             widths.push(width);
         }
-        let counts = even_groups(indices.len(), UNSHIFTED_GROUPS);
+        let counts = even_groups(indices.len());
         let d = cfg.features();
-        let mut values = Vec::with_capacity(indices.len() * d);
-        for (i, &c) in counts.iter().enumerate() {
-            let width = widths[i];
-            if c > 0 && width == 0 {
-                return Err(DecodeError::Corrupt("zero width for a populated group"));
-            }
+        // Each even group's values decode as one lane into its slice.
+        let mut values = vec![0.0; indices.len() * d];
+        let mut t = 0usize;
+        for (&c, &width) in counts.iter().zip(&widths) {
             if c == 0 {
                 continue;
             }
+            if width == 0 {
+                return Err(DecodeError::Corrupt("zero width for a populated group"));
+            }
             let fmt = Format::from_integer_bits(width, cfg.format().integer_bits().min(width))
                 .map_err(|_| DecodeError::Corrupt("invalid width field"))?;
-            for _ in 0..c * d {
-                values.push(fmt.dequantize(fmt.from_bits(r.read_bits(width)?)));
-            }
+            r.read_dequantized(fmt, &mut values[t * d..(t + c) * d])?;
+            t += c;
         }
         Batch::new(indices, values).map_err(|_| DecodeError::Corrupt("decoded batch invalid"))
     }
@@ -486,18 +442,14 @@ impl Encoder for PrunedEncoder {
         validate(batch, cfg, self.target_bytes, min)?;
         let d = cfg.features();
         let fmt = cfg.format();
-        #[cfg(feature = "telemetry")]
-        let input_len = batch.len();
-        #[cfg(feature = "telemetry")]
-        let mut stopwatch = age_telemetry::active().then(age_telemetry::Stopwatch::start);
-        #[cfg(feature = "telemetry")]
-        let mut stage_ns = age_telemetry::StageTimings::default();
+        let mut probe = Probe::start(batch.len());
         let data_budget = self.target_bytes * 8 - Self::fixed_bits(cfg);
         let drop = prune_count(batch.len(), d, fmt.width(), data_budget);
         let EncodeScratch {
             pruned,
             prune,
             quant_bits,
+            context,
             ..
         } = scratch;
         let batch = if drop > 0 {
@@ -506,10 +458,7 @@ impl Encoder for PrunedEncoder {
         } else {
             batch
         };
-        #[cfg(feature = "telemetry")]
-        if let Some(sw) = stopwatch.as_mut() {
-            stage_ns.prune_ns = sw.lap();
-        }
+        probe.lap(Stage::Prune);
 
         out.clear();
         out.reserve(self.target_bytes);
@@ -519,36 +468,26 @@ impl Encoder for PrunedEncoder {
         w.write_fields(quant_bits, fmt.width());
         w.pad_to_bytes(self.target_bytes);
         *out = w.into_bytes();
-        #[cfg(feature = "telemetry")]
-        {
-            if let Some(sw) = stopwatch.as_mut() {
-                stage_ns.pack_ns = sw.lap();
+        probe.lap(Stage::Pack);
+        probe.finish(context, batch.len(), out.len(), || {
+            age_telemetry::BatchRecord {
+                encoder: "Pruned",
+                groups_final: usize::from(!batch.is_empty()),
+                groups: (!batch.is_empty())
+                    .then(|| age_telemetry::GroupRecord {
+                        count: batch.len(),
+                        exponent: i32::from(fmt.integer_bits()),
+                        width: fmt.width(),
+                    })
+                    .into_iter()
+                    .collect(),
+                header_bits: K_BITS + cfg.max_len(),
+                directory_bits: 0,
+                data_bits: batch.len() * d * usize::from(fmt.width()),
+                target_bytes: Some(self.target_bytes),
+                ..Default::default()
             }
-            crate::telemetry::count_encode(input_len, batch.len(), out.len(), stage_ns.total_ns());
-            if stopwatch.is_some() {
-                crate::telemetry::emit_record(age_telemetry::BatchRecord {
-                    encoder: "Pruned",
-                    input_len,
-                    kept_len: batch.len(),
-                    groups_final: usize::from(!batch.is_empty()),
-                    groups: (!batch.is_empty())
-                        .then(|| age_telemetry::GroupRecord {
-                            count: batch.len(),
-                            exponent: i32::from(fmt.integer_bits()),
-                            width: fmt.width(),
-                        })
-                        .into_iter()
-                        .collect(),
-                    header_bits: K_BITS + cfg.max_len(),
-                    directory_bits: 0,
-                    data_bits: batch.len() * d * usize::from(fmt.width()),
-                    message_len: out.len(),
-                    target_bytes: Some(self.target_bytes),
-                    timings: stage_ns,
-                    ..Default::default()
-                });
-            }
-        }
+        });
         Ok(())
     }
 
@@ -562,10 +501,8 @@ impl Encoder for PrunedEncoder {
         let fmt = cfg.format();
         let mut r = BitReader::new(message);
         let indices = read_header_and_mask(&mut r, cfg)?;
-        let mut values = Vec::with_capacity(indices.len() * cfg.features());
-        for _ in 0..indices.len() * cfg.features() {
-            values.push(fmt.dequantize(fmt.from_bits(r.read_bits(fmt.width())?)));
-        }
+        let mut values = vec![0.0; indices.len() * cfg.features()];
+        r.read_dequantized(fmt, &mut values)?;
         Batch::new(indices, values).map_err(|_| DecodeError::Corrupt("decoded batch invalid"))
     }
 }
@@ -649,10 +586,10 @@ mod tests {
 
     #[test]
     fn unshifted_partitions_evenly() {
-        assert_eq!(even_groups(20, 6), vec![4, 4, 3, 3, 3, 3]);
-        assert_eq!(even_groups(5, 6), vec![1, 1, 1, 1, 1, 0]);
-        assert_eq!(even_groups(0, 6), vec![0; 6]);
-        assert_eq!(even_groups(6, 6), vec![1; 6]);
+        assert_eq!(even_groups(20), [4, 4, 3, 3, 3, 3]);
+        assert_eq!(even_groups(5), [1, 1, 1, 1, 1, 0]);
+        assert_eq!(even_groups(0), [0; 6]);
+        assert_eq!(even_groups(6), [1; 6]);
     }
 
     #[test]

@@ -1,20 +1,22 @@
-//! Differential test for the lane decoders: `AgeEncoder`, `StandardEncoder`
-//! and `PaddedEncoder` decode each group lane (or measurement) with one
-//! `BitReader::read_dequantized` pass. The per-field decoders they replaced
+//! Differential test for the lane decoders: `AgeEncoder`, `StandardEncoder`,
+//! `PaddedEncoder` and the ablation variants (`SingleEncoder`,
+//! `UnshiftedEncoder`, `PrunedEncoder`) decode each group lane (or
+//! measurement) with one `BitReader::read_dequantized` pass. The per-field
+//! decoders they replaced
 //! — one `read_bits` → `from_bits` → `dequantize` per value — are kept here
 //! as references, and every decode must return the identical `Result`:
 //! the same error value, or the same indices and the same bits of every
 //! value.
 //!
 //! Inputs are seeded valid messages (widths 1–32, 1–6 features, `k` from 0
-//! to `max_len`, roomy, pruning and tight AGE targets) and the byte-level
-//! mutations of `fuzz.rs`.
+//! to `max_len`, roomy, pruning and tight AGE targets, roomy and squeezed
+//! variant targets) and the byte-level mutations of `fuzz.rs`.
 
 mod common;
 
 use age_core::{
     AgeEncoder, Batch, BatchConfig, DecodeError, EncodeScratch, Encoder, PaddedEncoder,
-    StandardEncoder,
+    PrunedEncoder, SingleEncoder, StandardEncoder, UnshiftedEncoder,
 };
 use age_fixed::{BitReader, Format};
 use age_telemetry::{DetRng, SliceShuffle};
@@ -23,9 +25,14 @@ use common::{exact, mutate};
 const CASES: usize = 1000;
 const MUTATIONS_PER_MESSAGE: usize = 8;
 
-/// The AGE directory's exponent and width fields (`encoder.rs`).
+/// The AGE directory's exponent and width fields (`encoder.rs`); the
+/// variants' width fields have the same size (`variants.rs`).
 const EXP_BITS: u8 = 6;
 const WIDTH_BITS: u8 = 6;
+/// The `k` header field every fixed-length layout starts with.
+const K_BITS: usize = 16;
+/// `UnshiftedEncoder`'s fixed group count.
+const UNSHIFTED_GROUPS: usize = 6;
 
 /// The per-field AGE decoder. Returns the result and the bits left unread
 /// after the last lane.
@@ -160,6 +167,98 @@ fn reference_padded(
     reference_standard(message, cfg, false)
 }
 
+/// Which ablation variant a message came from.
+#[derive(Clone, Copy)]
+enum Variant {
+    Single,
+    Unshifted,
+    Pruned,
+}
+
+/// The per-field decoder of the ablation variants: the `k` header and a
+/// one-bit-per-step bitmask, then each variant's width fields and values.
+fn reference_variant(
+    variant: Variant,
+    message: &[u8],
+    cfg: &BatchConfig,
+    target_bytes: usize,
+) -> Result<Batch, DecodeError> {
+    if message.len() != target_bytes {
+        return Err(DecodeError::Length {
+            len: message.len(),
+            expected: target_bytes,
+        });
+    }
+    let mut r = BitReader::new(message);
+    let k = usize::from(r.read_u16()?);
+    if k > cfg.max_len() {
+        return Err(DecodeError::Corrupt(
+            "measurement count exceeds batch maximum",
+        ));
+    }
+    let mut indices = Vec::new();
+    for t in 0..cfg.max_len() {
+        if r.read_bits(1)? == 1 {
+            indices.push(t);
+        }
+    }
+    if indices.len() != k {
+        return Err(DecodeError::Corrupt(
+            "bitmask population differs from header count",
+        ));
+    }
+    let d = cfg.features();
+    let n0 = cfg.format().integer_bits();
+    // (measurements, width) per lane, in message order.
+    let lanes: Vec<(usize, u8)> = match variant {
+        Variant::Single => {
+            let width = r.read_bits(WIDTH_BITS)? as u8;
+            if width > Format::MAX_WIDTH {
+                return Err(DecodeError::Corrupt("width exceeds format maximum"));
+            }
+            if k == 0 {
+                return Ok(Batch::empty());
+            }
+            if width == 0 {
+                return Err(DecodeError::Corrupt("zero width with a non-empty batch"));
+            }
+            vec![(k, width)]
+        }
+        Variant::Unshifted => {
+            let mut widths = Vec::new();
+            for _ in 0..UNSHIFTED_GROUPS {
+                let width = r.read_bits(WIDTH_BITS)? as u8;
+                if width > Format::MAX_WIDTH {
+                    return Err(DecodeError::Corrupt("width exceeds format maximum"));
+                }
+                widths.push(width);
+            }
+            let counts = (0..UNSHIFTED_GROUPS)
+                .map(|i| k / UNSHIFTED_GROUPS + usize::from(i < k % UNSHIFTED_GROUPS));
+            counts.zip(widths).collect()
+        }
+        Variant::Pruned => vec![(k, cfg.format().width())],
+    };
+    let mut values = Vec::new();
+    for (count, width) in lanes {
+        if count > 0 && width == 0 {
+            return Err(DecodeError::Corrupt("zero width for a populated group"));
+        }
+        if count == 0 {
+            continue;
+        }
+        let fmt = match variant {
+            Variant::Pruned => cfg.format(),
+            _ => Format::from_integer_bits(width, n0.min(width))
+                .map_err(|_| DecodeError::Corrupt("invalid width field"))?,
+        };
+        for _ in 0..count * d {
+            values.push(fmt.dequantize(fmt.from_bits(r.read_bits(width)?)));
+        }
+    }
+    Batch::new(indices, values).map_err(|_| DecodeError::Corrupt("decoded batch invalid"))
+}
+
 /// A random configuration (every width 1–32, 1–6 features) and a batch of
 /// `k` in `0..=max_len` measurements whose magnitudes vary by up to 2^7, so
 /// AGE forms groups of several widths.
@@ -207,9 +306,17 @@ fn tight_target(cfg: &BatchConfig, batch: &Batch, start: usize) -> usize {
 /// Which reference decoder an encoder's messages are checked against.
 #[derive(Clone, Copy)]
 enum Reference {
-    Age { target_bytes: usize },
+    Age {
+        target_bytes: usize,
+    },
     Standard,
-    Padded { pad_to: usize },
+    Padded {
+        pad_to: usize,
+    },
+    Variant {
+        variant: Variant,
+        target_bytes: usize,
+    },
 }
 
 impl Reference {
@@ -218,6 +325,10 @@ impl Reference {
             Reference::Age { target_bytes } => reference_age(message, cfg, target_bytes).0,
             Reference::Standard => reference_standard(message, cfg, true),
             Reference::Padded { pad_to } => reference_padded(message, cfg, pad_to),
+            Reference::Variant {
+                variant,
+                target_bytes,
+            } => reference_variant(variant, message, cfg, target_bytes),
         }
     }
 }
@@ -270,6 +381,26 @@ fn lane_decoders_match_the_per_field_references() {
                 pad_to: padded.pad_to(),
             },
         ));
+        // Every variant's framing fits in the Unshifted minimum.
+        let variant_min =
+            (K_BITS + cfg.max_len() + UNSHIFTED_GROUPS * usize::from(WIDTH_BITS)).div_ceil(8);
+        for target_bytes in [roomy, squeezed.max(variant_min)] {
+            let variants: [(Box<dyn Encoder>, Variant); 3] = [
+                (Box::new(SingleEncoder::new(target_bytes)), Variant::Single),
+                (
+                    Box::new(UnshiftedEncoder::new(target_bytes)),
+                    Variant::Unshifted,
+                ),
+                (Box::new(PrunedEncoder::new(target_bytes)), Variant::Pruned),
+            ];
+            for (enc, variant) in variants {
+                let reference = Reference::Variant {
+                    variant,
+                    target_bytes,
+                };
+                encoders.push((enc, reference));
+            }
+        }
         for (enc, reference) in &encoders {
             let message = enc.encode(&batch, &cfg).expect("valid batches encode");
             if let Reference::Age { target_bytes } = *reference {

@@ -839,7 +839,9 @@ impl Runner {
         let mut rng = DetRng::seed_from_u64(self.seed ^ 0xBAD_B0D6E7);
 
         // Name the telemetry stream for this experiment cell; the encoders
-        // stamp every per-batch record with it. The collection rate is part
+        // stamp every per-batch record with it (through the scratch's
+        // stream context) and the link step every wire record. The
+        // collection rate is part
         // of the name because the fixed message target (AGE, Padded) is
         // chosen per rate — pooling rates would show size variance that no
         // eavesdropper of a single deployment ever observes.
@@ -877,7 +879,6 @@ impl Runner {
             cell_epoch,
             label,
         };
-        age_telemetry::set_context_label(&state.label);
         let mut link = match cell.faults {
             None => LinkStep::Direct {
                 cipher,
@@ -887,8 +888,10 @@ impl Runner {
         };
 
         // Pass 1 — the sensor: sample, encode, and hand each message to
-        // the link step.
+        // the link step. The scratch is this run's own, so its records
+        // are numbered from 0 and its context dies with the run.
         let mut scratch = EncodeScratch::new();
+        scratch.context.label.clone_from(&state.label);
         let mut plaintext = Vec::new();
         let mut pending = Vec::with_capacity(test.len());
         for (i, seq) in test.iter().enumerate() {
@@ -906,10 +909,10 @@ impl Runner {
                 values.extend_from_slice(&truth[t * d..(t + 1) * d]);
             }
             let batch = Batch::new(indices, values).expect("policy output is a valid batch");
-            // Publish the ground-truth event so per-batch records and wire
+            // Stamp the ground-truth event so per-batch records and wire
             // records can be correlated against it by the audit.
-            age_telemetry::set_context_event(Some(seq.label));
-            age_telemetry::set_context_vtime(state.clock.now_us());
+            scratch.context.event = Some(seq.label);
+            scratch.context.virtual_time = state.clock.now_us();
             state.span("encode", "encode", |clock| {
                 encoder
                     .encode_into(&batch, &self.batch_cfg, &mut scratch, &mut plaintext)
@@ -965,12 +968,6 @@ impl Runner {
                 }
             })
             .collect();
-
-        // The event and virtual-time contexts are per-cell state; clear
-        // them so batches emitted outside an experiment (warm-up,
-        // calibration) aren't mislabeled or phantom-stamped.
-        age_telemetry::set_context_event(None);
-        age_telemetry::set_context_vtime(0);
 
         ExperimentResult {
             records,

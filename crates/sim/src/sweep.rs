@@ -122,9 +122,11 @@ pub fn run_cells(
     let mut slots: Vec<Option<ExperimentResult>> = Vec::new();
     slots.resize_with(cells.len(), || None);
 
-    // Workers are spawned even for threads == 1: a fresh thread has fresh
-    // telemetry thread-locals (label, batch counter), so single- and
-    // multi-threaded sweeps start every cell from the same state.
+    // Workers are spawned even for threads == 1, only to scope the sink
+    // and the timing switch to the sweep: each installs them on its own
+    // thread and both go when it exits. Stream labels and batch numbers
+    // need no fresh thread, since each cell's run stamps its records from
+    // its own encode scratch.
     std::thread::scope(|scope| {
         let mut handles = Vec::with_capacity(threads);
         for _ in 0..threads {

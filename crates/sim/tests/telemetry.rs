@@ -1,19 +1,19 @@
 //! Integration tests tying the experiment runner to the telemetry layer:
 //! per-batch record emission (event label included), the constant-size
-//! (stddev = 0) invariant, and byte-identical JSONL output across
-//! identically-seeded runs.
+//! (stddev = 0) invariant, byte-identical JSONL output across
+//! identically-seeded runs, and stream context that ends with its run.
 
 #![cfg(feature = "telemetry")]
 
 use std::io::{self, Write};
 use std::sync::{Arc, Mutex};
 
+use age_core::{AgeEncoder, Batch, BatchConfig, Encoder};
 use age_datasets::{DatasetKind, Scale};
+use age_fixed::Format;
 use age_sim::{Defense, PolicyKind, Runner, SweepCell};
 use age_telemetry::metrics::global;
-use age_telemetry::{
-    install_thread, set_context_label, set_timings_enabled, JsonlSink, RecordingSink, Summary,
-};
+use age_telemetry::{install_thread, set_timings_enabled, JsonlSink, RecordingSink, Summary};
 
 /// A `Write` target whose bytes stay reachable after the sink takes
 /// ownership of the writer.
@@ -120,9 +120,6 @@ fn capture_run(seed: u64) -> Vec<u8> {
     // Wall-clock laps are the one nondeterministic input; drop them at the
     // source too so the encoders take the identical code path both times.
     set_timings_enabled(false);
-    // Start numbering from a fresh stream: re-asserting an unchanged label
-    // deliberately does not reset the batch counter.
-    set_context_label("");
     // Key epochs count reruns per cell (that is what makes the nonce audit
     // sound), so byte-identical reruns must rewind the counters first.
     age_telemetry::reset_epoch_counters();
@@ -166,4 +163,54 @@ fn batch_records_carry_the_event_label() {
     for (rec, seq) in records.iter().zip(&result.records) {
         assert_eq!(rec.event, Some(seq.label));
     }
+}
+
+#[test]
+fn a_bare_encode_after_a_run_belongs_to_no_stream() {
+    let sink = Arc::new(RecordingSink::new());
+    let runner = Runner::new(DatasetKind::Epilepsy, Scale::Small, 7);
+    let cfg = BatchConfig::new(50, 3, Format::new(16, 13).unwrap()).unwrap();
+    let batch = Batch::new(vec![0, 4, 9], vec![0.25; 9]).unwrap();
+    {
+        let _guard = install_thread(sink.clone());
+        runner.run(&SweepCell {
+            limit: Some(5),
+            ..SweepCell::new(PolicyKind::Linear, Defense::Age, 0.7)
+        });
+        AgeEncoder::new(120).encode(&batch, &cfg).unwrap();
+    }
+    let records = sink.records();
+    assert_eq!(records.len(), 6);
+    assert!(records[..5]
+        .iter()
+        .all(|r| r.label == "Epilepsy/Linear/AGE/r0.70"));
+    let bare = &records[5];
+    assert_eq!(
+        (
+            bare.label.as_str(),
+            bare.event,
+            bare.virtual_time,
+            bare.batch
+        ),
+        ("", None, 0, 0),
+        "the run's context must not outlive it"
+    );
+    assert_eq!(bare.message_len, 120);
+}
+
+#[test]
+fn reruns_of_a_cell_on_one_thread_number_their_records_from_zero() {
+    let sink = Arc::new(RecordingSink::new());
+    let runner = Runner::new(DatasetKind::Epilepsy, Scale::Small, 7);
+    let cell = SweepCell {
+        limit: Some(4),
+        ..SweepCell::new(PolicyKind::Uniform, Defense::Padded, 0.5)
+    };
+    {
+        let _guard = install_thread(sink.clone());
+        runner.run(&cell);
+        runner.run(&cell);
+    }
+    let batches: Vec<u64> = sink.records().iter().map(|r| r.batch).collect();
+    assert_eq!(batches, [0, 1, 2, 3, 0, 1, 2, 3]);
 }

@@ -18,9 +18,9 @@
 //!   `age-core`'s `inspect_message` layout) with stable JSONL output.
 //! - [`sink`] — pluggable destinations: [`NullSink`], [`RecordingSink`]
 //!   (tests), [`JsonlSink`] (runs), [`FanoutSink`], with thread-local and
-//!   process-global installation. Batch records take their stream label
-//!   from the thread context; [`WireRecord`]s arrive fully filled in by
-//!   the caller.
+//!   process-global installation. Records arrive fully filled in: batch
+//!   records carry the stream context the caller set on `age-core`'s
+//!   `EncodeScratch`, [`WireRecord`]s the one the transmit path holds.
 //! - [`summary`] — [`Summary`] rollups whose message-size stddev column is
 //!   the machine-checkable constant-size invariant, with p50/p95/p99
 //!   encode-time percentiles.
@@ -39,11 +39,11 @@
 //!   dependency.
 //!
 //! This crate has one shape; it carries no feature fork of its own. The
-//! fork lives in the code a sensor links: the `age-core` encoders and the
-//! `age-transport` link gate their instrumentation behind their
-//! `telemetry` features, and with both off every sensor-side call site
+//! fork lives in the code a sensor links, one seam per crate: `age-core`'s
+//! encoder probe and `age-transport`'s counter helper switch on their
+//! `telemetry` features, and with both off every sensor-side call
 //! compiles away. Those crates use only the basics here (records,
-//! [`Stopwatch`], [`emit`], [`stamp`], [`metrics::global`], [`DetRng`]);
+//! [`Stopwatch`], [`emit`], [`metrics::global`], [`DetRng`]);
 //! the audits, monitor, recorder and tracer are reached only from the
 //! host crates (`age-gateway`, `age-sim`, `age-bench`), which model the
 //! server and the eavesdropper, not the sensor.
@@ -75,9 +75,9 @@ pub use record::{BatchRecord, GroupRecord, StageTimings, WireRecord};
 pub use recorder::{FlightRecord, FlightRecorder, IngestRung};
 pub use rng::{DetRng, SliceShuffle};
 pub use sink::{
-    active, clear_global, context_event, context_vtime, emit, emit_span, emit_wire, install_global,
-    install_thread, set_context_event, set_context_label, set_context_vtime, set_timings_enabled,
-    stamp, timings_enabled, FanoutSink, JsonlSink, NullSink, RecordingSink, Sink, ThreadSinkGuard,
+    active, clear_global, emit, emit_span, emit_wire, install_global, install_thread,
+    set_timings_enabled, timings_enabled, FanoutSink, JsonlSink, NullSink, RecordingSink, Sink,
+    ThreadSinkGuard,
 };
 pub use span::{set_trace_enabled, trace_enabled, SpanEvent, Stopwatch, Tracer};
 pub use summary::{StreamStats, Summary, SummarySink, TransportRollup};

@@ -58,12 +58,12 @@ pub struct BatchRecord {
     /// Batch sequence number within the stream (caller-assigned).
     pub batch: u64,
     /// Ground-truth event label active while this batch was produced, if
-    /// the caller published one (see `sink::set_context_event`). This is
-    /// what the leakage audit correlates message sizes against.
+    /// the caller set one on the encoder's stream context. This is what
+    /// the leakage audit correlates message sizes against.
     pub event: Option<usize>,
     /// Virtual time (simulated microseconds) at which this batch's sensing
-    /// window closed, as published by the caller via
-    /// `sink::set_context_vtime`. 0 when the producer runs without a
+    /// window closed, as the caller set it on the encoder's stream
+    /// context. 0 when the producer runs without a
     /// virtual clock (unit tests, direct encoder use). Unlike `timings`
     /// this is fully deterministic — see `docs/observability.md`.
     pub virtual_time: u64,
@@ -163,53 +163,6 @@ impl BatchRecord {
         out.push_str("}}");
         out
     }
-
-    /// Parses a line produced by [`to_json`](Self::to_json) back into a
-    /// record — the schema round-trip the JSONL determinism tests pin down.
-    ///
-    /// Returns `None` on any schema mismatch, including an encoder name
-    /// that is not one of the workspace's known encoders (`encoder` is a
-    /// `&'static str`, so arbitrary strings cannot be represented).
-    pub fn from_json(json: &str) -> Option<BatchRecord> {
-        let encoder = intern_encoder(&parse_str_field(json, "encoder")?)?;
-        let groups_src = slice_between(json, "\"groups\":[", "]")?;
-        let mut groups = Vec::new();
-        if !groups_src.is_empty() {
-            for g in groups_src.split("},") {
-                groups.push(GroupRecord {
-                    count: parse_u64_field(g, "count")? as usize,
-                    exponent: parse_i64_field(g, "exponent")? as i32,
-                    width: parse_u64_field(g, "width")? as u8,
-                });
-            }
-        }
-        let timings = slice_between(json, "\"timings_ns\":{", "}")?;
-        Some(BatchRecord {
-            encoder,
-            label: parse_str_field(json, "label")?,
-            batch: parse_u64_field(json, "batch")?,
-            event: parse_opt_u64_field(json, "event")?.map(|e| e as usize),
-            virtual_time: parse_u64_field_or(json, "virtual_time", 0)?,
-            input_len: parse_u64_field(json, "input_len")? as usize,
-            kept_len: parse_u64_field(json, "kept_len")? as usize,
-            groups_initial: parse_u64_field(json, "groups_initial")? as usize,
-            groups_final: parse_u64_field(json, "groups_final")? as usize,
-            groups,
-            header_bits: parse_u64_field(json, "header_bits")? as usize,
-            directory_bits: parse_u64_field(json, "directory_bits")? as usize,
-            data_bits: parse_u64_field(json, "data_bits")? as usize,
-            padding_bits: parse_u64_field(json, "padding_bits")? as usize,
-            message_len: parse_u64_field(json, "message_len")? as usize,
-            target_bytes: parse_opt_u64_field(json, "target_bytes")?.map(|t| t as usize),
-            timings: StageTimings {
-                prune_ns: parse_u64_field(timings, "prune")?,
-                group_ns: parse_u64_field(timings, "group")?,
-                merge_ns: parse_u64_field(timings, "merge")?,
-                quantize_ns: parse_u64_field(timings, "quantize")?,
-                pack_ns: parse_u64_field(timings, "pack")?,
-            },
-        })
-    }
 }
 
 /// One sealed frame as an eavesdropper on the link would see it: which
@@ -220,8 +173,7 @@ impl BatchRecord {
 pub struct WireRecord {
     /// Stream label (dataset/policy/defense/rate), set by the emitter.
     pub label: String,
-    /// Defense/encoder name (`"Std"`, `"AGE"`, `"Padded"`, …). Owned so
-    /// records survive JSON round-trips.
+    /// Defense/encoder name (`"Std"`, `"AGE"`, `"Padded"`, …).
     pub encoder: String,
     /// Transmit sequence number within the stream.
     pub seq: u64,
@@ -233,15 +185,12 @@ pub struct WireRecord {
     /// must be unique for nonce uniqueness to hold (one epoch per cell
     /// run, refined by the link's key epoch after each rotation; empty
     /// when the emitter set none, in which case auditors fall back to
-    /// `label`). Appended to the wire-line schema; absent in lines
-    /// written by older builds, which parse back as empty.
+    /// `label`).
     pub epoch: String,
     /// Virtual send time in simulated microseconds: when the frame's first
     /// radiation completed on the simulator's deterministic clock (see
     /// `age-sim`'s `VirtualClock`). The timing-channel audit derives
     /// inter-transmission gaps from successive stamps within a stream.
-    /// Absent in lines written by older builds, which parse back as 0; a
-    /// present-but-malformed or negative value is a schema error.
     pub virtual_time: u64,
 }
 
@@ -268,122 +217,6 @@ impl WireRecord {
         out.push('}');
         out
     }
-
-    /// Whether a JSONL line is a wire record (vs. a batch record).
-    pub fn is_wire_line(json: &str) -> bool {
-        json.starts_with("{\"kind\":\"wire\",")
-    }
-
-    /// Parses a line produced by [`to_json`](Self::to_json).
-    pub fn from_json(json: &str) -> Option<WireRecord> {
-        if !Self::is_wire_line(json) {
-            return None;
-        }
-        Some(WireRecord {
-            label: parse_str_field(json, "label")?,
-            encoder: parse_str_field(json, "encoder")?,
-            seq: parse_u64_field(json, "seq")?,
-            event: parse_u64_field(json, "event")? as usize,
-            wire_bytes: parse_u64_field(json, "wire_bytes")? as usize,
-            epoch: parse_str_field(json, "epoch").unwrap_or_default(),
-            virtual_time: parse_u64_field_or(json, "virtual_time", 0)?,
-        })
-    }
-}
-
-/// Maps an encoder name back to the `&'static str` the workspace's encoders
-/// actually emit. A minimal intern table, not a registry: `from_json` only
-/// needs to reproduce names `to_json` could have written.
-fn intern_encoder(name: &str) -> Option<&'static str> {
-    const KNOWN: &[&str] = &[
-        "",
-        "AGE",
-        "Standard",
-        "Padded",
-        "Single",
-        "Unshifted",
-        "Pruned",
-        "Delta",
-        "age",
-        "standard",
-        "padded",
-    ];
-    KNOWN.iter().find(|&&k| k == name).copied()
-}
-
-/// The raw text of `"key":<value>` within a flat JSON object slice, up to
-/// the next comma or closing brace. Only valid for non-string values.
-fn raw_value<'a>(json: &'a str, key: &str) -> Option<&'a str> {
-    let pat = format!("\"{key}\":");
-    let start = json.find(&pat)? + pat.len();
-    let rest = &json[start..];
-    let end = rest.find([',', '}']).unwrap_or(rest.len());
-    Some(&rest[..end])
-}
-
-fn parse_u64_field(json: &str, key: &str) -> Option<u64> {
-    raw_value(json, key)?.parse().ok()
-}
-
-/// Like [`parse_u64_field`] but treats an *absent* key as `default` (legacy
-/// tolerance for fields appended to the schema later). A key that is present
-/// but malformed — including negative values, which `u64` parsing rejects —
-/// is still a schema error (`None`).
-fn parse_u64_field_or(json: &str, key: &str, default: u64) -> Option<u64> {
-    match raw_value(json, key) {
-        None => Some(default),
-        Some(raw) => raw.parse().ok(),
-    }
-}
-
-fn parse_i64_field(json: &str, key: &str) -> Option<i64> {
-    raw_value(json, key)?.parse().ok()
-}
-
-/// Parses `"key":N` as `Some(N)` and `"key":null` as `None`; a missing or
-/// malformed field is a schema error (outer `None`).
-#[allow(clippy::option_option)]
-fn parse_opt_u64_field(json: &str, key: &str) -> Option<Option<u64>> {
-    let raw = raw_value(json, key)?;
-    if raw == "null" {
-        Some(None)
-    } else {
-        raw.parse().ok().map(Some)
-    }
-}
-
-/// Parses `"key":"value"`, undoing the escapes `push_str_field` applies.
-fn parse_str_field(json: &str, key: &str) -> Option<String> {
-    let pat = format!("\"{key}\":\"");
-    let start = json.find(&pat)? + pat.len();
-    let mut out = String::new();
-    let mut chars = json[start..].chars();
-    loop {
-        match chars.next()? {
-            '"' => return Some(out),
-            '\\' => match chars.next()? {
-                '"' => out.push('"'),
-                '\\' => out.push('\\'),
-                'n' => out.push('\n'),
-                'r' => out.push('\r'),
-                't' => out.push('\t'),
-                'u' => {
-                    let code: String = (&mut chars).take(4).collect();
-                    let v = u32::from_str_radix(&code, 16).ok()?;
-                    out.push(char::from_u32(v)?);
-                }
-                _ => return None,
-            },
-            c => out.push(c),
-        }
-    }
-}
-
-/// The text between `start` and the next `end` after it.
-fn slice_between<'a>(json: &'a str, start: &str, end: &str) -> Option<&'a str> {
-    let from = json.find(start)? + start.len();
-    let to = json[from..].find(end)?;
-    Some(&json[from..from + to])
 }
 
 fn push_u64_field(out: &mut String, key: &str, value: u64) {
@@ -513,46 +346,8 @@ mod tests {
     }
 
     #[test]
-    fn batch_record_round_trips_through_json() {
-        let original = sample();
-        let parsed = BatchRecord::from_json(&original.to_json()).unwrap();
-        assert_eq!(parsed, original);
-        // Null event and target, empty groups, escaped label.
-        let mut tricky = sample();
-        tricky.encoder = "AGE";
-        tricky.event = None;
-        tricky.target_bytes = None;
-        tricky.groups.clear();
-        tricky.label = "a\"b\\c\nd".into();
-        let parsed = BatchRecord::from_json(&tricky.to_json()).unwrap();
-        assert_eq!(parsed, tricky);
-        // An unknown encoder name cannot be interned.
-        assert!(BatchRecord::from_json(
-            &sample()
-                .to_json()
-                .replace("\"encoder\":\"age\"", "\"encoder\":\"mystery\"")
-        )
-        .is_none());
-    }
-
-    #[test]
-    fn batch_virtual_time_tolerates_absence_but_rejects_malformation() {
-        let json = sample().to_json();
-        // Lines from builds that predate the field parse back as t = 0.
-        let legacy = json.replace(",\"virtual_time\":1280000", "");
-        assert_ne!(legacy, json);
-        assert_eq!(BatchRecord::from_json(&legacy).unwrap().virtual_time, 0);
-        // A present-but-negative timestamp is a schema error, not a wrap.
-        let negative = json.replace("\"virtual_time\":1280000", "\"virtual_time\":-1280000");
-        assert!(BatchRecord::from_json(&negative).is_none());
-        // So is any other malformed value.
-        let garbled = json.replace("\"virtual_time\":1280000", "\"virtual_time\":12e5");
-        assert!(BatchRecord::from_json(&garbled).is_none());
-    }
-
-    #[test]
-    fn wire_record_round_trips_through_json() {
-        let original = WireRecord {
+    fn wire_json_is_stable_and_complete() {
+        let record = WireRecord {
             label: "epi/Linear/Std/r0.50".into(),
             encoder: "Std".into(),
             seq: 41,
@@ -561,42 +356,11 @@ mod tests {
             epoch: "epi/Linear/Std/r0.50#3".into(),
             virtual_time: 5_521_984,
         };
-        let json = original.to_json();
-        assert!(WireRecord::is_wire_line(&json));
-        assert_eq!(WireRecord::from_json(&json).unwrap(), original);
-        assert_eq!(json, original.to_json());
-        // Wire lines written before the epoch field existed still parse,
-        // with the epoch reading back empty.
-        let legacy = json.replace(",\"epoch\":\"epi/Linear/Std/r0.50#3\"", "");
-        assert_ne!(legacy, json);
-        let parsed = WireRecord::from_json(&legacy).unwrap();
-        assert_eq!(parsed.epoch, "");
-        assert_eq!(parsed.seq, original.seq);
-        // Batch-record lines are rejected.
-        assert!(WireRecord::from_json(&sample().to_json()).is_none());
-        assert!(!WireRecord::is_wire_line(&sample().to_json()));
-    }
-
-    #[test]
-    fn wire_virtual_time_tolerates_absence_but_rejects_malformation() {
-        let original = WireRecord {
-            label: "s".into(),
-            encoder: "AGE".into(),
-            seq: 0,
-            event: 1,
-            wire_bytes: 118,
-            epoch: "s#0".into(),
-            virtual_time: 90_210,
-        };
-        let json = original.to_json();
-        // Wire lines from before the timing channel parse back as t = 0.
-        let legacy = json.replace(",\"virtual_time\":90210", "");
-        assert_ne!(legacy, json);
-        assert_eq!(WireRecord::from_json(&legacy).unwrap().virtual_time, 0);
-        // Present-but-negative or otherwise malformed stamps are rejected.
-        for bad in ["\"virtual_time\":-90210", "\"virtual_time\":9o210"] {
-            let garbled = json.replace("\"virtual_time\":90210", bad);
-            assert!(WireRecord::from_json(&garbled).is_none(), "{garbled}");
-        }
+        assert_eq!(
+            record.to_json(),
+            "{\"kind\":\"wire\",\"label\":\"epi/Linear/Std/r0.50\",\"encoder\":\"Std\",\
+             \"seq\":41,\"event\":2,\"wire_bytes\":86,\
+             \"epoch\":\"epi/Linear/Std/r0.50#3\",\"virtual_time\":5521984}"
+        );
     }
 }

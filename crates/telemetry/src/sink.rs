@@ -91,11 +91,6 @@ impl RecordingSink {
     pub fn wire_records(&self) -> Vec<WireRecord> {
         self.wires.lock().unwrap().clone()
     }
-
-    /// Drains and returns all wire records.
-    pub fn take_wires(&self) -> Vec<WireRecord> {
-        std::mem::take(&mut *self.wires.lock().unwrap())
-    }
 }
 
 impl Sink for RecordingSink {
@@ -200,74 +195,6 @@ static GLOBAL_SINK: RwLock<Option<Arc<dyn Sink>>> = RwLock::new(None);
 thread_local! {
     static THREAD_SINK: RefCell<Vec<Arc<dyn Sink>>> = const { RefCell::new(Vec::new()) };
     static THREAD_TIMINGS: Cell<bool> = const { Cell::new(true) };
-    static CONTEXT_LABEL: RefCell<String> = const { RefCell::new(String::new()) };
-    static BATCH_COUNTER: Cell<u64> = const { Cell::new(0) };
-    static CONTEXT_EVENT: Cell<Option<usize>> = const { Cell::new(None) };
-    static CONTEXT_VTIME: Cell<u64> = const { Cell::new(0) };
-}
-
-/// Sets the stream label stamped onto records emitted from this thread.
-/// Callers (the simulator's runner, the `repro` binary) name the stream;
-/// producers (the encoders) never need to know it.
-///
-/// *Changing* the label resets the per-stream batch counter, which keeps
-/// record numbering a pure function of the call sequence (the determinism
-/// tests rely on this). Setting the label already in effect is a no-op, so
-/// long-lived callers like the simulator's `Sensor` can re-assert their
-/// label on every message without restarting the count.
-pub fn set_context_label(label: &str) {
-    let changed = CONTEXT_LABEL.with(|l| {
-        let mut l = l.borrow_mut();
-        if l.as_str() == label {
-            return false;
-        }
-        l.clear();
-        l.push_str(label);
-        true
-    });
-    if changed {
-        BATCH_COUNTER.with(|c| c.set(0));
-    }
-}
-
-/// Publishes the ground-truth event label active on this thread, stamped
-/// onto subsequent batch records. The simulator's runner sets it before
-/// each encode so the leakage audit can correlate wire sizes against the
-/// event actually being sensed; `None` (the default) means "unknown".
-pub fn set_context_event(event: Option<usize>) {
-    CONTEXT_EVENT.with(|e| e.set(event));
-}
-
-/// The event label most recently published via [`set_context_event`].
-pub fn context_event() -> Option<usize> {
-    CONTEXT_EVENT.with(Cell::get)
-}
-
-/// Publishes this thread's current virtual time (simulated microseconds),
-/// stamped onto subsequent batch records. The simulator's runner advances
-/// its `VirtualClock` and re-publishes before each encode; 0 (the default)
-/// means "no clock" and is what bare encoder tests see.
-pub fn set_context_vtime(vtime_us: u64) {
-    CONTEXT_VTIME.with(|t| t.set(vtime_us));
-}
-
-/// The virtual time most recently published via [`set_context_vtime`].
-pub fn context_vtime() -> u64 {
-    CONTEXT_VTIME.with(Cell::get)
-}
-
-/// Fills a record's `label` and `event` from the thread context and assigns
-/// it the next batch sequence number. Producers call this just before
-/// [`emit`].
-pub fn stamp(record: &mut BatchRecord) {
-    record.label = CONTEXT_LABEL.with(|l| l.borrow().clone());
-    record.event = CONTEXT_EVENT.with(Cell::get);
-    record.virtual_time = CONTEXT_VTIME.with(Cell::get);
-    record.batch = BATCH_COUNTER.with(|c| {
-        let n = c.get();
-        c.set(n + 1);
-        n
-    });
 }
 
 /// Installs the process-wide fallback sink; replaces any previous one.
@@ -325,7 +252,9 @@ fn route(deliver: impl FnOnce(&dyn Sink)) {
 }
 
 /// Sends a record to the innermost thread-local sink, falling back to the
-/// global sink; drops it if neither is installed.
+/// global sink; drops it if neither is installed. The producer fills in
+/// every field: the encoders stamp the stream context their caller set on
+/// the scratch they encode through.
 pub fn emit(record: &BatchRecord) {
     route(|sink| sink.record_batch(record));
 }
@@ -333,8 +262,7 @@ pub fn emit(record: &BatchRecord) {
 /// Routes one sealed-frame observation like [`emit`]. Transmit paths call
 /// this once per sealed frame actually put on the air, so the audit sees
 /// exactly what an eavesdropper would. The caller fills in every field,
-/// stream label and key epoch included: wire records read no thread
-/// context.
+/// stream label and key epoch included.
 pub fn emit_wire(record: &WireRecord) {
     route(|sink| sink.record_wire(record));
 }
@@ -470,47 +398,6 @@ mod tests {
     }
 
     #[test]
-    fn stamp_labels_and_numbers_records() {
-        set_context_label("epilepsy/Linear");
-        let mut a = rec(0);
-        let mut b = rec(0);
-        stamp(&mut a);
-        stamp(&mut b);
-        assert_eq!(a.label, "epilepsy/Linear");
-        assert_eq!((a.batch, b.batch), (0, 1));
-        set_context_label("other");
-        let mut c = rec(0);
-        stamp(&mut c);
-        assert_eq!((c.label.as_str(), c.batch), ("other", 0));
-    }
-
-    #[test]
-    fn stamp_fills_event_from_context() {
-        set_context_event(Some(3));
-        let mut a = rec(0);
-        stamp(&mut a);
-        assert_eq!(a.event, Some(3));
-        set_context_event(None);
-        let mut b = rec(0);
-        stamp(&mut b);
-        assert_eq!(b.event, None);
-    }
-
-    #[test]
-    fn stamp_fills_virtual_time_from_context() {
-        assert_eq!(context_vtime(), 0);
-        set_context_vtime(42_000);
-        let mut a = rec(0);
-        stamp(&mut a);
-        assert_eq!(a.virtual_time, 42_000);
-        assert_eq!(context_vtime(), 42_000);
-        set_context_vtime(0);
-        let mut b = rec(0);
-        stamp(&mut b);
-        assert_eq!(b.virtual_time, 0);
-    }
-
-    #[test]
     fn emit_wire_routes_the_callers_record_to_the_thread_sink() {
         let record = WireRecord {
             label: "epi/Linear/Std/r0.50".into(),
@@ -524,11 +411,8 @@ mod tests {
         let sink = Arc::new(RecordingSink::new());
         {
             let _guard = install_thread(sink.clone());
-            // The thread context does not leak into wire records.
-            set_context_label("other");
             emit_wire(&record);
         }
-        set_context_label("");
         assert_eq!(sink.wire_records(), vec![record]);
     }
 
@@ -549,9 +433,9 @@ mod tests {
         let text = String::from_utf8(writer.into_inner().unwrap().into_inner()).unwrap();
         let lines: Vec<&str> = text.lines().collect();
         assert_eq!(lines.len(), 2);
-        assert!(!WireRecord::is_wire_line(lines[0]));
-        let parsed = WireRecord::from_json(lines[1]).unwrap();
-        assert_eq!(parsed.wire_bytes, 118);
+        assert!(lines[0].starts_with("{\"encoder\":"), "{text}");
+        assert!(lines[1].starts_with("{\"kind\":\"wire\","), "{text}");
+        assert!(lines[1].contains("\"wire_bytes\":118"), "{text}");
     }
 
     #[test]

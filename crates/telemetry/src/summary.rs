@@ -84,15 +84,6 @@ impl StreamStats {
         self.batches > 0 && self.min_len == self.max_len
     }
 
-    /// Mean encode time per batch in microseconds.
-    pub fn encode_us_mean(&self) -> f64 {
-        if self.batches == 0 {
-            0.0
-        } else {
-            self.encode_ns_total as f64 / self.batches as f64 / 1000.0
-        }
-    }
-
     /// Nearest-rank percentile of per-batch encode time, in microseconds.
     /// `q` is a fraction in `(0, 1]`; an empty stream reports 0.
     pub fn encode_us_percentile(&self, q: f64) -> f64 {

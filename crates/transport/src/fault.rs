@@ -11,7 +11,10 @@
 //! duplication re-sends the same sealed frame, so the attacker-visible wire
 //! size stays exactly the sealed fixed size.
 
+use age_telemetry::metrics::global;
 use age_telemetry::DetRng;
+
+use crate::telemetry::metric;
 
 /// Fault rates for a simulated link, all probabilities per sent frame.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -171,8 +174,7 @@ impl FaultChannel {
 
         if self.rng.gen_bool(self.plan.drop_rate) {
             self.stats.dropped += 1;
-            #[cfg(feature = "telemetry")]
-            age_telemetry::metrics::global::FRAMES_DROPPED.add(1);
+            metric(|| global::FRAMES_DROPPED.add(1));
         } else {
             let mut copy = frame.to_vec();
             if self.rng.gen_bool(self.plan.corrupt_rate) {

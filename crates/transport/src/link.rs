@@ -4,10 +4,12 @@
 use std::collections::VecDeque;
 
 use age_crypto::{Cipher, EpochRatchet, OpenError};
+use age_telemetry::metrics::global;
 
 use crate::fault::{ChannelStats, FaultChannel, FaultPlan};
-use crate::persist::{JournalStats, SequenceJournal};
+use crate::persist::SequenceJournal;
 use crate::replay::{ReplayError, ReplayWindow};
+use crate::telemetry::metric;
 
 /// Why the receiver rejected a frame.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -220,8 +222,7 @@ impl Sensor {
         rekey.ratchet.seek(epoch);
         self.cipher = (rekey.factory)(rekey.ratchet.key());
         self.epoch = epoch;
-        #[cfg(feature = "telemetry")]
-        age_telemetry::metrics::global::KEY_ROTATIONS.add(1);
+        metric(|| global::KEY_ROTATIONS.add(1));
         true
     }
 
@@ -281,8 +282,7 @@ impl Sensor {
     pub fn seal_as_into(&mut self, sequence: u64, payload: &[u8], frame: &mut Vec<u8>) {
         if let Some(high) = self.highest_sealed {
             if sequence <= high {
-                #[cfg(feature = "telemetry")]
-                age_telemetry::metrics::global::NONCE_REUSE_RISKED.add(1);
+                metric(|| global::NONCE_REUSE_RISKED.add(1));
                 debug_assert!(
                     sequence > high,
                     "seal_as({sequence}) at or below the session high-water mark {high} \
@@ -538,8 +538,7 @@ impl Receiver {
         };
         let opened_epoch = self.open_any(frame, payload).map_err(|e| {
             self.stats.auth_failed += 1;
-            #[cfg(feature = "telemetry")]
-            age_telemetry::metrics::global::FRAMES_AUTH_FAILED.add(1);
+            metric(|| global::FRAMES_AUTH_FAILED.add(1));
             ReceiveError::Cipher(e)
         })?;
         let limit = self
@@ -548,14 +547,12 @@ impl Receiver {
             .map_or(self.max_skip, |h| h.saturating_add(self.max_skip));
         if sequence > limit {
             self.stats.far_future += 1;
-            #[cfg(feature = "telemetry")]
-            age_telemetry::metrics::global::FRAMES_FAR_FUTURE.add(1);
+            metric(|| global::FRAMES_FAR_FUTURE.add(1));
             return Err(ReceiveError::FarFuture { sequence, limit });
         }
         self.window.observe(sequence).map_err(|e| {
             self.stats.replay_rejected += 1;
-            #[cfg(feature = "telemetry")]
-            age_telemetry::metrics::global::FRAMES_REPLAY_REJECTED.add(1);
+            metric(|| global::FRAMES_REPLAY_REJECTED.add(1));
             ReceiveError::Replay(e)
         })?;
         self.stats.accepted += 1;
@@ -853,11 +850,6 @@ impl Link {
         self.journal.is_some()
     }
 
-    /// The attached journal's counters, if any.
-    pub fn journal_stats(&self) -> Option<&JournalStats> {
-        self.journal.as_ref().map(SequenceJournal::stats)
-    }
-
     /// Journal NVM write attempts so far — the energy-billable quantity
     /// (every attempt programs the flash, retries of failed writes
     /// included). 0 without a journal.
@@ -957,8 +949,7 @@ impl Link {
             let committed = journal.record_epoch(target).is_ok();
             let flushed = journal.stats().flushes - flushes_before;
             self.stats.journal_flushes += flushed;
-            #[cfg(feature = "telemetry")]
-            age_telemetry::metrics::global::JOURNAL_FLUSHES.add(flushed as u64);
+            metric(|| global::JOURNAL_FLUSHES.add(flushed as u64));
             if !committed {
                 self.stats.rotations_deferred += 1;
                 return;
@@ -1002,8 +993,7 @@ impl Link {
     /// nonce auditor exists to catch).
     pub fn reboot_sensor(&mut self) {
         self.stats.sensor_reboots += 1;
-        #[cfg(feature = "telemetry")]
-        age_telemetry::metrics::global::SENSOR_REBOOTS.add(1);
+        metric(|| global::SENSOR_REBOOTS.add(1));
         let next = match self.journal.as_mut() {
             Some(journal) => {
                 let flushes_before = journal.stats().flushes;
@@ -1011,11 +1001,10 @@ impl Link {
                 let flushed = journal.stats().flushes - flushes_before;
                 self.stats.journal_flushes += flushed;
                 self.stats.sequences_skipped += skipped as usize;
-                #[cfg(feature = "telemetry")]
-                {
-                    age_telemetry::metrics::global::JOURNAL_FLUSHES.add(flushed as u64);
-                    age_telemetry::metrics::global::SEQUENCES_SKIPPED.add(skipped);
-                }
+                metric(|| {
+                    global::JOURNAL_FLUSHES.add(flushed as u64);
+                    global::SEQUENCES_SKIPPED.add(skipped);
+                });
                 journal.next()
             }
             None => 0,
@@ -1036,8 +1025,7 @@ impl Link {
         let flushed = journal.stats().flushes - flushes_before;
         let stuck_at = journal.next();
         self.stats.journal_flushes += flushed;
-        #[cfg(feature = "telemetry")]
-        age_telemetry::metrics::global::JOURNAL_FLUSHES.add(flushed as u64);
+        metric(|| global::JOURNAL_FLUSHES.add(flushed as u64));
         reserved.map_err(|_| stuck_at)
     }
 
@@ -1075,17 +1063,14 @@ impl Link {
         for attempt in 0..self.retry.max_attempts.max(1) {
             delivery.attempts = attempt + 1;
             self.stats.frames_sent += 1;
-            #[cfg(feature = "telemetry")]
-            age_telemetry::metrics::global::FRAMES_SENT.add(1);
+            metric(|| global::FRAMES_SENT.add(1));
             // The on-air size distribution: what a passive eavesdropper
             // observes, one sample per transmission attempt.
-            #[cfg(feature = "telemetry")]
-            age_telemetry::metrics::global::WIRE_FRAME_BYTES.record(frame.len() as u64);
+            metric(|| global::WIRE_FRAME_BYTES.record(frame.len() as u64));
             if attempt > 0 {
                 self.stats.frames_retried += 1;
                 delivery.backoff_ms += self.retry.timeout_ms(attempt - 1);
-                #[cfg(feature = "telemetry")]
-                age_telemetry::metrics::global::FRAMES_RETRIED.add(1);
+                metric(|| global::FRAMES_RETRIED.add(1));
             }
             let arriving = self.channel.transmit(frame);
             let before = delivery.payloads.len();
