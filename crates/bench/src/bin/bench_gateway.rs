@@ -27,8 +27,7 @@ use std::fmt::Write as _;
 use std::time::Instant;
 
 use age_bench::{run_gateway, GatewayRunConfig};
-use age_gateway::Gateway;
-use age_sim::fleet::{fleet_gateway_config, generate, FleetConfig};
+use age_sim::fleet::{fleet_gateway_config, generate, provisioned_gateway, FleetConfig};
 use age_telemetry::alloc::{self, CountingAllocator};
 use age_telemetry::MonitorConfig;
 
@@ -69,11 +68,7 @@ fn measure_steady(
             ..MonitorConfig::default()
         });
     }
-    let mut gateway = Gateway::new(gateway_config);
-    for sensor_id in 0..fleet.sensors {
-        // cohort_of is always in range for the two fleet cohorts.
-        let _ = gateway.provision(sensor_id, fleet.cohort_of(sensor_id));
-    }
+    let mut gateway = provisioned_gateway(&fleet, gateway_config);
     let split = traffic.frames.len() * 3 / 4;
     for frame in &traffic.frames[..split] {
         let _ = gateway.ingest(frame);
@@ -124,10 +119,7 @@ fn timed_pass(fleet: &FleetConfig, traffic: &age_sim::fleet::FleetTraffic, monit
             ..MonitorConfig::default()
         });
     }
-    let mut gateway = Gateway::new(gateway_config);
-    for sensor_id in 0..fleet.sensors {
-        let _ = gateway.provision(sensor_id, fleet.cohort_of(sensor_id));
-    }
+    let mut gateway = provisioned_gateway(fleet, gateway_config);
     let split = traffic.frames.len() * 3 / 4;
     for frame in &traffic.frames[..split] {
         let _ = gateway.ingest(frame);

@@ -23,14 +23,14 @@
 //! `LEAKAGE.json` (`--audit-out <path>` to relocate).
 //!
 //! `--power-faults <rate>` overrides the power-cut rate used by the
-//! `resets` extension and arms the run-wide nonce-uniqueness auditor: if
-//! any two sealed frames in the whole run shared an (epoch, sequence) pair
-//! — a reused nonce — the process exits non-zero. `--audit` arms the same
+//! `resets` extension and arms the nonce-uniqueness auditor: if any two
+//! frames one experiment run sealed shared an (epoch, sequence) pair — a
+//! reused nonce — the process exits non-zero. `--audit` arms the same
 //! auditor.
 //!
 //! `--rekey-interval <n>` overrides the epoch length used by the `rekey`
 //! extension (the link ratchets to a fresh key every `n` sequence numbers)
-//! and arms the same run-wide nonce auditor, now keyed per key epoch: a
+//! and arms the same nonce auditor, keyed per key epoch: a
 //! rotation that re-seals an old counter under an old key exits non-zero.
 //!
 //! `--trace <path>` records every experiment's virtual-clock spans

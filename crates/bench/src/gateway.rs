@@ -8,8 +8,8 @@
 
 use std::time::Instant;
 
-use age_gateway::{FleetReport, Gateway, LatencyHistogram, ShardReport};
-use age_sim::fleet::{fleet_gateway_config, generate, FleetConfig};
+use age_gateway::{FleetReport, LatencyHistogram, ShardReport};
+use age_sim::fleet::{fleet_gateway_config, generate, provisioned_gateway, FleetConfig};
 
 use crate::audit::default_gate;
 use age_telemetry::{LeakageReport, MonitorConfig};
@@ -116,11 +116,7 @@ pub fn run_gateway(config: &GatewayRunConfig) -> GatewayRun {
             ..MonitorConfig::default()
         });
     }
-    let mut gateway = Gateway::new(gateway_config);
-    for sensor_id in 0..fleet.sensors {
-        // cohort_of is always in range for the fleet's two cohorts.
-        let _ = gateway.provision(sensor_id, fleet.cohort_of(sensor_id));
-    }
+    let mut gateway = provisioned_gateway(&fleet, gateway_config);
 
     let ingest_start = Instant::now();
     gateway.run(&traffic.frames, config.threads);

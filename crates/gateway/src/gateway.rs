@@ -5,7 +5,9 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
 use age_core::{BatchConfig, Encoder};
-use age_telemetry::{FleetNonceAudit, FlightRecord, LeakageAudit, MonitorConfig, WindowedMonitor};
+use age_telemetry::{
+    FleetNonceAudit, FlightRecord, JsonStr, LeakageAudit, MonitorConfig, WindowedMonitor,
+};
 use age_transport::ReceiverStats;
 
 use crate::frame::{sensor_id_of, FleetFrame, GatewayError};
@@ -436,9 +438,9 @@ impl FleetReport {
     /// Stable JSON: field order fixed, integers only.
     pub fn to_json(&self) -> String {
         let mut out = String::with_capacity(1024);
-        out.push_str("{\n  \"version\": 1,\n  \"label\": \"");
-        out.push_str(&escape(&self.label));
-        out.push_str("\",\n  \"sensors\": ");
+        out.push_str("{\n  \"version\": 1,\n  \"label\": ");
+        out.push_str(&JsonStr(&self.label).to_string());
+        out.push_str(",\n  \"sensors\": ");
         out.push_str(&self.sensors.to_string());
         out.push_str(",\n  \"active_sensors\": ");
         out.push_str(&self.active_sensors.to_string());
@@ -471,9 +473,9 @@ impl FleetReport {
                 out.push(',');
             }
             let c = &cohort.stats;
-            out.push_str("\n    { \"name\": \"");
-            out.push_str(&escape(&cohort.name));
-            out.push_str("\", \"sensors\": ");
+            out.push_str("\n    { \"name\": ");
+            out.push_str(&JsonStr(&cohort.name).to_string());
+            out.push_str(", \"sensors\": ");
             out.push_str(&c.sensors.to_string());
             out.push_str(", \"frames\": ");
             out.push_str(&c.frames.to_string());
@@ -530,18 +532,4 @@ impl std::fmt::Display for FleetReport {
         }
         Ok(())
     }
-}
-
-fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
 }

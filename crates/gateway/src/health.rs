@@ -20,7 +20,7 @@
 
 use crate::shard::ShardStats;
 
-use age_telemetry::{Alarm, FlightRecord};
+use age_telemetry::{Alarm, FlightRecord, JsonStr};
 
 /// The per-rung rejection counters in report order, shared by the
 /// health JSONL schema, the Prometheus exposition, and the postmortem.
@@ -162,8 +162,8 @@ impl HealthSnapshot {
                 out.push(',');
             }
             out.push_str(&format!(
-                "{{\"stream\":\"{}\",\"window\":{},\"observations\":{},\"nmi\":{:.6},\"gap_observations\":{},\"timing_nmi\":{:.6}}}",
-                json_escape(&stream.name),
+                "{{\"stream\":{},\"window\":{},\"observations\":{},\"nmi\":{:.6},\"gap_observations\":{},\"timing_nmi\":{:.6}}}",
+                JsonStr(&stream.name),
                 stream.window,
                 stream.observations,
                 stream.nmi,
@@ -179,7 +179,7 @@ impl HealthSnapshot {
             if i > 0 {
                 out.push(',');
             }
-            out.push_str(&format!("\"{}\"", json_escape(name)));
+            out.push_str(&JsonStr(name).to_string());
         }
         out.push_str("]}\n");
         out
@@ -263,10 +263,9 @@ pub fn render_postmortem(
     dropped_records: u64,
 ) -> String {
     let mut out = String::with_capacity(256 + 96 * records.len());
-    out.push_str("{\n  \"version\": 1,\n  \"trigger\": \"");
-    out.push_str(&json_escape(trigger));
     out.push_str(&format!(
-        "\",\n  \"triggered_at_us\": {triggered_at_us},\n  \"tick\": {tick},\n  \"fleet\": {{ \"frames\": {}, \"accepted\": {}, \"rejected\": {}",
+        "{{\n  \"version\": 1,\n  \"trigger\": {},\n  \"triggered_at_us\": {triggered_at_us},\n  \"tick\": {tick},\n  \"fleet\": {{ \"frames\": {}, \"accepted\": {}, \"rejected\": {}",
+        JsonStr(trigger),
         stats.frames,
         stats.accepted,
         stats.rejected(),
@@ -280,12 +279,12 @@ pub fn render_postmortem(
             out.push(',');
         }
         out.push_str(&format!(
-            "\n    {{ \"kind\": \"{}\", \"window\": {}, \"start_us\": {}, \"end_us\": {}, \"stream\": \"{}\", \"value\": {:.6}, \"p_value\": {:.6}, \"observations\": {} }}",
+            "\n    {{ \"kind\": \"{}\", \"window\": {}, \"start_us\": {}, \"end_us\": {}, \"stream\": {}, \"value\": {:.6}, \"p_value\": {:.6}, \"observations\": {} }}",
             alarm.kind.as_str(),
             alarm.window,
             alarm.start_us,
             alarm.end_us,
-            json_escape(&alarm.stream),
+            JsonStr(&alarm.stream),
             alarm.value,
             alarm.p_value,
             alarm.observations,
@@ -322,21 +321,6 @@ pub fn render_postmortem(
         out.push_str("]\n}\n");
     } else {
         out.push_str("\n  ]\n}\n");
-    }
-    out
-}
-
-/// Minimal JSON string escaping, matching the fleet report's rules.
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
     }
     out
 }

@@ -136,9 +136,11 @@ pub fn fleet_gateway_config(config: &FleetConfig, shards: usize) -> GatewayConfi
     gateway
 }
 
-/// Builds a gateway for the fleet and provisions every sensor.
-pub fn provisioned_gateway(config: &FleetConfig, shards: usize) -> Gateway {
-    let mut gateway = Gateway::new(fleet_gateway_config(config, shards));
+/// Builds a gateway from `gateway_config` (a [`fleet_gateway_config`],
+/// possibly adjusted) and provisions every sensor of the fleet into its
+/// cohort.
+pub fn provisioned_gateway(config: &FleetConfig, gateway_config: GatewayConfig) -> Gateway {
+    let mut gateway = Gateway::new(gateway_config);
     for sensor_id in 0..config.sensors {
         // cohort_of is always in range for the two fleet cohorts.
         let _ = gateway.provision(sensor_id, config.cohort_of(sensor_id));

@@ -17,12 +17,12 @@
 //! `health_jsonl` and `postmortem` are byte-identical at any shard or
 //! thread count (pinned by `tests/monitor.rs` and `cmp`'d in CI).
 
-use age_gateway::{
-    render_postmortem, FleetReport, Gateway, HealthSnapshot, ShardReport, StreamHealth,
-};
+use age_gateway::{render_postmortem, FleetReport, HealthSnapshot, ShardReport, StreamHealth};
 use age_telemetry::{Alarm, GateOutcome, LeakageGate, LeakageReport, MonitorConfig};
 
-use crate::fleet::{fleet_cohorts, fleet_gateway_config, generate, FleetConfig};
+use crate::fleet::{
+    fleet_cohorts, fleet_gateway_config, generate, provisioned_gateway, FleetConfig,
+};
 
 /// Shape of one monitored fleet run.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -135,11 +135,7 @@ pub fn run_monitored(config: &MonitorRunConfig) -> MonitoredRun {
     gateway_config.record_latency = config.record_latency;
     gateway_config.monitor = Some(config.monitor);
     gateway_config.recorder_capacity = config.recorder_capacity;
-    let mut gateway = Gateway::new(gateway_config);
-    for sensor_id in 0..config.fleet.sensors {
-        // cohort_of is always in range for the two fleet cohorts.
-        let _ = gateway.provision(sensor_id, config.fleet.cohort_of(sensor_id));
-    }
+    let mut gateway = provisioned_gateway(&config.fleet, gateway_config);
 
     let cohorts = fleet_cohorts();
     let names: Vec<&str> = cohorts.iter().map(|c| c.name.as_str()).collect();

@@ -17,7 +17,7 @@ use age_reconstruct::{interpolate, mae, std_deviation};
 use age_sampling::{
     fit_threshold, DeviationPolicy, LinearPolicy, Policy, RandomPolicy, UniformPolicy,
 };
-use age_telemetry::{DetRng, Tracer, WireRecord};
+use age_telemetry::{DetRng, FleetNonceAudit, Tracer, WireRecord};
 use age_transport::{
     chacha20poly1305_factory, epoch_skip_budget, ChannelStats, FaultChannel, FaultPlan, Link,
     LinkStats, NvmFaultPlan, NvmStore, Receiver, RetryPolicy, Sensor, SequenceJournal, MAX_SKIP,
@@ -795,7 +795,6 @@ impl Runner {
             retry: setup.retry,
             rekeying: setup.rekey_interval.is_some(),
             cuts,
-            wire_epoch: 0,
         }
     }
 
@@ -852,17 +851,6 @@ impl Runner {
             cell.defense.name(),
             cell.rate
         );
-        // The nonce audit keys on (epoch, sequence): every run of every
-        // cell gets a fresh key epoch, so only a genuine re-seal within
-        // one run — a broken reboot recovery — collides. The identity
-        // includes every axis the label omits, because two cells that
-        // differ only in cipher or budget still hold distinct keys.
-        // Rekeying cells later refine `wire_epoch` with the link's key
-        // epoch, so a rotation also rotates the audit cell.
-        let cell_epoch = age_telemetry::begin_epoch(&format!(
-            "{label}|{:?}|budget={}|limit={:?}|faults={:?}",
-            cell.cipher, cell.enforce_budget, cell.limit, cell.faults
-        ));
         let mut state = CellState {
             energy: &self.energy,
             defense: cell.defense,
@@ -875,8 +863,7 @@ impl Runner {
             clock: VirtualClock::new(ClockModel::default()),
             tracer: Tracer::new(&label),
             arrived: HashMap::new(),
-            wire_epoch: cell_epoch.clone(),
-            cell_epoch,
+            nonces: FleetNonceAudit::new(),
             label,
         };
         let mut link = match cell.faults {
@@ -923,6 +910,7 @@ impl Runner {
             state.tracer.end(state.clock.now_us());
         }
         let transport = link.finish(&mut state.arrived);
+        age_telemetry::emit_nonces(&state.label, &state.nonces);
 
         // Pass 2 — the server: decode what arrived, in evaluation order.
         let records = test
@@ -995,11 +983,10 @@ struct CellState<'r> {
     arrived: HashMap<u64, Vec<u8>>,
     /// The stream label stamped onto this cell's records.
     label: String,
-    /// The cell's nonce-audit identity (see [`Runner::run`]).
-    cell_epoch: String,
-    /// The epoch stamped onto wire records: `cell_epoch`, refined by the
-    /// link's key epoch once a rekeying link has rotated.
-    wire_epoch: String,
+    /// The frames this run sealed while a sink was active, as `(sender 0,
+    /// key epoch, sequence)`. Every run seals under its own keys, so nonce
+    /// uniqueness is checked per run and handed to the sinks once.
+    nonces: FleetNonceAudit,
 }
 
 impl CellState<'_> {
@@ -1017,16 +1004,24 @@ impl CellState<'_> {
     }
 
     /// Hands a frame that went on the air to the leakage audit, as the
-    /// eavesdropper saw it.
-    fn emit_wire(&self, seq: u64, event: usize, wire_bytes: usize, virtual_time: u64) {
+    /// eavesdropper saw it, and records its nonce in the run's audit.
+    fn emit_wire(
+        &mut self,
+        seq: u64,
+        epoch: u64,
+        event: usize,
+        wire_bytes: usize,
+        virtual_time: u64,
+    ) {
         if age_telemetry::active() {
+            self.nonces.observe(0, epoch, seq);
             age_telemetry::emit_wire(&WireRecord {
                 label: self.label.clone(),
                 encoder: self.defense.name().to_string(),
                 seq,
                 event,
                 wire_bytes,
-                epoch: self.wire_epoch.clone(),
+                epoch,
                 virtual_time,
             });
         }
@@ -1084,10 +1079,6 @@ struct TransportStep {
     cuts: Option<(DetRng, f64)>,
     /// Journal write attempts already billed.
     nvm_writes: usize,
-    /// The key epoch the wire-record audit currently attributes frames to;
-    /// epoch 0 keeps the base cell string so static cells emit
-    /// byte-identical records.
-    wire_epoch: u64,
 }
 
 impl LinkStep {
@@ -1118,7 +1109,7 @@ impl LinkStep {
                 let sent_at_us = state.span("attempt", "link", |clock| {
                     clock.advance_radio(message.len())
                 });
-                state.emit_wire(index, label, message.len(), sent_at_us);
+                state.emit_wire(index, 0, label, message.len(), sent_at_us);
                 state.span("ack", "link", VirtualClock::advance_ack);
                 let payload = cipher.open(message).expect("sealed messages always open");
                 state.arrived.insert(index, payload);
@@ -1235,15 +1226,13 @@ impl TransportStep {
         // ever radiated, so there is nothing to observe.
         if delivery.attempts > 0 {
             debug_assert_eq!(delivery.frame_len, frame_len);
-            // A rotation rotates the audit cell too: wire records seal
-            // under the link's key epoch, so the run-wide nonce audit keys
-            // on (cell, epoch, sequence) exactly like the fleet's (sensor,
-            // epoch, sequence).
-            if self.rekeying && delivery.epoch != self.wire_epoch {
-                self.wire_epoch = delivery.epoch;
-                state.wire_epoch = format!("{}|e{}", state.cell_epoch, self.wire_epoch);
-            }
-            state.emit_wire(delivery.sequence, label, delivery.frame_len, sent_at_us);
+            state.emit_wire(
+                delivery.sequence,
+                delivery.epoch,
+                label,
+                delivery.frame_len,
+                sent_at_us,
+            );
         }
         // The radio spends retransmission energy before the sensor can veto
         // it; charging it may exhaust the ledger and violate *later*

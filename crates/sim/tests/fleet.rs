@@ -7,14 +7,14 @@
 //! across more shard/thread combinations.
 
 use age_gateway::Gateway;
-use age_sim::fleet::{generate, provisioned_gateway, FleetConfig};
+use age_sim::fleet::{fleet_gateway_config, generate, provisioned_gateway, FleetConfig};
 
 const SENSORS: u64 = 400;
 const SEED: u64 = 2022;
 
 fn run_fleet(config: &FleetConfig, shards: usize, threads: usize) -> Gateway {
     let traffic = generate(config);
-    let mut gateway = provisioned_gateway(config, shards);
+    let mut gateway = provisioned_gateway(config, fleet_gateway_config(config, shards));
     gateway.run(&traffic.frames, threads);
     gateway
 }
@@ -99,7 +99,7 @@ fn defended_cohort_is_constant_size_baseline_is_not() {
 #[test]
 fn shard_occupancy_partitions_the_fleet() {
     let config = FleetConfig::new(SENSORS, SEED);
-    let gateway = provisioned_gateway(&config, 8);
+    let gateway = provisioned_gateway(&config, fleet_gateway_config(&config, 8));
     let occupancy = gateway.shard_occupancy();
     assert_eq!(occupancy.len(), 8);
     assert_eq!(occupancy.iter().sum::<usize>() as u64, SENSORS);
@@ -111,7 +111,6 @@ fn shard_occupancy_partitions_the_fleet() {
 
 mod telemetry_gated {
     use super::*;
-    use age_sim::fleet::fleet_gateway_config;
     use age_telemetry::LeakageGate;
 
     /// Moderate permutation count: enough resolution for p-values well
@@ -181,7 +180,7 @@ mod telemetry_gated {
             traffic.sealed_nonces.cells() > SENSORS as usize,
             "sensors must seal under more than one epoch"
         );
-        let mut gateway = provisioned_gateway(&config, 4);
+        let mut gateway = provisioned_gateway(&config, fleet_gateway_config(&config, 4));
         gateway.run(&traffic.frames, 4);
         let accepted_side = gateway.nonce_audit();
         assert!(accepted_side.is_clean(), "gateway-side audit");
@@ -197,7 +196,7 @@ mod telemetry_gated {
         assert_eq!(traffic.sealed_nonces.frames(), SENSORS * 4);
         assert_eq!(traffic.sealed_nonces.sensors(), SENSORS as usize);
 
-        let mut gateway = provisioned_gateway(&config, 4);
+        let mut gateway = provisioned_gateway(&config, fleet_gateway_config(&config, 4));
         gateway.run(&traffic.frames, 4);
         let accepted_side = gateway.nonce_audit();
         assert!(accepted_side.is_clean(), "gateway-side audit");
@@ -212,7 +211,8 @@ mod telemetry_gated {
         let audits: Vec<_> = [(1usize, 1usize), (4, 4), (8, 2)]
             .into_iter()
             .map(|(shards, threads)| {
-                let mut gateway = provisioned_gateway(&config, shards);
+                let mut gateway =
+                    provisioned_gateway(&config, fleet_gateway_config(&config, shards));
                 gateway.run(&traffic.frames, threads);
                 gateway.nonce_audit()
             })
@@ -233,7 +233,7 @@ mod telemetry_gated {
                 .expect("cohort in range");
         }
         zero.run(&traffic.frames, 3);
-        let mut one = provisioned_gateway(&config, 1);
+        let mut one = provisioned_gateway(&config, fleet_gateway_config(&config, 1));
         one.run(&traffic.frames, 1);
         assert_eq!(zero.fleet_report().to_json(), one.fleet_report().to_json());
     }

@@ -13,7 +13,7 @@ use age_sim::{
     run_cells, CipherChoice, Defense, FaultPlan, FaultSetup, NvmFaultPlan, PolicyKind, PowerFaults,
     Runner, SweepCell, SweepOptions,
 };
-use age_telemetry::{reset_epoch_counters, LeakageSink, NonceAudit, NonceAuditSink};
+use age_telemetry::{FleetNonceAudit, FleetNonceReuse, LeakageSink, NonceAuditSink};
 use age_transport::{FaultChannel, Link, NvmStore, RetryPolicy, SequenceJournal};
 
 const KEY: [u8; 32] = [7; 32];
@@ -141,23 +141,32 @@ fn nonce_auditor_fails_when_the_journal_is_bypassed() {
         RetryPolicy::default(),
     );
     assert!(!link.has_journal());
-    let mut audit = NonceAudit::new();
+    let mut audit = FleetNonceAudit::new();
     for _ in 0..10 {
         let delivery = link.send(&payload);
-        audit.observe("no-journal#0", delivery.sequence);
+        audit.observe(0, delivery.epoch, delivery.sequence);
     }
     assert!(audit.is_clean());
     // Power loss with nothing persisted: the counter restarts at zero.
     link.reboot_sensor();
     for _ in 0..10 {
         let delivery = link.send(&payload);
-        audit.observe("no-journal#0", delivery.sequence);
+        audit.observe(0, delivery.epoch, delivery.sequence);
     }
     assert!(
         !audit.is_clean(),
         "re-sealing without the journal must be caught"
     );
-    assert_eq!(audit.violations().len(), 10);
+    // All ten re-sealed sequences, reported as one run.
+    assert_eq!(
+        audit.violations(),
+        [FleetNonceReuse {
+            sensor_id: 0,
+            epoch: 0,
+            first: 0,
+            last: 9
+        }]
+    );
     // And the receiver saw them as replays: nothing post-reboot delivered.
     assert!(link.stats().replay_rejected >= 10);
 }
@@ -241,7 +250,6 @@ fn power_fault_sweeps_are_byte_identical_across_thread_counts() {
     );
     let cells = power_cells(0.08, 11);
     let sweep = |threads: usize| {
-        reset_epoch_counters();
         let sink = Arc::new(NonceAuditSink::new());
         let options = SweepOptions {
             threads,

@@ -8,7 +8,7 @@ use std::sync::Arc;
 use age_sim::{
     rekey_scenario, run_cells, CipherChoice, Defense, PolicyKind, Runner, SweepCell, SweepOptions,
 };
-use age_telemetry::{reset_epoch_counters, LeakageSink, NonceAuditSink};
+use age_telemetry::{LeakageSink, NonceAuditSink};
 
 /// Small against the ~34-frame Small-scale test split so the link crosses
 /// several epoch boundaries; a journal-block brownout can skip a whole
@@ -44,7 +44,6 @@ fn rekey_cells(reset_rate: f64, seed: u64) -> Vec<SweepCell> {
 #[test]
 fn rekey_under_fire_rotates_and_stays_nonce_clean() {
     let runner = runner(19);
-    reset_epoch_counters();
     let sink = Arc::new(NonceAuditSink::new());
     let options = SweepOptions {
         threads: 2,
@@ -55,8 +54,8 @@ fn rekey_under_fire_rotates_and_stays_nonce_clean() {
     let audit = sink.take();
     assert!(audit.frames() > 0);
     assert!(audit.is_clean(), "{audit}");
-    // Context epochs are refined per key epoch (`…|eN`), so a rotating
-    // run must key the audit under more epochs than there are cells.
+    // Each run audits its frames per key epoch, so a rotating run must
+    // count more epochs than there are cells.
     assert!(
         audit.epochs() > results.len(),
         "rotation refinement missing: {} epochs over {} cells",
@@ -82,7 +81,6 @@ fn rekey_sweeps_are_byte_identical_across_thread_counts() {
     let runner = runner(23);
     let cells = rekey_cells(0.06, 23);
     let sweep = |threads: usize| {
-        reset_epoch_counters();
         let sink = Arc::new(NonceAuditSink::new());
         let options = SweepOptions {
             threads,
@@ -97,6 +95,30 @@ fn rekey_sweeps_are_byte_identical_across_thread_counts() {
     assert_eq!(single, quad, "results must not depend on the thread count");
     assert_eq!(quad_audit, single_audit, "merged audit must match too");
     assert!(single_audit.is_clean(), "{single_audit}");
+}
+
+/// Nonce uniqueness is audited per run, so sweeping the same cells twice in
+/// one process gives the same audit both times: there is no process-wide
+/// run numbering to rewind between them.
+#[test]
+fn rerunning_a_sweep_in_one_process_repeats_its_nonce_audit() {
+    let runner = runner(31);
+    let cells = rekey_cells(0.06, 31);
+    let audit = || {
+        let sink = Arc::new(NonceAuditSink::new());
+        let options = SweepOptions {
+            threads: 2,
+            sink: Some(sink.clone()),
+            deterministic_timings: true,
+        };
+        run_cells(&runner, &cells, &options);
+        sink.take()
+    };
+    let first = audit();
+    let second = audit();
+    assert!(first.frames() > 0);
+    assert!(first.is_clean(), "{first}");
+    assert_eq!(first, second, "a rerun must audit to the same totals");
 }
 
 /// The leakage gate stays green while the key material moves: every AGE

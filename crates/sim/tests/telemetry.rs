@@ -116,13 +116,10 @@ fn summary_stddev_is_zero_for_fixed_defenses_and_positive_for_standard() {
 /// returns the bytes written.
 fn capture_run(seed: u64) -> Vec<u8> {
     let buf = SharedBuf::default();
-    let sink = Arc::new(JsonlSink::new(buf.clone()).without_timings());
+    let sink = Arc::new(JsonlSink::new(buf.clone()));
     // Wall-clock laps are the one nondeterministic input; drop them at the
-    // source too so the encoders take the identical code path both times.
+    // source.
     set_timings_enabled(false);
-    // Key epochs count reruns per cell (that is what makes the nonce audit
-    // sound), so byte-identical reruns must rewind the counters first.
-    age_telemetry::reset_epoch_counters();
     {
         let _guard = install_thread(sink);
         let runner = Runner::new(DatasetKind::Epilepsy, Scale::Small, seed);

@@ -256,11 +256,11 @@ pub use audit::{GateOutcome, LeakageAudit, LeakageEntry, LeakageGate, LeakageRep
 
 mod audit {
     use std::collections::BTreeMap;
-    use std::fmt;
+    use std::fmt::{self, Write};
     use std::sync::Mutex;
 
     use super::LeakageStream;
-    use crate::record::WireRecord;
+    use crate::record::{JsonStr, WireRecord};
     use crate::sink::Sink;
 
     /// Derives a per-stream permutation seed from the run seed and the
@@ -549,22 +549,6 @@ mod audit {
         out.push_str(&format!("{v:.6}"));
     }
 
-    fn push_json_str(out: &mut String, value: &str) {
-        out.push('"');
-        for c in value.chars() {
-            match c {
-                '"' => out.push_str("\\\""),
-                '\\' => out.push_str("\\\\"),
-                '\n' => out.push_str("\\n"),
-                '\r' => out.push_str("\\r"),
-                '\t' => out.push_str("\\t"),
-                c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-                c => out.push(c),
-            }
-        }
-        out.push('"');
-    }
-
     impl LeakageReport {
         /// Serializes the report as stable, human-diffable JSON (fixed field
         /// order, floats at fixed precision, one stream per line). Equal
@@ -595,7 +579,7 @@ mod audit {
                         if i > 0 {
                             out.push_str(", ");
                         }
-                        push_json_str(&mut out, failure);
+                        let _ = write!(out, "{}", JsonStr(failure));
                     }
                     out.push_str("]}");
                 }
@@ -606,9 +590,9 @@ mod audit {
                     out.push(',');
                 }
                 out.push_str("\n    {\"label\": ");
-                push_json_str(&mut out, &e.label);
+                let _ = write!(out, "{}", JsonStr(&e.label));
                 out.push_str(", \"encoder\": ");
-                push_json_str(&mut out, &e.encoder);
+                let _ = write!(out, "{}", JsonStr(&e.encoder));
                 out.push_str(", \"observations\": ");
                 out.push_str(&e.observations.to_string());
                 out.push_str(", \"distinct_sizes\": ");
@@ -1016,7 +1000,7 @@ mod tests {
                 seq,
                 event,
                 wire_bytes: bytes,
-                epoch: String::new(),
+                epoch: 0,
                 virtual_time: 0,
             }
         }

@@ -28,7 +28,9 @@
 //!   with online NMI and a seeded permutation test, the
 //!   [`LeakageAudit`]/[`LeakageSink`] pipeline and the [`LeakageGate`] CI
 //!   regression gate.
-//! - [`nonce`] — the run-wide and fleet-wide nonce-uniqueness audits.
+//! - [`nonce`] — [`FleetNonceAudit`], the one nonce-uniqueness auditor
+//!   on integer `(sender, epoch, sequence)` keys, and the
+//!   [`NonceAuditSink`] summing experiment runs' audits.
 //! - [`monitor`] — tumbling virtual-time windows scoring the same two
 //!   channels *mid-run*, raising deterministic [`Alarm`]s when a window
 //!   crosses the gate threshold.
@@ -67,15 +69,12 @@ pub use leakage::{
 };
 pub use metrics::{Counter, Histogram};
 pub use monitor::{Alarm, AlarmKind, MonitorConfig, WindowScore, WindowTraffic, WindowedMonitor};
-pub use nonce::{
-    begin_epoch, reset_epoch_counters, FleetNonceAudit, FleetNonceReuse, NonceAudit,
-    NonceAuditSink, NonceReuse, SeqSet,
-};
-pub use record::{BatchRecord, GroupRecord, StageTimings, WireRecord};
+pub use nonce::{FleetNonceAudit, FleetNonceReuse, NonceAuditSink, NonceTotals, SeqSet};
+pub use record::{BatchRecord, GroupRecord, JsonStr, StageTimings, WireRecord};
 pub use recorder::{FlightRecord, FlightRecorder, IngestRung};
 pub use rng::{DetRng, SliceShuffle};
 pub use sink::{
-    active, clear_global, emit, emit_span, emit_wire, install_global, install_thread,
+    active, clear_global, emit, emit_nonces, emit_span, emit_wire, install_global, install_thread,
     set_timings_enabled, timings_enabled, FanoutSink, JsonlSink, NullSink, RecordingSink, Sink,
     ThreadSinkGuard,
 };

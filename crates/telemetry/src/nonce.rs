@@ -1,226 +1,40 @@
-//! Run-wide nonce-uniqueness auditing.
+//! Nonce-uniqueness auditing.
 //!
 //! Every cipher in the workspace derives its nonce/IV deterministically
 //! from the frame's sequence number, so "no nonce is ever reused" reduces
-//! to: within one key epoch, no sequence number is sealed twice. This
-//! module watches every [`WireRecord`] a run emits and hard-fails the run
-//! if two sealed frames shared an (epoch, sequence) pair — the backstop
-//! behind the sequence-reservation journal, and the proof that a sensor
-//! rebooting *without* one is broken.
+//! to: within one key epoch of one sender, no sequence number is sealed
+//! twice. [`FleetNonceAudit`] checks exactly that on integer
+//! `(sender, epoch, sequence)` keys — the backstop behind the
+//! sequence-reservation journal, and the proof that a sensor rebooting
+//! *without* one is broken.
 //!
-//! Like the leakage audit, the state is an ordered map with a commutative,
-//! associative merge: shards observed on different worker threads fold into
-//! the same totals in any order, so reports are byte-identical at any
-//! thread count.
+//! The gateway and the fleet simulator feed it directly. The experiment
+//! runner audits each run's own sealed frames and hands the finished
+//! audit to the installed sinks once ([`Sink::record_nonces`]), where a
+//! [`NonceAuditSink`] sums them into [`NonceTotals`]. Uniqueness is a
+//! per-run property, so runs need no process-wide numbering to stay
+//! apart, and sums commute: reports are byte-identical at any thread
+//! count.
 //!
 //! # Examples
 //!
 //! ```
-//! use age_telemetry::NonceAudit;
+//! use age_telemetry::FleetNonceAudit;
 //!
-//! let mut audit = NonceAudit::new();
-//! audit.observe("cell#0", 0);
-//! audit.observe("cell#0", 1);
+//! let mut audit = FleetNonceAudit::new();
+//! audit.observe(0, 0, 0);
+//! audit.observe(0, 0, 1);
 //! assert!(audit.is_clean());
-//! audit.observe("cell#0", 0); // a reboot re-sealed sequence 0
+//! audit.observe(0, 0, 0); // a reboot re-sealed sequence 0
 //! assert!(!audit.is_clean());
-//! assert_eq!(audit.violations()[0].sequence, 0);
+//! assert_eq!(audit.violations()[0].first, 0);
 //! ```
 
 use std::collections::BTreeMap;
-use std::sync::{Mutex, OnceLock};
+use std::sync::Mutex;
 
-use crate::record::{BatchRecord, WireRecord};
+use crate::record::BatchRecord;
 use crate::sink::Sink;
-
-/// One (epoch, sequence) pair that was sealed more than once — a reused
-/// nonce.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct NonceReuse {
-    /// The key epoch both frames were sealed in.
-    pub epoch: String,
-    /// The sequence number (hence nonce) they shared.
-    pub sequence: u64,
-    /// How many frames were sealed under it.
-    pub count: u64,
-}
-
-/// Counts sealed frames per (epoch, sequence) pair. Any count above 1 is a
-/// confidentiality failure; [`NonceAudit::is_clean`] gates the run.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct NonceAudit {
-    seen: BTreeMap<(String, u64), u64>,
-}
-
-impl NonceAudit {
-    /// An empty audit.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Records one sealed frame.
-    pub fn observe(&mut self, epoch: &str, sequence: u64) {
-        *self.seen.entry((epoch.to_string(), sequence)).or_insert(0) += 1;
-    }
-
-    /// Records one sealed frame from a wire record. Records emitted before
-    /// an epoch was set fall back to the stream label, so legacy streams
-    /// still audit per-stream.
-    pub fn observe_wire(&mut self, record: &WireRecord) {
-        let epoch = if record.epoch.is_empty() {
-            &record.label
-        } else {
-            &record.epoch
-        };
-        self.observe(epoch, record.seq);
-    }
-
-    /// Folds another shard in. Commutative and associative — counts add —
-    /// so per-thread shards merge to the same totals in any order.
-    pub fn merge(&mut self, other: &NonceAudit) {
-        for ((epoch, sequence), count) in &other.seen {
-            *self.seen.entry((epoch.clone(), *sequence)).or_insert(0) += count;
-        }
-    }
-
-    /// Total sealed frames observed.
-    pub fn frames(&self) -> u64 {
-        self.seen.values().sum()
-    }
-
-    /// Distinct (epoch, sequence) pairs observed.
-    pub fn distinct(&self) -> usize {
-        self.seen.len()
-    }
-
-    /// Distinct epochs observed.
-    pub fn epochs(&self) -> usize {
-        let mut n = 0;
-        let mut last: Option<&str> = None;
-        for (epoch, _) in self.seen.keys() {
-            if last != Some(epoch.as_str()) {
-                n += 1;
-                last = Some(epoch.as_str());
-            }
-        }
-        n
-    }
-
-    /// Every reused nonce, in deterministic (epoch, sequence) order.
-    pub fn violations(&self) -> Vec<NonceReuse> {
-        self.seen
-            .iter()
-            .filter(|&(_, count)| *count > 1)
-            .map(|((epoch, sequence), count)| NonceReuse {
-                epoch: epoch.clone(),
-                sequence: *sequence,
-                count: *count,
-            })
-            .collect()
-    }
-
-    /// `true` when no nonce was reused (the run may pass).
-    pub fn is_clean(&self) -> bool {
-        self.seen.values().all(|&count| count <= 1)
-    }
-}
-
-impl std::fmt::Display for NonceAudit {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        writeln!(
-            f,
-            "{} sealed frames, {} distinct (epoch, seq) pairs, {} epochs",
-            self.frames(),
-            self.distinct(),
-            self.epochs()
-        )?;
-        let violations = self.violations();
-        if violations.is_empty() {
-            writeln!(f, "  all nonces unique")
-        } else {
-            for v in violations {
-                writeln!(
-                    f,
-                    "  NONCE REUSED: epoch={} seq={} sealed {} times",
-                    v.epoch, v.sequence, v.count
-                )?;
-            }
-            Ok(())
-        }
-    }
-}
-
-/// A [`Sink`] accumulating a [`NonceAudit`] from every wire record emitted
-/// anywhere in the process (batch records are ignored). Install it
-/// (globally, or per worker thread) for the duration of a run, then
-/// [`take`](Self::take) and check [`NonceAudit::is_clean`].
-#[derive(Default)]
-pub struct NonceAuditSink {
-    audit: Mutex<NonceAudit>,
-}
-
-impl NonceAuditSink {
-    /// An empty sink.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Extracts the accumulated audit, leaving the sink empty.
-    pub fn take(&self) -> NonceAudit {
-        match self.audit.lock() {
-            Ok(mut audit) => std::mem::take(&mut *audit),
-            Err(poisoned) => std::mem::take(&mut *poisoned.into_inner()),
-        }
-    }
-}
-
-impl Sink for NonceAuditSink {
-    fn record_batch(&self, _record: &BatchRecord) {}
-
-    fn record_wire(&self, record: &WireRecord) {
-        if let Ok(mut audit) = self.audit.lock() {
-            audit.observe_wire(record);
-        }
-    }
-
-    fn flush(&self) {}
-}
-
-/// Allocates the epoch string for one cell run: `"{cell}#{n}"`, where `n`
-/// counts prior runs of the *same* cell identity in this process. Two
-/// concurrent runs of byte-identical cells may swap numbers, but since
-/// identical cells emit identical sequence sets the merged audit is
-/// unaffected — which is what keeps reports byte-identical at any thread
-/// count.
-pub fn begin_epoch(cell: &str) -> String {
-    let runs = epoch_runs();
-    let mut runs = match runs.lock() {
-        Ok(runs) => runs,
-        Err(poisoned) => poisoned.into_inner(),
-    };
-    let n = runs.entry(cell.to_string()).or_insert(0);
-    let epoch = format!("{cell}#{n}");
-    *n += 1;
-    epoch
-}
-
-/// Forgets all epoch run counters, so the next [`begin_epoch`] per cell
-/// starts at `#0` again. Determinism tests call this between two runs they
-/// intend to compare byte-for-byte.
-pub fn reset_epoch_counters() {
-    if let Some(runs) = EPOCH_RUNS.get() {
-        match runs.lock() {
-            Ok(mut runs) => runs.clear(),
-            Err(poisoned) => poisoned.into_inner().clear(),
-        }
-    }
-}
-
-static EPOCH_RUNS: OnceLock<Mutex<BTreeMap<String, u64>>> = OnceLock::new();
-
-fn epoch_runs() -> &'static Mutex<BTreeMap<String, u64>> {
-    EPOCH_RUNS.get_or_init(|| Mutex::new(BTreeMap::new()))
-}
 
 /// A set of `u64` sequence numbers stored as sorted, disjoint, inclusive
 /// runs.
@@ -229,8 +43,7 @@ fn epoch_runs() -> &'static Mutex<BTreeMap<String, u64>> {
 /// `n + 1` right after `n` — so the common case is *extending the last run
 /// in place*, which touches no heap once the run vector has its working
 /// capacity. That is what lets a gateway shard audit per-sensor sequence
-/// uniqueness for millions of frames with zero steady-state allocations,
-/// where the string-keyed [`NonceAudit`] would allocate per frame.
+/// uniqueness for millions of frames with zero steady-state allocations.
 ///
 /// Out-of-order arrivals (a replay window tolerates up to 64 of skew)
 /// create short-lived holes; inserts coalesce neighbouring runs as the
@@ -351,13 +164,11 @@ pub struct FleetNonceReuse {
     pub last: u64,
 }
 
-/// Run-wide nonce-uniqueness auditor keyed by **numeric sensor id**, built
-/// for fleet-scale ingest.
+/// The nonce-uniqueness auditor, keyed by **numeric sender id** and key
+/// epoch, built for fleet-scale ingest and used by every audit in the
+/// workspace (a single-link experiment run is sender 0).
 ///
-/// The string-keyed [`NonceAudit`] allocates an epoch `String` and a map
-/// node per observed frame, which is fine for a sweep of a few thousand
-/// frames but not for a gateway shard ingesting millions. This auditor
-/// keys per-sensor [`SeqSet`] interval sets by `(sensor id, epoch)`:
+/// It keys per-sender [`SeqSet`] interval sets by `(sensor id, epoch)`:
 /// observing a sensor's next monotone sequence extends the top run in
 /// place, so the steady-state ingest path performs **zero allocations**.
 ///
@@ -505,94 +316,191 @@ impl std::fmt::Display for FleetNonceAudit {
     }
 }
 
+/// The sum of per-run [`FleetNonceAudit`]s, each under the stream label of
+/// the run that sealed its frames. Every field adds, and reuses are kept
+/// sorted by `(label, epoch, first sequence)`, so the totals do not depend
+/// on the order runs finish in.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct NonceTotals {
+    frames: u64,
+    distinct: u64,
+    epochs: usize,
+    violations: Vec<(String, FleetNonceReuse)>,
+}
+
+impl NonceTotals {
+    /// Adds one run's audit, sealed under stream `label`.
+    pub fn add(&mut self, label: &str, audit: &FleetNonceAudit) {
+        self.frames += audit.frames();
+        self.distinct += audit.distinct();
+        self.epochs += audit.cells();
+        self.violations.extend(
+            audit
+                .violations()
+                .into_iter()
+                .map(|r| (label.to_string(), r)),
+        );
+        self.violations
+            .sort_by_key(|(label, r)| (label.clone(), r.epoch, r.first, r.last, r.sensor_id));
+    }
+
+    /// Total sealed frames observed.
+    pub fn frames(&self) -> u64 {
+        self.frames
+    }
+
+    /// Distinct (run, epoch, sequence) triples observed.
+    pub fn distinct(&self) -> u64 {
+        self.distinct
+    }
+
+    /// Distinct (run, key epoch) pairs observed: one per run of a static
+    /// key, one per epoch sealed under for a rekeying run.
+    pub fn epochs(&self) -> usize {
+        self.epochs
+    }
+
+    /// Every reused sequence run with the stream label of the run that
+    /// reused it, sorted by `(label, epoch, first sequence)`.
+    pub fn violations(&self) -> &[(String, FleetNonceReuse)] {
+        &self.violations
+    }
+
+    /// `true` when no run reused a nonce (the run may pass).
+    pub fn is_clean(&self) -> bool {
+        self.violations.is_empty()
+    }
+}
+
+impl std::fmt::Display for NonceTotals {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        writeln!(
+            f,
+            "{} sealed frames, {} distinct (epoch, seq) pairs, {} epochs",
+            self.frames, self.distinct, self.epochs
+        )?;
+        if self.violations.is_empty() {
+            return writeln!(f, "  all nonces unique");
+        }
+        for (label, v) in &self.violations {
+            writeln!(
+                f,
+                "  NONCE REUSED: stream={label} epoch={} seq={}..={}",
+                v.epoch, v.first, v.last
+            )?;
+        }
+        Ok(())
+    }
+}
+
+/// A [`Sink`] summing the per-run nonce audits handed to
+/// [`Sink::record_nonces`] (batch and wire records are ignored). Install
+/// it (globally, or per worker thread) for the duration of a run, then
+/// [`take`](Self::take) and check [`NonceTotals::is_clean`].
+#[derive(Default)]
+pub struct NonceAuditSink {
+    totals: Mutex<NonceTotals>,
+}
+
+impl NonceAuditSink {
+    /// An empty sink.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Extracts the accumulated totals, leaving the sink empty.
+    pub fn take(&self) -> NonceTotals {
+        match self.totals.lock() {
+            Ok(mut totals) => std::mem::take(&mut *totals),
+            Err(poisoned) => std::mem::take(&mut *poisoned.into_inner()),
+        }
+    }
+}
+
+impl Sink for NonceAuditSink {
+    fn record_batch(&self, _record: &BatchRecord) {}
+
+    fn record_nonces(&self, label: &str, audit: &FleetNonceAudit) {
+        if let Ok(mut totals) = self.totals.lock() {
+            totals.add(label, audit);
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn wire(epoch: &str, seq: u64) -> WireRecord {
-        WireRecord {
-            label: "epi/Linear/AGE/r0.50".into(),
-            encoder: "AGE".into(),
-            seq,
-            event: 0,
-            wire_bytes: 96,
-            epoch: epoch.into(),
-            virtual_time: 0,
+    fn run(seqs: &[(u64, u64)]) -> FleetNonceAudit {
+        let mut audit = FleetNonceAudit::new();
+        for &(epoch, seq) in seqs {
+            audit.observe(0, epoch, seq);
         }
+        audit
     }
 
     #[test]
     fn unique_nonces_are_clean() {
-        let mut audit = NonceAudit::new();
-        for seq in 0..100 {
-            audit.observe("a#0", seq);
-            audit.observe("b#0", seq); // same seq, different epoch: fine
-        }
-        assert!(audit.is_clean());
-        assert_eq!(audit.frames(), 200);
-        assert_eq!(audit.distinct(), 200);
-        assert_eq!(audit.epochs(), 2);
-        assert!(audit.to_string().contains("all nonces unique"));
+        let mut totals = NonceTotals::default();
+        // Two runs of one stream seal the same sequences: that is fine,
+        // each run seals under its own key.
+        let frames: Vec<_> = (0..4).map(|seq| (0, seq)).collect();
+        totals.add("a", &run(&frames));
+        totals.add("a", &run(&frames));
+        totals.add("b", &run(&[(0, 0), (1, 0), (1, 1)]));
+        assert!(totals.is_clean());
+        assert_eq!(
+            (totals.frames(), totals.distinct(), totals.epochs()),
+            (11, 11, 4)
+        );
+        assert_eq!(
+            totals.to_string(),
+            "11 sealed frames, 11 distinct (epoch, seq) pairs, 4 epochs\n  all nonces unique\n"
+        );
     }
 
     #[test]
     fn a_reused_pair_is_a_violation() {
-        let mut audit = NonceAudit::new();
-        audit.observe("a#0", 7);
-        audit.observe("a#0", 7);
-        audit.observe("a#0", 7);
-        assert!(!audit.is_clean());
-        let violations = audit.violations();
-        assert_eq!(violations.len(), 1);
-        assert_eq!(violations[0].sequence, 7);
-        assert_eq!(violations[0].count, 3);
-        assert!(audit.to_string().contains("NONCE REUSED"));
+        let mut totals = NonceTotals::default();
+        totals.add("a", &run(&[(0, 7), (0, 7), (0, 7)]));
+        assert!(!totals.is_clean());
+        assert_eq!((totals.frames(), totals.distinct()), (3, 1));
+        let (label, reuse) = &totals.violations()[0];
+        assert_eq!((label.as_str(), reuse.first, reuse.last), ("a", 7, 7));
+        assert!(totals
+            .to_string()
+            .contains("  NONCE REUSED: stream=a epoch=0 seq=7..=7\n"));
     }
 
     #[test]
     fn merge_is_commutative() {
-        let mut a = NonceAudit::new();
-        let mut b = NonceAudit::new();
-        for seq in 0..50 {
-            a.observe("x#0", seq);
-            b.observe("x#0", seq + 25); // overlap [25, 50): reuse
-        }
-        let mut ab = a.clone();
-        ab.merge(&b);
-        let mut ba = b.clone();
-        ba.merge(&a);
+        let dirty_b = run(&[(2, 5), (2, 5)]);
+        let dirty_a = run(&[(3, 1), (3, 1), (1, 9), (1, 9)]);
+        let mut ab = NonceTotals::default();
+        ab.add("a", &dirty_a);
+        ab.add("b", &dirty_b);
+        let mut ba = NonceTotals::default();
+        ba.add("b", &dirty_b);
+        ba.add("a", &dirty_a);
         assert_eq!(ab, ba);
-        assert_eq!(ab.violations().len(), 25);
         assert_eq!(format!("{ab}"), format!("{ba}"));
+        let order: Vec<_> = ab
+            .violations()
+            .iter()
+            .map(|(label, v)| (label.as_str(), v.epoch, v.first))
+            .collect();
+        assert_eq!(order, [("a", 1, 9), ("a", 3, 1), ("b", 2, 5)]);
     }
 
     #[test]
-    fn sink_accumulates_wire_records() {
+    fn sink_sums_per_run_audits() {
         let sink = NonceAuditSink::new();
-        sink.record_wire(&wire("cell#0", 0));
-        sink.record_wire(&wire("cell#0", 1));
-        sink.record_wire(&wire("cell#0", 1));
-        let audit = sink.take();
-        assert!(!audit.is_clean());
-        assert!(sink.take().is_clean(), "take leaves the sink empty");
-    }
-
-    #[test]
-    fn records_without_an_epoch_fall_back_to_the_label() {
-        let mut audit = NonceAudit::new();
-        audit.observe_wire(&wire("", 3));
-        audit.observe_wire(&wire("", 3));
-        assert_eq!(audit.violations()[0].epoch, "epi/Linear/AGE/r0.50");
-    }
-
-    #[test]
-    fn epoch_allocation_counts_reruns_per_cell() {
-        reset_epoch_counters();
-        assert_eq!(begin_epoch("cellA"), "cellA#0");
-        assert_eq!(begin_epoch("cellB"), "cellB#0");
-        assert_eq!(begin_epoch("cellA"), "cellA#1");
-        reset_epoch_counters();
-        assert_eq!(begin_epoch("cellA"), "cellA#0");
+        sink.record_nonces("cell", &run(&[(0, 0), (0, 1)]));
+        sink.record_nonces("cell", &run(&[(0, 1), (0, 1)]));
+        let totals = sink.take();
+        assert_eq!(totals.frames(), 4);
+        assert!(!totals.is_clean());
+        assert_eq!(sink.take(), NonceTotals::default(), "take empties the sink");
     }
 
     #[test]

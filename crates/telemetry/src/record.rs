@@ -9,7 +9,10 @@
 //! Serialization is hand-rolled JSON — the workspace must build offline, so
 //! no serde. The format is stable and append-only: one compact JSON object
 //! per line, fields in fixed order, making byte-identical output a
-//! meaningful determinism check.
+//! meaningful determinism check. [`JsonStr`] is the one JSON string
+//! escaper every hand-rolled JSON writer in the workspace uses.
+
+use std::fmt::{self, Write};
 
 /// Wall-clock nanoseconds spent in each AGE pipeline stage for one batch.
 ///
@@ -181,12 +184,10 @@ pub struct WireRecord {
     pub event: usize,
     /// Sealed frame length in bytes on the wire.
     pub wire_bytes: usize,
-    /// Key epoch the frame was sealed in: the scope within which `seq`
-    /// must be unique for nonce uniqueness to hold (one epoch per cell
-    /// run, refined by the link's key epoch after each rotation; empty
-    /// when the emitter set none, in which case auditors fall back to
-    /// `label`).
-    pub epoch: String,
+    /// Key epoch the frame was sealed in: the link's ratchet epoch, 0 for
+    /// a static key. Within one run, `seq` must be unique per epoch for
+    /// nonce uniqueness to hold.
+    pub epoch: u64,
     /// Virtual send time in simulated microseconds: when the frame's first
     /// radiation completed on the simulator's deterministic clock (see
     /// `age-sim`'s `VirtualClock`). The timing-channel audit derives
@@ -211,7 +212,7 @@ impl WireRecord {
         out.push(',');
         push_u64_field(&mut out, "wire_bytes", self.wire_bytes as u64);
         out.push(',');
-        push_str_field(&mut out, "epoch", &self.epoch);
+        push_u64_field(&mut out, "epoch", self.epoch);
         out.push(',');
         push_u64_field(&mut out, "virtual_time", self.virtual_time);
         out.push('}');
@@ -236,21 +237,31 @@ fn push_i64_field(out: &mut String, key: &str, value: i64) {
 fn push_str_field(out: &mut String, key: &str, value: &str) {
     out.push('"');
     out.push_str(key);
-    out.push_str("\":\"");
-    for c in value.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
+    out.push_str("\":");
+    let _ = write!(out, "{}", JsonStr(value));
+}
+
+/// Displays a string as a quoted JSON string literal: `"` and `\` are
+/// backslash-escaped, `\n`, `\r` and `\t` use their short escapes, and
+/// every other control character is written as `\u00XX`.
+pub struct JsonStr<'a>(pub &'a str);
+
+impl fmt::Display for JsonStr<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_char('"')?;
+        for c in self.0.chars() {
+            match c {
+                '"' => f.write_str("\\\"")?,
+                '\\' => f.write_str("\\\\")?,
+                '\n' => f.write_str("\\n")?,
+                '\r' => f.write_str("\\r")?,
+                '\t' => f.write_str("\\t")?,
+                c if (c as u32) < 0x20 => write!(f, "\\u{:04x}", c as u32)?,
+                c => f.write_char(c)?,
             }
-            c => out.push(c),
         }
+        f.write_char('"')
     }
-    out.push('"');
 }
 
 #[cfg(test)]
@@ -332,6 +343,18 @@ mod tests {
     }
 
     #[test]
+    fn json_str_escapes_quotes_backslashes_and_control_characters() {
+        assert_eq!(
+            JsonStr("plain/AGE r0.50").to_string(),
+            "\"plain/AGE r0.50\""
+        );
+        assert_eq!(
+            JsonStr("q\"b\\n\nr\rt\tnul\0bel\x07us\x1f del\x7f é").to_string(),
+            "\"q\\\"b\\\\n\\nr\\rt\\tnul\\u0000bel\\u0007us\\u001f del\x7f é\""
+        );
+    }
+
+    #[test]
     fn stage_total_sums_all_stages() {
         assert_eq!(sample().timings.total_ns(), 1500);
     }
@@ -353,14 +376,14 @@ mod tests {
             seq: 41,
             event: 2,
             wire_bytes: 86,
-            epoch: "epi/Linear/Std/r0.50#3".into(),
+            epoch: 3,
             virtual_time: 5_521_984,
         };
         assert_eq!(
             record.to_json(),
             "{\"kind\":\"wire\",\"label\":\"epi/Linear/Std/r0.50\",\"encoder\":\"Std\",\
              \"seq\":41,\"event\":2,\"wire_bytes\":86,\
-             \"epoch\":\"epi/Linear/Std/r0.50#3\",\"virtual_time\":5521984}"
+             \"epoch\":3,\"virtual_time\":5521984}"
         );
     }
 }

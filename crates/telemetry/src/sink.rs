@@ -22,6 +22,7 @@ use std::path::Path;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, RwLock};
 
+use crate::nonce::FleetNonceAudit;
 use crate::record::{BatchRecord, WireRecord};
 use crate::span::SpanEvent;
 
@@ -40,6 +41,10 @@ pub trait Sink: Send + Sync {
     /// Consumes one closed virtual-time span (trace export). Default:
     /// ignored — only trace sinks care.
     fn record_span(&self, _span: &SpanEvent) {}
+
+    /// Consumes one finished run's nonce audit, its frames sealed under
+    /// stream `label` (nonce auditing). Default: ignored.
+    fn record_nonces(&self, _label: &str, _audit: &FleetNonceAudit) {}
 
     /// Flushes buffered output, if any.
     fn flush(&self) {}
@@ -107,7 +112,6 @@ impl Sink for RecordingSink {
 #[derive(Debug)]
 pub struct JsonlSink<W: Write + Send> {
     writer: Mutex<BufWriter<W>>,
-    include_timings: bool,
 }
 
 impl JsonlSink<File> {
@@ -118,36 +122,21 @@ impl JsonlSink<File> {
 }
 
 impl<W: Write + Send> JsonlSink<W> {
-    /// Wraps an arbitrary writer; timings are included.
+    /// Wraps an arbitrary writer. Records are written as emitted; to get
+    /// byte-identical files from identical runs, switch stage timings off
+    /// at the source ([`set_timings_enabled`]).
     pub fn new(writer: W) -> Self {
         JsonlSink {
             writer: Mutex::new(BufWriter::new(writer)),
-            include_timings: true,
         }
-    }
-
-    /// Zeroes the `timings_ns` fields on write, so identical runs produce
-    /// byte-identical files. This is the mode the determinism tests use:
-    /// wall-clock stage timings are the one non-deterministic field in a
-    /// record.
-    pub fn without_timings(mut self) -> Self {
-        self.include_timings = false;
-        self
     }
 }
 
 impl<W: Write + Send> Sink for JsonlSink<W> {
     fn record_batch(&self, record: &BatchRecord) {
-        let line = if self.include_timings {
-            record.to_json()
-        } else {
-            let mut stripped = record.clone();
-            stripped.timings = Default::default();
-            stripped.to_json()
-        };
         let mut w = self.writer.lock().unwrap();
         // Telemetry must never take down the workload it observes.
-        let _ = writeln!(w, "{line}");
+        let _ = writeln!(w, "{}", record.to_json());
     }
 
     fn record_wire(&self, record: &WireRecord) {
@@ -179,6 +168,12 @@ impl Sink for FanoutSink {
     fn record_span(&self, span: &SpanEvent) {
         for sink in &self.0 {
             sink.record_span(span);
+        }
+    }
+
+    fn record_nonces(&self, label: &str, audit: &FleetNonceAudit) {
+        for sink in &self.0 {
+            sink.record_nonces(label, audit);
         }
     }
 
@@ -265,6 +260,13 @@ pub fn emit(record: &BatchRecord) {
 /// stream label and key epoch included.
 pub fn emit_wire(record: &WireRecord) {
     route(|sink| sink.record_wire(record));
+}
+
+/// Routes one finished run's nonce audit like [`emit`]. The experiment
+/// runner calls this once per run, with the audit of every frame the run
+/// sealed while a sink was active.
+pub fn emit_nonces(label: &str, audit: &FleetNonceAudit) {
+    route(|sink| sink.record_nonces(label, audit));
 }
 
 /// Routes one closed span like [`emit`]. Called by [`crate::span::Tracer`]
@@ -376,25 +378,18 @@ mod tests {
     }
 
     #[test]
-    fn jsonl_without_timings_zeroes_them() {
-        let mut record = rec(1);
-        record.timings.pack_ns = 12345;
-        let sink = JsonlSink::new(std::io::Cursor::new(Vec::new())).without_timings();
-        sink.record_batch(&record);
-        let writer = sink.writer.into_inner().unwrap();
-        let text = String::from_utf8(writer.into_inner().unwrap().into_inner()).unwrap();
-        assert!(text.contains("\"pack\":0"), "{text}");
-        assert!(!text.contains("12345"));
-    }
-
-    #[test]
     fn fanout_reaches_every_sink() {
         let a = Arc::new(RecordingSink::new());
         let b = Arc::new(RecordingSink::new());
-        let fan = FanoutSink(vec![a.clone(), b.clone()]);
+        let nonces = Arc::new(crate::nonce::NonceAuditSink::new());
+        let fan = FanoutSink(vec![a.clone(), b.clone(), nonces.clone()]);
         fan.record_batch(&rec(7));
+        let mut audit = FleetNonceAudit::new();
+        audit.observe(0, 0, 0);
+        fan.record_nonces("s", &audit);
         assert_eq!(a.len(), 1);
         assert_eq!(b.len(), 1);
+        assert_eq!(nonces.take().frames(), 1);
     }
 
     #[test]
@@ -405,7 +400,7 @@ mod tests {
             seq: 7,
             event: 2,
             wire_bytes: 86,
-            epoch: "cell|e3".into(),
+            epoch: 3,
             virtual_time: 1_234_567,
         };
         let sink = Arc::new(RecordingSink::new());
@@ -426,7 +421,7 @@ mod tests {
             seq: 0,
             event: 1,
             wire_bytes: 118,
-            epoch: "s#0".into(),
+            epoch: 0,
             virtual_time: 0,
         });
         let writer = sink.writer.into_inner().unwrap();

@@ -13,7 +13,7 @@ use std::sync::Mutex;
 use crate::record::BatchRecord;
 use crate::sink::Sink;
 
-/// Online statistics for one `(label, encoder)` stream.
+/// Online statistics for one `(label, encoder, target)` stream.
 #[derive(Debug, Clone, PartialEq)]
 pub struct StreamStats {
     /// Batches observed.
@@ -112,10 +112,13 @@ impl StreamStats {
     }
 }
 
-/// A run-level rollup keyed by `(label, encoder)`.
+/// A run-level rollup keyed by `(label, encoder, target bytes)`. The
+/// target is part of the key because labels omit the cipher: two cells
+/// that differ only in cipher seal to different fixed targets, and pooling
+/// them would show size variance no single deployment emits.
 #[derive(Debug, Default)]
 pub struct Summary {
-    streams: BTreeMap<(String, &'static str), StreamStats>,
+    streams: BTreeMap<(String, &'static str, Option<usize>), StreamStats>,
     leakage: crate::leakage::LeakageAudit,
 }
 
@@ -137,16 +140,17 @@ impl Summary {
     /// Folds one record into the rollup.
     pub fn observe(&mut self, record: &BatchRecord) {
         self.streams
-            .entry((record.label.clone(), record.encoder))
+            .entry((record.label.clone(), record.encoder, record.target_bytes))
             .or_insert_with(StreamStats::new)
             .observe(record);
     }
 
-    /// Stats for one `(label, encoder)` stream, if observed.
+    /// Stats for one `(label, encoder)` stream, if observed; the one with
+    /// the smallest target if several targets share the label.
     pub fn stream(&self, label: &str, encoder: &str) -> Option<&StreamStats> {
         self.streams
             .iter()
-            .find(|((l, e), _)| l == label && *e == encoder)
+            .find(|((l, e, _), _)| l == label && *e == encoder)
             .map(|(_, stats)| stats)
     }
 
@@ -155,16 +159,17 @@ impl Summary {
     pub fn encoder_streams(&self, encoder: &str) -> Vec<&StreamStats> {
         self.streams
             .iter()
-            .filter(|((_, e), _)| *e == encoder)
+            .filter(|((_, e, _), _)| *e == encoder)
             .map(|(_, stats)| stats)
             .collect()
     }
 
-    /// All `(label, encoder)` keys in deterministic (sorted) order.
-    pub fn keys(&self) -> Vec<(String, String)> {
+    /// All `(label, encoder, target bytes)` keys in deterministic (sorted)
+    /// order.
+    pub fn keys(&self) -> Vec<(String, String, Option<usize>)> {
         self.streams
             .keys()
-            .map(|(l, e)| (l.clone(), e.to_string()))
+            .map(|(l, e, t)| (l.clone(), e.to_string(), *t))
             .collect()
     }
 
@@ -193,8 +198,9 @@ impl fmt::Display for Summary {
     /// mimic                age            200    52     52   52.0   0.000    1042    10.8    14.2    19.5
     /// ```
     ///
-    /// A leakage section follows when wire frames were observed:
-    /// per-stream frame counts, distinct sizes, and NMI.
+    /// A label shared by several targets names each row's target
+    /// (`label @802B`). A leakage section follows when wire frames were
+    /// observed: per-stream frame counts, distinct sizes, and NMI.
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         writeln!(
             f,
@@ -216,11 +222,21 @@ impl fmt::Display for Summary {
             "{:-<20} {:-<9} {:-<8} {:-<5} {:-<6} {:-<6} {:-<7} {:-<7} {:-<7} {:-<7} {:-<7}",
             "", "", "", "", "", "", "", "", "", "", ""
         )?;
-        for ((label, encoder), stats) in &self.streams {
+        for ((label, encoder, target), stats) in &self.streams {
+            let shared = self
+                .streams
+                .keys()
+                .filter(|(l, e, _)| l == label && e == encoder)
+                .count()
+                > 1;
+            let name = match target {
+                Some(bytes) if shared => format!("{label} @{bytes}B"),
+                _ => label.clone(),
+            };
             writeln!(
                 f,
                 "{:<20} {:<9} {:>8} {:>5} {:>6} {:>6.1} {:>7.3} {:>7} {:>7.1} {:>7.1} {:>7.1}",
-                label,
+                name,
                 encoder,
                 stats.batches,
                 stats.min_len,
@@ -439,6 +455,32 @@ mod tests {
     }
 
     #[test]
+    fn targets_sharing_a_label_get_one_row_each() {
+        let mut records = Vec::new();
+        for len in [786, 802, 786, 802] {
+            let mut record = rec("AGE", "Epilepsy/Linear/AGE/r0.70", len);
+            record.target_bytes = Some(len);
+            records.push(record);
+        }
+        let summary = Summary::from_records(&records);
+        let rows = summary.encoder_streams("AGE");
+        assert_eq!(rows.len(), 2);
+        for row in rows {
+            assert_eq!(row.batches, 2);
+            assert_eq!(row.size_stddev(), 0.0);
+        }
+        let table = summary.to_string();
+        assert!(
+            table.contains("Epilepsy/Linear/AGE/r0.70 @786B AGE "),
+            "{table}"
+        );
+        assert!(
+            table.contains("Epilepsy/Linear/AGE/r0.70 @802B AGE "),
+            "{table}"
+        );
+    }
+
+    #[test]
     fn display_renders_every_stream_row() {
         let records = vec![rec("age", "mimic", 52), rec("standard", "mimic", 33)];
         let table = Summary::from_records(&records).to_string();
@@ -490,7 +532,7 @@ mod tests {
                 seq: i,
                 event: (i % 2) as usize,
                 wire_bytes: 60 + (i % 2) as usize * 20,
-                epoch: String::new(),
+                epoch: 0,
                 virtual_time: 0,
             });
         }

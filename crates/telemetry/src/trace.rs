@@ -16,7 +16,7 @@
 use std::collections::BTreeMap;
 use std::sync::Mutex;
 
-use crate::record::BatchRecord;
+use crate::record::{BatchRecord, JsonStr};
 use crate::sink::Sink;
 use crate::span::SpanEvent;
 
@@ -119,9 +119,9 @@ pub fn render_chrome_json(spans: &[SpanEvent]) -> String {
         }
         first = false;
         out.push_str(&format!(
-            "{{\"ph\":\"M\",\"pid\":1,\"tid\":{},\"name\":\"thread_name\",\"args\":{{\"name\":\"{}\"}}}}",
+            "{{\"ph\":\"M\",\"pid\":1,\"tid\":{},\"name\":\"thread_name\",\"args\":{{\"name\":{}}}}}",
             tid_of[track],
-            escape(label)
+            JsonStr(label)
         ));
     }
     for s in &timed {
@@ -130,33 +130,15 @@ pub fn render_chrome_json(spans: &[SpanEvent]) -> String {
         }
         first = false;
         out.push_str(&format!(
-            "{{\"ph\":\"X\",\"pid\":1,\"tid\":{},\"ts\":{},\"dur\":{},\"name\":\"{}\",\"cat\":\"{}\"}}",
+            "{{\"ph\":\"X\",\"pid\":1,\"tid\":{},\"ts\":{},\"dur\":{},\"name\":{},\"cat\":{}}}",
             tid_of[&s.track],
             s.start_us,
             s.dur_us,
-            escape(&s.name),
-            escape(s.cat)
+            JsonStr(&s.name),
+            JsonStr(s.cat)
         ));
     }
     out.push_str("\n]\n");
-    out
-}
-
-/// Minimal JSON string escape (labels are workspace-generated, but a stray
-/// quote must not corrupt the file).
-fn escape(value: &str) -> String {
-    let mut out = String::with_capacity(value.len());
-    for c in value.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
     out
 }
 
