@@ -125,13 +125,13 @@ struct StageStats {
 fn measure_stages(batch: &Batch, cfg: &BatchConfig) -> StageStats {
     let fmt = cfg.format();
 
-    let mut lane: Vec<u64> = Vec::new();
+    let mut raws: Vec<i64> = Vec::new();
     let quantize = time_steady(|| {
-        fmt.quantize_bits_slice(batch.values(), &mut lane);
-        std::hint::black_box(lane.len());
+        fmt.quantize_slice(batch.values(), &mut raws);
+        std::hint::black_box(raws.len());
     });
 
-    fmt.quantize_bits_slice(batch.values(), &mut lane);
+    let lane: Vec<u64> = raws.iter().map(|&raw| fmt.to_bits(raw)).collect();
     let width = fmt.width();
     let mut buf: Vec<u8> = Vec::new();
     let pack = time_steady(|| {

@@ -13,7 +13,7 @@ use age_sim::{
     PolicyKind, PowerFaults, Runner, SweepCell, SweepOptions,
 };
 
-use crate::report::Settings;
+use crate::report::{stream_scratch, Settings};
 
 /// Extension experiment ids (run via `repro -- <id>` like the paper ones).
 pub const EXTENSIONS: &[&str] = &[
@@ -435,6 +435,9 @@ pub fn refine(s: &Settings) -> String {
 
     let mut err = [0.0f64; 2];
     let mut time_us = [0.0f64; 2];
+    let mut scratches = ["AGE", "AGE-rescoring"]
+        .map(|defense| stream_scratch(format!("refine:Activity/Deviation/{defense}/r0.90")));
+    let mut msg = Vec::new();
     let mut batches = 0usize;
     for seq in runner.test_sequences() {
         let indices = policy.sample(&seq.values, d);
@@ -445,7 +448,8 @@ pub fn refine(s: &Settings) -> String {
         let batch = Batch::new(indices, values).expect("policy output is valid");
         for (i, enc) in [&base, &refined].into_iter().enumerate() {
             let start = Instant::now();
-            let msg = enc.encode(&batch, &cfg).expect("feasible target");
+            enc.encode_into(&batch, &cfg, &mut scratches[i], &mut msg)
+                .expect("feasible target");
             time_us[i] += start.elapsed().as_secs_f64() * 1e6;
             let decoded = enc.decode(&msg, &cfg).expect("own message");
             let recon =
@@ -571,6 +575,8 @@ pub fn compression(s: &Settings) -> String {
 
     let mut raw_obs = Vec::new();
     let mut compressed_obs = Vec::new();
+    let mut scratch = stream_scratch("compression:Epilepsy/Uniform/Standard/r0.70".into());
+    let mut plaintext = Vec::new();
     for (i, seq) in runner.test_sequences().iter().enumerate() {
         let indices = policy.sample(&seq.values, d);
         let mut values = Vec::with_capacity(indices.len() * d);
@@ -578,10 +584,10 @@ pub fn compression(s: &Settings) -> String {
             values.extend_from_slice(&seq.values[t * d..(t + 1) * d]);
         }
         let batch = Batch::new(indices, values).expect("policy output is valid");
-        let raw = cipher.seal(
-            i as u64,
-            &StandardEncoder.encode(&batch, &cfg).expect("fits"),
-        );
+        StandardEncoder
+            .encode_into(&batch, &cfg, &mut scratch, &mut plaintext)
+            .expect("fits");
+        let raw = cipher.seal(i as u64, &plaintext);
         let packed = cipher.seal(i as u64, &DeltaCodec.encode(&batch, &cfg).expect("fits"));
         raw_obs.push((seq.label, raw.len()));
         compressed_obs.push((seq.label, packed.len()));
@@ -693,6 +699,9 @@ pub fn utility(s: &Settings) -> String {
             ))),
         };
         let mut correct = 0usize;
+        let mut scratch =
+            stream_scratch(format!("utility:Epilepsy/Linear/{}/r0.70", defense.name()));
+        let mut plaintext = Vec::new();
         for seq in runner.test_sequences() {
             let indices = policy.sample(&seq.values, d);
             let mut values = Vec::with_capacity(indices.len() * d);
@@ -700,7 +709,9 @@ pub fn utility(s: &Settings) -> String {
                 values.extend_from_slice(&seq.values[t * d..(t + 1) * d]);
             }
             let batch = Batch::new(indices, values).expect("policy output is valid");
-            let plaintext = encoder.encode(&batch, cfg).expect("feasible target");
+            encoder
+                .encode_into(&batch, cfg, &mut scratch, &mut plaintext)
+                .expect("feasible target");
             let decoded = encoder.decode(&plaintext, cfg).expect("own message");
             let recon =
                 age_reconstruct::interpolate(decoded.indices(), decoded.values(), spec.seq_len, d);
@@ -848,6 +859,9 @@ pub fn design(s: &Settings) -> String {
         );
         for (name, split) in [("with split", true), ("without", false)] {
             let enc = AgeEncoder::new(plain).with_group_splitting(split);
+            let defense = if split { "AGE" } else { "AGE-unsplit" };
+            let mut scratch = stream_scratch(format!("design:Activity/Linear/{defense}/r0.90"));
+            let mut msg = Vec::new();
             let mut err = 0.0;
             let mut pad = 0.0;
             let mut n = 0usize;
@@ -858,7 +872,8 @@ pub fn design(s: &Settings) -> String {
                     values.extend_from_slice(&seq.values[t * d..(t + 1) * d]);
                 }
                 let batch = Batch::new(indices, values).expect("policy output is valid");
-                let msg = enc.encode(&batch, &cfg).expect("feasible target");
+                enc.encode_into(&batch, &cfg, &mut scratch, &mut msg)
+                    .expect("feasible target");
                 pad += inspect_message(&msg, &cfg)
                     .expect("own message")
                     .padding_fraction();
@@ -898,13 +913,19 @@ pub fn design(s: &Settings) -> String {
             "      {:<18} {:>8} {:>10}",
             "schedule", "target", "MAE"
         );
-        for (name, reduced) in [
-            ("capped (M_B/8)", target::reduced_target_bytes(m_b)),
-            ("paper-literal", target::reduced_target_bytes_uncapped(m_b)),
+        for (name, defense, reduced) in [
+            ("capped (M_B/8)", "AGE", target::reduced_target_bytes(m_b)),
+            (
+                "paper-literal",
+                "AGE-uncapped",
+                target::reduced_target_bytes_uncapped(m_b),
+            ),
         ] {
             let plain = target::plaintext_budget(reduced, age_crypto::CipherKind::Stream, 12, 16)
                 .max(AgeEncoder::min_target_bytes(&cfg));
             let enc = AgeEncoder::new(plain);
+            let mut scratch = stream_scratch(format!("design:Pavement/Linear/{defense}/r0.50"));
+            let mut msg = Vec::new();
             let mut err = 0.0;
             let mut n = 0usize;
             for seq in runner.test_sequences() {
@@ -914,7 +935,8 @@ pub fn design(s: &Settings) -> String {
                     values.extend_from_slice(&seq.values[t * d..(t + 1) * d]);
                 }
                 let batch = Batch::new(indices, values).expect("policy output is valid");
-                let msg = enc.encode(&batch, &cfg).expect("feasible target");
+                enc.encode_into(&batch, &cfg, &mut scratch, &mut msg)
+                    .expect("feasible target");
                 let decoded = enc.decode(&msg, &cfg).expect("own message");
                 let recon = age_reconstruct::interpolate(
                     decoded.indices(),

@@ -35,21 +35,13 @@ pub(crate) fn validate_standard(batch: &Batch, cfg: &BatchConfig) -> Result<(), 
 }
 
 /// Writes the standard layout into `w`: a 16-bit count, then each collected
-/// index with its full-width values. Infallible once validated. The whole
-/// batch is quantized in one lane pass through `lane` before packing.
-pub(crate) fn write_standard(
-    batch: &Batch,
-    cfg: &BatchConfig,
-    w: &mut BitWriter,
-    lane: &mut Vec<u64>,
-) {
-    let fmt = cfg.format();
+/// index with its full-width values, each measurement quantized and packed
+/// in one [`BitWriter::write_quantized`] pass. Infallible once validated.
+pub(crate) fn write_standard(batch: &Batch, cfg: &BatchConfig, w: &mut BitWriter) {
     w.write_u16(batch.len() as u16);
-    fmt.quantize_bits_slice(batch.values(), lane);
-    let d = batch.features();
     for (t, &idx) in batch.indices().iter().enumerate() {
         w.write_bits(idx as u64, cfg.index_bits());
-        w.write_fields(&lane[t * d..(t + 1) * d], fmt.width());
+        w.write_quantized(cfg.format(), batch.measurement(t));
     }
 }
 
@@ -143,7 +135,7 @@ impl Encoder for StandardEncoder {
         out.clear();
         out.reserve(cfg.standard_message_bytes(batch.len()));
         let mut w = BitWriter::from_vec(std::mem::take(out));
-        write_standard(batch, cfg, &mut w, &mut scratch.quant_bits);
+        write_standard(batch, cfg, &mut w);
         *out = w.into_bytes();
         probe.lap(Stage::Pack);
         probe.finish(&mut scratch.context, batch.len(), out.len(), || {
@@ -230,7 +222,7 @@ impl Encoder for PaddedEncoder {
         out.clear();
         out.reserve(self.pad_to);
         let mut w = BitWriter::from_vec(std::mem::take(out));
-        write_standard(batch, cfg, &mut w, &mut scratch.quant_bits);
+        write_standard(batch, cfg, &mut w);
         debug_assert_eq!(w.byte_len(), min);
         w.pad_to_bytes(self.pad_to);
         *out = w.into_bytes();

@@ -169,7 +169,6 @@ impl crate::Encoder for AgeEncoder {
             merge,
             split_log,
             trial_widths,
-            quant_bits,
             context,
             ..
         } = scratch;
@@ -266,7 +265,7 @@ impl crate::Encoder for AgeEncoder {
             w.write_bits(u64::from(width), WIDTH_BITS);
         }
         // A group's measurements are consecutive, so its values form one
-        // contiguous row-major slice: quantize the whole lane, then pack it.
+        // contiguous row-major slice: quantize and pack it in one pass.
         let mut t = 0usize;
         for (g, &width) in groups.iter().zip(widths.iter()) {
             if width == 0 {
@@ -275,8 +274,7 @@ impl crate::Encoder for AgeEncoder {
             }
             let fmt = Format::new(width, i16::from(width) - i16::from(g.exponent))
                 .expect("group widths and exponents always form a valid format");
-            fmt.quantize_bits_slice(&batch.values()[t * d..(t + g.count) * d], quant_bits);
-            w.write_fields(quant_bits, width);
+            w.write_quantized(fmt, &batch.values()[t * d..(t + g.count) * d]);
             t += g.count;
         }
         debug_assert_eq!(t, k);

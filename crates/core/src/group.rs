@@ -81,9 +81,8 @@ pub fn form_groups_into(exponents: &[u8], out: &mut Vec<Group>) {
 /// count.
 #[derive(Debug, Default)]
 pub struct MergeScratch {
-    order: Vec<usize>,
-    scores: Vec<i64>,
-    parent: Vec<usize>,
+    keys: Vec<(i64, usize)>,
+    merged: Vec<bool>,
 }
 
 /// Greedily merges adjacent groups (ascending initial score) until at most
@@ -95,8 +94,13 @@ pub fn merge_groups(groups: Vec<Group>, max_groups: usize) -> Vec<Group> {
 }
 
 /// Allocation-reusing form of [`merge_groups`]: merges within `groups`
-/// itself (each union-find set is a contiguous span, so the collapse can
-/// compact forward in place) and keeps all working state in `scratch`.
+/// itself and keeps all working state in `scratch`.
+///
+/// The greedy pass takes pairs in ascending `(score, i)` order and stops at
+/// the cap. Pair `i` is the only link between groups `i` and `i + 1`, so
+/// every pair it takes joins two different spans and removes one group:
+/// it takes exactly the `len − max_groups` smallest keys. Those are
+/// selected in linear time instead of sorting every key.
 pub fn merge_groups_in_place(
     groups: &mut Vec<Group>,
     max_groups: usize,
@@ -106,65 +110,39 @@ pub fn merge_groups_in_place(
     if groups.len() <= max_groups {
         return;
     }
-    // Initial scores of each adjacent pair (i, i+1), fixed up-front.
-    let initial_score = |a: &Group, b: &Group| -> i64 {
-        a.count as i64 + b.count as i64 + 2 * (i64::from(a.exponent) - i64::from(b.exponent)).abs()
-    };
-    scratch.scores.clear();
-    scratch
-        .scores
-        .extend((0..groups.len() - 1).map(|i| initial_score(&groups[i], &groups[i + 1])));
-    scratch.order.clear();
-    scratch.order.extend(0..groups.len() - 1);
-    let scores = &scratch.scores;
-    // The pair index tie-break makes the key unique, so the unstable sort is
-    // deterministic and avoids the stable sort's merge-buffer allocation.
-    scratch.order.sort_unstable_by_key(|&i| (scores[i], i));
-
-    // Union-find over original group slots; each merge joins slot i+1 into
-    // the set containing slot i.
-    scratch.parent.clear();
-    scratch.parent.extend(0..groups.len());
-    let parent = &mut scratch.parent;
-    fn find(parent: &mut [usize], mut x: usize) -> usize {
-        while parent[x] != x {
-            parent[x] = parent[parent[x]];
-            x = parent[x];
-        }
-        x
-    }
-    let mut remaining = groups.len();
-    for &i in &scratch.order {
-        if remaining <= max_groups {
-            break;
-        }
-        let left = find(parent, i);
-        let right = find(parent, i + 1);
-        if left != right {
-            parent[right] = left;
-            remaining -= 1;
-        }
+    // Initial score of each adjacent pair (i, i+1), keyed with its index:
+    // the keys are unique, so the selected set is deterministic.
+    let keys = &mut scratch.keys;
+    keys.clear();
+    keys.extend(groups.windows(2).enumerate().map(|(i, pair)| {
+        let (a, b) = (pair[0], pair[1]);
+        let score = a.count as i64
+            + b.count as i64
+            + 2 * (i64::from(a.exponent) - i64::from(b.exponent)).abs();
+        (score, i)
+    }));
+    let merges = groups.len() - max_groups;
+    keys.select_nth_unstable(merges - 1);
+    // `merged[i]`: group `i` joins its predecessor's span.
+    let merged = &mut scratch.merged;
+    merged.clear();
+    merged.resize(groups.len(), false);
+    for &(_, i) in &keys[..merges] {
+        merged[i + 1] = true;
     }
 
-    // Collapse to final groups, preserving order; each set is a contiguous
-    // span because only adjacent pairs merge, so the write cursor never
-    // overtakes the read cursor.
+    // Collapse the spans in order; the write cursor never overtakes the
+    // read cursor.
     let mut write = 0;
-    let mut last_root: Option<usize> = None;
     for i in 0..groups.len() {
-        let root = find(parent, i);
         let g = groups[i];
-        match last_root {
-            Some(r) if r == root => {
-                let tail = &mut groups[write - 1];
-                tail.count += g.count;
-                tail.exponent = tail.exponent.max(g.exponent);
-            }
-            _ => {
-                groups[write] = g;
-                write += 1;
-                last_root = Some(root);
-            }
+        if merged[i] {
+            let tail = &mut groups[write - 1];
+            tail.count += g.count;
+            tail.exponent = tail.exponent.max(g.exponent);
+        } else {
+            groups[write] = g;
+            write += 1;
         }
     }
     groups.truncate(write);
@@ -175,7 +153,7 @@ pub fn merge_groups_in_place(
 /// updates scores after each merge yields a better approximation" but "the
 /// benefits … are not worth the overhead on an MCU").
 ///
-/// Worst-case `O(g²)` versus the one-shot version's `O(g log g)`.
+/// Worst-case `O(g²)` versus the one-shot version's linear-time selection.
 pub fn merge_groups_rescoring(mut groups: Vec<Group>, max_groups: usize) -> Vec<Group> {
     let max_groups = max_groups.max(1);
     while groups.len() > max_groups {
@@ -274,8 +252,9 @@ pub fn assign_widths_into(
 /// value can go to padding. Splitting a run costs one directory entry
 /// (`entry_bits`) but shrinks the bump unit. This routine simulates the
 /// §4.4 assignment for each candidate group count up to `max_groups` and
-/// keeps the partition with the fewest wasted bits. Deterministic and
-/// cheap (`max_groups` is small), so an MCU can afford it.
+/// keeps the partition with the fewest wasted bits, stopping as soon as no
+/// further split could carry more data. Deterministic and cheap
+/// (`max_groups` is small), so an MCU can afford it.
 ///
 /// `avail_bits` is the space for directory + data together.
 pub fn optimize_partition(
@@ -354,7 +333,14 @@ pub fn optimize_partition_in_place(
     );
     // Number of leading entries of `split_log` in the best partition so far.
     let mut best_splits = 0;
-    while groups.len() < cap {
+    // A candidate with `g` groups carries at most
+    // `min(k·d·w0, avail − g·entry_bits)` data bits, a bound that only
+    // falls as `g` grows. Once it cannot beat `best_used`, no later
+    // candidate could be kept, so the search stops without trying them.
+    let full_bits = k * features * usize::from(full_width);
+    while groups.len() < cap
+        && full_bits.min(avail_bits.saturating_sub((groups.len() + 1) * entry_bits)) > best_used
+    {
         // Split the group with the most measurements into two halves.
         let (idx, _) = groups
             .iter()

@@ -164,9 +164,9 @@ fn raw_prune(batch: &RawBatch, drop: usize, frac_shift: i32) -> RawBatch {
     }
     let scores = raw_distance_scores(batch, frac_shift);
     let mut order: Vec<usize> = (0..k).collect();
-    order.sort_by_key(|&i| (scores[i], i));
+    order.select_nth_unstable_by_key(drop - 1, |&i| (scores[i], i));
     let mut keep = vec![true; k];
-    for &victim in order.iter().take(drop) {
+    for &victim in &order[..drop] {
         keep[victim] = false;
     }
     batch.retain(&keep)

@@ -88,12 +88,12 @@ pub fn prune_into(batch: &Batch, drop: usize, scratch: &mut PruneScratch, out: &
     }
     distance_scores_into(batch, &mut scratch.scores);
     // Select the `drop` smallest scores; tie-break by position. The index
-    // tie-break makes the comparator a total order, so the unstable sort is
-    // as deterministic as a stable one — without its merge-buffer allocation.
+    // tie-break makes the comparator a total order, so selection picks the
+    // same victims as a full sort, in linear time and without allocating.
     scratch.order.clear();
     scratch.order.extend(0..k);
     let scores = &scratch.scores;
-    scratch.order.sort_unstable_by(|&a, &b| {
+    scratch.order.select_nth_unstable_by(drop - 1, |&a, &b| {
         scores[a]
             .partial_cmp(&scores[b])
             .expect("scores are never NaN")
@@ -101,7 +101,7 @@ pub fn prune_into(batch: &Batch, drop: usize, scratch: &mut PruneScratch, out: &
     });
     scratch.keep.clear();
     scratch.keep.resize(k, true);
-    for &victim in scratch.order.iter().take(drop) {
+    for &victim in &scratch.order[..drop] {
         scratch.keep[victim] = false;
     }
     batch.retain_positions_into(&scratch.keep, out);
@@ -114,7 +114,8 @@ pub fn prune_into(batch: &Batch, drop: usize, scratch: &mut PruneScratch, out: &
 ///
 /// After each removal, the scores of the victim's neighbours are recomputed
 /// against their *new* successors, so the estimate of each drop's error
-/// stays exact. Worst-case `O(k·drop)` versus the one-shot `O(k log k)`.
+/// stays exact. Worst-case `O(k·drop)` versus the one-shot version's
+/// linear-time selection.
 pub fn prune_incremental(batch: &Batch, drop: usize) -> Batch {
     let k = batch.len();
     if drop == 0 || k == 0 {

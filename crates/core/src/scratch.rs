@@ -54,7 +54,7 @@ pub struct EncodeScratch {
     pub(crate) groups: Vec<Group>,
     /// Final per-group bit widths (§4.4).
     pub(crate) widths: Vec<u8>,
-    /// Order/score/union-find buffers for group merging.
+    /// Key/mask buffers for group merging.
     pub(crate) merge: MergeScratch,
     /// Split log for partition optimization.
     pub(crate) split_log: Vec<usize>,
@@ -62,11 +62,6 @@ pub struct EncodeScratch {
     pub(crate) trial_widths: Vec<u8>,
     /// Per-feature previous raw values for delta encoding.
     pub(crate) prev_raw: Vec<i64>,
-    /// Lane buffer of quantized two's complement patterns, filled per group
-    /// by `Format::quantize_bits_slice` and drained by
-    /// `BitWriter::write_fields`. Encode-only: decoders read each lane
-    /// straight into the batch with `BitReader::read_dequantized`.
-    pub(crate) quant_bits: Vec<u64>,
     /// Lane buffer of quantized raw integers for the delta codec.
     pub(crate) quant_raw: Vec<i64>,
     /// The stream the batch records of encodes through this scratch belong

@@ -172,8 +172,7 @@ impl Encoder for SingleEncoder {
         if width > 0 {
             let fmt = Format::from_integer_bits(width, fmt0.integer_bits().min(width))
                 .expect("clamped integer bits always fit the width");
-            fmt.quantize_bits_slice(batch.values(), &mut scratch.quant_bits);
-            w.write_fields(&scratch.quant_bits, width);
+            w.write_quantized(fmt, batch.values());
         }
         w.pad_to_bytes(self.target_bytes);
         *out = w.into_bytes();
@@ -314,8 +313,8 @@ impl Encoder for UnshiftedEncoder {
         for &width in &widths {
             w.write_bits(u64::from(width), WIDTH_BITS);
         }
-        // Each even group's measurements are consecutive: quantize the
-        // group's contiguous value slice as one lane, then pack it.
+        // Each even group's measurements are consecutive: quantize and pack
+        // the group's contiguous value slice as one lane.
         let mut t = 0usize;
         for (i, &c) in counts.iter().enumerate() {
             let width = widths[i];
@@ -325,8 +324,7 @@ impl Encoder for UnshiftedEncoder {
             }
             let fmt = Format::from_integer_bits(width, fmt0.integer_bits().min(width))
                 .expect("clamped integer bits always fit the width");
-            fmt.quantize_bits_slice(&batch.values()[t * d..(t + c) * d], &mut scratch.quant_bits);
-            w.write_fields(&scratch.quant_bits, width);
+            w.write_quantized(fmt, &batch.values()[t * d..(t + c) * d]);
             t += c;
         }
         w.pad_to_bytes(self.target_bytes);
@@ -448,7 +446,6 @@ impl Encoder for PrunedEncoder {
         let EncodeScratch {
             pruned,
             prune,
-            quant_bits,
             context,
             ..
         } = scratch;
@@ -464,8 +461,7 @@ impl Encoder for PrunedEncoder {
         out.reserve(self.target_bytes);
         let mut w = BitWriter::from_vec(std::mem::take(out));
         write_header_and_mask(&mut w, batch, cfg);
-        fmt.quantize_bits_slice(batch.values(), quant_bits);
-        w.write_fields(quant_bits, fmt.width());
+        w.write_quantized(fmt, batch.values());
         w.pad_to_bytes(self.target_bytes);
         *out = w.into_bytes();
         probe.lap(Stage::Pack);

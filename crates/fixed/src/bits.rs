@@ -6,13 +6,15 @@
 //! would shift bits onto a radio buffer.
 //!
 //! The writer shifts fields into the low end of a `u64` accumulator and
-//! spills eight big-endian bytes per 64-bit flush. The reader is a bit
-//! cursor: each read loads the eight bytes under the cursor as one word and
-//! shifts the field out of it, and [`BitReader::read_dequantized`] decodes a
-//! whole fixed-point lane straight to `f64` that way. The wire format is
-//! identical to a bit-at-a-time implementation (property tests in
-//! `tests/properties.rs` pin both sides against a reference oracle) — only
-//! the number of memory operations changes.
+//! spills eight big-endian bytes per 64-bit flush, and
+//! [`BitWriter::write_quantized`] quantizes and packs a whole fixed-point
+//! lane that way in one pass. The reader is a bit cursor: each read loads
+//! the eight bytes under the cursor as one word and shifts the field out
+//! of it, and [`BitReader::read_dequantized`] decodes a whole fixed-point
+//! lane straight to `f64` that way. The wire format is identical to a
+//! bit-at-a-time implementation (property tests in `tests/properties.rs`
+//! pin both sides against a reference oracle) — only the number of memory
+//! operations changes.
 
 use std::fmt;
 
@@ -157,22 +159,43 @@ impl BitWriter {
     /// Appends every element of `values` as a `count`-bit field, most
     /// significant bits first (a group-level batch write).
     ///
-    /// Equivalent to calling [`BitWriter::write_bits`] per element; keeping
-    /// the accumulator in locals lets the compiler hold it in registers
-    /// across the whole lane.
+    /// Equivalent to calling [`BitWriter::write_bits`] per element.
     ///
     /// # Panics
     ///
     /// Panics if `count > 64`.
     pub fn write_fields(&mut self, values: &[u64], count: u8) {
         assert!(count <= 64, "cannot write more than 64 bits at once");
+        self.write_lane(values.iter().copied(), count);
+    }
+
+    /// Quantizes every element of `values` to `fmt` and appends it as a
+    /// `fmt.width()`-bit two's complement field: a group's whole lane
+    /// quantized and packed in one pass, the encode-side mirror of
+    /// [`BitReader::read_dequantized`].
+    ///
+    /// Bit-identical to calling
+    /// `self.write_bits(fmt.to_bits(fmt.quantize(x)), fmt.width())` per
+    /// element.
+    pub fn write_quantized(&mut self, fmt: Format, values: &[f64]) {
+        let quantize = fmt.quantizer();
+        // The field mask keeps the low `width` bits of the raw integer,
+        // which is its two's complement pattern (`Format::to_bits`).
+        self.write_lane(values.iter().map(|&x| quantize(x) as u64), fmt.width());
+    }
+
+    /// The lane loop behind [`BitWriter::write_fields`] and
+    /// [`BitWriter::write_quantized`]: keeping the accumulator in locals
+    /// lets the compiler hold it in registers across the whole lane.
+    #[inline(always)]
+    fn write_lane(&mut self, fields: impl Iterator<Item = u64>, count: u8) {
         if count == 0 {
             return;
         }
         let mask = mask_low(count);
         let mut acc = self.acc;
         let mut acc_bits = u32::from(self.acc_bits);
-        for &raw in values {
+        for raw in fields {
             let value = raw & mask;
             let free = 64 - acc_bits;
             if u32::from(count) < free {

@@ -137,17 +137,29 @@ impl Format {
     /// Quantizes `x` to the nearest representable raw integer, saturating at
     /// the format bounds. Non-finite inputs saturate (NaN maps to zero).
     pub fn quantize(&self, x: f64) -> i64 {
-        if x.is_nan() {
-            return 0;
-        }
-        let scaled = x * exp2(i32::from(self.frac));
-        if scaled >= self.max_raw() as f64 {
-            self.max_raw()
-        } else if scaled <= self.min_raw() as f64 {
-            self.min_raw()
-        } else {
-            // Round half away from zero, like an MCU's fixed-point library.
-            scaled.round() as i64
+        self.quantizer()(x)
+    }
+
+    /// [`Format::quantize`] with the scale factor and saturation bounds
+    /// hoisted out, so a lane loop over the returned closure is pure
+    /// straight-line float math the compiler can vectorize.
+    #[inline]
+    pub(crate) fn quantizer(&self) -> impl Fn(f64) -> i64 {
+        let scale = exp2(i32::from(self.frac));
+        let (min_raw, max_raw) = (self.min_raw(), self.max_raw());
+        let (lo, hi) = (min_raw as f64, max_raw as f64);
+        move |x| {
+            let scaled = x * scale;
+            if x.is_nan() {
+                0
+            } else if scaled >= hi {
+                max_raw
+            } else if scaled <= lo {
+                min_raw
+            } else {
+                // Round half away from zero, like an MCU's fixed-point library.
+                scaled.round() as i64
+            }
         }
     }
 
@@ -200,61 +212,12 @@ impl Format {
     }
 
     /// Quantizes a whole slice into raw integers, replacing the contents of
-    /// `out` (which is cleared and resized — no allocation once warm).
-    ///
-    /// The scale factor and saturation bounds are hoisted out of the loop so
-    /// the body is pure straight-line float math the compiler can vectorize.
+    /// `out` (which is cleared and refilled — no allocation once warm).
     /// Results are bit-identical to calling [`Format::quantize`] per element.
     pub fn quantize_slice(&self, xs: &[f64], out: &mut Vec<i64>) {
+        let quantize = self.quantizer();
         out.clear();
-        out.resize(xs.len(), 0);
-        let scale = exp2(i32::from(self.frac));
-        let max_raw = self.max_raw();
-        let min_raw = self.min_raw();
-        let hi = max_raw as f64;
-        let lo = min_raw as f64;
-        for (raw, &x) in out.iter_mut().zip(xs) {
-            let scaled = x * scale;
-            *raw = if x.is_nan() {
-                0
-            } else if scaled >= hi {
-                max_raw
-            } else if scaled <= lo {
-                min_raw
-            } else {
-                scaled.round() as i64
-            };
-        }
-    }
-
-    /// Quantizes a whole slice straight to `width`-bit two's complement
-    /// patterns ready for [`crate::BitWriter::write_fields`], replacing the
-    /// contents of `out`.
-    ///
-    /// Fuses [`Format::quantize_slice`] and [`Format::to_bits`] into one
-    /// lane loop; bit-identical to the per-element composition.
-    pub fn quantize_bits_slice(&self, xs: &[f64], out: &mut Vec<u64>) {
-        out.clear();
-        out.resize(xs.len(), 0);
-        let scale = exp2(i32::from(self.frac));
-        let max_raw = self.max_raw();
-        let min_raw = self.min_raw();
-        let hi = max_raw as f64;
-        let lo = min_raw as f64;
-        let mask = self.mask();
-        for (bits, &x) in out.iter_mut().zip(xs) {
-            let scaled = x * scale;
-            let raw = if x.is_nan() {
-                0
-            } else if scaled >= hi {
-                max_raw
-            } else if scaled <= lo {
-                min_raw
-            } else {
-                scaled.round() as i64
-            };
-            *bits = (raw as u64) & mask;
-        }
+        out.extend(xs.iter().map(|&x| quantize(x)));
     }
 }
 
@@ -499,15 +462,11 @@ mod tests {
             123.456,
         ];
         let mut raws = Vec::new();
-        let mut bits = Vec::new();
         for fmt in cases {
             fmt.quantize_slice(&xs, &mut raws);
-            fmt.quantize_bits_slice(&xs, &mut bits);
             assert_eq!(raws.len(), xs.len());
             for (i, &x) in xs.iter().enumerate() {
-                let raw = fmt.quantize(x);
-                assert_eq!(raws[i], raw, "{fmt} x={x}");
-                assert_eq!(bits[i], fmt.to_bits(raw), "{fmt} x={x}");
+                assert_eq!(raws[i], fmt.quantize(x), "{fmt} x={x}");
             }
         }
     }

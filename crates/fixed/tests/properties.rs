@@ -338,6 +338,46 @@ fn write_run_and_fields_match_reference() {
 }
 
 #[test]
+fn write_quantized_matches_the_per_field_loop() {
+    // Every width at every lead offset, values spanning saturation in both
+    // directions, exact halves and non-finite inputs; pinned to the
+    // per-field composition and to the bit-serial oracle.
+    let mut rng = DetRng::seed_from_u64(0xFD);
+    for width in 1..=32u8 {
+        for lead in 0..=63u8 {
+            let n = rng.gen_range(1i64..=40) as i16;
+            let fmt = Format::new(width, i16::from(width) - n).expect("valid by construction");
+            let span = (fmt.max_value() - fmt.min_value()) * 1.5;
+            let values: Vec<f64> = (0..rng.gen_range(0usize..=40))
+                .map(|_| match rng.gen_range(0u32..8) {
+                    0 => f64::NAN,
+                    1 => f64::INFINITY,
+                    2 => f64::NEG_INFINITY,
+                    3 => fmt.step() * (rng.gen_range(-64i64..64) as f64 + 0.5),
+                    _ => rng.gen_range(-span..span),
+                })
+                .collect();
+            let mut lane = BitWriter::new();
+            let mut looped = BitWriter::new();
+            let mut slow = reference::SlowWriter::new();
+            lane.write_bits(0x2A5, lead);
+            looped.write_bits(0x2A5, lead);
+            slow.write_bits(0x2A5, lead);
+            lane.write_quantized(fmt, &values);
+            for &x in &values {
+                looped.write_bits(fmt.to_bits(fmt.quantize(x)), width);
+                slow.write_bits(fmt.to_bits(fmt.quantize(x)), width);
+            }
+            let case = format!("{fmt} lead={lead} fields={}", values.len());
+            assert_eq!(lane.bit_len(), slow.bit_len(), "{case}");
+            let bytes = lane.into_bytes();
+            assert_eq!(bytes, looped.into_bytes(), "{case}");
+            assert_eq!(bytes, slow.into_bytes(), "{case}");
+        }
+    }
+}
+
+#[test]
 fn pad_to_bytes_is_byte_exact() {
     let mut rng = DetRng::seed_from_u64(0xF8);
     for _ in 0..CASES {

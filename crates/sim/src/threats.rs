@@ -18,7 +18,7 @@
 //!   [`run_multi_event`] concatenates consecutive sequences into longer
 //!   batches labelled by their dominant event.
 
-use age_core::{target, AgeEncoder, Batch, BatchConfig, Encoder, StandardEncoder};
+use age_core::{target, AgeEncoder, Batch, BatchConfig, EncodeScratch, Encoder, StandardEncoder};
 
 use age_datasets::Sequence;
 
@@ -65,6 +65,13 @@ pub fn run_multi_event(
     let cfg = BatchConfig::new(long_len, d, spec.format)
         .expect("combined batch length must stay within 16 bits");
 
+    let mut scratch = EncodeScratch::new();
+    scratch.context.label = format!(
+        "multievent{events_per_batch}:{}/{}/{}/r{rate:.2}",
+        spec.name,
+        policy.name(),
+        defense.name()
+    );
     let policy = runner.policy(policy, rate);
     let cipher = runner.cipher(cipher);
     let encoder: Box<dyn Encoder> = match defense {
@@ -84,6 +91,7 @@ pub fn run_multi_event(
     let test: Vec<&Sequence> = runner.test_sequences().iter().collect();
     let mut observations = Vec::new();
     let mut sizes = std::collections::HashSet::new();
+    let mut plaintext = Vec::new();
     for (i, chunk) in test.chunks_exact(events_per_batch).enumerate() {
         let mut values = Vec::with_capacity(long_len * d);
         for seq in chunk {
@@ -96,8 +104,8 @@ pub fn run_multi_event(
             collected.extend_from_slice(&values[t * d..(t + 1) * d]);
         }
         let batch = Batch::new(indices, collected).expect("policy output is valid");
-        let plaintext = encoder
-            .encode(&batch, &cfg)
+        encoder
+            .encode_into(&batch, &cfg, &mut scratch, &mut plaintext)
             .expect("multi-event targets are feasible");
         let message = cipher.seal(i as u64, &plaintext);
         sizes.insert(message.len());
