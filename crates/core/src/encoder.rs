@@ -212,8 +212,8 @@ impl crate::Encoder for AgeEncoder {
         }
         // §4.3's utilization expansion: split homogeneous runs when a
         // directory entry buys back more padding than it costs.
-        if self.split_groups {
-            optimize_partition_in_place(
+        let widths_current = self.split_groups
+            && optimize_partition_in_place(
                 groups,
                 d,
                 w0,
@@ -223,14 +223,18 @@ impl crate::Encoder for AgeEncoder {
                 split_log,
                 trial_widths,
             );
-        }
         probe.lap(Stage::Merge);
 
-        // §4.4: per-group widths under the remaining budget.
-        let data_budget = target_bits
-            .saturating_sub(fixed_bits)
-            .saturating_sub(entry_bits * groups.len());
-        assign_widths_into(groups, d, w0, data_budget, widths);
+        // §4.4: per-group widths under the remaining budget (already
+        // computed when the split search kept its last candidate).
+        if widths_current {
+            std::mem::swap(widths, trial_widths);
+        } else {
+            let data_budget = target_bits
+                .saturating_sub(fixed_bits)
+                .saturating_sub(entry_bits * groups.len());
+            assign_widths_into(groups, d, w0, data_budget, widths);
+        }
         probe.lap(Stage::Quantize);
 
         // Assemble the message, cycling `out`'s allocation through the

@@ -284,7 +284,10 @@ pub fn optimize_partition(
 /// index in `split_log` and — once the search stops — rewinds the splits
 /// beyond the best step in reverse order (a split is its own inverse: merge
 /// the two halves back at the recorded index). `trial_widths` backs the
-/// per-candidate width simulation.
+/// per-candidate width simulation. Returns `true` when `trial_widths`
+/// already holds the widths [`assign_widths_into`] gives the final
+/// partition under `avail_bits` minus its directory — the search kept the
+/// last candidate it sized — so the caller need not size it again.
 #[allow(clippy::too_many_arguments)]
 pub fn optimize_partition_in_place(
     groups: &mut Vec<Group>,
@@ -295,10 +298,10 @@ pub fn optimize_partition_in_place(
     max_groups: usize,
     split_log: &mut Vec<usize>,
     trial_widths: &mut Vec<u8>,
-) {
+) -> bool {
     let k: usize = groups.iter().map(|g| g.count).sum();
     if k == 0 || groups.is_empty() {
-        return;
+        return false;
     }
     let cap = max_groups.min(k).max(groups.len());
     // Objective: maximize the bits that actually carry measurement data.
@@ -378,6 +381,9 @@ pub fn optimize_partition_in_place(
             break;
         }
     }
+    // Every split is sized as soon as it is made, so the widths are the
+    // final partition's exactly when no split has to be undone.
+    let widths_current = split_log.len() == best_splits;
     // Rewind to the best partition: undo the splits past `best_splits` in
     // reverse, so every logged index refers to the layout it was made in.
     while split_log.len() > best_splits {
@@ -385,6 +391,7 @@ pub fn optimize_partition_in_place(
         groups[idx].count += groups[idx + 1].count;
         groups.remove(idx + 1);
     }
+    widths_current
 }
 
 #[cfg(test)]

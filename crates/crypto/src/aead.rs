@@ -157,7 +157,7 @@ impl Cipher for ChaCha20Poly1305 {
         // `out`.
         let pass = FirstPass::new(&self.key, nonce);
         if !tags_equal(&tag(&pass.poly_key(), body), received) {
-            return Err(OpenError::BadPadding); // authentication failure
+            return Err(OpenError::TagMismatch);
         }
         out.clear();
         out.extend_from_slice(body);

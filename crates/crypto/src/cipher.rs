@@ -40,6 +40,9 @@ pub enum OpenError {
     },
     /// Padding bytes were malformed (block ciphers with PKCS#7).
     BadPadding,
+    /// The authentication tag does not match the message (AEAD ciphers):
+    /// the frame was forged, corrupted, or sealed under another key.
+    TagMismatch,
 }
 
 impl fmt::Display for OpenError {
@@ -58,6 +61,7 @@ impl fmt::Display for OpenError {
                 )
             }
             OpenError::BadPadding => f.write_str("invalid block padding"),
+            OpenError::TagMismatch => f.write_str("authentication tag mismatch"),
         }
     }
 }
@@ -146,5 +150,6 @@ mod tests {
         let e = OpenError::Misaligned { len: 17, block: 16 };
         assert!(e.to_string().contains("16-byte block"));
         assert!(OpenError::BadPadding.to_string().contains("padding"));
+        assert!(OpenError::TagMismatch.to_string().contains("tag mismatch"));
     }
 }

@@ -214,7 +214,7 @@ fn every_single_bit_flip_is_rejected() {
             let mut out = sentinel.clone();
             assert_eq!(
                 aead.open_into(&forged, &mut out),
-                Err(OpenError::BadPadding),
+                Err(OpenError::TagMismatch),
                 "len {len}, bit {bit} accepted"
             );
             assert_eq!(out, sentinel, "len {len}, bit {bit} wrote to out");

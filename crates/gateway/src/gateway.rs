@@ -13,7 +13,7 @@ use age_transport::ReceiverStats;
 use crate::frame::{sensor_id_of, FleetFrame, GatewayError};
 use crate::health::ShardReport;
 use crate::latency::LatencyHistogram;
-use crate::route::{derive_key, shard_of};
+use crate::route::{derive_key, shard_of, stagger_phase};
 use crate::session::Session;
 use crate::shard::{CohortStats, Shard, ShardStats};
 
@@ -60,9 +60,9 @@ pub struct GatewayConfig {
     /// Fleet-wide staggered rekey: `Some(interval)` provisions every
     /// session with an epoch ratchet rooted in the fleet secret, each
     /// sensor rotating every `interval` sequence numbers at its own
-    /// [`stagger_phase`](crate::route::stagger_phase) (interval 0 =
-    /// ratchets with explicit rotation only). `None` (the default) keeps
-    /// the legacy static keys and byte-identical artifacts.
+    /// [`stagger_phase`] (interval 0 = a ratchet that never rotates).
+    /// `None` (the default) keeps the legacy static keys and
+    /// byte-identical artifacts.
     pub rekey_interval: Option<u64>,
     /// Datagrams longer than this are dropped before the cipher runs.
     pub max_datagram_len: usize,
@@ -147,7 +147,8 @@ impl Gateway {
         let session = match self.config.rekey_interval {
             Some(interval) => {
                 let root = crate::route::derive_root(self.config.fleet_seed, sensor_id);
-                Session::with_rekey(root, interval, cohort)
+                let phase = stagger_phase(self.config.fleet_seed, sensor_id, interval);
+                Session::with_rekey(root, interval, phase, cohort)
             }
             None => {
                 let key = derive_key(self.config.fleet_seed, sensor_id);

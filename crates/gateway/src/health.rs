@@ -368,7 +368,7 @@ mod tests {
         assert!(row.contains("8192"), "p99 column: {row}");
     }
 
-    mod telemetry_gated {
+    mod exports {
         use super::*;
         use age_telemetry::AlarmKind;
 

@@ -126,7 +126,7 @@ mod tests {
         }
         let hit = seen.iter().filter(|&&n| n > 0).count();
         assert!(hit > 48, "only {hit}/64 phases used — rekeys would herd");
-        assert_eq!(stagger_phase(7, 11, 0), 0, "explicit-only fleets");
+        assert_eq!(stagger_phase(7, 11, 0), 0, "non-rotating fleets");
         assert_eq!(
             stagger_phase(7, 11, interval),
             stagger_phase(7, 11, interval),

@@ -8,12 +8,7 @@
 //! byte-identical at any shard or thread count.
 
 use age_crypto::ChaCha20Poly1305;
-use age_transport::{chacha20poly1305_factory, epoch_skip_budget, Receiver};
-
-/// The far-future skip tolerance, shared with every single-link receiver:
-/// one definition in `age-transport` ([`age_transport::MAX_SKIP`]) so the
-/// gateway and the link sims cannot drift apart.
-pub(crate) use age_transport::MAX_SKIP;
+use age_transport::{chacha20poly1305_factory, Receiver};
 
 /// Server-side state for one provisioned sensor.
 pub(crate) struct Session {
@@ -33,23 +28,19 @@ impl Session {
     /// A fresh session over `key` in `cohort`.
     pub(crate) fn new(key: [u8; 32], cohort: usize) -> Session {
         Session {
-            receiver: Receiver::with_max_skip(Box::new(ChaCha20Poly1305::new(key)), MAX_SKIP),
+            receiver: Receiver::new(Box::new(ChaCha20Poly1305::new(key))),
             cohort,
             last_send_us: None,
         }
     }
 
-    /// A rekey-capable session: keys ratchet from `root`, and the
-    /// receiver tolerates the epoch skew a sensor rotating every
-    /// `interval` sequence numbers can produce across brownouts.
-    pub(crate) fn with_rekey(root: [u8; 32], interval: u64, cohort: usize) -> Session {
+    /// A rekey-capable session: keys ratchet from `root` on the sensor's
+    /// schedule (every `interval` sequence numbers from `phase`), and the
+    /// receiver tolerates the epoch skew that schedule can produce across
+    /// brownouts.
+    pub(crate) fn with_rekey(root: [u8; 32], interval: u64, phase: u64, cohort: usize) -> Session {
         Session {
-            receiver: Receiver::with_ratchet(
-                root,
-                MAX_SKIP,
-                epoch_skip_budget(MAX_SKIP, interval),
-                chacha20poly1305_factory,
-            ),
+            receiver: Receiver::with_rekey(root, interval, phase, chacha20poly1305_factory),
             cohort,
             last_send_us: None,
         }

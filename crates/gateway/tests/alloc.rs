@@ -256,11 +256,12 @@ fn steady_state_rejections_are_allocation_free() {
     );
 }
 
-/// Forged frames and stale replays fail every key a rekeying session
-/// holds, so each one probes the whole epoch skip budget. The session
-/// derives those probe ciphers once and keeps them: after the first
-/// forgery has filled its probe cache, further forgeries and replays
-/// from more than one epoch back must not touch the heap.
+/// A rekeying session tries no key newer than a frame's watermark epoch,
+/// so a forgery at a current sequence number tries at most two keys and a
+/// replay from more than one epoch back none. Only a forgery claiming a
+/// far-ahead sequence probes the whole epoch skip budget; the session
+/// derives those probe ciphers once and keeps them. After the first such
+/// forgery, further forgeries and stale replays must not touch the heap.
 #[test]
 fn rekeying_rejections_reuse_the_probe_cache() {
     const INTERVAL: u64 = 16;
@@ -288,12 +289,18 @@ fn rekeying_rejections_reuse_the_probe_cache() {
     }
     let mut forged = valid[valid.len() - 1].clone();
     forged.wire[30] ^= 0x40;
+    // The same forgery with its nonce rewritten to claim a sequence number
+    // 2,048 ahead (the sequence sits in wire bytes 12..20).
+    let mut far = forged.clone();
+    far.wire[12..20].copy_from_slice(&(valid.len() as u64 + 2048).to_le_bytes());
     let stale = &valid[..10];
-    // The first forgery derives the probe cache.
+    // The first far-ahead forgery derives the probe cache.
     gateway.ingest(&forged).expect_err("forged frame rejected");
+    gateway.ingest(&far).expect_err("forged frame rejected");
 
     let before = alloc::snapshot();
-    for frame in std::iter::repeat_n(&forged, 10).chain(stale) {
+    let forgeries = std::iter::repeat_n(&forged, 10).chain(std::iter::repeat_n(&far, 10));
+    for frame in forgeries.chain(stale) {
         let verdict = gateway.ingest(frame);
         assert!(
             matches!(verdict, Err(GatewayError::Receive(ReceiveError::Cipher(_)))),
@@ -308,5 +315,5 @@ fn rekeying_rejections_reuse_the_probe_cache() {
     );
     let report = gateway.fleet_report();
     assert_eq!(report.stats.accepted, valid.len() as u64);
-    assert_eq!(report.stats.rejected(), 21);
+    assert_eq!(report.stats.rejected(), 32);
 }

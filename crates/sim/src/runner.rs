@@ -19,8 +19,8 @@ use age_sampling::{
 };
 use age_telemetry::{DetRng, FleetNonceAudit, Tracer, WireRecord};
 use age_transport::{
-    chacha20poly1305_factory, epoch_skip_budget, ChannelStats, FaultChannel, FaultPlan, Link,
-    LinkStats, NvmFaultPlan, NvmStore, Receiver, RetryPolicy, Sensor, SequenceJournal, MAX_SKIP,
+    chacha20poly1305_factory, ChannelStats, FaultChannel, FaultPlan, Link, LinkStats, NvmFaultPlan,
+    NvmStore, Receiver, RetryPolicy, Sensor, SequenceJournal,
 };
 
 /// Which sampling policy to run.
@@ -751,19 +751,13 @@ impl Runner {
         let channel = FaultChannel::with_seed(setup.plan, channel_seed);
         let mut link = match setup.rekey_interval {
             Some(interval) => {
-                // Both endpoints ratchet from the same per-cell root; the
-                // receiver's epoch-skip budget covers the jump a
-                // journal-block brownout can produce.
+                // Both endpoints ratchet from the same per-cell root on
+                // the same schedule (phase 0).
                 let root =
                     age_crypto::kdf::sensor_root(&age_crypto::kdf::fleet_secret(channel_seed), 0);
                 Link::with_parts(
                     Sensor::with_rekey(root, interval, 0, chacha20poly1305_factory),
-                    Receiver::with_ratchet(
-                        root,
-                        MAX_SKIP,
-                        epoch_skip_budget(MAX_SKIP, interval),
-                        chacha20poly1305_factory,
-                    ),
+                    Receiver::with_rekey(root, interval, 0, chacha20poly1305_factory),
                     channel,
                     setup.retry,
                 )

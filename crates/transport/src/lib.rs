@@ -68,8 +68,8 @@ mod telemetry;
 
 pub use fault::{ChannelStats, FaultChannel, FaultPlan};
 pub use link::{
-    chacha20poly1305_factory, epoch_of, epoch_skip_budget, CipherFactory, Delivery, Link,
-    LinkStats, ReceiveError, Receiver, ReceiverStats, RetryPolicy, Sensor, MAX_SKIP,
+    chacha20poly1305_factory, epoch_of, CipherFactory, Delivery, Link, LinkStats, ReceiveError,
+    Receiver, ReceiverStats, RetryPolicy, Sensor, MAX_SKIP,
 };
 pub use persist::{
     JournalError, JournalStats, NvmFaultPlan, NvmStats, NvmStore, RecoveredState, SequenceJournal,

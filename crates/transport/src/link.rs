@@ -58,9 +58,10 @@ impl std::error::Error for ReceiveError {
 /// How far ahead of the highest accepted sequence number a frame may claim
 /// to be before the receiver rejects it as [`ReceiveError::FarFuture`].
 ///
-/// This is the single shared definition: [`Receiver::MAX_SKIP`] re-exports
-/// it and the gateway's session layer imports it, so the transport guard
-/// and the fleet guard cannot drift apart.
+/// It also sets a rekeying receiver's epoch probe budget: a post-brownout
+/// sensor may skip up to `MAX_SKIP` sequence numbers, crossing up to
+/// `MAX_SKIP / interval + 1` epoch boundaries, so the receiver probes up
+/// to `MAX_SKIP / interval + 2` epochs ahead.
 pub const MAX_SKIP: u64 = 1024;
 
 /// Builds a cipher from a 32-byte epoch key. Rekey-capable sensors and
@@ -85,9 +86,9 @@ pub fn chacha20poly1305_factory(key: [u8; 32]) -> Box<dyn Cipher> {
 /// alone. That is the load-bearing property of the whole design: the epoch
 /// is derived state on both ends of the link, it never appears on the
 /// wire, and after any brownout both sides recompute it consistently from
-/// the recovered sequence position. An `interval` of 0 disables watermark
-/// rotation (epoch 0 forever, or explicit [`Sensor::rotate`] commands
-/// only).
+/// the recovered sequence position. An `interval` of 0 disables rotation
+/// (epoch 0 forever). A sensor never seals *ahead* of this schedule, only
+/// behind it while a rotation the NVM refused to journal is deferred.
 pub fn epoch_of(sequence: u64, interval: u64, phase: u64) -> u64 {
     if interval == 0 {
         return 0;
@@ -97,18 +98,6 @@ pub fn epoch_of(sequence: u64, interval: u64, phase: u64) -> u64 {
         0
     } else {
         (sequence - phase) / interval + u64::from(phase > 0)
-    }
-}
-
-/// How many epochs ahead of its current one a receiver should be willing
-/// to probe: a post-brownout sensor may legitimately skip up to `max_skip`
-/// sequence numbers, which at watermark `interval` crosses up to
-/// `max_skip / interval` epoch boundaries at once (plus slack for an
-/// explicit rotation riding the same gap).
-pub fn epoch_skip_budget(max_skip: u64, interval: u64) -> u64 {
-    match max_skip.checked_div(interval) {
-        None => Receiver::DEFAULT_EPOCH_SKIP,
-        Some(crossings) => crossings.saturating_add(2),
     }
 }
 
@@ -134,8 +123,8 @@ struct SensorRekey {
 ///
 /// A rekey-capable sensor ([`Sensor::with_rekey`]) additionally carries a
 /// key epoch: the sealing key is the ratchet's key for the current epoch,
-/// and crossing a watermark boundary (or an explicit [`Sensor::rotate`])
-/// advances the ratchet and swaps the cipher. Nothing about the frame
+/// and crossing a watermark boundary advances the ratchet and swaps the
+/// cipher. Nothing about the frame
 /// changes — same length, same layout — so rotation is invisible on the
 /// wire.
 pub struct Sensor {
@@ -164,8 +153,8 @@ impl Sensor {
 
     /// A rekey-capable sensor: keys come from an [`EpochRatchet`] chained
     /// off `root`, rotated every `interval` sequence numbers at stagger
-    /// `phase` (see [`epoch_of`]; `interval` 0 means explicit rotation
-    /// only), sealing with ciphers built by `factory`.
+    /// `phase` (see [`epoch_of`]; `interval` 0 never rotates), sealing with
+    /// ciphers built by `factory`.
     pub fn with_rekey(root: [u8; 32], interval: u64, phase: u64, factory: CipherFactory) -> Self {
         let ratchet = EpochRatchet::new(root);
         let mut sensor = Sensor::new(factory(ratchet.key()));
@@ -224,14 +213,6 @@ impl Sensor {
         self.epoch = epoch;
         metric(|| global::KEY_ROTATIONS.add(1));
         true
-    }
-
-    /// Explicit rotation command: advance one epoch regardless of the
-    /// watermark. Returns the epoch now in use (unchanged on a sensor
-    /// without rekey state).
-    pub fn rotate(&mut self) -> u64 {
-        self.rotate_to(self.epoch + 1);
-        self.epoch
     }
 
     /// Seals `payload` under the next sequence number.
@@ -392,18 +373,19 @@ struct ReceiverRekey {
     ratchet: EpochRatchet,
     /// Ciphers for epochs `epoch + 1 ..= epoch + ahead.len()`, derived
     /// on demand by the forward probe and kept until the receiver moves
-    /// past their epoch, so forged and stale frames, which probe all
-    /// `skip` of them, derive each key once per session rather than once
-    /// per frame. Never longer than `skip`.
+    /// past their epoch, so a forgery claiming a far-ahead sequence
+    /// derives each key once per session rather than once per frame.
+    /// Never longer than the probe budget (see [`MAX_SKIP`]).
     ahead: VecDeque<Box<dyn Cipher>>,
     /// Cipher for the previous epoch, kept so stragglers sealed just
     /// before a rotation still open (the deliberate skew-tolerance
     /// trade-off: one old epoch key stays in memory until the next
     /// rotation retires it).
     prev_cipher: Option<Box<dyn Cipher>>,
-    /// How many epochs ahead the receiver probes before giving up (see
-    /// [`epoch_skip_budget`]).
-    skip: u64,
+    /// The sensor's schedule: no key newer than a frame's watermark epoch
+    /// is ever tried on it.
+    interval: u64,
+    phase: u64,
     factory: CipherFactory,
 }
 
@@ -426,21 +408,12 @@ pub struct Receiver {
 }
 
 impl Receiver {
-    /// How far ahead of the highest accepted sequence number a frame may
-    /// claim to be before it is rejected as [`ReceiveError::FarFuture`].
-    /// Re-exports the crate-wide [`MAX_SKIP`](crate::link::MAX_SKIP) so
-    /// existing call sites keep compiling.
-    pub const MAX_SKIP: u64 = crate::link::MAX_SKIP;
-
-    /// Default epoch probe budget when no watermark interval is known.
-    pub const DEFAULT_EPOCH_SKIP: u64 = 4;
-
     /// A receiver with an empty replay window.
     pub fn new(cipher: Box<dyn Cipher>) -> Self {
         Receiver {
             cipher,
             window: ReplayWindow::new(),
-            max_skip: Self::MAX_SKIP,
+            max_skip: MAX_SKIP,
             stats: ReceiverStats::default(),
             epoch: 0,
             last_epoch: 0,
@@ -448,37 +421,34 @@ impl Receiver {
         }
     }
 
-    /// A receiver with a custom far-future guard distance (sessions whose
-    /// senders legitimately skip far ahead, or fuzz harnesses probing the
-    /// guard, tighten or widen it here).
-    pub fn with_max_skip(cipher: Box<dyn Cipher>, max_skip: u64) -> Self {
-        let mut receiver = Receiver::new(cipher);
-        receiver.max_skip = max_skip;
-        receiver
-    }
-
-    /// A rekey-capable receiver: keys come from an [`EpochRatchet`]
+    /// The receiver for a [`Sensor::with_rekey`] sensor with the same
+    /// `root`, `interval` and `phase`: keys come from an [`EpochRatchet`]
     /// chained off `root`, and a frame that fails to open under the
-    /// current epoch key is retried under the previous epoch's key and up
-    /// to `epoch_skip` future epochs' keys (see [`epoch_skip_budget`]) —
-    /// so lost rotation frames and post-brownout epoch jumps degrade into
-    /// one extra trial decryption instead of a bricked session.
-    pub fn with_ratchet(
-        root: [u8; 32],
-        max_skip: u64,
-        epoch_skip: u64,
-        factory: CipherFactory,
-    ) -> Self {
+    /// current epoch key is retried under the previous epoch's key and the
+    /// future epochs' keys up to the frame's own watermark epoch, so lost
+    /// rotation frames and post-brownout epoch jumps cost one extra trial
+    /// decryption instead of a bricked session.
+    pub fn with_rekey(root: [u8; 32], interval: u64, phase: u64, factory: CipherFactory) -> Self {
         let ratchet = EpochRatchet::new(root);
-        let mut receiver = Receiver::with_max_skip(factory(ratchet.key()), max_skip);
+        let mut receiver = Receiver::new(factory(ratchet.key()));
         receiver.rekey = Some(Box::new(ReceiverRekey {
             ratchet,
             ahead: VecDeque::new(),
             prev_cipher: None,
-            skip: epoch_skip.max(1),
+            interval,
+            phase,
             factory,
         }));
         receiver
+    }
+
+    /// Replaces the far-future guard (and with it the epoch probe budget)
+    /// and the replay window size. Production receivers keep [`MAX_SKIP`]
+    /// and [`ReplayWindow::SIZE`]; a model checker shrinks both.
+    pub fn with_limits(mut self, max_skip: u64, window: u64) -> Self {
+        self.max_skip = max_skip;
+        self.window = ReplayWindow::with_size(window);
+        self
     }
 
     /// The replay window's highest accepted sequence number, if any.
@@ -536,7 +506,7 @@ impl Receiver {
                 return Err(ReceiveError::MissingSequence);
             }
         };
-        let opened_epoch = self.open_any(frame, payload).map_err(|e| {
+        let opened_epoch = self.open_any(sequence, frame, payload).map_err(|e| {
             self.stats.auth_failed += 1;
             metric(|| global::FRAMES_AUTH_FAILED.add(1));
             ReceiveError::Cipher(e)
@@ -562,36 +532,50 @@ impl Receiver {
 
     /// Opens `frame` under the current epoch key, then — on a
     /// rekey-capable receiver — retries under the previous epoch's key
-    /// (straggler sealed just before a rotation) and finally probes up to
-    /// `skip` future epochs in order (the sensor rotated, perhaps several
-    /// times across a brownout; a successful forward open commits the
-    /// receiver to the new epoch). Returns the epoch the frame opened
-    /// under.
+    /// (straggler sealed just before a rotation) and finally probes future
+    /// epochs in order (the sensor rotated, perhaps several times across a
+    /// brownout; a successful forward open commits the receiver to the new
+    /// epoch). Returns the epoch the frame opened under.
+    ///
+    /// No key newer than the watermark epoch of `sequence` is tried: the
+    /// sensor never seals ahead of [`epoch_of`], so verdicts and epochs
+    /// are those of the uncapped probe, while a replay from before the
+    /// previous epoch costs no open and a forgery at most two. A frame no
+    /// key was tried on gets the error the current key would have given.
     ///
     /// The replay window is shared across epochs — sequence numbers are
     /// global — so skew handling needs no window surgery: whatever epoch a
     /// frame opens under, its sequence number still has to clear the same
     /// far-future guard and replay window as always.
-    fn open_any(&mut self, frame: &[u8], payload: &mut Vec<u8>) -> Result<u64, OpenError> {
-        let err = match self.cipher.open_into(frame, payload) {
-            Ok(()) => return Ok(self.epoch),
-            Err(err) => err,
-        };
+    fn open_any(
+        &mut self,
+        sequence: u64,
+        frame: &[u8],
+        payload: &mut Vec<u8>,
+    ) -> Result<u64, OpenError> {
         let Some(rekey) = self.rekey.as_deref_mut() else {
-            return Err(err);
+            return self.cipher.open_into(frame, payload).map(|()| self.epoch);
         };
-        // The straggler path first: one cheap trial, no key derivation.
+        let newest = epoch_of(sequence, rekey.interval, rekey.phase);
+        let mut err = None;
+        if self.epoch <= newest {
+            match self.cipher.open_into(frame, payload) {
+                Ok(()) => return Ok(self.epoch),
+                Err(e) => err = Some(e),
+            }
+        }
+        // The straggler path: one cheap trial, no key derivation.
         if let Some(prev) = rekey.prev_cipher.as_ref() {
-            if prev.open_into(frame, payload).is_ok() {
+            if self.epoch - 1 <= newest && prev.open_into(frame, payload).is_ok() {
                 self.stats.epoch_behind += 1;
                 return Ok(self.epoch - 1);
             }
         }
-        // Forward probes. Genuine rotations usually stop at the first
-        // candidate, but every forged frame and every replay older than
-        // the previous epoch walks all `skip` of them, so each candidate
-        // is derived once, on first use, and queued in `ahead`.
-        for offset in 0..rekey.skip as usize {
+        // Forward probes, up to the frame's watermark epoch. Each
+        // candidate is derived once, on first use, and queued in `ahead`.
+        let budget = (self.max_skip / rekey.interval.max(1)).saturating_add(2);
+        let reach = budget.min(newest.saturating_sub(self.epoch));
+        for offset in 0..reach as usize {
             if offset == rekey.ahead.len() {
                 rekey.ratchet.advance();
                 rekey.ahead.push_back((rekey.factory)(rekey.ratchet.key()));
@@ -614,7 +598,17 @@ impl Receiver {
                 return Ok(self.epoch);
             }
         }
-        Err(err)
+        Err(err.unwrap_or_else(|| {
+            let min = self.cipher.overhead();
+            if frame.len() < min {
+                OpenError::Truncated {
+                    len: frame.len(),
+                    min,
+                }
+            } else {
+                OpenError::TagMismatch
+            }
+        }))
     }
 }
 
@@ -806,7 +800,7 @@ impl Link {
 
     /// Assembles a session from pre-built endpoints — the constructor for
     /// rekey-capable links ([`Sensor::with_rekey`] on one side,
-    /// [`Receiver::with_ratchet`] on the other) or any other custom
+    /// [`Receiver::with_rekey`] on the other) or any other custom
     /// endpoint configuration.
     pub fn with_parts(
         sensor: Sensor,
@@ -926,24 +920,6 @@ impl Link {
         let Some(target) = self.sensor.rotation_due(sequence) else {
             return;
         };
-        self.commit_rotation(target);
-    }
-
-    /// Rotates the sensor one epoch ahead by explicit command — the
-    /// out-of-band trigger (operator or server policy), as opposed to the
-    /// sequence-watermark schedule. The journaled write-ahead applies
-    /// exactly as for scheduled rotations. Returns the sensor's epoch
-    /// afterwards — unchanged when the NVM refused the journal record or
-    /// the sensor has no rekey state.
-    pub fn rotate_sensor(&mut self) -> u64 {
-        self.commit_rotation(self.sensor.epoch() + 1);
-        self.sensor.epoch()
-    }
-
-    fn commit_rotation(&mut self, target: u64) {
-        if target <= self.sensor.epoch() {
-            return;
-        }
         if let Some(journal) = self.journal.as_mut() {
             let flushes_before = journal.stats().flushes;
             let committed = journal.record_epoch(target).is_ok();
@@ -1444,7 +1420,7 @@ mod tests {
 
     #[test]
     fn error_displays_are_informative() {
-        let e = ReceiveError::Cipher(OpenError::BadPadding);
+        let e = ReceiveError::Cipher(OpenError::TagMismatch);
         assert!(e.to_string().contains("failed to open"));
         assert!(std::error::Error::source(&e).is_some());
         let e = ReceiveError::Replay(crate::replay::ReplayError::Replayed { sequence: 3 });
@@ -1463,12 +1439,7 @@ mod tests {
         let root = age_crypto::kdf::sensor_root(&age_crypto::kdf::fleet_secret(77), 3);
         (
             Sensor::with_rekey(root, interval, 0, chacha20poly1305_factory),
-            Receiver::with_ratchet(
-                root,
-                MAX_SKIP,
-                epoch_skip_budget(MAX_SKIP, interval),
-                chacha20poly1305_factory,
-            ),
+            Receiver::with_rekey(root, interval, 0, chacha20poly1305_factory),
         )
     }
 
@@ -1480,7 +1451,7 @@ mod tests {
     #[test]
     fn probe_cache_never_outgrows_the_skip_budget() {
         let (mut sensor, mut receiver) = rekey_pair(16);
-        let skip = epoch_skip_budget(MAX_SKIP, 16);
+        let skip = MAX_SKIP / 16 + 2;
         let check = |receiver: &Receiver| {
             let rekey = receiver.rekey.as_deref().expect("rekeying receiver");
             assert!(rekey.ahead.len() as u64 <= skip, "{}", rekey.ahead.len());
@@ -1492,10 +1463,21 @@ mod tests {
             rekey.ahead.len() as u64
         };
         assert_eq!(check(&receiver), 0, "nothing is derived up front");
+        // A forgery at the sequence it was sealed at tries only the keys up
+        // to that sequence's epoch: it derives nothing.
         let mut forged = sensor.seal(b"forged").1;
         forged[20] ^= 1;
+        assert_eq!(
+            receiver.receive(&forged),
+            Err(ReceiveError::Cipher(OpenError::TagMismatch))
+        );
+        assert_eq!(check(&receiver), 0);
+        // Rewriting the nonce to claim a far-ahead sequence reaches the
+        // whole budget, and no further.
+        forged[4..12].copy_from_slice(&(2 * MAX_SKIP).to_le_bytes());
         for round in 0..4u64 {
-            // A forgery walks the whole budget and fills the queue...
+            // A far-ahead forgery walks the whole budget and fills the
+            // queue...
             assert!(receiver.receive(&forged).is_err());
             assert_eq!(check(&receiver), skip);
             // ...a brownout jump consumes the entries it passes...
@@ -1509,7 +1491,36 @@ mod tests {
                 assert!(receiver.receive(&sensor.seal(&[i; 8]).1).is_ok());
                 check(&receiver);
             }
+            forged[4..12].copy_from_slice(&(sensor.next_sequence() + 2 * MAX_SKIP).to_le_bytes());
         }
+    }
+
+    #[test]
+    fn frames_older_than_the_previous_epoch_are_rejected_without_an_open() {
+        let (mut sensor, mut receiver) = rekey_pair(4);
+        let (_, stale) = sensor.seal(b"epoch zero");
+        let (_, short) = sensor.seal(b"");
+        for i in 0..8u8 {
+            assert!(receiver.receive(&sensor.seal(&[i; 8]).1).is_ok());
+        }
+        assert_eq!(receiver.epoch(), 2);
+        // Sequence 0 sits in epoch 0, below every key the receiver holds:
+        // it fails as the current key's open would have, without one.
+        assert_eq!(
+            receiver.receive(&stale),
+            Err(ReceiveError::Cipher(OpenError::TagMismatch))
+        );
+        // A frame too short for the AEAD's framing still reads as
+        // truncated.
+        assert_eq!(
+            receiver.receive(&short[..20]),
+            Err(ReceiveError::Cipher(OpenError::Truncated {
+                len: 20,
+                min: 28
+            }))
+        );
+        assert_eq!(receiver.stats().auth_failed, 2);
+        assert_eq!(receiver.rekey.as_deref().map(|r| r.ahead.len()), Some(0));
     }
 
     #[test]
@@ -1554,49 +1565,23 @@ mod tests {
     }
 
     #[test]
-    fn explicit_rotation_commands_rekey_without_a_schedule() {
-        let mut link = rekey_link(0, FaultPlan::NONE, RetryPolicy::none());
-        assert!(link.send(b"epoch zero").delivered);
-        assert_eq!(link.rotate_sensor(), 1);
-        let d = link.send(b"epoch one");
-        assert!(d.delivered);
-        assert_eq!(d.epoch, 1);
-        assert_eq!(link.receiver().last_epoch(), 1);
-        assert_eq!(link.stats().rotations, 1);
-        assert_eq!(link.receiver().stats().epoch_advances, 1);
-        // A rotation command on a rekey-less link is a visible no-op.
-        let mut plain = aead_link(FaultPlan::NONE, RetryPolicy::none());
-        assert_eq!(plain.rotate_sensor(), 0);
-        assert_eq!(plain.stats().rotations, 0);
-    }
-
-    #[test]
     fn stragglers_from_the_previous_epoch_still_open() {
-        // Hold a frame sealed in epoch 0 in the reordering channel, rotate,
-        // deliver epoch-1 traffic, then release the straggler: it must open
-        // under the retired key and be counted as epoch_behind.
-        let plan = FaultPlan {
-            reorder_rate: 1.0,
-            ..FaultPlan::NONE
-        };
-        let (sensor, receiver) = rekey_pair(0);
-        let mut link = Link::with_parts(
-            sensor,
-            receiver,
-            FaultChannel::new(plan),
-            RetryPolicy::none(),
-        );
-        let held = link.send(b"sealed in epoch zero");
-        assert!(!held.delivered, "the reorder fault holds the frame");
-        link.rotate_sensor();
-        let late = link.flush();
-        assert_eq!(late.len(), 1, "the straggler must still open");
-        assert_eq!(late[0].1, b"sealed in epoch zero");
-        assert_eq!(
-            link.receiver().stats().epoch_behind,
-            0,
-            "receiver never advanced"
-        );
+        // At interval 4, sequence 3 is the last frame of epoch 0. It
+        // arrives after sequence 4 has moved the receiver to epoch 1, so it
+        // opens under the retired key and counts as epoch_behind.
+        let (mut sensor, mut receiver) = rekey_pair(4);
+        for i in 0..3u8 {
+            assert!(receiver.receive(&sensor.seal(&[i; 8]).1).is_ok());
+        }
+        let (_, straggler) = sensor.seal(b"sealed in epoch zero");
+        assert!(receiver.receive(&sensor.seal(b"epoch one").1).is_ok());
+        assert_eq!(receiver.epoch(), 1);
+        let (sequence, payload) = receiver.receive(&straggler).unwrap();
+        assert_eq!(sequence, 3);
+        assert_eq!(payload, b"sealed in epoch zero");
+        assert_eq!(receiver.last_epoch(), 0);
+        assert_eq!(receiver.stats().epoch_behind, 1);
+        assert_eq!(receiver.epoch(), 1, "a straggler never moves the epoch");
     }
 
     #[test]

@@ -305,7 +305,7 @@ pub struct JournalStats {
 /// torn_records · K`, which is exactly where recovery resumes. The cost is
 /// bounded waste — typically at most `2K` numbers retired per reboot, and
 /// never more than `NvmStore::DEFAULT_SLOTS · K`, which must stay within
-/// the receiver's far-future guard (`Receiver::MAX_SKIP`) for recovered
+/// the receiver's far-future guard (`MAX_SKIP`) for recovered
 /// traffic to be accepted. The defaults give 128 ≪ 1024.
 pub struct SequenceJournal {
     nvm: NvmStore,
@@ -395,6 +395,12 @@ impl SequenceJournal {
         self.stats.epoch_records += 1;
         self.epoch = epoch;
         Ok(())
+    }
+
+    /// Replaces the store's fault rates from the next write on; rates of 0
+    /// or 1 fix each write's outcome for a model checker.
+    pub fn set_nvm_faults(&mut self, plan: NvmFaultPlan) {
+        self.nvm.plan = plan;
     }
 
     /// Journal counters so far.

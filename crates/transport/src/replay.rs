@@ -66,6 +66,8 @@ pub struct ReplayWindow {
     highest: u64,
     mask: u64,
     primed: bool,
+    /// `SIZE` minus the numbers this window distinguishes (0 by default).
+    narrowed: u8,
 }
 
 impl ReplayWindow {
@@ -75,6 +77,15 @@ impl ReplayWindow {
     /// An empty window that accepts any first sequence number.
     pub fn new() -> Self {
         ReplayWindow::default()
+    }
+
+    /// An empty window over only the last `size` numbers (clamped to
+    /// `1..=SIZE`), small enough for a model checker to reach the horizon.
+    pub fn with_size(size: u64) -> Self {
+        ReplayWindow {
+            narrowed: (Self::SIZE - size.clamp(1, Self::SIZE)) as u8,
+            ..ReplayWindow::default()
+        }
     }
 
     /// The highest sequence number accepted so far, if any.
@@ -96,22 +107,19 @@ impl ReplayWindow {
             self.mask = 1;
             return Ok(());
         }
+        let size = Self::SIZE - u64::from(self.narrowed);
         if sequence > self.highest {
             let shift = sequence - self.highest;
-            self.mask = if shift >= Self::SIZE {
-                0
-            } else {
-                self.mask << shift
-            };
+            self.mask = if shift >= size { 0 } else { self.mask << shift };
             self.mask |= 1;
             self.highest = sequence;
             return Ok(());
         }
         let behind = self.highest - sequence;
-        if behind >= Self::SIZE {
+        if behind >= size {
             return Err(ReplayError::TooOld {
                 sequence,
-                horizon: self.highest - (Self::SIZE - 1),
+                horizon: self.highest - (size - 1),
             });
         }
         let bit = 1u64 << behind;

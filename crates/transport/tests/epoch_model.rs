@@ -1,0 +1,564 @@
+//! A bounded explicit-state explorer for the rekeying link.
+//!
+//! The receiver tries no key newer than the watermark epoch of a frame's
+//! sequence number. That is sound only if no sensor ever seals ahead of
+//! the watermark schedule: `seal_epoch ≤ epoch_of(seq)` on every frame.
+//! Equality does not hold in general, because a rotation whose epoch record
+//! the NVM refuses is deferred and the sensor keeps sealing under its old
+//! key. This explorer checks the weaker invariant, and that the capped
+//! receiver reaches the same verdict as the uncapped reference, on every
+//! interleaving of a small configuration: rotation interval 3, replay
+//! window 4, far-future guard 8, journal block 2.
+//!
+//! **Sensor side.** A depth-first search runs every sequence of
+//! [`SENSOR_STEPS`] sensor steps (a send, a brownout between the journal
+//! write and the radio, or a plain brownout) with every outcome of each NVM
+//! write that matters: a due rotation record committed or refused (the
+//! deferral), the last record before a power loss torn or intact, and the
+//! recovery checkpoint written or refused. A refused reservation record
+//! changes nothing (the message is lost before anything is written), so it
+//! is not a branch. The sensor steps mirror `Link::send`,
+//! `Link::abort_send` and `Link::reboot_sensor` over `Sensor`,
+//! `SequenceJournal` and `NvmStore`. After every step it checks that
+//!
+//! - no `(epoch, seq)` pair is sealed twice,
+//! - every sealed frame has `epoch ≤ epoch_of(seq)`, with equality while no
+//!   rotation has been deferred,
+//! - the sensor's epoch and the journal's epoch never exceed the watermark
+//!   epoch of the next sequence number (so a resumed sensor is never ahead
+//!   of its schedule).
+//!
+//! **Receiver side.** The channel may drop, duplicate, reorder or corrupt
+//! any radiated frame, so every sequence of deliveries drawn from the
+//! frames a sensor run radiated is a possible arrival order. For each
+//! distinct set of radiated frames the explorer computes the closure of
+//! receiver states under three kinds of delivery: a genuine frame, a copy
+//! corrupted by `FaultChannel`, and a forgery claiming a sequence number
+//! past the newest sealed one. The capped `Receiver` and the uncapped
+//! `common::NaiveReceiver` receive every frame side by side and must agree
+//! on the verdict (error values included), the epochs, the highest
+//! sequence and every counter; no sequence number may be accepted twice,
+//! and an accepted payload must be the one sealed under that number.
+//! States are identified by the reference receiver's full state; the
+//! capped receiver's own bitmap and probe cache are checked through its
+//! verdicts.
+//!
+//! The cipher is a keyed checksum rather than the AEAD: the explorer checks
+//! the epoch and sequence logic, and the checksum keeps each trial cheap.
+//! The AEAD itself is covered by `epoch_probe.rs` and `reboot_fuzz.rs`.
+
+mod common;
+
+use std::collections::{BTreeSet, HashMap, HashSet, VecDeque};
+use std::sync::OnceLock;
+
+use age_crypto::{Cipher, CipherKind, EpochRatchet, OpenError};
+use age_transport::{
+    epoch_of, FaultChannel, FaultPlan, NvmFaultPlan, NvmStore, Receiver, Sensor, SequenceJournal,
+};
+use common::NaiveReceiver;
+
+const INTERVAL: u64 = 3;
+const WINDOW: u64 = 4;
+const MAX_SKIP: u64 = 8;
+const BLOCK: u64 = 2;
+/// Sensor steps per explored run.
+const SENSOR_STEPS: usize = 5;
+
+/// A keyed checksum with the AEAD's framing: 4 zero bytes, the sequence
+/// number (little-endian), the payload, then an 8-byte tag over the key,
+/// the nonce and the payload.
+struct ChecksumCipher {
+    key: u64,
+}
+
+const NONCE_LEN: usize = 12;
+const TAG_LEN: usize = 8;
+
+impl ChecksumCipher {
+    fn tag(&self, body: &[u8]) -> [u8; TAG_LEN] {
+        let mut h = self.key ^ 0x9E37_79B9_7F4A_7C15;
+        for &b in body {
+            h = (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01B3);
+        }
+        h ^= h >> 31;
+        h = h.wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        (h ^ (h >> 29)).to_le_bytes()
+    }
+}
+
+impl Cipher for ChecksumCipher {
+    fn kind(&self) -> CipherKind {
+        CipherKind::Stream
+    }
+
+    fn overhead(&self) -> usize {
+        NONCE_LEN + TAG_LEN
+    }
+
+    fn message_len(&self, plaintext_len: usize) -> usize {
+        plaintext_len + NONCE_LEN + TAG_LEN
+    }
+
+    fn seal(&self, sequence: u64, plaintext: &[u8]) -> Vec<u8> {
+        let mut out = vec![0; 4];
+        out.extend_from_slice(&sequence.to_le_bytes());
+        out.extend_from_slice(plaintext);
+        let tag = self.tag(&out);
+        out.extend_from_slice(&tag);
+        out
+    }
+
+    fn open(&self, message: &[u8]) -> Result<Vec<u8>, OpenError> {
+        if message.len() < self.overhead() {
+            return Err(OpenError::Truncated {
+                len: message.len(),
+                min: self.overhead(),
+            });
+        }
+        let (body, tag) = message.split_at(message.len() - TAG_LEN);
+        if self.tag(body) != tag {
+            return Err(OpenError::TagMismatch);
+        }
+        Ok(body[NONCE_LEN..].to_vec())
+    }
+
+    fn sequence_of(&self, message: &[u8]) -> Option<u64> {
+        let bytes: [u8; 8] = message.get(4..NONCE_LEN)?.try_into().ok()?;
+        Some(u64::from_le_bytes(bytes))
+    }
+}
+
+fn checksum_factory(key: [u8; 32]) -> Box<dyn Cipher> {
+    let mut word = [0; 8];
+    word.copy_from_slice(&key[..8]);
+    Box::new(ChecksumCipher {
+        key: u64::from_le_bytes(word),
+    })
+}
+
+fn root() -> [u8; 32] {
+    static ROOT: OnceLock<[u8; 32]> = OnceLock::new();
+    *ROOT.get_or_init(|| age_crypto::kdf::sensor_root(&age_crypto::kdf::fleet_secret(22), 1))
+}
+
+/// The cipher of `epoch` on the chain off [`root`], from keys derived once
+/// per test run.
+fn key_of(epoch: u64) -> Box<dyn Cipher> {
+    static KEYS: OnceLock<Vec<[u8; 32]>> = OnceLock::new();
+    let keys = KEYS.get_or_init(|| {
+        let mut ratchet = EpochRatchet::new(root());
+        (0..64)
+            .map(|_| {
+                let key = ratchet.key();
+                ratchet.advance();
+                key
+            })
+            .collect()
+    });
+    checksum_factory(keys[epoch as usize])
+}
+
+fn payload_of(sequence: u64) -> Vec<u8> {
+    sequence.to_le_bytes()[..4].to_vec()
+}
+
+/// One sensor step. `tear` marks the last NVM record written before this
+/// step's power loss as torn.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Step {
+    /// `Link::send`'s sensor half: reserve, journal a due rotation (or
+    /// defer it), seal, radiate.
+    Send { defer: bool },
+    /// `Link::abort_send`: the same up to the seal, then power fails
+    /// before the radio and the sensor recovers.
+    Abort {
+        defer: bool,
+        tear: bool,
+        refuse_checkpoint: bool,
+    },
+    /// `Link::reboot_sensor`: power fails and the sensor recovers.
+    Reboot { tear: bool, refuse_checkpoint: bool },
+}
+
+impl Step {
+    fn power_loss_tear(self) -> Option<bool> {
+        match self {
+            Step::Send { .. } => None,
+            Step::Abort { tear, .. } | Step::Reboot { tear, .. } => Some(tear),
+        }
+    }
+}
+
+/// NVM fault rates that fix the outcome of the next write.
+fn nvm(refuse: bool, torn: bool) -> NvmFaultPlan {
+    NvmFaultPlan {
+        fail_rate: if refuse { 1.0 } else { 0.0 },
+        torn_rate: if torn { 1.0 } else { 0.0 },
+        seed: 0,
+    }
+}
+
+/// A sensor run replayed from power-on.
+struct SensorRun {
+    phase: u64,
+    sensor: Sensor,
+    journal: SequenceJournal,
+    /// Every `(epoch, sequence)` sealed, radiated or not.
+    sealed: BTreeSet<(u64, u64)>,
+    /// Radiated frames as `(sequence, epoch, bytes)`, in sealing order.
+    radiated: Vec<(u64, u64, Vec<u8>)>,
+    deferrals: usize,
+    /// Journal flush count at the last power loss: a tear only matters if
+    /// a record has been written since.
+    flushes_at_loss: usize,
+}
+
+impl SensorRun {
+    fn new(phase: u64) -> Self {
+        let mut sensor = Sensor::with_rekey(root(), INTERVAL, phase, checksum_factory);
+        let journal = SequenceJournal::new(NvmStore::reliable(), BLOCK);
+        sensor.resume(journal.next(), journal.epoch());
+        SensorRun {
+            phase,
+            sensor,
+            journal,
+            sealed: BTreeSet::new(),
+            radiated: Vec::new(),
+            deferrals: 0,
+            flushes_at_loss: 0,
+        }
+    }
+
+    fn watermark(&self, sequence: u64) -> u64 {
+        epoch_of(sequence, INTERVAL, self.phase)
+    }
+
+    /// Whether the next seal is due to journal a rotation record.
+    fn rotation_record_due(&self) -> bool {
+        self.sensor
+            .rotation_due(self.journal.next())
+            .is_some_and(|target| target > self.journal.epoch())
+    }
+
+    /// Whether a power loss now (after `writes_ahead` more records) would
+    /// find a record written since the last one.
+    fn tear_matters(&self, writes_ahead: bool) -> bool {
+        writes_ahead || self.journal.stats().flushes > self.flushes_at_loss
+    }
+
+    /// Reserve, rotate if due, seal: the sensor half of `Link::send`.
+    /// `torn` is the tear rate for these writes (see [`replay`]).
+    fn reserve_and_seal(&mut self, defer: bool, torn: bool) -> Option<(u64, Vec<u8>)> {
+        self.journal.set_nvm_faults(nvm(false, torn));
+        let sequence = self.journal.reserve_next().ok()?;
+        if let Some(target) = self.sensor.rotation_due(sequence) {
+            self.journal.set_nvm_faults(nvm(defer, torn));
+            if self.journal.record_epoch(target).is_ok() {
+                self.sensor.rotate_to(target);
+            } else {
+                self.deferrals += 1;
+            }
+        }
+        let frame = self.sensor.seal_as(sequence, &payload_of(sequence));
+        let epoch = self.sensor.epoch();
+        assert!(
+            self.sealed.insert((epoch, sequence)),
+            "(epoch {epoch}, seq {sequence}) sealed twice"
+        );
+        let watermark = self.watermark(sequence);
+        assert!(
+            epoch <= watermark,
+            "seq {sequence} sealed under epoch {epoch}, ahead of its watermark {watermark}"
+        );
+        if self.deferrals == 0 {
+            assert_eq!(
+                epoch, watermark,
+                "seq {sequence} sealed off its watermark without a deferral"
+            );
+        }
+        Some((sequence, frame))
+    }
+
+    /// `Link::reboot_sensor`, with the checkpoint written at tear rate
+    /// `torn`.
+    fn brownout(&mut self, refuse_checkpoint: bool, torn: bool) {
+        self.journal.set_nvm_faults(nvm(refuse_checkpoint, torn));
+        self.journal.reboot();
+        self.sensor
+            .resume(self.journal.next(), self.journal.epoch());
+        self.flushes_at_loss = self.journal.stats().flushes;
+    }
+
+    fn step(&mut self, step: Step, tear_next_loss: bool) {
+        match step {
+            Step::Send { defer } => {
+                if let Some((sequence, frame)) = self.reserve_and_seal(defer, tear_next_loss) {
+                    let epoch = self.sensor.epoch();
+                    self.radiated.push((sequence, epoch, frame));
+                }
+            }
+            Step::Abort {
+                defer,
+                tear,
+                refuse_checkpoint,
+            } => {
+                let _ = self.reserve_and_seal(defer, tear);
+                self.brownout(refuse_checkpoint, tear_next_loss);
+            }
+            Step::Reboot {
+                refuse_checkpoint, ..
+            } => self.brownout(refuse_checkpoint, tear_next_loss),
+        }
+        let next = self.journal.next();
+        assert!(
+            self.sensor.epoch() <= self.watermark(next),
+            "sensor epoch {} ahead of the watermark of its next sequence {next}",
+            self.sensor.epoch()
+        );
+        assert!(
+            self.journal.epoch() <= self.watermark(next),
+            "journal epoch {} exceeds the resumed watermark of {next}",
+            self.journal.epoch()
+        );
+    }
+}
+
+/// Replays `path` from power-on. Each write is made with tear rate 1 when
+/// the next power loss in the path tears: later records clear the pending
+/// tear, so exactly the last record before that power loss reads back
+/// torn.
+fn replay(phase: u64, path: &[Step]) -> SensorRun {
+    let mut run = SensorRun::new(phase);
+    for (i, &step) in path.iter().enumerate() {
+        let tear_next_loss = path[i + 1..]
+            .iter()
+            .find_map(|s| s.power_loss_tear())
+            .unwrap_or(false);
+        run.step(step, tear_next_loss);
+    }
+    run
+}
+
+/// The steps worth taking from `run`'s state: branches that cannot change
+/// anything (tearing when nothing was written since the last power loss,
+/// deferring when no rotation is due) are left out.
+fn branches(run: &SensorRun) -> Vec<Step> {
+    let defers: &[bool] = if run.rotation_record_due() {
+        &[false, true]
+    } else {
+        &[false]
+    };
+    let reserve_writes = run.journal.next() >= run.journal.reserved_end();
+    let mut steps = Vec::new();
+    for &defer in defers {
+        steps.push(Step::Send { defer });
+        let writes = reserve_writes || (run.rotation_record_due() && !defer);
+        for tear in [false, true] {
+            if tear && !run.tear_matters(writes) {
+                continue;
+            }
+            for refuse_checkpoint in [false, true] {
+                steps.push(Step::Abort {
+                    defer,
+                    tear,
+                    refuse_checkpoint,
+                });
+            }
+        }
+    }
+    for tear in [false, true] {
+        if tear && !run.tear_matters(false) {
+            continue;
+        }
+        for refuse_checkpoint in [false, true] {
+            steps.push(Step::Reboot {
+                tear,
+                refuse_checkpoint,
+            });
+        }
+    }
+    steps
+}
+
+/// What the explorer saw, so the test can insist that every behaviour the
+/// cap depends on was reached.
+#[derive(Debug, Default)]
+struct Coverage {
+    sensor_runs: usize,
+    deferred_runs: usize,
+    behind_frames: usize,
+    frame_sets: usize,
+    receiver_states: usize,
+    deliveries: usize,
+    accepted_behind_watermark: usize,
+    stale_rejections: usize,
+    epoch_behind: u64,
+    epoch_advances: u64,
+}
+
+/// Depth-first over every sensor path of `SENSOR_STEPS` steps; collects
+/// the distinct radiated-frame sets of the full-depth runs (a shorter
+/// run's frames are a subset of some full-depth run's).
+fn explore_sensor(
+    phase: u64,
+    path: &mut Vec<Step>,
+    frame_sets: &mut HashSet<Vec<(u64, u64)>>,
+    coverage: &mut Coverage,
+) {
+    let run = replay(phase, path);
+    if path.len() == SENSOR_STEPS {
+        coverage.sensor_runs += 1;
+        coverage.deferred_runs += usize::from(run.deferrals > 0);
+        let frames: Vec<(u64, u64)> = run.radiated.iter().map(|&(s, e, _)| (s, e)).collect();
+        if frame_sets.insert(frames) {
+            coverage.behind_frames += run
+                .radiated
+                .iter()
+                .filter(|&&(s, e, _)| e < run.watermark(s))
+                .count();
+        }
+        return;
+    }
+    for step in branches(&run) {
+        path.push(step);
+        explore_sensor(phase, path, frame_sets, coverage);
+        path.pop();
+    }
+}
+
+/// The frames the channel can deliver for one set of radiated frames:
+/// each genuine frame, a corrupted copy of each, and one forgery claiming
+/// a sequence number past the newest.
+fn deliverable(phase: u64, frames: &[(u64, u64)]) -> Vec<Vec<u8>> {
+    let mut out: Vec<Vec<u8>> = frames
+        .iter()
+        .map(|&(sequence, epoch)| seal(epoch, sequence))
+        .collect();
+    for (i, &(sequence, epoch)) in frames.iter().enumerate() {
+        let plan = FaultPlan {
+            corrupt_rate: 1.0,
+            seed: sequence ^ ((i as u64) << 32),
+            ..FaultPlan::NONE
+        };
+        let arriving = FaultChannel::new(plan).transmit(&seal(epoch, sequence));
+        out.extend(arriving);
+    }
+    let newest = frames.iter().map(|&(s, _)| s).max().unwrap_or(0);
+    let claimed = newest + MAX_SKIP;
+    let mut forged = seal(epoch_of(newest, INTERVAL, phase), newest);
+    forged[4..NONCE_LEN].copy_from_slice(&claimed.to_le_bytes());
+    out.push(forged);
+    out
+}
+
+fn seal(epoch: u64, sequence: u64) -> Vec<u8> {
+    key_of(epoch).seal(sequence, &payload_of(sequence))
+}
+
+/// The reference receiver's full state, minus its counters.
+type StateKey = (u64, u64, Option<u64>, Vec<u64>);
+
+/// Runs `deliveries` (indices into `frames`) through a fresh capped
+/// receiver and a fresh reference side by side, checking every verdict.
+fn deliver(
+    phase: u64,
+    frames: &[Vec<u8>],
+    watermarks: &HashMap<u64, u64>,
+    deliveries: &[usize],
+    coverage: &mut Coverage,
+) -> (StateKey, NaiveReceiver) {
+    let mut capped = Receiver::with_rekey(root(), INTERVAL, phase, checksum_factory)
+        .with_limits(MAX_SKIP, WINDOW);
+    let mut naive = NaiveReceiver::rekeying(key_of, INTERVAL, MAX_SKIP, WINDOW);
+    let mut accepted = HashSet::new();
+    for (n, &i) in deliveries.iter().enumerate() {
+        let at = format!("phase {phase}, deliveries {deliveries:?} (#{n})");
+        let epoch_before = naive.epoch;
+        let verdict = naive.receive_beside(&mut capped, &frames[i], &at);
+        coverage.deliveries += 1;
+        match verdict {
+            Ok((sequence, payload)) => {
+                assert!(
+                    accepted.insert(sequence),
+                    "seq {sequence} accepted twice at {at}"
+                );
+                assert_eq!(
+                    payload,
+                    payload_of(sequence),
+                    "forged payload accepted at {at}"
+                );
+                if watermarks
+                    .get(&sequence)
+                    .is_some_and(|&w| naive.last_epoch < w)
+                {
+                    coverage.accepted_behind_watermark += 1;
+                }
+            }
+            Err(_) => {
+                // Below the previous epoch: rejected without an open.
+                let claimed = ChecksumCipher { key: 0 }.sequence_of(&frames[i]);
+                let stale =
+                    claimed.is_some_and(|s| epoch_of(s, INTERVAL, phase) + 1 < epoch_before);
+                coverage.stale_rejections += usize::from(stale);
+            }
+        }
+    }
+    let mut seen: Vec<u64> = accepted.into_iter().collect();
+    seen.sort_unstable();
+    let key = (naive.epoch, naive.last_epoch, naive.window.highest(), seen);
+    (key, naive)
+}
+
+/// The closure of receiver states reachable by delivering `frames` in any
+/// order, any number of times.
+fn explore_receiver(phase: u64, radiated: &[(u64, u64)], coverage: &mut Coverage) {
+    let frames = deliverable(phase, radiated);
+    let watermarks: HashMap<u64, u64> = radiated
+        .iter()
+        .map(|&(s, _)| (s, epoch_of(s, INTERVAL, phase)))
+        .collect();
+    let mut seen: HashSet<StateKey> = HashSet::new();
+    let mut queue: VecDeque<Vec<usize>> = VecDeque::from([Vec::new()]);
+    let (start, _) = deliver(phase, &frames, &watermarks, &[], coverage);
+    seen.insert(start);
+    while let Some(path) = queue.pop_front() {
+        for i in 0..frames.len() {
+            let mut next = path.clone();
+            next.push(i);
+            let (key, naive) = deliver(phase, &frames, &watermarks, &next, coverage);
+            if seen.insert(key) {
+                coverage.epoch_behind = coverage.epoch_behind.max(naive.stats.epoch_behind);
+                coverage.epoch_advances = coverage.epoch_advances.max(naive.stats.epoch_advances);
+                queue.push_back(next);
+            }
+        }
+    }
+    coverage.receiver_states += seen.len();
+}
+
+#[test]
+fn capped_probe_agrees_with_the_uncapped_one_on_every_bounded_interleaving() {
+    let mut coverage = Coverage::default();
+    for phase in 0..INTERVAL {
+        let mut frame_sets = HashSet::new();
+        explore_sensor(phase, &mut Vec::new(), &mut frame_sets, &mut coverage);
+        coverage.frame_sets += frame_sets.len();
+        let mut frame_sets: Vec<_> = frame_sets.into_iter().collect();
+        frame_sets.sort_unstable();
+        for radiated in &frame_sets {
+            explore_receiver(phase, radiated, &mut coverage);
+        }
+    }
+    eprintln!("{coverage:?}");
+    // The exploration reached every behaviour the cap depends on.
+    assert!(coverage.deferred_runs > 0, "{coverage:?}");
+    assert!(
+        coverage.behind_frames > 0,
+        "no frame sealed behind its watermark: {coverage:?}"
+    );
+    assert!(coverage.accepted_behind_watermark > 0, "{coverage:?}");
+    assert!(coverage.stale_rejections > 0, "{coverage:?}");
+    assert!(coverage.epoch_behind > 0, "{coverage:?}");
+    assert!(coverage.epoch_advances > 0, "{coverage:?}");
+}

@@ -1,102 +1,26 @@
 //! Differential test of the rekeying receiver's epoch probe.
 //!
-//! `Receiver::with_ratchet` keeps the ciphers it derives for future
-//! epochs and reuses them across frames. The reference below keeps
-//! nothing: every trial rebuilds its candidate key from the root with
-//! `EpochRatchet::at_epoch`, in the order the receiver promises (current
-//! epoch, previous epoch, then each future epoch up to the skip budget).
-//! Both receivers see one seeded stream mixing in-order frames,
-//! previous-epoch stragglers, post-brownout jumps, burst losses,
-//! forgeries, replays from older epochs and frames sealed under another
-//! sensor's root, and after every frame they must agree on the verdict,
-//! the epoch state and every counter.
+//! `Receiver::with_rekey` caps every trial at the frame's watermark epoch
+//! and keeps the ciphers it derives for future epochs across frames. The
+//! reference (`common::NaiveReceiver`) does neither: it tries the current
+//! epoch, the previous epoch, then each future epoch up to the skip
+//! budget on every frame, and rebuilds every candidate key from the root
+//! with `EpochRatchet::at_epoch`. Its replay check is a set of accepted
+//! numbers instead of a bitmap. Both receivers see one seeded stream
+//! mixing in-order frames, previous-epoch stragglers, post-brownout jumps,
+//! burst losses, forgeries, replays from older epochs and frames sealed
+//! under another sensor's root, and after every frame they must agree on
+//! the verdict, the epoch state and every counter.
+
+mod common;
 
 use age_crypto::kdf::{fleet_secret, sensor_root};
-use age_crypto::{Cipher, EpochRatchet, OpenError};
+use age_crypto::EpochRatchet;
 use age_telemetry::DetRng;
 use age_transport::{
-    chacha20poly1305_factory, epoch_of, epoch_skip_budget, ReceiveError, Receiver, ReceiverStats,
-    ReplayWindow, Sensor, MAX_SKIP,
+    chacha20poly1305_factory, epoch_of, Receiver, ReceiverStats, ReplayWindow, Sensor, MAX_SKIP,
 };
-
-/// The receiver's trial-open with no state beyond the epoch: each
-/// candidate cipher is derived from the root for every trial.
-struct NaiveReceiver {
-    root: [u8; 32],
-    skip: u64,
-    epoch: u64,
-    last_epoch: u64,
-    window: ReplayWindow,
-    stats: ReceiverStats,
-}
-
-impl NaiveReceiver {
-    fn new(root: [u8; 32], skip: u64) -> Self {
-        NaiveReceiver {
-            root,
-            skip,
-            epoch: 0,
-            last_epoch: 0,
-            window: ReplayWindow::new(),
-            stats: ReceiverStats::default(),
-        }
-    }
-
-    fn cipher(&self, epoch: u64) -> Box<dyn Cipher> {
-        chacha20poly1305_factory(EpochRatchet::at_epoch(self.root, epoch).key())
-    }
-
-    fn opens(&self, epoch: u64, frame: &[u8], payload: &mut Vec<u8>) -> bool {
-        self.cipher(epoch).open_into(frame, payload).is_ok()
-    }
-
-    fn open(&mut self, frame: &[u8], payload: &mut Vec<u8>) -> Result<u64, OpenError> {
-        let err = match self.cipher(self.epoch).open_into(frame, payload) {
-            Ok(()) => return Ok(self.epoch),
-            Err(err) => err,
-        };
-        // The receiver holds a previous-epoch key once it has advanced.
-        if self.epoch > 0 && self.opens(self.epoch - 1, frame, payload) {
-            self.stats.epoch_behind += 1;
-            return Ok(self.epoch - 1);
-        }
-        for ahead in 1..=self.skip {
-            if self.opens(self.epoch + ahead, frame, payload) {
-                self.epoch += ahead;
-                self.stats.epoch_advances += 1;
-                return Ok(self.epoch);
-            }
-        }
-        Err(err)
-    }
-
-    fn receive(&mut self, frame: &[u8]) -> Result<(u64, Vec<u8>), ReceiveError> {
-        let Some(sequence) = self.cipher(self.epoch).sequence_of(frame) else {
-            self.stats.missing_sequence += 1;
-            return Err(ReceiveError::MissingSequence);
-        };
-        let mut payload = Vec::new();
-        let opened = self.open(frame, &mut payload).map_err(|e| {
-            self.stats.auth_failed += 1;
-            ReceiveError::Cipher(e)
-        })?;
-        let limit = self
-            .window
-            .highest()
-            .map_or(MAX_SKIP, |h| h.saturating_add(MAX_SKIP));
-        if sequence > limit {
-            self.stats.far_future += 1;
-            return Err(ReceiveError::FarFuture { sequence, limit });
-        }
-        self.window.observe(sequence).map_err(|e| {
-            self.stats.replay_rejected += 1;
-            ReceiveError::Replay(e)
-        })?;
-        self.stats.accepted += 1;
-        self.last_epoch = opened;
-        Ok((sequence, payload))
-    }
-}
+use common::{assert_windows_agree, NaiveReceiver};
 
 /// A seeded arrival stream for one sensor rotating every `interval`
 /// sequence numbers, with every kind of frame the probe has to handle.
@@ -192,36 +116,39 @@ fn stream(seed: u64, interval: u64, frames: usize) -> ([u8; 32], Vec<Vec<u8>>) {
     (root, out)
 }
 
-/// Feeds one stream to both receivers, comparing them after every frame.
-/// Returns the cached receiver's counters and the largest number of
-/// epochs it crossed in one step.
+/// Feeds one stream to both receivers, comparing them after every frame,
+/// and the stream's sequence numbers to both replay windows. Returns the
+/// capped receiver's counters and the largest number of epochs it crossed
+/// in one step.
 fn differential_round(seed: u64, interval: u64, frames: usize) -> (ReceiverStats, u64) {
+    let phase = seed % interval;
     let (root, stream) = stream(seed, interval, frames);
-    let skip = epoch_skip_budget(MAX_SKIP, interval);
-    let mut cached = Receiver::with_ratchet(root, MAX_SKIP, skip, chacha20poly1305_factory);
-    let mut naive = NaiveReceiver::new(root, skip);
+    let mut capped = Receiver::with_rekey(root, interval, phase, chacha20poly1305_factory);
+    let mut naive = NaiveReceiver::rekeying(
+        move |epoch| chacha20poly1305_factory(EpochRatchet::at_epoch(root, epoch).key()),
+        interval,
+        MAX_SKIP,
+        ReplayWindow::SIZE,
+    );
     let mut widest_step = 0;
     for (i, frame) in stream.iter().enumerate() {
-        let before = cached.epoch();
-        let got = cached.receive(frame);
-        widest_step = widest_step.max(cached.epoch() - before);
-        let want = naive.receive(frame);
-        let at = format!("seed {seed}, interval {interval}, frame {i}");
-        assert_eq!(got, want, "verdict differs at {at}");
-        assert_eq!(cached.epoch(), naive.epoch, "epoch differs at {at}");
-        assert_eq!(
-            cached.last_epoch(),
-            naive.last_epoch,
-            "last epoch differs at {at}"
+        let before = capped.epoch();
+        let _ = naive.receive_beside(
+            &mut capped,
+            frame,
+            &format!("seed {seed}, interval {interval}, frame {i}"),
         );
-        assert_eq!(
-            cached.highest_sequence(),
-            naive.window.highest(),
-            "highest sequence differs at {at}"
-        );
-        assert_eq!(*cached.stats(), naive.stats, "stats differ at {at}");
+        widest_step = widest_step.max(capped.epoch() - before);
     }
-    (*cached.stats(), widest_step)
+    let probe = chacha20poly1305_factory([0; 32]);
+    for size in [ReplayWindow::SIZE, 4] {
+        assert_windows_agree(
+            stream.iter().filter_map(|frame| probe.sequence_of(frame)),
+            size,
+            &format!("seed {seed}, interval {interval}"),
+        );
+    }
+    (*capped.stats(), widest_step)
 }
 
 #[test]

@@ -2,17 +2,22 @@
 //! before and after a journal-backed recovery are interleaved with
 //! corrupted mutants (truncations, extensions, bit flips) in a shuffled
 //! order, and the receiver must never panic, must accept every genuine
-//! frame exactly once, and must hand back byte-exact payloads.
+//! frame exactly once, and must hand back byte-exact payloads. Beside it
+//! runs the uncapped reference (`common::NaiveReceiver`, a set-based
+//! replay check), which must reach the same verdict on every frame.
+
+mod common;
 
 use std::collections::BTreeSet;
 
 use age_crypto::kdf::{fleet_secret, sensor_root};
-use age_crypto::{AesCbc, ChaCha20Poly1305};
+use age_crypto::{AesCbc, ChaCha20Poly1305, Cipher};
 use age_telemetry::{DetRng, SliceShuffle};
 use age_transport::{
-    chacha20poly1305_factory, epoch_skip_budget, NvmFaultPlan, NvmStore, ReceiveError, Receiver,
-    Sensor, SequenceJournal, MAX_SKIP,
+    chacha20poly1305_factory, NvmFaultPlan, NvmStore, ReceiveError, Receiver, ReplayWindow, Sensor,
+    SequenceJournal, MAX_SKIP,
 };
+use common::{assert_windows_agree, epoch_keys, NaiveReceiver};
 
 const KEY: [u8; 32] = [0xC3; 32];
 
@@ -110,11 +115,21 @@ fn fuzz_round(seed: u64) {
     cases.shuffle(&mut rng);
 
     let mut receiver = Receiver::new(Box::new(ChaCha20Poly1305::new(KEY)));
+    let mut naive = NaiveReceiver::new(
+        |_| Box::new(ChaCha20Poly1305::new(KEY)),
+        0,
+        MAX_SKIP,
+        ReplayWindow::SIZE,
+    );
     let mut accepted = BTreeSet::new();
     let mut delivered = 0usize;
-    for case in &cases {
+    for (i, case) in cases.iter().enumerate() {
         // The contract under fuzz: receive returns an error, never panics.
-        match receiver.receive(&case.frame) {
+        match naive.receive_beside(
+            &mut receiver,
+            &case.frame,
+            &format!("seed {seed}, frame {i}"),
+        ) {
             Ok((sequence, payload)) => {
                 assert!(
                     accepted.insert(sequence),
@@ -141,6 +156,20 @@ fn fuzz_round(seed: u64) {
         delivered * 2 >= cases.iter().filter(|c| c.genuine).count(),
         "too few genuine frames survived the shuffle (seed {seed})"
     );
+    assert_corpus_windows_agree(&cases, seed);
+}
+
+/// The corpus's sequence numbers, in arrival order, through both replay
+/// windows.
+fn assert_corpus_windows_agree(cases: &[Case], seed: u64) {
+    let probe = ChaCha20Poly1305::new(KEY);
+    for size in [ReplayWindow::SIZE, 4] {
+        assert_windows_agree(
+            cases.iter().filter_map(|c| probe.sequence_of(&c.frame)),
+            size,
+            &format!("seed {seed}"),
+        );
+    }
 }
 
 #[test]
@@ -232,20 +261,23 @@ fn rotation_fuzz_round(seed: u64) {
         }
     }
 
-    // The journal's block size (4) bounds how far a brownout can jump the
-    // sequence counter, so the epoch skip budget is sized to that bound
-    // rather than the far-future horizon — it also keeps the per-mutant
-    // probe cost (each failed open walks the whole budget) proportionate.
-    let mut receiver = Receiver::with_ratchet(
-        root,
+    // Deferred rotations leave the sensor sealing behind its watermark
+    // epoch; the capped probe must still reach the reference's verdict.
+    let mut receiver = Receiver::with_rekey(root, interval, 0, chacha20poly1305_factory);
+    let mut naive = NaiveReceiver::rekeying(
+        epoch_keys(root, chacha20poly1305_factory),
+        interval,
         MAX_SKIP,
-        epoch_skip_budget(16, interval),
-        chacha20poly1305_factory,
+        ReplayWindow::SIZE,
     );
     let mut accepted = BTreeSet::new();
     let genuine = corpus.iter().filter(|c| c.genuine).count();
-    for case in &corpus {
-        match receiver.receive(&case.frame) {
+    for (i, case) in corpus.iter().enumerate() {
+        match naive.receive_beside(
+            &mut receiver,
+            &case.frame,
+            &format!("seed {seed}, frame {i}"),
+        ) {
             Ok((sequence, payload)) => {
                 assert!(
                     accepted.insert(sequence),
@@ -279,6 +311,7 @@ fn rotation_fuzz_round(seed: u64) {
         receiver.stats().epoch_advances > 0,
         "the corpus must actually cross epoch boundaries (seed {seed})"
     );
+    assert_corpus_windows_agree(&corpus, seed);
 }
 
 #[test]
@@ -310,9 +343,16 @@ fn unauthenticated_ciphers_never_panic_across_a_reboot() {
         cases.shuffle(&mut rng);
 
         let mut receiver = Receiver::new(Box::new(AesCbc::new(key16)));
+        let mut naive = NaiveReceiver::new(
+            move |_| Box::new(AesCbc::new(key16)),
+            0,
+            MAX_SKIP,
+            ReplayWindow::SIZE,
+        );
         let mut accepted = BTreeSet::new();
-        for case in &cases {
-            if let Ok((sequence, _)) = receiver.receive(&case.frame) {
+        for (i, case) in cases.iter().enumerate() {
+            let at = format!("seed {seed}, frame {i}");
+            if let Ok((sequence, _)) = naive.receive_beside(&mut receiver, &case.frame, &at) {
                 assert!(accepted.insert(sequence), "sequence accepted twice");
             }
         }
