@@ -1,10 +1,10 @@
 //! Microbenchmarks of the encoders: the per-batch cost an MCU would pay.
 
 use age_bench::Harness;
-use age_core::mcu::{encode_raw, RawBatch};
+use age_core::mcu::RawBatch;
 use age_core::{
-    AgeEncoder, Batch, BatchConfig, DeltaCodec, Encoder, PaddedEncoder, PrunedEncoder,
-    SingleEncoder, StandardEncoder, UnshiftedEncoder,
+    AgeEncoder, Batch, BatchConfig, DeltaCodec, EncodeScratch, Encoder, PaddedEncoder,
+    PrunedEncoder, SingleEncoder, StandardEncoder, UnshiftedEncoder,
 };
 use age_fixed::Format;
 
@@ -41,10 +41,20 @@ fn main() {
     }
 
     let b = batch(50, 6);
+    // Both instantiations of the AGE pipeline through reused scratch, the
+    // way a sensor loop runs them.
     let rb = RawBatch::from_batch(&b, &cfg);
     let age = AgeEncoder::new(220);
+    let mut message = Vec::new();
+    let mut scratch = EncodeScratch::new();
+    h.bench("encode/age_f64_reused_50", || {
+        age.encode_into(&b, &cfg, &mut scratch, &mut message)
+            .expect("feasible")
+    });
+    let mut raw_scratch = EncodeScratch::default();
     h.bench("encode/age_mcu_integer_50", || {
-        encode_raw(&age, &rb, &cfg).expect("feasible")
+        age.encode_samples(&rb, &cfg, &mut raw_scratch, &mut message)
+            .expect("feasible")
     });
     h.bench("encode/delta_codec_50", || {
         DeltaCodec.encode(&b, &cfg).expect("feasible")

@@ -8,32 +8,6 @@ use crate::scratch::EncodeScratch;
 use crate::telemetry::{Probe, Stage};
 use crate::Encoder;
 
-/// Checks a batch against the standard layout's constraints. Split from the
-/// writing so encoders can validate before committing their output buffer.
-pub(crate) fn validate_standard(batch: &Batch, cfg: &BatchConfig) -> Result<(), EncodeError> {
-    if batch.len() > cfg.max_len() {
-        return Err(EncodeError::BatchTooLarge {
-            len: batch.len(),
-            max: cfg.max_len(),
-        });
-    }
-    if let Some(&last) = batch.indices().last() {
-        if last >= cfg.max_len() {
-            return Err(EncodeError::IndexOutOfRange {
-                index: last,
-                max: cfg.max_len(),
-            });
-        }
-    }
-    if !batch.is_empty() && batch.features() != cfg.features() {
-        return Err(EncodeError::FeatureMismatch {
-            got: batch.features(),
-            expected: cfg.features(),
-        });
-    }
-    Ok(())
-}
-
 /// Writes the standard layout into `w`: a 16-bit count, then each collected
 /// index with its full-width values, each measurement quantized and packed
 /// in one [`BitWriter::write_quantized`] pass. Infallible once validated.
@@ -131,7 +105,7 @@ impl Encoder for StandardEncoder {
         out: &mut Vec<u8>,
     ) -> Result<(), EncodeError> {
         let mut probe = Probe::start(batch.len());
-        validate_standard(batch, cfg)?;
+        batch.validate(cfg)?;
         out.clear();
         out.reserve(cfg.standard_message_bytes(batch.len()));
         let mut w = BitWriter::from_vec(std::mem::take(out));
@@ -211,7 +185,7 @@ impl Encoder for PaddedEncoder {
         out: &mut Vec<u8>,
     ) -> Result<(), EncodeError> {
         let mut probe = Probe::start(batch.len());
-        validate_standard(batch, cfg)?;
+        batch.validate(cfg)?;
         let min = cfg.standard_message_bytes(batch.len());
         if min > self.pad_to {
             return Err(EncodeError::TargetTooSmall {

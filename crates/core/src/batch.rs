@@ -2,7 +2,8 @@
 
 use age_fixed::Format;
 
-use crate::error::BatchError;
+use crate::error::{BatchError, EncodeError};
+use crate::sample::Sample;
 
 /// Static description of a sensor's batching setup (the paper's §4.1
 /// notation): at most `T` measurements per batch, `d` features each, stored
@@ -99,7 +100,8 @@ fn bits_for(value: u64) -> u8 {
 }
 
 /// A batch of collected measurements: strictly increasing original indices
-/// `α_t` and a row-major value buffer of `k · d` entries.
+/// `α_t` and a row-major value buffer of `k · d` entries, as `f64` values
+/// or, on the MCU path, raw fixed-point integers ([`crate::mcu::RawBatch`]).
 ///
 /// # Examples
 ///
@@ -112,13 +114,13 @@ fn bits_for(value: u64) -> u8 {
 /// assert_eq!(batch.measurement(1), &[1.1, 1.2, 1.3]);
 /// # Ok::<(), age_core::BatchError>(())
 /// ```
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct Batch {
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct Batch<S = f64> {
     indices: Vec<usize>,
-    values: Vec<f64>,
+    values: Vec<S>,
 }
 
-impl Batch {
+impl<S: Sample> Batch<S> {
     /// Creates a batch from collected indices and a row-major value buffer.
     ///
     /// # Errors
@@ -126,7 +128,7 @@ impl Batch {
     /// Returns [`BatchError::UnsortedIndices`] if `indices` is not strictly
     /// increasing, or [`BatchError::LengthMismatch`] if `values.len()` is not
     /// a positive multiple of `indices.len()` (unless both are empty).
-    pub fn new(indices: Vec<usize>, values: Vec<f64>) -> Result<Self, BatchError> {
+    pub fn new(indices: Vec<usize>, values: Vec<S>) -> Result<Self, BatchError> {
         if indices.windows(2).any(|w| w[0] >= w[1]) {
             return Err(BatchError::UnsortedIndices);
         }
@@ -181,7 +183,7 @@ impl Batch {
     }
 
     /// The row-major value buffer (`k · d` entries).
-    pub fn values(&self) -> &[f64] {
+    pub fn values(&self) -> &[S] {
         &self.values
     }
 
@@ -190,16 +192,57 @@ impl Batch {
     /// # Panics
     ///
     /// Panics if `t >= self.len()`.
-    pub fn measurement(&self, t: usize) -> &[f64] {
+    pub fn measurement(&self, t: usize) -> &[S] {
         let d = self.features();
         &self.values[t * d..(t + 1) * d]
+    }
+
+    /// Checks the batch against `cfg`: at most `T` measurements, every
+    /// index below `T`, and `d` features per measurement.
+    pub(crate) fn validate(&self, cfg: &BatchConfig) -> Result<(), EncodeError> {
+        if self.len() > cfg.max_len() {
+            return Err(EncodeError::BatchTooLarge {
+                len: self.len(),
+                max: cfg.max_len(),
+            });
+        }
+        if let Some(&last) = self.indices.last() {
+            if last >= cfg.max_len() {
+                return Err(EncodeError::IndexOutOfRange {
+                    index: last,
+                    max: cfg.max_len(),
+                });
+            }
+        }
+        if !self.is_empty() && self.features() != cfg.features() {
+            return Err(EncodeError::FeatureMismatch {
+                got: self.features(),
+                expected: cfg.features(),
+            });
+        }
+        Ok(())
+    }
+
+    /// [`Batch::validate`] for a fixed-length encoder, which also needs
+    /// its `target` message size to hold at least its `min` framing bytes.
+    pub(crate) fn validate_fixed(
+        &self,
+        cfg: &BatchConfig,
+        target: usize,
+        min: usize,
+    ) -> Result<(), EncodeError> {
+        self.validate(cfg)?;
+        if target < min {
+            return Err(EncodeError::TargetTooSmall { target, min });
+        }
+        Ok(())
     }
 
     /// Mutable access to the raw index/value buffers, for in-crate decoders
     /// that rebuild a batch in place without allocating. Callers must uphold
     /// the [`Batch::new`] invariants: strictly increasing indices and a value
     /// count that is a multiple of the index count.
-    pub(crate) fn parts_mut(&mut self) -> (&mut Vec<usize>, &mut Vec<f64>) {
+    pub(crate) fn parts_mut(&mut self) -> (&mut Vec<usize>, &mut Vec<S>) {
         (&mut self.indices, &mut self.values)
     }
 
@@ -211,14 +254,14 @@ impl Batch {
 
     /// Copies `src` into `self`, reusing this batch's buffer allocations
     /// (the derived `Clone::clone_from` would clone-and-replace instead).
-    pub(crate) fn copy_from(&mut self, src: &Batch) {
+    pub(crate) fn copy_from(&mut self, src: &Batch<S>) {
         self.indices.clone_from(&src.indices);
         self.values.clone_from(&src.values);
     }
 
     /// Returns a copy with only the measurements at `keep` positions
     /// (positions into this batch, not original indices), preserving order.
-    pub(crate) fn retain_positions(&self, keep: &[bool]) -> Batch {
+    pub(crate) fn retain_positions(&self, keep: &[bool]) -> Batch<S> {
         let mut out = Batch::empty();
         self.retain_positions_into(keep, &mut out);
         out
@@ -226,7 +269,7 @@ impl Batch {
 
     /// Allocation-reusing form of [`Batch::retain_positions`]: clears `out`
     /// and fills it with the kept measurements, reusing its buffers.
-    pub(crate) fn retain_positions_into(&self, keep: &[bool], out: &mut Batch) {
+    pub(crate) fn retain_positions_into(&self, keep: &[bool], out: &mut Batch<S>) {
         debug_assert_eq!(keep.len(), self.len());
         out.clear();
         for (t, &flag) in keep.iter().enumerate() {
@@ -282,7 +325,7 @@ mod tests {
         assert!(Batch::new(vec![5, 2], vec![0.0, 0.0]).is_err());
         assert!(Batch::new(vec![1, 2], vec![0.0, 0.0, 0.0]).is_err());
         assert!(Batch::new(vec![], vec![1.0]).is_err());
-        assert!(Batch::new(vec![], vec![]).is_ok());
+        assert!(Batch::<f64>::new(vec![], vec![]).is_ok());
         let b = Batch::new(vec![1, 2], vec![0.0; 6]).unwrap();
         assert_eq!(b.features(), 3);
     }
@@ -297,7 +340,7 @@ mod tests {
 
     #[test]
     fn empty_batch_accessors() {
-        let b = Batch::empty();
+        let b: Batch = Batch::empty();
         assert!(b.is_empty());
         assert_eq!(b.len(), 0);
         assert_eq!(b.features(), 0);

@@ -86,32 +86,6 @@ fn read_varint(bytes: &[u8], pos: &mut usize) -> Result<u64, DecodeError> {
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct DeltaCodec;
 
-impl DeltaCodec {
-    fn validate(batch: &Batch, cfg: &BatchConfig) -> Result<(), EncodeError> {
-        if batch.len() > cfg.max_len() {
-            return Err(EncodeError::BatchTooLarge {
-                len: batch.len(),
-                max: cfg.max_len(),
-            });
-        }
-        if let Some(&last) = batch.indices().last() {
-            if last >= cfg.max_len() {
-                return Err(EncodeError::IndexOutOfRange {
-                    index: last,
-                    max: cfg.max_len(),
-                });
-            }
-        }
-        if !batch.is_empty() && batch.features() != cfg.features() {
-            return Err(EncodeError::FeatureMismatch {
-                got: batch.features(),
-                expected: cfg.features(),
-            });
-        }
-        Ok(())
-    }
-}
-
 impl Encoder for DeltaCodec {
     fn name(&self) -> &'static str {
         "Delta"
@@ -128,7 +102,7 @@ impl Encoder for DeltaCodec {
         scratch: &mut EncodeScratch,
         out: &mut Vec<u8>,
     ) -> Result<(), EncodeError> {
-        Self::validate(batch, cfg)?;
+        batch.validate(cfg)?;
         let fmt = cfg.format();
         let d = cfg.features();
         out.clear();

@@ -9,6 +9,7 @@ use crate::group::{
     merge_groups_rescoring, optimize_partition_in_place, select_max_groups, Group,
 };
 use crate::prune::{prune_count, prune_incremental, prune_into};
+use crate::sample::Sample;
 use crate::scratch::EncodeScratch;
 use crate::telemetry::{Probe, Stage};
 
@@ -104,57 +105,46 @@ impl AgeEncoder {
         (Self::fixed_bits(cfg) + Self::entry_bits(cfg)).div_ceil(8)
     }
 
-    fn validate(&self, batch: &Batch, cfg: &BatchConfig) -> Result<(), EncodeError> {
-        if batch.len() > cfg.max_len() {
-            return Err(EncodeError::BatchTooLarge {
-                len: batch.len(),
-                max: cfg.max_len(),
-            });
-        }
-        if let Some(&last) = batch.indices().last() {
-            if last >= cfg.max_len() {
-                return Err(EncodeError::IndexOutOfRange {
-                    index: last,
-                    max: cfg.max_len(),
-                });
-            }
-        }
-        if !batch.is_empty() && batch.features() != cfg.features() {
-            return Err(EncodeError::FeatureMismatch {
-                got: batch.features(),
-                expected: cfg.features(),
-            });
-        }
-        let min = Self::min_target_bytes(cfg);
-        if self.target_bytes < min {
-            return Err(EncodeError::TargetTooSmall {
-                target: self.target_bytes,
-                min,
-            });
-        }
-        Ok(())
-    }
-}
-
-impl crate::Encoder for AgeEncoder {
-    fn name(&self) -> &'static str {
-        "AGE"
-    }
-
-    fn is_fixed_length(&self) -> bool {
-        true
-    }
-
-    fn encode_into(
+    /// Encodes a batch of `S` values into `out`: the one AGE pipeline
+    /// behind both the [`Encoder`](crate::Encoder) impl (`S = f64`) and
+    /// the MCU path (`S = i64`, raw values in `cfg`'s format; see
+    /// [`crate::mcu`]). For format-exact values both give the same bytes.
+    /// Reuses the allocations in `scratch` and `out`, like
+    /// [`Encoder::encode_into`](crate::Encoder::encode_into).
+    ///
+    /// # Errors
+    ///
+    /// Returns [`EncodeError`] if the batch is inconsistent with `cfg` or
+    /// the target size cannot hold the message framing.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use age_core::mcu::RawBatch;
+    /// use age_core::{AgeEncoder, Batch, BatchConfig, EncodeScratch, Encoder};
+    /// use age_fixed::Format;
+    ///
+    /// let cfg = BatchConfig::new(50, 1, Format::new(16, 13)?)?;
+    /// let enc = AgeEncoder::new(40);
+    /// // Raw Q3.13 integers: 1.0 and -0.5.
+    /// let raw = RawBatch::new(vec![0, 4], vec![8192, -4096])?;
+    /// let mut message = Vec::new();
+    /// enc.encode_samples(&raw, &cfg, &mut EncodeScratch::default(), &mut message)?;
+    /// let float = Batch::new(vec![0, 4], vec![1.0, -0.5])?;
+    /// assert_eq!(message, enc.encode(&float, &cfg)?);
+    /// # Ok::<(), Box<dyn std::error::Error>>(())
+    /// ```
+    pub fn encode_samples<S: Sample>(
         &self,
-        batch: &Batch,
+        batch: &Batch<S>,
         cfg: &BatchConfig,
-        scratch: &mut EncodeScratch,
+        scratch: &mut EncodeScratch<S>,
         out: &mut Vec<u8>,
     ) -> Result<(), EncodeError> {
-        self.validate(batch, cfg)?;
+        batch.validate_fixed(cfg, self.target_bytes, Self::min_target_bytes(cfg))?;
         let d = cfg.features();
-        let w0 = cfg.format().width();
+        let fmt0 = cfg.format();
+        let w0 = fmt0.width();
         let target_bits = self.target_bytes * 8;
         let fixed_bits = Self::fixed_bits(cfg);
         let entry_bits = Self::entry_bits(cfg);
@@ -182,9 +172,9 @@ impl crate::Encoder for AgeEncoder {
         let drop = prune_count(batch.len(), d, Self::MIN_WIDTH, prune_budget);
         let batch = if drop > 0 {
             if self.refined {
-                *pruned = prune_incremental(batch, drop);
+                *pruned = prune_incremental(batch, drop, fmt0.frac());
             } else {
-                prune_into(batch, drop, prune_scratch, pruned);
+                prune_into(batch, drop, fmt0.frac(), prune_scratch, pruned);
             }
             &*pruned
         } else {
@@ -194,7 +184,7 @@ impl crate::Encoder for AgeEncoder {
         probe.lap(Stage::Prune);
 
         // §4.3: exponent-aware groups, merged down to at most G.
-        measurement_exponents_into(batch, cfg.format().integer_bits(), exponents);
+        measurement_exponents_into(batch, fmt0, exponents);
         form_groups_into(exponents, groups);
         let groups_initial = groups.len();
         probe.lap(Stage::Group);
@@ -278,7 +268,7 @@ impl crate::Encoder for AgeEncoder {
             }
             let fmt = Format::new(width, i16::from(width) - i16::from(g.exponent))
                 .expect("group widths and exponents always form a valid format");
-            w.write_quantized(fmt, &batch.values()[t * d..(t + g.count) * d]);
+            S::pack_lane(&mut w, fmt0, fmt, &batch.values()[t * d..(t + g.count) * d]);
             t += g.count;
         }
         debug_assert_eq!(t, k);
@@ -310,6 +300,26 @@ impl crate::Encoder for AgeEncoder {
             ..Default::default()
         });
         Ok(())
+    }
+}
+
+impl crate::Encoder for AgeEncoder {
+    fn name(&self) -> &'static str {
+        "AGE"
+    }
+
+    fn is_fixed_length(&self) -> bool {
+        true
+    }
+
+    fn encode_into(
+        &self,
+        batch: &Batch,
+        cfg: &BatchConfig,
+        scratch: &mut EncodeScratch,
+        out: &mut Vec<u8>,
+    ) -> Result<(), EncodeError> {
+        self.encode_samples(batch, cfg, scratch, out)
     }
 
     fn decode(&self, message: &[u8], cfg: &BatchConfig) -> Result<Batch, DecodeError> {
@@ -416,7 +426,6 @@ impl crate::Encoder for AgeEncoder {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::group::assign_widths;
     use crate::Encoder;
 
     fn cfg() -> BatchConfig {
@@ -587,7 +596,8 @@ mod tests {
             };
             5
         ];
-        let widths = assign_widths(&groups, 6, 16, 220 * 8 - 16 - 50 - 8 - 5 * 18);
+        let mut widths = Vec::new();
+        assign_widths_into(&groups, 6, 16, 220 * 8 - 16 - 50 - 8 - 5 * 18, &mut widths);
         let total_bits: usize = groups
             .iter()
             .zip(&widths)

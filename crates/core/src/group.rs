@@ -16,9 +16,10 @@
 //! computed once, and merges applied in ascending initial-score order (the
 //! paper notes rescoring after each merge is not worth the MCU overhead).
 
-use age_fixed::required_integer_bits;
+use age_fixed::Format;
 
 use crate::batch::Batch;
+use crate::sample::Sample;
 
 /// A run of adjacent measurements sharing an exponent.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -29,40 +30,27 @@ pub struct Group {
     pub exponent: u8,
 }
 
-/// Per-measurement exponent: the widest exponent needed by any of the
-/// measurement's features, clamped to `max_n`.
-pub fn measurement_exponents(batch: &Batch, max_n: u8) -> Vec<u8> {
-    let mut out = Vec::new();
-    measurement_exponents_into(batch, max_n, &mut out);
-    out
-}
-
-/// Allocation-reusing form of [`measurement_exponents`]: clears `out` and
-/// fills it with one exponent per measurement.
-pub fn measurement_exponents_into(batch: &Batch, max_n: u8, out: &mut Vec<u8>) {
+/// Clears `out` and fills it with one exponent per measurement of `batch`,
+/// whose values are stored in `fmt`: the widest exponent any of the
+/// measurement's features needs, clamped to `fmt`'s non-fractional bits.
+pub fn measurement_exponents_into<S: Sample>(batch: &Batch<S>, fmt: Format, out: &mut Vec<u8>) {
     out.clear();
     if batch.is_empty() {
         return;
     }
+    let (frac, max_n) = (fmt.frac(), fmt.integer_bits());
     // One flat pass over the row-major values; `chunks_exact` lets the
     // per-feature max reduce without a bounds check per measurement.
     out.extend(batch.values().chunks_exact(batch.features()).map(|row| {
         row.iter()
-            .map(|&x| required_integer_bits(x, max_n))
+            .map(|&x| x.required_bits(frac, max_n))
             .max()
             .unwrap_or(1)
     }));
 }
 
-/// Run-length encodes an exponent sequence into maximal groups.
-pub fn form_groups(exponents: &[u8]) -> Vec<Group> {
-    let mut groups = Vec::new();
-    form_groups_into(exponents, &mut groups);
-    groups
-}
-
-/// Allocation-reusing form of [`form_groups`]: clears `out` and fills it
-/// with the maximal runs.
+/// Run-length encodes an exponent sequence: clears `out` and fills it with
+/// the maximal runs.
 pub fn form_groups_into(exponents: &[u8], out: &mut Vec<Group>) {
     out.clear();
     for &n in exponents {
@@ -86,15 +74,8 @@ pub struct MergeScratch {
 }
 
 /// Greedily merges adjacent groups (ascending initial score) until at most
-/// `max_groups` remain. Skipped entirely when already within the cap.
-pub fn merge_groups(groups: Vec<Group>, max_groups: usize) -> Vec<Group> {
-    let mut groups = groups;
-    merge_groups_in_place(&mut groups, max_groups, &mut MergeScratch::default());
-    groups
-}
-
-/// Allocation-reusing form of [`merge_groups`]: merges within `groups`
-/// itself and keeps all working state in `scratch`.
+/// `max_groups` remain, within `groups` itself, keeping all working state
+/// in `scratch`. Skipped entirely when already within the cap.
 ///
 /// The greedy pass takes pairs in ascending `(score, i)` order and stops at
 /// the cap. Pair `i` is the only link between groups `i` and `i + 1`, so
@@ -198,21 +179,8 @@ pub fn select_max_groups(
 
 /// Round-robin width assignment (§4.4): every group starts at the widest
 /// uniform feasible base, then groups take single-bit increments while the
-/// data budget allows, mimicking fractional widths.
-pub fn assign_widths(
-    groups: &[Group],
-    features: usize,
-    full_width: u8,
-    data_budget_bits: usize,
-) -> Vec<u8> {
-    let mut widths = Vec::new();
-    assign_widths_into(groups, features, full_width, data_budget_bits, &mut widths);
-    widths
-}
-
-/// Allocation-reusing form of [`assign_widths`]: clears `widths` and fills
-/// it with one width per group (left empty when there are no values, like
-/// the owning form's empty return).
+/// data budget allows, mimicking fractional widths. Clears `widths` and
+/// fills it with one width per group (left empty when there are no values).
 pub fn assign_widths_into(
     groups: &[Group],
     features: usize,
@@ -257,37 +225,16 @@ pub fn assign_widths_into(
 /// (`max_groups` is small), so an MCU can afford it.
 ///
 /// `avail_bits` is the space for directory + data together.
-pub fn optimize_partition(
-    groups: Vec<Group>,
-    features: usize,
-    full_width: u8,
-    avail_bits: usize,
-    entry_bits: usize,
-    max_groups: usize,
-) -> Vec<Group> {
-    let mut groups = groups;
-    optimize_partition_in_place(
-        &mut groups,
-        features,
-        full_width,
-        avail_bits,
-        entry_bits,
-        max_groups,
-        &mut Vec::new(),
-        &mut Vec::new(),
-    );
-    groups
-}
-
-/// Allocation-reusing form of [`optimize_partition`]: instead of cloning the
-/// whole partition at every candidate improvement, it records each split's
-/// index in `split_log` and — once the search stops — rewinds the splits
-/// beyond the best step in reverse order (a split is its own inverse: merge
-/// the two halves back at the recorded index). `trial_widths` backs the
-/// per-candidate width simulation. Returns `true` when `trial_widths`
-/// already holds the widths [`assign_widths_into`] gives the final
-/// partition under `avail_bits` minus its directory — the search kept the
-/// last candidate it sized — so the caller need not size it again.
+///
+/// Works in place: instead of cloning the whole partition at every
+/// candidate improvement, it records each split's index in `split_log`
+/// and — once the search stops — rewinds the splits beyond the best step
+/// in reverse order (a split is its own inverse: merge the two halves back
+/// at the recorded index). `trial_widths` backs the per-candidate width
+/// simulation. Returns `true` when `trial_widths` already holds the widths
+/// [`assign_widths_into`] gives the final partition under `avail_bits`
+/// minus its directory — the search kept the last candidate it sized — so
+/// the caller need not size it again.
 #[allow(clippy::too_many_arguments)]
 pub fn optimize_partition_in_place(
     groups: &mut Vec<Group>,
@@ -398,6 +345,50 @@ pub fn optimize_partition_in_place(
 mod tests {
     use super::*;
     use crate::batch::Batch;
+
+    fn measurement_exponents(batch: &Batch, max_n: u8) -> Vec<u8> {
+        let mut out = Vec::new();
+        measurement_exponents_into(batch, Format::new(max_n, 0).unwrap(), &mut out);
+        out
+    }
+
+    fn form_groups(exponents: &[u8]) -> Vec<Group> {
+        let mut out = Vec::new();
+        form_groups_into(exponents, &mut out);
+        out
+    }
+
+    fn merge_groups(mut groups: Vec<Group>, max_groups: usize) -> Vec<Group> {
+        merge_groups_in_place(&mut groups, max_groups, &mut MergeScratch::default());
+        groups
+    }
+
+    fn assign_widths(groups: &[Group], features: usize, full_width: u8, budget: usize) -> Vec<u8> {
+        let mut widths = Vec::new();
+        assign_widths_into(groups, features, full_width, budget, &mut widths);
+        widths
+    }
+
+    fn optimize_partition(
+        mut groups: Vec<Group>,
+        features: usize,
+        full_width: u8,
+        avail_bits: usize,
+        entry_bits: usize,
+        max_groups: usize,
+    ) -> Vec<Group> {
+        optimize_partition_in_place(
+            &mut groups,
+            features,
+            full_width,
+            avail_bits,
+            entry_bits,
+            max_groups,
+            &mut Vec::new(),
+            &mut Vec::new(),
+        );
+        groups
+    }
 
     #[test]
     fn exponents_take_feature_max() {

@@ -55,6 +55,7 @@ pub mod group;
 mod inspect;
 pub mod mcu;
 pub mod prune;
+mod sample;
 mod scratch;
 pub mod target;
 mod telemetry;
@@ -66,6 +67,7 @@ pub use compress::DeltaCodec;
 pub use encoder::AgeEncoder;
 pub use error::{BatchError, DecodeError, EncodeError};
 pub use inspect::{inspect_message, GroupLayout, MessageLayout};
+pub use sample::Sample;
 pub use scratch::{EncodeScratch, StreamContext};
 pub use variants::{PrunedEncoder, SingleEncoder, UnshiftedEncoder};
 

@@ -15,37 +15,29 @@
 //! the MCU overhead).
 
 use crate::batch::Batch;
+use crate::sample::Sample;
 
 /// Reusable buffers for [`prune_into`], so steady-state pruning performs no
-/// heap allocations once the buffers have grown to the batch size.
+/// heap allocations once the buffers have grown to the batch size. `T` is
+/// the sample type's [`Sample::Score`].
 #[derive(Debug, Default)]
-pub struct PruneScratch {
-    scores: Vec<f64>,
+pub struct PruneScratch<T = f64> {
+    scores: Vec<T>,
     order: Vec<usize>,
     keep: Vec<bool>,
 }
 
-/// Distance scores for every measurement in `batch` (the last measurement
-/// has no successor and gets an infinite score, so it is never pruned before
-/// its predecessors).
-pub fn distance_scores(batch: &Batch) -> Vec<f64> {
-    let mut scores = Vec::new();
-    distance_scores_into(batch, &mut scores);
-    scores
-}
-
-/// Allocation-reusing form of [`distance_scores`]: clears `scores` and fills
-/// it with one score per measurement.
-pub fn distance_scores_into(batch: &Batch, scores: &mut Vec<f64>) {
+/// Clears `scores` and fills it with the distance score of every
+/// measurement in `batch`, whose values have `frac` fractional bits (the
+/// last measurement has no successor and gets [`Sample::LAST`], so it is
+/// never pruned before its predecessors).
+pub fn distance_scores_into<S: Sample>(batch: &Batch<S>, frac: i16, scores: &mut Vec<S::Score>) {
     let k = batch.len();
     scores.clear();
-    scores.resize(k, f64::INFINITY);
+    scores.resize(k, S::LAST);
     for (t, score) in scores.iter_mut().enumerate().take(k.saturating_sub(1)) {
-        let a = batch.measurement(t);
-        let b = batch.measurement(t + 1);
-        let l1: f64 = a.iter().zip(b).map(|(x, y)| (x - y).abs()).sum();
-        let gap = (batch.indices()[t + 1] - batch.indices()[t]) as f64;
-        *score = l1 + gap / 8.0;
+        let gap = batch.indices()[t + 1] - batch.indices()[t];
+        *score = S::distance(batch.measurement(t), batch.measurement(t + 1), gap, frac);
     }
 }
 
@@ -62,21 +54,28 @@ pub fn prune_count(k: usize, features: usize, min_width: u8, budget_bits: usize)
     k.saturating_sub(max_keep)
 }
 
-/// Removes the `drop` measurements with the smallest distance scores,
-/// preserving the order of the survivors.
+/// Orders two scores, breaking ties toward the earlier position: a total
+/// order, since scores are never NaN.
+fn by_score<T: PartialOrd>(scores: &[T], a: usize, b: usize) -> std::cmp::Ordering {
+    scores[a]
+        .partial_cmp(&scores[b])
+        .expect("scores are never NaN")
+        .then(a.cmp(&b))
+}
+
+/// Removes the `drop` measurements with the smallest distance scores
+/// (values with `frac` fractional bits) and writes the survivors, in order,
+/// into `out`, reusing both the scratch buffers and `out`'s allocations.
 ///
 /// Ties are broken toward earlier measurements, matching a deterministic
 /// MCU implementation that scans the score array once per removal.
-pub fn prune(batch: &Batch, drop: usize) -> Batch {
-    let mut scratch = PruneScratch::default();
-    let mut out = Batch::empty();
-    prune_into(batch, drop, &mut scratch, &mut out);
-    out
-}
-
-/// Allocation-reusing form of [`prune`]: writes the surviving measurements
-/// into `out`, reusing both the scratch buffers and `out`'s allocations.
-pub fn prune_into(batch: &Batch, drop: usize, scratch: &mut PruneScratch, out: &mut Batch) {
+pub fn prune_into<S: Sample>(
+    batch: &Batch<S>,
+    drop: usize,
+    frac: i16,
+    scratch: &mut PruneScratch<S::Score>,
+    out: &mut Batch<S>,
+) {
     let k = batch.len();
     if drop == 0 || k == 0 {
         out.copy_from(batch);
@@ -86,19 +85,16 @@ pub fn prune_into(batch: &Batch, drop: usize, scratch: &mut PruneScratch, out: &
         out.clear();
         return;
     }
-    distance_scores_into(batch, &mut scratch.scores);
+    distance_scores_into(batch, frac, &mut scratch.scores);
     // Select the `drop` smallest scores; tie-break by position. The index
     // tie-break makes the comparator a total order, so selection picks the
     // same victims as a full sort, in linear time and without allocating.
     scratch.order.clear();
     scratch.order.extend(0..k);
     let scores = &scratch.scores;
-    scratch.order.select_nth_unstable_by(drop - 1, |&a, &b| {
-        scores[a]
-            .partial_cmp(&scores[b])
-            .expect("scores are never NaN")
-            .then(a.cmp(&b))
-    });
+    scratch
+        .order
+        .select_nth_unstable_by(drop - 1, |&a, &b| by_score(scores, a, b));
     scratch.keep.clear();
     scratch.keep.resize(k, true);
     for &victim in &scratch.order[..drop] {
@@ -116,7 +112,7 @@ pub fn prune_into(batch: &Batch, drop: usize, scratch: &mut PruneScratch, out: &
 /// against their *new* successors, so the estimate of each drop's error
 /// stays exact. Worst-case `O(k·drop)` versus the one-shot version's
 /// linear-time selection.
-pub fn prune_incremental(batch: &Batch, drop: usize) -> Batch {
+pub fn prune_incremental<S: Sample>(batch: &Batch<S>, drop: usize, frac: i16) -> Batch<S> {
     let k = batch.len();
     if drop == 0 || k == 0 {
         return batch.clone();
@@ -129,28 +125,20 @@ pub fn prune_incremental(batch: &Batch, drop: usize) -> Batch {
     let mut prev: Vec<isize> = (0..k).map(|i| i as isize - 1).collect();
     let mut alive = vec![true; k];
 
-    let score_of = |t: usize, succ: usize, batch: &Batch| -> f64 {
-        if succ >= batch.len() {
-            return f64::INFINITY;
+    let score_of = |t: usize, succ: usize| -> S::Score {
+        if succ >= k {
+            return S::LAST;
         }
-        let a = batch.measurement(t);
-        let b = batch.measurement(succ);
-        let l1: f64 = a.iter().zip(b).map(|(x, y)| (x - y).abs()).sum();
-        let gap = (batch.indices()[succ] - batch.indices()[t]) as f64;
-        l1 + gap / 8.0
+        let gap = batch.indices()[succ] - batch.indices()[t];
+        S::distance(batch.measurement(t), batch.measurement(succ), gap, frac)
     };
-    let mut scores: Vec<f64> = (0..k).map(|t| score_of(t, t + 1, batch)).collect();
+    let mut scores: Vec<S::Score> = (0..k).map(|t| score_of(t, t + 1)).collect();
 
     for _ in 0..drop {
         // Find the cheapest surviving victim (linear scan, as an MCU would).
         let victim = (0..k)
             .filter(|&t| alive[t])
-            .min_by(|&a, &b| {
-                scores[a]
-                    .partial_cmp(&scores[b])
-                    .expect("scores are never NaN")
-                    .then(a.cmp(&b))
-            })
+            .min_by(|&a, &b| by_score(&scores, a, b))
             .expect("drop < k leaves at least one survivor");
         alive[victim] = false;
         let succ = next[victim];
@@ -158,7 +146,7 @@ pub fn prune_incremental(batch: &Batch, drop: usize) -> Batch {
         if pred >= 0 {
             let pred = pred as usize;
             next[pred] = succ;
-            scores[pred] = score_of(pred, succ, batch);
+            scores[pred] = score_of(pred, succ);
         }
         if succ < k {
             prev[succ] = pred;
@@ -173,6 +161,18 @@ mod tests {
 
     fn batch(indices: Vec<usize>, flat: Vec<f64>) -> Batch {
         Batch::new(indices, flat).unwrap()
+    }
+
+    fn distance_scores(batch: &Batch) -> Vec<f64> {
+        let mut scores = Vec::new();
+        distance_scores_into(batch, 0, &mut scores);
+        scores
+    }
+
+    fn prune(batch: &Batch, drop: usize) -> Batch {
+        let mut out = Batch::empty();
+        prune_into(batch, drop, 0, &mut PruneScratch::default(), &mut out);
+        out
     }
 
     #[test]
@@ -240,7 +240,7 @@ mod tests {
     fn incremental_prune_agrees_on_single_drops() {
         // With one victim the two algorithms are identical.
         let b = batch(vec![0, 5, 6, 20], vec![0.0, 3.0, 3.01, 9.0]);
-        assert_eq!(prune(&b, 1), prune_incremental(&b, 1));
+        assert_eq!(prune(&b, 1), prune_incremental(&b, 1, 0));
     }
 
     #[test]
@@ -249,7 +249,7 @@ mod tests {
         // creating a larger combined gap than rescoring would allow.
         let values: Vec<f64> = vec![0.0, 0.05, 0.1, 0.15, 5.0, 5.05, 9.0];
         let b = batch((0..7).collect(), values);
-        let inc = prune_incremental(&b, 3);
+        let inc = prune_incremental(&b, 3, 0);
         assert_eq!(inc.len(), 4);
         // Survivors still bracket both level shifts.
         assert!(inc.values().iter().any(|&v| v > 4.0 && v < 6.0));
@@ -259,9 +259,9 @@ mod tests {
     #[test]
     fn incremental_prune_edge_cases() {
         let b = batch(vec![1, 3], vec![0.5, 0.6]);
-        assert_eq!(prune_incremental(&b, 0), b);
-        assert!(prune_incremental(&b, 2).is_empty());
-        assert!(prune_incremental(&Batch::empty(), 1).is_empty());
+        assert_eq!(prune_incremental(&b, 0, 0), b);
+        assert!(prune_incremental(&b, 2, 0).is_empty());
+        assert!(prune_incremental(&batch(vec![], vec![]), 1, 0).is_empty());
     }
 
     #[test]
@@ -286,7 +286,7 @@ mod tests {
             total
         };
         let one_shot = err(&prune(&b, 25));
-        let rescored = err(&prune_incremental(&b, 25));
+        let rescored = err(&prune_incremental(&b, 25, 0));
         assert!(
             rescored <= one_shot * 1.05,
             "rescoring should not be meaningfully worse: {rescored} vs {one_shot}"

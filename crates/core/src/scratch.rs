@@ -17,9 +17,12 @@
 use crate::batch::Batch;
 use crate::group::{Group, MergeScratch};
 use crate::prune::PruneScratch;
+use crate::sample::Sample;
 
 /// Caller-owned scratch buffers shared by every [`crate::Encoder`]
-/// implementation in this crate.
+/// implementation in this crate. `S` is the sample type of the batches
+/// encoded through it: `f64` for the [`crate::Encoder`]s, raw `i64` for
+/// the MCU path ([`crate::AgeEncoder::encode_samples`]).
 ///
 /// One scratch can be reused across different encoders and batch sizes; the
 /// buffers simply grow to the high-water mark. The contents after a call are
@@ -43,11 +46,11 @@ use crate::prune::PruneScratch;
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
 #[derive(Debug, Default)]
-pub struct EncodeScratch {
+pub struct EncodeScratch<S: Sample = f64> {
     /// Output of the pruning stage (§4.2).
-    pub(crate) pruned: Batch,
+    pub(crate) pruned: Batch<S>,
     /// Score/order/keep buffers for [`crate::prune::prune_into`].
-    pub(crate) prune: PruneScratch,
+    pub(crate) prune: PruneScratch<S::Score>,
     /// Per-measurement exponents (§4.3).
     pub(crate) exponents: Vec<u8>,
     /// Group arena: formed, merged, and split in place.
@@ -105,7 +108,8 @@ pub struct StreamContext {
 }
 
 impl EncodeScratch {
-    /// Creates an empty scratch; buffers grow on first use.
+    /// Creates an empty `f64` scratch; buffers grow on first use. (An MCU
+    /// path scratch is `EncodeScratch::<i64>::default()`.)
     pub fn new() -> Self {
         EncodeScratch::default()
     }

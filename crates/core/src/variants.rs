@@ -26,38 +26,6 @@ const WIDTH_BITS: u8 = 6;
 /// Fixed group count used by [`UnshiftedEncoder`].
 const UNSHIFTED_GROUPS: usize = 6;
 
-fn validate(
-    batch: &Batch,
-    cfg: &BatchConfig,
-    target: usize,
-    min: usize,
-) -> Result<(), EncodeError> {
-    if batch.len() > cfg.max_len() {
-        return Err(EncodeError::BatchTooLarge {
-            len: batch.len(),
-            max: cfg.max_len(),
-        });
-    }
-    if let Some(&last) = batch.indices().last() {
-        if last >= cfg.max_len() {
-            return Err(EncodeError::IndexOutOfRange {
-                index: last,
-                max: cfg.max_len(),
-            });
-        }
-    }
-    if !batch.is_empty() && batch.features() != cfg.features() {
-        return Err(EncodeError::FeatureMismatch {
-            got: batch.features(),
-            expected: cfg.features(),
-        });
-    }
-    if target < min {
-        return Err(EncodeError::TargetTooSmall { target, min });
-    }
-    Ok(())
-}
-
 fn write_header_and_mask(w: &mut BitWriter, batch: &Batch, cfg: &BatchConfig) {
     w.write_u16(batch.len() as u16);
     // Zero-runs between collected indices pack whole words per write.
@@ -144,7 +112,7 @@ impl Encoder for SingleEncoder {
         out: &mut Vec<u8>,
     ) -> Result<(), EncodeError> {
         let min = Self::fixed_bits(cfg).div_ceil(8);
-        validate(batch, cfg, self.target_bytes, min)?;
+        batch.validate_fixed(cfg, self.target_bytes, min)?;
         let d = cfg.features();
         let fmt0 = cfg.format();
         let mut probe = Probe::start(batch.len());
@@ -266,7 +234,7 @@ impl Encoder for UnshiftedEncoder {
         out: &mut Vec<u8>,
     ) -> Result<(), EncodeError> {
         let min = Self::fixed_bits(cfg).div_ceil(8);
-        validate(batch, cfg, self.target_bytes, min)?;
+        batch.validate_fixed(cfg, self.target_bytes, min)?;
         let d = cfg.features();
         let fmt0 = cfg.format();
         let mut probe = Probe::start(batch.len());
@@ -437,7 +405,7 @@ impl Encoder for PrunedEncoder {
         out: &mut Vec<u8>,
     ) -> Result<(), EncodeError> {
         let min = Self::fixed_bits(cfg).div_ceil(8);
-        validate(batch, cfg, self.target_bytes, min)?;
+        batch.validate_fixed(cfg, self.target_bytes, min)?;
         let d = cfg.features();
         let fmt = cfg.format();
         let mut probe = Probe::start(batch.len());
@@ -450,7 +418,7 @@ impl Encoder for PrunedEncoder {
             ..
         } = scratch;
         let batch = if drop > 0 {
-            prune_into(batch, drop, prune, pruned);
+            prune_into(batch, drop, fmt.frac(), prune, pruned);
             &*pruned
         } else {
             batch

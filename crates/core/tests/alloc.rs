@@ -12,9 +12,10 @@
 //! thread-local and each libtest test runs on its own thread, so the tests
 //! do not interfere with each other.
 
+use age_core::mcu::RawBatch;
 use age_core::{
-    AgeEncoder, Batch, BatchConfig, DeltaCodec, EncodeScratch, Encoder, PaddedEncoder,
-    PrunedEncoder, SingleEncoder, StandardEncoder, UnshiftedEncoder,
+    AgeEncoder, Batch, BatchConfig, DeltaCodec, EncodeError, EncodeScratch, Encoder, PaddedEncoder,
+    PrunedEncoder, Sample, SingleEncoder, StandardEncoder, UnshiftedEncoder,
 };
 use age_fixed::Format;
 use age_telemetry::alloc::{self, CountingAllocator};
@@ -52,18 +53,26 @@ fn test_batches() -> Vec<Batch> {
 /// touch the heap at all.
 fn assert_zero_alloc(name: &str, encoder: &dyn Encoder, batches: &[Batch], cfg: &BatchConfig) {
     let mut scratch = EncodeScratch::new();
+    assert_steady_state_zero_alloc(name, batches, |batch, out| {
+        encoder.encode_into(batch, cfg, &mut scratch, out)
+    });
+}
+
+/// [`assert_zero_alloc`] for any encode call that reuses its own buffers.
+fn assert_steady_state_zero_alloc<S: Sample>(
+    name: &str,
+    batches: &[Batch<S>],
+    mut encode: impl FnMut(&Batch<S>, &mut Vec<u8>) -> Result<(), EncodeError>,
+) {
     let mut out = Vec::new();
     // Warm-up: grows every scratch buffer to its high-water mark.
     for batch in batches {
-        encoder
-            .encode_into(batch, cfg, &mut scratch, &mut out)
-            .unwrap_or_else(|e| panic!("{name}: warm-up encode failed: {e}"));
+        encode(batch, &mut out).unwrap_or_else(|e| panic!("{name}: warm-up encode failed: {e}"));
     }
     for (bi, batch) in batches.iter().enumerate() {
         let before = alloc::snapshot();
         for _ in 0..5 {
-            encoder
-                .encode_into(batch, cfg, &mut scratch, &mut out)
+            encode(batch, &mut out)
                 .unwrap_or_else(|e| panic!("{name}: steady-state encode failed: {e}"));
         }
         let delta = alloc::snapshot().since(before);
@@ -98,6 +107,31 @@ fn age_encoder_without_splitting_is_allocation_free() {
         &test_batches(),
         &cfg(),
     );
+}
+
+/// The MCU path — the same encoder on raw `i64` batches, through a reused
+/// `EncodeScratch<i64>` — shares every stage and buffer with the `f64`
+/// path, so it is allocation-free too.
+#[test]
+fn mcu_integer_path_is_allocation_free_in_steady_state() {
+    let cfg = cfg();
+    let batches: Vec<RawBatch> = test_batches()
+        .iter()
+        .map(|b| RawBatch::from_batch(b, &cfg))
+        .collect();
+    for (name, encoder) in [
+        ("AGE/220", AgeEncoder::new(220)),
+        ("AGE/35", AgeEncoder::new(35)),
+        (
+            "AGE/no-split",
+            AgeEncoder::new(220).with_group_splitting(false),
+        ),
+    ] {
+        let mut scratch = EncodeScratch::default();
+        assert_steady_state_zero_alloc(&format!("i64 {name}"), &batches, |batch, out| {
+            encoder.encode_samples(batch, &cfg, &mut scratch, out)
+        });
+    }
 }
 
 #[test]

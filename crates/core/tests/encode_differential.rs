@@ -18,8 +18,8 @@
 //! evenly spaced indices (tied prune and merge scores, long homogeneous
 //! groups), so that the split search both wins and stops early.
 
-use age_core::group::{self, Group};
-use age_core::prune;
+use age_core::group::{self, Group, MergeScratch};
+use age_core::prune::{self, PruneScratch};
 use age_core::{
     AgeEncoder, Batch, BatchConfig, EncodeScratch, Encoder, PaddedEncoder, PrunedEncoder,
     SingleEncoder, StandardEncoder, UnshiftedEncoder,
@@ -85,7 +85,9 @@ fn reference_victims(batch: &Batch, drop: usize) -> Vec<usize> {
     if drop >= k {
         return (0..k).collect();
     }
-    let scores = prune::distance_scores(batch);
+    // `f64` scores do not depend on the format's fractional bits.
+    let mut scores = Vec::new();
+    prune::distance_scores_into(batch, 0, &mut scores);
     let mut order: Vec<usize> = (0..k).collect();
     order.sort_by(|&a, &b| {
         scores[a]
@@ -116,7 +118,8 @@ fn without(batch: &Batch, victims: &[usize], features: usize) -> Batch {
 fn pruned(batch: &Batch, drop: usize, features: usize, case: &str) -> Batch {
     let victims = reference_victims(batch, drop);
     let want = without(batch, &victims, features);
-    let got = prune::prune(batch, drop);
+    let mut got = Batch::empty();
+    prune::prune_into(batch, drop, 0, &mut PruneScratch::default(), &mut got);
     assert_eq!(got.indices(), want.indices(), "{case}: victim set");
     want
 }
@@ -201,7 +204,8 @@ fn reference_split(
     }
     let used_of = |candidate: &[Group]| -> usize {
         let budget = avail_bits.saturating_sub(candidate.len() * entry_bits);
-        let widths = group::assign_widths(candidate, features, full_width, budget);
+        let mut widths = Vec::new();
+        group::assign_widths_into(candidate, features, full_width, budget, &mut widths);
         candidate
             .iter()
             .zip(&widths)
@@ -274,13 +278,15 @@ fn reference_age(
     let batch = if drop == 0 {
         batch.clone()
     } else if refined {
-        prune::prune_incremental(batch, drop)
+        prune::prune_incremental(batch, drop, cfg.format().frac())
     } else {
         pruned(batch, drop, d, case)
     };
     let k = batch.len();
-    let exponents = group::measurement_exponents(&batch, cfg.format().integer_bits());
-    let initial = group::form_groups(&exponents);
+    let mut exponents = Vec::new();
+    group::measurement_exponents_into(&batch, cfg.format(), &mut exponents);
+    let mut initial = Vec::new();
+    group::form_groups_into(&exponents, &mut initial);
     let avail = target_bits.saturating_sub(fixed_bits);
     let max_groups = group::select_max_groups(
         avail,
@@ -293,7 +299,8 @@ fn reference_age(
         group::merge_groups_rescoring(initial, max_groups)
     } else {
         let want = reference_merge(&initial, max_groups);
-        let got = group::merge_groups(initial, max_groups);
+        let mut got = initial;
+        group::merge_groups_in_place(&mut got, max_groups, &mut MergeScratch::default());
         assert_eq!(got, want, "{case}: merged groups");
         want
     };
@@ -302,17 +309,19 @@ fn reference_age(
         trace.kept += t.kept;
         trace.tried_past_bound += t.tried_past_bound;
         trace.tried_within_bound += t.tried_within_bound;
-        let got = group::optimize_partition(merged, d, w0, avail, entry_bits, max_groups);
+        let got = library_split(merged, d, w0, avail, entry_bits, max_groups);
         assert_eq!(got, want, "{case}: split groups");
         want
     } else {
         merged
     };
-    let widths = group::assign_widths(
+    let mut widths = Vec::new();
+    group::assign_widths_into(
         &groups,
         d,
         w0,
         avail.saturating_sub(entry_bits * groups.len()),
+        &mut widths,
     );
 
     let mut w = BitWriter::new();
@@ -333,6 +342,28 @@ fn reference_age(
     }
     w.pad_to_bytes(target_bytes);
     w.into_bytes()
+}
+
+/// The library's split search through fresh buffers.
+fn library_split(
+    mut groups: Vec<Group>,
+    features: usize,
+    full_width: u8,
+    avail_bits: usize,
+    entry_bits: usize,
+    max_groups: usize,
+) -> Vec<Group> {
+    group::optimize_partition_in_place(
+        &mut groups,
+        features,
+        full_width,
+        avail_bits,
+        entry_bits,
+        max_groups,
+        &mut Vec::new(),
+        &mut Vec::new(),
+    );
+    groups
 }
 
 /// The Standard layout (`pad_to = None`) or the Padded one.
@@ -581,8 +612,10 @@ fn all_ties_break_by_index() {
             k
         ];
         for max_groups in 0..=k + 1 {
+            let mut got = groups.clone();
+            group::merge_groups_in_place(&mut got, max_groups, &mut MergeScratch::default());
             assert_eq!(
-                group::merge_groups(groups.clone(), max_groups),
+                got,
                 reference_merge(&groups, max_groups),
                 "k={k} max_groups={max_groups}"
             );
@@ -633,7 +666,7 @@ fn split_search_matches_the_reference_on_every_small_input() {
                                     &initial, features, full_width, avail, entry_bits, max_groups,
                                 );
                                 trace.kept += t.kept;
-                                let got = group::optimize_partition(
+                                let got = library_split(
                                     initial.clone(),
                                     features,
                                     full_width,

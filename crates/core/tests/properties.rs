@@ -266,26 +266,55 @@ fn padded_is_fixed_and_lossless() {
     }
 }
 
-/// The integer-only MCU encode path is bit-identical to the
-/// floating-point encoder on format-exact inputs.
+/// The MCU path — `AgeEncoder::encode_samples` on raw `i64` values — is
+/// bit-identical to the `f64` encoder on format-exact inputs: plain,
+/// refined and unsplit encoders, at roomy targets and at targets that
+/// force §4.2 pruning, each side through its own reused scratch.
 #[test]
 fn mcu_integer_path_matches_float_path() {
-    use age_core::mcu::{encode_raw, RawBatch};
+    use age_core::mcu::RawBatch;
+    use age_core::EncodeScratch;
     let mut rng = DetRng::seed_from_u64(0xA6E8);
-    for _ in 0..CASES {
+    let (mut float_scratch, mut raw_scratch) = (EncodeScratch::new(), EncodeScratch::default());
+    let (mut float_msg, mut int_msg) = (Vec::new(), Vec::new());
+    let mut refined_prunes = 0;
+    for case in 0..4 * CASES {
         let (cfg, batch) = config_and_batch(&mut rng);
-        let extra = rng.gen_range(0usize..300);
         let fmt = cfg.format();
         // Snap values to the format (the ADC would deliver exactly these).
         let snapped: Vec<f64> = batch.values().iter().map(|&x| fmt.round_trip(x)).collect();
         let fb = Batch::new(batch.indices().to_vec(), snapped).unwrap();
         let rb = RawBatch::from_batch(&fb, &cfg);
-        let target = AgeEncoder::min_target_bytes(&cfg) + extra;
-        let enc = AgeEncoder::new(target);
-        let float_msg = enc.encode(&fb, &cfg).unwrap();
-        let int_msg = encode_raw(&enc, &rb, &cfg).unwrap();
-        assert_eq!(float_msg, int_msg);
+        // Half the targets leave less than `MIN_WIDTH` bits per value.
+        let min = AgeEncoder::min_target_bytes(&cfg);
+        let squeezed = fb.len() * cfg.features() * usize::from(AgeEncoder::MIN_WIDTH) / 8;
+        let target = if rng.gen_range(0u32..2) == 0 {
+            min + rng.gen_range(0usize..300)
+        } else {
+            min + rng.gen_range(0..=squeezed)
+        };
+        let refined = rng.gen_range(0u32..2) == 0;
+        let split = rng.gen_range(0u32..2) == 0;
+        let enc = AgeEncoder::new(target)
+            .with_refinement(refined)
+            .with_group_splitting(split);
+        enc.encode_into(&fb, &cfg, &mut float_scratch, &mut float_msg)
+            .unwrap();
+        enc.encode_samples(&rb, &cfg, &mut raw_scratch, &mut int_msg)
+            .unwrap();
+        assert_eq!(
+            float_msg,
+            int_msg,
+            "case {case}: {fmt} k={} target={target} refined={refined} split={split}",
+            fb.len()
+        );
+        let kept = usize::from(u16::from_be_bytes([int_msg[0], int_msg[1]]));
+        refined_prunes += usize::from(refined && kept + 1 < fb.len());
     }
+    assert!(
+        refined_prunes >= CASES / 4,
+        "only {refined_prunes} refined cases dropped two or more measurements"
+    );
 }
 
 /// Decoding never panics on arbitrary bytes (errors are fine).

@@ -81,7 +81,7 @@ pub trait Policy: std::fmt::Debug {
 /// # Panics
 ///
 /// Panics if `features` is zero or does not divide `values.len()`.
-pub(crate) fn seq_len(values: &[f64], features: usize) -> usize {
+pub(crate) fn seq_len<T>(values: &[T], features: usize) -> usize {
     assert!(features > 0, "features must be positive");
     assert_eq!(
         values.len() % features,

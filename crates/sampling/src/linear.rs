@@ -43,6 +43,64 @@ impl LinearPolicy {
     pub fn threshold(&self) -> f64 {
         self.threshold
     }
+
+    /// The MCU entry point: walks a row-major sequence of raw fixed-point
+    /// values `round(x · 2^frac)` and returns the collected indices, using
+    /// integer L1 distances only. The threshold becomes `⌊t · 2^frac⌋`
+    /// once per call, which keeps every `>` comparison on integer
+    /// distances, so for format-exact inputs this collects exactly the
+    /// indices [`Policy::sample`] collects on the values `x`.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use age_sampling::LinearPolicy;
+    ///
+    /// // Q3.13 values: raw = x * 8192.
+    /// let policy = LinearPolicy::new(0.5);
+    /// let seq: Vec<i64> = (0..50).map(|t| if t < 25 { 0 } else { 8192 * (t % 2) }).collect();
+    /// let idx = policy.sample_raw(&seq, 1, 13);
+    /// assert_eq!(idx[0], 0);
+    /// ```
+    ///
+    /// # Panics
+    ///
+    /// Panics if `raw.len()` is not a multiple of `features` or `features`
+    /// is zero.
+    pub fn sample_raw(&self, raw: &[i64], features: usize, frac: i16) -> Vec<usize> {
+        let threshold = (self.threshold * f64::powi(2.0, i32::from(frac))).floor() as i64;
+        self.walk(seq_len(raw, features), |a, b| {
+            let xa = &raw[a * features..(a + 1) * features];
+            let xb = &raw[b * features..(b + 1) * features];
+            let l1: i64 = xa.iter().zip(xb).map(|(x, y)| (x - y).abs()).sum();
+            l1 > threshold
+        })
+    }
+
+    /// The policy's walk over `len` measurements, shared by both entry
+    /// points: `differs(prev, t)` says whether measurement `t` differs from
+    /// the previous collected one by more than the threshold.
+    fn walk(&self, len: usize, mut differs: impl FnMut(usize, usize) -> bool) -> Vec<usize> {
+        if len == 0 {
+            return Vec::new();
+        }
+        let mut collected = vec![0usize];
+        let mut period = 1usize;
+        let mut prev = 0usize;
+        let mut t = 1usize;
+        while t < len {
+            // Collect the measurement scheduled by the current period.
+            collected.push(t);
+            if differs(prev, t) {
+                period = 1;
+            } else {
+                period = (period + 1).min(self.max_period);
+            }
+            prev = t;
+            t += period;
+        }
+        collected
+    }
 }
 
 impl Policy for LinearPolicy {
@@ -55,26 +113,9 @@ impl Policy for LinearPolicy {
     }
 
     fn sample(&self, values: &[f64], features: usize) -> Vec<usize> {
-        let len = seq_len(values, features);
-        if len == 0 {
-            return Vec::new();
-        }
-        let mut collected = vec![0usize];
-        let mut period = 1usize;
-        let mut prev = 0usize;
-        let mut t = 1usize;
-        while t < len {
-            // Collect the measurement scheduled by the current period.
-            collected.push(t);
-            if l1_distance(values, features, prev, t) > self.threshold {
-                period = 1;
-            } else {
-                period = (period + 1).min(self.max_period);
-            }
-            prev = t;
-            t += period;
-        }
-        collected
+        self.walk(seq_len(values, features), |a, b| {
+            l1_distance(values, features, a, b) > self.threshold
+        })
     }
 }
 

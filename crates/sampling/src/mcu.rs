@@ -1,117 +1,23 @@
-//! Integer-only sampling policies — the MCU execution path.
+//! Integer-only sampling — the MCU execution path.
 //!
 //! The paper's sensor runs its policy on an MSP430 in fixed-point
-//! arithmetic (§4.1). These are the integer twins of [`crate::LinearPolicy`]
-//! and [`crate::DeviationPolicy`], operating on raw `round(x · 2^frac)`
-//! values:
+//! arithmetic (§4.1), on raw `round(x · 2^frac)` values, with adds,
+//! shifts and compares only:
 //!
-//! - [`RawLinearPolicy`] is *decision-exact*: for format-exact inputs it
-//!   collects exactly the same indices as the floating-point policy,
-//!   because L1 distances of fixed-point values are integers and the
-//!   threshold comparison transfers exactly (enforced by tests).
-//! - [`RawDeviationPolicy`] uses a dyadic EWMA weight (`α = 3/4`, a shift
-//!   and a subtract) because the float default `0.7` has no cheap integer
-//!   form; it tracks the float policy at `α = 0.75` closely but not
-//!   bit-exactly (per-step rounding).
+//! - the Linear policy has one implementation with two entry points:
+//!   [`LinearPolicy::sample_raw`](crate::LinearPolicy::sample_raw) walks
+//!   raw values with integer L1 distances against the threshold
+//!   `⌊t · 2^frac⌋`. It is *decision-exact*: for format-exact inputs it
+//!   collects exactly the indices the float walk collects, because L1
+//!   distances of fixed-point values are integers and the threshold
+//!   comparison transfers exactly (enforced by tests).
+//! - [`RawDeviationPolicy`] is the integer counterpart of
+//!   [`crate::DeviationPolicy`], with its own arithmetic: a dyadic EWMA
+//!   weight (`α = 3/4`, a shift and a subtract), because the float default
+//!   `0.7` has no cheap integer form. It tracks the float policy at
+//!   `α = 0.75` closely but not bit-exactly (per-step rounding).
 
-/// Integer twin of [`crate::LinearPolicy`].
-///
-/// The threshold is a raw fixed-point magnitude: for a float threshold `t`
-/// against values with `frac` fractional bits, use
-/// [`RawLinearPolicy::from_float_threshold`].
-///
-/// # Examples
-///
-/// ```
-/// use age_sampling::mcu::RawLinearPolicy;
-///
-/// // Q3.13 values: raw = x * 8192.
-/// let policy = RawLinearPolicy::from_float_threshold(0.5, 13);
-/// let seq: Vec<i64> = (0..50).map(|t| if t < 25 { 0 } else { 8192 * (t % 2) }).collect();
-/// let idx = policy.sample(&seq, 1);
-/// assert_eq!(idx[0], 0);
-/// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RawLinearPolicy {
-    threshold_raw: i64,
-    max_period: usize,
-}
-
-impl RawLinearPolicy {
-    /// Creates a policy with a raw-unit threshold.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `threshold_raw` is negative.
-    pub fn new(threshold_raw: i64) -> Self {
-        assert!(threshold_raw >= 0, "threshold must be non-negative");
-        RawLinearPolicy {
-            threshold_raw,
-            max_period: usize::MAX,
-        }
-    }
-
-    /// Converts a float threshold for values with `frac` fractional bits:
-    /// `⌊t · 2^frac⌋`, which preserves every `>` comparison on integer L1
-    /// distances.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `t` is negative or not finite.
-    pub fn from_float_threshold(t: f64, frac: i16) -> Self {
-        assert!(
-            t.is_finite() && t >= 0.0,
-            "threshold must be a non-negative number"
-        );
-        let scale = f64::powi(2.0, i32::from(frac));
-        RawLinearPolicy::new((t * scale).floor() as i64)
-    }
-
-    /// Caps the collection period.
-    pub fn with_max_period(mut self, max_period: usize) -> Self {
-        self.max_period = max_period.max(1);
-        self
-    }
-
-    /// Walks a row-major raw sequence; returns collected indices.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `raw.len()` is not a multiple of `features` or `features`
-    /// is zero.
-    pub fn sample(&self, raw: &[i64], features: usize) -> Vec<usize> {
-        assert!(features > 0, "features must be positive");
-        assert_eq!(
-            raw.len() % features,
-            0,
-            "raw values must be whole measurements"
-        );
-        let len = raw.len() / features;
-        if len == 0 {
-            return Vec::new();
-        }
-        let l1 = |a: usize, b: usize| -> i64 {
-            let xa = &raw[a * features..(a + 1) * features];
-            let xb = &raw[b * features..(b + 1) * features];
-            xa.iter().zip(xb).map(|(x, y)| (x - y).abs()).sum()
-        };
-        let mut collected = vec![0usize];
-        let mut period = 1usize;
-        let mut prev = 0usize;
-        let mut t = 1usize;
-        while t < len {
-            collected.push(t);
-            if l1(prev, t) > self.threshold_raw {
-                period = 1;
-            } else {
-                period = (period + 1).min(self.max_period);
-            }
-            prev = t;
-            t += period;
-        }
-        collected
-    }
-}
+use crate::seq_len;
 
 /// Integer twin of [`crate::DeviationPolicy`] with the dyadic EWMA weight
 /// `α = 3/4` (`x - (x >> 2)` on an MCU).
@@ -165,13 +71,7 @@ impl RawDeviationPolicy {
     /// Panics if `raw.len()` is not a multiple of `features` or `features`
     /// is zero.
     pub fn sample(&self, raw: &[i64], features: usize) -> Vec<usize> {
-        assert!(features > 0, "features must be positive");
-        assert_eq!(
-            raw.len() % features,
-            0,
-            "raw values must be whole measurements"
-        );
-        let len = raw.len() / features;
+        let len = seq_len(raw, features);
         if len == 0 {
             return Vec::new();
         }
@@ -225,7 +125,7 @@ mod tests {
         let (float, raw) = paired_sequence(120, 3);
         for thr in [0.0, 0.01, 0.5, 1.3, 2.7, 10.0] {
             let f_idx = LinearPolicy::new(thr).sample(&float, 3);
-            let r_idx = RawLinearPolicy::from_float_threshold(thr, 13).sample(&raw, 3);
+            let r_idx = LinearPolicy::new(thr).sample_raw(&raw, 3, 13);
             assert_eq!(f_idx, r_idx, "thr={thr}");
         }
     }
@@ -233,9 +133,9 @@ mod tests {
     #[test]
     fn raw_linear_respects_period_cap() {
         let (_, raw) = paired_sequence(100, 1);
-        let idx = RawLinearPolicy::new(i64::MAX / 4)
+        let idx = LinearPolicy::new(1e12)
             .with_max_period(5)
-            .sample(&raw, 1);
+            .sample_raw(&raw, 1, 13);
         assert!(idx.windows(2).all(|w| w[1] - w[0] <= 5));
     }
 
@@ -263,8 +163,8 @@ mod tests {
         let wild: Vec<i64> = (0..200)
             .map(|i| if i % 2 == 0 { 20_000 } else { -20_000 })
             .collect();
-        let lin = RawLinearPolicy::new(5_000);
-        assert!(lin.sample(&wild, 1).len() > 2 * lin.sample(&flat, 1).len());
+        let lin = LinearPolicy::new(5_000.0);
+        assert!(lin.sample_raw(&wild, 1, 0).len() > 2 * lin.sample_raw(&flat, 1, 0).len());
         let dev = RawDeviationPolicy::new(2_000);
         assert!(dev.sample(&wild, 1).len() > 2 * dev.sample(&flat, 1).len());
     }
@@ -273,7 +173,7 @@ mod tests {
     fn raw_indices_are_valid() {
         let (_, raw) = paired_sequence(90, 3);
         for idx in [
-            RawLinearPolicy::new(1000).sample(&raw, 3),
+            LinearPolicy::new(1000.0).sample_raw(&raw, 3, 0),
             RawDeviationPolicy::new(1000).sample(&raw, 3),
         ] {
             assert_eq!(idx[0], 0);
@@ -285,6 +185,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "threshold must be non-negative")]
     fn raw_linear_rejects_negative_threshold() {
-        let _ = RawLinearPolicy::new(-1);
+        let _ = LinearPolicy::new(-1.0 / 8192.0);
     }
 }

@@ -3,13 +3,14 @@
 //! battery accounting — all working together.
 
 use age::attack::{nmi, welch_t_test};
-use age::core::mcu::{encode_raw, RawBatch};
-use age::core::{inspect_message, target, AgeEncoder, Batch, BatchConfig, DeltaCodec, Encoder};
+use age::core::mcu::RawBatch;
+use age::core::{
+    inspect_message, target, AgeEncoder, Batch, BatchConfig, DeltaCodec, EncodeScratch, Encoder,
+};
 use age::crypto::ChaCha20Poly1305;
 use age::datasets::{read_sequences, write_sequences, Dataset, DatasetKind, Scale};
 use age::energy::{Battery, EncoderCost, EnergyModel};
 use age::reconstruct::interpolate;
-use age::sampling::mcu::RawLinearPolicy;
 use age::sampling::{FeedbackPolicy, LinearPolicy, Policy};
 use age::sim::SweepCell;
 use age::transport::{FaultPlan, Link, RetryPolicy};
@@ -69,8 +70,9 @@ fn mcu_paths_agree_with_float_paths_end_to_end() {
     let scale = f64::powi(2.0, i32::from(fmt.frac()));
     let threshold = 0.8;
     let float_policy = LinearPolicy::new(threshold);
-    let raw_policy = RawLinearPolicy::from_float_threshold(threshold, fmt.frac());
     let encoder = AgeEncoder::new(200);
+    let mut raw_scratch = EncodeScratch::default();
+    let mut raw_message = Vec::new();
 
     for seq in data.sequences().iter().take(12) {
         let raw_values: Vec<i64> = seq
@@ -79,7 +81,7 @@ fn mcu_paths_agree_with_float_paths_end_to_end() {
             .map(|&x| (x * scale).round() as i64)
             .collect();
         let f_idx = float_policy.sample(&seq.values, spec.features);
-        let r_idx = raw_policy.sample(&raw_values, spec.features);
+        let r_idx = float_policy.sample_raw(&raw_values, spec.features, fmt.frac());
         assert_eq!(f_idx, r_idx, "policy decisions must match");
 
         let mut collected = Vec::new();
@@ -88,9 +90,12 @@ fn mcu_paths_agree_with_float_paths_end_to_end() {
         }
         let batch = Batch::new(f_idx, collected).unwrap();
         let raw_batch = RawBatch::from_batch(&batch, &cfg);
+        encoder
+            .encode_samples(&raw_batch, &cfg, &mut raw_scratch, &mut raw_message)
+            .unwrap();
         assert_eq!(
             encoder.encode(&batch, &cfg).unwrap(),
-            encode_raw(&encoder, &raw_batch, &cfg).unwrap(),
+            raw_message,
             "messages must be bit-identical"
         );
     }
