@@ -2,10 +2,10 @@
 //! workspace's deterministic PRNG (no external test deps).
 
 use age_attack::{
-    entropy, most_frequent_rate, nmi, AdaBoost, AttackSample, ConfusionMatrix, DecisionTree, Knn,
-    Logistic, TreeParams,
+    most_frequent_rate, nmi, AdaBoost, AttackSample, ConfusionMatrix, DecisionTree, Knn, Logistic,
+    TreeParams,
 };
-use age_telemetry::DetRng;
+use age_telemetry::{entropy_from_counts, DetRng};
 
 const CASES: usize = 96;
 
@@ -20,9 +20,10 @@ fn nmi_is_bounded() {
     let mut rng = DetRng::seed_from_u64(0xA1);
     for _ in 0..CASES {
         let n = rng.gen_range(1usize..300);
-        let labels: Vec<usize> = (0..n).map(|_| rng.gen_range(0usize..6)).collect();
-        let sizes: Vec<usize> = (0..n).map(|_| rng.gen_range(0usize..40)).collect();
-        let v = nmi(&labels, &sizes);
+        let pairs: Vec<(usize, usize)> = (0..n)
+            .map(|_| (rng.gen_range(0usize..6), rng.gen_range(0usize..40)))
+            .collect();
+        let v = nmi(&pairs);
         assert!((0.0..=1.0 + 1e-9).contains(&v), "nmi={v}");
     }
 }
@@ -33,9 +34,11 @@ fn nmi_is_symmetric() {
     let mut rng = DetRng::seed_from_u64(0xA2);
     for _ in 0..CASES {
         let n = rng.gen_range(1usize..300);
-        let a: Vec<usize> = (0..n).map(|_| rng.gen_range(0usize..6)).collect();
-        let b: Vec<usize> = (0..n).map(|_| rng.gen_range(0usize..6)).collect();
-        assert!((nmi(&a, &b) - nmi(&b, &a)).abs() < 1e-12);
+        let pairs: Vec<(usize, usize)> = (0..n)
+            .map(|_| (rng.gen_range(0usize..6), rng.gen_range(0usize..6)))
+            .collect();
+        let swapped: Vec<(usize, usize)> = pairs.iter().map(|&(a, b)| (b, a)).collect();
+        assert!((nmi(&pairs) - nmi(&swapped)).abs() < 1e-12);
     }
 }
 
@@ -49,7 +52,8 @@ fn nmi_self_is_maximal() {
             .iter()
             .collect::<std::collections::HashSet<_>>()
             .len();
-        let v = nmi(&labels, &labels);
+        let pairs: Vec<(usize, usize)> = labels.iter().map(|&l| (l, l)).collect();
+        let v = nmi(&pairs);
         if distinct > 1 {
             assert!((v - 1.0).abs() < 1e-9, "v={v}");
         } else {
@@ -64,7 +68,7 @@ fn entropy_bounds() {
     let mut rng = DetRng::seed_from_u64(0xA4);
     for _ in 0..CASES {
         let counts = random_vec(&mut rng, 1..20, 100);
-        let h = entropy(&counts);
+        let h = entropy_from_counts(counts.iter().map(|&c| c as u64));
         assert!(h >= 0.0);
         let nonzero = counts.iter().filter(|&&c| c > 0).count();
         if nonzero > 0 {

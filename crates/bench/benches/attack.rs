@@ -13,11 +13,9 @@ fn main() {
     let mut h = Harness::from_args();
 
     let obs = observations(1000);
-    let labels: Vec<usize> = obs.iter().map(|&(l, _)| l).collect();
-    let sizes: Vec<usize> = obs.iter().map(|&(_, s)| s).collect();
-    h.bench("nmi/1000_messages", || nmi(&labels, &sizes));
+    h.bench("nmi/1000_messages", || nmi(&obs));
     h.bench("permutation_test/100_perms", || {
-        permutation_test(&labels, &sizes, 100, 7)
+        permutation_test(&obs, 100, 7)
     });
 
     let x: Vec<Vec<f64>> = (0..800)

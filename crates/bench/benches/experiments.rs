@@ -64,10 +64,8 @@ fn main() {
         ..SweepCell::new(PolicyKind::Linear, Defense::Standard, 0.5)
     });
     let obs = res.observations();
-    let labels: Vec<usize> = obs.iter().map(|&(l, _)| l).collect();
-    let sizes: Vec<usize> = obs.iter().map(|&(_, m)| m).collect();
     h.bench("experiment/table6_cell", || {
-        age_attack::permutation_test(&labels, &sizes, 60, 1)
+        age_attack::permutation_test(&obs, 60, 1)
     });
 
     // Figure 6 / Figure 7 cell: one classifier attack evaluation.

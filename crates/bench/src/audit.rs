@@ -184,9 +184,8 @@ mod tests {
         regressed.merge(&audit);
         for ((label, encoder), stream) in audit.streams() {
             if encoder == "Std" {
-                let (events, sizes) = stream.expand();
-                for (&e, &s) in events.iter().zip(&sizes) {
-                    regressed.observe(label, "Padded", e, s);
+                for (event, size) in stream.pairs() {
+                    regressed.observe(label, "Padded", event, size);
                 }
             }
         }

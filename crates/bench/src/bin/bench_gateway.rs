@@ -256,7 +256,7 @@ fn main() {
     if args.iter().any(|a| a == "--check") {
         check_mode();
     }
-    let mut config = GatewayRunConfig::new(100_000);
+    let mut config = GatewayRunConfig::new(FleetConfig::new(100_000, 2022));
     config.record_latency = true;
     let mut out_path = String::from("BENCH_gateway.json");
     let mut i = 0;
@@ -265,14 +265,14 @@ fn main() {
             "--sensors" => {
                 i += 1;
                 match args.get(i).and_then(|n| n.parse().ok()) {
-                    Some(n) if n > 0 => config.sensors = n,
+                    Some(n) if n > 0 => config.fleet.sensors = n,
                     _ => die("--sensors needs a positive integer"),
                 }
             }
             "--frames" => {
                 i += 1;
                 match args.get(i).and_then(|n| n.parse().ok()) {
-                    Some(n) if n > 0 => config.frames_per_sensor = n,
+                    Some(n) if n > 0 => config.fleet.frames_per_sensor = n,
                     _ => die("--frames needs a positive integer"),
                 }
             }
@@ -305,10 +305,10 @@ fn main() {
         i += 1;
     }
 
-    let frames = config.sensors * config.frames_per_sensor as u64;
+    let frames = config.fleet.sensors * config.fleet.frames_per_sensor as u64;
     println!(
         "fleet: {} sensors x {} frames = {} frames, {} shards, {} threads",
-        config.sensors, config.frames_per_sensor, frames, config.shards, config.threads
+        config.fleet.sensors, config.fleet.frames_per_sensor, frames, config.shards, config.threads
     );
     let run = run_gateway(&config);
     let frames_per_sec = run.report.stats.frames as f64 / run.ingest_seconds.max(1e-9);
@@ -317,9 +317,9 @@ fn main() {
     let max_occupancy = run.occupancy.iter().copied().max().unwrap_or(0);
     let min_occupancy = run.occupancy.iter().copied().min().unwrap_or(0);
     let balance = max_occupancy as f64 / (min_occupancy.max(1)) as f64;
-    let (steady_ns, steady_allocs) = min_steady(1_000, 40, config.seed, false, None);
+    let (steady_ns, steady_allocs) = min_steady(1_000, 40, config.fleet.seed, false, None);
     let (monitored_ns, monitor_overhead) = {
-        let (ns, _) = min_steady(1_000, 40, config.seed, true, None);
+        let (ns, _) = min_steady(1_000, 40, config.fleet.seed, true, None);
         (ns, ns / steady_ns.max(1e-9))
     };
 
@@ -355,12 +355,12 @@ fn main() {
          \"ingest_seconds\": {:.3},\n  \"frames_per_sec\": {:.0},\n  \"ns_per_frame\": {:.1},\n  \
          \"steady_allocs_per_frame\": {:.4},\n  \"p50_ingest_ns\": {},\n  \"p99_ingest_ns\": {},\n  \
          \"min_shard_sessions\": {},\n  \"max_shard_sessions\": {},\n  \"balance_ratio\": {:.4}",
-        config.sensors,
-        config.frames_per_sensor,
+        config.fleet.sensors,
+        config.fleet.frames_per_sensor,
         frames,
         config.shards,
         config.threads,
-        config.seed,
+        config.fleet.seed,
         run.report.stats.accepted,
         run.report.stats.rejected(),
         run.generate_seconds,

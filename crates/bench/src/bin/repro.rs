@@ -287,7 +287,13 @@ fn main() {
     let mut gateway_failed = false;
 
     if gateway {
-        let mut config = age_bench::GatewayRunConfig::new(sensors);
+        // One fleet for the gateway run and the monitored rerun, so both
+        // follow the same rekey schedule.
+        let fleet = age_sim::fleet::FleetConfig {
+            rekey_interval: settings.rekey_interval,
+            ..age_sim::fleet::FleetConfig::new(sensors, settings.seed)
+        };
+        let mut config = age_bench::GatewayRunConfig::new(fleet);
         config.shards = shards;
         config.threads = if settings.threads > 0 {
             settings.threads
@@ -295,7 +301,6 @@ fn main() {
             shards
         };
         config.permutations = settings.permutations.min(500);
-        config.seed = settings.seed;
         // Latency never enters GATEWAY.json, so recording it keeps the
         // artifact byte-comparable while making the table informative.
         config.record_latency = true;
@@ -333,15 +338,12 @@ fn main() {
         if health_out.is_some() || postmortem_dir.is_some() || inject_regression_us.is_some() {
             let mut monitor_config = match inject_regression_us {
                 Some(after_us) => {
-                    let mut scenario = age_sim::monitor::regression_scenario(sensors, config.seed);
+                    let mut scenario = age_sim::monitor::regression_scenario(sensors, fleet.seed);
                     scenario.fleet.regress_timing_after_us = Some(after_us);
+                    scenario.fleet.rekey_interval = fleet.rekey_interval;
                     scenario
                 }
-                None => age_sim::monitor::MonitorRunConfig::new(
-                    age_sim::fleet::FleetConfig::new(sensors, config.seed),
-                    shards,
-                    config.threads,
-                ),
+                None => age_sim::monitor::MonitorRunConfig::new(fleet, shards, config.threads),
             };
             monitor_config.shards = shards;
             monitor_config.threads = config.threads;

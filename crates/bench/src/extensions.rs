@@ -516,14 +516,12 @@ pub fn feedback(s: &Settings) -> String {
             let cfg = runner.batch_config();
             observations.push((seq.label, cfg.standard_message_bytes(indices.len())));
         }
-        let labels: Vec<usize> = observations.iter().map(|&(l, _)| l).collect();
-        let sizes: Vec<usize> = observations.iter().map(|&(_, m)| m).collect();
         let _ = writeln!(
             out,
             "  {:>6.0}% {:>13.1}% {:>10.3}",
             target_rate * 100.0,
             100.0 * collected as f64 / total as f64,
-            age_attack::nmi(&labels, &sizes)
+            age_attack::nmi(&observations)
         );
     }
     out.push_str("  (the controller hits the budget online, but its data-dependent\n");
@@ -592,11 +590,6 @@ pub fn compression(s: &Settings) -> String {
         raw_obs.push((seq.label, raw.len()));
         compressed_obs.push((seq.label, packed.len()));
     }
-    let nmi_of = |obs: &[(usize, usize)]| {
-        let labels: Vec<usize> = obs.iter().map(|&(l, _)| l).collect();
-        let sizes: Vec<usize> = obs.iter().map(|&(_, m)| m).collect();
-        age_attack::nmi(&labels, &sizes)
-    };
     let mean = |obs: &[(usize, usize)]| {
         obs.iter().map(|&(_, m)| m as f64).sum::<f64>() / obs.len().max(1) as f64
     };
@@ -612,14 +605,14 @@ pub fn compression(s: &Settings) -> String {
         "  {:<22} {:>11.1} {:>8.3}",
         "raw (Uniform)",
         mean(&raw_obs),
-        nmi_of(&raw_obs)
+        age_attack::nmi(&raw_obs)
     );
     let _ = writeln!(
         out,
         "  {:<22} {:>11.1} {:>8.3}",
         "delta-compressed",
         mean(&compressed_obs),
-        nmi_of(&compressed_obs)
+        age_attack::nmi(&compressed_obs)
     );
     out.push_str("  (content-dependent coding re-opens the size side-channel that\n");
     out.push_str("   Uniform sampling had closed — the CRIME effect on telemetry)\n");
@@ -813,15 +806,13 @@ pub fn harvest(s: &Settings) -> String {
                 skipped += 1;
             }
         }
-        let labels: Vec<usize> = observations.iter().map(|&(l, _)| l).collect();
-        let sizes: Vec<usize> = observations.iter().map(|&(_, m)| m).collect();
         let _ = writeln!(
             out,
             "  {:<10} {:>10} {:>12} {:>10.3}",
             defense.name(),
             sent,
             skipped,
-            age_attack::nmi(&labels, &sizes)
+            age_attack::nmi(&observations)
         );
     }
     out.push_str("  (AGE downlinks the most batches per orbit and still leaks nothing)\n");

@@ -17,16 +17,14 @@ use age_telemetry::{LeakageReport, MonitorConfig};
 /// Shape of one gateway run.
 #[derive(Debug, Clone, Copy)]
 pub struct GatewayRunConfig {
-    /// Simulated sensors.
-    pub sensors: u64,
-    /// Frames each sensor transmits.
-    pub frames_per_sensor: usize,
+    /// The simulated fleet: sensors, frames per sensor, seed (keys,
+    /// events, phases; also the leakage report's permutation seed) and
+    /// rekey schedule.
+    pub fleet: FleetConfig,
     /// Session-table shards.
     pub shards: usize,
     /// Worker threads for the drain (clamped to the shard count).
     pub threads: usize,
-    /// Fleet seed (keys, events, phases).
-    pub seed: u64,
     /// Permutations for the leakage report's p-values.
     pub permutations: usize,
     /// Record per-frame wall-clock ingest latency.
@@ -39,14 +37,13 @@ pub struct GatewayRunConfig {
 }
 
 impl GatewayRunConfig {
-    /// The standard fleet benchmark shape at `sensors` sensors.
-    pub fn new(sensors: u64) -> GatewayRunConfig {
+    /// The standard gateway shape for `fleet`: 4 shards and threads,
+    /// 200 permutations, latency and monitor off.
+    pub fn new(fleet: FleetConfig) -> GatewayRunConfig {
         GatewayRunConfig {
-            sensors,
-            frames_per_sensor: 4,
+            fleet,
             shards: 4,
             threads: 4,
-            seed: 2022,
             permutations: 200,
             record_latency: false,
             monitored: false,
@@ -84,8 +81,8 @@ impl GatewayRun {
     }
 
     /// `GATEWAY.json`: the deterministic run artifact. Byte-identical
-    /// for a given `(sensors, frames, seed)` at any shard or thread
-    /// count — CI's determinism leg relies on exactly this.
+    /// for a given fleet at any shard or thread count — CI's determinism
+    /// leg relies on exactly this.
     pub fn gateway_json(&self) -> String {
         let mut out = String::with_capacity(4096);
         out.push_str("{\n\"version\": 1,\n\"fleet\": ");
@@ -101,14 +98,12 @@ impl GatewayRun {
 
 /// Runs one fleet through one gateway.
 pub fn run_gateway(config: &GatewayRunConfig) -> GatewayRun {
-    let mut fleet = FleetConfig::new(config.sensors, config.seed);
-    fleet.frames_per_sensor = config.frames_per_sensor;
-
+    let fleet = &config.fleet;
     let generate_start = Instant::now();
-    let traffic = generate(&fleet);
+    let traffic = generate(fleet);
     let generate_seconds = generate_start.elapsed().as_secs_f64();
 
-    let mut gateway_config = fleet_gateway_config(&fleet, config.shards);
+    let mut gateway_config = fleet_gateway_config(fleet, config.shards);
     gateway_config.record_latency = config.record_latency;
     if config.monitored {
         gateway_config.monitor = Some(MonitorConfig {
@@ -116,7 +111,7 @@ pub fn run_gateway(config: &GatewayRunConfig) -> GatewayRun {
             ..MonitorConfig::default()
         });
     }
-    let mut gateway = provisioned_gateway(&fleet, gateway_config);
+    let mut gateway = provisioned_gateway(fleet, gateway_config);
 
     let ingest_start = Instant::now();
     gateway.run(&traffic.frames, config.threads);
@@ -125,7 +120,7 @@ pub fn run_gateway(config: &GatewayRunConfig) -> GatewayRun {
     let leakage = {
         let mut report = gateway
             .leakage_audit()
-            .report(config.permutations, config.seed);
+            .report(config.permutations, fleet.seed);
         report.gate = Some(default_gate().evaluate(&report.entries));
         report
     };
@@ -140,5 +135,25 @@ pub fn run_gateway(config: &GatewayRunConfig) -> GatewayRun {
         generate_seconds,
         leakage,
         nonce_clean,
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn rotations(rekey_interval: Option<u64>) -> u64 {
+        let mut config = GatewayRunConfig::new(FleetConfig {
+            rekey_interval,
+            ..FleetConfig::new(200, 7)
+        });
+        config.permutations = 10;
+        run_gateway(&config).report.stats.rotations
+    }
+
+    #[test]
+    fn the_fleet_rekey_setting_reaches_the_run() {
+        assert!(rotations(Some(2)) > 0);
+        assert_eq!(rotations(None), 0);
     }
 }

@@ -489,10 +489,7 @@ pub fn table6(s: &Settings) -> String {
                     ..SweepCell::new(p, Defense::Standard, rate)
                 });
                 store.push(res.nmi());
-                let obs = res.observations();
-                let labels: Vec<usize> = obs.iter().map(|&(l, _)| l).collect();
-                let sizes: Vec<usize> = obs.iter().map(|&(_, m)| m).collect();
-                let p_value = permutation_test(&labels, &sizes, s.permutations, s.seed);
+                let p_value = permutation_test(&res.observations(), s.permutations, s.seed);
                 tested += 1;
                 if p_value < 0.01 {
                     significant += 1;

@@ -259,16 +259,9 @@ impl<S: Sample> Batch<S> {
         self.values.clone_from(&src.values);
     }
 
-    /// Returns a copy with only the measurements at `keep` positions
-    /// (positions into this batch, not original indices), preserving order.
-    pub(crate) fn retain_positions(&self, keep: &[bool]) -> Batch<S> {
-        let mut out = Batch::empty();
-        self.retain_positions_into(keep, &mut out);
-        out
-    }
-
-    /// Allocation-reusing form of [`Batch::retain_positions`]: clears `out`
-    /// and fills it with the kept measurements, reusing its buffers.
+    /// Clears `out` and fills it with only the measurements at `keep`
+    /// positions (positions into this batch, not original indices),
+    /// preserving order and reusing `out`'s buffers.
     pub(crate) fn retain_positions_into(&self, keep: &[bool], out: &mut Batch<S>) {
         debug_assert_eq!(keep.len(), self.len());
         out.clear();
@@ -333,7 +326,8 @@ mod tests {
     #[test]
     fn retain_positions_filters_rows() {
         let b = Batch::new(vec![0, 3, 7], vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0]).unwrap();
-        let kept = b.retain_positions(&[true, false, true]);
+        let mut kept = Batch::new(vec![9], vec![0.0, 0.0]).unwrap();
+        b.retain_positions_into(&[true, false, true], &mut kept);
         assert_eq!(kept.indices(), &[0, 7]);
         assert_eq!(kept.values(), &[1.0, 2.0, 5.0, 6.0]);
     }

@@ -8,7 +8,7 @@ use crate::group::{
     assign_widths_into, form_groups_into, measurement_exponents_into, merge_groups_in_place,
     merge_groups_rescoring, optimize_partition_in_place, select_max_groups, Group,
 };
-use crate::prune::{prune_count, prune_incremental, prune_into};
+use crate::prune::{prune_count, prune_incremental_into, prune_into};
 use crate::sample::Sample;
 use crate::scratch::EncodeScratch;
 use crate::telemetry::{Probe, Stage};
@@ -172,7 +172,7 @@ impl AgeEncoder {
         let drop = prune_count(batch.len(), d, Self::MIN_WIDTH, prune_budget);
         let batch = if drop > 0 {
             if self.refined {
-                *pruned = prune_incremental(batch, drop, fmt0.frac());
+                prune_incremental_into(batch, drop, fmt0.frac(), prune_scratch, pruned);
             } else {
                 prune_into(batch, drop, fmt0.frac(), prune_scratch, pruned);
             }

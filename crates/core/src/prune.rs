@@ -17,9 +17,9 @@
 use crate::batch::Batch;
 use crate::sample::Sample;
 
-/// Reusable buffers for [`prune_into`], so steady-state pruning performs no
-/// heap allocations once the buffers have grown to the batch size. `T` is
-/// the sample type's [`Sample::Score`].
+/// Reusable buffers for [`prune_into`] and [`prune_incremental_into`], so
+/// steady-state pruning performs no heap allocations once the buffers have
+/// grown to the batch size. `T` is the sample type's [`Sample::Score`].
 #[derive(Debug, Default)]
 pub struct PruneScratch<T = f64> {
     scores: Vec<T>,
@@ -106,53 +106,59 @@ pub fn prune_into<S: Sample>(
 /// Pruning with incremental score updates — the refinement the paper
 /// mentions and rejects for MCU deployment (§4.2: "incrementally updating
 /// the Dist scores yields an algorithm with lower error, but we find the
-/// overhead is not worth the benefits").
+/// overhead is not worth the benefits"). Writes the survivors, in order,
+/// into `out`, reusing the scratch buffers and `out`'s allocations like
+/// [`prune_into`].
 ///
 /// After each removal, the scores of the victim's neighbours are recomputed
 /// against their *new* successors, so the estimate of each drop's error
 /// stays exact. Worst-case `O(k·drop)` versus the one-shot version's
 /// linear-time selection.
-pub fn prune_incremental<S: Sample>(batch: &Batch<S>, drop: usize, frac: i16) -> Batch<S> {
+pub fn prune_incremental_into<S: Sample>(
+    batch: &Batch<S>,
+    drop: usize,
+    frac: i16,
+    scratch: &mut PruneScratch<S::Score>,
+    out: &mut Batch<S>,
+) {
     let k = batch.len();
     if drop == 0 || k == 0 {
-        return batch.clone();
+        out.copy_from(batch);
+        return;
     }
     if drop >= k {
-        return Batch::empty();
+        out.clear();
+        return;
     }
-    // Doubly-linked positions over the surviving measurements.
-    let mut next: Vec<usize> = (1..=k).collect();
-    let mut prev: Vec<isize> = (0..k).map(|i| i as isize - 1).collect();
-    let mut alive = vec![true; k];
-
-    let score_of = |t: usize, succ: usize| -> S::Score {
-        if succ >= k {
-            return S::LAST;
-        }
-        let gap = batch.indices()[succ] - batch.indices()[t];
-        S::distance(batch.measurement(t), batch.measurement(succ), gap, frac)
-    };
-    let mut scores: Vec<S::Score> = (0..k).map(|t| score_of(t, t + 1)).collect();
+    let PruneScratch {
+        scores,
+        keep: alive,
+        ..
+    } = scratch;
+    alive.clear();
+    alive.resize(k, true);
+    distance_scores_into(batch, frac, scores);
 
     for _ in 0..drop {
         // Find the cheapest surviving victim (linear scan, as an MCU would).
         let victim = (0..k)
             .filter(|&t| alive[t])
-            .min_by(|&a, &b| by_score(&scores, a, b))
+            .min_by(|&a, &b| by_score(scores, a, b))
             .expect("drop < k leaves at least one survivor");
         alive[victim] = false;
-        let succ = next[victim];
-        let pred = prev[victim];
-        if pred >= 0 {
-            let pred = pred as usize;
-            next[pred] = succ;
-            scores[pred] = score_of(pred, succ);
-        }
-        if succ < k {
-            prev[succ] = pred;
+        // Rescore the victim's surviving predecessor against its new
+        // surviving successor, both found by the same kind of scan.
+        if let Some(pred) = (0..victim).rev().find(|&t| alive[t]) {
+            scores[pred] = match (victim + 1..k).find(|&t| alive[t]) {
+                Some(succ) => {
+                    let gap = batch.indices()[succ] - batch.indices()[pred];
+                    S::distance(batch.measurement(pred), batch.measurement(succ), gap, frac)
+                }
+                None => S::LAST,
+            };
         }
     }
-    batch.retain_positions(&alive)
+    batch.retain_positions_into(alive, out);
 }
 
 #[cfg(test)]
@@ -172,6 +178,12 @@ mod tests {
     fn prune(batch: &Batch, drop: usize) -> Batch {
         let mut out = Batch::empty();
         prune_into(batch, drop, 0, &mut PruneScratch::default(), &mut out);
+        out
+    }
+
+    fn prune_incremental(batch: &Batch, drop: usize) -> Batch {
+        let mut out = Batch::empty();
+        prune_incremental_into(batch, drop, 0, &mut PruneScratch::default(), &mut out);
         out
     }
 
@@ -240,7 +252,7 @@ mod tests {
     fn incremental_prune_agrees_on_single_drops() {
         // With one victim the two algorithms are identical.
         let b = batch(vec![0, 5, 6, 20], vec![0.0, 3.0, 3.01, 9.0]);
-        assert_eq!(prune(&b, 1), prune_incremental(&b, 1, 0));
+        assert_eq!(prune(&b, 1), prune_incremental(&b, 1));
     }
 
     #[test]
@@ -249,7 +261,7 @@ mod tests {
         // creating a larger combined gap than rescoring would allow.
         let values: Vec<f64> = vec![0.0, 0.05, 0.1, 0.15, 5.0, 5.05, 9.0];
         let b = batch((0..7).collect(), values);
-        let inc = prune_incremental(&b, 3, 0);
+        let inc = prune_incremental(&b, 3);
         assert_eq!(inc.len(), 4);
         // Survivors still bracket both level shifts.
         assert!(inc.values().iter().any(|&v| v > 4.0 && v < 6.0));
@@ -259,9 +271,9 @@ mod tests {
     #[test]
     fn incremental_prune_edge_cases() {
         let b = batch(vec![1, 3], vec![0.5, 0.6]);
-        assert_eq!(prune_incremental(&b, 0, 0), b);
-        assert!(prune_incremental(&b, 2, 0).is_empty());
-        assert!(prune_incremental(&batch(vec![], vec![]), 1, 0).is_empty());
+        assert_eq!(prune_incremental(&b, 0), b);
+        assert!(prune_incremental(&b, 2).is_empty());
+        assert!(prune_incremental(&batch(vec![], vec![]), 1).is_empty());
     }
 
     #[test]
@@ -286,7 +298,7 @@ mod tests {
             total
         };
         let one_shot = err(&prune(&b, 25));
-        let rescored = err(&prune_incremental(&b, 25, 0));
+        let rescored = err(&prune_incremental(&b, 25));
         assert!(
             rescored <= one_shot * 1.05,
             "rescoring should not be meaningfully worse: {rescored} vs {one_shot}"

@@ -99,6 +99,20 @@ fn age_encoder_prune_path_is_allocation_free() {
     assert_zero_alloc("AGE/35", &AgeEncoder::new(35), &test_batches(), &cfg());
 }
 
+/// The refined encoder (§4.2 incremental prune, rescoring merge) prunes
+/// through the same scratch as the plain one.
+#[test]
+fn refined_age_encoder_is_allocation_free_in_steady_state() {
+    for (name, target) in [("AGE/refined/220", 220), ("AGE/refined/35", 35)] {
+        assert_zero_alloc(
+            name,
+            &AgeEncoder::new(target).with_refinement(true),
+            &test_batches(),
+            &cfg(),
+        );
+    }
+}
+
 #[test]
 fn age_encoder_without_splitting_is_allocation_free() {
     assert_zero_alloc(
@@ -126,6 +140,7 @@ fn mcu_integer_path_is_allocation_free_in_steady_state() {
             "AGE/no-split",
             AgeEncoder::new(220).with_group_splitting(false),
         ),
+        ("AGE/refined/35", AgeEncoder::new(35).with_refinement(true)),
     ] {
         let mut scratch = EncodeScratch::default();
         assert_steady_state_zero_alloc(&format!("i64 {name}"), &batches, |batch, out| {

@@ -4,8 +4,9 @@
 //! of sorting, and quantizes and packs each lane in one
 //! `BitWriter::write_quantized` pass; the Standard, Padded and ablation
 //! encoders pack through the same pass. The stages they replaced — the
-//! exhaustive split search, the union-find merge, the full-sort prune and
-//! the two-pass quantize-then-pack — are kept here as references.
+//! exhaustive split search, the union-find merge, the full-sort prune,
+//! the allocating incremental prune and the two-pass quantize-then-pack —
+//! are kept here as references.
 //!
 //! Stage by stage, the merged and split group lists and the victim sets
 //! must equal the references'. Every frame (AGE plain, refined and
@@ -122,6 +123,56 @@ fn pruned(batch: &Batch, drop: usize, features: usize, case: &str) -> Batch {
     prune::prune_into(batch, drop, 0, &mut PruneScratch::default(), &mut got);
     assert_eq!(got.indices(), want.indices(), "{case}: victim set");
     want
+}
+
+/// The refined encoder's incremental prune as it was written before it
+/// took a scratch: fresh link, liveness and score vectors per call, and
+/// each score recomputed from the `f64` §4.2 formula.
+fn reference_prune_incremental(batch: &Batch, drop: usize) -> Batch {
+    let k = batch.len();
+    if drop == 0 || k == 0 {
+        return batch.clone();
+    }
+    if drop >= k {
+        return Batch::empty();
+    }
+    let features = batch.features();
+    let mut next: Vec<usize> = (1..=k).collect();
+    let mut prev: Vec<isize> = (0..k).map(|i| i as isize - 1).collect();
+    let mut alive = vec![true; k];
+    let score_of = |t: usize, succ: usize| -> f64 {
+        if succ >= k {
+            return f64::INFINITY;
+        }
+        let gap = batch.indices()[succ] - batch.indices()[t];
+        let l1: f64 = batch
+            .measurement(t)
+            .iter()
+            .zip(batch.measurement(succ))
+            .map(|(a, b)| (a - b).abs())
+            .sum();
+        l1 + gap as f64 / 8.0
+    };
+    let mut scores: Vec<f64> = (0..k).map(|t| score_of(t, t + 1)).collect();
+    for _ in 0..drop {
+        let victim = (0..k)
+            .filter(|&t| alive[t])
+            .min_by(|&a, &b| scores[a].partial_cmp(&scores[b]).unwrap().then(a.cmp(&b)))
+            .expect("drop < k leaves a survivor");
+        alive[victim] = false;
+        let succ = next[victim];
+        let pred = prev[victim];
+        if pred >= 0 {
+            let pred = pred as usize;
+            next[pred] = succ;
+            scores[pred] = score_of(pred, succ);
+        }
+        if succ < k {
+            prev[succ] = pred;
+        }
+    }
+    let victims: Vec<usize> = (0..k).filter(|&t| !alive[t]).collect();
+    without(batch, &victims, features)
 }
 
 /// The union-find greedy merge: sort every adjacent pair by its initial
@@ -278,7 +329,7 @@ fn reference_age(
     let batch = if drop == 0 {
         batch.clone()
     } else if refined {
-        prune::prune_incremental(batch, drop, cfg.format().frac())
+        reference_prune_incremental(batch, drop)
     } else {
         pruned(batch, drop, d, case)
     };

@@ -319,66 +319,52 @@ impl ExperimentResult {
 
     /// Empirical NMI between event labels and message sizes (Table 6).
     pub fn nmi(&self) -> f64 {
-        let obs = self.observations();
-        let labels: Vec<usize> = obs.iter().map(|&(l, _)| l).collect();
-        let sizes: Vec<usize> = obs.iter().map(|&(_, s)| s).collect();
-        age_attack::nmi(&labels, &sizes)
+        age_attack::nmi(&self.observations())
     }
 
     /// NMI between event labels and the sizes of the messages the server
     /// received (sent, not lost in transit). AGE must keep it at 0 even
     /// over a faulty link (§4.5).
     pub fn delivered_nmi(&self) -> f64 {
-        let (labels, sizes): (Vec<usize>, Vec<usize>) = self
+        let delivered: Vec<(usize, usize)> = self
             .records
             .iter()
             .filter(|r| !r.violated && !r.lost)
             .map(|r| (r.label, r.message_bytes))
-            .unzip();
-        age_attack::nmi(&labels, &sizes)
+            .collect();
+        age_attack::nmi(&delivered)
     }
 
     /// NMI between event labels and whether each sent message was
     /// delivered or lost — near zero when faults strike independently of
     /// the events, the assumption behind AGE's §4.5 fault argument.
     pub fn drop_indicator_nmi(&self) -> f64 {
-        let (labels, delivered): (Vec<usize>, Vec<usize>) = self
+        let delivered: Vec<(usize, usize)> = self
             .records
             .iter()
             .filter(|r| !r.violated)
             .map(|r| (r.label, usize::from(!r.lost)))
-            .unzip();
-        age_attack::nmi(&labels, &delivered)
+            .collect();
+        age_attack::nmi(&delivered)
     }
 
     /// `(label, inter-transmission gap µs)` pairs for successive sent
-    /// frames — what a timing-only eavesdropper observes. Each gap is
-    /// labeled with the *arriving* frame's event, whose radio
-    /// serialization (and any backoff) shaped it.
+    /// frames — what a timing-only eavesdropper observes, extracted by
+    /// [`age_attack::gap_observations`] from the sent frames' stamps.
     pub fn timing_observations(&self) -> Vec<(usize, usize)> {
-        let mut out = Vec::new();
-        let mut last: Option<u64> = None;
-        for r in &self.records {
-            if r.violated || r.sent_at_us == 0 {
-                continue;
-            }
-            if let Some(prev) = last {
-                if r.sent_at_us > prev {
-                    out.push((r.label, (r.sent_at_us - prev) as usize));
-                }
-            }
-            last = Some(r.sent_at_us);
-        }
-        out
+        let sends: Vec<(usize, u64)> = self
+            .records
+            .iter()
+            .filter(|r| !r.violated && r.sent_at_us > 0)
+            .map(|r| (r.label, r.sent_at_us))
+            .collect();
+        age_attack::gap_observations(&sends)
     }
 
     /// Empirical NMI between event labels and inter-transmission gaps —
     /// the timing channel's counterpart to [`nmi`](Self::nmi).
     pub fn timing_nmi(&self) -> f64 {
-        let obs = self.timing_observations();
-        let labels: Vec<usize> = obs.iter().map(|&(l, _)| l).collect();
-        let gaps: Vec<usize> = obs.iter().map(|&(_, g)| g).collect();
-        age_attack::nmi(&labels, &gaps)
+        age_attack::nmi(&self.timing_observations())
     }
 
     /// Mean energy per *transmitted* sequence (Table 9): violated sequences

@@ -14,10 +14,10 @@
 //!   identity or wall clock;
 //! - the runner's fit caches converge to the same values under any
 //!   interleaving (fits are deterministic; see [`Runner`]);
-//! - telemetry state (stream label, batch counter) is thread-local, every
-//!   worker is a **fresh** thread (even at one thread), and every cell
-//!   re-labels its stream, so record numbering is a pure function of the
-//!   cell, not of which worker ran it.
+//! - each cell's run stamps its telemetry records (stream label, batch
+//!   number) from its own encode scratch, so record numbering is a pure
+//!   function of the cell, not of which worker ran it; the workers only
+//!   scope the sink and the timing switch to the sweep.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;

@@ -36,9 +36,7 @@ pub struct MultiEventRun {
 impl MultiEventRun {
     /// NMI between the dominant label and the message size.
     pub fn nmi(&self) -> f64 {
-        let labels: Vec<usize> = self.observations.iter().map(|&(l, _)| l).collect();
-        let sizes: Vec<usize> = self.observations.iter().map(|&(_, s)| s).collect();
-        age_attack::nmi(&labels, &sizes)
+        age_attack::nmi(&self.observations)
     }
 }
 

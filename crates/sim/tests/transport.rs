@@ -76,25 +76,14 @@ fn age_wire_frames_stay_sealed_size_under_faults() {
     // corrupted copies — had exactly the sealed fixed size.
     assert!(transport.channel.wire_lengths_constant());
     assert!(transport.channel.wire_min_len.is_some());
-    let sizes: Vec<usize> = result
-        .records
-        .iter()
-        .filter(|r| !r.violated)
-        .map(|r| r.message_bytes)
-        .collect();
-    assert!(!sizes.is_empty());
+    let observations = result.observations();
+    assert!(!observations.is_empty());
     assert!(
-        sizes.windows(2).all(|w| w[0] == w[1]),
+        observations.windows(2).all(|w| w[0].1 == w[1].1),
         "AGE frame sizes must not vary under faults"
     );
     // Even counting lost messages at their on-air size, sizes carry nothing.
-    let labels: Vec<usize> = result
-        .records
-        .iter()
-        .filter(|r| !r.violated)
-        .map(|r| r.label)
-        .collect();
-    assert_eq!(age_attack::nmi(&labels, &sizes), 0.0);
+    assert_eq!(age_attack::nmi(&observations), 0.0);
 }
 
 #[test]

@@ -26,10 +26,12 @@
 //! by the same gate (`LEAKAGE.json` version 2 carries both verdicts).
 //!
 //! The math here (entropy, NMI, permutation test) is the single source of
-//! truth for the workspace: `age-attack::nmi` delegates to it. The audit
-//! plumbing ([`LeakageAudit`], [`LeakageSink`], [`LeakageGate`],
-//! [`LeakageReport`]) lives in the private `audit` module; no sensor code
-//! links it.
+//! truth for the workspace. [`nmi`] and [`permutation_test`] score a trace
+//! of `(label, value)` pairs through the same count table, so the offline
+//! attack (`age-attack` re-exports both) and the online audit agree bit
+//! for bit. The audit plumbing ([`LeakageAudit`], [`LeakageSink`],
+//! [`LeakageGate`], [`LeakageReport`]) lives in the private `audit`
+//! module; no sensor code links it.
 
 use std::collections::BTreeMap;
 
@@ -54,53 +56,45 @@ pub fn entropy_from_counts<I: IntoIterator<Item = u64>>(counts: I) -> f64 {
         .sum()
 }
 
-/// Empirical normalized mutual information between paired label/size
-/// observations: `2·I(L, M) / (H(L) + H(M))` (paper Eq. 3).
+/// Empirical normalized mutual information of paired `(label, value)`
+/// observations: `2·I(L, M) / (H(L) + H(M))` (paper Eq. 3), using maximum
+/// likelihood estimators of the entropies. Zero means the values carry no
+/// information about the label.
 ///
-/// Degenerate inputs are defined, not errors: empty slices, a single label
-/// class, constant sizes, or both return `0.0` — no division by zero, no
+/// Degenerate inputs are defined, not errors: no pairs, a single label
+/// class, constant values, or both return `0.0` — no division by zero, no
 /// NaN. The result is clamped to `[0, 1]` against floating-point drift.
-///
-/// # Panics
-///
-/// Panics if the slices have different lengths.
-pub fn nmi_pairs(labels: &[usize], sizes: &[usize]) -> f64 {
-    assert_eq!(labels.len(), sizes.len(), "labels/sizes length mismatch");
-    let mut stream = LeakageStream::new();
-    for (&l, &m) in labels.iter().zip(sizes) {
-        stream.observe(l, m);
-    }
-    stream.nmi()
+pub fn nmi(pairs: &[(usize, usize)]) -> f64 {
+    pairs.iter().copied().collect::<LeakageStream>().nmi()
 }
 
-/// Permutation test (Ojala & Garriga) for the significance of the observed
-/// NMI of paired label/size observations: shuffles the sizes `permutations`
-/// times with a [`DetRng`] seeded by `seed` and returns the estimated
-/// p-value with the +1 small-sample correction.
+/// Permutation test (paper §5.3, following Ojala & Garriga) for the
+/// significance of the observed NMI of paired `(label, value)`
+/// observations: shuffles the value column `permutations` times, in
+/// caller order, with a [`DetRng`] seeded by `seed`, and returns the
+/// fraction of shuffles scoring at least the observed NMI, with the +1
+/// small-sample correction.
 ///
-/// Degenerate inputs (empty slices or `permutations == 0`) return `1.0`:
-/// no evidence against the null.
-///
-/// # Panics
-///
-/// Panics if the slices have different lengths.
-pub fn permutation_test_pairs(
-    labels: &[usize],
-    sizes: &[usize],
-    permutations: usize,
-    seed: u64,
-) -> f64 {
-    assert_eq!(labels.len(), sizes.len(), "labels/sizes length mismatch");
-    if labels.is_empty() || permutations == 0 {
+/// The null hypothesis is that values and labels are independent; a small
+/// p-value means the observed NMI reflects real leakage. Degenerate inputs
+/// (no pairs or `permutations == 0`) return `1.0`: no evidence against
+/// the null.
+pub fn permutation_test(pairs: &[(usize, usize)], permutations: usize, seed: u64) -> f64 {
+    if pairs.is_empty() || permutations == 0 {
         return 1.0;
     }
-    let observed = nmi_pairs(labels, sizes);
-    let mut shuffled = sizes.to_vec();
+    let observed = nmi(pairs);
+    let mut values: Vec<usize> = pairs.iter().map(|&(_, m)| m).collect();
     let mut rng = DetRng::seed_from_u64(seed);
     let mut at_least = 0usize;
     for _ in 0..permutations {
-        shuffled.shuffle(&mut rng);
-        if nmi_pairs(labels, &shuffled) >= observed - 1e-12 {
+        values.shuffle(&mut rng);
+        let shuffled: LeakageStream = pairs
+            .iter()
+            .zip(&values)
+            .map(|(&(l, _), &m)| (l, m))
+            .collect();
+        if shuffled.nmi() >= observed - 1e-12 {
             at_least += 1;
         }
     }
@@ -227,28 +221,30 @@ impl LeakageStream {
         (2.0 * mi / (h_l + h_m)).clamp(0.0, 1.0)
     }
 
-    /// Expands the counts back into paired label/size vectors, in
-    /// deterministic (map) order. Used by the permutation test.
-    pub fn expand(&self) -> (Vec<usize>, Vec<usize>) {
-        let mut labels = Vec::with_capacity(self.total as usize);
-        let mut sizes = Vec::with_capacity(self.total as usize);
-        for (&(l, m), &c) in &self.joint {
-            for _ in 0..c {
-                labels.push(l);
-                sizes.push(m);
-            }
+    /// The observed pairs, expanded from the counts in map order.
+    pub fn pairs(&self) -> Vec<(usize, usize)> {
+        let mut pairs = Vec::with_capacity(self.total as usize);
+        for (&pair, &c) in &self.joint {
+            pairs.extend(std::iter::repeat_n(pair, c as usize));
         }
-        (labels, sizes)
+        pairs
     }
 
-    /// Seeded permutation-test p-value for the stream's observed NMI.
-    /// Returns `1.0` when the stream is empty or `permutations == 0`.
+    /// Seeded [`permutation_test`] p-value for the stream's observed NMI,
+    /// over its [`pairs`](Self::pairs). Returns `1.0` when the stream is
+    /// empty or `permutations == 0`.
     pub fn permutation_p(&self, permutations: usize, seed: u64) -> f64 {
-        if self.total == 0 || permutations == 0 {
-            return 1.0;
+        permutation_test(&self.pairs(), permutations, seed)
+    }
+}
+
+impl FromIterator<(usize, usize)> for LeakageStream {
+    fn from_iter<I: IntoIterator<Item = (usize, usize)>>(pairs: I) -> Self {
+        let mut stream = LeakageStream::new();
+        for (label, value) in pairs {
+            stream.observe(label, value);
         }
-        let (labels, sizes) = self.expand();
-        permutation_test_pairs(&labels, &sizes, permutations, seed)
+        stream
     }
 }
 
@@ -895,33 +891,31 @@ mod tests {
         assert_eq!(entropy_from_counts([10]), 0.0);
         assert!((entropy_from_counts([5, 5]) - 1.0).abs() < 1e-12);
         assert!((entropy_from_counts([1, 1, 1, 1]) - 2.0).abs() < 1e-12);
+        // Zero counts are ignored.
         assert!((entropy_from_counts([5, 0, 5]) - 1.0).abs() < 1e-12);
     }
 
     #[test]
     fn stream_nmi_matches_pairwise_nmi() {
-        let labels: Vec<usize> = (0..240).map(|i| i % 3).collect();
-        let sizes: Vec<usize> = labels
-            .iter()
-            .enumerate()
-            .map(|(i, &l)| if i % 2 == 0 { 100 + l } else { 200 })
+        // The offline attack and the online audit must agree bit-for-bit:
+        // same counts, same BTreeMap summation order, same float result.
+        let pairs: Vec<(usize, usize)> = (0..300)
+            .map(|i| (i % 3, if i % 5 == 0 { 200 } else { 80 + (i % 3) * 12 }))
             .collect();
         let mut stream = LeakageStream::new();
-        for (&l, &m) in labels.iter().zip(&sizes) {
+        for &(l, m) in &pairs {
             stream.observe(l, m);
         }
-        assert_eq!(stream.nmi(), nmi_pairs(&labels, &sizes));
-        assert_eq!(stream.total(), 240);
+        assert_eq!(stream.nmi().to_bits(), nmi(&pairs).to_bits());
+        assert_eq!(stream, pairs.iter().copied().collect());
+        assert_eq!(stream.total(), 300);
         assert_eq!(stream.distinct_labels(), 3);
     }
 
     #[test]
     fn stream_perfect_dependence_is_one() {
-        let mut stream = LeakageStream::new();
-        for i in 0..100usize {
-            stream.observe(i % 4, 100 + (i % 4) * 50);
-        }
-        assert!((stream.nmi() - 1.0).abs() < 1e-12);
+        let pairs: Vec<(usize, usize)> = (0..100).map(|i| (i % 4, 100 + (i % 4) * 50)).collect();
+        assert!((nmi(&pairs) - 1.0).abs() < 1e-12);
     }
 
     #[test]
@@ -929,25 +923,46 @@ mod tests {
         // Empty.
         let empty = LeakageStream::new();
         assert_eq!(empty.nmi(), 0.0);
+        assert_eq!(nmi(&[]), 0.0);
         assert_eq!(empty.permutation_p(10, 1), 1.0);
         // Constant sizes (the defended case).
-        let mut constant = LeakageStream::new();
-        for i in 0..50usize {
-            constant.observe(i % 4, 128);
-        }
-        assert_eq!(constant.nmi(), 0.0);
-        assert_eq!(constant.distinct_sizes(), 1);
-        // Single label class.
-        let mut one_label = LeakageStream::new();
-        for i in 0..50usize {
-            one_label.observe(7, 100 + i % 3);
-        }
-        assert_eq!(one_label.nmi(), 0.0);
-        assert!(!one_label.nmi().is_nan());
-        // Both constant.
+        let constant: Vec<(usize, usize)> = (0..100).map(|i| (i % 4, 220)).collect();
+        assert_eq!(nmi(&constant), 0.0);
+        assert_eq!(LeakageStream::from_iter(constant).distinct_sizes(), 1);
+        // Single label class: H(L) = 0, nothing to leak; the normalization
+        // must not divide 0 by 0.
+        let one_label: Vec<(usize, usize)> = (0..200).map(|i| (3, 100 + i % 7)).collect();
+        assert_eq!(nmi(&one_label), 0.0);
+        assert!(!nmi(&one_label).is_nan());
+        // Both constant: H(L) + H(M) = 0 must be guarded, not divided by.
         let mut flat = LeakageStream::new();
         flat.observe_n(1, 64, 50);
         assert_eq!(flat.nmi(), 0.0);
+        assert_eq!(nmi(&[(1, 64); 50]), 0.0);
+    }
+
+    #[test]
+    fn nmi_independent_variables_is_near_zero() {
+        // Independent but not constant: NMI is small (sampling noise only).
+        let pairs: Vec<(usize, usize)> = (0..2000).map(|i| (i % 2, 100 + (i / 2) % 2)).collect();
+        assert!(nmi(&pairs) < 0.01);
+    }
+
+    #[test]
+    fn nmi_partial_dependence_is_intermediate() {
+        // Half the mass is informative, half is noise.
+        let pairs: Vec<(usize, usize)> = (0..400)
+            .map(|i| (i % 2, if (i / 2) % 2 == 0 { 100 + i % 2 } else { 300 }))
+            .collect();
+        let v = nmi(&pairs);
+        assert!(v > 0.1 && v < 0.9, "v={v}");
+    }
+
+    #[test]
+    fn nmi_is_symmetric_under_relabeling() {
+        let pairs = [(0, 9), (1, 8), (2, 7), (0, 9), (1, 8), (2, 7)];
+        let relabeled: Vec<(usize, usize)> = pairs.iter().map(|&(l, m)| (2 - l, m)).collect();
+        assert!((nmi(&pairs) - nmi(&relabeled)).abs() < 1e-12);
     }
 
     #[test]
@@ -978,14 +993,39 @@ mod tests {
 
     #[test]
     fn permutation_p_is_seeded_and_detects_leakage() {
-        let mut leaky = LeakageStream::new();
-        for i in 0..200usize {
-            leaky.observe(i % 2, 100 + (i % 2) * 80);
-        }
+        let pairs: Vec<(usize, usize)> = (0..200).map(|i| (i % 2, 100 + (i % 2) * 80)).collect();
+        let p = permutation_test(&pairs, 200, 42);
+        assert!(p < 0.01, "p={p}");
+        assert_eq!(p, permutation_test(&pairs, 200, 42));
+        let leaky: LeakageStream = pairs.into_iter().collect();
         let p = leaky.permutation_p(200, 42);
         assert!(p < 0.01, "p={p}");
         assert_eq!(p, leaky.permutation_p(200, 42));
         assert_eq!(leaky.permutation_p(0, 42), 1.0);
+    }
+
+    #[test]
+    fn permutation_test_accepts_null_for_constant_sizes() {
+        let pairs: Vec<(usize, usize)> = (0..200).map(|i| (i % 2, 128)).collect();
+        let p = permutation_test(&pairs, 100, 42);
+        assert!(p > 0.9, "p={p}");
+    }
+
+    #[test]
+    fn permutation_test_degenerate_inputs_return_one() {
+        assert_eq!(permutation_test(&[], 100, 42), 1.0);
+        let pairs: Vec<(usize, usize)> = (0..50).map(|i| (i % 2, 100 + i % 2)).collect();
+        assert_eq!(permutation_test(&pairs, 0, 42), 1.0);
+    }
+
+    #[test]
+    fn pairs_expand_the_counts_in_map_order() {
+        let mut stream = LeakageStream::new();
+        stream.observe_n(2, 7, 2);
+        stream.observe(0, 9);
+        stream.observe(2, 5);
+        assert_eq!(stream.pairs(), vec![(0, 9), (2, 5), (2, 7), (2, 7)]);
+        assert!(LeakageStream::new().pairs().is_empty());
     }
 
     mod audit_tests {

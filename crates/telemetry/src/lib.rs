@@ -64,8 +64,8 @@ pub mod summary;
 pub mod trace;
 
 pub use leakage::{
-    entropy_from_counts, nmi_pairs, permutation_test_pairs, GateOutcome, LeakageAudit,
-    LeakageEntry, LeakageGate, LeakageReport, LeakageSink, LeakageStream,
+    entropy_from_counts, nmi, permutation_test, GateOutcome, LeakageAudit, LeakageEntry,
+    LeakageGate, LeakageReport, LeakageSink, LeakageStream,
 };
 pub use metrics::{Counter, Histogram};
 pub use monitor::{Alarm, AlarmKind, MonitorConfig, WindowScore, WindowTraffic, WindowedMonitor};

@@ -6,10 +6,16 @@
 //! Streams are seeded: the degenerate shapes (empty, one label, one
 //! size), random shapes with 1–16 labels and 1–200 sizes, and the same
 //! observations split into parts merged in shuffled order.
+//!
+//! The pair scorers `nmi` and `permutation_test` are checked the same
+//! way against the two-slice permutation test they replaced, on pair
+//! traces in caller order (not only a stream's map order).
 
 use std::collections::BTreeMap;
 
-use age_telemetry::{entropy_from_counts, DetRng, LeakageStream, SliceShuffle};
+use age_telemetry::{
+    entropy_from_counts, nmi, permutation_test, DetRng, LeakageStream, SliceShuffle,
+};
 
 /// A stream that keeps both marginals next to the joint counts and
 /// scores straight from them.
@@ -60,12 +66,8 @@ impl Reference {
         (2.0 * mi / (h_l + h_m)).clamp(0.0, 1.0)
     }
 
-    /// The permutation test over the expanded pairs, each permutation
-    /// scored by a reference stream.
+    /// The permutation test over the counts expanded in map order.
     fn permutation_p(&self, permutations: usize, seed: u64) -> f64 {
-        if self.total == 0 || permutations == 0 {
-            return 1.0;
-        }
         let mut labels = Vec::new();
         let mut sizes = Vec::new();
         for (&(l, m), &c) in &self.joint {
@@ -74,21 +76,41 @@ impl Reference {
                 sizes.push(m);
             }
         }
-        let observed = self.nmi();
-        let mut rng = DetRng::seed_from_u64(seed);
-        let mut at_least = 0usize;
-        for _ in 0..permutations {
-            sizes.shuffle(&mut rng);
-            let mut shuffled = Reference::default();
-            for (&l, &m) in labels.iter().zip(&sizes) {
-                shuffled.observe_n(l, m, 1);
-            }
-            if shuffled.nmi() >= observed - 1e-12 {
-                at_least += 1;
-            }
-        }
-        (at_least + 1) as f64 / (permutations + 1) as f64
+        two_slice_permutation_test(&labels, &sizes, permutations, seed)
     }
+}
+
+/// The two-slice permutation test the pair API replaced: shuffles a copy
+/// of `sizes` with the same `DetRng` draws and scores each permutation
+/// with a reference stream.
+fn two_slice_permutation_test(
+    labels: &[usize],
+    sizes: &[usize],
+    permutations: usize,
+    seed: u64,
+) -> f64 {
+    assert_eq!(labels.len(), sizes.len(), "labels/sizes length mismatch");
+    if labels.is_empty() || permutations == 0 {
+        return 1.0;
+    }
+    let score = |sizes: &[usize]| {
+        let mut stream = Reference::default();
+        for (&l, &m) in labels.iter().zip(sizes) {
+            stream.observe_n(l, m, 1);
+        }
+        stream.nmi()
+    };
+    let observed = score(sizes);
+    let mut shuffled = sizes.to_vec();
+    let mut rng = DetRng::seed_from_u64(seed);
+    let mut at_least = 0usize;
+    for _ in 0..permutations {
+        shuffled.shuffle(&mut rng);
+        if score(&shuffled) >= observed - 1e-12 {
+            at_least += 1;
+        }
+    }
+    (at_least + 1) as f64 / (permutations + 1) as f64
 }
 
 /// Asserts every score of `stream` equals the reference's, bit for bit.
@@ -245,5 +267,79 @@ fn merging_in_shuffled_order_matches_the_reference() {
         }
         assert_eq!(merged, whole, "case {case}: merged state");
         assert_matches(&merged, &reference, &format!("case {case}: merged"));
+    }
+}
+
+/// Asserts the pair scorers match the two-slice reference on `pairs`, in
+/// the order given.
+fn assert_pair_scores_match(pairs: &[(usize, usize)], what: &str) {
+    let labels: Vec<usize> = pairs.iter().map(|&(l, _)| l).collect();
+    let sizes: Vec<usize> = pairs.iter().map(|&(_, m)| m).collect();
+    let mut reference = Reference::default();
+    for &(l, m) in pairs {
+        reference.observe_n(l, m, 1);
+    }
+    assert_eq!(
+        nmi(pairs).to_bits(),
+        reference.nmi().to_bits(),
+        "{what}: nmi"
+    );
+    for (permutations, seed) in [(0, 1), (1, 7), (25, 0xdead_beef)] {
+        assert_eq!(
+            permutation_test(pairs, permutations, seed).to_bits(),
+            two_slice_permutation_test(&labels, &sizes, permutations, seed).to_bits(),
+            "{what}: p-value ({permutations} permutations, seed {seed})"
+        );
+    }
+}
+
+/// `count` pairs in draw order (one observation each).
+fn trace(
+    rng: &mut DetRng,
+    count: usize,
+    labels: usize,
+    sizes: usize,
+    bias: f64,
+) -> Vec<(usize, usize)> {
+    pairs(rng, count, labels, sizes, bias)
+        .into_iter()
+        .map(|(label, size, _)| (label, size))
+        .collect()
+}
+
+#[test]
+fn pair_scorers_match_the_two_slice_reference_on_degenerate_traces() {
+    assert_pair_scores_match(&[], "empty");
+    assert_pair_scores_match(&[(2, 9)], "one observation");
+    let mut rng = DetRng::seed_from_u64(2);
+    let single_label: Vec<_> = (0..300).map(|_| (4, rng.gen_range(60..90usize))).collect();
+    assert_pair_scores_match(&single_label, "single label");
+    let constant_size: Vec<_> = (0..300).map(|_| (rng.gen_range(0..5usize), 196)).collect();
+    assert_pair_scores_match(&constant_size, "constant size");
+    assert_pair_scores_match(&[(1, 64); 50], "both constant");
+}
+
+#[test]
+fn pair_scorers_match_the_two_slice_reference_in_caller_order() {
+    let mut rng = DetRng::seed_from_u64(0xca11);
+    for case in 0..120 {
+        let labels = rng.gen_range(1..=16usize);
+        let sizes = rng.gen_range(1..=200usize);
+        let count = rng.gen_range(1..400usize);
+        let bias = rng.next_f64();
+        let observed = trace(&mut rng, count, labels, sizes, bias);
+        let what = format!("case {case}: {labels} labels, {sizes} sizes, {count} pairs");
+        assert_pair_scores_match(&observed, &what);
+        // A stream scores its map-order expansion: the same multiset, so
+        // the same NMI, and the same p-value as the reference over it.
+        let stream: LeakageStream = observed.iter().copied().collect();
+        let expanded = stream.pairs();
+        assert_eq!(stream.total(), expanded.len() as u64, "{what}: pairs");
+        assert_pair_scores_match(&expanded, &format!("{what}, map order"));
+        assert_eq!(
+            stream.permutation_p(25, 0xdead_beef).to_bits(),
+            permutation_test(&expanded, 25, 0xdead_beef).to_bits(),
+            "{what}: permutation_p"
+        );
     }
 }

@@ -84,11 +84,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         link.stats().messages_lost,
         total_mae / received.max(1) as f64
     );
-    let labels: Vec<usize> = observations.iter().map(|&(l, _)| l).collect();
-    let sizes: Vec<usize> = observations.iter().map(|&(_, s)| s).collect();
     println!(
         "NMI(size, label) = {:.3}  (0.000 = nothing for an eavesdropper)",
-        nmi(&labels, &sizes)
+        nmi(&observations)
     );
 
     // Peek inside one message to see where the bits went.

@@ -78,17 +78,12 @@ fn main() {
         policy.smoothed_rate() * 100.0
     );
 
-    let nmi_of = |obs: &[(usize, usize)]| {
-        let labels: Vec<usize> = obs.iter().map(|&(l, _)| l).collect();
-        let sizes: Vec<usize> = obs.iter().map(|&(_, s)| s).collect();
-        nmi(&labels, &sizes)
-    };
     println!("\nleakage through authenticated message sizes:");
     println!(
         "  standard encoding: NMI {:.3}  (activity visible to poachers)",
-        nmi_of(&observations_std)
+        nmi(&observations_std)
     );
-    println!("  AGE encoding:      NMI {:.3}", nmi_of(&observations_age));
+    println!("  AGE encoding:      NMI {:.3}", nmi(&observations_age));
 
     let n = data.sequences().len() as f64;
     let spent_std = battery_std

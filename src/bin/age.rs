@@ -245,9 +245,7 @@ fn simulate(opts: &Options) -> Result<(), String> {
     }
 
     let n = sequences.len() as f64;
-    let labels: Vec<usize> = observations.iter().map(|&(l, _)| l).collect();
-    let sizes: Vec<usize> = observations.iter().map(|&(_, s)| s).collect();
-    let distinct: std::collections::HashSet<usize> = sizes.iter().copied().collect();
+    let distinct: std::collections::HashSet<usize> = observations.iter().map(|&(_, s)| s).collect();
     println!(
         "policy {} | defense {} | {} sequences",
         policy.name(),
@@ -263,7 +261,7 @@ fn simulate(opts: &Options) -> Result<(), String> {
         "energy: {:.2} mJ/sequence  message sizes: {} distinct  NMI(size,label): {:.3}",
         total_energy / n,
         distinct.len(),
-        nmi(&labels, &sizes)
+        nmi(&observations)
     );
     if distinct.len() > 1 {
         println!("WARNING: message sizes vary — an eavesdropper can exploit them");

@@ -106,25 +106,25 @@ fn message_sizes_leak_through_standard_encoding_but_not_age() {
     let age = AgeEncoder::new(400);
     let cipher = ChaCha20::new([1; 32]);
 
-    let mut labels = Vec::new();
-    let mut std_sizes = Vec::new();
-    let mut age_sizes = Vec::new();
+    let mut std_obs = Vec::new();
+    let mut age_obs = Vec::new();
     for (i, seq) in data.sequences().iter().enumerate() {
         let batch = sample_batch(&policy, &seq.values, spec.features);
-        labels.push(seq.label);
-        std_sizes.push(
+        std_obs.push((
+            seq.label,
             cipher
                 .seal(i as u64, &standard.encode(&batch, &cfg).unwrap())
                 .len(),
-        );
-        age_sizes.push(
+        ));
+        age_obs.push((
+            seq.label,
             cipher
                 .seal(i as u64, &age.encode(&batch, &cfg).unwrap())
                 .len(),
-        );
+        ));
     }
-    assert!(nmi(&labels, &std_sizes) > 0.1, "standard must leak");
-    assert_eq!(nmi(&labels, &age_sizes), 0.0, "AGE must not leak");
+    assert!(nmi(&std_obs) > 0.1, "standard must leak");
+    assert_eq!(nmi(&age_obs), 0.0, "AGE must not leak");
 }
 
 #[test]
@@ -160,18 +160,16 @@ fn padded_defense_matches_age_security_at_higher_cost() {
 
     let mut padded_bytes = 0usize;
     let mut age_bytes = 0usize;
-    let mut labels = Vec::new();
-    let mut padded_sizes = Vec::new();
+    let mut padded_obs = Vec::new();
     for seq in data.sequences() {
         let batch = sample_batch(&policy, &seq.values, spec.features);
         let p = padded.encode(&batch, &cfg).unwrap();
         let a = age.encode(&batch, &cfg).unwrap();
         padded_bytes += p.len();
         age_bytes += a.len();
-        labels.push(seq.label);
-        padded_sizes.push(p.len());
+        padded_obs.push((seq.label, p.len()));
     }
-    assert_eq!(nmi(&labels, &padded_sizes), 0.0, "padding is leak-free");
+    assert_eq!(nmi(&padded_obs), 0.0, "padding is leak-free");
     assert!(
         padded_bytes > 2 * age_bytes,
         "padding should cost far more bytes ({padded_bytes} vs {age_bytes})"
