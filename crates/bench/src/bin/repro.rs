@@ -440,13 +440,6 @@ fn main() {
     if trace_sink.is_some() {
         age_telemetry::set_trace_enabled(false);
     }
-    // Transport counters accumulate process-globally, so the rollup is
-    // printed here rather than folded into per-stream summaries.
-    let transport = age_telemetry::TransportRollup::capture();
-    if !transport.is_empty() {
-        println!("transport rollup (all experiments):");
-        print!("{transport}");
-    }
     if let Some(summary) = summary_sink {
         let summary = summary.take();
         if !summary.is_empty() {

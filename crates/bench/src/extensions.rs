@@ -9,8 +9,8 @@ use age_datasets::DatasetKind;
 use age_energy::{Battery, MilliJoules};
 use age_sampling::FeedbackPolicy;
 use age_sim::{
-    rekey_scenario, run_cells, run_multi_event, CipherChoice, Defense, FaultPlan, FaultSetup,
-    PolicyKind, PowerFaults, Runner, SweepCell, SweepOptions,
+    rekey_scenario, run_cells, run_multi_event, CipherChoice, Defense, ExperimentResult, FaultPlan,
+    FaultSetup, PolicyKind, PowerFaults, Runner, SweepCell, SweepOptions, TransportSummary,
 };
 
 use crate::report::{stream_scratch, Settings};
@@ -172,18 +172,23 @@ pub fn faults(s: &Settings) -> String {
         seed: s.seed,
         ..FaultPlan::NONE
     };
-    for defense in [Defense::Standard, Defense::Age] {
-        let result = runner.run(&SweepCell {
-            cipher: CipherChoice::ChaCha20Poly1305,
-            enforce_budget: false,
-            faults: Some(age_sim::FaultSetup::new(plan)),
-            ..SweepCell::new(PolicyKind::Linear, defense, 0.7)
-        });
+    let results: Vec<ExperimentResult> = [Defense::Standard, Defense::Age]
+        .iter()
+        .map(|&defense| {
+            runner.run(&SweepCell {
+                cipher: CipherChoice::ChaCha20Poly1305,
+                enforce_budget: false,
+                faults: Some(FaultSetup::new(plan)),
+                ..SweepCell::new(PolicyKind::Linear, defense, 0.7)
+            })
+        })
+        .collect();
+    for result in &results {
         let retried = result.transport.map_or(0, |t| t.link.frames_retried);
         let _ = writeln!(
             out,
             "  {:<10} {:>14.3} {:>16.3} {:>9} {:>9}",
-            defense.name(),
+            result.defense,
             result.delivered_nmi(),
             result.drop_indicator_nmi(),
             result.losses(),
@@ -192,7 +197,18 @@ pub fn faults(s: &Settings) -> String {
     }
     out.push_str("  (faults independent of events add no usable signal — §4.5's\n");
     out.push_str("   assumption, now measured over the retrying transport)\n");
+    transport_totals(&mut out, &results);
     out
+}
+
+/// Appends one line totalling the cells' transport counters, so the counts
+/// sit beside the experiment that produced them.
+fn transport_totals(out: &mut String, results: &[ExperimentResult]) {
+    let mut total = TransportSummary::default();
+    for transport in results.iter().filter_map(|r| r.transport.as_ref()) {
+        total.merge(transport);
+    }
+    let _ = writeln!(out, "  transport totals: {total}");
 }
 
 /// Device resets: brownouts cut power mid-run — sometimes between the NVM
@@ -290,6 +306,7 @@ pub fn resets(s: &Settings) -> String {
             out.push_str("   the run fails at exit if any (key, nonce) pair repeated)\n");
         }
     }
+    transport_totals(&mut out, &results);
     out
 }
 
@@ -379,6 +396,7 @@ pub fn rekey(s: &Settings) -> String {
             out.push_str("   the run fails at exit if any (key, nonce) pair repeated)\n");
         }
     }
+    transport_totals(&mut out, &results);
     out
 }
 
@@ -993,6 +1011,21 @@ mod tests {
     fn feedback_extension_reports_rates() {
         let out = feedback(&Settings::quick());
         assert!(out.contains("realized rate"));
+    }
+
+    #[test]
+    fn resets_totals_line_is_identical_at_any_thread_count() {
+        let totals = |threads| {
+            let out = resets(&Settings {
+                threads,
+                ..Settings::quick()
+            });
+            let line = out.lines().find(|l| l.contains("transport totals:"));
+            line.expect("resets prints a totals line").to_string()
+        };
+        let one = totals(1);
+        assert!(!one.contains(" 0 sent"), "{one}");
+        assert_eq!(one, totals(4));
     }
 
     #[test]

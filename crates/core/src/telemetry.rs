@@ -2,11 +2,11 @@
 //!
 //! Every encoder in this crate opens a [`Probe`] when it starts, marks its
 //! stage boundaries with [`Probe::lap`], and closes it with
-//! [`Probe::finish`], which updates the process-wide encode counters and,
-//! when a sink is installed, builds the per-batch record: the encoder
-//! supplies the message layout, the probe adds the sizes and stage timings,
-//! and the caller's [`StreamContext`](crate::StreamContext) supplies the stream label, event,
-//! virtual time and batch number.
+//! [`Probe::finish`], which, when a sink is installed, builds the
+//! per-batch record: the encoder supplies the message layout, the probe
+//! adds the sizes and stage timings, and the caller's
+//! [`StreamContext`](crate::StreamContext) supplies the stream label,
+//! event, virtual time and batch number.
 //!
 //! The `telemetry` cargo feature switches this module and nothing else.
 //! Without it [`Probe`] is a zero-sized no-op, so MCU builds carry no
@@ -31,7 +31,6 @@ pub(crate) enum Stage {
 
 #[cfg(feature = "telemetry")]
 mod probe {
-    use age_telemetry::metrics::global;
     use age_telemetry::{BatchRecord, StageTimings, Stopwatch};
 
     use super::Stage;
@@ -73,11 +72,10 @@ mod probe {
             }
         }
 
-        /// Updates the global encode counters (on every call: they are
-        /// lock-free atomics) and, when a sink is installed, emits the
-        /// batch record. `layout` fills in the encoder name and the
-        /// message layout; the probe derives the tail padding and stamps
-        /// the stream context, advancing its batch number.
+        /// Emits the batch record when a sink is installed. `layout`
+        /// fills in the encoder name and the message layout; the probe
+        /// derives the tail padding and stamps the stream context,
+        /// advancing its batch number.
         #[inline]
         pub(crate) fn finish(
             self,
@@ -86,10 +84,6 @@ mod probe {
             message_len: usize,
             layout: impl FnOnce() -> BatchRecord,
         ) {
-            global::ENCODE_CALLS.add(1);
-            global::ENCODE_NANOS.add(self.timings.total_ns());
-            global::PRUNED_MEASUREMENTS.add(self.input_len.saturating_sub(kept_len) as u64);
-            global::MESSAGE_BYTES.record(message_len as u64);
             if self.stopwatch.is_some() {
                 self.emit(context, kept_len, message_len, layout);
             }

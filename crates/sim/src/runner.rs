@@ -1,6 +1,7 @@
 //! The experiment runner: policies × defenses × budgets over a dataset.
 
 use std::collections::HashMap;
+use std::fmt;
 use std::sync::Mutex;
 
 use crate::clock::{ClockModel, VirtualClock};
@@ -236,6 +237,48 @@ pub struct TransportSummary {
     pub link: LinkStats,
     /// Channel-side fault counters and wire-length extremes.
     pub channel: ChannelStats,
+    /// Delivered payloads the server could not decode (it skipped the
+    /// batch).
+    pub decode_failed: usize,
+    /// The sensor's explicit-sequence seals at or below its high-water
+    /// mark ([`Sensor::reuse_risked`]).
+    pub reuse_risked: u64,
+}
+
+impl TransportSummary {
+    /// Folds another run's counters in (counts add, so the totals of a set
+    /// of runs do not depend on the order they are merged in).
+    pub fn merge(&mut self, other: &TransportSummary) {
+        self.link.merge(&other.link);
+        self.channel.merge(&other.channel);
+        self.decode_failed += other.decode_failed;
+        self.reuse_risked += other.reuse_risked;
+    }
+}
+
+/// One line: frames on the wire, rejections, reset recovery, rotations.
+impl fmt::Display for TransportSummary {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let (l, c) = (&self.link, &self.channel);
+        write!(
+            f,
+            "{} sent / {} retried / {} dropped; rejected {} auth / {} replay / {} other / \
+             {} decode; {} reboots / {} journal flushes / {} sequences skipped / \
+             {} reuse risked; {} rotations",
+            l.frames_sent,
+            l.frames_retried,
+            c.dropped,
+            l.auth_failed,
+            l.replay_rejected,
+            l.rejected_other,
+            self.decode_failed,
+            l.sensor_reboots,
+            l.journal_flushes,
+            l.sequences_skipped,
+            self.reuse_risked,
+            l.rotations
+        )
+    }
 }
 
 /// Per-sequence outcome of an experiment.
@@ -889,10 +932,11 @@ impl Runner {
             pending.push(link.transmit(&mut state, i as u64, seq.label, k, &plaintext));
             state.tracer.end(state.clock.now_us());
         }
-        let transport = link.finish(&mut state.arrived);
+        let mut transport = link.finish(&mut state.arrived);
         age_telemetry::emit_nonces(&state.label, &state.nonces);
 
         // Pass 2 — the server: decode what arrived, in evaluation order.
+        let mut decode_failed = 0;
         let records = test
             .iter()
             .zip(pending)
@@ -907,9 +951,7 @@ impl Runner {
                         // (possible under unauthenticated ciphers) skips
                         // the batch instead of panicking.
                         let batch = encoder.decode(&payload, &self.batch_cfg);
-                        if batch.is_err() {
-                            age_telemetry::metrics::global::FRAMES_DECODE_FAILED.add(1);
-                        }
+                        decode_failed += usize::from(batch.is_err());
                         batch.ok()
                     });
                 let recon = match &decoded {
@@ -936,6 +978,9 @@ impl Runner {
                 }
             })
             .collect();
+        if let Some(transport) = transport.as_mut() {
+            transport.decode_failed = decode_failed;
+        }
 
         ExperimentResult {
             records,
@@ -1119,6 +1164,8 @@ impl LinkStep {
         Some(TransportSummary {
             link: *step.link.stats(),
             channel: *step.link.channel_stats(),
+            decode_failed: 0,
+            reuse_risked: step.link.sensor().reuse_risked(),
         })
     }
 }

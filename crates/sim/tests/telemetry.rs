@@ -12,7 +12,6 @@ use age_core::{AgeEncoder, Batch, BatchConfig, Encoder};
 use age_datasets::{DatasetKind, Scale};
 use age_fixed::Format;
 use age_sim::{Defense, PolicyKind, Runner, SweepCell};
-use age_telemetry::metrics::global;
 use age_telemetry::{install_thread, set_timings_enabled, JsonlSink, RecordingSink, Summary};
 
 /// A `Write` target whose bytes stay reachable after the sink takes
@@ -35,7 +34,6 @@ impl Write for SharedBuf {
 fn runner_emits_one_record_per_batch_with_the_message_layout() {
     let sink = Arc::new(RecordingSink::new());
     let runner = Runner::new(DatasetKind::Epilepsy, Scale::Small, 7);
-    let calls_before = global::ENCODE_CALLS.get();
     let result = {
         let _guard = install_thread(sink.clone());
         runner.run(&SweepCell {
@@ -45,7 +43,6 @@ fn runner_emits_one_record_per_batch_with_the_message_layout() {
     };
     let records = sink.records();
     assert_eq!(records.len(), result.records.len());
-    assert!(global::ENCODE_CALLS.get() - calls_before >= records.len() as u64);
     let mut timed_ns = 0u64;
     for (i, rec) in records.iter().enumerate() {
         assert_eq!(rec.encoder, "AGE");

@@ -6,7 +6,7 @@
 use age_datasets::{DatasetKind, Scale};
 use age_sim::{
     run_cells, CipherChoice, Defense, ExperimentResult, FaultPlan, FaultSetup, PolicyKind,
-    RetryPolicy, Runner, SweepCell, SweepOptions,
+    RetryPolicy, Runner, SweepCell, SweepOptions, TransportSummary,
 };
 
 fn faulty_grid() -> Vec<SweepCell> {
@@ -105,6 +105,7 @@ fn corrupted_frames_are_skipped_not_fatal() {
     // AEAD rejects the flipped bits; the receiver skips those batches and
     // the run completes with guessed values instead of a panic.
     assert!(transport.link.auth_failed > 0);
+    assert_eq!(transport.decode_failed, 0, "no flipped frame opens");
     assert!(result.losses() > 0);
     assert!(
         result.losses() < result.records.len(),
@@ -145,30 +146,67 @@ fn retransmission_energy_is_charged() {
     assert!(max_attempts > 1);
 }
 
-#[cfg(feature = "telemetry")]
 #[test]
 fn fault_runs_bump_transport_counters() {
-    use age_telemetry::metrics::global;
-
     let runner = Runner::new(DatasetKind::Epilepsy, Scale::Small, 7);
-    let sent_before = global::FRAMES_SENT.get();
-    let dropped_before = global::FRAMES_DROPPED.get();
-    let auth_before = global::FRAMES_AUTH_FAILED.get();
     let setup = FaultSetup::new(FaultPlan {
         drop_rate: 0.2,
         corrupt_rate: 0.3,
         seed: 8,
         ..FaultPlan::NONE
     });
-    let _ = runner.run(&SweepCell {
+    let result = runner.run(&SweepCell {
         cipher: CipherChoice::ChaCha20Poly1305,
         enforce_budget: false,
         faults: Some(setup),
         ..SweepCell::new(PolicyKind::Linear, Defense::Age, 0.5)
     });
-    // Counters are global and monotone, so concurrent tests can only push
-    // them further up — strict increase is still a sound assertion.
-    assert!(global::FRAMES_SENT.get() > sent_before);
-    assert!(global::FRAMES_DROPPED.get() > dropped_before);
-    assert!(global::FRAMES_AUTH_FAILED.get() > auth_before);
+    // The counts belong to this run alone, so no other test can move them.
+    let transport = result
+        .transport
+        .expect("a faulted run goes through the link");
+    assert!(transport.link.frames_sent > 0);
+    assert!(transport.channel.dropped > 0);
+    assert!(transport.link.auth_failed > 0);
+    assert_eq!(transport.link.frames_sent, transport.channel.frames_in);
+    assert_eq!(transport.reuse_risked, 0);
+}
+
+#[test]
+fn merged_transport_totals_do_not_depend_on_cell_order() {
+    let summaries: Vec<TransportSummary> = sweep_at(1).iter().filter_map(|r| r.transport).collect();
+    assert_eq!(summaries.len(), faulty_grid().len());
+    let merged = |order: Vec<&TransportSummary>| {
+        let mut total = TransportSummary::default();
+        for t in order {
+            total.merge(t);
+        }
+        total
+    };
+    let forward = merged(summaries.iter().collect());
+    let reverse = merged(summaries.iter().rev().collect());
+    let odd_first = merged(
+        summaries
+            .iter()
+            .skip(1)
+            .step_by(2)
+            .chain(summaries.iter().step_by(2))
+            .collect(),
+    );
+    assert_eq!(forward, reverse);
+    assert_eq!(forward, odd_first);
+    assert_eq!(forward.to_string(), reverse.to_string());
+    let sent: usize = summaries.iter().map(|t| t.link.frames_sent).sum();
+    assert_eq!(forward.link.frames_sent, sent);
+    assert_eq!(forward.channel.frames_in, sent);
+    let shortest = summaries
+        .iter()
+        .filter_map(|t| t.channel.wire_min_len)
+        .min();
+    let longest = summaries
+        .iter()
+        .filter_map(|t| t.channel.wire_max_len)
+        .max();
+    assert_eq!(forward.channel.wire_min_len, shortest);
+    assert_eq!(forward.channel.wire_max_len, longest);
 }

@@ -10,7 +10,6 @@
 //!
 //! Components:
 //!
-//! - [`metrics`] — lock-free [`Counter`]s and fixed-bucket [`Histogram`]s.
 //! - [`span`] — a [`Stopwatch`] for per-stage wall-clock timings, and a
 //!   [`Tracer`] for hierarchical virtual-time spans, which [`trace`]
 //!   renders as Chrome `trace_event` JSON.
@@ -40,19 +39,18 @@
 //!   generator the rest of the workspace uses instead of an external `rand`
 //!   dependency.
 //!
-//! This crate has one shape; it carries no feature fork of its own. The
-//! fork lives in the code a sensor links, one seam per crate: `age-core`'s
-//! encoder probe and `age-transport`'s counter helper switch on their
-//! `telemetry` features, and with both off every sensor-side call
-//! compiles away. Those crates use only the basics here (records,
-//! [`Stopwatch`], [`emit`], [`metrics::global`], [`DetRng`]);
+//! This crate has one shape; it carries no feature fork of its own, and
+//! no process-wide counters: every count lives in the link, sensor, run or
+//! gateway shard that made it. The one fork lives in `age-core`'s encoder
+//! probe, which switches on its `telemetry` feature; with it off every
+//! sensor-side emit compiles away. The sensor crates use only the basics
+//! here (records, [`Stopwatch`], [`emit`], [`DetRng`]);
 //! the audits, monitor, recorder and tracer are reached only from the
 //! host crates (`age-gateway`, `age-sim`, `age-bench`), which model the
 //! server and the eavesdropper, not the sensor.
 
 pub mod alloc;
 pub mod leakage;
-pub mod metrics;
 pub mod monitor;
 pub mod nonce;
 pub mod record;
@@ -67,7 +65,6 @@ pub use leakage::{
     entropy_from_counts, nmi, permutation_test, GateOutcome, LeakageAudit, LeakageEntry,
     LeakageGate, LeakageReport, LeakageSink, LeakageStream,
 };
-pub use metrics::{Counter, Histogram};
 pub use monitor::{Alarm, AlarmKind, MonitorConfig, WindowScore, WindowTraffic, WindowedMonitor};
 pub use nonce::{FleetNonceAudit, FleetNonceReuse, NonceAuditSink, NonceTotals, SeqSet};
 pub use record::{BatchRecord, GroupRecord, JsonStr, StageTimings, WireRecord};
@@ -79,5 +76,5 @@ pub use sink::{
     ThreadSinkGuard,
 };
 pub use span::{set_trace_enabled, trace_enabled, SpanEvent, Stopwatch, Tracer};
-pub use summary::{StreamStats, Summary, SummarySink, TransportRollup};
+pub use summary::{StreamStats, Summary, SummarySink};
 pub use trace::{render_chrome_json, TraceSink};

@@ -302,99 +302,6 @@ impl Sink for SummarySink {
     }
 }
 
-/// The transport section of the summary rollup: a snapshot of the global
-/// transport counters in [`metrics::global`](crate::metrics::global).
-///
-/// This is deliberately *not* part of [`Summary`]'s `Display`: the global
-/// counters accumulate for the whole process, so folding them into the
-/// per-stream summary would break the byte-identical-reports contract when
-/// several runs share a process. Callers (the `repro` binary) capture and
-/// print it once, after all experiments finish.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct TransportRollup {
-    /// Frames put on the wire, retransmissions included.
-    pub frames_sent: u64,
-    /// Retransmission attempts.
-    pub frames_retried: u64,
-    /// Frames the simulated channel dropped in flight.
-    pub frames_dropped: u64,
-    /// Frames rejected for failed authentication or malformed framing.
-    pub frames_auth_failed: u64,
-    /// Frames rejected by the replay window.
-    pub frames_replay_rejected: u64,
-    /// Frames rejected by the far-future sequence guard.
-    pub frames_far_future: u64,
-    /// Delivered payloads whose batch decode failed.
-    pub frames_decode_failed: u64,
-    /// Sensor power losses recovered from.
-    pub sensor_reboots: u64,
-    /// Sequence-reservation journal records persisted to NVM.
-    pub journal_flushes: u64,
-    /// Sequence numbers retired unused by reboot recovery.
-    pub sequences_skipped: u64,
-    /// Explicit-sequence seals that risked reusing a (key, nonce) pair.
-    pub nonce_reuse_risked: u64,
-    /// Epoch rotations committed by sensors.
-    pub key_rotations: u64,
-}
-
-impl TransportRollup {
-    /// Snapshots the current global transport counters.
-    pub fn capture() -> Self {
-        use crate::metrics::global as g;
-        TransportRollup {
-            frames_sent: g::FRAMES_SENT.get(),
-            frames_retried: g::FRAMES_RETRIED.get(),
-            frames_dropped: g::FRAMES_DROPPED.get(),
-            frames_auth_failed: g::FRAMES_AUTH_FAILED.get(),
-            frames_replay_rejected: g::FRAMES_REPLAY_REJECTED.get(),
-            frames_far_future: g::FRAMES_FAR_FUTURE.get(),
-            frames_decode_failed: g::FRAMES_DECODE_FAILED.get(),
-            sensor_reboots: g::SENSOR_REBOOTS.get(),
-            journal_flushes: g::JOURNAL_FLUSHES.get(),
-            sequences_skipped: g::SEQUENCES_SKIPPED.get(),
-            nonce_reuse_risked: g::NONCE_REUSE_RISKED.get(),
-            key_rotations: g::KEY_ROTATIONS.get(),
-        }
-    }
-
-    /// Whether nothing transport-related happened (section can be elided).
-    pub fn is_empty(&self) -> bool {
-        *self == TransportRollup::default()
-    }
-}
-
-impl fmt::Display for TransportRollup {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        writeln!(
-            f,
-            "  frames: {} sent / {} retried / {} dropped",
-            self.frames_sent, self.frames_retried, self.frames_dropped
-        )?;
-        writeln!(
-            f,
-            "  rejected: {} auth / {} replay / {} far-future / {} decode",
-            self.frames_auth_failed,
-            self.frames_replay_rejected,
-            self.frames_far_future,
-            self.frames_decode_failed
-        )?;
-        writeln!(
-            f,
-            "  resets: {} reboots / {} journal flushes / {} sequences skipped / {} reuse risked",
-            self.sensor_reboots,
-            self.journal_flushes,
-            self.sequences_skipped,
-            self.nonce_reuse_risked
-        )?;
-        // Elided when no rotation happened, keeping legacy rollups stable.
-        if self.key_rotations > 0 {
-            writeln!(f, "  rekey: {} epoch rotations", self.key_rotations)?;
-        }
-        Ok(())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

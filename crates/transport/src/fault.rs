@@ -11,10 +11,7 @@
 //! duplication re-sends the same sealed frame, so the attacker-visible wire
 //! size stays exactly the sealed fixed size.
 
-use age_telemetry::metrics::global;
 use age_telemetry::DetRng;
-
-use crate::telemetry::metric;
 
 /// Fault rates for a simulated link, all probabilities per sent frame.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -109,6 +106,21 @@ impl ChannelStats {
     pub fn wire_lengths_constant(&self) -> bool {
         self.wire_min_len == self.wire_max_len
     }
+
+    /// Folds another channel's counters in: counts add, the wire-length
+    /// extremes widen, so merge order never matters.
+    pub fn merge(&mut self, other: &ChannelStats) {
+        self.frames_in += other.frames_in;
+        self.frames_out += other.frames_out;
+        self.dropped += other.dropped;
+        self.corrupted += other.corrupted;
+        self.duplicated += other.duplicated;
+        self.reordered += other.reordered;
+        if let (Some(min), Some(max)) = (other.wire_min_len, other.wire_max_len) {
+            self.record_wire(min);
+            self.record_wire(max);
+        }
+    }
 }
 
 /// A lossy link applying [`FaultPlan`] faults from a deterministic stream.
@@ -174,7 +186,6 @@ impl FaultChannel {
 
         if self.rng.gen_bool(self.plan.drop_rate) {
             self.stats.dropped += 1;
-            metric(|| global::FRAMES_DROPPED.add(1));
         } else {
             let mut copy = frame.to_vec();
             if self.rng.gen_bool(self.plan.corrupt_rate) {

@@ -64,7 +64,6 @@ mod fault;
 mod link;
 mod persist;
 mod replay;
-mod telemetry;
 
 pub use fault::{ChannelStats, FaultChannel, FaultPlan};
 pub use link::{

@@ -4,12 +4,10 @@
 use std::collections::VecDeque;
 
 use age_crypto::{Cipher, EpochRatchet, OpenError};
-use age_telemetry::metrics::global;
 
 use crate::fault::{ChannelStats, FaultChannel, FaultPlan};
 use crate::persist::SequenceJournal;
 use crate::replay::{ReplayError, ReplayWindow};
-use crate::telemetry::metric;
 
 /// Why the receiver rejected a frame.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -137,6 +135,9 @@ pub struct Sensor {
     /// Current key epoch (0 forever without rekey state).
     epoch: u64,
     rekey: Option<SensorRekey>,
+    /// Explicit-sequence seals at or below the high-water mark, over the
+    /// sensor's lifetime (reboots included).
+    reuse_risked: u64,
 }
 
 impl Sensor {
@@ -148,6 +149,7 @@ impl Sensor {
             highest_sealed: None,
             epoch: 0,
             rekey: None,
+            reuse_risked: 0,
         }
     }
 
@@ -184,6 +186,13 @@ impl Sensor {
         self.epoch
     }
 
+    /// Explicit-sequence seals so far that were at or below the power
+    /// cycle's high-water mark — each one risked reusing a (key, nonce)
+    /// pair (see [`Sensor::seal_as`]).
+    pub fn reuse_risked(&self) -> u64 {
+        self.reuse_risked
+    }
+
     /// The epoch the watermark schedule demands for `sequence`, when it is
     /// ahead of the current one. `None` when no rotation is due (or the
     /// sensor has no rekey state). Callers that journal their rotations
@@ -211,7 +220,6 @@ impl Sensor {
         rekey.ratchet.seek(epoch);
         self.cipher = (rekey.factory)(rekey.ratchet.key());
         self.epoch = epoch;
-        metric(|| global::KEY_ROTATIONS.add(1));
         true
     }
 
@@ -248,9 +256,9 @@ impl Sensor {
     /// by test sequence index, and [`Link`] numbers them from the
     /// reservation journal; both satisfy that contract, which is why the
     /// guard below never fires for them. A sequence at or below the power
-    /// cycle's high-water mark would reuse a (key, nonce) pair, so it
-    /// trips a debug assertion and is counted by the `NONCE_REUSE_RISKED`
-    /// metric (release builds still seal, preserving legacy behavior; the
+    /// cycle's high-water mark would reuse a (key, nonce) pair, so it is
+    /// counted in [`Sensor::reuse_risked`] and trips a debug assertion
+    /// (release builds still seal, preserving legacy behavior; the
     /// run-wide nonce auditor is the backstop that fails the run).
     pub fn seal_as(&mut self, sequence: u64, payload: &[u8]) -> Vec<u8> {
         let mut frame = Vec::new();
@@ -259,11 +267,11 @@ impl Sensor {
     }
 
     /// [`Sensor::seal_as`] into a caller-owned frame buffer, with the same
-    /// high-water-mark guard and `NONCE_REUSE_RISKED` accounting.
+    /// high-water-mark guard and [`Sensor::reuse_risked`] accounting.
     pub fn seal_as_into(&mut self, sequence: u64, payload: &[u8], frame: &mut Vec<u8>) {
         if let Some(high) = self.highest_sealed {
             if sequence <= high {
-                metric(|| global::NONCE_REUSE_RISKED.add(1));
+                self.reuse_risked += 1;
                 debug_assert!(
                     sequence > high,
                     "seal_as({sequence}) at or below the session high-water mark {high} \
@@ -320,8 +328,7 @@ impl Sensor {
 
 /// Per-receiver frame counters.
 ///
-/// The process-global metrics aggregate every receiver in the process; a
-/// gateway serving many sensors needs the same accounting *per session* so
+/// A gateway serving many sensors keeps this accounting *per session* so
 /// a fleet report can attribute rejections to the sensor (and shard) they
 /// happened on. All fields are plain counts, so [`merge`](Self::merge) is
 /// commutative and associative — per-shard rollups fold into identical
@@ -508,7 +515,6 @@ impl Receiver {
         };
         let opened_epoch = self.open_any(sequence, frame, payload).map_err(|e| {
             self.stats.auth_failed += 1;
-            metric(|| global::FRAMES_AUTH_FAILED.add(1));
             ReceiveError::Cipher(e)
         })?;
         let limit = self
@@ -517,12 +523,10 @@ impl Receiver {
             .map_or(self.max_skip, |h| h.saturating_add(self.max_skip));
         if sequence > limit {
             self.stats.far_future += 1;
-            metric(|| global::FRAMES_FAR_FUTURE.add(1));
             return Err(ReceiveError::FarFuture { sequence, limit });
         }
         self.window.observe(sequence).map_err(|e| {
             self.stats.replay_rejected += 1;
-            metric(|| global::FRAMES_REPLAY_REJECTED.add(1));
             ReceiveError::Replay(e)
         })?;
         self.stats.accepted += 1;
@@ -726,6 +730,26 @@ pub struct LinkStats {
     pub rotations_deferred: usize,
 }
 
+impl LinkStats {
+    /// Folds another session's counters in (counts add, so merge order
+    /// never matters).
+    pub fn merge(&mut self, other: &LinkStats) {
+        self.frames_sent += other.frames_sent;
+        self.frames_retried += other.frames_retried;
+        self.frames_delivered += other.frames_delivered;
+        self.auth_failed += other.auth_failed;
+        self.replay_rejected += other.replay_rejected;
+        self.rejected_other += other.rejected_other;
+        self.messages_lost += other.messages_lost;
+        self.late_deliveries += other.late_deliveries;
+        self.sensor_reboots += other.sensor_reboots;
+        self.journal_flushes += other.journal_flushes;
+        self.sequences_skipped += other.sequences_skipped;
+        self.rotations += other.rotations;
+        self.rotations_deferred += other.rotations_deferred;
+    }
+}
+
 /// A full sensor→channel→server session with retries.
 ///
 /// `send` transmits a sealed frame, watches what the receiver accepts, and
@@ -873,12 +897,7 @@ impl Link {
     /// lost instead (a zero-attempt, zero-length [`Delivery`]).
     pub fn send(&mut self, payload: &[u8]) -> Delivery {
         if self.journal.is_none() {
-            let mut frame = std::mem::take(&mut self.frame_scratch);
-            let epoch_before = self.sensor.epoch();
-            let sequence = self.sensor.seal_into(payload, &mut frame);
-            if self.sensor.epoch() != epoch_before {
-                self.stats.rotations += 1;
-            }
+            let (sequence, frame) = self.seal_next(payload);
             let delivery = self.drive(sequence, &frame);
             self.frame_scratch = frame;
             return delivery;
@@ -907,6 +926,19 @@ impl Link {
         }
     }
 
+    /// Seals `payload` under the RAM counter into the session's frame
+    /// buffer, taken out for the caller to put back, and counts the
+    /// watermark rotation the seal made, if any.
+    fn seal_next(&mut self, payload: &[u8]) -> (u64, Vec<u8>) {
+        let mut frame = std::mem::take(&mut self.frame_scratch);
+        let epoch_before = self.sensor.epoch();
+        let sequence = self.sensor.seal_into(payload, &mut frame);
+        if self.sensor.epoch() != epoch_before {
+            self.stats.rotations += 1;
+        }
+        (sequence, frame)
+    }
+
     /// Write-ahead rotation: when the watermark schedule says `sequence`
     /// belongs to a later epoch, journal the target epoch *before*
     /// switching keys. If the NVM refuses the record, the rotation is
@@ -925,7 +957,6 @@ impl Link {
             let committed = journal.record_epoch(target).is_ok();
             let flushed = journal.stats().flushes - flushes_before;
             self.stats.journal_flushes += flushed;
-            metric(|| global::JOURNAL_FLUSHES.add(flushed as u64));
             if !committed {
                 self.stats.rotations_deferred += 1;
                 return;
@@ -945,8 +976,7 @@ impl Link {
     /// reboot then forgets.
     pub fn abort_send(&mut self, payload: &[u8]) {
         if self.journal.is_none() {
-            let mut frame = std::mem::take(&mut self.frame_scratch);
-            let _ = self.sensor.seal_into(payload, &mut frame);
+            let (_, frame) = self.seal_next(payload);
             self.frame_scratch = frame;
         } else if let Ok(sequence) = self.journal_reserve() {
             // The rotation window is part of the brownout surface: power
@@ -969,7 +999,6 @@ impl Link {
     /// nonce auditor exists to catch).
     pub fn reboot_sensor(&mut self) {
         self.stats.sensor_reboots += 1;
-        metric(|| global::SENSOR_REBOOTS.add(1));
         let next = match self.journal.as_mut() {
             Some(journal) => {
                 let flushes_before = journal.stats().flushes;
@@ -977,10 +1006,6 @@ impl Link {
                 let flushed = journal.stats().flushes - flushes_before;
                 self.stats.journal_flushes += flushed;
                 self.stats.sequences_skipped += skipped as usize;
-                metric(|| {
-                    global::JOURNAL_FLUSHES.add(flushed as u64);
-                    global::SEQUENCES_SKIPPED.add(skipped);
-                });
                 journal.next()
             }
             None => 0,
@@ -1001,7 +1026,6 @@ impl Link {
         let flushed = journal.stats().flushes - flushes_before;
         let stuck_at = journal.next();
         self.stats.journal_flushes += flushed;
-        metric(|| global::JOURNAL_FLUSHES.add(flushed as u64));
         reserved.map_err(|_| stuck_at)
     }
 
@@ -1039,14 +1063,9 @@ impl Link {
         for attempt in 0..self.retry.max_attempts.max(1) {
             delivery.attempts = attempt + 1;
             self.stats.frames_sent += 1;
-            metric(|| global::FRAMES_SENT.add(1));
-            // The on-air size distribution: what a passive eavesdropper
-            // observes, one sample per transmission attempt.
-            metric(|| global::WIRE_FRAME_BYTES.record(frame.len() as u64));
             if attempt > 0 {
                 self.stats.frames_retried += 1;
                 delivery.backoff_ms += self.retry.timeout_ms(attempt - 1);
-                metric(|| global::FRAMES_RETRIED.add(1));
             }
             let arriving = self.channel.transmit(frame);
             let before = delivery.payloads.len();
@@ -1402,15 +1421,12 @@ mod tests {
             let _ = sensor.seal(b"x");
         }
         assert_eq!(sensor.highest_sealed(), Some(4));
-        #[cfg(feature = "telemetry")]
-        let risked_before = age_telemetry::metrics::global::NONCE_REUSE_RISKED.get();
         let attempt = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             sensor.seal_as(2, b"reused nonce")
         }));
-        // The metric increments before the debug assertion fires, so the
+        // The count increments before the debug assertion fires, so the
         // risk is visible even where the assertion is compiled out.
-        #[cfg(feature = "telemetry")]
-        assert!(age_telemetry::metrics::global::NONCE_REUSE_RISKED.get() > risked_before);
+        assert_eq!(sensor.reuse_risked(), 1);
         if cfg!(debug_assertions) {
             assert!(attempt.is_err(), "debug builds must trip the guard");
         } else {
@@ -1542,6 +1558,9 @@ mod tests {
             1,
             "an epoch boundary must not change the frame size"
         );
+        // A seal that loses power before the radio fires still rotated.
+        link.abort_send(&[0; 32]);
+        assert_eq!(link.stats().rotations, 5, "sequence 40 opened epoch 5");
     }
 
     #[test]
