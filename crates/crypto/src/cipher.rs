@@ -137,6 +137,45 @@ pub trait Cipher: Send + Sync {
     }
 }
 
+/// A boxed cipher is a cipher: every method forwards to the box's
+/// contents, the allocation-free `*_into` paths and `sequence_of`
+/// included (the trait defaults would allocate or read no sequence).
+/// This is what lets a receiver generic over its cipher keep taking
+/// `Box<dyn Cipher>` where the cipher is chosen at run time.
+impl<C: Cipher + ?Sized> Cipher for Box<C> {
+    fn kind(&self) -> CipherKind {
+        (**self).kind()
+    }
+
+    fn overhead(&self) -> usize {
+        (**self).overhead()
+    }
+
+    fn message_len(&self, plaintext_len: usize) -> usize {
+        (**self).message_len(plaintext_len)
+    }
+
+    fn seal(&self, sequence: u64, plaintext: &[u8]) -> Vec<u8> {
+        (**self).seal(sequence, plaintext)
+    }
+
+    fn open(&self, message: &[u8]) -> Result<Vec<u8>, OpenError> {
+        (**self).open(message)
+    }
+
+    fn seal_into(&self, sequence: u64, plaintext: &[u8], out: &mut Vec<u8>) {
+        (**self).seal_into(sequence, plaintext, out);
+    }
+
+    fn open_into(&self, message: &[u8], out: &mut Vec<u8>) -> Result<(), OpenError> {
+        (**self).open_into(message, out)
+    }
+
+    fn sequence_of(&self, message: &[u8]) -> Option<u64> {
+        (**self).sequence_of(message)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -214,8 +214,8 @@ impl Gateway {
         let workers = threads.max(1).min(nshards);
         if workers <= 1 {
             for (shard, queue) in self.shards.iter_mut().zip(queues.iter()) {
-                for &index in queue {
-                    let _ = shard.ingest(&traffic[index], &self.config);
+                for frame in queue.iter().filter_map(|&index| traffic.get(index)) {
+                    let _ = shard.ingest(frame, &self.config);
                 }
             }
             return;
@@ -236,8 +236,8 @@ impl Gateway {
                         continue;
                     };
                     if let Some(queue) = queues.get(index) {
-                        for &frame in queue {
-                            let _ = shard.ingest(&traffic[frame], config);
+                        for frame in queue.iter().filter_map(|&frame| traffic.get(frame)) {
+                            let _ = shard.ingest(frame, config);
                         }
                     }
                     *lock(slot) = Some(shard);
@@ -271,7 +271,6 @@ impl Gateway {
             }
             active_sensors += shard
                 .sessions()
-                .values()
                 .filter(|s| s.receiver.stats().accepted > 0)
                 .count() as u64;
         }

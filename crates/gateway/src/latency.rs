@@ -42,7 +42,9 @@ impl LatencyHistogram {
     /// silently restarting from zero mid-run.
     pub fn record(&mut self, ns: u64) {
         let bucket = (64 - ns.leading_zeros() as usize).min(BUCKETS - 1);
-        self.buckets[bucket] = self.buckets[bucket].saturating_add(1);
+        if let Some(n) = self.buckets.get_mut(bucket) {
+            *n = n.saturating_add(1);
+        }
         self.count = self.count.saturating_add(1);
         self.sum_ns = self.sum_ns.saturating_add(u128::from(ns));
     }

@@ -6,7 +6,9 @@
 //! replay window, cohort, gap anchor), sharded by a pure hash of the
 //! sensor id so every shard owns a disjoint slice of the fleet (and one
 //! pair of leakage histograms per cohort) and steady-state ingest is
-//! lock-free and allocation-free.
+//! lock-free and allocation-free. Each shard's table is flat: an
+//! open-addressed id index over sessions stored by value in 64-session
+//! blocks, each holding its ChaCha20-Poly1305 receiver inline.
 //!
 //! The design invariant everything else hangs off of: **reports are a
 //! commutative fold.** Shard routing is a pure function of the sensor
@@ -29,7 +31,8 @@
 //! - Truncated, oversized, unknown-sensor, replayed, far-future, and
 //!   undecodable datagrams each land in a dedicated counter and return
 //!   a structured [`GatewayError`] — never a panic (fuzzed in
-//!   `tests/fuzz.rs`).
+//!   `tests/fuzz.rs`; outside tests the crate denies `unwrap`, `expect`,
+//!   `panic` and indexing that can panic).
 //! - Accepted frames feed a gateway-side
 //!   [nonce audit](Gateway::nonce_audit) keyed `(sensor, epoch,
 //!   sequence)`: any double-accept — cross-shard confusion, a replay
@@ -73,7 +76,12 @@
 
 #![cfg_attr(
     not(test),
-    deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::indexing_slicing
+    )
 )]
 
 mod frame;
@@ -83,6 +91,7 @@ mod latency;
 mod route;
 mod session;
 mod shard;
+mod table;
 
 pub use frame::{sensor_id_of, FleetFrame, GatewayError, HeaderError, HEADER_LEN};
 pub use gateway::{Cohort, CohortReport, FleetReport, Gateway, GatewayConfig};

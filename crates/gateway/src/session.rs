@@ -1,19 +1,23 @@
 //! One sensor's server-side session state.
 //!
-//! The session table maps sensor id → (receive keys, replay window,
-//! cohort, gap anchor). A session holds only what receiving needs; the
-//! leakage histograms its accepted frames feed live in the shard, one
-//! size and one gap stream per cohort, and merge commutatively with
-//! every other shard's — which is what lets the fleet report come out
-//! byte-identical at any shard or thread count.
+//! A session holds only what receiving needs: the receive keys and
+//! replay window, the cohort, and the gap anchor. Every gateway session
+//! runs ChaCha20-Poly1305, so its [`Receiver`] holds that cipher inline
+//! (32 bytes of key), and the shard's [`SessionTable`](crate::table::SessionTable) stores sessions
+//! by value: provisioning a static session touches the heap only when
+//! its storage block is new. The leakage histograms its accepted frames
+//! feed live in the shard, one size and one gap stream per cohort, and
+//! merge commutatively with every other shard's — which is what lets
+//! the fleet report come out byte-identical at any shard or thread
+//! count.
 
 use age_crypto::ChaCha20Poly1305;
-use age_transport::{chacha20poly1305_factory, Receiver};
+use age_transport::Receiver;
 
 /// Server-side state for one provisioned sensor.
 pub(crate) struct Session {
     /// Authenticates and replay-checks this sensor's frames.
-    pub(crate) receiver: Receiver,
+    pub(crate) receiver: Receiver<ChaCha20Poly1305>,
     /// Index into the gateway's cohort table (selects the decoder and
     /// the leakage streams its frames feed).
     pub(crate) cohort: usize,
@@ -28,7 +32,7 @@ impl Session {
     /// A fresh session over `key` in `cohort`.
     pub(crate) fn new(key: [u8; 32], cohort: usize) -> Session {
         Session {
-            receiver: Receiver::new(Box::new(ChaCha20Poly1305::new(key))),
+            receiver: Receiver::new(ChaCha20Poly1305::new(key)),
             cohort,
             last_send_us: None,
         }
@@ -40,7 +44,7 @@ impl Session {
     /// brownouts.
     pub(crate) fn with_rekey(root: [u8; 32], interval: u64, phase: u64, cohort: usize) -> Session {
         Session {
-            receiver: Receiver::with_rekey(root, interval, phase, chacha20poly1305_factory),
+            receiver: Receiver::with_rekey(root, interval, phase, ChaCha20Poly1305::new),
             cohort,
             last_send_us: None,
         }

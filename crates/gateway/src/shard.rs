@@ -1,15 +1,19 @@
 //! One shard of the session table plus its ingest hot path.
 //!
 //! A shard owns a disjoint slice of the fleet's sessions (selected by
-//! [`shard_of`](crate::shard_of)) and all the scratch buffers the
-//! open→decode path needs, so steady-state ingest touches no heap and
-//! takes no locks. Every rollup a shard accumulates — counters, cohort
-//! stats, nonce sets, one size and one gap leakage histogram per cohort
-//! — merges commutatively, which is the whole determinism story: any
-//! partition of the fleet into shards, processed by any number of
-//! threads, folds to the same bytes.
-
-use std::collections::BTreeMap;
+//! [`shard_of`](crate::shard_of)) in a flat [`SessionTable`]: an
+//! open-addressed id index over sessions stored by value in 64-session
+//! blocks, each with its ChaCha20 receiver inline, so a lookup reads one
+//! index entry and then the session. It also owns all the scratch
+//! buffers the open→decode path needs, so steady-state ingest touches no
+//! heap and takes no locks. The walks over every session (receiver
+//! stats, active sensors) are sums, so they go in slot order.
+//!
+//! Every rollup a shard accumulates — counters, cohort stats, nonce
+//! sets, one size and one gap leakage histogram per cohort — merges
+//! commutatively, which is the whole determinism story: any partition
+//! of the fleet into shards, processed by any number of threads, folds
+//! to the same bytes.
 
 use age_core::{Batch, EncodeScratch};
 use age_telemetry::{
@@ -22,6 +26,7 @@ use crate::frame::{sensor_id_of, FleetFrame, GatewayError, HeaderError, HEADER_L
 use crate::gateway::GatewayConfig;
 use crate::latency::LatencyHistogram;
 use crate::session::Session;
+use crate::table::SessionTable;
 
 /// Schematic virtual durations for the gateway-side trace spans. The
 /// gateway has no virtual CPU model of its own (frames are stamped by
@@ -176,7 +181,7 @@ impl CohortStats {
 
 /// One shard: a disjoint slice of the session table plus scratch.
 pub(crate) struct Shard {
-    sessions: BTreeMap<u64, Session>,
+    sessions: SessionTable,
     pub(crate) stats: ShardStats,
     pub(crate) cohorts: Vec<CohortStats>,
     /// `(sizes, gaps)`: the `(event, wire bytes)` and `(event, gap µs)`
@@ -203,7 +208,7 @@ pub(crate) struct Shard {
 impl Shard {
     pub(crate) fn new(config: &GatewayConfig, index: usize) -> Shard {
         Shard {
-            sessions: BTreeMap::new(),
+            sessions: SessionTable::default(),
             stats: ShardStats::default(),
             cohorts: vec![CohortStats::default(); config.cohorts.len()],
             leakage: vec![Default::default(); config.cohorts.len()],
@@ -221,8 +226,9 @@ impl Shard {
         }
     }
 
-    pub(crate) fn sessions(&self) -> &BTreeMap<u64, Session> {
-        &self.sessions
+    /// Every session in the shard, once each, in slot order.
+    pub(crate) fn sessions(&self) -> impl Iterator<Item = &Session> {
+        self.sessions.iter()
     }
 
     pub(crate) fn occupancy(&self) -> usize {
@@ -248,7 +254,7 @@ impl Shard {
     /// cross-check that session-level and shard-level accounting agree.
     pub(crate) fn receiver_stats(&self) -> ReceiverStats {
         let mut total = ReceiverStats::default();
-        for session in self.sessions.values() {
+        for session in self.sessions() {
             total.merge(session.receiver.stats());
         }
         total
@@ -337,12 +343,12 @@ impl Shard {
         let wire = frame.wire.as_slice();
         self.stats.frames += 1;
         self.stats.wire_bytes += wire.len() as u64;
-        if wire.len() < HEADER_LEN {
+        let (Some(sensor_id), Some(sealed)) = (sensor_id_of(wire), wire.get(HEADER_LEN..)) else {
             self.stats.header_truncated += 1;
             return Err(GatewayError::Header(HeaderError::Truncated {
                 len: wire.len(),
             }));
-        }
+        };
         if wire.len() > config.max_datagram_len {
             self.stats.header_oversized += 1;
             return Err(GatewayError::Header(HeaderError::Oversized {
@@ -350,17 +356,14 @@ impl Shard {
                 max: config.max_datagram_len,
             }));
         }
-        let mut header = [0u8; HEADER_LEN];
-        header.copy_from_slice(&wire[..HEADER_LEN]);
-        let sensor_id = u64::from_le_bytes(header);
-        let Some(session) = self.sessions.get_mut(&sensor_id) else {
+        let Some(session) = self.sessions.get_mut(sensor_id) else {
             self.stats.unknown_sensor += 1;
             return Err(GatewayError::UnknownSensor { sensor_id });
         };
         let epoch_before = session.receiver.epoch();
         let sequence = session
             .receiver
-            .receive_into(&wire[HEADER_LEN..], &mut self.payload)
+            .receive_into(sealed, &mut self.payload)
             .map_err(|e| {
                 match e {
                     ReceiveError::Cipher(_) => self.stats.auth_failed += 1,
@@ -421,5 +424,49 @@ impl Shard {
             );
         }
         Ok(sequence)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use age_core::{AgeEncoder, BatchConfig, StandardEncoder};
+    use age_fixed::Format;
+
+    use super::*;
+    use crate::gateway::Cohort;
+
+    fn headcounts(shard: &Shard) -> Vec<u64> {
+        shard.cohorts.iter().map(|c| c.sensors).collect()
+    }
+
+    #[test]
+    fn reprovisioning_keeps_the_slot_and_moves_the_headcount() {
+        let config = GatewayConfig::new(
+            BatchConfig::new(25, 2, Format::new(16, 10).unwrap()).unwrap(),
+            vec![
+                Cohort::new("AGE", Box::new(AgeEncoder::new(160))),
+                Cohort::new("Std", Box::new(StandardEncoder)),
+            ],
+            7,
+            1,
+        );
+        let mut shard = Shard::new(&config, 0);
+        for id in 0..100u64 {
+            shard.insert_session(id, Session::new([1; 32], (id % 2) as usize));
+        }
+        assert_eq!(headcounts(&shard), [50, 50]);
+        // Sensor 42 moves from cohort 0 to cohort 1, in its own slot.
+        shard.insert_session(42, Session::new([2; 32], 1));
+        assert_eq!(shard.occupancy(), 100);
+        assert_eq!(headcounts(&shard), [49, 51]);
+        let expected: Vec<usize> = (0..100)
+            .map(|id| if id == 42 { 1 } else { id % 2 })
+            .collect();
+        let cohorts: Vec<usize> = shard.sessions().map(|s| s.cohort).collect();
+        assert_eq!(cohorts, expected);
+        // Re-provisioning into the same cohort moves no headcount.
+        shard.insert_session(42, Session::new([3; 32], 1));
+        assert_eq!(shard.occupancy(), 100);
+        assert_eq!(headcounts(&shard), [49, 51]);
     }
 }

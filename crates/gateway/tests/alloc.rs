@@ -153,6 +153,35 @@ fn fresh_sessions_join_the_cohort_histograms() {
     assert_eq!(report.stats.accepted, 2 * SESSIONS * FRAMES as u64);
 }
 
+/// Sessions live by value in 64-session blocks with their ciphers
+/// inline, so provisioning static sessions allocates per block and per
+/// index doubling, not per sensor.
+#[test]
+fn provisioning_allocates_per_block_not_per_session() {
+    const SESSIONS: u64 = 10_000;
+    for shards in [1, 4] {
+        let config = GatewayConfig::new(
+            batch_cfg(),
+            vec![Cohort::new("AGE", Box::new(AgeEncoder::new(160)))],
+            SEED,
+            shards,
+        );
+        let mut gateway = Gateway::new(config);
+        let before = alloc::snapshot();
+        for id in 0..SESSIONS {
+            gateway.provision(id, 0).unwrap();
+        }
+        let delta = alloc::snapshot().since(before);
+        assert!(
+            delta.allocations <= SESSIONS / 32 + 64,
+            "provisioning {SESSIONS} sessions on {shards} shards allocated {} times ({} bytes)",
+            delta.allocations,
+            delta.bytes,
+        );
+        assert_eq!(gateway.sessions(), SESSIONS);
+    }
+}
+
 /// The streaming monitor and flight recorder ride the same hot path,
 /// so arming them must not reintroduce heap traffic: the recorder ring
 /// is preallocated and the monitor's histogram keys are all created by

@@ -66,7 +66,9 @@ pub const MAX_SKIP: u64 = 1024;
 /// receivers re-key by deriving the next epoch key from their
 /// [`EpochRatchet`] and swapping in a fresh cipher from this factory. A
 /// plain `fn` pointer keeps the parts `Send` and trivially copyable.
-pub type CipherFactory = fn([u8; 32]) -> Box<dyn Cipher>;
+/// Sensors build boxed ciphers; a [`Receiver`] builds whatever cipher
+/// type it holds (`ChaCha20Poly1305::new` for an inline one).
+pub type CipherFactory<C = Box<dyn Cipher>> = fn([u8; 32]) -> C;
 
 /// The workspace's default epoch-cipher factory (ChaCha20-Poly1305, the
 /// paper's AEAD).
@@ -375,7 +377,7 @@ impl ReceiverStats {
 /// Rekey state for a [`Receiver`]: the ratchet, the ciphers it has
 /// already derived for the epochs ahead, and the skew-tolerance
 /// machinery.
-struct ReceiverRekey {
+struct ReceiverRekey<C> {
     /// The chain at the far end of `ahead`: epoch `epoch + ahead.len()`.
     ratchet: EpochRatchet,
     /// Ciphers for epochs `epoch + 1 ..= epoch + ahead.len()`, derived
@@ -383,24 +385,29 @@ struct ReceiverRekey {
     /// past their epoch, so a forgery claiming a far-ahead sequence
     /// derives each key once per session rather than once per frame.
     /// Never longer than the probe budget (see [`MAX_SKIP`]).
-    ahead: VecDeque<Box<dyn Cipher>>,
+    ahead: VecDeque<C>,
     /// Cipher for the previous epoch, kept so stragglers sealed just
     /// before a rotation still open (the deliberate skew-tolerance
     /// trade-off: one old epoch key stays in memory until the next
     /// rotation retires it).
-    prev_cipher: Option<Box<dyn Cipher>>,
+    prev_cipher: Option<C>,
     /// The sensor's schedule: no key newer than a frame's watermark epoch
     /// is ever tried on it.
     interval: u64,
     phase: u64,
-    factory: CipherFactory,
+    factory: CipherFactory<C>,
 }
 
 /// The server half: opens frames, enforces the replay window, and degrades
 /// gracefully — every malformed, forged, replayed, or stale frame becomes a
 /// [`ReceiveError`], never a panic.
-pub struct Receiver {
-    cipher: Box<dyn Cipher>,
+///
+/// Generic over its cipher: the default `Box<dyn Cipher>` lets a link pick
+/// the cipher at run time, while a gateway whose sessions all run one
+/// AEAD stores it inline (`Receiver<ChaCha20Poly1305>`), with no heap box
+/// per session. Verdicts, epochs and stats do not depend on the choice.
+pub struct Receiver<C: Cipher = Box<dyn Cipher>> {
+    cipher: C,
     window: ReplayWindow,
     max_skip: u64,
     stats: ReceiverStats,
@@ -411,12 +418,12 @@ pub struct Receiver {
     last_epoch: u64,
     /// Boxed so receivers without rekey state (every static gateway
     /// session) pay one pointer for it, not the whole struct.
-    rekey: Option<Box<ReceiverRekey>>,
+    rekey: Option<Box<ReceiverRekey<C>>>,
 }
 
-impl Receiver {
+impl<C: Cipher> Receiver<C> {
     /// A receiver with an empty replay window.
-    pub fn new(cipher: Box<dyn Cipher>) -> Self {
+    pub fn new(cipher: C) -> Self {
         Receiver {
             cipher,
             window: ReplayWindow::new(),
@@ -435,7 +442,12 @@ impl Receiver {
     /// future epochs' keys up to the frame's own watermark epoch, so lost
     /// rotation frames and post-brownout epoch jumps cost one extra trial
     /// decryption instead of a bricked session.
-    pub fn with_rekey(root: [u8; 32], interval: u64, phase: u64, factory: CipherFactory) -> Self {
+    pub fn with_rekey(
+        root: [u8; 32],
+        interval: u64,
+        phase: u64,
+        factory: CipherFactory<C>,
+    ) -> Self {
         let ratchet = EpochRatchet::new(root);
         let mut receiver = Receiver::new(factory(ratchet.key()));
         receiver.rekey = Some(Box::new(ReceiverRekey {

@@ -114,7 +114,7 @@ fn fuzz_round(seed: u64) {
     }
     cases.shuffle(&mut rng);
 
-    let mut receiver = Receiver::new(Box::new(ChaCha20Poly1305::new(KEY)));
+    let mut receiver: Receiver = Receiver::new(Box::new(ChaCha20Poly1305::new(KEY)));
     let mut naive = NaiveReceiver::new(
         |_| Box::new(ChaCha20Poly1305::new(KEY)),
         0,
@@ -342,7 +342,7 @@ fn unauthenticated_ciphers_never_panic_across_a_reboot() {
         }
         cases.shuffle(&mut rng);
 
-        let mut receiver = Receiver::new(Box::new(AesCbc::new(key16)));
+        let mut receiver: Receiver = Receiver::new(Box::new(AesCbc::new(key16)));
         let mut naive = NaiveReceiver::new(
             move |_| Box::new(AesCbc::new(key16)),
             0,
