@@ -124,7 +124,7 @@ pub fn run_gateway(config: &GatewayRunConfig) -> GatewayRun {
         report.gate = Some(default_gate().evaluate(&report.entries));
         report
     };
-    let nonce_clean = traffic.sealed_nonces.is_clean() && gateway.nonce_audit().is_clean();
+    let nonce_clean = traffic.sealed_nonces.is_clean() && gateway.nonces_clean();
 
     GatewayRun {
         report: gateway.fleet_report(),

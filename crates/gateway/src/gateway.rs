@@ -395,15 +395,34 @@ impl Gateway {
 
     /// The gateway-side nonce audit: `(sensor, epoch, sequence)` triples
     /// of every *accepted* frame, merged across shards. A violation here
-    /// means a frame was accepted twice — cross-shard confusion or a
-    /// replay-window failure — independent of the seal-side audit the
-    /// fleet driver keeps.
+    /// means a frame was accepted twice — cross-shard confusion, a
+    /// replay-window failure, a re-provisioned sensor replaying its old
+    /// frames — independent of the seal-side audit the fleet driver
+    /// keeps.
+    ///
+    /// The seen-sets live in the sessions' nonce ledgers, so this
+    /// rebuilds the audit: it walks every session, costing time in the
+    /// fleet's size. [`Gateway::nonces_clean`] answers the verdict alone
+    /// from the shards' reuse counts.
     pub fn nonce_audit(&self) -> FleetNonceAudit {
         let mut merged = FleetNonceAudit::default();
         for shard in &self.shards {
             merged.merge(&shard.nonces);
+            for (sensor_id, session) in shard.sessions_by_id() {
+                for (epoch, lo, hi) in session.nonces.iter().flat_map(|ledger| ledger.runs()) {
+                    merged.insert_run(sensor_id, epoch, lo, hi);
+                }
+            }
         }
         merged
+    }
+
+    /// `true` when no accepted `(sensor, epoch, sequence)` triple was
+    /// accepted twice: [`nonce_audit`](Self::nonce_audit)`().is_clean()`
+    /// read from each shard's reuse count, with no walk over the
+    /// sessions.
+    pub fn nonces_clean(&self) -> bool {
+        self.shards.iter().all(|shard| shard.nonces.is_clean())
     }
 }
 

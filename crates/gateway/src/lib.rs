@@ -3,12 +3,13 @@
 //! One sensor per link is the paper's setting; real deployments
 //! aggregate. This crate scales the receive side to a fleet: a
 //! *gateway* holds a session table mapping sensor id → (session key,
-//! replay window, cohort, gap anchor), sharded by a pure hash of the
-//! sensor id so every shard owns a disjoint slice of the fleet (and one
-//! pair of leakage histograms per cohort) and steady-state ingest is
-//! lock-free and allocation-free. Each shard's table is flat: an
-//! open-addressed id index over sessions stored by value in 64-session
-//! blocks, each holding its ChaCha20-Poly1305 receiver inline.
+//! replay window, cohort, gap anchor, nonce ledger), sharded by a pure
+//! hash of the sensor id so every shard owns a disjoint slice of the
+//! fleet (and one pair of leakage histograms per cohort) and
+//! steady-state ingest is lock-free and allocation-free. Each shard's
+//! table is flat: an open-addressed id index over sessions stored by
+//! value in 64-session blocks, each holding its ChaCha20-Poly1305
+//! receiver inline and its nonce ledger one pointer away.
 //!
 //! The design invariant everything else hangs off of: **reports are a
 //! commutative fold.** Shard routing is a pure function of the sensor
@@ -33,10 +34,12 @@
 //!   a structured [`GatewayError`] — never a panic (fuzzed in
 //!   `tests/fuzz.rs`; outside tests the crate denies `unwrap`, `expect`,
 //!   `panic` and indexing that can panic).
-//! - Accepted frames feed a gateway-side
-//!   [nonce audit](Gateway::nonce_audit) keyed `(sensor, epoch,
-//!   sequence)`: any double-accept — cross-shard confusion, a replay
-//!   window failure — is a recorded violation.
+//! - Accepted frames enter their session's nonce ledger, keyed
+//!   `(epoch, sequence)`: any double-accept — cross-shard confusion, a
+//!   replay window failure, a re-provisioned sensor's replayed frames —
+//!   is a recorded violation. [`Gateway::nonces_clean`] reads the
+//!   verdict from the shards; [`Gateway::nonce_audit`] rebuilds the
+//!   full `(sensor, epoch, sequence)` audit from the ledgers.
 //!
 //! See `docs/architecture.md` for the session-table and merge-semantics
 //! write-up.

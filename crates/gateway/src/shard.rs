@@ -3,17 +3,20 @@
 //! A shard owns a disjoint slice of the fleet's sessions (selected by
 //! [`shard_of`](crate::shard_of)) in a flat [`SessionTable`]: an
 //! open-addressed id index over sessions stored by value in 64-session
-//! blocks, each with its ChaCha20 receiver inline, so a lookup reads one
-//! index entry and then the session. It also owns all the scratch
-//! buffers the open→decode path needs, so steady-state ingest touches no
-//! heap and takes no locks. The walks over every session (receiver
-//! stats, active sensors) are sums, so they go in slot order.
+//! blocks, each with its ChaCha20 receiver inline and its nonce ledger
+//! one pointer away, so a lookup reads one index entry and then the
+//! session, and the nonce check touches only that session. It also owns
+//! all the scratch buffers the open→decode path needs, so steady-state
+//! ingest touches no heap and takes no locks. The walks over every
+//! session (receiver stats, active sensors) are sums, so they go in slot
+//! order.
 //!
 //! Every rollup a shard accumulates — counters, cohort stats, nonce
-//! sets, one size and one gap leakage histogram per cohort — merges
-//! commutatively, which is the whole determinism story: any partition
-//! of the fleet into shards, processed by any number of threads, folds
-//! to the same bytes.
+//! frame and reuse counts, one size and one gap leakage histogram per
+//! cohort — merges commutatively, and the sessions' nonce ledgers fold
+//! into the fleet audit at report time. That is the whole determinism
+//! story: any partition of the fleet into shards, processed by any
+//! number of threads, folds to the same bytes.
 
 use age_core::{Batch, EncodeScratch};
 use age_telemetry::{
@@ -188,6 +191,8 @@ pub(crate) struct Shard {
     /// histograms of each cohort's accepted frames, indexed like
     /// `cohorts`. They outlive the sessions that fed them.
     pub(crate) leakage: Vec<(LeakageStream, LeakageStream)>,
+    /// The accepted frames and nonce reuses the sessions' ledgers
+    /// reported. Its seen-sets stay empty: those are the ledgers.
     pub(crate) nonces: FleetNonceAudit,
     pub(crate) latency: LatencyHistogram,
     /// Windowed leakage monitor (present when the config enables it).
@@ -231,6 +236,11 @@ impl Shard {
         self.sessions.iter()
     }
 
+    /// Every `(sensor id, session)` pair in the shard, once each.
+    pub(crate) fn sessions_by_id(&self) -> impl Iterator<Item = (u64, &Session)> {
+        self.sessions.entries()
+    }
+
     pub(crate) fn occupancy(&self) -> usize {
         self.sessions.len()
     }
@@ -239,7 +249,8 @@ impl Shard {
         let cohort = session.cohort;
         // Re-provisioning replaces the session; keep cohort headcounts
         // exact either way. The frames it already delivered stay in its
-        // cohort's leakage histograms: an eavesdropper saw them.
+        // cohort's leakage histograms: an eavesdropper saw them, and its
+        // nonce ledger moves to the new session (`Session::reprovision`).
         if let Some(old) = self.sessions.insert(sensor_id, session) {
             if let Some(stats) = self.cohorts.get_mut(old.cohort) {
                 stats.sensors = stats.sensors.saturating_sub(1);
@@ -412,8 +423,9 @@ impl Shard {
         // Keyed on the epoch the frame actually *opened* under (a
         // straggler opens one epoch behind the receiver's current) —
         // on static sessions `last_epoch` is always 0.
-        self.nonces
-            .observe(sensor_id, session.receiver.last_epoch(), sequence);
+        let epoch = session.receiver.last_epoch();
+        let fresh = session.record_nonce(epoch, sequence);
+        self.nonces.count(sensor_id, epoch, sequence, fresh);
         if let Some(monitor) = self.monitor.as_mut() {
             monitor.observe_accepted(
                 session.cohort,

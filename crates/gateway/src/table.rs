@@ -54,10 +54,11 @@ impl SessionTable {
     }
 
     /// Stores `session` under `sensor_id` and returns the session it
-    /// replaced. A replacement keeps the old session's slot.
+    /// replaced. A replacement keeps the old session's slot (and its
+    /// nonce ledger, see [`Session::reprovision`]).
     pub(crate) fn insert(&mut self, sensor_id: u64, session: Session) -> Option<Session> {
         if let Some(old) = self.get_mut(sensor_id) {
-            return Some(std::mem::replace(old, session));
+            return Some(old.reprovision(session));
         }
         if (self.len + 1) * 8 > self.index.len() * 7 {
             self.grow();
@@ -79,6 +80,17 @@ impl SessionTable {
     /// Every session, once each, in slot order.
     pub(crate) fn iter(&self) -> impl Iterator<Item = &Session> {
         self.blocks.iter().flatten()
+    }
+
+    /// Every `(sensor id, session)` pair, once each, in index order.
+    pub(crate) fn entries(&self) -> impl Iterator<Item = (u64, &Session)> {
+        self.index.iter().filter_map(|&(sensor_id, slot)| {
+            if slot == VACANT {
+                return None;
+            }
+            let session = self.blocks.get(slot / BLOCK)?.get(slot % BLOCK)?;
+            Some((sensor_id, session))
+        })
     }
 
     /// The slot of `sensor_id`, if it has one.
@@ -216,6 +228,13 @@ mod tests {
             }
             assert_eq!(table.len(), n);
             assert_eq!(tags(&table), (0..n).collect::<Vec<_>>());
+            let mut pairs: Vec<(u64, usize)> =
+                table.entries().map(|(id, s)| (id, s.cohort)).collect();
+            pairs.sort_unstable_by_key(|&(_, tag)| tag);
+            let expected: Vec<(u64, usize)> = (0..n)
+                .map(|i| ((i as u64).wrapping_mul(0x1234_5678_9abc_def1), i))
+                .collect();
+            assert_eq!(pairs, expected);
             assert!(table.blocks.iter().all(|b| b.capacity() == BLOCK));
         }
     }

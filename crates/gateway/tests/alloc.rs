@@ -5,11 +5,10 @@
 //! hazard. After a warm-up pass has grown the shard's payload buffer,
 //! decode scratch, and created every histogram bin the traffic will
 //! touch (one size and one gap key per event class in the cohort's
-//! histograms, the session's nonce run, the per-sensor BTree nodes),
-//! the full frame → open → decode → rollup path must not allocate at
-//! all. A freshly provisioned session joins histograms that already
-//! hold its cohort's keys, so its first frames cost little more than
-//! its own nonce run.
+//! histograms, the session's nonce ledger), the full frame → open →
+//! decode → rollup path must not allocate at all. A freshly provisioned
+//! session joins histograms that already hold its cohort's keys, so its
+//! first frames cost only its own nonce ledger.
 //!
 //! This test binary owns its `#[global_allocator]`; the counting
 //! allocator's counters are thread-local, so measurement runs on the
@@ -88,7 +87,7 @@ fn steady_state_ingest_is_allocation_free() {
     let all = frames(4 + 30);
     // Warm-up: first frame of each event class plus one wrap-around, so
     // every histogram key — (event, size) and (event, gap) for events
-    // 0, 1, 2 — and the session's nonce run exist before measurement.
+    // 0, 1, 2 — and the session's nonce ledger exist before measurement.
     let (warmup, steady) = all.split_at(4);
     for frame in warmup {
         gateway.ingest(frame).expect("warm-up frame accepted");
@@ -114,8 +113,9 @@ fn steady_state_ingest_is_allocation_free() {
 }
 
 /// A sensor's first frames feed histograms its cohort already holds,
-/// so a fresh session allocates only its own bookkeeping: the nonce
-/// audit's run for it, plus the odd node split of that audit's map.
+/// so a fresh session allocates only its own bookkeeping: one nonce
+/// ledger, created by its first frame and extended in place by the
+/// rest of a monotone stream.
 #[test]
 fn fresh_sessions_join_the_cohort_histograms() {
     const SESSIONS: u64 = 100;
@@ -145,7 +145,7 @@ fn fresh_sessions_join_the_cohort_histograms() {
     let delta = alloc::snapshot().since(before);
     let per_session = delta.allocations as f64 / SESSIONS as f64;
     assert!(
-        per_session <= 2.0,
+        per_session <= 1.0,
         "fresh sessions allocated {per_session:.2} times each ({} bytes in all)",
         delta.bytes,
     );

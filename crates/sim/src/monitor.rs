@@ -235,7 +235,7 @@ pub fn run_monitored(config: &MonitorRunConfig) -> MonitoredRun {
         if postmortem.is_none() {
             let trigger = if new_alarms > 0 {
                 Some("windowed-alarm")
-            } else if !gateway.nonce_audit().is_clean() {
+            } else if !gateway.nonces_clean() {
                 Some("nonce-audit")
             } else {
                 None

@@ -28,7 +28,8 @@
 //!   [`LeakageAudit`]/[`LeakageSink`] pipeline and the [`LeakageGate`] CI
 //!   regression gate.
 //! - [`nonce`] — [`FleetNonceAudit`], the one nonce-uniqueness auditor
-//!   on integer `(sender, epoch, sequence)` keys, and the
+//!   on integer `(sender, epoch, sequence)` keys, the per-session
+//!   [`NonceLedger`] a gateway session checks its frames against, and the
 //!   [`NonceAuditSink`] summing experiment runs' audits.
 //! - [`monitor`] — tumbling virtual-time windows scoring the same two
 //!   channels *mid-run*, raising deterministic [`Alarm`]s when a window
@@ -66,7 +67,9 @@ pub use leakage::{
     LeakageGate, LeakageReport, LeakageSink, LeakageStream,
 };
 pub use monitor::{Alarm, AlarmKind, MonitorConfig, WindowScore, WindowTraffic, WindowedMonitor};
-pub use nonce::{FleetNonceAudit, FleetNonceReuse, NonceAuditSink, NonceTotals, SeqSet};
+pub use nonce::{
+    FleetNonceAudit, FleetNonceReuse, NonceAuditSink, NonceLedger, NonceTotals, SeqSet,
+};
 pub use record::{BatchRecord, GroupRecord, JsonStr, StageTimings, WireRecord};
 pub use recorder::{FlightRecord, FlightRecorder, IngestRung};
 pub use rng::{DetRng, SliceShuffle};

@@ -8,9 +8,15 @@
 //! sequence-reservation journal, and the proof that a sensor rebooting
 //! *without* one is broken.
 //!
-//! The gateway and the fleet simulator feed it directly. The experiment
-//! runner audits each run's own sealed frames and hands the finished
-//! audit to the installed sinks once ([`Sink::record_nonces`]), where a
+//! The fleet simulator feeds it directly. The gateway does not: each of
+//! its sessions keeps a [`NonceLedger`] of the sequences it accepted, so
+//! the per-frame check touches only the session the lookup already
+//! loaded, and the shard [`count`](FleetNonceAudit::count)s the frame
+//! (and any reuse) in an audit whose seen-sets stay empty. The report
+//! rebuilds the full audit from the ledgers'
+//! [runs](FleetNonceAudit::insert_run). The experiment runner audits
+//! each run's own sealed frames and hands the finished audit to the
+//! installed sinks once ([`Sink::record_nonces`]), where a
 //! [`NonceAuditSink`] sums them into [`NonceTotals`]. Uniqueness is a
 //! per-run property, so runs need no process-wide numbering to stay
 //! apart, and sums commute: reports are byte-identical at any thread
@@ -30,11 +36,87 @@
 //! assert_eq!(audit.violations()[0].first, 0);
 //! ```
 
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::indexing_slicing
+    )
+)]
+
 use std::collections::BTreeMap;
 use std::sync::Mutex;
 
 use crate::record::BatchRecord;
 use crate::sink::Sink;
+
+/// An inclusive run of sequence numbers under a key: the epoch in a
+/// [`NonceLedger`], none in a [`SeqSet`]. Runs sort by `(key, lo)`, and
+/// only runs under the same key glue.
+trait Run: Copy {
+    /// `(key, lo, hi)`.
+    fn parts(self) -> (u64, u64, u64);
+    fn from_parts(key: u64, lo: u64, hi: u64) -> Self;
+}
+
+impl Run for (u64, u64) {
+    fn parts(self) -> (u64, u64, u64) {
+        (0, self.0, self.1)
+    }
+    fn from_parts(_: u64, lo: u64, hi: u64) -> Self {
+        (lo, hi)
+    }
+}
+
+impl Run for (u64, u64, u64) {
+    fn parts(self) -> (u64, u64, u64) {
+        self
+    }
+    fn from_parts(key: u64, lo: u64, hi: u64) -> Self {
+        (key, lo, hi)
+    }
+}
+
+/// Inserts `run` into `runs` (sorted, disjoint, no two same-key runs
+/// adjacent) and keeps them so, gluing it to an adjacent same-key
+/// neighbour on either side. Returns `false`, changing nothing, if `run`
+/// overlaps a run already there. The one copy of the glue logic: every
+/// sequence set in this module inserts through it.
+fn insert_disjoint<R: Run>(runs: &mut Vec<R>, run: R) -> bool {
+    let (key, lo, hi) = run.parts();
+    let idx = runs.partition_point(|r| {
+        let (k, _, h) = r.parts();
+        (k, h) < (key, lo)
+    });
+    let right = runs.get(idx).map(|r| r.parts());
+    if right.is_some_and(|(k, l, _)| (k, l) <= (key, hi)) {
+        return false;
+    }
+    let left = idx
+        .checked_sub(1)
+        .and_then(|i| runs.get(i))
+        .map(|r| r.parts());
+    let glue_left = left.filter(|&(k, _, h)| k == key && h.checked_add(1) == Some(lo));
+    let glue_right = right.filter(|&(k, l, _)| k == key && hi.checked_add(1) == Some(l));
+    let (at, lo, hi) = match (glue_left, glue_right) {
+        (None, None) => {
+            runs.insert(idx, run);
+            return true;
+        }
+        (Some((_, l, _)), Some((_, _, h))) => {
+            runs.remove(idx);
+            (idx - 1, l, h)
+        }
+        (Some((_, l, _)), None) => (idx - 1, l, hi),
+        (None, Some((_, _, h))) => (idx, lo, h),
+    };
+    if let Some(slot) = runs.get_mut(at) {
+        *slot = R::from_parts(key, lo, hi);
+    }
+    true
+}
 
 /// A set of `u64` sequence numbers stored as sorted, disjoint, inclusive
 /// runs.
@@ -42,8 +124,7 @@ use crate::sink::Sink;
 /// Fleet traffic is overwhelmingly monotone — each sensor seals sequence
 /// `n + 1` right after `n` — so the common case is *extending the last run
 /// in place*, which touches no heap once the run vector has its working
-/// capacity. That is what lets a gateway shard audit per-sensor sequence
-/// uniqueness for millions of frames with zero steady-state allocations.
+/// capacity.
 ///
 /// Out-of-order arrivals (a replay window tolerates up to 64 of skew)
 /// create short-lived holes; inserts coalesce neighbouring runs as the
@@ -64,28 +145,13 @@ impl SeqSet {
     /// reuse). Appending one past the highest run extends it in place
     /// without allocating.
     pub fn insert(&mut self, seq: u64) -> bool {
-        let idx = self.runs.partition_point(|&(_, end)| end < seq);
-        if idx < self.runs.len() && self.runs[idx].0 <= seq {
-            return false;
-        }
-        let glue_left = idx > 0 && self.runs[idx - 1].1.checked_add(1) == Some(seq);
-        let glue_right = idx < self.runs.len() && seq.checked_add(1) == Some(self.runs[idx].0);
-        match (glue_left, glue_right) {
-            (true, true) => {
-                self.runs[idx - 1].1 = self.runs[idx].1;
-                self.runs.remove(idx);
-            }
-            (true, false) => self.runs[idx - 1].1 = seq,
-            (false, true) => self.runs[idx].0 = seq,
-            (false, false) => self.runs.insert(idx, (seq, seq)),
-        }
-        true
+        insert_disjoint(&mut self.runs, (seq, seq))
     }
 
     /// Whether `seq` is in the set.
     pub fn contains(&self, seq: u64) -> bool {
         let idx = self.runs.partition_point(|&(_, end)| end < seq);
-        idx < self.runs.len() && self.runs[idx].0 <= seq
+        self.runs.get(idx).is_some_and(|&(start, _)| start <= seq)
     }
 
     /// Number of sequences covered (saturating at `u64::MAX`).
@@ -108,18 +174,14 @@ impl SeqSet {
     /// The set union. Used by the commutative fleet merge.
     pub fn union(a: &SeqSet, b: &SeqSet) -> SeqSet {
         let mut out: Vec<(u64, u64)> = Vec::with_capacity(a.runs.len() + b.runs.len());
-        let (mut i, mut j) = (0, 0);
-        while i < a.runs.len() || j < b.runs.len() {
-            let take_a = j >= b.runs.len() || (i < a.runs.len() && a.runs[i].0 <= b.runs[j].0);
-            let next = if take_a {
-                let r = a.runs[i];
-                i += 1;
-                r
-            } else {
-                let r = b.runs[j];
-                j += 1;
-                r
+        let (mut xs, mut ys) = (a.runs.iter().peekable(), b.runs.iter().peekable());
+        loop {
+            let next = match (xs.peek(), ys.peek()) {
+                (Some(x), Some(y)) if y.0 < x.0 => ys.next(),
+                (Some(_), _) => xs.next(),
+                (None, _) => ys.next(),
             };
+            let Some(&next) = next else { break };
             match out.last_mut() {
                 Some(last) if next.0 <= last.1.saturating_add(1) => last.1 = last.1.max(next.1),
                 _ => out.push(next),
@@ -133,20 +195,81 @@ impl SeqSet {
     /// records as a violation.
     pub fn intersection(a: &SeqSet, b: &SeqSet) -> SeqSet {
         let mut out = Vec::new();
-        let (mut i, mut j) = (0, 0);
-        while i < a.runs.len() && j < b.runs.len() {
-            let lo = a.runs[i].0.max(b.runs[j].0);
-            let hi = a.runs[i].1.min(b.runs[j].1);
+        let (mut xs, mut ys) = (a.runs.iter().peekable(), b.runs.iter().peekable());
+        while let (Some(&&x), Some(&&y)) = (xs.peek(), ys.peek()) {
+            let lo = x.0.max(y.0);
+            let hi = x.1.min(y.1);
             if lo <= hi {
                 out.push((lo, hi));
             }
-            if a.runs[i].1 < b.runs[j].1 {
-                i += 1;
+            if x.1 < y.1 {
+                xs.next();
             } else {
-                j += 1;
+                ys.next();
             }
         }
         SeqSet { runs: out }
+    }
+}
+
+/// One gateway session's nonce ledger: the sorted, disjoint, inclusive
+/// `(epoch, lo, hi)` runs of the sequence numbers it accepted, each under
+/// the key epoch it opened in.
+///
+/// A session keeps its ledger beside its receiver, so the per-frame
+/// nonce check touches memory the session lookup already loaded instead
+/// of a shard-wide map. A ledger is created by its first frame and never
+/// empty. The highest run is held apart from the rest: a monotone stream
+/// extends it in place, and a static session's whole ledger is one
+/// 48-byte allocation. [`FleetNonceAudit::insert_run`] folds the runs
+/// back into an audit at report time.
+///
+/// ```
+/// use age_telemetry::NonceLedger;
+///
+/// let mut ledger = NonceLedger::new(0, 0);
+/// assert!(ledger.insert(0, 1));
+/// assert!(ledger.insert(1, 2)); // the key rotated
+/// assert!(!ledger.insert(0, 0)); // a reuse
+/// assert_eq!(ledger.runs().collect::<Vec<_>>(), [(0, 0, 1), (1, 2, 2)]);
+/// ```
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct NonceLedger {
+    /// Every run but the highest, sorted.
+    below: Vec<(u64, u64, u64)>,
+    /// The highest run in `(epoch, lo)` order.
+    top: (u64, u64, u64),
+}
+
+impl NonceLedger {
+    /// A ledger holding `sequence` under `epoch`.
+    pub fn new(epoch: u64, sequence: u64) -> Self {
+        NonceLedger {
+            below: Vec::new(),
+            top: (epoch, sequence, sequence),
+        }
+    }
+
+    /// Inserts `sequence` under `epoch`, returning `false` if it was
+    /// already there (a reuse). The next sequence of the top run's epoch
+    /// extends it without touching the heap.
+    pub fn insert(&mut self, epoch: u64, sequence: u64) -> bool {
+        let (top_epoch, lo, hi) = self.top;
+        if epoch == top_epoch && hi.checked_add(1) == Some(sequence) {
+            self.top = (epoch, lo, sequence);
+            return true;
+        }
+        self.below.push(self.top);
+        let fresh = insert_disjoint(&mut self.below, (epoch, sequence, sequence));
+        if let Some(top) = self.below.pop() {
+            self.top = top;
+        }
+        fresh
+    }
+
+    /// The runs in `(epoch, lo)` order.
+    pub fn runs(&self) -> impl Iterator<Item = (u64, u64, u64)> + '_ {
+        self.below.iter().copied().chain(std::iter::once(self.top))
     }
 }
 
@@ -192,17 +315,47 @@ impl FleetNonceAudit {
     /// Records one sealed (or accepted) frame for `(sensor_id, epoch)`.
     /// A sequence observed twice within one epoch is recorded as a reuse.
     pub fn observe(&mut self, sensor_id: u64, epoch: u64, sequence: u64) {
-        self.frames += 1;
-        if !self
+        let fresh = self
             .seen
             .entry((sensor_id, epoch))
             .or_default()
-            .insert(sequence)
-        {
+            .insert(sequence);
+        self.count(sensor_id, epoch, sequence, fresh);
+    }
+
+    /// Counts one frame of `(sensor_id, epoch)` whose sequence a seen-set
+    /// outside this audit (a session's [`NonceLedger`]) has already
+    /// checked: `fresh` is what that set's insert returned, and a stale
+    /// sequence is recorded as a reuse. The seen-set stays outside until
+    /// [`insert_run`](Self::insert_run) folds it in.
+    pub fn count(&mut self, sensor_id: u64, epoch: u64, sequence: u64, fresh: bool) {
+        self.frames += 1;
+        if !fresh {
             self.reused
                 .entry((sensor_id, epoch))
                 .or_default()
                 .insert(sequence);
+        }
+    }
+
+    /// Records every sequence in `lo..=hi` as seen for `(sensor_id,
+    /// epoch)` without counting frames: how a [`NonceLedger`]'s runs fold
+    /// back into an audit. As in [`merge`](Self::merge), sequences the
+    /// audit had already seen are recorded as reuse. An empty run
+    /// (`lo > hi`) changes nothing.
+    pub fn insert_run(&mut self, sensor_id: u64, epoch: u64, lo: u64, hi: u64) {
+        if lo > hi {
+            return;
+        }
+        let key = (sensor_id, epoch);
+        let seen = self.seen.entry(key).or_default();
+        if !insert_disjoint(&mut seen.runs, (lo, hi)) {
+            self.fold(
+                key,
+                &SeqSet {
+                    runs: vec![(lo, hi)],
+                },
+            );
         }
     }
 
@@ -213,24 +366,30 @@ impl FleetNonceAudit {
     /// single auditor.
     pub fn merge(&mut self, other: &FleetNonceAudit) {
         self.frames += other.frames;
-        for (key, set) in &other.seen {
-            match self.seen.get_mut(key) {
-                Some(mine) => {
-                    let overlap = SeqSet::intersection(mine, set);
-                    if !overlap.is_empty() {
-                        let r = self.reused.entry(*key).or_default();
-                        *r = SeqSet::union(r, &overlap);
-                    }
-                    *mine = SeqSet::union(mine, set);
-                }
-                None => {
-                    self.seen.insert(*key, set.clone());
-                }
-            }
+        for (&key, set) in &other.seen {
+            self.fold(key, set);
         }
         for (key, set) in &other.reused {
             let r = self.reused.entry(*key).or_default();
             *r = SeqSet::union(r, set);
+        }
+    }
+
+    /// Unions `set` into the seen-set of `key`, recording its overlap
+    /// with what was already seen as reuse.
+    fn fold(&mut self, key: (u64, u64), set: &SeqSet) {
+        match self.seen.get_mut(&key) {
+            Some(mine) => {
+                let overlap = SeqSet::intersection(mine, set);
+                if !overlap.is_empty() {
+                    let r = self.reused.entry(key).or_default();
+                    *r = SeqSet::union(r, &overlap);
+                }
+                *mine = SeqSet::union(mine, set);
+            }
+            None => {
+                self.seen.insert(key, set.clone());
+            }
         }
     }
 
@@ -554,6 +713,110 @@ mod tests {
         // Union/intersection commute.
         assert_eq!(union, SeqSet::union(&b, &a));
         assert_eq!(both, SeqSet::intersection(&b, &a));
+    }
+
+    /// The maximal runs of a set of `(epoch, sequence)` pairs.
+    fn model_runs(model: &std::collections::BTreeSet<(u64, u64)>) -> Vec<(u64, u64, u64)> {
+        let mut runs: Vec<(u64, u64, u64)> = Vec::new();
+        for &(epoch, seq) in model {
+            match runs.last_mut() {
+                Some(last) if last.0 == epoch && last.2.checked_add(1) == Some(seq) => last.2 = seq,
+                _ => runs.push((epoch, seq, seq)),
+            }
+        }
+        runs
+    }
+
+    #[test]
+    fn ledger_matches_a_set_of_pairs() {
+        let mut rng = crate::DetRng::seed_from_u64(5);
+        for case in 0..300 {
+            // Some cases sit at the top of the sequence space.
+            let base = if case % 5 == 0 { u64::MAX - 300 } else { 0 };
+            let mut model = std::collections::BTreeSet::new();
+            let mut ledger: Option<NonceLedger> = None;
+            let (mut epoch, mut cursor) = (rng.gen_range(0..3u64), base);
+            for _ in 0..rng.gen_range(1..200usize) {
+                match rng.gen_range(0..10u32) {
+                    0 => epoch += rng.gen_range(1..4u64),
+                    1 => epoch = epoch.saturating_sub(1),
+                    _ => {}
+                }
+                cursor = (cursor + rng.gen_range(0..3u64)).min(u64::MAX - 70);
+                let seq =
+                    cursor + rng.gen_range(0..=70u64) - rng.gen_range(0..=(cursor - base).min(70));
+                let fresh = model.insert((epoch, seq));
+                match ledger.as_mut() {
+                    Some(ledger) => assert_eq!(ledger.insert(epoch, seq), fresh, "case {case}"),
+                    None => ledger = Some(NonceLedger::new(epoch, seq)),
+                }
+                let runs: Vec<_> = ledger.iter().flat_map(NonceLedger::runs).collect();
+                assert_eq!(runs, model_runs(&model), "case {case}");
+            }
+        }
+    }
+
+    #[test]
+    fn ledgers_rebuild_the_observed_audit() {
+        // Sensor 1 reuses sequences 3..=4 of epoch 0 out of order.
+        let frames = [
+            (1, 0, 5),
+            (1, 0, 3),
+            (1, 0, 4),
+            (1, 1, 6),
+            (1, 0, 4),
+            (1, 0, 3),
+            (2, 0, 0),
+        ];
+        let mut observed = FleetNonceAudit::new();
+        let mut counted = FleetNonceAudit::new();
+        let mut ledgers: BTreeMap<u64, NonceLedger> = BTreeMap::new();
+        for (sensor, epoch, seq) in frames {
+            observed.observe(sensor, epoch, seq);
+            let fresh = match ledgers.get_mut(&sensor) {
+                Some(ledger) => ledger.insert(epoch, seq),
+                None => {
+                    ledgers.insert(sensor, NonceLedger::new(epoch, seq));
+                    true
+                }
+            };
+            counted.count(sensor, epoch, seq, fresh);
+        }
+        assert!(counted.distinct() == 0 && !counted.is_clean());
+        for (&sensor, ledger) in &ledgers {
+            for (epoch, lo, hi) in ledger.runs() {
+                counted.insert_run(sensor, epoch, lo, hi);
+            }
+        }
+        assert_eq!(counted, observed);
+        let reuse = observed.violations();
+        assert_eq!((reuse.len(), reuse[0].first, reuse[0].last), (1, 3, 4));
+    }
+
+    #[test]
+    fn inserting_a_seen_run_records_the_overlap_as_reuse() {
+        let mut audit = FleetNonceAudit::new();
+        audit.insert_run(4, 2, 10, 19);
+        audit.insert_run(4, 2, 30, 39);
+        audit.insert_run(4, 2, 20, 29); // glues both sides
+        audit.insert_run(4, 2, 7, 5); // empty
+        assert!(audit.is_clean());
+        assert_eq!(
+            (audit.cells(), audit.distinct(), audit.frames()),
+            (1, 30, 0)
+        );
+        // The same runs merged in from another audit are reuse.
+        let mut other = FleetNonceAudit::new();
+        other.insert_run(4, 2, 35, 45);
+        let mut merged = audit.clone();
+        merged.merge(&other);
+        audit.insert_run(4, 2, 35, 45);
+        assert_eq!(audit, merged);
+        let reuse = audit.violations();
+        assert_eq!(
+            (reuse[0].first, reuse[0].last, audit.distinct()),
+            (35, 39, 36)
+        );
     }
 
     #[test]
