@@ -18,8 +18,8 @@
 use std::sync::Arc;
 
 use age_datasets::DatasetKind;
-use age_sim::{run_cells, Defense, PolicyKind, Runner, SweepCell, SweepOptions};
-use age_telemetry::{LeakageAudit, LeakageGate, LeakageReport, LeakageSink};
+use age_sim::{run_cells, Defense, PolicyKind, Runner, SweepCell};
+use age_telemetry::{install_thread, LeakageAudit, LeakageGate, LeakageReport, LeakageSink};
 
 use crate::report::Settings;
 
@@ -81,12 +81,9 @@ pub fn gate_cells() -> Vec<SweepCell> {
 pub fn audit_sweep(settings: &Settings) -> LeakageAudit {
     let runner = Runner::new(DatasetKind::Epilepsy, settings.scale, settings.seed);
     let sink = Arc::new(LeakageSink::new());
-    let options = SweepOptions {
-        threads: settings.threads,
-        sink: Some(sink.clone()),
-        deterministic_timings: true,
-    };
-    run_cells(&runner, &gate_cells(), &options);
+    let guard = install_thread(sink.clone());
+    run_cells(&runner, &gate_cells(), settings.threads);
+    drop(guard);
     sink.take()
 }
 

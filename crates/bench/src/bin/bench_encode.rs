@@ -32,7 +32,7 @@ use age_core::{
 use age_crypto::{AesCbc, AesCtr, ChaCha20, ChaCha20Poly1305, Cipher};
 use age_datasets::{DatasetKind, Scale};
 use age_fixed::{BitWriter, Format};
-use age_sim::{default_threads, run_cells, Defense, PolicyKind, Runner, SweepCell, SweepOptions};
+use age_sim::{default_threads, run_cells, Defense, PolicyKind, Runner, SweepCell};
 use age_telemetry::alloc::{self, CountingAllocator};
 
 #[global_allocator]
@@ -361,12 +361,8 @@ fn main() {
     let mut reference: Option<String> = None;
     let mut deterministic = true;
     for &threads in &counts {
-        let opts = SweepOptions {
-            threads,
-            ..Default::default()
-        };
         let start = Instant::now();
-        let results = run_cells(&runner, &cells, &opts);
+        let results = run_cells(&runner, &cells, threads);
         let seconds = start.elapsed().as_secs_f64();
         let fingerprint = format!("{results:?}");
         match &reference {

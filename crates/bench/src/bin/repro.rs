@@ -234,10 +234,12 @@ fn main() {
         std::process::exit(2);
     }
 
-    // Sinks go in before the gateway runs: shard tracers snapshot the
-    // trace switch at construction, so `--trace --gateway` only records
-    // ingest spans if the trace sink is already installed here.
-    let (summary_sink, leakage_sink, nonce_sink, trace_sink) = {
+    // Sinks go in before the gateway runs: shard tracers capture the
+    // current sink at construction, so `--trace --gateway` only records
+    // ingest spans if the trace sink is already installed here. The guard
+    // keeps them installed on this thread until the end of `main`; the
+    // sweep pool and the tracers hand them on to their workers.
+    let (summary_sink, leakage_sink, nonce_sink, trace_sink, sink_guard) = {
         use std::sync::Arc;
         let mut sinks: Vec<Arc<dyn age_telemetry::Sink>> = Vec::new();
         let summary = telemetry_path.as_deref().map(|path| {
@@ -268,17 +270,15 @@ fn main() {
             sink
         });
         // Span emission is off by default (tracing every experiment costs
-        // memory); the sink and the global switch arm it together.
+        // memory); installing the trace sink is what arms it.
         let trace = trace_path.is_some().then(|| {
             let sink = Arc::new(age_telemetry::TraceSink::new());
             sinks.push(sink.clone());
-            age_telemetry::set_trace_enabled(true);
             sink
         });
-        if !sinks.is_empty() {
-            age_telemetry::install_global(Arc::new(age_telemetry::FanoutSink(sinks)));
-        }
-        (summary, leakage, nonce, trace)
+        let guard = (!sinks.is_empty())
+            .then(|| age_telemetry::install_thread(Arc::new(age_telemetry::FanoutSink(sinks))));
+        (summary, leakage, nonce, trace, guard)
     };
 
     // A failed gate or nonce audit no longer exits on the spot: the
@@ -430,16 +430,8 @@ fn main() {
         }
     }
 
-    if summary_sink.is_some()
-        || leakage_sink.is_some()
-        || nonce_sink.is_some()
-        || trace_sink.is_some()
-    {
-        age_telemetry::clear_global();
-    }
-    if trace_sink.is_some() {
-        age_telemetry::set_trace_enabled(false);
-    }
+    // Uninstalling flushes the sinks before their contents are read.
+    drop(sink_guard);
     if let Some(summary) = summary_sink {
         let summary = summary.take();
         if !summary.is_empty() {

@@ -2,6 +2,7 @@
 //! the paper's "mentioned but rejected" design alternatives.
 
 use std::fmt::Write as _;
+use std::sync::Arc;
 
 use age_attack::{AttackModel, ClassifierAttack, TimingAttack};
 use age_core::{target, AgeEncoder, Batch, Encoder};
@@ -10,8 +11,9 @@ use age_energy::{Battery, MilliJoules};
 use age_sampling::FeedbackPolicy;
 use age_sim::{
     rekey_scenario, run_cells, run_multi_event, CipherChoice, Defense, ExperimentResult, FaultPlan,
-    FaultSetup, PolicyKind, PowerFaults, Runner, SweepCell, SweepOptions, TransportSummary,
+    FaultSetup, PolicyKind, PowerFaults, Runner, SweepCell, TransportSummary,
 };
+use age_telemetry::NonceAuditSink;
 
 use crate::report::{stream_scratch, Settings};
 
@@ -201,6 +203,12 @@ pub fn faults(s: &Settings) -> String {
     out
 }
 
+/// A nonce auditor of the extension's own, or `None` when the caller has
+/// a sink installed.
+fn private_nonce_audit() -> Option<Arc<NonceAuditSink>> {
+    (!age_telemetry::active()).then(|| Arc::new(NonceAuditSink::new()))
+}
+
 /// Appends one line totalling the cells' transport counters, so the counts
 /// sit beside the experiment that produced them.
 fn transport_totals(out: &mut String, results: &[ExperimentResult]) {
@@ -250,22 +258,14 @@ pub fn resets(s: &Settings) -> String {
         })
         .collect();
 
-    // A worker thread sink would shadow repro's process-global sinks (the
-    // run-wide nonce auditor among them), so the extension only audits
-    // privately when nothing global is listening.
-    let sink = if age_telemetry::active() {
-        None
-    } else {
-        Some(std::sync::Arc::new(age_telemetry::NonceAuditSink::new()))
+    // A private sink would shadow the caller's sinks (repro's run-wide
+    // nonce auditor among them), so the extension only audits privately
+    // when nothing is listening.
+    let sink = private_nonce_audit();
+    let results = {
+        let _guard = sink.clone().map(|sink| age_telemetry::install_thread(sink));
+        run_cells(&runner, &cells, s.threads)
     };
-    let mut options = SweepOptions {
-        threads: s.threads,
-        ..Default::default()
-    };
-    if let Some(sink) = &sink {
-        options.sink = Some(sink.clone());
-    }
-    let results = run_cells(&runner, &cells, &options);
     for result in &results {
         let t = result.transport.unwrap_or_default();
         let _ = writeln!(
@@ -342,21 +342,13 @@ pub fn rekey(s: &Settings) -> String {
         })
         .collect();
 
-    // Like `resets`: audit privately only when repro's process-global
-    // nonce auditor is not already listening.
-    let sink = if age_telemetry::active() {
-        None
-    } else {
-        Some(std::sync::Arc::new(age_telemetry::NonceAuditSink::new()))
+    // Like `resets`: audit privately only when the caller's nonce auditor
+    // is not already listening.
+    let sink = private_nonce_audit();
+    let results = {
+        let _guard = sink.clone().map(|sink| age_telemetry::install_thread(sink));
+        run_cells(&runner, &cells, s.threads)
     };
-    let mut options = SweepOptions {
-        threads: s.threads,
-        ..Default::default()
-    };
-    if let Some(sink) = &sink {
-        options.sink = Some(sink.clone());
-    }
-    let results = run_cells(&runner, &cells, &options);
     for result in &results {
         let t = result.transport.unwrap_or_default();
         let _ = writeln!(
@@ -458,12 +450,8 @@ pub fn refine(s: &Settings) -> String {
     let mut msg = Vec::new();
     let mut batches = 0usize;
     for seq in runner.test_sequences() {
-        let indices = policy.sample(&seq.values, d);
-        let mut values = Vec::with_capacity(indices.len() * d);
-        for &t in &indices {
-            values.extend_from_slice(&seq.values[t * d..(t + 1) * d]);
-        }
-        let batch = Batch::new(indices, values).expect("policy output is valid");
+        let batch = Batch::gather(policy.sample(&seq.values, d), &seq.values, d)
+            .expect("policy output is valid");
         for (i, enc) in [&base, &refined].into_iter().enumerate() {
             let start = Instant::now();
             enc.encode_into(&batch, &cfg, &mut scratches[i], &mut msg)
@@ -594,12 +582,8 @@ pub fn compression(s: &Settings) -> String {
     let mut scratch = stream_scratch("compression:Epilepsy/Uniform/Standard/r0.70".into());
     let mut plaintext = Vec::new();
     for (i, seq) in runner.test_sequences().iter().enumerate() {
-        let indices = policy.sample(&seq.values, d);
-        let mut values = Vec::with_capacity(indices.len() * d);
-        for &t in &indices {
-            values.extend_from_slice(&seq.values[t * d..(t + 1) * d]);
-        }
-        let batch = Batch::new(indices, values).expect("policy output is valid");
+        let batch = Batch::gather(policy.sample(&seq.values, d), &seq.values, d)
+            .expect("policy output is valid");
         StandardEncoder
             .encode_into(&batch, &cfg, &mut scratch, &mut plaintext)
             .expect("fits");
@@ -714,12 +698,8 @@ pub fn utility(s: &Settings) -> String {
             stream_scratch(format!("utility:Epilepsy/Linear/{}/r0.70", defense.name()));
         let mut plaintext = Vec::new();
         for seq in runner.test_sequences() {
-            let indices = policy.sample(&seq.values, d);
-            let mut values = Vec::with_capacity(indices.len() * d);
-            for &t in &indices {
-                values.extend_from_slice(&seq.values[t * d..(t + 1) * d]);
-            }
-            let batch = Batch::new(indices, values).expect("policy output is valid");
+            let batch = Batch::gather(policy.sample(&seq.values, d), &seq.values, d)
+                .expect("policy output is valid");
             encoder
                 .encode_into(&batch, cfg, &mut scratch, &mut plaintext)
                 .expect("feasible target");
@@ -875,12 +855,8 @@ pub fn design(s: &Settings) -> String {
             let mut pad = 0.0;
             let mut n = 0usize;
             for seq in runner.test_sequences() {
-                let indices = policy.sample(&seq.values, d);
-                let mut values = Vec::with_capacity(indices.len() * d);
-                for &t in &indices {
-                    values.extend_from_slice(&seq.values[t * d..(t + 1) * d]);
-                }
-                let batch = Batch::new(indices, values).expect("policy output is valid");
+                let batch = Batch::gather(policy.sample(&seq.values, d), &seq.values, d)
+                    .expect("policy output is valid");
                 enc.encode_into(&batch, &cfg, &mut scratch, &mut msg)
                     .expect("feasible target");
                 pad += inspect_message(&msg, &cfg)
@@ -938,12 +914,8 @@ pub fn design(s: &Settings) -> String {
             let mut err = 0.0;
             let mut n = 0usize;
             for seq in runner.test_sequences() {
-                let indices = policy.sample(&seq.values, d);
-                let mut values = Vec::with_capacity(indices.len() * d);
-                for &t in &indices {
-                    values.extend_from_slice(&seq.values[t * d..(t + 1) * d]);
-                }
-                let batch = Batch::new(indices, values).expect("policy output is valid");
+                let batch = Batch::gather(policy.sample(&seq.values, d), &seq.values, d)
+                    .expect("policy output is valid");
                 enc.encode_into(&batch, &cfg, &mut scratch, &mut msg)
                     .expect("feasible target");
                 let decoded = enc.decode(&msg, &cfg).expect("own message");

@@ -7,7 +7,7 @@ use age_core::{AgeEncoder, Batch, EncodeScratch, Encoder, StandardEncoder};
 use age_datasets::{DatasetKind, Scale};
 use age_reconstruct::{interpolate, mae, median, quartiles};
 use age_sampling::{LinearPolicy, Policy, RandomPolicy};
-use age_sim::{run_cells, CipherChoice, Defense, PolicyKind, Runner, SweepCell, SweepOptions};
+use age_sim::{run_cells, CipherChoice, Defense, PolicyKind, Runner, SweepCell};
 
 /// The eight per-dataset energy budgets (§5.1): Uniform sampling's energy
 /// at these collection rates.
@@ -104,53 +104,16 @@ impl Settings {
     }
 }
 
-/// Runs `f` for every dataset on a bounded worker pool (`threads == 0`
-/// sizes it by [`age_sim::default_threads`]); each worker owns the
-/// `Runner`s it builds and results return in table order regardless of
-/// which worker produced them.
+/// Runs `f` for every dataset on the sweep pool ([`age_sim::par_map`];
+/// `threads == 0` sizes it by [`age_sim::default_threads`]); each call
+/// owns the `Runner`s it builds and results return in table order
+/// regardless of which worker produced them.
 pub(crate) fn per_dataset<T, F>(threads: usize, f: F) -> Vec<(DatasetKind, T)>
 where
     T: Send,
     F: Fn(DatasetKind) -> T + Sync,
 {
-    use std::sync::atomic::{AtomicUsize, Ordering};
-
-    let kinds = DatasetKind::all();
-    let threads = match threads {
-        0 => age_sim::default_threads(),
-        n => n,
-    }
-    .clamp(1, kinds.len());
-    let cursor = AtomicUsize::new(0);
-    let mut slots: Vec<Option<(DatasetKind, T)>> = Vec::new();
-    slots.resize_with(kinds.len(), || None);
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..threads)
-            .map(|_| {
-                let f = &f;
-                let cursor = &cursor;
-                let kinds = &kinds;
-                scope.spawn(move || {
-                    let mut done = Vec::new();
-                    loop {
-                        let i = cursor.fetch_add(1, Ordering::Relaxed);
-                        let Some(&kind) = kinds.get(i) else { break };
-                        done.push((i, (kind, f(kind))));
-                    }
-                    done
-                })
-            })
-            .collect();
-        for handle in handles {
-            for (i, out) in handle.join().expect("dataset worker panicked") {
-                slots[i] = Some(out);
-            }
-        }
-    });
-    slots
-        .into_iter()
-        .map(|slot| slot.expect("every dataset index was claimed"))
-        .collect()
+    age_sim::par_map(&DatasetKind::all(), threads, |&kind| (kind, f(kind)))
 }
 
 /// Dispatches an experiment id to its driver.
@@ -356,13 +319,9 @@ pub fn table45(s: &Settings) -> (String, String) {
                 cells.push(SweepCell::new(p, d, rate));
             }
         }
-        // Dataset-level parallelism already fills the pool; one worker per
-        // dataset grid avoids oversubscribing the machine.
-        let opts = SweepOptions {
-            threads: 1,
-            ..Default::default()
-        };
-        let results = run_cells(&runner, &cells, &opts);
+        // Dataset-level parallelism already fills the pool; each dataset
+        // grid runs on its worker's own thread.
+        let results = run_cells(&runner, &cells, 1);
 
         let mut sums4 = [0.0f64; 7];
         let mut sums5 = [0.0f64; 7];

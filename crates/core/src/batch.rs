@@ -150,6 +150,26 @@ impl<S: Sample> Batch<S> {
         Ok(Batch { indices, values })
     }
 
+    /// Collects the measurements at `indices` out of `values`, a row-major
+    /// buffer of `features` values per step: the batch a sampling policy's
+    /// index list selects from the sequence it sensed.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`BatchError::IndexOutOfRange`] if an index has no
+    /// measurement in `values`, and otherwise fails as [`Batch::new`] does.
+    pub fn gather(indices: Vec<usize>, values: &[S], features: usize) -> Result<Self, BatchError> {
+        let len = values.len().checked_div(features).unwrap_or(0);
+        let mut collected = Vec::with_capacity(indices.len() * features);
+        for &index in &indices {
+            if index >= len {
+                return Err(BatchError::IndexOutOfRange { index, len });
+            }
+            collected.extend_from_slice(&values[index * features..(index + 1) * features]);
+        }
+        Batch::new(indices, collected)
+    }
+
     /// An empty batch (the policy collected nothing).
     pub fn empty() -> Self {
         Batch {
@@ -321,6 +341,46 @@ mod tests {
         assert!(Batch::<f64>::new(vec![], vec![]).is_ok());
         let b = Batch::new(vec![1, 2], vec![0.0; 6]).unwrap();
         assert_eq!(b.features(), 3);
+    }
+
+    #[test]
+    fn gather_copies_the_selected_rows() {
+        let sequence = [0.0, 0.5, 1.0, 1.5, 2.0, 2.5, 3.0, 3.5];
+        let b = Batch::gather(vec![0, 2, 3], &sequence, 2).unwrap();
+        assert_eq!(
+            b,
+            Batch::new(vec![0, 2, 3], vec![0.0, 0.5, 2.0, 2.5, 3.0, 3.5]).unwrap()
+        );
+        assert_eq!(Batch::gather(vec![], &sequence, 2).unwrap(), Batch::empty());
+        assert_eq!(
+            Batch::gather(vec![2, 1], &sequence, 2),
+            Err(BatchError::UnsortedIndices)
+        );
+    }
+
+    #[test]
+    fn gather_rejects_an_out_of_range_index() {
+        let sequence = [0.0; 8];
+        assert_eq!(
+            Batch::gather(vec![1, 4], &sequence, 2),
+            Err(BatchError::IndexOutOfRange { index: 4, len: 4 })
+        );
+        // A partial trailing row is not a measurement.
+        assert_eq!(
+            Batch::gather(vec![2], &sequence[..5], 2),
+            Err(BatchError::IndexOutOfRange { index: 2, len: 2 })
+        );
+        assert_eq!(
+            Batch::gather(vec![usize::MAX], &sequence, 2),
+            Err(BatchError::IndexOutOfRange {
+                index: usize::MAX,
+                len: 4
+            })
+        );
+        assert_eq!(
+            Batch::gather(vec![0], &sequence, 0),
+            Err(BatchError::IndexOutOfRange { index: 0, len: 0 })
+        );
     }
 
     #[test]

@@ -16,6 +16,13 @@ pub enum BatchError {
         /// Number of values supplied.
         values: usize,
     },
+    /// A gathered index had no measurement in the source buffer.
+    IndexOutOfRange {
+        /// The offending index.
+        index: usize,
+        /// Measurements the source buffer holds.
+        len: usize,
+    },
 }
 
 impl fmt::Display for BatchError {
@@ -28,6 +35,12 @@ impl fmt::Display for BatchError {
                 f,
                 "value count {values} is not a multiple of index count {indices}"
             ),
+            BatchError::IndexOutOfRange { index, len } => {
+                write!(
+                    f,
+                    "index {index} is past the {len} measurements gathered from"
+                )
+            }
         }
     }
 }

@@ -199,8 +199,8 @@ pub(crate) struct Shard {
     pub(crate) monitor: Option<WindowedMonitor>,
     /// Ring of recent ingest events for postmortem dumps.
     pub(crate) recorder: FlightRecorder,
-    /// Virtual-time span tracer (inert unless `repro --trace` enabled
-    /// collection before the gateway was built).
+    /// Virtual-time span tracer: records only if a span sink (e.g.
+    /// `repro --trace`'s) was installed when the gateway was built.
     tracer: Tracer,
     /// The epoch a rotation during the current ingest landed on, handed
     /// from the hot path to the flight recorder (`None` steady-state).

@@ -1,28 +1,32 @@
-//! Gateway ingest span emission: with a trace sink installed and span
-//! collection enabled *before* the gateway is built (shard tracers
-//! snapshot the switch at construction), every frame yields a span tree
-//! on its shard's track — `ingest → {decode, audit}` when accepted, a
-//! short lone `ingest` when rejected — with the schematic virtual
-//! durations pinned, and the rendered Chrome trace is byte-identical
-//! across runs.
-use std::sync::{Arc, Mutex};
+//! Gateway ingest span emission: with a trace sink installed *before* the
+//! gateway is built (shard tracers capture the current sink at
+//! construction), every frame yields a span tree on its shard's track —
+//! `ingest → {decode, audit}` when accepted, a short lone `ingest` when
+//! rejected — with the schematic virtual durations pinned, and the
+//! rendered Chrome trace is byte-identical across runs and drain thread
+//! counts.
+use std::sync::Arc;
 
 use age_core::{AgeEncoder, Batch, BatchConfig, Encoder};
 use age_crypto::ChaCha20Poly1305;
 use age_fixed::Format;
 use age_gateway::{derive_key, Cohort, FleetFrame, Gateway, GatewayConfig};
-use age_telemetry::{install_thread, render_chrome_json, set_trace_enabled, SpanEvent, TraceSink};
+use age_telemetry::{install_thread, render_chrome_json, LeakageSink, SpanEvent, TraceSink};
 use age_transport::Sensor;
 
 const SEED: u64 = 7;
 
-/// Serializes the tests in this binary: the trace switch is
-/// process-global, so two tests toggling it concurrently would leak
-/// spans into each other's thread-local sinks.
-static TRACE_SERIAL: Mutex<()> = Mutex::new(());
-
 fn batch_cfg() -> BatchConfig {
     BatchConfig::new(25, 2, Format::new(16, 10).unwrap()).unwrap()
+}
+
+fn gateway_config(shards: usize) -> GatewayConfig {
+    GatewayConfig::new(
+        batch_cfg(),
+        vec![Cohort::new("AGE", Box::new(AgeEncoder::new(160)))],
+        SEED,
+        shards,
+    )
 }
 
 /// One sealed frame per listed sensor, 260 ms apart, cycling events.
@@ -54,14 +58,7 @@ fn frames(sensors: &[u64]) -> Vec<FleetFrame> {
 fn traced_run() -> (Vec<SpanEvent>, String) {
     let sink = Arc::new(TraceSink::new());
     let _guard = install_thread(sink.clone());
-    set_trace_enabled(true);
-    let config = GatewayConfig::new(
-        batch_cfg(),
-        vec![Cohort::new("AGE", Box::new(AgeEncoder::new(160)))],
-        SEED,
-        4,
-    );
-    let mut gateway = Gateway::new(config);
+    let mut gateway = Gateway::new(gateway_config(4));
     for sensor_id in 0..8u64 {
         gateway.provision(sensor_id, 0).unwrap();
     }
@@ -78,7 +75,6 @@ fn traced_run() -> (Vec<SpanEvent>, String) {
     gateway
         .ingest(&truncated)
         .expect_err("truncated frame rejected");
-    set_trace_enabled(false);
     let spans = sink.take();
     let json = render_chrome_json(&spans);
     (spans, json)
@@ -86,7 +82,6 @@ fn traced_run() -> (Vec<SpanEvent>, String) {
 
 #[test]
 fn ingest_spans_form_a_deterministic_per_shard_tree() {
-    let _serial = TRACE_SERIAL.lock().unwrap();
     let (spans, json) = traced_run();
 
     // Every shard announced its track at construction.
@@ -144,26 +139,64 @@ fn ingest_spans_form_a_deterministic_per_shard_tree() {
     assert!(json.contains("gateway/shard-00"));
 }
 
-/// A gateway built while tracing is disabled emits nothing, even if the
-/// switch is flipped on afterwards — enablement is snapshotted at
-/// construction, which is what keeps the hot path at two branches.
-#[test]
-fn tracer_snapshot_means_late_enable_is_silent() {
-    let _serial = TRACE_SERIAL.lock().unwrap();
+/// Drains `SENSORS` sensors' frames through a gateway built under a
+/// trace sink, on `threads` drain workers; returns the spans the shard
+/// tracers handed the sink.
+fn drained_spans(threads: usize) -> Vec<SpanEvent> {
+    const SENSORS: u64 = 32;
     let sink = Arc::new(TraceSink::new());
-    let _guard = install_thread(sink.clone());
-    let config = GatewayConfig::new(
-        batch_cfg(),
-        vec![Cohort::new("AGE", Box::new(AgeEncoder::new(160)))],
-        SEED,
-        1,
+    let mut gateway = {
+        let _guard = install_thread(sink.clone());
+        Gateway::new(gateway_config(4))
+    };
+    for sensor_id in 0..SENSORS {
+        gateway.provision(sensor_id, 0).unwrap();
+    }
+    let ids: Vec<u64> = (0..SENSORS).collect();
+    gateway.run(&frames(&ids), threads);
+    assert_eq!(gateway.fleet_report().stats.accepted, SENSORS);
+    sink.take()
+}
+
+/// The drain workers install no sink of their own: their spans reach the
+/// caller's trace sink through the tracers, from every shard, and render
+/// to the same bytes at one and at four drain threads.
+#[test]
+fn traced_runs_render_identically_at_one_and_four_drain_threads() {
+    let one = drained_spans(1);
+    let four = drained_spans(4);
+    let mut tracks: Vec<u64> = four
+        .iter()
+        .filter(|s| s.name == "ingest")
+        .map(|s| s.track)
+        .collect();
+    tracks.sort_unstable();
+    tracks.dedup();
+    assert_eq!(tracks.len(), 4, "a shard's ingest spans are missing");
+    assert_eq!(
+        four.iter().filter(|s| s.name == "ingest").count(),
+        one.iter().filter(|s| s.name == "ingest").count()
     );
-    let mut gateway = Gateway::new(config);
+    assert_eq!(render_chrome_json(&one), render_chrome_json(&four));
+}
+
+/// A gateway built with only an audit sink installed emits no spans,
+/// even once a trace sink is installed afterwards: the tracers capture
+/// their sink at construction, which is what keeps the hot path at two
+/// branches.
+#[test]
+fn gateway_built_without_a_span_sink_emits_no_spans() {
+    let leakage = Arc::new(LeakageSink::new());
+    let _leakage_guard = install_thread(leakage);
+    let mut gateway = Gateway::new(gateway_config(1));
     gateway.provision(0, 0).unwrap();
-    set_trace_enabled(true);
+    let late = Arc::new(TraceSink::new());
+    let _late_guard = install_thread(late.clone());
     for frame in frames(&[0]) {
         gateway.ingest(&frame).expect("valid frame accepted");
     }
-    set_trace_enabled(false);
-    assert!(sink.take().is_empty(), "late enable must not emit spans");
+    assert!(
+        late.take().is_empty(),
+        "a late trace sink must not see spans"
+    );
 }

@@ -47,5 +47,5 @@ pub use runner::{
     rekey_scenario, CipherChoice, Defense, ExperimentResult, FaultSetup, PolicyKind, PowerFaults,
     Runner, SequenceRecord, TransportSummary,
 };
-pub use sweep::{default_threads, run_cells, SweepCell, SweepOptions};
+pub use sweep::{default_threads, par_map, run_cells, SweepCell};
 pub use threats::{run_multi_event, MultiEventRun};

@@ -912,13 +912,9 @@ impl Runner {
             state.span("sample", "sim", |clock| {
                 clock.advance_samples(spec.seq_len as u64);
             });
-            let indices = policy.sample(truth, d);
-            let k = indices.len();
-            let mut values = Vec::with_capacity(k * d);
-            for &t in &indices {
-                values.extend_from_slice(&truth[t * d..(t + 1) * d]);
-            }
-            let batch = Batch::new(indices, values).expect("policy output is a valid batch");
+            let batch = Batch::gather(policy.sample(truth, d), truth, d)
+                .expect("policy output is a valid batch");
+            let k = batch.len();
             // Stamp the ground-truth event so per-batch records and wire
             // records can be correlated against it by the audit.
             scratch.context.event = Some(seq.label);

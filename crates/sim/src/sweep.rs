@@ -2,11 +2,11 @@
 //!
 //! A full table sweep is embarrassingly parallel: each (policy, defense,
 //! rate, cipher) cell is an independent [`Runner::run`] call over an
-//! immutable dataset. This module fans a grid of [`SweepCell`]s out over a
-//! small work-stealing pool — scoped threads pulling cell indices off one
-//! shared [`AtomicUsize`] cursor — and merges the results **by cell index**,
-//! so the output order (and content) is byte-identical no matter how many
-//! threads ran or how they interleaved.
+//! immutable dataset. [`par_map`] is the workspace's one sweep pool: scoped
+//! threads pulling item indices off one shared [`AtomicUsize`] cursor,
+//! results merged **by index**, so the output order (and content) is
+//! byte-identical no matter how many threads ran or how they interleaved.
+//! [`run_cells`] maps it over a grid of [`SweepCell`]s.
 //!
 //! Determinism holds because:
 //!
@@ -16,13 +16,13 @@
 //!   interleaving (fits are deterministic; see [`Runner`]);
 //! - each cell's run stamps its telemetry records (stream label, batch
 //!   number) from its own encode scratch, so record numbering is a pure
-//!   function of the cell, not of which worker ran it; the workers only
-//!   scope the sink and the timing switch to the sweep.
+//!   function of the cell, not of which worker ran it.
+//!
+//! Telemetry follows the caller: each worker installs the sink that was
+//! current on the calling thread ([`age_telemetry::current_sink`]), and at
+//! one thread the items run on the calling thread itself.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
-
-use age_telemetry::Sink;
 
 use crate::runner::{CipherChoice, Defense, ExperimentResult, FaultSetup, PolicyKind, Runner};
 
@@ -71,32 +71,6 @@ impl SweepCell {
     }
 }
 
-/// How [`run_cells`] schedules and observes a sweep.
-#[derive(Default)]
-pub struct SweepOptions {
-    /// Worker threads; `0` means [`default_threads`]. The thread count never
-    /// affects results, only wall-clock time.
-    pub threads: usize,
-    /// Telemetry sink installed thread-locally on every worker. The sink is
-    /// shared, so it must tolerate concurrent `record_batch` calls (all
-    /// provided sinks do); aggregate sinks like `SummarySink` roll up
-    /// order-insensitively.
-    pub sink: Option<Arc<dyn Sink>>,
-    /// Disables wall-clock stage timings on the workers, making telemetry
-    /// records identical across reruns (the determinism tests set this).
-    pub deterministic_timings: bool,
-}
-
-impl std::fmt::Debug for SweepOptions {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("SweepOptions")
-            .field("threads", &self.threads)
-            .field("sink", &self.sink.as_ref().map(|_| ".."))
-            .field("deterministic_timings", &self.deterministic_timings)
-            .finish()
-    }
-}
-
 /// The machine's available parallelism (1 if it cannot be determined).
 pub fn default_threads() -> usize {
     std::thread::available_parallelism()
@@ -104,49 +78,45 @@ pub fn default_threads() -> usize {
         .unwrap_or(1)
 }
 
-/// Runs every cell of `cells` against `runner` and returns the results in
-/// cell order. Identically seeded runs produce identical results at any
-/// thread count.
-pub fn run_cells(
-    runner: &Runner,
-    cells: &[SweepCell],
-    opts: &SweepOptions,
-) -> Vec<ExperimentResult> {
-    let threads = match opts.threads {
+/// Maps `f` over `items` on up to `threads` scoped workers (`0` means
+/// [`default_threads`]) and returns the results in item order. Each worker
+/// installs the caller's current telemetry sink; with one worker (or one
+/// item) everything runs on the calling thread and no thread is spawned.
+pub fn par_map<T, R, F>(items: &[T], threads: usize, f: F) -> Vec<R>
+where
+    T: Sync,
+    R: Send,
+    F: Fn(&T) -> R + Sync,
+{
+    let threads = match threads {
         0 => default_threads(),
         n => n,
     }
-    .min(cells.len().max(1));
+    .min(items.len());
+    if threads <= 1 {
+        return items.iter().map(f).collect();
+    }
 
     let cursor = AtomicUsize::new(0);
-    let mut slots: Vec<Option<ExperimentResult>> = Vec::new();
-    slots.resize_with(cells.len(), || None);
-
-    // Workers are spawned even for threads == 1, only to scope the sink
-    // and the timing switch to the sweep: each installs them on its own
-    // thread and both go when it exits. Stream labels and batch numbers
-    // need no fresh thread, since each cell's run stamps its records from
-    // its own encode scratch.
+    let sink = age_telemetry::current_sink();
+    let mut slots: Vec<Option<R>> = Vec::new();
+    slots.resize_with(items.len(), || None);
     std::thread::scope(|scope| {
-        let mut handles = Vec::with_capacity(threads);
-        for _ in 0..threads {
-            let cursor = &cursor;
-            let sink = opts.sink.clone();
-            let quiet = opts.deterministic_timings;
-            handles.push(scope.spawn(move || {
-                let _guard = sink.map(age_telemetry::install_thread);
-                if quiet {
-                    age_telemetry::set_timings_enabled(false);
-                }
-                let mut done: Vec<(usize, ExperimentResult)> = Vec::new();
-                loop {
-                    let i = cursor.fetch_add(1, Ordering::Relaxed);
-                    let Some(cell) = cells.get(i) else { break };
-                    done.push((i, runner.run(cell)));
-                }
-                done
-            }));
-        }
+        let handles: Vec<_> = (0..threads)
+            .map(|_| {
+                let (cursor, sink, f) = (&cursor, sink.clone(), &f);
+                scope.spawn(move || {
+                    let _guard = sink.map(age_telemetry::install_thread);
+                    let mut done = Vec::new();
+                    loop {
+                        let i = cursor.fetch_add(1, Ordering::Relaxed);
+                        let Some(item) = items.get(i) else { break };
+                        done.push((i, f(item)));
+                    }
+                    done
+                })
+            })
+            .collect();
         for handle in handles {
             for (i, result) in handle.join().expect("sweep workers do not panic") {
                 slots[i] = Some(result);
@@ -156,8 +126,15 @@ pub fn run_cells(
 
     slots
         .into_iter()
-        .map(|slot| slot.expect("every cell index was claimed exactly once"))
+        .map(|slot| slot.expect("every item index was claimed exactly once"))
         .collect()
+}
+
+/// Runs every cell of `cells` against `runner` on up to `threads` workers
+/// (see [`par_map`]) and returns the results in cell order. Identically
+/// seeded runs produce identical results at any thread count.
+pub fn run_cells(runner: &Runner, cells: &[SweepCell], threads: usize) -> Vec<ExperimentResult> {
+    par_map(cells, threads, |cell| runner.run(cell))
 }
 
 #[cfg(test)]
@@ -173,7 +150,7 @@ mod tests {
             SweepCell::new(PolicyKind::Linear, Defense::Age, 0.5),
             SweepCell::new(PolicyKind::Uniform, Defense::Standard, 0.7),
         ];
-        let results = run_cells(&runner, &cells, &SweepOptions::default());
+        let results = run_cells(&runner, &cells, 0);
         assert_eq!(results.len(), 3);
         assert_eq!(results[0].policy, "Uniform");
         assert_eq!(results[0].rate, 0.5);
@@ -188,14 +165,7 @@ mod tests {
             SweepCell::new(PolicyKind::Linear, Defense::Age, 0.4),
             SweepCell::new(PolicyKind::Linear, Defense::Standard, 0.4),
         ];
-        let swept = run_cells(
-            &runner,
-            &cells,
-            &SweepOptions {
-                threads: 2,
-                ..Default::default()
-            },
-        );
+        let swept = run_cells(&runner, &cells, 2);
         for (cell, result) in cells.iter().zip(&swept) {
             assert_eq!(*result, runner.run(cell));
         }
@@ -204,6 +174,6 @@ mod tests {
     #[test]
     fn empty_grid_is_fine() {
         let runner = Runner::new(DatasetKind::Epilepsy, Scale::Small, 7);
-        assert!(run_cells(&runner, &[], &SweepOptions::default()).is_empty());
+        assert!(run_cells(&runner, &[], 0).is_empty());
     }
 }

@@ -96,12 +96,8 @@ pub fn run_multi_event(
             values.extend_from_slice(&seq.values);
         }
         let label = chunk[0].label;
-        let indices = policy.sample(&values, d);
-        let mut collected = Vec::with_capacity(indices.len() * d);
-        for &t in &indices {
-            collected.extend_from_slice(&values[t * d..(t + 1) * d]);
-        }
-        let batch = Batch::new(indices, collected).expect("policy output is valid");
+        let batch =
+            Batch::gather(policy.sample(&values, d), &values, d).expect("policy output is valid");
         encoder
             .encode_into(&batch, &cfg, &mut scratch, &mut plaintext)
             .expect("multi-event targets are feasible");

@@ -6,9 +6,7 @@
 use std::sync::Arc;
 
 use age_datasets::{DatasetKind, Scale};
-use age_sim::{
-    run_cells, Defense, FaultPlan, FaultSetup, PolicyKind, Runner, SweepCell, SweepOptions,
-};
+use age_sim::{run_cells, Defense, FaultPlan, FaultSetup, PolicyKind, Runner, SweepCell};
 use age_telemetry::{install_thread, LeakageSink, RecordingSink};
 
 fn runner() -> Runner {
@@ -43,12 +41,9 @@ fn grid() -> Vec<SweepCell> {
 
 fn audit_json(threads: usize) -> String {
     let sink = Arc::new(LeakageSink::new());
-    let options = SweepOptions {
-        threads,
-        sink: Some(sink.clone()),
-        deterministic_timings: true,
-    };
-    run_cells(&runner(), &grid(), &options);
+    let guard = install_thread(sink.clone());
+    run_cells(&runner(), &grid(), threads);
+    drop(guard);
     sink.take().report(50, 7).to_json()
 }
 
@@ -66,12 +61,9 @@ fn audit_state_is_byte_identical_across_thread_counts() {
 #[test]
 fn standard_leaks_and_age_does_not_on_the_same_seeded_data() {
     let sink = Arc::new(LeakageSink::new());
-    let options = SweepOptions {
-        threads: 2,
-        sink: Some(sink.clone()),
-        deterministic_timings: true,
-    };
-    run_cells(&runner(), &grid(), &options);
+    let guard = install_thread(sink.clone());
+    run_cells(&runner(), &grid(), 2);
+    drop(guard);
     let report = sink.take().report(100, 7);
 
     let std_entries: Vec<_> = report

@@ -109,7 +109,7 @@ fn shard_occupancy_partitions_the_fleet() {
     );
 }
 
-mod telemetry_gated {
+mod audits {
     use super::*;
     use age_telemetry::LeakageGate;
 

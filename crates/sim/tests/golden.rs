@@ -15,7 +15,7 @@
 use age_datasets::{DatasetKind, Scale};
 use age_sim::{
     rekey_scenario, run_cells, CipherChoice, Defense, FaultPlan, FaultSetup, PolicyKind,
-    PowerFaults, RetryPolicy, Runner, SweepCell, SweepOptions,
+    PowerFaults, RetryPolicy, Runner, SweepCell,
 };
 
 /// 64-bit FNV-1a.
@@ -112,7 +112,7 @@ fn experiment_results_match_pinned_digests() {
     let runner = Runner::new(DatasetKind::Epilepsy, Scale::Small, 7);
     let grid = grid();
     let cells: Vec<SweepCell> = grid.iter().map(|&(_, cell, _)| cell).collect();
-    let results = run_cells(&runner, &cells, &SweepOptions::default());
+    let results = run_cells(&runner, &cells, 0);
     let mut mismatches = Vec::new();
     for ((name, _, want), result) in grid.iter().zip(&results) {
         let got = fnv1a(format!("{result:?}").as_bytes());
@@ -128,7 +128,7 @@ fn the_grid_reaches_every_branch() {
     let runner = Runner::new(DatasetKind::Epilepsy, Scale::Small, 7);
     let grid = grid();
     let cells: Vec<SweepCell> = grid.iter().map(|&(_, cell, _)| cell).collect();
-    let results = run_cells(&runner, &cells, &SweepOptions::default());
+    let results = run_cells(&runner, &cells, 0);
     let by_name = |n: &str| &results[grid.iter().position(|(name, ..)| *name == n).unwrap()];
     for n in [
         "std-budget",

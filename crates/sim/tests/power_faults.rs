@@ -11,9 +11,11 @@ use std::sync::Arc;
 use age_crypto::ChaCha20Poly1305;
 use age_sim::{
     run_cells, CipherChoice, Defense, FaultPlan, FaultSetup, NvmFaultPlan, PolicyKind, PowerFaults,
-    Runner, SweepCell, SweepOptions,
+    Runner, SweepCell,
 };
-use age_telemetry::{FleetNonceAudit, FleetNonceReuse, LeakageSink, NonceAuditSink};
+use age_telemetry::{
+    install_thread, FleetNonceAudit, FleetNonceReuse, LeakageSink, NonceAuditSink,
+};
 use age_transport::{FaultChannel, Link, NvmStore, RetryPolicy, SequenceJournal};
 
 const KEY: [u8; 32] = [7; 32];
@@ -251,12 +253,9 @@ fn power_fault_sweeps_are_byte_identical_across_thread_counts() {
     let cells = power_cells(0.08, 11);
     let sweep = |threads: usize| {
         let sink = Arc::new(NonceAuditSink::new());
-        let options = SweepOptions {
-            threads,
-            sink: Some(sink.clone()),
-            deterministic_timings: true,
-        };
-        let results = run_cells(&runner, &cells, &options);
+        let guard = install_thread(sink.clone());
+        let results = run_cells(&runner, &cells, threads);
+        drop(guard);
         (results, sink.take())
     };
     let (single, single_audit) = sweep(1);
@@ -286,12 +285,9 @@ fn leakage_stays_zero_under_power_faults() {
         13,
     );
     let sink = Arc::new(LeakageSink::new());
-    let options = SweepOptions {
-        threads: 2,
-        sink: Some(sink.clone()),
-        deterministic_timings: true,
-    };
-    run_cells(&runner, &power_cells(0.1, 13), &options);
+    let guard = install_thread(sink.clone());
+    run_cells(&runner, &power_cells(0.1, 13), 2);
+    drop(guard);
     let report = sink.take().report(50, 7);
     let defended: Vec<_> = report
         .entries

@@ -5,10 +5,8 @@
 
 use std::sync::Arc;
 
-use age_sim::{
-    rekey_scenario, run_cells, CipherChoice, Defense, PolicyKind, Runner, SweepCell, SweepOptions,
-};
-use age_telemetry::{LeakageSink, NonceAuditSink};
+use age_sim::{rekey_scenario, run_cells, CipherChoice, Defense, PolicyKind, Runner, SweepCell};
+use age_telemetry::{install_thread, LeakageSink, NonceAuditSink};
 
 /// Small against the ~34-frame Small-scale test split so the link crosses
 /// several epoch boundaries; a journal-block brownout can skip a whole
@@ -45,12 +43,9 @@ fn rekey_cells(reset_rate: f64, seed: u64) -> Vec<SweepCell> {
 fn rekey_under_fire_rotates_and_stays_nonce_clean() {
     let runner = runner(19);
     let sink = Arc::new(NonceAuditSink::new());
-    let options = SweepOptions {
-        threads: 2,
-        sink: Some(sink.clone()),
-        deterministic_timings: true,
-    };
-    let results = run_cells(&runner, &rekey_cells(0.1, 19), &options);
+    let guard = install_thread(sink.clone());
+    let results = run_cells(&runner, &rekey_cells(0.1, 19), 2);
+    drop(guard);
     let audit = sink.take();
     assert!(audit.frames() > 0);
     assert!(audit.is_clean(), "{audit}");
@@ -82,12 +77,9 @@ fn rekey_sweeps_are_byte_identical_across_thread_counts() {
     let cells = rekey_cells(0.06, 23);
     let sweep = |threads: usize| {
         let sink = Arc::new(NonceAuditSink::new());
-        let options = SweepOptions {
-            threads,
-            sink: Some(sink.clone()),
-            deterministic_timings: true,
-        };
-        let results = run_cells(&runner, &cells, &options);
+        let guard = install_thread(sink.clone());
+        let results = run_cells(&runner, &cells, threads);
+        drop(guard);
         (results, sink.take())
     };
     let (single, single_audit) = sweep(1);
@@ -106,12 +98,9 @@ fn rerunning_a_sweep_in_one_process_repeats_its_nonce_audit() {
     let cells = rekey_cells(0.06, 31);
     let audit = || {
         let sink = Arc::new(NonceAuditSink::new());
-        let options = SweepOptions {
-            threads: 2,
-            sink: Some(sink.clone()),
-            deterministic_timings: true,
-        };
-        run_cells(&runner, &cells, &options);
+        let guard = install_thread(sink.clone());
+        run_cells(&runner, &cells, 2);
+        drop(guard);
         sink.take()
     };
     let first = audit();
@@ -128,13 +117,10 @@ fn rerunning_a_sweep_in_one_process_repeats_its_nonce_audit() {
 fn leakage_stays_zero_across_epoch_boundaries() {
     let runner = runner(29);
     let sink = Arc::new(LeakageSink::new());
-    let options = SweepOptions {
-        threads: 2,
-        sink: Some(sink.clone()),
-        deterministic_timings: true,
-    };
+    let guard = install_thread(sink.clone());
     let cells = rekey_cells(0.04, 29);
-    let results = run_cells(&runner, &cells, &options);
+    let results = run_cells(&runner, &cells, 2);
+    drop(guard);
     // Index 1 is the AGE cell; the Standard baseline varies by design.
     let age = results[1].transport.expect("faulted run has a transport");
     assert!(

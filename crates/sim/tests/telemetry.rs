@@ -5,6 +5,8 @@
 
 #![cfg(feature = "telemetry")]
 
+mod common;
+
 use std::io::{self, Write};
 use std::sync::{Arc, Mutex};
 
@@ -12,7 +14,8 @@ use age_core::{AgeEncoder, Batch, BatchConfig, Encoder};
 use age_datasets::{DatasetKind, Scale};
 use age_fixed::Format;
 use age_sim::{Defense, PolicyKind, Runner, SweepCell};
-use age_telemetry::{install_thread, set_timings_enabled, JsonlSink, RecordingSink, Summary};
+use age_telemetry::{install_thread, JsonlSink, RecordingSink, Summary};
+use common::ZeroTimings;
 
 /// A `Write` target whose bytes stay reachable after the sink takes
 /// ownership of the writer.
@@ -113,16 +116,14 @@ fn summary_stddev_is_zero_for_fixed_defenses_and_positive_for_standard() {
 /// returns the bytes written.
 fn capture_run(seed: u64) -> Vec<u8> {
     let buf = SharedBuf::default();
-    let sink = Arc::new(JsonlSink::new(buf.clone()));
-    // Wall-clock laps are the one nondeterministic input; drop them at the
-    // source.
-    set_timings_enabled(false);
+    // Wall-clock laps are the one nondeterministic input; zero them before
+    // they reach the file.
+    let sink = Arc::new(ZeroTimings(Arc::new(JsonlSink::new(buf.clone()))));
     {
         let _guard = install_thread(sink);
         let runner = Runner::new(DatasetKind::Epilepsy, Scale::Small, seed);
         runner.run(&SweepCell::new(PolicyKind::Linear, Defense::Age, 0.5));
     }
-    set_timings_enabled(true);
     let bytes = buf.0.lock().unwrap().clone();
     bytes
 }

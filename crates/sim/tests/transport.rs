@@ -6,7 +6,7 @@
 use age_datasets::{DatasetKind, Scale};
 use age_sim::{
     run_cells, CipherChoice, Defense, ExperimentResult, FaultPlan, FaultSetup, PolicyKind,
-    RetryPolicy, Runner, SweepCell, SweepOptions, TransportSummary,
+    RetryPolicy, Runner, SweepCell, TransportSummary,
 };
 
 fn faulty_grid() -> Vec<SweepCell> {
@@ -37,11 +37,7 @@ fn sweep_at(threads: usize) -> Vec<ExperimentResult> {
     // A fresh runner per sweep: cold fit caches are part of what must not
     // depend on the thread count.
     let runner = Runner::new(DatasetKind::Epilepsy, Scale::Small, 7);
-    let opts = SweepOptions {
-        threads,
-        ..Default::default()
-    };
-    run_cells(&runner, &faulty_grid(), &opts)
+    run_cells(&runner, &faulty_grid(), threads)
 }
 
 #[test]

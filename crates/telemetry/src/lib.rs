@@ -16,9 +16,10 @@
 //! - [`record`] — the per-batch [`BatchRecord`] schema (mirrors
 //!   `age-core`'s `inspect_message` layout) with stable JSONL output.
 //! - [`sink`] — pluggable destinations: [`NullSink`], [`RecordingSink`]
-//!   (tests), [`JsonlSink`] (runs), [`FanoutSink`], with thread-local and
-//!   process-global installation. Records arrive fully filled in: batch
-//!   records carry the stream context the caller set on `age-core`'s
+//!   (tests), [`JsonlSink`] (runs), [`FanoutSink`], installed on the
+//!   caller's thread ([`install_thread`]) and handed on explicitly where
+//!   work fans out ([`current_sink`]). Records arrive fully filled in:
+//!   batch records carry the stream context the caller set on `age-core`'s
 //!   `EncodeScratch`, [`WireRecord`]s the one the transmit path holds.
 //! - [`summary`] — [`Summary`] rollups whose message-size stddev column is
 //!   the machine-checkable constant-size invariant, with p50/p95/p99
@@ -41,8 +42,11 @@
 //!   dependency.
 //!
 //! This crate has one shape; it carries no feature fork of its own, and
-//! no process-wide counters: every count lives in the link, sensor, run or
-//! gateway shard that made it. The one fork lives in `age-core`'s encoder
+//! no process-wide state: every count lives in the link, sensor, run or
+//! gateway shard that made it, and the only ambient value is the sink the
+//! caller installed on its own thread (the counting allocator's counters
+//! in [`alloc`] aside). Tracing is armed by installing a [`TraceSink`],
+//! and no switch turns stage timings off. The one fork lives in `age-core`'s encoder
 //! probe, which switches on its `telemetry` feature; with it off every
 //! sensor-side emit compiles away. The sensor crates use only the basics
 //! here (records, [`Stopwatch`], [`emit`], [`DetRng`]);
@@ -74,10 +78,9 @@ pub use record::{BatchRecord, GroupRecord, JsonStr, StageTimings, WireRecord};
 pub use recorder::{FlightRecord, FlightRecorder, IngestRung};
 pub use rng::{DetRng, SliceShuffle};
 pub use sink::{
-    active, clear_global, emit, emit_nonces, emit_span, emit_wire, install_global, install_thread,
-    set_timings_enabled, timings_enabled, FanoutSink, JsonlSink, NullSink, RecordingSink, Sink,
-    ThreadSinkGuard,
+    active, current_sink, emit, emit_nonces, emit_wire, install_thread, FanoutSink, JsonlSink,
+    NullSink, RecordingSink, Sink, ThreadSinkGuard,
 };
-pub use span::{set_trace_enabled, trace_enabled, SpanEvent, Stopwatch, Tracer};
+pub use span::{SpanEvent, Stopwatch, Tracer};
 pub use summary::{StreamStats, Summary, SummarySink};
 pub use trace::{render_chrome_json, TraceSink};

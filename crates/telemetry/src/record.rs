@@ -16,9 +16,9 @@ use std::fmt::{self, Write};
 
 /// Wall-clock nanoseconds spent in each AGE pipeline stage for one batch.
 ///
-/// Baseline encoders that skip a stage report 0 for it. All zeros when
-/// timing collection is disabled (see
-/// [`timings_enabled`](crate::sink::timings_enabled)).
+/// Baseline encoders that skip a stage report 0 for it. These are the
+/// only fields of a batch record that differ between identical runs:
+/// comparisons zero them first.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct StageTimings {
     /// Exponent-delta pruning (§4.2).

@@ -1,26 +1,24 @@
 //! Pluggable destinations for [`BatchRecord`]s.
 //!
 //! Instrumented code calls [`emit`]; where the record goes is decided by
-//! whichever [`Sink`] is installed. Two scopes exist:
-//!
-//! - **Thread-local** ([`install_thread`]): scoped to the current thread and
-//!   restored on guard drop. This is what tests use — cargo runs tests on
-//!   concurrent threads, and a thread-local sink keeps their records from
-//!   bleeding into each other.
-//! - **Global** ([`install_global`]): process-wide fallback, used by the
-//!   `repro` binary whose experiment harness fans work out across scoped
-//!   threads that all need to reach one `JsonlSink`.
+//! the [`Sink`] the caller installed on its own thread with
+//! [`install_thread`], restored when the guard drops. There is no
+//! process-wide sink: the two places that fan work out hand the caller's
+//! sink on explicitly. `age-sim`'s sweep pool installs [`current_sink`] on
+//! each worker, and a [`Tracer`](crate::span::Tracer) keeps the sink that
+//! was current when it was built, so spans from gateway drain workers
+//! reach it. Cargo runs tests on concurrent threads, and the thread scope
+//! keeps their records from bleeding into each other.
 //!
 //! With no sink installed, [`emit`] drops the record; call sites can check
 //! [`active`] first and skip building records entirely, so the uninstalled
-//! cost is one thread-local read and one relaxed atomic load.
+//! cost is one thread-local read.
 
-use std::cell::{Cell, RefCell};
+use std::cell::RefCell;
 use std::fs::File;
 use std::io::{self, BufWriter, Write};
 use std::path::Path;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex, RwLock};
+use std::sync::{Arc, Mutex};
 
 use crate::nonce::FleetNonceAudit;
 use crate::record::{BatchRecord, WireRecord};
@@ -41,6 +39,14 @@ pub trait Sink: Send + Sync {
     /// Consumes one closed virtual-time span (trace export). Default:
     /// ignored — only trace sinks care.
     fn record_span(&self, _span: &SpanEvent) {}
+
+    /// Whether [`record_span`](Self::record_span) keeps spans. A
+    /// [`Tracer`](crate::span::Tracer) records only if the sink it
+    /// captured says yes, so installing a span sink is what arms
+    /// tracing. Default: false.
+    fn wants_spans(&self) -> bool {
+        false
+    }
 
     /// Consumes one finished run's nonce audit, its frames sealed under
     /// stream `label` (nonce auditing). Default: ignored.
@@ -122,9 +128,9 @@ impl JsonlSink<File> {
 }
 
 impl<W: Write + Send> JsonlSink<W> {
-    /// Wraps an arbitrary writer. Records are written as emitted; to get
-    /// byte-identical files from identical runs, switch stage timings off
-    /// at the source ([`set_timings_enabled`]).
+    /// Wraps an arbitrary writer. Records are written as emitted, stage
+    /// timings included; to compare files from identical runs, zero or
+    /// strip the `timings_ns` objects.
     pub fn new(writer: W) -> Self {
         JsonlSink {
             writer: Mutex::new(BufWriter::new(writer)),
@@ -177,6 +183,10 @@ impl Sink for FanoutSink {
         }
     }
 
+    fn wants_spans(&self) -> bool {
+        self.0.iter().any(|sink| sink.wants_spans())
+    }
+
     fn flush(&self) {
         for sink in &self.0 {
             sink.flush();
@@ -184,32 +194,12 @@ impl Sink for FanoutSink {
     }
 }
 
-static GLOBAL_ACTIVE: AtomicBool = AtomicBool::new(false);
-static GLOBAL_SINK: RwLock<Option<Arc<dyn Sink>>> = RwLock::new(None);
-
 thread_local! {
     static THREAD_SINK: RefCell<Vec<Arc<dyn Sink>>> = const { RefCell::new(Vec::new()) };
-    static THREAD_TIMINGS: Cell<bool> = const { Cell::new(true) };
 }
 
-/// Installs the process-wide fallback sink; replaces any previous one.
-/// Pass-through threads (no thread-local sink) emit here.
-pub fn install_global(sink: Arc<dyn Sink>) {
-    *GLOBAL_SINK.write().unwrap() = Some(sink);
-    GLOBAL_ACTIVE.store(true, Ordering::Release);
-}
-
-/// Removes the process-wide sink, flushing it first.
-pub fn clear_global() {
-    let prev = GLOBAL_SINK.write().unwrap().take();
-    GLOBAL_ACTIVE.store(false, Ordering::Release);
-    if let Some(sink) = prev {
-        sink.flush();
-    }
-}
-
-/// Installs a sink for the current thread only, shadowing the global sink
-/// (and any outer thread-local sink) until the returned guard drops.
+/// Installs a sink for the current thread, shadowing any outer
+/// thread-local sink until the returned guard drops.
 #[must_use = "the sink is uninstalled when the guard drops"]
 pub fn install_thread(sink: Arc<dyn Sink>) -> ThreadSinkGuard {
     THREAD_SINK.with(|stack| stack.borrow_mut().push(sink));
@@ -229,27 +219,31 @@ impl Drop for ThreadSinkGuard {
     }
 }
 
+/// The sink installed on this thread, if any: what a fan-out hands on to
+/// the threads it starts.
+pub fn current_sink() -> Option<Arc<dyn Sink>> {
+    THREAD_SINK.with(|stack| stack.borrow().last().cloned())
+}
+
 /// Whether any sink would receive an emitted record. Instrumented code
 /// checks this before assembling a [`BatchRecord`] so the uninstalled path
 /// does no allocation or timing work.
 #[inline]
 pub fn active() -> bool {
-    THREAD_SINK.with(|stack| !stack.borrow().is_empty()) || GLOBAL_ACTIVE.load(Ordering::Acquire)
+    THREAD_SINK.with(|stack| !stack.borrow().is_empty())
 }
 
-/// Hands `deliver` the innermost thread-local sink, falling back to the
-/// global sink; does nothing if neither is installed.
+/// Hands `deliver` the innermost thread-local sink; does nothing if none
+/// is installed.
 fn route(deliver: impl FnOnce(&dyn Sink)) {
-    let local = THREAD_SINK.with(|stack| stack.borrow().last().cloned());
-    if let Some(sink) = local.or_else(|| GLOBAL_SINK.read().unwrap().clone()) {
+    if let Some(sink) = current_sink() {
         deliver(&*sink);
     }
 }
 
-/// Sends a record to the innermost thread-local sink, falling back to the
-/// global sink; drops it if neither is installed. The producer fills in
-/// every field: the encoders stamp the stream context their caller set on
-/// the scratch they encode through.
+/// Sends a record to the innermost thread-local sink; drops it if none is
+/// installed. The producer fills in every field: the encoders stamp the
+/// stream context their caller set on the scratch they encode through.
 pub fn emit(record: &BatchRecord) {
     route(|sink| sink.record_batch(record));
 }
@@ -269,33 +263,9 @@ pub fn emit_nonces(label: &str, audit: &FleetNonceAudit) {
     route(|sink| sink.record_nonces(label, audit));
 }
 
-/// Routes one closed span like [`emit`]. Called by [`crate::span::Tracer`]
-/// when tracing is enabled; most sinks ignore spans (trait default), so the
-/// cost with only audit sinks installed is one virtual dispatch.
-pub fn emit_span(span: &SpanEvent) {
-    route(|sink| sink.record_span(span));
-}
-
-/// Whether instrumented encoders should collect wall-clock stage timings on
-/// this thread. Defaults to `true`; determinism tests turn it off so two
-/// identical runs produce identical records.
-#[inline]
-pub fn timings_enabled() -> bool {
-    THREAD_TIMINGS.with(Cell::get)
-}
-
-/// Sets [`timings_enabled`] for the current thread.
-pub fn set_timings_enabled(enabled: bool) {
-    THREAD_TIMINGS.with(|t| t.set(enabled));
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    /// Serializes tests that read or write the process-global sink state,
-    /// since cargo runs tests on concurrent threads.
-    static GLOBAL_STATE: Mutex<()> = Mutex::new(());
 
     fn rec(batch: u64) -> BatchRecord {
         BatchRecord {
@@ -308,14 +278,12 @@ mod tests {
 
     #[test]
     fn no_sink_is_inactive_and_emit_is_a_noop() {
-        let _lock = GLOBAL_STATE.lock().unwrap();
         assert!(!active());
         emit(&rec(0)); // must not panic
     }
 
     #[test]
     fn thread_sink_records_and_uninstalls_on_drop() {
-        let _lock = GLOBAL_STATE.lock().unwrap();
         let sink = Arc::new(RecordingSink::new());
         {
             let _guard = install_thread(sink.clone());
@@ -347,19 +315,18 @@ mod tests {
     }
 
     #[test]
-    fn global_sink_reaches_spawned_threads() {
-        let _lock = GLOBAL_STATE.lock().unwrap();
-        let sink = Arc::new(RecordingSink::new());
-        install_global(sink.clone());
-        std::thread::scope(|s| {
-            for i in 0..4u64 {
-                s.spawn(move || emit(&rec(i)));
-            }
-        });
-        clear_global();
-        assert_eq!(sink.len(), 4);
-        emit(&rec(99));
-        assert_eq!(sink.len(), 4);
+    fn current_sink_is_the_innermost_and_stays_on_its_thread() {
+        assert!(current_sink().is_none());
+        let sink: Arc<dyn Sink> = Arc::new(RecordingSink::new());
+        {
+            let _guard = install_thread(sink.clone());
+            let current = current_sink().expect("installed");
+            assert!(Arc::ptr_eq(&current, &sink));
+            std::thread::scope(|s| {
+                s.spawn(|| assert!(current_sink().is_none() && !active()));
+            });
+        }
+        assert!(current_sink().is_none());
     }
 
     #[test]
@@ -431,16 +398,5 @@ mod tests {
         assert!(lines[0].starts_with("{\"encoder\":"), "{text}");
         assert!(lines[1].starts_with("{\"kind\":\"wire\","), "{text}");
         assert!(lines[1].contains("\"wire_bytes\":118"), "{text}");
-    }
-
-    #[test]
-    fn timings_toggle_is_thread_local() {
-        assert!(timings_enabled());
-        set_timings_enabled(false);
-        assert!(!timings_enabled());
-        std::thread::scope(|s| {
-            s.spawn(|| assert!(timings_enabled()));
-        });
-        set_timings_enabled(true);
     }
 }

@@ -5,49 +5,45 @@
 //! - [`Stopwatch`] measures **wall-clock** stage durations: start it once
 //!   per batch, call [`lap`](Stopwatch::lap) at each stage boundary, and
 //!   store the returned nanoseconds into a
-//!   [`StageTimings`](crate::record::StageTimings). It honors the
-//!   per-thread [`crate::sink::timings_enabled`] switch by reporting 0 for
-//!   every lap when timing is off, which keeps determinism tests
-//!   byte-stable without branching at every call site.
+//!   [`StageTimings`](crate::record::StageTimings). It always measures;
+//!   code that compares records from two runs zeroes the timings on its
+//!   own side.
 //! - [`Tracer`] records **virtual-clock** spans: the caller (the
-//!   simulator's runner) owns a deterministic clock and passes explicit
-//!   timestamps to [`begin`](Tracer::begin)/[`end`](Tracer::end); closed
-//!   spans are routed to the installed [`Sink`](crate::sink::Sink) as
-//!   [`SpanEvent`]s for Chrome-trace export. Because the timestamps are
-//!   virtual, traces are byte-identical across runs and thread counts —
-//!   the opposite trade-off from `Stopwatch`, which is real but noisy.
+//!   simulator's runner, a gateway shard) owns a deterministic clock and
+//!   passes explicit timestamps to [`begin`](Tracer::begin)/
+//!   [`end`](Tracer::end). A tracer keeps the [`Sink`] that was current on
+//!   the thread that built it, and records only if that sink
+//!   [wants spans](Sink::wants_spans): installing a
+//!   [`TraceSink`](crate::trace::TraceSink) is what arms tracing. Because
+//!   the timestamps are virtual, traces are byte-identical across runs and
+//!   thread counts — the opposite trade-off from `Stopwatch`, which is real
+//!   but noisy.
 
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Arc;
 use std::time::Instant;
 
-use crate::sink::timings_enabled;
+use crate::sink::{current_sink, Sink};
 
 /// Measures successive stage durations within one batch.
 #[derive(Debug)]
 pub struct Stopwatch {
-    last: Option<Instant>,
+    last: Instant,
 }
 
 impl Stopwatch {
-    /// Starts timing now, or returns an inert stopwatch if wall-clock
-    /// timings are disabled on this thread.
+    /// Starts timing now.
     pub fn start() -> Self {
         Stopwatch {
-            last: timings_enabled().then(Instant::now),
+            last: Instant::now(),
         }
     }
 
     /// Nanoseconds since the previous lap (or since start), saturating at
-    /// `u64::MAX`; resets the lap point. Always 0 when inert.
+    /// `u64::MAX`; resets the lap point.
     pub fn lap(&mut self) -> u64 {
-        match self.last {
-            None => 0,
-            Some(prev) => {
-                let now = Instant::now();
-                self.last = Some(now);
-                saturate_ns(now.duration_since(prev).as_nanos())
-            }
-        }
+        let now = Instant::now();
+        let prev = std::mem::replace(&mut self.last, now);
+        saturate_ns(now.duration_since(prev).as_nanos())
     }
 }
 
@@ -59,24 +55,8 @@ fn saturate_ns(ns: u128) -> u64 {
     u64::try_from(ns).unwrap_or(u64::MAX)
 }
 
-/// Process-wide switch for virtual-time span collection. Off by default:
-/// audits install sinks without wanting traces, and span emission allocates
-/// (span names are owned). `repro --trace` turns it on for the run.
-static TRACE_ENABLED: AtomicBool = AtomicBool::new(false);
-
-/// Enables or disables span collection process-wide. Takes effect for
-/// tracers constructed afterwards.
-pub fn set_trace_enabled(enabled: bool) {
-    TRACE_ENABLED.store(enabled, Ordering::Release);
-}
-
-/// Whether span collection is enabled (see [`set_trace_enabled`]).
-pub fn trace_enabled() -> bool {
-    TRACE_ENABLED.load(Ordering::Acquire)
-}
-
 /// One closed virtual-time span, as delivered to
-/// [`Sink::record_span`](crate::sink::Sink::record_span).
+/// [`Sink::record_span`].
 ///
 /// `track` identifies the stream (sweep cell) the span belongs to — an
 /// FNV-1a hash of the tracer's label, stable across runs and thread counts,
@@ -101,32 +81,42 @@ pub struct SpanEvent {
     pub depth: u32,
 }
 
-/// Records a nested stack of virtual-time spans for one stream and emits
-/// each span to the installed sink when it closes.
+/// Records a nested stack of virtual-time spans for one stream and hands
+/// each span to the sink it captured when it closes.
 ///
-/// Construction snapshots [`trace_enabled`] and
-/// [`sink::active`](crate::sink::active); a disabled tracer's methods are
+/// Construction snapshots [`current_sink`]; with no sink, or one that does
+/// not [want spans](Sink::wants_spans), the tracer's methods are
 /// early-return no-ops, so per-sequence instrumentation costs two branches
-/// when tracing is off.
-#[derive(Debug)]
+/// when tracing is off. A span sink installed after construction is not
+/// seen.
 pub struct Tracer {
-    enabled: bool,
+    sink: Option<Arc<dyn Sink>>,
     track: u64,
     stack: Vec<(String, &'static str, u64)>,
 }
 
+impl std::fmt::Debug for Tracer {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("Tracer")
+            .field("enabled", &self.is_enabled())
+            .field("track", &self.track)
+            .field("stack", &self.stack)
+            .finish()
+    }
+}
+
 impl Tracer {
-    /// Creates a tracer for the stream named `label` and announces the
-    /// track to the sink (a `cat == "meta"` span), if tracing is enabled.
+    /// Creates a tracer for the stream named `label` on the current
+    /// thread's sink and announces the track to it (a `cat == "meta"`
+    /// span), if that sink wants spans.
     pub fn new(label: &str) -> Self {
-        let enabled = trace_enabled() && crate::sink::active();
         let tracer = Tracer {
-            enabled,
+            sink: current_sink().filter(|sink| sink.wants_spans()),
             track: fnv1a(label),
             stack: Vec::new(),
         };
-        if enabled {
-            crate::sink::emit_span(&SpanEvent {
+        if let Some(sink) = &tracer.sink {
+            sink.record_span(&SpanEvent {
                 name: label.to_string(),
                 cat: "meta",
                 track: tracer.track,
@@ -140,13 +130,13 @@ impl Tracer {
 
     /// Whether this tracer is actually recording.
     pub fn is_enabled(&self) -> bool {
-        self.enabled
+        self.sink.is_some()
     }
 
     /// Opens a span at virtual time `now_us`. Spans nest: each `begin`
     /// must be matched by an [`end`](Self::end), innermost first.
     pub fn begin(&mut self, name: &str, cat: &'static str, now_us: u64) {
-        if !self.enabled {
+        if self.sink.is_none() {
             return;
         }
         self.stack.push((name.to_string(), cat, now_us));
@@ -156,13 +146,13 @@ impl Tracer {
     /// it. Unbalanced calls (no open span) are ignored rather than
     /// panicking — telemetry must never take down the workload.
     pub fn end(&mut self, now_us: u64) {
-        if !self.enabled {
+        let Some(sink) = &self.sink else {
             return;
-        }
+        };
         let Some((name, cat, start_us)) = self.stack.pop() else {
             return;
         };
-        crate::sink::emit_span(&SpanEvent {
+        sink.record_span(&SpanEvent {
             name,
             cat,
             track: self.track,
@@ -187,10 +177,8 @@ fn fnv1a(label: &str) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sink::set_timings_enabled;
-
-    /// Serializes tests that read or flip the process-global trace switch.
-    pub(super) static TRACE_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+    use crate::sink::{install_thread, FanoutSink, NullSink, RecordingSink};
+    use crate::trace::TraceSink;
 
     #[test]
     fn laps_measure_successive_intervals() {
@@ -207,27 +195,6 @@ mod tests {
     }
 
     #[test]
-    fn disabled_timings_make_stopwatch_inert() {
-        set_timings_enabled(false);
-        let mut sw = Stopwatch::start();
-        std::thread::yield_now();
-        assert_eq!(sw.lap(), 0);
-        assert_eq!(sw.lap(), 0);
-        set_timings_enabled(true);
-    }
-
-    #[test]
-    fn stopwatch_stays_inert_if_timings_enable_mid_flight() {
-        // The enabled/inert decision is taken at `start()`: flipping the
-        // switch afterwards must not wake an inert stopwatch (the batch it
-        // measures would report a nonsense partial interval).
-        set_timings_enabled(false);
-        let mut sw = Stopwatch::start();
-        set_timings_enabled(true);
-        assert_eq!(sw.lap(), 0);
-    }
-
-    #[test]
     fn lap_nanoseconds_saturate_at_u64_max() {
         assert_eq!(saturate_ns(0), 0);
         assert_eq!(saturate_ns(1_500), 1_500);
@@ -236,30 +203,44 @@ mod tests {
         assert_eq!(saturate_ns(u128::MAX), u64::MAX);
     }
 
+    /// The trace switch is the captured sink: off with no sink or one
+    /// that drops spans, on for a `TraceSink` alone or inside a
+    /// fan-out, and off again once the guard drops.
     #[test]
     fn trace_switch_defaults_off_and_toggles() {
-        let _lock = TRACE_LOCK.lock().unwrap();
-        assert!(!trace_enabled());
-        set_trace_enabled(true);
-        assert!(trace_enabled());
-        set_trace_enabled(false);
-        assert!(!trace_enabled());
+        assert!(!Tracer::new("cell").is_enabled());
+        for sink in [
+            Arc::new(NullSink) as Arc<dyn Sink>,
+            Arc::new(RecordingSink::new()),
+        ] {
+            let _guard = install_thread(sink);
+            assert!(!Tracer::new("cell").is_enabled());
+        }
+        {
+            let _guard = install_thread(Arc::new(TraceSink::new()));
+            assert!(Tracer::new("cell").is_enabled());
+        }
+        {
+            let fan = FanoutSink(vec![
+                Arc::new(RecordingSink::new()),
+                Arc::new(TraceSink::new()),
+            ]);
+            let _guard = install_thread(Arc::new(fan));
+            assert!(Tracer::new("cell").is_enabled());
+        }
+        assert!(!Tracer::new("cell").is_enabled());
     }
 
     mod tracer {
-        use super::super::*;
-        use crate::sink::install_thread;
-        use crate::trace::TraceSink;
-        use std::sync::Arc;
+        use super::*;
 
         #[test]
         fn disabled_tracer_records_nothing() {
-            let _lock = super::TRACE_LOCK.lock().unwrap();
             let sink = Arc::new(TraceSink::new());
-            let _guard = install_thread(sink.clone());
-            // trace_enabled() is false by default, so this tracer is inert
-            // even though a sink is installed.
+            // Built before the span sink is installed, this tracer stays
+            // inert: the sink is captured at construction.
             let mut tracer = Tracer::new("cell");
+            let _guard = install_thread(sink.clone());
             assert!(!tracer.is_enabled());
             tracer.begin("sequence", "sim", 0);
             tracer.end(10);
@@ -268,11 +249,12 @@ mod tests {
 
         #[test]
         fn spans_nest_and_emit_on_close() {
-            let _lock = super::TRACE_LOCK.lock().unwrap();
             let sink = Arc::new(TraceSink::new());
-            let _guard = install_thread(sink.clone());
-            set_trace_enabled(true);
-            let mut tracer = Tracer::new("epi/Linear/Std/r0.50");
+            let mut tracer = {
+                let _guard = install_thread(sink.clone());
+                Tracer::new("epi/Linear/Std/r0.50")
+            };
+            // The guard is gone; the tracer still holds the sink.
             tracer.begin("sequence", "sim", 100);
             tracer.begin("encode", "encode", 100);
             tracer.end(190); // encode
@@ -280,7 +262,6 @@ mod tests {
             tracer.end(260); // attempt
             tracer.end(300); // sequence
             tracer.end(999); // unbalanced: ignored
-            set_trace_enabled(false);
             let spans = sink.take();
             // Meta announcement plus the three closed spans, in close order.
             assert_eq!(spans.len(), 4);

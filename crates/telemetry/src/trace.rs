@@ -22,7 +22,8 @@ use crate::span::SpanEvent;
 
 /// Buffers spans in memory for trace export; install alongside the audit
 /// sinks and call [`to_chrome_json`](TraceSink::to_chrome_json) at the end
-/// of the run.
+/// of the run. Installing it is what arms tracing: it is the sink that
+/// [wants spans](Sink::wants_spans).
 #[derive(Debug, Default)]
 pub struct TraceSink {
     spans: Mutex<Vec<SpanEvent>>,
@@ -68,6 +69,10 @@ impl Sink for TraceSink {
 
     fn record_span(&self, span: &SpanEvent) {
         self.spans.lock().unwrap().push(span.clone());
+    }
+
+    fn wants_spans(&self) -> bool {
+        true
     }
 }
 

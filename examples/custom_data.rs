@@ -62,13 +62,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut total_mae = 0.0;
     let mut received = 0usize;
     for seq in &sequences {
-        let indices = policy.sample(&seq.values, features);
-        let values = indices
-            .iter()
-            .flat_map(|&t| &seq.values[t * features..(t + 1) * features])
-            .copied()
-            .collect();
-        let delivery = link.send(&encoder.encode(&Batch::new(indices, values)?, &cfg)?);
+        let batch = Batch::gather(policy.sample(&seq.values, features), &seq.values, features)?;
+        let delivery = link.send(&encoder.encode(&batch, &cfg)?);
         observations.push((seq.label, delivery.frame_len));
         for (_, payload) in delivery.payloads {
             let batch = encoder.decode(&payload, &cfg)?;

@@ -47,12 +47,9 @@ fn main() {
 
     for (i, seq) in data.sequences().iter().enumerate() {
         let indices = policy.sample_and_adapt(&seq.values, spec.features);
-        let mut values = Vec::with_capacity(indices.len() * spec.features);
-        for &t in &indices {
-            values.extend_from_slice(&seq.values[t * spec.features..(t + 1) * spec.features]);
-        }
-        let k = indices.len();
-        let batch = Batch::new(indices, values).expect("policy output is valid");
+        let batch =
+            Batch::gather(indices, &seq.values, spec.features).expect("policy output is valid");
+        let k = batch.len();
 
         let std_msg = cipher.seal(i as u64, &std_encoder.encode(&batch, &cfg).expect("fits"));
         let age_msg = cipher.seal(i as u64, &age_encoder.encode(&batch, &cfg).expect("fits"));

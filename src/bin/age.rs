@@ -225,13 +225,9 @@ fn simulate(opts: &Options) -> Result<(), String> {
     let mut total_collected = 0usize;
     let mut observations = Vec::new();
     for (i, seq) in sequences.iter().enumerate() {
-        let indices = policy.sample(&seq.values, d);
-        let mut values = Vec::with_capacity(indices.len() * d);
-        for &t in &indices {
-            values.extend_from_slice(&seq.values[t * d..(t + 1) * d]);
-        }
-        let k = indices.len();
-        let batch = Batch::new(indices, values).map_err(|e| e.to_string())?;
+        let batch = Batch::gather(policy.sample(&seq.values, d), &seq.values, d)
+            .map_err(|e| e.to_string())?;
+        let k = batch.len();
         let plaintext = encoder.encode(&batch, &cfg).map_err(|e| e.to_string())?;
         let message = cipher.seal(i as u64, &plaintext);
         observations.push((seq.label, message.len()));
@@ -282,12 +278,8 @@ fn inspect(opts: &Options) -> Result<(), String> {
     let d = cfg.features();
     let policy = LinearPolicy::new(0.0); // collect everything: worst case
     let seq = &sequences[0];
-    let indices = policy.sample(&seq.values, d);
-    let mut values = Vec::with_capacity(indices.len() * d);
-    for &t in &indices {
-        values.extend_from_slice(&seq.values[t * d..(t + 1) * d]);
-    }
-    let batch = Batch::new(indices, values).map_err(|e| e.to_string())?;
+    let batch =
+        Batch::gather(policy.sample(&seq.values, d), &seq.values, d).map_err(|e| e.to_string())?;
     let message = encoder.encode(&batch, &cfg).map_err(|e| e.to_string())?;
     let layout = inspect_message(&message, &cfg).map_err(|e| e.to_string())?;
     println!("{layout}");

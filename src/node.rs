@@ -29,13 +29,7 @@ mod tests {
         values: &[f64],
     ) -> Vec<u8> {
         let d = cfg.features();
-        let indices = policy.sample(values, d);
-        let collected = indices
-            .iter()
-            .flat_map(|&t| &values[t * d..(t + 1) * d])
-            .copied()
-            .collect();
-        let batch = Batch::new(indices, collected).unwrap();
+        let batch = Batch::gather(policy.sample(values, d), values, d).unwrap();
         encoder.encode(&batch, cfg).unwrap()
     }
 
