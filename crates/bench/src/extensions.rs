@@ -302,7 +302,7 @@ pub fn resets(s: &Settings) -> String {
             }
         }
         None => {
-            out.push_str("  (sealed frames streamed to the process-wide nonce auditor;\n");
+            out.push_str("  (sealed frames streamed to the caller's nonce audit sink;\n");
             out.push_str("   the run fails at exit if any (key, nonce) pair repeated)\n");
         }
     }
@@ -384,7 +384,7 @@ pub fn rekey(s: &Settings) -> String {
             }
         }
         None => {
-            out.push_str("  (sealed frames streamed to the process-wide nonce auditor;\n");
+            out.push_str("  (sealed frames streamed to the caller's nonce audit sink;\n");
             out.push_str("   the run fails at exit if any (key, nonce) pair repeated)\n");
         }
     }

@@ -209,7 +209,7 @@ fn assert_round_trip_allocation_free(name: &str, encoder: &dyn Encoder) {
         encoder
             .encode_into(batch, &cfg, scratch, message)
             .expect("bench batches encode");
-        sensor.seal_into(message, frame);
+        sensor.seal_into(message, frame).unwrap();
         receiver
             .receive_into(frame, opened)
             .expect("sealed frames open");

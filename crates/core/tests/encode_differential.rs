@@ -103,15 +103,12 @@ fn reference_victims(batch: &Batch, drop: usize) -> Vec<usize> {
 
 /// The survivors of `batch` once `victims` are dropped.
 fn without(batch: &Batch, victims: &[usize], features: usize) -> Batch {
-    let mut indices = Vec::new();
-    let mut values = Vec::new();
-    for (t, &index) in batch.indices().iter().enumerate() {
-        if victims.binary_search(&t).is_err() {
-            indices.push(index);
-            values.extend_from_slice(&batch.values()[t * features..(t + 1) * features]);
-        }
-    }
-    Batch::new(indices, values).expect("a subset of a valid batch is valid")
+    let kept: Vec<usize> = (0..batch.len())
+        .filter(|t| victims.binary_search(t).is_err())
+        .collect();
+    let rows = Batch::gather(kept, batch.values(), features).expect("kept rows are in the batch");
+    let indices = rows.indices().iter().map(|&t| batch.indices()[t]).collect();
+    Batch::new(indices, rows.values().to_vec()).expect("a subset of a valid batch is valid")
 }
 
 /// Prunes with the reference and checks the library picks the same

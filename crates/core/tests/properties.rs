@@ -187,7 +187,7 @@ fn sealed_transport_frames_have_constant_size() {
         all.sort_unstable();
         let batch = Batch::new(all, values).unwrap();
         let msg = enc.encode(&batch, &cfg).unwrap();
-        let (_, frame) = sensor.seal(&msg);
+        let (_, frame) = sensor.seal(&msg).unwrap();
         assert_eq!(frame.len(), sensor.frame_len(msg.len()));
         frame_sizes.insert(frame.len());
     }

@@ -52,7 +52,7 @@ fn frames(sensor_id: u64, count: usize) -> Vec<FleetFrame> {
             .unwrap();
             let payload = age.encode(&batch, &cfg).unwrap();
             let mut sealed = Vec::new();
-            sensor.seal_into(&payload, &mut sealed);
+            sensor.seal_into(&payload, &mut sealed).unwrap();
             FleetFrame::encode(sensor_id, &sealed, event, (i as u64 + 1) * 260_000)
         })
         .collect()

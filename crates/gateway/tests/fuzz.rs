@@ -74,7 +74,9 @@ fn valid_traffic(sensors: u64, frames_per_sensor: usize) -> Vec<FleetFrame> {
                 age.encode(&batch, &cfg).unwrap()
             };
             let mut sealed = Vec::new();
-            senders[id as usize].seal_into(&payload, &mut sealed);
+            senders[id as usize]
+                .seal_into(&payload, &mut sealed)
+                .unwrap();
             let sent_at = (round as u64 * sensors + id + 1) * 10_000;
             frames.push(FleetFrame::encode(id, &sealed, event, sent_at));
         }
@@ -190,7 +192,7 @@ fn duplicates_are_replay_rejected_and_sealed_garbage_fails_decode() {
     // valid encoding authenticates but fails decode.
     let mut sensor = Sensor::new(Box::new(ChaCha20Poly1305::new(derive_key(SEED, 3))));
     let mut sealed = Vec::new();
-    sensor.seal_into(&[0u8; 10], &mut sealed);
+    sensor.seal_into(&[0u8; 10], &mut sealed).unwrap();
     let garbage = FleetFrame::encode(3, &sealed, 0, 50);
     assert!(matches!(
         gw.ingest(&garbage).unwrap_err(),

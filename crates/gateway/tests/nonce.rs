@@ -81,7 +81,7 @@ fn payloads() -> Vec<Vec<u8>> {
 fn seal(id: u64, sensor: &mut Sensor, payloads: &[Vec<u8>], stamp: u64) -> (FleetFrame, u64) {
     let event = (stamp as usize / 7) % payloads.len();
     let mut sealed = Vec::new();
-    sensor.seal_into(&payloads[event], &mut sealed);
+    sensor.seal_into(&payloads[event], &mut sealed).unwrap();
     (
         FleetFrame::encode(id, &sealed, event, stamp * 1_000),
         sensor.epoch(),

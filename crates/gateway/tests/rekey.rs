@@ -56,7 +56,7 @@ fn rekey_traffic() -> Vec<FleetFrame> {
             .unwrap();
             let payload = age.encode(&batch, &cfg).unwrap();
             let mut sealed = Vec::new();
-            sensor.seal_into(&payload, &mut sealed);
+            sensor.seal_into(&payload, &mut sealed).unwrap();
             let stamp = (round as u64 * SENSORS + id as u64 + 1) * 20_000;
             traffic.push(FleetFrame::encode(id as u64, &sealed, event, stamp));
         }

@@ -48,7 +48,7 @@ fn frames(sensors: &[u64]) -> Vec<FleetFrame> {
             let mut sensor =
                 Sensor::new(Box::new(ChaCha20Poly1305::new(derive_key(SEED, sensor_id))));
             let mut sealed = Vec::new();
-            sensor.seal_into(&payload, &mut sealed);
+            sensor.seal_into(&payload, &mut sealed).unwrap();
             FleetFrame::encode(sensor_id, &sealed, event, (i as u64 + 1) * 260_000)
         })
         .collect()

@@ -1,6 +1,7 @@
 //! Randomized property tests for server-side reconstruction, driven by the
 //! workspace's deterministic PRNG (no external test deps).
 
+use age_core::Batch;
 use age_reconstruct::{interpolate, mae, median, quartiles, std_deviation, ErrorAccumulator};
 use age_telemetry::{DetRng, SliceShuffle};
 
@@ -27,13 +28,10 @@ fn interpolation_is_exact_at_samples() {
     for _ in 0..CASES {
         let (truth, indices, features) = truth_and_subset(&mut rng);
         let len = truth.len() / features;
-        let values: Vec<f64> = indices
-            .iter()
-            .flat_map(|&t| truth[t * features..(t + 1) * features].iter().copied())
-            .collect();
-        let recon = interpolate(&indices, &values, len, features);
+        let collected = Batch::gather(indices, &truth, features).unwrap();
+        let recon = interpolate(collected.indices(), collected.values(), len, features);
         assert_eq!(recon.len(), truth.len());
-        for &t in &indices {
+        for &t in collected.indices() {
             for f in 0..features {
                 assert_eq!(recon[t * features + f], truth[t * features + f]);
             }
@@ -49,11 +47,9 @@ fn interpolation_stays_in_envelope() {
     for _ in 0..CASES {
         let (truth, indices, features) = truth_and_subset(&mut rng);
         let len = truth.len() / features;
-        let values: Vec<f64> = indices
-            .iter()
-            .flat_map(|&t| truth[t * features..(t + 1) * features].iter().copied())
-            .collect();
-        let recon = interpolate(&indices, &values, len, features);
+        let collected = Batch::gather(indices, &truth, features).unwrap();
+        let values = collected.values();
+        let recon = interpolate(collected.indices(), values, len, features);
         for f in 0..features {
             let lo = values
                 .iter()

@@ -231,7 +231,9 @@ pub fn generate(config: &FleetConfig) -> FleetTraffic {
                     }
                 }
             }
-            let sequence = sensor.seal_into(&payload, &mut sealed);
+            let Ok(sequence) = sensor.seal_into(&payload, &mut sealed) else {
+                continue;
+            };
             // `seal_into` rotates *before* sealing when the watermark
             // demands it, so the post-seal epoch is the one this frame
             // was sealed under (always 0 for static fleets).

@@ -778,24 +778,20 @@ impl Runner {
     fn transport_step(&self, cell: &SweepCell, setup: FaultSetup) -> TransportStep {
         let channel_seed = self.transport_seed(cell, setup.plan.seed);
         let channel = FaultChannel::with_seed(setup.plan, channel_seed);
-        let mut link = match setup.rekey_interval {
+        let (mut sensor, receiver) = match setup.rekey_interval {
             Some(interval) => {
                 // Both endpoints ratchet from the same per-cell root on
                 // the same schedule (phase 0).
                 let root =
                     age_crypto::kdf::sensor_root(&age_crypto::kdf::fleet_secret(channel_seed), 0);
-                Link::with_parts(
+                (
                     Sensor::with_rekey(root, interval, 0, chacha20poly1305_factory),
                     Receiver::with_rekey(root, interval, 0, chacha20poly1305_factory),
-                    channel,
-                    setup.retry,
                 )
             }
-            None => Link::with_channel(
-                cell.cipher.build(),
-                cell.cipher.build(),
-                channel,
-                setup.retry,
+            None => (
+                Sensor::new(cell.cipher.build()),
+                Receiver::new(cell.cipher.build()),
             ),
         };
         // With a brownout schedule the sensor sends through the NVM
@@ -806,14 +802,15 @@ impl Runner {
         if let Some(power) = setup.power {
             let base = self.transport_seed(cell, power.seed);
             let nvm = NvmStore::with_seed(power.nvm, base ^ 0xA5A5_5A5A_0F0F_F0F0);
-            link = link.with_journal(SequenceJournal::new(nvm, power.block));
+            sensor = sensor.with_journal(SequenceJournal::new(nvm, power.block));
             cuts = Some((
                 DetRng::seed_from_u64(base ^ 0x0FF1_CE00_D15E_A5ED),
                 power.reset_rate,
             ));
         }
+        let link = Link::with_parts(sensor, receiver, channel, setup.retry);
         TransportStep {
-            nvm_writes: link.journal_write_attempts(),
+            nvm_writes: 0,
             link,
             retry: setup.retry,
             rekeying: setup.rekey_interval.is_some(),
@@ -1158,7 +1155,7 @@ impl LinkStep {
             arrived.entry(seq_no).or_insert(payload);
         }
         Some(TransportSummary {
-            link: *step.link.stats(),
+            link: step.link.stats(),
             channel: *step.link.channel_stats(),
             decode_failed: 0,
             reuse_risked: step.link.sensor().reuse_risked(),
@@ -1204,7 +1201,7 @@ impl TransportStep {
         // through `send` even without a journal: the RAM counter produces
         // the same 0,1,2,… numbering as the evaluation index, and `send` is
         // where the watermark rotation lives.
-        let delivery = if link.has_journal() || self.rekeying {
+        let delivery = if link.sensor().journal().is_some() || self.rekeying {
             link.send(plaintext)
         } else {
             link.send_as(index, plaintext)
@@ -1213,7 +1210,10 @@ impl TransportStep {
         // work since the last send) precede the radio. This reads the same
         // write counter the energy block below settles, so the two see an
         // identical per-sequence delta.
-        let writes = link.journal_write_attempts();
+        let writes = link
+            .sensor()
+            .journal()
+            .map_or(0, |j| j.nvm_stats().writes_attempted);
         let flash_writes = writes - self.nvm_writes;
         self.nvm_writes = writes;
         if flash_writes > 0 {

@@ -16,21 +16,20 @@ use age_sim::{
 use age_telemetry::{
     install_thread, FleetNonceAudit, FleetNonceReuse, LeakageSink, NonceAuditSink,
 };
-use age_transport::{FaultChannel, Link, NvmStore, RetryPolicy, SequenceJournal};
+use age_transport::{FaultChannel, Link, NvmStore, Receiver, RetryPolicy, Sensor, SequenceJournal};
 
 const KEY: [u8; 32] = [7; 32];
 
 fn journaled_link(nvm: NvmFaultPlan, nvm_seed: u64, block: u64) -> Link {
-    Link::with_channel(
-        Box::new(ChaCha20Poly1305::new(KEY)),
-        Box::new(ChaCha20Poly1305::new(KEY)),
+    Link::with_parts(
+        Sensor::new(Box::new(ChaCha20Poly1305::new(KEY))).with_journal(SequenceJournal::new(
+            NvmStore::with_seed(nvm, nvm_seed),
+            block,
+        )),
+        Receiver::new(Box::new(ChaCha20Poly1305::new(KEY))),
         FaultChannel::with_seed(FaultPlan::NONE, 0),
         RetryPolicy::default(),
     )
-    .with_journal(SequenceJournal::new(
-        NvmStore::with_seed(nvm, nvm_seed),
-        block,
-    ))
 }
 
 /// The tentpole property: reboot the sensor at *every* possible cut point
@@ -142,7 +141,7 @@ fn nonce_auditor_fails_when_the_journal_is_bypassed() {
         FaultChannel::with_seed(FaultPlan::NONE, 0),
         RetryPolicy::default(),
     );
-    assert!(!link.has_journal());
+    assert!(link.sensor().journal().is_none());
     let mut audit = FleetNonceAudit::new();
     for _ in 0..10 {
         let delivery = link.send(&payload);

@@ -227,7 +227,9 @@ impl FaultChannel {
         let flips = self.rng.gen_range(1usize..=3);
         for _ in 0..flips {
             let bit = self.rng.gen_range(0..frame.len() * 8);
-            frame[bit / 8] ^= 1 << (bit % 8);
+            if let Some(byte) = frame.get_mut(bit / 8) {
+                *byte ^= 1 << (bit % 8);
+            }
         }
     }
 }

@@ -16,8 +16,8 @@
 //!   [`ReplayWindow`], guards against far-future sequence numbers, and
 //!   turns every malformed frame into a [`ReceiveError`] instead of a
 //!   panic.
-//! - [`Link`] drives the retry/timeout/exponential-backoff loop
-//!   ([`RetryPolicy`]); retransmissions reuse the sequence number (the
+//! - [`Link`] joins the three with the retry/timeout/exponential-backoff
+//!   loop ([`RetryPolicy`]); retransmissions reuse the sequence number (the
 //!   replay window absorbs the duplicates) and their radio energy is
 //!   charged by the simulator against the same budget as the first send.
 //!
@@ -28,11 +28,11 @@
 //! fault model.
 //!
 //! Low-power sensors also brown out: a [`SequenceJournal`] over a simulated
-//! [`NvmStore`] persists sequence reservations in blocks (one flash write
-//! per `K` frames), so [`Link::reboot_sensor`] recovers past the reserved
-//! high-water mark and no nonce is ever reused across power cycles — the
-//! "Surviving resets" section of `docs/robustness.md` records the journal
-//! format and recovery invariants.
+//! [`NvmStore`] ([`Sensor::with_journal`]) persists sequence reservations
+//! in blocks (one flash write per `K` frames), so [`Sensor::reboot`]
+//! recovers past the reserved high-water mark and no nonce is ever reused
+//! across power cycles — the "Surviving resets" section of
+//! `docs/robustness.md` records the journal format and recovery invariants.
 //!
 //! # Examples
 //!
@@ -57,7 +57,12 @@
 
 #![cfg_attr(
     not(test),
-    deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::indexing_slicing
+    )
 )]
 
 mod fault;
@@ -91,7 +96,7 @@ mod tests {
         let deliveries: Vec<Delivery> = (0..messages)
             .map(|i| link.send(&[(i % 251) as u8; 64]))
             .collect();
-        (deliveries, *link.stats(), *link.channel_stats())
+        (deliveries, link.stats(), *link.channel_stats())
     }
 
     #[test]

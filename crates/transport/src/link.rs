@@ -6,7 +6,7 @@ use std::collections::VecDeque;
 use age_crypto::{Cipher, EpochRatchet, OpenError};
 
 use crate::fault::{ChannelStats, FaultChannel, FaultPlan};
-use crate::persist::SequenceJournal;
+use crate::persist::{JournalError, JournalStats, NvmFaultPlan, SequenceJournal};
 use crate::replay::{ReplayError, ReplayWindow};
 
 /// Why the receiver rejected a frame.
@@ -127,19 +127,30 @@ struct SensorRekey {
 /// cipher. Nothing about the frame
 /// changes — same length, same layout — so rotation is invisible on the
 /// wire.
+///
+/// A sensor with a [`SequenceJournal`] ([`Sensor::with_journal`]) draws
+/// its sequence numbers from the journal's write-ahead reservations and
+/// journals each rotation before taking it, so [`Sensor::reboot`] recovers
+/// without reusing a `(key, nonce)` pair. Without one it counts in RAM,
+/// and a reboot restarts the count at 0.
 pub struct Sensor {
     cipher: Box<dyn Cipher>,
     next_sequence: u64,
     /// Highest sequence number sealed so far this power cycle (RAM only —
-    /// cleared by [`Sensor::reboot_at`], exactly like the counter it
-    /// guards).
+    /// cleared by every reboot, exactly like the counter it guards).
     highest_sealed: Option<u64>,
     /// Current key epoch (0 forever without rekey state).
     epoch: u64,
     rekey: Option<SensorRekey>,
+    journal: Option<SequenceJournal>,
+    /// The journal's counters when it was attached: [`Sensor::stats`]
+    /// reports only the work done since.
+    journal_base: JournalStats,
     /// Explicit-sequence seals at or below the high-water mark, over the
     /// sensor's lifetime (reboots included).
     reuse_risked: u64,
+    /// Reboots, rotations and deferred rotations.
+    counts: LinkStats,
 }
 
 impl Sensor {
@@ -151,7 +162,10 @@ impl Sensor {
             highest_sealed: None,
             epoch: 0,
             rekey: None,
+            journal: None,
+            journal_base: JournalStats::default(),
             reuse_risked: 0,
+            counts: LinkStats::default(),
         }
     }
 
@@ -172,104 +186,127 @@ impl Sensor {
         sensor
     }
 
-    /// The sequence number the next [`Sensor::seal`] will use.
+    /// Numbers frames from a persisted sequence-reservation journal instead
+    /// of the RAM counter, so [`Sensor::reboot`] recovers without nonce
+    /// reuse. The sensor resumes at the journal's position (0 for a fresh
+    /// store) and on the journal's recovered epoch; [`Sensor::stats`]
+    /// counts the journal's work from here on.
+    pub fn with_journal(mut self, journal: SequenceJournal) -> Self {
+        self.resume(journal.next(), journal.epoch());
+        self.journal_base = *journal.stats();
+        self.journal = Some(journal);
+        self
+    }
+
+    /// The sequence number the next seal will use (assuming its journal
+    /// write, if one is due, succeeds).
     pub fn next_sequence(&self) -> u64 {
         self.next_sequence
     }
 
-    /// The highest sequence number sealed this power cycle, if any.
-    pub fn highest_sealed(&self) -> Option<u64> {
-        self.highest_sealed
-    }
-
-    /// The key epoch the next seal will use (always 0 without rekey
-    /// state).
+    /// The key epoch the next seal will use, unless it crosses a watermark
+    /// boundary (always 0 without rekey state).
     pub fn epoch(&self) -> u64 {
         self.epoch
     }
 
     /// Explicit-sequence seals so far that were at or below the power
     /// cycle's high-water mark — each one risked reusing a (key, nonce)
-    /// pair (see [`Sensor::seal_as`]).
+    /// pair (see [`Sensor::seal_as_into`]).
     pub fn reuse_risked(&self) -> u64 {
         self.reuse_risked
     }
 
-    /// The epoch the watermark schedule demands for `sequence`, when it is
-    /// ahead of the current one. `None` when no rotation is due (or the
-    /// sensor has no rekey state). Callers that journal their rotations
-    /// ([`Link`]) check this *before* sealing and write the epoch record
-    /// ahead of [`Sensor::rotate_to`].
-    pub fn rotation_due(&self, sequence: u64) -> Option<u64> {
-        let rekey = self.rekey.as_ref()?;
-        if rekey.interval == 0 {
-            return None;
-        }
-        let target = epoch_of(sequence, rekey.interval, rekey.phase);
-        (target > self.epoch).then_some(target)
+    /// The attached journal, if any.
+    pub fn journal(&self) -> Option<&SequenceJournal> {
+        self.journal.as_ref()
     }
 
-    /// Advances the ratchet to `epoch` and swaps in the new epoch key.
-    /// Targets at or below the current epoch, or calls on a sensor without
-    /// rekey state, are no-ops. Returns `true` if a rotation happened.
-    pub fn rotate_to(&mut self, epoch: u64) -> bool {
-        let Some(rekey) = self.rekey.as_mut() else {
-            return false;
-        };
-        if epoch <= self.epoch {
-            return false;
+    /// The sensor's share of a [`Link`]'s counters: reboots, rotations and
+    /// deferred rotations, and — from the journal's [`JournalStats`] since
+    /// it was attached — records persisted and sequence numbers retired by
+    /// recovery. The delivery counters are 0.
+    pub fn stats(&self) -> LinkStats {
+        let journal = self
+            .journal
+            .as_ref()
+            .map_or(self.journal_base, |j| *j.stats());
+        LinkStats {
+            journal_flushes: journal.flushes - self.journal_base.flushes,
+            sequences_skipped: (journal.sequences_skipped - self.journal_base.sequences_skipped)
+                as usize,
+            ..self.counts
         }
-        rekey.ratchet.seek(epoch);
-        self.cipher = (rekey.factory)(rekey.ratchet.key());
-        self.epoch = epoch;
-        true
     }
 
-    /// Seals `payload` under the next sequence number.
-    pub fn seal(&mut self, payload: &[u8]) -> (u64, Vec<u8>) {
+    /// Replaces the journal's NVM fault rates from its next write on (see
+    /// [`SequenceJournal::set_nvm_faults`]); a no-op without a journal.
+    pub fn set_nvm_faults(&mut self, plan: NvmFaultPlan) {
+        if let Some(journal) = self.journal.as_mut() {
+            journal.set_nvm_faults(plan);
+        }
+    }
+
+    /// Persists the reservation record the next seal draws from, if one is
+    /// due, so the flash write happens now rather than inside the seal.
+    ///
+    /// # Errors
+    ///
+    /// As [`SequenceJournal::reserve_next`]; the next seal tries again.
+    pub fn reserve(&mut self) -> Result<(), JournalError> {
+        match self.journal.as_mut() {
+            Some(journal) => journal.reserve_block(),
+            None => Ok(()),
+        }
+    }
+
+    /// Like [`Sensor::seal_into`], into a fresh frame.
+    ///
+    /// # Errors
+    ///
+    /// As [`Sensor::seal_into`].
+    pub fn seal(&mut self, payload: &[u8]) -> Result<(u64, Vec<u8>), JournalError> {
         let mut frame = Vec::new();
-        let sequence = self.seal_into(payload, &mut frame);
-        (sequence, frame)
+        let sequence = self.seal_into(payload, &mut frame)?;
+        Ok((sequence, frame))
     }
 
     /// Seals `payload` under the next sequence number into `frame`,
-    /// reusing its allocation (byte-identical to [`Sensor::seal`]). Returns
-    /// the sequence number used. Once `frame` has grown to the session's
-    /// fixed frame length, sealing never touches the heap.
-    pub fn seal_into(&mut self, payload: &[u8], frame: &mut Vec<u8>) -> u64 {
-        let sequence = self.next_sequence;
-        // RAM-only watermark rotation: sensors that journal their sequence
-        // numbers seal through `seal_as_into` instead, with the owning
-        // [`Link`] committing the epoch record write-ahead.
-        if let Some(target) = self.rotation_due(sequence) {
-            self.rotate_to(target);
-        }
-        self.next_sequence += 1;
+    /// reusing its allocation, and returns the number. Once `frame` has
+    /// grown to the session's fixed frame length, sealing never touches the
+    /// heap. The number comes from the journal when one is attached, from
+    /// the RAM counter otherwise; a rotation due at it is taken first,
+    /// journaled write-ahead, and deferred if the NVM refuses the record.
+    ///
+    /// # Errors
+    ///
+    /// [`JournalError`] when the journal could not persist a due
+    /// reservation record: nothing is sealed, because sealing under an
+    /// unreserved number is the nonce-reuse hazard the journal prevents.
+    /// A sensor without a journal never fails.
+    pub fn seal_into(&mut self, payload: &[u8], frame: &mut Vec<u8>) -> Result<u64, JournalError> {
+        let sequence = match self.journal.as_mut() {
+            Some(journal) => journal.reserve_next()?,
+            None => self.next_sequence,
+        };
+        self.next_sequence = sequence + 1;
+        self.rotate_if_due(sequence);
         self.note_sealed(sequence);
         self.cipher.seal_into(sequence, payload, frame);
-        sequence
+        Ok(sequence)
     }
 
-    /// Seals `payload` under an explicit sequence number without touching
-    /// the session counter.
+    /// Seals `payload` under an explicit sequence number into `frame`,
+    /// without touching the session counter or the journal.
     ///
     /// Explicit numbering is for callers that own sequencing themselves and
     /// keep it strictly increasing — the experiment runner numbers frames
-    /// by test sequence index, and [`Link`] numbers them from the
-    /// reservation journal; both satisfy that contract, which is why the
-    /// guard below never fires for them. A sequence at or below the power
+    /// by test sequence index and satisfies that contract, which is why
+    /// the guard below never fires for it. A sequence at or below the power
     /// cycle's high-water mark would reuse a (key, nonce) pair, so it is
     /// counted in [`Sensor::reuse_risked`] and trips a debug assertion
     /// (release builds still seal, preserving legacy behavior; the
     /// run-wide nonce auditor is the backstop that fails the run).
-    pub fn seal_as(&mut self, sequence: u64, payload: &[u8]) -> Vec<u8> {
-        let mut frame = Vec::new();
-        self.seal_as_into(sequence, payload, &mut frame);
-        frame
-    }
-
-    /// [`Sensor::seal_as`] into a caller-owned frame buffer, with the same
-    /// high-water-mark guard and [`Sensor::reuse_risked`] accounting.
     pub fn seal_as_into(&mut self, sequence: u64, payload: &[u8], frame: &mut Vec<u8>) {
         if let Some(high) = self.highest_sealed {
             if sequence <= high {
@@ -285,17 +322,51 @@ impl Sensor {
         self.cipher.seal_into(sequence, payload, frame);
     }
 
-    /// Models a power loss: the RAM high-water mark is gone, and the
-    /// counter restarts wherever the caller's persistence (or lack of it)
-    /// says — [`Link::reboot_sensor`] passes the journal's recovered
-    /// position, or 0 when there is no journal.
+    /// A brownout between the journal write and the radio: `payload` is
+    /// sealed into `frame` as by [`Sensor::seal_into`], whose result this
+    /// returns, but power dies before the frame radiates and the sensor
+    /// reboots. Recovery retires the frame's sequence number.
+    ///
+    /// # Errors
+    ///
+    /// As [`Sensor::seal_into`]; the sensor reboots either way.
+    pub fn abort(&mut self, payload: &[u8], frame: &mut Vec<u8>) -> Result<u64, JournalError> {
+        let sealed = self.seal_into(payload, frame);
+        self.reboot();
+        sealed
+    }
+
+    /// A power loss: all RAM state (the sequence counter and the seal
+    /// high-water mark) is gone. With a journal the counter resumes at the
+    /// recovered reservation high-water mark; without one it restarts at 0
+    /// — the nonce-reuse case the journal exists to prevent (and the
+    /// run-wide nonce auditor exists to catch).
+    pub fn reboot(&mut self) {
+        let (next, epoch) = match self.journal.as_mut() {
+            Some(journal) => {
+                journal.reboot();
+                (journal.next(), journal.epoch())
+            }
+            None => (0, 0),
+        };
+        self.counts.sensor_reboots += 1;
+        self.resume(next, epoch);
+    }
+
+    /// A power loss on a sensor without a journal, its counter restarting
+    /// wherever the caller says.
     pub fn reboot_at(&mut self, next_sequence: u64) {
+        self.counts.sensor_reboots += 1;
         self.resume(next_sequence, 0);
     }
 
-    /// Power-loss recovery with an explicit journal-recovered epoch: RAM
-    /// state is gone, the counter restarts at `next_sequence`, and the
-    /// ratchet is rebuilt from the root at whichever is later of the
+    /// Exact on-air frame length for a payload of `payload_len` bytes.
+    pub fn frame_len(&self, payload_len: usize) -> usize {
+        self.cipher.message_len(payload_len)
+    }
+
+    /// Power-loss recovery: the counter restarts at `next_sequence`, and
+    /// the ratchet is rebuilt from the root at whichever is later of the
     /// journal's committed epoch and the watermark epoch of the resumed
     /// sequence position.
     ///
@@ -306,7 +377,7 @@ impl Sensor {
     /// sealed, so re-keying "backwards" still never reuses a
     /// `(key, nonce)` pair (and the receiver's epoch skew tolerance
     /// absorbs the transient mismatch).
-    pub fn resume(&mut self, next_sequence: u64, journal_epoch: u64) {
+    fn resume(&mut self, next_sequence: u64, journal_epoch: u64) {
         self.next_sequence = next_sequence;
         self.highest_sealed = None;
         if let Some(rekey) = self.rekey.as_mut() {
@@ -318,9 +389,31 @@ impl Sensor {
         }
     }
 
-    /// Exact on-air frame length for a payload of `payload_len` bytes.
-    pub fn frame_len(&self, payload_len: usize) -> usize {
-        self.cipher.message_len(payload_len)
+    /// Rotates to the watermark epoch of `sequence` if it is ahead of the
+    /// current one. With a journal the epoch record is persisted first
+    /// (write-ahead); if the NVM refuses it, the rotation is deferred and
+    /// the sensor keeps sealing under its old key — a rotation the journal
+    /// does not hold would be forgotten by the next brownout, and the old
+    /// key cannot reuse a (key, nonce) pair, because sequence numbers are
+    /// global across epochs.
+    fn rotate_if_due(&mut self, sequence: u64) {
+        let Some(rekey) = self.rekey.as_mut() else {
+            return;
+        };
+        let target = epoch_of(sequence, rekey.interval, rekey.phase);
+        if target <= self.epoch {
+            return;
+        }
+        if let Some(journal) = self.journal.as_mut() {
+            if journal.record_epoch(target).is_err() {
+                self.counts.rotations_deferred += 1;
+                return;
+            }
+        }
+        rekey.ratchet.seek(target);
+        self.cipher = (rekey.factory)(rekey.ratchet.key());
+        self.epoch = target;
+        self.counts.rotations += 1;
     }
 
     fn note_sealed(&mut self, sequence: u64) {
@@ -727,10 +820,10 @@ pub struct LinkStats {
     /// Payloads that arrived only after their send deadline had passed
     /// (released by a reordering fault during a later send).
     pub late_deliveries: usize,
-    /// Sensor power losses recovered from ([`Link::reboot_sensor`]).
+    /// Sensor power losses recovered from ([`Sensor::reboot`]).
     pub sensor_reboots: usize,
     /// Sequence-reservation journal records persisted to NVM (only with
-    /// [`Link::with_journal`]).
+    /// [`Sensor::with_journal`]).
     pub journal_flushes: usize,
     /// Sequence numbers retired unused by conservative reboot recovery.
     pub sequences_skipped: usize,
@@ -791,8 +884,8 @@ pub struct Link {
     channel: FaultChannel,
     receiver: Receiver,
     retry: RetryPolicy,
+    /// Delivery counters; the sensor keeps its own ([`Sensor::stats`]).
     stats: LinkStats,
-    journal: Option<SequenceJournal>,
     /// Session-owned frame buffer: every send seals into this scratch, so
     /// the sealing side of the link stops allocating once it has grown to
     /// the session's fixed frame length.
@@ -823,21 +916,19 @@ impl Link {
         channel: FaultChannel,
         retry: RetryPolicy,
     ) -> Self {
-        Link {
-            sensor: Sensor::new(sensor_cipher),
+        Self::with_parts(
+            Sensor::new(sensor_cipher),
+            Receiver::new(receiver_cipher),
             channel,
-            receiver: Receiver::new(receiver_cipher),
             retry,
-            stats: LinkStats::default(),
-            journal: None,
-            frame_scratch: Vec::new(),
-        }
+        )
     }
 
     /// Assembles a session from pre-built endpoints — the constructor for
     /// rekey-capable links ([`Sensor::with_rekey`] on one side,
-    /// [`Receiver::with_rekey`] on the other) or any other custom
-    /// endpoint configuration.
+    /// [`Receiver::with_rekey`] on the other), journaled sensors
+    /// ([`Sensor::with_journal`]) or any other custom endpoint
+    /// configuration.
     pub fn with_parts(
         sensor: Sensor,
         receiver: Receiver,
@@ -850,22 +941,11 @@ impl Link {
             receiver,
             retry,
             stats: LinkStats::default(),
-            journal: None,
             frame_scratch: Vec::new(),
         }
     }
 
-    /// Numbers frames from a persisted sequence-reservation journal instead
-    /// of the RAM counter, so [`Link::reboot_sensor`] recovers without
-    /// nonce reuse. The sensor resumes at the journal's position (0 for a
-    /// fresh store) and on the journal's recovered epoch.
-    pub fn with_journal(mut self, journal: SequenceJournal) -> Self {
-        self.sensor.resume(journal.next(), journal.epoch());
-        self.journal = Some(journal);
-        self
-    }
-
-    /// The sending endpoint (epoch and seal state inspection).
+    /// The sending endpoint (epoch, seal and journal state inspection).
     pub fn sensor(&self) -> &Sensor {
         &self.sensor
     }
@@ -875,23 +955,12 @@ impl Link {
         &self.receiver
     }
 
-    /// Whether frames are numbered from a persisted journal.
-    pub fn has_journal(&self) -> bool {
-        self.journal.is_some()
-    }
-
-    /// Journal NVM write attempts so far — the energy-billable quantity
-    /// (every attempt programs the flash, retries of failed writes
-    /// included). 0 without a journal.
-    pub fn journal_write_attempts(&self) -> usize {
-        self.journal
-            .as_ref()
-            .map_or(0, |j| j.nvm_stats().writes_attempted)
-    }
-
-    /// Session counters so far.
-    pub fn stats(&self) -> &LinkStats {
-        &self.stats
+    /// Session counters so far: the link's delivery counters plus the
+    /// sensor's ([`Sensor::stats`]).
+    pub fn stats(&self) -> LinkStats {
+        let mut stats = self.sensor.stats();
+        stats.merge(&self.stats);
+        stats
     }
 
     /// Channel-side fault counters so far.
@@ -899,146 +968,36 @@ impl Link {
         self.channel.stats()
     }
 
-    /// Sends `payload` under the session's next sequence number — drawn
-    /// from the journal when one is attached (persisting a reservation
-    /// record once per block), from the RAM counter otherwise.
+    /// Sends `payload` under the sensor's next sequence number
+    /// ([`Sensor::seal_into`]).
     ///
-    /// If the NVM refuses every attempt to persist a due reservation
-    /// record, nothing radiates: sealing under an unreserved number is the
-    /// nonce-reuse hazard the journal prevents, so the message is counted
-    /// lost instead (a zero-attempt, zero-length [`Delivery`]).
+    /// If the sensor's journal refuses every attempt to persist a due
+    /// reservation record, nothing radiates: the message is counted lost
+    /// instead (a zero-attempt, zero-length [`Delivery`] at the position
+    /// the journal is stuck at).
     pub fn send(&mut self, payload: &[u8]) -> Delivery {
-        if self.journal.is_none() {
-            let (sequence, frame) = self.seal_next(payload);
-            let delivery = self.drive(sequence, &frame);
-            self.frame_scratch = frame;
-            return delivery;
-        }
-        match self.journal_reserve() {
-            Ok(sequence) => {
-                self.maybe_rotate(sequence);
-                let mut frame = std::mem::take(&mut self.frame_scratch);
-                self.sensor.seal_as_into(sequence, payload, &mut frame);
-                let delivery = self.drive(sequence, &frame);
-                self.frame_scratch = frame;
-                delivery
-            }
-            Err(stuck_at) => {
-                self.stats.messages_lost += 1;
-                Delivery {
-                    sequence: stuck_at,
-                    epoch: self.sensor.epoch(),
-                    frame_len: 0,
-                    attempts: 0,
-                    delivered: false,
-                    payloads: Vec::new(),
-                    backoff_ms: 0.0,
-                }
-            }
-        }
-    }
-
-    /// Seals `payload` under the RAM counter into the session's frame
-    /// buffer, taken out for the caller to put back, and counts the
-    /// watermark rotation the seal made, if any.
-    fn seal_next(&mut self, payload: &[u8]) -> (u64, Vec<u8>) {
         let mut frame = std::mem::take(&mut self.frame_scratch);
-        let epoch_before = self.sensor.epoch();
-        let sequence = self.sensor.seal_into(payload, &mut frame);
-        if self.sensor.epoch() != epoch_before {
-            self.stats.rotations += 1;
-        }
-        (sequence, frame)
-    }
-
-    /// Write-ahead rotation: when the watermark schedule says `sequence`
-    /// belongs to a later epoch, journal the target epoch *before*
-    /// switching keys. If the NVM refuses the record, the rotation is
-    /// deferred and the sensor keeps sealing under its old key — a RAM-only
-    /// rotation would be forgotten by the next brownout, and recovery must
-    /// always land on a journaled epoch. Deferral is safe for nonce
-    /// uniqueness because sequence numbers are global: staying on the old
-    /// key only delays forward secrecy, it cannot reuse a (key, nonce)
-    /// pair.
-    fn maybe_rotate(&mut self, sequence: u64) {
-        let Some(target) = self.sensor.rotation_due(sequence) else {
-            return;
-        };
-        if let Some(journal) = self.journal.as_mut() {
-            let flushes_before = journal.stats().flushes;
-            let committed = journal.record_epoch(target).is_ok();
-            let flushed = journal.stats().flushes - flushes_before;
-            self.stats.journal_flushes += flushed;
-            if !committed {
-                self.stats.rotations_deferred += 1;
-                return;
+        let delivery = match self.sensor.seal_into(payload, &mut frame) {
+            Ok(sequence) => self.drive(sequence, &frame),
+            Err(_) => {
+                self.stats.messages_lost += 1;
+                self.delivery(self.sensor.next_sequence(), 0)
             }
-        }
-        if self.sensor.rotate_to(target) {
-            self.stats.rotations += 1;
-        }
+        };
+        self.frame_scratch = frame;
+        delivery
     }
 
-    /// A brownout between the journal write and the radio: the next
-    /// sequence number is reserved and `payload` is sealed under it, but
-    /// power dies before the frame radiates — the channel never sees it —
-    /// and the sensor reboots. Recovery retires the sealed-but-unsent
-    /// frame's sequence number, so its nonce is never reused. Without a
-    /// journal the seal still burns a RAM sequence number, which the
-    /// reboot then forgets.
+    /// A brownout between the journal write and the radio
+    /// ([`Sensor::abort`]): the frame is sealed but the channel never sees
+    /// it, and the sensor reboots.
     pub fn abort_send(&mut self, payload: &[u8]) {
-        if self.journal.is_none() {
-            let (_, frame) = self.seal_next(payload);
-            self.frame_scratch = frame;
-        } else if let Ok(sequence) = self.journal_reserve() {
-            // The rotation window is part of the brownout surface: power
-            // can die right after the epoch record commits, before (or
-            // after) the frame seals. Recovery must land on the journaled
-            // epoch either way.
-            self.maybe_rotate(sequence);
-            let mut frame = std::mem::take(&mut self.frame_scratch);
-            self.sensor.seal_as_into(sequence, payload, &mut frame);
-            self.frame_scratch = frame;
-        }
-        self.reboot_sensor();
+        let _ = self.sensor.abort(payload, &mut self.frame_scratch);
     }
 
-    /// Simulates a sensor power loss mid-session: all sensor RAM state
-    /// (the sequence counter and the seal high-water mark) is gone. With a
-    /// journal attached the counter resumes at the recovered reservation
-    /// high-water mark; without one it restarts at 0 — the catastrophic
-    /// nonce-reuse case the journal exists to prevent (and the run-wide
-    /// nonce auditor exists to catch).
+    /// Simulates a sensor power loss mid-session ([`Sensor::reboot`]).
     pub fn reboot_sensor(&mut self) {
-        self.stats.sensor_reboots += 1;
-        let next = match self.journal.as_mut() {
-            Some(journal) => {
-                let flushes_before = journal.stats().flushes;
-                let skipped = journal.reboot();
-                let flushed = journal.stats().flushes - flushes_before;
-                self.stats.journal_flushes += flushed;
-                self.stats.sequences_skipped += skipped as usize;
-                journal.next()
-            }
-            None => 0,
-        };
-        let epoch = self.journal.as_ref().map_or(0, SequenceJournal::epoch);
-        self.sensor.resume(next, epoch);
-    }
-
-    /// Draws the next number from the attached journal, folding any flush
-    /// into the session stats. `Err` carries the position the journal is
-    /// stuck at after the NVM refused every write attempt.
-    fn journal_reserve(&mut self) -> Result<u64, u64> {
-        let Some(journal) = self.journal.as_mut() else {
-            return Err(0);
-        };
-        let flushes_before = journal.stats().flushes;
-        let reserved = journal.reserve_next();
-        let flushed = journal.stats().flushes - flushes_before;
-        let stuck_at = journal.next();
-        self.stats.journal_flushes += flushed;
-        reserved.map_err(|_| stuck_at)
+        self.sensor.reboot();
     }
 
     /// Sends `payload` under an explicit sequence number (does not advance
@@ -1062,16 +1021,22 @@ impl Link {
         accepted
     }
 
-    fn drive(&mut self, sequence: u64, frame: &[u8]) -> Delivery {
-        let mut delivery = Delivery {
+    /// A delivery of `sequence` under the sensor's epoch before any
+    /// attempt.
+    fn delivery(&self, sequence: u64, frame_len: usize) -> Delivery {
+        Delivery {
             sequence,
             epoch: self.sensor.epoch(),
-            frame_len: frame.len(),
+            frame_len,
             attempts: 0,
             delivered: false,
             payloads: Vec::new(),
             backoff_ms: 0.0,
-        };
+        }
+    }
+
+    fn drive(&mut self, sequence: u64, frame: &[u8]) -> Delivery {
+        let mut delivery = self.delivery(sequence, frame.len());
         for attempt in 0..self.retry.max_attempts.max(1) {
             delivery.attempts = attempt + 1;
             self.stats.frames_sent += 1;
@@ -1086,8 +1051,10 @@ impl Link {
             }
             // Payloads surfacing now but carrying an older sequence number
             // missed their own send's deadline.
-            self.stats.late_deliveries += delivery.payloads[before..]
+            self.stats.late_deliveries += delivery
+                .payloads
                 .iter()
+                .skip(before)
                 .filter(|&&(seq, _)| seq != sequence)
                 .count();
             if delivery.delivered {
@@ -1134,12 +1101,22 @@ mod tests {
     use age_crypto::{AesCbc, ChaCha20, ChaCha20Poly1305};
 
     use super::*;
+    use crate::persist::NvmStore;
 
     fn aead_link(plan: FaultPlan, retry: RetryPolicy) -> Link {
         Link::new(
             Box::new(ChaCha20Poly1305::new([0x42; 32])),
             Box::new(ChaCha20Poly1305::new([0x42; 32])),
             plan,
+            retry,
+        )
+    }
+
+    fn journaled_link(retry: RetryPolicy, journal: SequenceJournal) -> Link {
+        Link::with_parts(
+            Sensor::new(Box::new(ChaCha20Poly1305::new([0x42; 32]))).with_journal(journal),
+            Receiver::new(Box::new(ChaCha20Poly1305::new([0x42; 32]))),
+            FaultChannel::new(FaultPlan::NONE),
             retry,
         )
     }
@@ -1341,8 +1318,9 @@ mod tests {
 
     #[test]
     fn journaled_link_survives_reboots_without_nonce_reuse() {
-        let mut link = aead_link(FaultPlan::NONE, RetryPolicy::none()).with_journal(
-            SequenceJournal::new(crate::persist::NvmStore::reliable(), 8),
+        let mut link = journaled_link(
+            RetryPolicy::none(),
+            SequenceJournal::new(NvmStore::reliable(), 8),
         );
         let mut sequences = Vec::new();
         for round in 0..5u8 {
@@ -1361,11 +1339,40 @@ mod tests {
             sequences.windows(2).all(|w| w[0] < w[1]),
             "journal sequences must be strictly increasing"
         );
-        let stats = *link.stats();
+        let stats = link.stats();
         assert_eq!(stats.sensor_reboots, 5);
         assert!(stats.journal_flushes > 0);
         assert!(stats.sequences_skipped > 0, "7 of each 8-block go unused");
         assert_eq!(stats.messages_lost, 0);
+    }
+
+    #[test]
+    fn a_journal_attached_with_history_counts_only_what_the_link_did() {
+        let mut journal = SequenceJournal::new(NvmStore::reliable(), 4);
+        for _ in 0..6 {
+            journal.reserve_next().unwrap();
+        }
+        journal.reboot();
+        assert_eq!(journal.stats().flushes, 3, "two blocks and a checkpoint");
+        let mut link = journaled_link(RetryPolicy::none(), journal);
+        for i in 0..5u8 {
+            assert_eq!(link.send(&[i; 8]).sequence, 8 + u64::from(i));
+        }
+        link.reboot_sensor();
+        // Sequences 8 and 12 each open a block, the reboot checkpoints,
+        // and recovery retires 13..16: the journal's earlier work is not
+        // the link's.
+        assert_eq!(
+            link.stats(),
+            LinkStats {
+                frames_sent: 5,
+                frames_delivered: 5,
+                sensor_reboots: 1,
+                journal_flushes: 3,
+                sequences_skipped: 3,
+                ..LinkStats::default()
+            }
+        );
     }
 
     #[test]
@@ -1388,8 +1395,7 @@ mod tests {
 
     #[test]
     fn abort_send_retires_the_sequence_without_radiating() {
-        let mut link = aead_link(FaultPlan::NONE, RetryPolicy::none())
-            .with_journal(SequenceJournal::reliable());
+        let mut link = journaled_link(RetryPolicy::none(), SequenceJournal::reliable());
         let first = link.send(b"before").sequence;
         let frames_on_wire = link.channel_stats().frames_in;
         link.abort_send(b"never radiates");
@@ -1408,20 +1414,28 @@ mod tests {
 
     #[test]
     fn journal_write_exhaustion_loses_the_message_without_sealing() {
-        let plan = crate::persist::NvmFaultPlan {
+        let plan = NvmFaultPlan {
             fail_rate: 1.0,
             torn_rate: 0.0,
             seed: 9,
         };
-        let mut link = aead_link(FaultPlan::NONE, RetryPolicy::default())
-            .with_journal(SequenceJournal::new(crate::persist::NvmStore::new(plan), 8));
+        let mut link = journaled_link(
+            RetryPolicy::default(),
+            SequenceJournal::new(NvmStore::new(plan), 8),
+        );
         let d = link.send(b"unreservable");
         assert!(!d.delivered);
         assert_eq!(d.attempts, 0, "nothing may radiate without a reservation");
         assert_eq!(link.stats().messages_lost, 1);
         assert_eq!(link.channel_stats().frames_in, 0);
+        let attempts = link
+            .sensor()
+            .journal()
+            .unwrap()
+            .nvm_stats()
+            .writes_attempted;
         assert!(
-            link.journal_write_attempts() >= SequenceJournal::WRITE_ATTEMPTS as usize,
+            attempts >= SequenceJournal::WRITE_ATTEMPTS as usize,
             "every failed NVM attempt is billable"
         );
     }
@@ -1430,11 +1444,11 @@ mod tests {
     fn seal_as_below_the_high_water_mark_is_counted_and_asserted() {
         let mut sensor = Sensor::new(Box::new(ChaCha20Poly1305::new([0x42; 32])));
         for _ in 0..5 {
-            let _ = sensor.seal(b"x");
+            let _ = sensor.seal(b"x").unwrap();
         }
-        assert_eq!(sensor.highest_sealed(), Some(4));
+        assert_eq!(sensor.highest_sealed, Some(4));
         let attempt = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            sensor.seal_as(2, b"reused nonce")
+            sensor.seal_as_into(2, b"reused nonce", &mut Vec::new())
         }));
         // The count increments before the debug assertion fires, so the
         // risk is visible even where the assertion is compiled out.
@@ -1493,7 +1507,7 @@ mod tests {
         assert_eq!(check(&receiver), 0, "nothing is derived up front");
         // A forgery at the sequence it was sealed at tries only the keys up
         // to that sequence's epoch: it derives nothing.
-        let mut forged = sensor.seal(b"forged").1;
+        let mut forged = sensor.seal(b"forged").unwrap().1;
         forged[20] ^= 1;
         assert_eq!(
             receiver.receive(&forged),
@@ -1511,12 +1525,14 @@ mod tests {
             // ...a brownout jump consumes the entries it passes...
             sensor.reboot_at(sensor.next_sequence() + 16 * (3 + round));
             let before = receiver.epoch();
-            assert!(receiver.receive(&sensor.seal(b"genuine").1).is_ok());
+            assert!(receiver
+                .receive(&sensor.seal(b"genuine").unwrap().1)
+                .is_ok());
             assert_eq!(receiver.epoch(), before + 3 + round);
             assert_eq!(check(&receiver), skip - 3 - round);
             // ...and in-order rotations take one entry each.
             for i in 0..40u8 {
-                assert!(receiver.receive(&sensor.seal(&[i; 8]).1).is_ok());
+                assert!(receiver.receive(&sensor.seal(&[i; 8]).unwrap().1).is_ok());
                 check(&receiver);
             }
             forged[4..12].copy_from_slice(&(sensor.next_sequence() + 2 * MAX_SKIP).to_le_bytes());
@@ -1526,10 +1542,10 @@ mod tests {
     #[test]
     fn frames_older_than_the_previous_epoch_are_rejected_without_an_open() {
         let (mut sensor, mut receiver) = rekey_pair(4);
-        let (_, stale) = sensor.seal(b"epoch zero");
-        let (_, short) = sensor.seal(b"");
+        let (_, stale) = sensor.seal(b"epoch zero").unwrap();
+        let (_, short) = sensor.seal(b"").unwrap();
         for i in 0..8u8 {
-            assert!(receiver.receive(&sensor.seal(&[i; 8]).1).is_ok());
+            assert!(receiver.receive(&sensor.seal(&[i; 8]).unwrap().1).is_ok());
         }
         assert_eq!(receiver.epoch(), 2);
         // Sequence 0 sits in epoch 0, below every key the receiver holds:
@@ -1602,10 +1618,12 @@ mod tests {
         // opens under the retired key and counts as epoch_behind.
         let (mut sensor, mut receiver) = rekey_pair(4);
         for i in 0..3u8 {
-            assert!(receiver.receive(&sensor.seal(&[i; 8]).1).is_ok());
+            assert!(receiver.receive(&sensor.seal(&[i; 8]).unwrap().1).is_ok());
         }
-        let (_, straggler) = sensor.seal(b"sealed in epoch zero");
-        assert!(receiver.receive(&sensor.seal(b"epoch one").1).is_ok());
+        let (_, straggler) = sensor.seal(b"sealed in epoch zero").unwrap();
+        assert!(receiver
+            .receive(&sensor.seal(b"epoch one").unwrap().1)
+            .is_ok());
         assert_eq!(receiver.epoch(), 1);
         let (sequence, payload) = receiver.receive(&straggler).unwrap();
         assert_eq!(sequence, 3);
@@ -1624,15 +1642,11 @@ mod tests {
         // follow the multi-epoch jump.
         let (sensor, receiver) = rekey_pair(4);
         let mut link = Link::with_parts(
-            sensor,
+            sensor.with_journal(SequenceJournal::new(NvmStore::reliable(), 8)),
             receiver,
             FaultChannel::new(FaultPlan::NONE),
             RetryPolicy::none(),
-        )
-        .with_journal(SequenceJournal::new(
-            crate::persist::NvmStore::reliable(),
-            8,
-        ));
+        );
         for i in 0..6u8 {
             let d = link.send(&[i; 16]);
             assert!(d.delivered);
@@ -1658,19 +1672,18 @@ mod tests {
         // and failing NVM writes, a lossy channel, and a rekey schedule all
         // at once: every frame that radiates must still carry a fresh
         // sequence number, and the link must keep making progress.
-        let nvm = crate::persist::NvmFaultPlan {
+        let nvm = NvmFaultPlan {
             fail_rate: 0.1,
             torn_rate: 0.3,
             seed: 31,
         };
         let (sensor, receiver) = rekey_pair(6);
         let mut link = Link::with_parts(
-            sensor,
+            sensor.with_journal(SequenceJournal::new(NvmStore::new(nvm), 4)),
             receiver,
             FaultChannel::new(FaultPlan::lossy(0.2, 8)),
             RetryPolicy::default(),
-        )
-        .with_journal(SequenceJournal::new(crate::persist::NvmStore::new(nvm), 4));
+        );
         let mut driver = age_telemetry::DetRng::seed_from_u64(5);
         let mut seen = std::collections::BTreeSet::new();
         let mut delivered = 0usize;
@@ -1692,7 +1705,7 @@ mod tests {
             }
             delivered += usize::from(d.delivered);
         }
-        let stats = *link.stats();
+        let stats = link.stats();
         assert!(
             stats.rotations > 10,
             "the schedule must fire across the soak"

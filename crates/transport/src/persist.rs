@@ -190,13 +190,13 @@ impl NvmStore {
         // regardless of outcomes.
         let failed = self.rng.gen_bool(self.plan.fail_rate);
         let torn = self.rng.gen_bool(self.plan.torn_rate);
-        if failed {
+        let Some(slot) = self.slots.get_mut(self.cursor).filter(|_| !failed) else {
             self.stats.writes_failed += 1;
             return false;
-        }
+        };
+        *slot = Slot::Valid(mark);
         // Reaching the next write proves the previous one completed.
         self.pending_tear = None;
-        self.slots[self.cursor] = Slot::Valid(mark);
         if torn {
             self.pending_tear = Some(self.cursor);
         }
@@ -207,8 +207,8 @@ impl NvmStore {
     /// The power loss itself: a pending tear, if any, materialises as a
     /// torn record.
     fn power_loss(&mut self) {
-        if let Some(index) = self.pending_tear.take() {
-            self.slots[index] = Slot::Torn;
+        if let Some(slot) = self.pending_tear.take().and_then(|i| self.slots.get_mut(i)) {
+            *slot = Slot::Torn;
             self.stats.writes_torn += 1;
         }
     }
@@ -423,6 +423,13 @@ impl SequenceJournal {
     /// [`JournalError::NvmWriteFailed`] when every write attempt failed its
     /// verify; no number is handed out.
     pub fn reserve_next(&mut self) -> Result<u64, JournalError> {
+        self.reserve_block()?;
+        self.next += 1;
+        Ok(self.next - 1)
+    }
+
+    /// [`reserve_next`](Self::reserve_next) without handing out a number.
+    pub(crate) fn reserve_block(&mut self) -> Result<(), JournalError> {
         if self.next == u64::MAX {
             return Err(JournalError::SequenceSpaceExhausted);
         }
@@ -431,9 +438,7 @@ impl SequenceJournal {
             self.persist_record(new_end)?;
             self.reserved_end = new_end;
         }
-        let sequence = self.next;
-        self.next += 1;
-        Ok(sequence)
+        Ok(())
     }
 
     /// Simulates a power loss: RAM state is discarded and rebuilt from the
@@ -655,6 +660,37 @@ mod tests {
         assert!(store.write_mark(40));
         let journal = SequenceJournal::new(store, 8);
         assert_eq!(journal.next(), 40);
+    }
+
+    #[test]
+    fn a_sensor_powering_up_on_a_used_store_resumes_from_its_records() {
+        use crate::link::{chacha20poly1305_factory, Link, LinkStats, Receiver, Sensor};
+        use crate::{FaultChannel, FaultPlan, RetryPolicy};
+        let mut store = NvmStore::reliable();
+        assert!(store.write_mark(pack_epoch_record(2, 40)));
+        let root = [9; 32];
+        let sensor = Sensor::with_rekey(root, 16, 0, chacha20poly1305_factory)
+            .with_journal(SequenceJournal::new(store, 8));
+        assert_eq!((sensor.next_sequence(), sensor.epoch()), (40, 2));
+        assert_eq!(sensor.stats(), LinkStats::default(), "nothing done yet");
+        let mut link = Link::with_parts(
+            sensor,
+            Receiver::with_rekey(root, 16, 0, chacha20poly1305_factory),
+            FaultChannel::new(FaultPlan::NONE),
+            RetryPolicy::none(),
+        );
+        let d = link.send(b"first after power-up");
+        assert!(d.delivered);
+        assert_eq!((d.sequence, d.epoch), (40, 2));
+        assert_eq!(
+            link.stats(),
+            LinkStats {
+                frames_sent: 1,
+                frames_delivered: 1,
+                journal_flushes: 1,
+                ..LinkStats::default()
+            }
+        );
     }
 
     #[test]

@@ -17,16 +17,18 @@
 //! deferral), the last record before a power loss torn or intact, and the
 //! recovery checkpoint written or refused. A refused reservation record
 //! changes nothing (the message is lost before anything is written), so it
-//! is not a branch. The sensor steps mirror `Link::send`,
-//! `Link::abort_send` and `Link::reboot_sensor` over `Sensor`,
-//! `SequenceJournal` and `NvmStore`. After every step it checks that
+//! is not a branch. The steps drive the shipped `Sensor` with its
+//! `SequenceJournal` and `NvmStore` (`seal_into`, and `reboot` for a power
+//! loss), fixing each NVM write's outcome with `Sensor::set_nvm_faults` at
+//! rates 0 and 1. After every step it checks that
 //!
-//! - no `(epoch, seq)` pair is sealed twice,
+//! - no `(epoch, seq)` pair is sealed twice, where the epoch is the one
+//!   whose key opens the frame, and the sensor reports that epoch,
 //! - every sealed frame has `epoch ≤ epoch_of(seq)`, with equality while no
 //!   rotation has been deferred,
 //! - the sensor's epoch and the journal's epoch never exceed the watermark
-//!   epoch of the next sequence number (so a resumed sensor is never ahead
-//!   of its schedule).
+//!   epoch of the next sequence number, and recovery resumes exactly on
+//!   it (so a resumed sensor is never ahead of, or behind, its schedule).
 //!
 //! **Receiver side.** The channel may drop, duplicate, reorder or corrupt
 //! any radiated frame, so every sequence of deliveries drawn from the
@@ -167,17 +169,17 @@ fn payload_of(sequence: u64) -> Vec<u8> {
 /// step's power loss as torn.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Step {
-    /// `Link::send`'s sensor half: reserve, journal a due rotation (or
-    /// defer it), seal, radiate.
+    /// `Sensor::seal_into` and the radio: reserve, journal a due rotation
+    /// (or defer it), seal, radiate.
     Send { defer: bool },
-    /// `Link::abort_send`: the same up to the seal, then power fails
-    /// before the radio and the sensor recovers.
+    /// `Sensor::abort`: the same seal, then power fails before the radio
+    /// and the sensor recovers.
     Abort {
         defer: bool,
         tear: bool,
         refuse_checkpoint: bool,
     },
-    /// `Link::reboot_sensor`: power fails and the sensor recovers.
+    /// `Sensor::reboot`: power fails and the sensor recovers.
     Reboot { tear: bool, refuse_checkpoint: bool },
 }
 
@@ -199,16 +201,19 @@ fn nvm(refuse: bool, torn: bool) -> NvmFaultPlan {
     }
 }
 
-/// A sensor run replayed from power-on.
+/// The chain epoch whose key opens `frame`, the one it was sealed under.
+fn sealed_epoch(frame: &[u8]) -> Option<u64> {
+    (0..64).find(|&epoch| key_of(epoch).open(frame).is_ok())
+}
+
+/// A journaled `Sensor` replayed from power-on, and what it sealed.
 struct SensorRun {
     phase: u64,
     sensor: Sensor,
-    journal: SequenceJournal,
     /// Every `(epoch, sequence)` sealed, radiated or not.
     sealed: BTreeSet<(u64, u64)>,
     /// Radiated frames as `(sequence, epoch, bytes)`, in sealing order.
     radiated: Vec<(u64, u64, Vec<u8>)>,
-    deferrals: usize,
     /// Journal flush count at the last power loss: a tear only matters if
     /// a record has been written since.
     flushes_at_loss: usize,
@@ -216,18 +221,18 @@ struct SensorRun {
 
 impl SensorRun {
     fn new(phase: u64) -> Self {
-        let mut sensor = Sensor::with_rekey(root(), INTERVAL, phase, checksum_factory);
-        let journal = SequenceJournal::new(NvmStore::reliable(), BLOCK);
-        sensor.resume(journal.next(), journal.epoch());
         SensorRun {
             phase,
-            sensor,
-            journal,
+            sensor: Sensor::with_rekey(root(), INTERVAL, phase, checksum_factory)
+                .with_journal(SequenceJournal::new(NvmStore::reliable(), BLOCK)),
             sealed: BTreeSet::new(),
             radiated: Vec::new(),
-            deferrals: 0,
             flushes_at_loss: 0,
         }
+    }
+
+    fn journal(&self) -> &SequenceJournal {
+        self.sensor.journal().expect("journaled")
     }
 
     fn watermark(&self, sequence: u64) -> u64 {
@@ -236,32 +241,36 @@ impl SensorRun {
 
     /// Whether the next seal is due to journal a rotation record.
     fn rotation_record_due(&self) -> bool {
-        self.sensor
-            .rotation_due(self.journal.next())
-            .is_some_and(|target| target > self.journal.epoch())
+        let target = self.watermark(self.journal().next());
+        target > self.sensor.epoch() && target > self.journal().epoch()
     }
 
     /// Whether a power loss now (after `writes_ahead` more records) would
     /// find a record written since the last one.
     fn tear_matters(&self, writes_ahead: bool) -> bool {
-        writes_ahead || self.journal.stats().flushes > self.flushes_at_loss
+        writes_ahead || self.journal().stats().flushes > self.flushes_at_loss
     }
 
-    /// Reserve, rotate if due, seal: the sensor half of `Link::send`.
-    /// `torn` is the tear rate for these writes (see [`replay`]).
-    fn reserve_and_seal(&mut self, defer: bool, torn: bool) -> Option<(u64, Vec<u8>)> {
-        self.journal.set_nvm_faults(nvm(false, torn));
-        let sequence = self.journal.reserve_next().ok()?;
-        if let Some(target) = self.sensor.rotation_due(sequence) {
-            self.journal.set_nvm_faults(nvm(defer, torn));
-            if self.journal.record_epoch(target).is_ok() {
-                self.sensor.rotate_to(target);
-            } else {
-                self.deferrals += 1;
-            }
-        }
-        let frame = self.sensor.seal_as(sequence, &payload_of(sequence));
-        let epoch = self.sensor.epoch();
+    /// One seal through the sensor's send path, every NVM write at tear
+    /// rate `torn` (see [`replay`]) and a due rotation record refused if
+    /// `defer`. A reservation record is never refused, so it is persisted
+    /// first (`Sensor::reserve`): one `set_nvm_faults` fixes every write
+    /// of the seal that follows it. Returns the frame's sequence number,
+    /// the epoch whose key opens it, and its bytes.
+    fn seal(&mut self, defer: bool, torn: bool) -> Option<(u64, u64, Vec<u8>)> {
+        self.sensor.set_nvm_faults(nvm(false, torn));
+        self.sensor.reserve().ok()?;
+        self.sensor.set_nvm_faults(nvm(defer, torn));
+        let expected = self.sensor.next_sequence();
+        let (sequence, frame) = self.sensor.seal(&payload_of(expected)).ok()?;
+        assert_eq!(sequence, expected, "sealed off the announced sequence");
+        let epoch = sealed_epoch(&frame).expect("sealed under a key off the chain");
+        assert_eq!(
+            epoch,
+            self.sensor.epoch(),
+            "seq {sequence} sealed under epoch {epoch}, reported as {}",
+            self.sensor.epoch()
+        );
         assert!(
             self.sealed.insert((epoch, sequence)),
             "(epoch {epoch}, seq {sequence}) sealed twice"
@@ -271,55 +280,58 @@ impl SensorRun {
             epoch <= watermark,
             "seq {sequence} sealed under epoch {epoch}, ahead of its watermark {watermark}"
         );
-        if self.deferrals == 0 {
+        if self.sensor.stats().rotations_deferred == 0 {
             assert_eq!(
                 epoch, watermark,
                 "seq {sequence} sealed off its watermark without a deferral"
             );
         }
-        Some((sequence, frame))
-    }
-
-    /// `Link::reboot_sensor`, with the checkpoint written at tear rate
-    /// `torn`.
-    fn brownout(&mut self, refuse_checkpoint: bool, torn: bool) {
-        self.journal.set_nvm_faults(nvm(refuse_checkpoint, torn));
-        self.journal.reboot();
-        self.sensor
-            .resume(self.journal.next(), self.journal.epoch());
-        self.flushes_at_loss = self.journal.stats().flushes;
+        Some((sequence, epoch, frame))
     }
 
     fn step(&mut self, step: Step, tear_next_loss: bool) {
-        match step {
+        let power_loss = match step {
             Step::Send { defer } => {
-                if let Some((sequence, frame)) = self.reserve_and_seal(defer, tear_next_loss) {
-                    let epoch = self.sensor.epoch();
-                    self.radiated.push((sequence, epoch, frame));
-                }
+                let sealed = self.seal(defer, tear_next_loss);
+                self.radiated.extend(sealed);
+                None
             }
             Step::Abort {
                 defer,
                 tear,
                 refuse_checkpoint,
             } => {
-                let _ = self.reserve_and_seal(defer, tear);
-                self.brownout(refuse_checkpoint, tear_next_loss);
+                let _ = self.seal(defer, tear);
+                Some(refuse_checkpoint)
             }
             Step::Reboot {
                 refuse_checkpoint, ..
-            } => self.brownout(refuse_checkpoint, tear_next_loss),
+            } => Some(refuse_checkpoint),
+        };
+        if let Some(refuse_checkpoint) = power_loss {
+            // `Sensor::abort` is the seal above and this reboot; they are
+            // made apart so the recovery checkpoint gets its own outcome.
+            self.sensor
+                .set_nvm_faults(nvm(refuse_checkpoint, tear_next_loss));
+            self.sensor.reboot();
+            self.flushes_at_loss = self.journal().stats().flushes;
+            let resumed = self.journal().next();
+            assert_eq!(
+                self.sensor.epoch(),
+                self.watermark(resumed),
+                "recovery resumed at {resumed} off its watermark epoch"
+            );
         }
-        let next = self.journal.next();
+        let next = self.journal().next();
         assert!(
             self.sensor.epoch() <= self.watermark(next),
             "sensor epoch {} ahead of the watermark of its next sequence {next}",
             self.sensor.epoch()
         );
         assert!(
-            self.journal.epoch() <= self.watermark(next),
+            self.journal().epoch() <= self.watermark(next),
             "journal epoch {} exceeds the resumed watermark of {next}",
-            self.journal.epoch()
+            self.journal().epoch()
         );
     }
 }
@@ -349,7 +361,7 @@ fn branches(run: &SensorRun) -> Vec<Step> {
     } else {
         &[false]
     };
-    let reserve_writes = run.journal.next() >= run.journal.reserved_end();
+    let reserve_writes = run.journal().next() >= run.journal().reserved_end();
     let mut steps = Vec::new();
     for &defer in defers {
         steps.push(Step::Send { defer });
@@ -409,7 +421,7 @@ fn explore_sensor(
     let run = replay(phase, path);
     if path.len() == SENSOR_STEPS {
         coverage.sensor_runs += 1;
-        coverage.deferred_runs += usize::from(run.deferrals > 0);
+        coverage.deferred_runs += usize::from(run.sensor.stats().rotations_deferred > 0);
         let frames: Vec<(u64, u64)> = run.radiated.iter().map(|&(s, e, _)| (s, e)).collect();
         if frame_sets.insert(frames) {
             coverage.behind_frames += run

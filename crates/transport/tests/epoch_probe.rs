@@ -46,8 +46,9 @@ fn stream(seed: u64, interval: u64, frames: usize) -> ([u8; 32], Vec<Vec<u8>>) {
             // In order; a frame sealed just before a rotation is
             // sometimes held back and delivered as a straggler later.
             0..=150 => {
-                let rotating = sensor.rotation_due(sensor.next_sequence() + 1).is_some();
-                let (_, frame) = sensor.seal(&payload);
+                let rotating =
+                    epoch_of(sensor.next_sequence() + 1, interval, phase) > sensor.epoch();
+                let (_, frame) = sensor.seal(&payload).unwrap();
                 sealed.push((sensor.epoch(), frame.clone()));
                 if rotating && held.is_none() && rng.gen_bool(0.5) {
                     held = Some(frame);
@@ -75,14 +76,14 @@ fn stream(seed: u64, interval: u64, frames: usize) -> ([u8; 32], Vec<Vec<u8>>) {
             // from the epochs it skipped can still be replayed.
             172 => {
                 for _ in 0..rng.gen_range(1..=3 * interval) {
-                    let (_, frame) = sensor.seal(&payload);
+                    let (_, frame) = sensor.seal(&payload).unwrap();
                     sealed.push((sensor.epoch(), frame));
                 }
             }
             // Forgeries: a flipped bit in a genuine frame, or noise of a
             // genuine frame's length.
             173..=181 => {
-                let (_, mut frame) = sensor.seal(&payload);
+                let (_, mut frame) = sensor.seal(&payload).unwrap();
                 if rng.gen_bool(0.5) {
                     let at = rng.gen_range(0..frame.len());
                     frame[at] ^= 1 << rng.gen_range(0..8u32);
@@ -109,7 +110,7 @@ fn stream(seed: u64, interval: u64, frames: usize) -> ([u8; 32], Vec<Vec<u8>>) {
                 if stranger.next_sequence() < sensor.next_sequence() {
                     stranger.reboot_at(sensor.next_sequence());
                 }
-                out.push(stranger.seal(&payload).1);
+                out.push(stranger.seal(&payload).unwrap().1);
             }
         }
     }

@@ -35,7 +35,7 @@ fn hostile_stream(make: impl Fn() -> Sensor, seed: u64, frames: usize) -> Vec<Ve
             .collect();
         match rng.gen_range(0..100u32) {
             0..=59 => {
-                let (_, frame) = sensor.seal(&payload);
+                let (_, frame) = sensor.seal(&payload).unwrap();
                 sealed.push(frame.clone());
                 out.push(frame);
             }
@@ -55,7 +55,7 @@ fn hostile_stream(make: impl Fn() -> Sensor, seed: u64, frames: usize) -> Vec<Ve
             // Forgeries: a flipped bit, or noise of a genuine frame's
             // length.
             72..=81 => {
-                let (_, mut frame) = sensor.seal(&payload);
+                let (_, mut frame) = sensor.seal(&payload).unwrap();
                 if rng.gen_bool(0.5) {
                     let at = rng.gen_range(0..frame.len());
                     frame[at] ^= 1 << rng.gen_range(0..8u32);
@@ -78,17 +78,17 @@ fn hostile_stream(make: impl Fn() -> Sensor, seed: u64, frames: usize) -> Vec<Ve
                 ghost.reboot_at(
                     sensor.next_sequence() + rng.gen_range(2 * MAX_SKIP + 1..=4 * MAX_SKIP),
                 );
-                out.push(ghost.seal(&payload).1);
+                out.push(ghost.seal(&payload).unwrap().1);
             }
             // Frames sealed but lost: later arrivals skip epochs.
             86..=89 => {
                 for _ in 0..rng.gen_range(1..=40u32) {
-                    sealed.push(sensor.seal(&payload).1);
+                    sealed.push(sensor.seal(&payload).unwrap().1);
                 }
             }
             // Truncations of a genuine frame, down to the empty datagram.
             _ => {
-                let (_, frame) = sensor.seal(&payload);
+                let (_, frame) = sensor.seal(&payload).unwrap();
                 let keep = rng.gen_range(0..frame.len());
                 out.push(frame[..keep].to_vec());
             }
@@ -184,12 +184,12 @@ fn boxed_ciphers_seal_and_open_without_allocating() {
     let mut receiver: Receiver = Receiver::new(Box::new(ChaCha20Poly1305::new(key)));
     let mut frame = Vec::new();
     let mut payload = Vec::new();
-    sensor.seal_into(&[0; 32], &mut frame);
+    sensor.seal_into(&[0; 32], &mut frame).unwrap();
     assert_eq!(receiver.receive_into(&frame, &mut payload), Ok(0));
 
     let before = alloc::snapshot();
     for i in 1..20u8 {
-        sensor.seal_into(&[i; 32], &mut frame);
+        sensor.seal_into(&[i; 32], &mut frame).unwrap();
         assert_eq!(
             receiver.receive_into(&frame, &mut payload),
             Ok(u64::from(i))

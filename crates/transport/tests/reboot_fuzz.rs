@@ -1,5 +1,5 @@
-//! Fuzzes `Receiver::receive` across a reboot boundary: frames sealed
-//! before and after a journal-backed recovery are interleaved with
+//! Fuzzes `Receiver::receive` across a reboot boundary: frames a journaled
+//! `Sensor` seals before and after its recovery are interleaved with
 //! corrupted mutants (truncations, extensions, bit flips) in a shuffled
 //! order, and the receiver must never panic, must accept every genuine
 //! frame exactly once, and must hand back byte-exact payloads. Beside it
@@ -21,6 +21,13 @@ use common::{assert_windows_agree, epoch_keys, NaiveReceiver};
 
 const KEY: [u8; 32] = [0xC3; 32];
 
+/// NVM that refuses one write attempt in ten and tears one record in four.
+const FAULTY_NVM: NvmFaultPlan = NvmFaultPlan {
+    fail_rate: 0.1,
+    torn_rate: 0.25,
+    seed: 0,
+};
+
 /// One frame of the fuzz corpus: the genuine bytes or a mutant.
 struct Case {
     frame: Vec<u8>,
@@ -28,29 +35,21 @@ struct Case {
     payload: Vec<u8>,
 }
 
-/// Seals `count` frames through `journal`, reserving each sequence before
-/// the seal exactly as the link does.
-fn seal_window(
-    sensor: &mut Sensor,
-    journal: &mut SequenceJournal,
-    count: usize,
-    rng: &mut DetRng,
-    cases: &mut Vec<Case>,
-) {
+/// Seals `count` frames of random payload through the sensor's own send
+/// path (journal reservation, any due rotation, seal).
+fn seal_window(sensor: &mut Sensor, count: usize, rng: &mut DetRng, cases: &mut Vec<Case>) {
     for _ in 0..count {
-        let Ok(sequence) = journal.reserve_next() else {
-            // NVM write exhaustion loses the message without radiating;
-            // nothing for the receiver to see.
-            continue;
-        };
         let len = rng.gen_range(8..=64);
         let payload: Vec<u8> = (0..len).map(|_| (rng.next_u64() & 0xFF) as u8).collect();
-        let frame = sensor.seal_as(sequence, &payload);
-        cases.push(Case {
-            frame,
-            genuine: true,
-            payload,
-        });
+        // NVM write exhaustion loses the message without radiating;
+        // nothing for the receiver to see.
+        if let Ok((_, frame)) = sensor.seal(&payload) {
+            cases.push(Case {
+                frame,
+                genuine: true,
+                payload,
+            });
+        }
     }
 }
 
@@ -85,26 +84,15 @@ fn mutants(frame: &[u8], rng: &mut DetRng, cases: &mut Vec<Case>) {
 /// shuffle, and feed everything to a fresh receiver.
 fn fuzz_round(seed: u64) {
     let mut rng = DetRng::seed_from_u64(seed);
-    let mut sensor = Sensor::new(Box::new(ChaCha20Poly1305::new(KEY)));
-    let mut journal = SequenceJournal::new(
-        NvmStore::with_seed(
-            NvmFaultPlan {
-                fail_rate: 0.1,
-                torn_rate: 0.25,
-                seed: 0,
-            },
-            seed,
-        ),
-        8,
-    );
-    sensor.reboot_at(journal.next());
+    let journal = SequenceJournal::new(NvmStore::with_seed(FAULTY_NVM, seed), 8);
+    let mut sensor = Sensor::new(Box::new(ChaCha20Poly1305::new(KEY))).with_journal(journal);
 
     let mut cases = Vec::new();
-    seal_window(&mut sensor, &mut journal, 20, &mut rng, &mut cases);
+    seal_window(&mut sensor, 20, &mut rng, &mut cases);
     // The reboot boundary: power is lost (possibly tearing the last NVM
     // record) and the sensor resumes from the journal's high-water mark.
-    sensor.reboot_at(journal.reboot());
-    seal_window(&mut sensor, &mut journal, 20, &mut rng, &mut cases);
+    sensor.reboot();
+    seal_window(&mut sensor, 20, &mut rng, &mut cases);
 
     // Derive mutants from a third of the genuine frames, then shuffle the
     // whole corpus so corrupted and out-of-order frames interleave.
@@ -179,36 +167,6 @@ fn receiver_survives_shuffled_corrupt_frames_across_a_reboot() {
     }
 }
 
-/// Seals a window through the journal with the link's write-ahead rotation
-/// protocol: any due epoch record is journaled *before* the key swap, and a
-/// refused record defers the rotation (the frame seals under the old key).
-fn seal_rotating_window(
-    sensor: &mut Sensor,
-    journal: &mut SequenceJournal,
-    count: usize,
-    rng: &mut DetRng,
-    cases: &mut Vec<Case>,
-) {
-    for _ in 0..count {
-        let Ok(sequence) = journal.reserve_next() else {
-            continue;
-        };
-        if let Some(target) = sensor.rotation_due(sequence) {
-            if journal.record_epoch(target).is_ok() {
-                sensor.rotate_to(target);
-            }
-        }
-        let len = rng.gen_range(8..=64);
-        let payload: Vec<u8> = (0..len).map(|_| (rng.next_u64() & 0xFF) as u8).collect();
-        let frame = sensor.seal_as(sequence, &payload);
-        cases.push(Case {
-            frame,
-            genuine: true,
-            payload,
-        });
-    }
-}
-
 /// Fuzzes the rotation window itself: repeated brownouts land between the
 /// epoch journal write and the first seal under the new key (and everywhere
 /// else), on NVM that tears or refuses records. Frames arrive in order with
@@ -219,34 +177,23 @@ fn rotation_fuzz_round(seed: u64) {
     let mut rng = DetRng::seed_from_u64(seed);
     let root = sensor_root(&fleet_secret(seed), 1);
     let interval = rng.gen_range(3..=9);
-    let mut sensor = Sensor::with_rekey(root, interval, 0, chacha20poly1305_factory);
-    let mut journal = SequenceJournal::new(
-        NvmStore::with_seed(
-            NvmFaultPlan {
-                fail_rate: 0.1,
-                torn_rate: 0.25,
-                seed: 0,
-            },
-            seed ^ 0x5A,
-        ),
-        4,
-    );
-    sensor.resume(journal.next(), journal.epoch());
+    let journal = SequenceJournal::new(NvmStore::with_seed(FAULTY_NVM, seed ^ 0x5A), 4);
+    let mut sensor =
+        Sensor::with_rekey(root, interval, 0, chacha20poly1305_factory).with_journal(journal);
 
     let mut cases = Vec::new();
     for _ in 0..12 {
         let burst = rng.gen_range(2..=6);
-        seal_rotating_window(&mut sensor, &mut journal, burst, &mut rng, &mut cases);
-        // Half the brownouts strike *inside* the rotation window: the epoch
-        // record has just been journaled (perhaps torn on the way down) but
-        // no frame was ever sealed under the new key.
+        seal_window(&mut sensor, burst, &mut rng, &mut cases);
+        // Half the brownouts strike *inside* the rotation window: the
+        // reservation and any due epoch record have just been journaled
+        // (perhaps torn on the way down) and a frame sealed, but nothing
+        // radiates under the new key.
         if rng.gen_bool(0.5) {
-            if let Some(target) = sensor.rotation_due(journal.next()) {
-                let _ = journal.record_epoch(target);
-            }
+            let _ = sensor.abort(b"never radiates", &mut Vec::new());
+        } else {
+            sensor.reboot();
         }
-        journal.reboot();
-        sensor.resume(journal.next(), journal.epoch());
     }
 
     // Interleave mutants in place (no shuffle: epoch tracking is forward-
@@ -329,13 +276,12 @@ fn unauthenticated_ciphers_never_panic_across_a_reboot() {
     for seed in 100..120 {
         let mut rng = DetRng::seed_from_u64(seed);
         let key16 = [0xC3; 16];
-        let mut sensor = Sensor::new(Box::new(AesCbc::new(key16)));
-        let mut journal = SequenceJournal::reliable();
-        sensor.reboot_at(journal.next());
+        let mut sensor =
+            Sensor::new(Box::new(AesCbc::new(key16))).with_journal(SequenceJournal::reliable());
         let mut cases = Vec::new();
-        seal_window(&mut sensor, &mut journal, 12, &mut rng, &mut cases);
-        sensor.reboot_at(journal.reboot());
-        seal_window(&mut sensor, &mut journal, 12, &mut rng, &mut cases);
+        seal_window(&mut sensor, 12, &mut rng, &mut cases);
+        sensor.reboot();
+        seal_window(&mut sensor, 12, &mut rng, &mut cases);
         let genuine_frames: Vec<Vec<u8>> = cases.iter().map(|c| c.frame.clone()).collect();
         for frame in &genuine_frames {
             mutants(frame, &mut rng, &mut cases);

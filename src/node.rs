@@ -90,7 +90,7 @@ mod tests {
         let mut sensor = Sensor::new(Box::new(ChaCha20Poly1305::new([1; 32])));
         // Mismatched key.
         let mut server = Receiver::new(Box::new(ChaCha20Poly1305::new([2; 32])));
-        let (_, frame) = sensor.seal(&plaintext);
+        let (_, frame) = sensor.seal(&plaintext).unwrap();
         assert!(matches!(
             server.receive(&frame),
             Err(ReceiveError::Cipher(_))
@@ -152,8 +152,8 @@ mod tests {
         let encoder = AgeEncoder::new(120);
         let mut sensor = Sensor::new(Box::new(ChaCha20::new([9; 32])));
         let truth = signal(2);
-        let (sa, a) = sensor.seal(&encode(&policy, &encoder, &c, &truth));
-        let (sb, b) = sensor.seal(&encode(&policy, &encoder, &c, &truth));
+        let (sa, a) = sensor.seal(&encode(&policy, &encoder, &c, &truth)).unwrap();
+        let (sb, b) = sensor.seal(&encode(&policy, &encoder, &c, &truth)).unwrap();
         assert_eq!(sb, sa + 1);
         assert_ne!(a, b, "same data must still produce distinct ciphertexts");
         assert_eq!(a.len(), b.len());

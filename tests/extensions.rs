@@ -37,13 +37,7 @@ fn authenticated_pipeline_with_losses_and_battery() {
     let mut sizes = std::collections::HashSet::new();
     let mut received = 0usize;
     for seq in data.sequences() {
-        let indices = policy.sample(&seq.values, d);
-        let values = indices
-            .iter()
-            .flat_map(|&t| &seq.values[t * d..(t + 1) * d])
-            .copied()
-            .collect();
-        let batch = Batch::new(indices, values).unwrap();
+        let batch = Batch::gather(policy.sample(&seq.values, d), &seq.values, d).unwrap();
         let delivery = link.send(&encoder.encode(&batch, &cfg).unwrap());
         sizes.insert(delivery.frame_len);
         // cost uses real message size
@@ -84,11 +78,7 @@ fn mcu_paths_agree_with_float_paths_end_to_end() {
         let r_idx = float_policy.sample_raw(&raw_values, spec.features, fmt.frac());
         assert_eq!(f_idx, r_idx, "policy decisions must match");
 
-        let mut collected = Vec::new();
-        for &t in &f_idx {
-            collected.extend_from_slice(&seq.values[t * spec.features..(t + 1) * spec.features]);
-        }
-        let batch = Batch::new(f_idx, collected).unwrap();
+        let batch = Batch::gather(f_idx, &seq.values, spec.features).unwrap();
         let raw_batch = RawBatch::from_batch(&batch, &cfg);
         encoder
             .encode_samples(&raw_batch, &cfg, &mut raw_scratch, &mut raw_message)
@@ -112,11 +102,7 @@ fn feedback_policy_feeds_age_without_offline_fit() {
     let mut sizes = std::collections::HashSet::new();
     for seq in data.sequences() {
         let indices = policy.sample_and_adapt(&seq.values, spec.features);
-        let mut values = Vec::new();
-        for &t in &indices {
-            values.extend_from_slice(&seq.values[t * spec.features..(t + 1) * spec.features]);
-        }
-        let batch = Batch::new(indices, values).unwrap();
+        let batch = Batch::gather(indices, &seq.values, spec.features).unwrap();
         sizes.insert(encoder.encode(&batch, &cfg).unwrap().len());
     }
     assert_eq!(sizes.len(), 1);
@@ -136,11 +122,7 @@ fn compression_leaks_where_age_does_not() {
     let mut age_obs = Vec::new();
     for seq in data.sequences() {
         let indices = uniform.sample(&seq.values, spec.features);
-        let mut values = Vec::new();
-        for &t in &indices {
-            values.extend_from_slice(&seq.values[t * spec.features..(t + 1) * spec.features]);
-        }
-        let batch = Batch::new(indices, values).unwrap();
+        let batch = Batch::gather(indices, &seq.values, spec.features).unwrap();
         delta_obs.push((seq.label, delta.encode(&batch, &cfg).unwrap().len()));
         age_obs.push((seq.label, age_enc.encode(&batch, &cfg).unwrap().len()));
     }
@@ -160,11 +142,7 @@ fn welch_test_separates_leaky_size_distributions() {
     let mut by_label: Vec<Vec<f64>> = vec![Vec::new(); spec.num_labels];
     for seq in data.sequences() {
         let indices = policy.sample(&seq.values, spec.features);
-        let mut values = Vec::new();
-        for &t in &indices {
-            values.extend_from_slice(&seq.values[t * spec.features..(t + 1) * spec.features]);
-        }
-        let batch = Batch::new(indices, values).unwrap();
+        let batch = Batch::gather(indices, &seq.values, spec.features).unwrap();
         by_label[seq.label].push(std_enc.encode(&batch, &cfg).unwrap().len() as f64);
     }
     // Seizure (0) vs walking (1) must separate significantly.
@@ -219,11 +197,7 @@ fn csv_roundtrip_through_the_full_pipeline() {
     let policy = LinearPolicy::new(0.1);
     for seq in &loaded {
         let indices = policy.sample(&seq.values, spec.features);
-        let mut values = Vec::new();
-        for &t in &indices {
-            values.extend_from_slice(&seq.values[t * spec.features..(t + 1) * spec.features]);
-        }
-        let batch = Batch::new(indices, values).unwrap();
+        let batch = Batch::gather(indices, &seq.values, spec.features).unwrap();
         let msg = encoder.encode(&batch, &cfg).unwrap();
         assert_eq!(msg.len(), 160);
         let layout = inspect_message(&msg, &cfg).unwrap();

@@ -11,12 +11,7 @@ use age::sim::{Defense, PolicyKind, Runner, SweepCell};
 
 /// Builds a batch by running a policy over a dataset sequence.
 fn sample_batch(policy: &dyn Policy, values: &[f64], d: usize) -> Batch {
-    let indices = policy.sample(values, d);
-    let mut collected = Vec::with_capacity(indices.len() * d);
-    for &t in &indices {
-        collected.extend_from_slice(&values[t * d..(t + 1) * d]);
-    }
-    Batch::new(indices, collected).expect("policy output is valid")
+    Batch::gather(policy.sample(values, d), values, d).expect("policy output is valid")
 }
 
 #[test]
