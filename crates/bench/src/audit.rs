@@ -1,8 +1,10 @@
 //! The leakage-audit harness behind `repro --audit` and the
 //! `bench_leakage` gate binary.
 //!
-//! One pinned configuration lives here so CI, the repro artifact, and the
-//! tests all speak the same thresholds. The gate judges two channels:
+//! One pinned gate lives here so CI, the repro artifact, and the tests
+//! judge sweeps alike; its thresholds are `age-telemetry`'s, which the
+//! fleet gate and the windowed monitor use too. The gate judges two
+//! channels:
 //!
 //! - **Size**: a defended encoder whose audited wire-size NMI exceeds
 //!   [`LEAKAGE_NMI_THRESHOLD`] fails.
@@ -19,27 +21,12 @@ use std::sync::Arc;
 
 use age_datasets::DatasetKind;
 use age_sim::{run_cells, Defense, PolicyKind, Runner, SweepCell};
-use age_telemetry::{install_thread, LeakageAudit, LeakageGate, LeakageReport, LeakageSink};
+use age_telemetry::{
+    install_thread, LeakageAudit, LeakageGate, LeakageReport, LeakageSink,
+    LEAKAGE_MIN_OBSERVATIONS, LEAKAGE_NMI_THRESHOLD, LEAKAGE_P_THRESHOLD,
+};
 
 use crate::report::Settings;
-
-/// NMI above this is a leakage regression for defended encoders.
-///
-/// Rationale: with the audit's per-cell sample sizes (tens to a few hundred
-/// frames), the maximum-likelihood NMI of genuinely independent streams
-/// sits well below 0.05 (finite-sample bias shrinks as 1/n and the
-/// defended encoders are *constant-size*, scoring exactly 0.0), while the
-/// undefended baseline scores an order of magnitude above it. 0.05 is far
-/// from both, so neither noise nor a real leak can straddle the line.
-pub const LEAKAGE_NMI_THRESHOLD: f64 = 0.05;
-
-/// Baseline leakage must be at least this significant (permutation-test
-/// p-value) before the gate counts it as proof the detector works.
-pub const LEAKAGE_P_THRESHOLD: f64 = 0.05;
-
-/// Streams with fewer audited frames than this are skipped by the gate;
-/// NMI estimates from a handful of observations are bias-dominated.
-pub const LEAKAGE_MIN_OBSERVATIONS: u64 = 30;
 
 /// The pinned gate configuration: every fixed-size defense must stay at or
 /// below the threshold, and the variable-size `Std` baseline must

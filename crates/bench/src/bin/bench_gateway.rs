@@ -26,10 +26,9 @@
 use std::fmt::Write as _;
 use std::time::Instant;
 
-use age_bench::{run_gateway, GatewayRunConfig};
 use age_sim::fleet::{fleet_gateway_config, generate, provisioned_gateway, FleetConfig};
+use age_sim::monitor::{fleet_monitor, run_fleet, FleetRunConfig};
 use age_telemetry::alloc::{self, CountingAllocator};
-use age_telemetry::MonitorConfig;
 
 #[global_allocator]
 static ALLOC: CountingAllocator = CountingAllocator::new();
@@ -41,34 +40,23 @@ fn die(message: &str) -> ! {
     std::process::exit(2);
 }
 
-/// Steady-state single-thread ingest: ns/frame and allocs/frame, with
-/// the shard warm. Thread-local alloc counters require this to run on
-/// one thread, so it uses `ingest` rather than `run`. The trace must
-/// be deep (many frames per sensor) and the warm-up long: a session
-/// only stops allocating once it has seen every (event, size) and
+/// One timed single-thread ingest pass over pre-generated traffic:
+/// build a fresh provisioned gateway (replay windows forbid reusing
+/// one), warm it on the first 75% of the trace, time the rest. Returns
+/// ns/frame and allocs/frame. Thread-local alloc counters require one
+/// thread, so it uses `ingest` rather than `run`. The trace must be
+/// deep (many frames per sensor) and the warm-up long: a session only
+/// stops allocating once it has seen every (event, size) and
 /// (event, gap) histogram key at least once, and events are drawn
 /// randomly per frame.
-fn measure_steady(
-    sensors: u64,
-    frames_per_sensor: usize,
-    seed: u64,
+fn timed_pass(
+    fleet: &FleetConfig,
+    traffic: &age_sim::fleet::FleetTraffic,
     monitored: bool,
-    rekey_interval: Option<u64>,
 ) -> (f64, f64) {
-    let fleet = FleetConfig {
-        frames_per_sensor,
-        rekey_interval,
-        ..FleetConfig::new(sensors, seed)
-    };
-    let traffic = generate(&fleet);
-    let mut gateway_config = fleet_gateway_config(&fleet, 1);
-    if monitored {
-        gateway_config.monitor = Some(MonitorConfig {
-            window_us: 500_000,
-            ..MonitorConfig::default()
-        });
-    }
-    let mut gateway = provisioned_gateway(&fleet, gateway_config);
+    let mut gateway_config = fleet_gateway_config(fleet, 1);
+    gateway_config.monitor = monitored.then(fleet_monitor);
+    let mut gateway = provisioned_gateway(fleet, gateway_config);
     let split = traffic.frames.len() * 3 / 4;
     for frame in &traffic.frames[..split] {
         let _ = gateway.ingest(frame);
@@ -87,49 +75,23 @@ fn measure_steady(
     )
 }
 
-/// Min-of-N steady-state measure: the minimum ns/frame over `rounds`
-/// runs (robust to scheduler noise) and the *maximum* allocs/frame (an
-/// allocation on any round is a real regression).
-fn min_steady(
-    sensors: u64,
-    frames_per_sensor: usize,
-    seed: u64,
-    monitored: bool,
-    rekey_interval: Option<u64>,
-) -> (f64, f64) {
+/// Min-of-3 steady-state measure over one static-key trace: the minimum
+/// ns/frame (robust to scheduler noise) and the *maximum* allocs/frame
+/// (an allocation on any round is a real regression).
+fn min_steady(sensors: u64, frames_per_sensor: usize, seed: u64, monitored: bool) -> (f64, f64) {
+    let fleet = FleetConfig {
+        frames_per_sensor,
+        ..FleetConfig::new(sensors, seed)
+    };
+    let traffic = generate(&fleet);
     let mut best_ns = f64::INFINITY;
     let mut worst_allocs: f64 = 0.0;
     for _ in 0..3 {
-        let (ns, allocs) =
-            measure_steady(sensors, frames_per_sensor, seed, monitored, rekey_interval);
+        let (ns, allocs) = timed_pass(&fleet, &traffic, monitored);
         best_ns = best_ns.min(ns);
         worst_allocs = worst_allocs.max(allocs);
     }
     (best_ns, worst_allocs)
-}
-
-/// One timed ingest pass over pre-generated traffic: build a fresh
-/// provisioned gateway (replay windows forbid reusing one), warm it on
-/// the first 75% of the trace, time the rest. Returns ns/frame.
-fn timed_pass(fleet: &FleetConfig, traffic: &age_sim::fleet::FleetTraffic, monitored: bool) -> f64 {
-    let mut gateway_config = fleet_gateway_config(fleet, 1);
-    if monitored {
-        gateway_config.monitor = Some(MonitorConfig {
-            window_us: 500_000,
-            ..MonitorConfig::default()
-        });
-    }
-    let mut gateway = provisioned_gateway(fleet, gateway_config);
-    let split = traffic.frames.len() * 3 / 4;
-    for frame in &traffic.frames[..split] {
-        let _ = gateway.ingest(frame);
-    }
-    let steady = &traffic.frames[split..];
-    let start = Instant::now();
-    for frame in steady {
-        let _ = gateway.ingest(frame);
-    }
-    start.elapsed().as_nanos() as f64 / steady.len() as f64
 }
 
 /// Paired min-of-N for overhead gates: generates both traces once, then
@@ -167,8 +129,8 @@ fn min_steady_paired(
     let mut base_ns = f64::INFINITY;
     let mut ratios = Vec::new();
     for _ in 0..9 {
-        let b = timed_pass(&base_fleet, &base_traffic, false);
-        let v = timed_pass(&variant_fleet, &variant_traffic, variant_monitored);
+        let (b, _) = timed_pass(&base_fleet, &base_traffic, false);
+        let (v, _) = timed_pass(&variant_fleet, &variant_traffic, variant_monitored);
         base_ns = base_ns.min(b);
         ratios.push(v / b.max(1e-9));
     }
@@ -193,7 +155,7 @@ fn check_mode() -> ! {
     let committed = committed_ns_per_frame(&report)
         .unwrap_or_else(|| die("committed BENCH_gateway.json carries no ns_per_frame"));
 
-    let (ns_per_frame, allocs_per_frame) = min_steady(1_000, 40, 2022, false, None);
+    let (ns_per_frame, allocs_per_frame) = min_steady(1_000, 40, 2022, false);
     println!(
         "gateway perf check: {ns_per_frame:.0} ns/frame (committed {committed:.0}, \
          limit {:.0}), {allocs_per_frame:.4} allocs/frame",
@@ -256,53 +218,28 @@ fn main() {
     if args.iter().any(|a| a == "--check") {
         check_mode();
     }
-    let mut config = GatewayRunConfig::new(FleetConfig::new(100_000, 2022));
-    config.record_latency = true;
+    let mut config = FleetRunConfig::new(FleetConfig::new(100_000, 2022), 4, 4);
     let mut out_path = String::from("BENCH_gateway.json");
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--sensors" => {
-                i += 1;
-                match args.get(i).and_then(|n| n.parse().ok()) {
-                    Some(n) if n > 0 => config.fleet.sensors = n,
-                    _ => die("--sensors needs a positive integer"),
-                }
-            }
-            "--frames" => {
-                i += 1;
-                match args.get(i).and_then(|n| n.parse().ok()) {
-                    Some(n) if n > 0 => config.fleet.frames_per_sensor = n,
-                    _ => die("--frames needs a positive integer"),
-                }
-            }
-            "--shards" => {
-                i += 1;
-                match args.get(i).and_then(|n| n.parse().ok()) {
-                    Some(n) if n > 0 => config.shards = n,
-                    _ => die("--shards needs a positive integer"),
-                }
-            }
-            "--threads" => {
-                i += 1;
-                match args.get(i).and_then(|n| n.parse().ok()) {
-                    Some(n) if n > 0 => config.threads = n,
-                    _ => die("--threads needs a positive integer"),
-                }
-            }
-            "--out" => {
-                i += 1;
-                match args.get(i) {
-                    Some(path) => out_path = path.clone(),
-                    None => die("--out needs a path"),
-                }
-            }
+    let mut args = args.iter();
+    while let Some(flag) = args.next() {
+        let positive = |value: Option<&String>| match value.and_then(|n| n.parse().ok()) {
+            Some(n) if n > 0 => n,
+            _ => die(&format!("{flag} needs a positive integer")),
+        };
+        match flag.as_str() {
+            "--sensors" => config.fleet.sensors = positive(args.next()) as u64,
+            "--frames" => config.fleet.frames_per_sensor = positive(args.next()),
+            "--shards" => config.shards = positive(args.next()),
+            "--threads" => config.threads = positive(args.next()),
+            "--out" => match args.next() {
+                Some(path) => out_path = path.clone(),
+                None => die("--out needs a path"),
+            },
             other => die(&format!(
                 "unknown flag '{other}'; usage: bench_gateway [--sensors N] [--frames N] \
                  [--shards K] [--threads T] [--out FILE] [--check]"
             )),
         }
-        i += 1;
     }
 
     let frames = config.fleet.sensors * config.fleet.frames_per_sensor as u64;
@@ -310,16 +247,16 @@ fn main() {
         "fleet: {} sensors x {} frames = {} frames, {} shards, {} threads",
         config.fleet.sensors, config.fleet.frames_per_sensor, frames, config.shards, config.threads
     );
-    let run = run_gateway(&config);
+    let run = run_fleet(&config);
     let frames_per_sec = run.report.stats.frames as f64 / run.ingest_seconds.max(1e-9);
     let p50 = run.latency.p50_ns();
     let p99 = run.latency.p99_ns();
     let max_occupancy = run.occupancy.iter().copied().max().unwrap_or(0);
     let min_occupancy = run.occupancy.iter().copied().min().unwrap_or(0);
     let balance = max_occupancy as f64 / (min_occupancy.max(1)) as f64;
-    let (steady_ns, steady_allocs) = min_steady(1_000, 40, config.fleet.seed, false, None);
+    let (steady_ns, steady_allocs) = min_steady(1_000, 40, config.fleet.seed, false);
     let (monitored_ns, monitor_overhead) = {
-        let (ns, _) = min_steady(1_000, 40, config.fleet.seed, true, None);
+        let (ns, _) = min_steady(1_000, 40, config.fleet.seed, true);
         (ns, ns / steady_ns.max(1e-9))
     };
 

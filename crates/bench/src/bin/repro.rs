@@ -51,27 +51,34 @@
 //! `--trace`, gateway ingest emits per-shard span trees
 //! (ingest → decode → audit) into the same Chrome-trace file.
 //!
-//! `--health <path>` re-runs the fleet through the *monitored* driver
-//! (streaming windowed leakage monitor + flight recorder + periodic
-//! health snapshots) and writes one JSON line per virtual half-second
-//! to `path`, plus a Prometheus-style exposition of the final snapshot
-//! to `<path>.prom`. The stream is byte-identical at any shard/thread
-//! count — CI `cmp`s it at 1 vs 4 shards. Implies `--gateway`.
+//! `--health <path>` arms the streaming monitor on that same fleet run
+//! (windowed leakage monitor + flight recorder + periodic health
+//! snapshots): the fleet drains in virtual half-second ticks, one JSON
+//! line per tick goes to `path`, and a Prometheus-style exposition of
+//! the final snapshot to `<path>.prom`. The stream is byte-identical at
+//! any shard/thread count — CI `cmp`s it at 1 vs 4 shards — and arming
+//! the monitor changes no `GATEWAY.json` byte. A monitored run records
+//! no wall-clock latency, so the per-shard p50/p99 columns read 0.
+//! Implies `--gateway`.
 //!
-//! `--postmortem <dir>` arms postmortem capture for the monitored run:
-//! the first windowed alarm (or dirty nonce audit, or end-of-run gate
-//! failure) freezes the merged flight-recorder ring into
-//! `<dir>/POSTMORTEM.json`. Implies `--gateway`.
+//! `--postmortem <dir>` arms the monitor too: the first windowed alarm
+//! (or dirty nonce audit, or end-of-run gate failure) freezes the merged
+//! flight-recorder ring into `<dir>/POSTMORTEM.json`. Implies
+//! `--gateway`.
 //!
-//! `--inject-regression <us>` injects the monitor-leg regression
-//! scenario into the monitored run: after virtual time `us`, defended
+//! `--inject-regression <us>` runs the monitor-leg regression scenario
+//! instead of the plain fleet: after virtual time `us`, defended
 //! sensors delay transmissions in proportion to the event class, so the
 //! windowed monitor must raise a timing-leak alarm mid-run — CI runs
-//! this and asserts the alarm and postmortem appear.
+//! this and asserts the alarm and postmortem appear. `GATEWAY.json` then
+//! describes that injected fleet; its gate verdict is printed but not
+//! enforced (the fleet is meant to leak), the nonce audits still are.
 
 use std::time::Instant;
 
 use age_bench::{run_experiment, run_extension, Settings, EXPERIMENTS, EXTENSIONS};
+use age_sim::fleet::FleetConfig;
+use age_sim::monitor::{fleet_monitor, regression_scenario, run_fleet, FleetRunConfig};
 
 /// Takes the value after a flag and parses it; prints `error` and exits 2
 /// when the value is missing or `parse` rejects it.
@@ -86,6 +93,15 @@ fn flag_value<T>(
             eprintln!("{error}");
             std::process::exit(2);
         }
+    }
+}
+
+/// Writes an output artifact; prints which one could not be written and
+/// exits 2 on failure.
+fn write_artifact(path: &str, what: &str, body: &str) {
+    if let Err(e) = std::fs::write(path, body) {
+        eprintln!("cannot write {what} '{path}': {e}");
+        std::process::exit(2);
     }
 }
 
@@ -207,9 +223,9 @@ fn main() {
         settings.rekey_interval = rekey_interval;
     }
     // The monitored-run flags only make sense with the fleet experiment.
-    if health_out.is_some() || postmortem_dir.is_some() || inject_regression_us.is_some() {
-        gateway = true;
-    }
+    let monitored =
+        health_out.is_some() || postmortem_dir.is_some() || inject_regression_us.is_some();
+    gateway |= monitored;
     if ids.is_empty() && !gateway {
         eprintln!(
             "usage: repro [--quick|--full] [--threads N] [--faults RATE] \
@@ -287,25 +303,33 @@ fn main() {
     let mut gateway_failed = false;
 
     if gateway {
-        // One fleet for the gateway run and the monitored rerun, so both
-        // follow the same rekey schedule.
-        let fleet = age_sim::fleet::FleetConfig {
+        let fleet = FleetConfig {
             rekey_interval: settings.rekey_interval,
-            ..age_sim::fleet::FleetConfig::new(sensors, settings.seed)
+            ..FleetConfig::new(sensors, settings.seed)
         };
-        let mut config = age_bench::GatewayRunConfig::new(fleet);
-        config.shards = shards;
-        config.threads = if settings.threads > 0 {
+        let threads = if settings.threads > 0 {
             settings.threads
         } else {
             shards
         };
-        config.permutations = settings.permutations.min(500);
-        // Latency never enters GATEWAY.json, so recording it keeps the
-        // artifact byte-comparable while making the table informative.
-        config.record_latency = true;
+        let mut config = FleetRunConfig {
+            permutations: settings.permutations.min(500),
+            monitor: monitored.then(fleet_monitor),
+            ..FleetRunConfig::new(fleet, shards, threads)
+        };
+        // An injected regression runs the monitor-leg scenario's fleet
+        // and windows on this run's seed, rekey schedule and shape.
+        if let Some(after_us) = inject_regression_us {
+            let scenario = regression_scenario(sensors, fleet.seed);
+            config.fleet = FleetConfig {
+                regress_timing_after_us: Some(after_us),
+                rekey_interval: fleet.rekey_interval,
+                ..scenario.fleet
+            };
+            config.monitor = scenario.monitor;
+        }
         let start = Instant::now();
-        let run = age_bench::run_gateway(&config);
+        let run = run_fleet(&config);
         print!("{}", run.report);
         println!("shard occupancy: {:?} sessions", run.occupancy);
         println!("per-shard ingest:");
@@ -315,71 +339,43 @@ fn main() {
             "nonce audits (seal-side and gateway-side): {}",
             if run.nonce_clean { "clean" } else { "VIOLATED" }
         );
-        match std::fs::write(&gateway_out, run.gateway_json()) {
-            Ok(()) => println!("[gateway report written to {gateway_out}]"),
-            Err(e) => {
-                eprintln!("cannot write gateway report '{gateway_out}': {e}");
-                std::process::exit(2);
-            }
-        }
+        write_artifact(&gateway_out, "gateway report", &run.gateway_json());
+        println!("[gateway report written to {gateway_out}]");
         println!(
             "[gateway: {} sensors through {} shards in {:.1}s]\n",
             sensors,
             shards,
             start.elapsed().as_secs_f64()
         );
-        if !run.gate_passed() || !run.nonce_clean {
+        // An injected regression is *supposed* to leak, so its gate is
+        // printed but not enforced; the nonce audits always are.
+        if (inject_regression_us.is_none() && !run.gate_passed()) || !run.nonce_clean {
             eprintln!("gateway run FAILED its leakage gate or nonce audit");
             gateway_failed = true;
         }
 
-        // The monitored rerun: same fleet, ingested tick by tick with
-        // the streaming monitor, flight recorder, and health snapshots.
-        if health_out.is_some() || postmortem_dir.is_some() || inject_regression_us.is_some() {
-            let mut monitor_config = match inject_regression_us {
-                Some(after_us) => {
-                    let mut scenario = age_sim::monitor::regression_scenario(sensors, fleet.seed);
-                    scenario.fleet.regress_timing_after_us = Some(after_us);
-                    scenario.fleet.rekey_interval = fleet.rekey_interval;
-                    scenario
-                }
-                None => age_sim::monitor::MonitorRunConfig::new(fleet, shards, config.threads),
-            };
-            monitor_config.shards = shards;
-            monitor_config.threads = config.threads;
-            monitor_config.gate_permutations = config.permutations;
-            let monitored_start = Instant::now();
-            let monitored = age_sim::monitor::run_monitored(&monitor_config);
+        if monitored {
             println!(
-                "[monitored rerun: {} health ticks, {} windowed alarm(s) in {:.1}s]",
-                monitored.snapshots.len(),
-                monitored.alarms.len(),
-                monitored_start.elapsed().as_secs_f64()
+                "[monitored run: {} health ticks, {} windowed alarm(s)]",
+                run.snapshots.len(),
+                run.alarms.len()
             );
-            for alarm in &monitored.alarms {
+            for alarm in &run.alarms {
                 println!("  {alarm}");
             }
-            if let (Some(at), false) =
-                (monitored.first_alarm_at_frames, monitored.alarms.is_empty())
-            {
+            if let (Some(at), false) = (run.first_alarm_at_frames, run.alarms.is_empty()) {
                 println!(
                     "  first alarm fired at {at} of {} frames (mid-run)",
-                    monitored.report.stats.frames
+                    run.report.stats.frames
                 );
             }
             if let Some(path) = &health_out {
-                if let Err(e) = std::fs::write(path, &monitored.health_jsonl) {
-                    eprintln!("cannot write health stream '{path}': {e}");
-                    std::process::exit(2);
-                }
+                write_artifact(path, "health stream", &run.health_jsonl);
                 let prom_path = format!("{path}.prom");
-                if let Err(e) = std::fs::write(&prom_path, &monitored.prometheus) {
-                    eprintln!("cannot write prometheus exposition '{prom_path}': {e}");
-                    std::process::exit(2);
-                }
+                write_artifact(&prom_path, "prometheus exposition", &run.prometheus);
                 println!(
                     "[{} health snapshots written to {path}; final exposition to {prom_path}]",
-                    monitored.snapshots.len()
+                    run.snapshots.len()
                 );
             }
             if let Some(dir) = &postmortem_dir {
@@ -387,23 +383,14 @@ fn main() {
                     eprintln!("cannot create postmortem directory '{dir}': {e}");
                     std::process::exit(2);
                 }
-                match (&monitored.postmortem, &monitored.postmortem_trigger) {
+                match (&run.postmortem, &run.postmortem_trigger) {
                     (Some(body), Some(trigger)) => {
                         let path = format!("{dir}/POSTMORTEM.json");
-                        if let Err(e) = std::fs::write(&path, body) {
-                            eprintln!("cannot write postmortem '{path}': {e}");
-                            std::process::exit(2);
-                        }
+                        write_artifact(&path, "postmortem", body);
                         println!("[postmortem ({trigger}) written to {path}]");
                     }
                     _ => println!("[no postmortem trigger — flight recorder stayed quiet]"),
                 }
-            }
-            // An injected regression is *supposed* to leak; only an
-            // organic monitored-gate failure counts against the run.
-            if inject_regression_us.is_none() && !monitored.gate.passed {
-                eprintln!("monitored gateway rerun FAILED its leakage gate");
-                gateway_failed = true;
             }
         }
     }
@@ -450,27 +437,17 @@ fn main() {
             println!("leakage audit (sealed wire frames per stream):");
             print!("{report}");
         }
-        match std::fs::write(&audit_out, report.to_json()) {
-            Ok(()) => println!("[leakage report written to {audit_out}]"),
-            Err(e) => {
-                eprintln!("cannot write leakage report '{audit_out}': {e}");
-                std::process::exit(2);
-            }
-        }
+        write_artifact(&audit_out, "leakage report", &report.to_json());
+        println!("[leakage report written to {audit_out}]");
     }
     if let Some(trace) = trace_sink {
         let spans = trace.take();
         let path = trace_path.as_deref().expect("trace sink implies a path");
-        match std::fs::write(path, age_telemetry::render_chrome_json(&spans)) {
-            Ok(()) => println!(
-                "[{} virtual-clock spans written to {path} (chrome://tracing format)]",
-                spans.len()
-            ),
-            Err(e) => {
-                eprintln!("cannot write trace '{path}': {e}");
-                std::process::exit(2);
-            }
-        }
+        write_artifact(path, "trace", &age_telemetry::render_chrome_json(&spans));
+        println!(
+            "[{} virtual-clock spans written to {path} (chrome://tracing format)]",
+            spans.len()
+        );
     }
     if let Some(nonce) = nonce_sink {
         let audit = nonce.take();

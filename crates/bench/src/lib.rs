@@ -11,11 +11,9 @@
 
 pub mod audit;
 pub mod extensions;
-pub mod gateway;
 pub mod harness;
 pub mod report;
 
 pub use extensions::{run_extension, EXTENSIONS};
-pub use gateway::{run_gateway, GatewayRun, GatewayRunConfig};
 pub use harness::Harness;
 pub use report::{run_experiment, Settings, EXPERIMENTS, RATES};

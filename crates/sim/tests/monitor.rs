@@ -3,20 +3,21 @@
 //! windowed alarm *while frames are still in flight* (the end-of-run
 //! gate structurally cannot), and the postmortem freezes a
 //! deterministic flight-recorder dump at the moment of the trigger.
+//! Arming the monitor only observes: a monitored and an unmonitored run
+//! of one fleet write the same `GATEWAY.json`.
 use age_sim::fleet::FleetConfig;
 use age_sim::monitor::{
-    corruption_scenario, regression_scenario, run_monitored, MonitorRunConfig, MonitoredRun,
+    corruption_scenario, fleet_monitor, regression_scenario, run_fleet, FleetRun, FleetRunConfig,
 };
 use age_telemetry::AlarmKind;
 
 const SEED: u64 = 2022;
 
-fn healthy(shards: usize, threads: usize) -> MonitoredRun {
-    run_monitored(&MonitorRunConfig::new(
-        FleetConfig::new(150, SEED),
-        shards,
-        threads,
-    ))
+fn healthy(shards: usize, threads: usize) -> FleetRun {
+    run_fleet(&FleetRunConfig {
+        monitor: Some(fleet_monitor()),
+        ..FleetRunConfig::new(FleetConfig::new(150, SEED), shards, threads)
+    })
 }
 
 #[test]
@@ -28,7 +29,11 @@ fn healthy_fleet_raises_no_alarms_and_gate_passes() {
         run.alarms
     );
     assert!(run.postmortem.is_none(), "{:?}", run.postmortem_trigger);
-    assert!(run.gate.passed, "end-of-run gate failed:\n{}", run.leakage);
+    assert!(
+        run.gate_passed(),
+        "end-of-run gate failed:\n{}",
+        run.leakage
+    );
     assert_eq!(run.report.stats.frames, 150 * 4);
     assert_eq!(run.report.stats.rejected(), 0);
 
@@ -63,7 +68,7 @@ fn health_stream_is_byte_identical_across_shard_and_thread_configs() {
 
 #[test]
 fn timing_regression_trips_a_windowed_alarm_mid_run() {
-    let run = run_monitored(&regression_scenario(100, SEED));
+    let run = run_fleet(&regression_scenario(100, SEED));
 
     let first = run
         .alarms
@@ -109,13 +114,13 @@ fn timing_regression_trips_a_windowed_alarm_mid_run() {
 
 #[test]
 fn regression_artifacts_are_byte_identical_across_shard_counts() {
-    let runs: Vec<MonitoredRun> = [(1usize, 1usize), (4, 4), (2, 3)]
+    let runs: Vec<FleetRun> = [(1usize, 1usize), (4, 4), (2, 3)]
         .into_iter()
         .map(|(shards, threads)| {
             let mut scenario = regression_scenario(100, SEED);
             scenario.shards = shards;
             scenario.threads = threads;
-            run_monitored(&scenario)
+            run_fleet(&scenario)
         })
         .collect();
     for run in &runs[1..] {
@@ -130,7 +135,7 @@ fn regression_artifacts_are_byte_identical_across_shard_counts() {
 
 #[test]
 fn corruption_floods_the_rejection_rate_alarm() {
-    let run = run_monitored(&corruption_scenario(120, 7));
+    let run = run_fleet(&corruption_scenario(120, 7));
     assert!(
         run.report.stats.auth_failed > 0,
         "corruption never reached the gateway"
@@ -153,4 +158,74 @@ fn corruption_floods_the_rejection_rate_alarm() {
         "flight recorder must retain the rejected frames"
     );
     assert!(postmortem.contains("\"seq\": null"));
+}
+
+#[test]
+fn arming_the_monitor_changes_no_gateway_artifact() {
+    for rekey_interval in [None, Some(16)] {
+        for shards in [1, 4] {
+            let plain = FleetRunConfig {
+                permutations: 100,
+                ..FleetRunConfig::new(
+                    FleetConfig {
+                        rekey_interval,
+                        ..FleetConfig::new(300, SEED)
+                    },
+                    shards,
+                    shards,
+                )
+            };
+            let unmonitored = run_fleet(&plain);
+            let monitored = run_fleet(&FleetRunConfig {
+                monitor: Some(fleet_monitor()),
+                ..plain
+            });
+            let at = format!("{shards} shards, rekey {rekey_interval:?}");
+            assert_eq!(monitored.gateway_json(), unmonitored.gateway_json(), "{at}");
+            assert_eq!(
+                monitored.report.to_json(),
+                unmonitored.report.to_json(),
+                "{at}"
+            );
+            assert_eq!(
+                monitored.leakage.to_json(),
+                unmonitored.leakage.to_json(),
+                "{at}"
+            );
+            assert!(unmonitored.leakage.gate.is_some(), "{at}: gate not stamped");
+            assert_eq!(monitored.nonce_clean, unmonitored.nonce_clean, "{at}");
+            assert!(unmonitored.gate_passed() && unmonitored.nonce_clean, "{at}");
+            if rekey_interval.is_some() {
+                assert!(
+                    unmonitored.report.stats.rotations > 0,
+                    "{at}: never rekeyed"
+                );
+            }
+
+            assert!(!monitored.snapshots.is_empty(), "{at}");
+            assert!(unmonitored.snapshots.is_empty(), "{at}");
+            assert!(unmonitored.health_jsonl.is_empty() && unmonitored.prometheus.is_empty());
+            assert!(unmonitored.alarms.is_empty() && unmonitored.postmortem.is_none());
+        }
+    }
+}
+
+#[test]
+fn the_fleet_rekey_setting_reaches_the_run() {
+    let rotations = |rekey_interval| {
+        let config = FleetRunConfig {
+            permutations: 10,
+            ..FleetRunConfig::new(
+                FleetConfig {
+                    rekey_interval,
+                    ..FleetConfig::new(200, 7)
+                },
+                4,
+                4,
+            )
+        };
+        run_fleet(&config).report.stats.rotations
+    };
+    assert!(rotations(Some(2)) > 0);
+    assert_eq!(rotations(None), 0);
 }

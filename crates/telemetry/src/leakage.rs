@@ -37,6 +37,26 @@ use std::collections::BTreeMap;
 
 use crate::rng::{DetRng, SliceShuffle};
 
+/// NMI above this is a leakage regression for defended encoders — the one
+/// threshold the end-of-run gates and the windowed monitor share.
+///
+/// Rationale: with the audit's per-cell sample sizes (tens to a few hundred
+/// frames), the maximum-likelihood NMI of genuinely independent streams
+/// sits well below 0.05 (finite-sample bias shrinks as 1/n and the
+/// defended encoders are *constant-size*, scoring exactly 0.0), while the
+/// undefended baseline scores an order of magnitude above it. 0.05 is far
+/// from both, so neither noise nor a real leak can straddle the line.
+pub const LEAKAGE_NMI_THRESHOLD: f64 = 0.05;
+
+/// Baseline leakage must be at least this significant (permutation-test
+/// p-value) before a gate counts it as proof the detector works; timing
+/// leaks must be this significant to count at all.
+pub const LEAKAGE_P_THRESHOLD: f64 = 0.05;
+
+/// Streams with fewer audited frames than this are skipped; NMI estimates
+/// from a handful of observations are bias-dominated.
+pub const LEAKAGE_MIN_OBSERVATIONS: u64 = 30;
+
 /// Shannon entropy (bits) of a discrete empirical distribution given by
 /// occurrence counts. Zero counts are ignored; an empty distribution has
 /// entropy 0.

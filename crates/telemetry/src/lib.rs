@@ -68,7 +68,8 @@ pub mod trace;
 
 pub use leakage::{
     entropy_from_counts, nmi, permutation_test, GateOutcome, LeakageAudit, LeakageEntry,
-    LeakageGate, LeakageReport, LeakageSink, LeakageStream,
+    LeakageGate, LeakageReport, LeakageSink, LeakageStream, LEAKAGE_MIN_OBSERVATIONS,
+    LEAKAGE_NMI_THRESHOLD, LEAKAGE_P_THRESHOLD,
 };
 pub use monitor::{Alarm, AlarmKind, MonitorConfig, WindowScore, WindowTraffic, WindowedMonitor};
 pub use nonce::{

@@ -44,7 +44,9 @@
 use std::collections::BTreeMap;
 use std::fmt;
 
-use crate::leakage::LeakageStream;
+use crate::leakage::{
+    LeakageStream, LEAKAGE_MIN_OBSERVATIONS, LEAKAGE_NMI_THRESHOLD, LEAKAGE_P_THRESHOLD,
+};
 
 /// Thresholds and window shape for the streaming monitor.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -73,9 +75,9 @@ impl Default for MonitorConfig {
     fn default() -> Self {
         MonitorConfig {
             window_us: 1_000_000,
-            nmi_threshold: 0.05,
-            p_threshold: 0.05,
-            min_observations: 30,
+            nmi_threshold: LEAKAGE_NMI_THRESHOLD,
+            p_threshold: LEAKAGE_P_THRESHOLD,
+            min_observations: LEAKAGE_MIN_OBSERVATIONS,
             permutations: 100,
             max_rejection_rate: 0.25,
             min_frames: 50,

@@ -189,10 +189,10 @@ impl Sensor {
     /// Numbers frames from a persisted sequence-reservation journal instead
     /// of the RAM counter, so [`Sensor::reboot`] recovers without nonce
     /// reuse. The sensor resumes at the journal's position (0 for a fresh
-    /// store) and on the journal's recovered epoch; [`Sensor::stats`]
+    /// store) and on that position's watermark epoch; [`Sensor::stats`]
     /// counts the journal's work from here on.
     pub fn with_journal(mut self, journal: SequenceJournal) -> Self {
-        self.resume(journal.next(), journal.epoch());
+        self.resume(journal.next());
         self.journal_base = *journal.stats();
         self.journal = Some(journal);
         self
@@ -342,22 +342,22 @@ impl Sensor {
     /// — the nonce-reuse case the journal exists to prevent (and the
     /// run-wide nonce auditor exists to catch).
     pub fn reboot(&mut self) {
-        let (next, epoch) = match self.journal.as_mut() {
+        let next = match self.journal.as_mut() {
             Some(journal) => {
                 journal.reboot();
-                (journal.next(), journal.epoch())
+                journal.next()
             }
-            None => (0, 0),
+            None => 0,
         };
         self.counts.sensor_reboots += 1;
-        self.resume(next, epoch);
+        self.resume(next);
     }
 
     /// A power loss on a sensor without a journal, its counter restarting
     /// wherever the caller says.
     pub fn reboot_at(&mut self, next_sequence: u64) {
         self.counts.sensor_reboots += 1;
-        self.resume(next_sequence, 0);
+        self.resume(next_sequence);
     }
 
     /// Exact on-air frame length for a payload of `payload_len` bytes.
@@ -366,9 +366,12 @@ impl Sensor {
     }
 
     /// Power-loss recovery: the counter restarts at `next_sequence`, and
-    /// the ratchet is rebuilt from the root at whichever is later of the
-    /// journal's committed epoch and the watermark epoch of the resumed
-    /// sequence position.
+    /// the ratchet is rebuilt from the root at the watermark epoch of that
+    /// position — the one epoch the receiver's capped probe tries for it.
+    /// On a consistent store the journal's committed epoch never exceeds
+    /// it; one written under another interval or phase can, and resuming
+    /// there would seal ahead of the watermark, under a key the receiver
+    /// never derives for those sequence numbers.
     ///
     /// The target can sit *below* the pre-brownout RAM epoch — a rotation
     /// whose journal record tore never committed, so a real reboot resumes
@@ -377,15 +380,14 @@ impl Sensor {
     /// sealed, so re-keying "backwards" still never reuses a
     /// `(key, nonce)` pair (and the receiver's epoch skew tolerance
     /// absorbs the transient mismatch).
-    fn resume(&mut self, next_sequence: u64, journal_epoch: u64) {
+    fn resume(&mut self, next_sequence: u64) {
         self.next_sequence = next_sequence;
         self.highest_sealed = None;
         if let Some(rekey) = self.rekey.as_mut() {
             let watermark = epoch_of(next_sequence, rekey.interval, rekey.phase);
-            let target = journal_epoch.max(watermark);
-            rekey.ratchet = EpochRatchet::at_epoch(rekey.root, target);
+            rekey.ratchet = EpochRatchet::at_epoch(rekey.root, watermark);
             self.cipher = (rekey.factory)(rekey.ratchet.key());
-            self.epoch = target;
+            self.epoch = watermark;
         }
     }
 

@@ -694,6 +694,30 @@ mod tests {
     }
 
     #[test]
+    fn a_store_from_another_interval_resumes_on_the_watermark_epoch() {
+        // An epoch-2 record at mark 40 fits interval 16, but at interval 32
+        // sequence 40 lies in epoch 1. Resuming on the journal's epoch
+        // would seal 40..63 under a key the receiver's capped probe never
+        // tries for them; the sensor resumes on the watermark instead.
+        use crate::link::{chacha20poly1305_factory, epoch_of, Receiver, Sensor};
+        let mut store = NvmStore::reliable();
+        assert!(store.write_mark(pack_epoch_record(2, 40)));
+        let root = [9; 32];
+        let mut sensor = Sensor::with_rekey(root, 32, 0, chacha20poly1305_factory)
+            .with_journal(SequenceJournal::new(store, 8));
+        assert_eq!((sensor.next_sequence(), sensor.epoch()), (40, 1));
+        let mut receiver = Receiver::with_rekey(root, 32, 0, chacha20poly1305_factory);
+        for i in 0..30u8 {
+            let (sequence, frame) = sensor.seal(&[i; 12]).unwrap();
+            assert_eq!(sensor.epoch(), epoch_of(sequence, 32, 0));
+            assert_eq!(receiver.receive(&frame).unwrap().0, sequence);
+        }
+        assert_eq!(receiver.stats().accepted, 30);
+        assert_eq!(receiver.stats().auth_failed, 0);
+        assert_eq!(sensor.epoch(), 2, "sequence 64 crossed into epoch 2");
+    }
+
+    #[test]
     fn recovery_reads_the_highest_mark_across_the_ring() {
         let mut store = NvmStore::reliable();
         // More writes than slots: the ring wraps, marks stay monotone.
