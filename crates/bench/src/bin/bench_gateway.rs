@@ -186,9 +186,9 @@ fn check_mode() -> ! {
         failed = true;
     }
     // Staggered rekeying pays at each epoch boundary: the boundary frame
-    // fails trial-opens under the current and previous keys (two full AEAD
-    // verifies — the epoch is never on the wire) before the forward probe
-    // derives the next key and succeeds. Amortized over an 80-frame epoch
+    // derives the next key (the epoch is never on the wire; the receiver
+    // computes it from the sequence number) and the cipher is swapped.
+    // Amortized over an 80-frame epoch
     // (still far faster than any deployed cadence) that must fit in the
     // same 10% envelope. Rotation swaps the session cipher through the
     // factory Box, so the zero-alloc assertion deliberately does not

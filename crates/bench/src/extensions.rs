@@ -328,8 +328,8 @@ pub fn rekey(s: &Settings) -> String {
     );
     let _ = writeln!(
         out,
-        "  {:<10} {:>9} {:>9} {:>8} {:>10} {:>11}",
-        "Defense", "rotations", "deferred", "reboots", "delivered", "fixed-size"
+        "  {:<10} {:>9} {:>8} {:>10} {:>11}",
+        "Defense", "rotations", "reboots", "delivered", "fixed-size"
     );
     let cells: Vec<SweepCell> = [Defense::Standard, Defense::Age]
         .iter()
@@ -353,10 +353,9 @@ pub fn rekey(s: &Settings) -> String {
         let t = result.transport.unwrap_or_default();
         let _ = writeln!(
             out,
-            "  {:<10} {:>9} {:>9} {:>8} {:>10} {:>11}",
+            "  {:<10} {:>9} {:>8} {:>10} {:>11}",
             result.defense,
             t.link.rotations,
-            t.link.rotations_deferred,
             t.link.sensor_reboots,
             t.link.frames_delivered,
             if t.channel.wire_lengths_constant() {

@@ -12,7 +12,12 @@
 
 #![cfg_attr(
     not(test),
-    deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::indexing_slicing
+    )
 )]
 
 use crate::chacha20::{base_state, keystream4, words_to_bytes, xor_keystream, xor_words};
@@ -84,7 +89,8 @@ impl FirstPass {
 fn tag(poly_key: &[u8; 32], ciphertext: &[u8]) -> [u8; 16] {
     let mut mac = Poly1305::new(poly_key);
     mac.update(ciphertext);
-    mac.update(&[0u8; 16][..(16 - ciphertext.len() % 16) % 16]);
+    let pad = (16 - ciphertext.len() % 16) % 16;
+    mac.update([0u8; 16].get(..pad).unwrap_or_default());
     let mut lengths = [0u8; 16];
     lengths[8..].copy_from_slice(&(ciphertext.len() as u64).to_le_bytes());
     mac.update(&lengths);
@@ -137,8 +143,10 @@ impl Cipher for ChaCha20Poly1305 {
         out.extend_from_slice(plaintext);
         let pass = FirstPass::new(&self.key, &nonce);
         let poly_key = pass.poly_key();
-        pass.apply(&mut out[NONCE_LEN..]);
-        let tag = tag(&poly_key, &out[NONCE_LEN..]);
+        // The nonce was just written, so the body slice always exists.
+        let body = out.get_mut(NONCE_LEN..).unwrap_or_default();
+        pass.apply(body);
+        let tag = tag(&poly_key, body);
         out.extend_from_slice(&tag);
     }
 

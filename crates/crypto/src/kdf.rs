@@ -47,7 +47,12 @@
 
 #![cfg_attr(
     not(test),
-    deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::indexing_slicing
+    )
 )]
 
 use crate::chacha20::{base_state, permuted_words};
@@ -81,10 +86,13 @@ pub const MAX_OKM_LEN: usize = 255 * 32;
 pub fn hchacha20(key: &[u8; 32], input: &[u8; 16]) -> [u8; 32] {
     let [c0, c1, c2, c3, nonce @ ..] = *input;
     let counter = u32::from_le_bytes([c0, c1, c2, c3]);
-    let words = permuted_words(&base_state(key, counter, &nonce));
+    let [w0, w1, w2, w3, _, _, _, _, _, _, _, _, w12, w13, w14, w15] =
+        permuted_words(&base_state(key, counter, &nonce));
     let mut out = [0u8; 32];
-    for (i, bytes) in out.chunks_exact_mut(4).enumerate() {
-        let word = if i < 4 { words[i] } else { words[8 + i] };
+    for (bytes, word) in out
+        .chunks_exact_mut(4)
+        .zip([w0, w1, w2, w3, w12, w13, w14, w15])
+    {
         bytes.copy_from_slice(&word.to_le_bytes());
     }
     out
@@ -94,14 +102,14 @@ pub fn hchacha20(key: &[u8; 32], input: &[u8; 16]) -> [u8; 32] {
 /// per PRF call. Empty input still absorbs one zero-length block so field
 /// boundaries survive in the transcript.
 fn absorb(mut chain: [u8; 32], domain: u8, data: &[u8]) -> [u8; 32] {
-    let mut block = [0u8; 16];
     let mut chunks = data.chunks(CHUNK);
     loop {
         let chunk = chunks.next().unwrap_or(&[]);
-        block[0] = domain;
-        block[1] = chunk.len() as u8;
-        block[2..2 + chunk.len()].copy_from_slice(chunk);
-        block[2 + chunk.len()..].fill(0);
+        let mut block = [0u8; 16];
+        let [tag, len, body @ ..] = &mut block;
+        *tag = domain;
+        *len = chunk.len() as u8;
+        body.iter_mut().zip(chunk).for_each(|(b, &c)| *b = c);
         chain = hchacha20(&chain, &block);
         if chunk.len() < CHUNK {
             break;
@@ -128,9 +136,9 @@ pub fn extract(salt: &[u8], ikm: &[u8]) -> [u8; 32] {
 /// excess is left untouched); callers in this workspace only ever ask for
 /// 32 bytes.
 pub fn expand(prk: &[u8; 32], info: &[u8], okm: &mut [u8]) {
-    let len = okm.len().min(MAX_OKM_LEN);
     let mut previous = [0u8; 32];
-    for (index, chunk) in okm[..len].chunks_mut(32).enumerate() {
+    // MAX_OKM_LEN is a whole number of 32-byte blocks.
+    for (index, chunk) in okm.chunks_mut(32).take(MAX_OKM_LEN / 32).enumerate() {
         let mut chain = absorb(*prk, DOMAIN_PREV, if index == 0 { &[] } else { &previous });
         chain = absorb(chain, DOMAIN_INFO, info);
         previous = hchacha20(&chain, &{
@@ -139,7 +147,7 @@ pub fn expand(prk: &[u8; 32], info: &[u8], okm: &mut [u8]) {
             block[1] = (index + 1) as u8;
             block
         });
-        chunk.copy_from_slice(&previous[..chunk.len()]);
+        chunk.iter_mut().zip(previous).for_each(|(o, p)| *o = p);
     }
 }
 

@@ -164,11 +164,6 @@ fn hostile_stream(seed: u64, sensors: u64) -> (Vec<Arrival>, BTreeMap<(u64, u64)
     for _ in 0..600 {
         let id = rng.gen_range(0..sensors);
         let slot = id as usize;
-        // Sequences stay well inside the far-future guard a fresh
-        // (re-provisioned) receiver applies.
-        if fleet[slot].next_sequence() > 800 {
-            continue;
-        }
         match rng.gen_range(0..100u32) {
             // A burst, shuffled: reorders inside the window, and stragglers
             // when the burst straddles a rotation.
@@ -303,4 +298,21 @@ fn the_rebuilt_audit_matches_per_frame_observation() {
         "no frame opened behind its receiver's epoch"
     );
     assert!(reuses > 0, "no re-provisioned replay was accepted twice");
+}
+
+#[test]
+fn a_re_provisioned_session_accepts_a_sensor_past_the_skip_limit() {
+    // An empty replay window applies no far-future limit, so a session
+    // provisioned again for a sensor already past `MAX_SKIP` resumes.
+    let payloads = payloads();
+    let mut gateway = gateway(1, None);
+    gateway.provision(3, 0).unwrap();
+    let mut sensor = sensor(3, None);
+    for stamp in 1..=1500 {
+        let (frame, _) = seal(3, &mut sensor, &payloads, stamp);
+        assert!(gateway.ingest(&frame).is_ok());
+    }
+    gateway.provision(3, 0).unwrap();
+    let (frame, _) = seal(3, &mut sensor, &payloads, 1501);
+    assert_eq!(gateway.ingest(&frame), Ok(1500));
 }

@@ -1,7 +1,7 @@
 //! Fleet-wide staggered rekey, end to end: ratcheting sensors rotate on
-//! their own staggered watermarks, the gateway's trial-open follows
-//! every boundary without any epoch byte on the wire, and the report
-//! artifacts stay byte-identical at any shard or thread count.
+//! their own staggered watermarks, the gateway opens each frame under
+//! the key of its watermark epoch with no epoch byte on the wire, and the
+//! report artifacts stay byte-identical at any shard or thread count.
 
 use age_core::{AgeEncoder, Batch, BatchConfig, Encoder};
 use age_fixed::Format;

@@ -77,7 +77,9 @@ impl Policy for DeviationPolicy {
         }
         let measurement = |t: usize| -> &[f64] { &values[t * features..(t + 1) * features] };
 
-        let mut collected = vec![0usize];
+        // Sized once: at most one index per measurement.
+        let mut collected = Vec::with_capacity(len);
+        collected.push(0);
         // Per-feature weighted moving averages; the tracked deviation is the
         // mean absolute deviation across features (LiteSense-style).
         let mut mean: Vec<f64> = measurement(0).to_vec();

@@ -84,7 +84,9 @@ impl LinearPolicy {
         if len == 0 {
             return Vec::new();
         }
-        let mut collected = vec![0usize];
+        // Sized once: at most one index per measurement.
+        let mut collected = Vec::with_capacity(len);
+        collected.push(0);
         let mut period = 1usize;
         let mut prev = 0usize;
         let mut t = 1usize;

@@ -76,7 +76,7 @@ fn grid() -> Vec<(&'static str, SweepCell, u64)> {
                 faults: Some(lossy),
                 ..SweepCell::new(Linear, Age, 0.5)
             },
-            0x9b64_fac4_2b7b_7a13,
+            0xcc2e_13c8_8ac2_04d6,
         ),
         (
             "lossy-std-budget",
@@ -84,7 +84,7 @@ fn grid() -> Vec<(&'static str, SweepCell, u64)> {
                 faults: Some(lossy.with_retry(RetryPolicy::none())),
                 ..SweepCell::new(Linear, Standard, 0.4)
             },
-            0xdf1d_9c93_ec7c_c261,
+            0x017f_e0d7_8a89_5b5e,
         ),
         (
             "power-faults",
@@ -93,7 +93,7 @@ fn grid() -> Vec<(&'static str, SweepCell, u64)> {
                 faults: Some(brownouts),
                 ..SweepCell::new(Linear, Padded, 0.4)
             },
-            0x4ede_821d_6bbd_3c8d,
+            0xa4c0_1db7_39c8_82fe,
         ),
         (
             "rekey-scenario",
@@ -102,7 +102,7 @@ fn grid() -> Vec<(&'static str, SweepCell, u64)> {
                 faults: Some(rekey_scenario(8, 0.05, 3)),
                 ..SweepCell::new(Linear, Age, 0.5)
             },
-            0xe60d_c035_10f9_637d,
+            0xee4e_3007_6e49_983a,
         ),
     ]
 }

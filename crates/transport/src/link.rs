@@ -56,10 +56,14 @@ impl std::error::Error for ReceiveError {
 /// How far ahead of the highest accepted sequence number a frame may claim
 /// to be before the receiver rejects it as [`ReceiveError::FarFuture`].
 ///
-/// It also sets a rekeying receiver's epoch probe budget: a post-brownout
+/// An empty replay window applies no limit: the guard protects the window,
+/// and an empty one has nothing to protect.
+///
+/// It also sets a rekeying receiver's derivation budget: a post-brownout
 /// sensor may skip up to `MAX_SKIP` sequence numbers, crossing up to
-/// `MAX_SKIP / interval + 1` epoch boundaries, so the receiver probes up
-/// to `MAX_SKIP / interval + 2` epochs ahead.
+/// `MAX_SKIP / interval + 1` epoch boundaries, so the receiver derives keys
+/// up to `MAX_SKIP / interval + 2` epochs ahead of its own. That budget
+/// applies on an empty window too.
 pub const MAX_SKIP: u64 = 1024;
 
 /// Builds a cipher from a 32-byte epoch key. Rekey-capable sensors and
@@ -87,8 +91,8 @@ pub fn chacha20poly1305_factory(key: [u8; 32]) -> Box<dyn Cipher> {
 /// is derived state on both ends of the link, it never appears on the
 /// wire, and after any brownout both sides recompute it consistently from
 /// the recovered sequence position. An `interval` of 0 disables rotation
-/// (epoch 0 forever). A sensor never seals *ahead* of this schedule, only
-/// behind it while a rotation the NVM refused to journal is deferred.
+/// (epoch 0 forever). A [`Sensor`] seals every frame under exactly the key
+/// of this epoch, so a [`Receiver`] opens each frame under that one key.
 pub fn epoch_of(sequence: u64, interval: u64, phase: u64) -> u64 {
     if interval == 0 {
         return 0;
@@ -105,7 +109,7 @@ pub fn epoch_of(sequence: u64, interval: u64, phase: u64) -> u64 {
 /// watermark schedule.
 struct SensorRekey {
     /// The provisioning-time root, kept so a simulated reboot can rebuild
-    /// the ratchet at the journal-recovered epoch (a real device re-derives
+    /// the ratchet at the recovered position's epoch (a real device re-derives
     /// from its provisioning secret the same way; a deployment wanting
     /// sensor-side forward secrecy across *reboots* would persist the chain
     /// value itself instead).
@@ -121,26 +125,24 @@ struct SensorRekey {
 /// derived deterministically from that number by the cipher, so a frame is
 /// `message_len(payload)` bytes — a pure function of the payload length.
 ///
-/// A rekey-capable sensor ([`Sensor::with_rekey`]) additionally carries a
-/// key epoch: the sealing key is the ratchet's key for the current epoch,
-/// and crossing a watermark boundary advances the ratchet and swaps the
-/// cipher. Nothing about the frame
-/// changes — same length, same layout — so rotation is invisible on the
-/// wire.
+/// A rekey-capable sensor ([`Sensor::with_rekey`]) seals each frame under
+/// the ratchet's key for the frame's watermark epoch ([`epoch_of`]): the
+/// seal that crosses a boundary advances the ratchet and swaps the cipher
+/// first. Nothing about the frame changes — same length, same layout — so
+/// rotation is invisible on the wire.
 ///
 /// A sensor with a [`SequenceJournal`] ([`Sensor::with_journal`]) draws
-/// its sequence numbers from the journal's write-ahead reservations and
-/// journals each rotation before taking it, so [`Sensor::reboot`] recovers
-/// without reusing a `(key, nonce)` pair. Without one it counts in RAM,
-/// and a reboot restarts the count at 0.
+/// its sequence numbers from the journal's write-ahead reservations, so
+/// [`Sensor::reboot`] recovers without reusing a `(key, nonce)` pair. The
+/// journal holds positions only: the epoch is derived from the recovered
+/// position, so a rotation writes nothing. Without a journal the sensor
+/// counts in RAM, and a reboot restarts the count at 0.
 pub struct Sensor {
     cipher: Box<dyn Cipher>,
     next_sequence: u64,
     /// Highest sequence number sealed so far this power cycle (RAM only —
     /// cleared by every reboot, exactly like the counter it guards).
     highest_sealed: Option<u64>,
-    /// Current key epoch (0 forever without rekey state).
-    epoch: u64,
     rekey: Option<SensorRekey>,
     journal: Option<SequenceJournal>,
     /// The journal's counters when it was attached: [`Sensor::stats`]
@@ -149,7 +151,7 @@ pub struct Sensor {
     /// Explicit-sequence seals at or below the high-water mark, over the
     /// sensor's lifetime (reboots included).
     reuse_risked: u64,
-    /// Reboots, rotations and deferred rotations.
+    /// Reboots and rotations.
     counts: LinkStats,
 }
 
@@ -160,7 +162,6 @@ impl Sensor {
             cipher,
             next_sequence: 0,
             highest_sealed: None,
-            epoch: 0,
             rekey: None,
             journal: None,
             journal_base: JournalStats::default(),
@@ -207,7 +208,7 @@ impl Sensor {
     /// The key epoch the next seal will use, unless it crosses a watermark
     /// boundary (always 0 without rekey state).
     pub fn epoch(&self) -> u64 {
-        self.epoch
+        self.rekey.as_ref().map_or(0, |rekey| rekey.ratchet.epoch())
     }
 
     /// Explicit-sequence seals so far that were at or below the power
@@ -222,8 +223,8 @@ impl Sensor {
         self.journal.as_ref()
     }
 
-    /// The sensor's share of a [`Link`]'s counters: reboots, rotations and
-    /// deferred rotations, and — from the journal's [`JournalStats`] since
+    /// The sensor's share of a [`Link`]'s counters: reboots and rotations,
+    /// and — from the journal's [`JournalStats`] since
     /// it was attached — records persisted and sequence numbers retired by
     /// recovery. The delivery counters are 0.
     pub fn stats(&self) -> LinkStats {
@@ -247,19 +248,6 @@ impl Sensor {
         }
     }
 
-    /// Persists the reservation record the next seal draws from, if one is
-    /// due, so the flash write happens now rather than inside the seal.
-    ///
-    /// # Errors
-    ///
-    /// As [`SequenceJournal::reserve_next`]; the next seal tries again.
-    pub fn reserve(&mut self) -> Result<(), JournalError> {
-        match self.journal.as_mut() {
-            Some(journal) => journal.reserve_block(),
-            None => Ok(()),
-        }
-    }
-
     /// Like [`Sensor::seal_into`], into a fresh frame.
     ///
     /// # Errors
@@ -275,8 +263,7 @@ impl Sensor {
     /// reusing its allocation, and returns the number. Once `frame` has
     /// grown to the session's fixed frame length, sealing never touches the
     /// heap. The number comes from the journal when one is attached, from
-    /// the RAM counter otherwise; a rotation due at it is taken first,
-    /// journaled write-ahead, and deferred if the NVM refuses the record.
+    /// the RAM counter otherwise; a rotation due at it is taken first.
     ///
     /// # Errors
     ///
@@ -367,19 +354,10 @@ impl Sensor {
 
     /// Power-loss recovery: the counter restarts at `next_sequence`, and
     /// the ratchet is rebuilt from the root at the watermark epoch of that
-    /// position — the one epoch the receiver's capped probe tries for it.
-    /// On a consistent store the journal's committed epoch never exceeds
-    /// it; one written under another interval or phase can, and resuming
-    /// there would seal ahead of the watermark, under a key the receiver
-    /// never derives for those sequence numbers.
-    ///
-    /// The target can sit *below* the pre-brownout RAM epoch — a rotation
-    /// whose journal record tore never committed, so a real reboot resumes
-    /// on the previous key. That is safe precisely because sequence
-    /// numbers are global: the resumed counter is past everything ever
-    /// sealed, so re-keying "backwards" still never reuses a
-    /// `(key, nonce)` pair (and the receiver's epoch skew tolerance
-    /// absorbs the transient mismatch).
+    /// position — the one key the receiver opens those frames under. The
+    /// resumed counter is past everything ever sealed, and sequence
+    /// numbers are global across epochs, so no `(key, nonce)` pair repeats
+    /// whichever epoch that is.
     fn resume(&mut self, next_sequence: u64) {
         self.next_sequence = next_sequence;
         self.highest_sealed = None;
@@ -387,35 +365,22 @@ impl Sensor {
             let watermark = epoch_of(next_sequence, rekey.interval, rekey.phase);
             rekey.ratchet = EpochRatchet::at_epoch(rekey.root, watermark);
             self.cipher = (rekey.factory)(rekey.ratchet.key());
-            self.epoch = watermark;
         }
     }
 
     /// Rotates to the watermark epoch of `sequence` if it is ahead of the
-    /// current one. With a journal the epoch record is persisted first
-    /// (write-ahead); if the NVM refuses it, the rotation is deferred and
-    /// the sensor keeps sealing under its old key — a rotation the journal
-    /// does not hold would be forgotten by the next brownout, and the old
-    /// key cannot reuse a (key, nonce) pair, because sequence numbers are
-    /// global across epochs.
+    /// current one. Nothing is journaled: after a brownout the epoch is
+    /// derived again from the recovered position.
     fn rotate_if_due(&mut self, sequence: u64) {
         let Some(rekey) = self.rekey.as_mut() else {
             return;
         };
         let target = epoch_of(sequence, rekey.interval, rekey.phase);
-        if target <= self.epoch {
-            return;
+        if target > rekey.ratchet.epoch() {
+            rekey.ratchet.seek(target);
+            self.cipher = (rekey.factory)(rekey.ratchet.key());
+            self.counts.rotations += 1;
         }
-        if let Some(journal) = self.journal.as_mut() {
-            if journal.record_epoch(target).is_err() {
-                self.counts.rotations_deferred += 1;
-                return;
-            }
-        }
-        rekey.ratchet.seek(target);
-        self.cipher = (rekey.factory)(rekey.ratchet.key());
-        self.epoch = target;
-        self.counts.rotations += 1;
     }
 
     fn note_sealed(&mut self, sequence: u64) {
@@ -470,24 +435,23 @@ impl ReceiverStats {
 }
 
 /// Rekey state for a [`Receiver`]: the ratchet, the ciphers it has
-/// already derived for the epochs ahead, and the skew-tolerance
-/// machinery.
+/// already derived for the epochs ahead, and the previous epoch's cipher.
 struct ReceiverRekey<C> {
     /// The chain at the far end of `ahead`: epoch `epoch + ahead.len()`.
     ratchet: EpochRatchet,
     /// Ciphers for epochs `epoch + 1 ..= epoch + ahead.len()`, derived
-    /// on demand by the forward probe and kept until the receiver moves
-    /// past their epoch, so a forgery claiming a far-ahead sequence
-    /// derives each key once per session rather than once per frame.
-    /// Never longer than the probe budget (see [`MAX_SKIP`]).
+    /// on demand and kept until the receiver moves past their epoch, so a
+    /// forgery claiming a sequence some epochs ahead derives each key once
+    /// per session rather than once per frame. Never longer than the
+    /// derivation budget (see [`MAX_SKIP`]).
     ahead: VecDeque<C>,
     /// Cipher for the previous epoch, kept so stragglers sealed just
     /// before a rotation still open (the deliberate skew-tolerance
     /// trade-off: one old epoch key stays in memory until the next
     /// rotation retires it).
     prev_cipher: Option<C>,
-    /// The sensor's schedule: no key newer than a frame's watermark epoch
-    /// is ever tried on it.
+    /// The sensor's schedule: a frame opens under the key of its
+    /// sequence number's epoch and no other.
     interval: u64,
     phase: u64,
     factory: CipherFactory<C>,
@@ -532,11 +496,10 @@ impl<C: Cipher> Receiver<C> {
 
     /// The receiver for a [`Sensor::with_rekey`] sensor with the same
     /// `root`, `interval` and `phase`: keys come from an [`EpochRatchet`]
-    /// chained off `root`, and a frame that fails to open under the
-    /// current epoch key is retried under the previous epoch's key and the
-    /// future epochs' keys up to the frame's own watermark epoch, so lost
-    /// rotation frames and post-brownout epoch jumps cost one extra trial
-    /// decryption instead of a bricked session.
+    /// chained off `root`, and each frame opens under the key of its
+    /// sequence number's watermark epoch ([`epoch_of`]) — the current key,
+    /// the previous one, or one derived ahead — so lost rotation frames
+    /// and post-brownout epoch jumps cost no extra decryption.
     pub fn with_rekey(
         root: [u8; 32],
         interval: u64,
@@ -556,7 +519,7 @@ impl<C: Cipher> Receiver<C> {
         receiver
     }
 
-    /// Replaces the far-future guard (and with it the epoch probe budget)
+    /// Replaces the far-future guard (and with it the derivation budget)
     /// and the replay window size. Production receivers keep [`MAX_SKIP`]
     /// and [`ReplayWindow::SIZE`]; a model checker shrinks both.
     pub fn with_limits(mut self, max_skip: u64, window: u64) -> Self {
@@ -624,13 +587,15 @@ impl<C: Cipher> Receiver<C> {
             self.stats.auth_failed += 1;
             ReceiveError::Cipher(e)
         })?;
-        let limit = self
+        if let Some(limit) = self
             .window
             .highest()
-            .map_or(self.max_skip, |h| h.saturating_add(self.max_skip));
-        if sequence > limit {
-            self.stats.far_future += 1;
-            return Err(ReceiveError::FarFuture { sequence, limit });
+            .map(|h| h.saturating_add(self.max_skip))
+        {
+            if sequence > limit {
+                self.stats.far_future += 1;
+                return Err(ReceiveError::FarFuture { sequence, limit });
+            }
         }
         self.window.observe(sequence).map_err(|e| {
             self.stats.replay_rejected += 1;
@@ -641,18 +606,16 @@ impl<C: Cipher> Receiver<C> {
         Ok(sequence)
     }
 
-    /// Opens `frame` under the current epoch key, then — on a
-    /// rekey-capable receiver — retries under the previous epoch's key
-    /// (straggler sealed just before a rotation) and finally probes future
-    /// epochs in order (the sensor rotated, perhaps several times across a
-    /// brownout; a successful forward open commits the receiver to the new
-    /// epoch). Returns the epoch the frame opened under.
-    ///
-    /// No key newer than the watermark epoch of `sequence` is tried: the
-    /// sensor never seals ahead of [`epoch_of`], so verdicts and epochs
-    /// are those of the uncapped probe, while a replay from before the
-    /// previous epoch costs no open and a forgery at most two. A frame no
-    /// key was tried on gets the error the current key would have given.
+    /// Opens `frame` under the one key its sequence number selects and
+    /// returns that key's epoch. A receiver without rekey state has one
+    /// key; a rekey-capable one takes the key of the watermark epoch
+    /// [`epoch_of`]`(sequence)`, because the sensor seals every frame under
+    /// exactly that key. It is the current key, the previous one (a
+    /// straggler sealed just before a rotation the receiver has followed),
+    /// or one up to the derivation budget ahead, derived once and cached
+    /// in `ahead`; a frame that opens ahead commits the receiver to its
+    /// epoch. A frame from before the previous epoch, or past the budget,
+    /// is rejected without an open.
     ///
     /// The replay window is shared across epochs — sequence numbers are
     /// global — so skew handling needs no window surgery: whatever epoch a
@@ -667,59 +630,53 @@ impl<C: Cipher> Receiver<C> {
         let Some(rekey) = self.rekey.as_deref_mut() else {
             return self.cipher.open_into(frame, payload).map(|()| self.epoch);
         };
-        let newest = epoch_of(sequence, rekey.interval, rekey.phase);
-        let mut err = None;
-        if self.epoch <= newest {
-            match self.cipher.open_into(frame, payload) {
-                Ok(()) => return Ok(self.epoch),
-                Err(e) => err = Some(e),
-            }
+        let epoch = epoch_of(sequence, rekey.interval, rekey.phase);
+        if epoch == self.epoch {
+            return self.cipher.open_into(frame, payload).map(|()| epoch);
         }
-        // The straggler path: one cheap trial, no key derivation.
-        if let Some(prev) = rekey.prev_cipher.as_ref() {
-            if self.epoch - 1 <= newest && prev.open_into(frame, payload).is_ok() {
+        if self.epoch.checked_sub(1) == Some(epoch) {
+            if let Some(prev) = rekey.prev_cipher.as_ref() {
+                prev.open_into(frame, payload)?;
                 self.stats.epoch_behind += 1;
-                return Ok(self.epoch - 1);
+                return Ok(epoch);
             }
         }
-        // Forward probes, up to the frame's watermark epoch. Each
-        // candidate is derived once, on first use, and queued in `ahead`.
         let budget = (self.max_skip / rekey.interval.max(1)).saturating_add(2);
-        let reach = budget.min(newest.saturating_sub(self.epoch));
-        for offset in 0..reach as usize {
-            if offset == rekey.ahead.len() {
-                rekey.ratchet.advance();
-                rekey.ahead.push_back((rekey.factory)(rekey.ratchet.key()));
-            }
-            let Some(candidate) = rekey.ahead.get(offset) else {
-                break;
-            };
-            if candidate.open_into(frame, payload).is_ok() {
-                // Promote the hit to current and the epoch below it to
-                // previous; the other entries it passed are behind the
-                // receiver now and are dropped with the drain.
-                let below = rekey.ahead.drain(..offset).next_back();
-                let Some(hit) = rekey.ahead.pop_front() else {
-                    break;
-                };
-                let old = std::mem::replace(&mut self.cipher, hit);
-                rekey.prev_cipher = Some(below.unwrap_or(old));
-                self.epoch += offset as u64 + 1;
-                self.stats.epoch_advances += 1;
-                return Ok(self.epoch);
-            }
+        let steps = epoch.saturating_sub(self.epoch);
+        if steps == 0 || steps > budget {
+            return Err(unopened(self.cipher.overhead(), frame.len()));
         }
-        Err(err.unwrap_or_else(|| {
-            let min = self.cipher.overhead();
-            if frame.len() < min {
-                OpenError::Truncated {
-                    len: frame.len(),
-                    min,
-                }
-            } else {
-                OpenError::TagMismatch
-            }
-        }))
+        while (rekey.ahead.len() as u64) < steps {
+            rekey.ratchet.advance();
+            rekey.ahead.push_back((rekey.factory)(rekey.ratchet.key()));
+        }
+        let offset = (steps - 1) as usize;
+        let Some(key) = rekey.ahead.get(offset) else {
+            return Err(unopened(self.cipher.overhead(), frame.len()));
+        };
+        key.open_into(frame, payload)?;
+        // Promote the hit to current and the epoch below it to previous;
+        // the entries it passed are behind the receiver now and are
+        // dropped with the drain.
+        let below = rekey.ahead.drain(..offset).next_back();
+        let Some(hit) = rekey.ahead.pop_front() else {
+            return Err(unopened(self.cipher.overhead(), frame.len()));
+        };
+        let old = std::mem::replace(&mut self.cipher, hit);
+        rekey.prev_cipher = Some(below.unwrap_or(old));
+        self.epoch = epoch;
+        self.stats.epoch_advances += 1;
+        Ok(epoch)
+    }
+}
+
+/// The error an AEAD with `overhead` bytes of framing gives a `len`-byte
+/// frame it cannot authenticate, for a frame no key was tried on.
+fn unopened(overhead: usize, len: usize) -> OpenError {
+    if len < overhead {
+        OpenError::Truncated { len, min: overhead }
+    } else {
+        OpenError::TagMismatch
     }
 }
 
@@ -829,12 +786,8 @@ pub struct LinkStats {
     pub journal_flushes: usize,
     /// Sequence numbers retired unused by conservative reboot recovery.
     pub sequences_skipped: usize,
-    /// Epoch rotations committed (journaled write-ahead when a journal is
-    /// attached, RAM-only otherwise).
+    /// Epoch rotations taken by the sensor.
     pub rotations: usize,
-    /// Rotations the NVM refused to journal — the sensor stayed on its old
-    /// key rather than rotate without a recoverable record.
-    pub rotations_deferred: usize,
 }
 
 impl LinkStats {
@@ -853,7 +806,6 @@ impl LinkStats {
         self.journal_flushes += other.journal_flushes;
         self.sequences_skipped += other.sequences_skipped;
         self.rotations += other.rotations;
-        self.rotations_deferred += other.rotations_deferred;
     }
 }
 
@@ -1319,6 +1271,34 @@ mod tests {
     }
 
     #[test]
+    fn an_empty_window_applies_no_skip_limit() {
+        let tx = ChaCha20Poly1305::new([5; 32]);
+        let mut rx = Receiver::new(Box::new(ChaCha20Poly1305::new([5; 32])));
+        assert_eq!(rx.receive(&tx.seal(1500, b"late start")).unwrap().0, 1500);
+        // The guard applies again from the first accepted sequence.
+        assert_eq!(
+            rx.receive(&tx.seal(1501 + MAX_SKIP, b"way ahead")),
+            Err(ReceiveError::FarFuture {
+                sequence: 1501 + MAX_SKIP,
+                limit: 1500 + MAX_SKIP
+            })
+        );
+        // A fresh rekeying receiver still derives no key past its budget
+        // from epoch 0: the gap a re-provisioned rekeying session keeps.
+        let (mut sensor, mut receiver) = rekey_pair(16);
+        let budget = MAX_SKIP / 16 + 2;
+        sensor.reboot_at(16 * (budget + 1));
+        let past = sensor.seal(b"past the budget").unwrap().1;
+        assert_eq!(
+            receiver.receive(&past),
+            Err(ReceiveError::Cipher(OpenError::TagMismatch))
+        );
+        sensor.reboot_at(16 * budget);
+        let within = sensor.seal(b"within the budget").unwrap();
+        assert_eq!(receiver.receive(&within.1).unwrap().0, within.0);
+    }
+
+    #[test]
     fn journaled_link_survives_reboots_without_nonce_reuse() {
         let mut link = journaled_link(
             RetryPolicy::none(),
@@ -1495,10 +1475,10 @@ mod tests {
     #[test]
     fn probe_cache_never_outgrows_the_skip_budget() {
         let (mut sensor, mut receiver) = rekey_pair(16);
-        let skip = MAX_SKIP / 16 + 2;
+        let budget = MAX_SKIP / 16 + 2;
         let check = |receiver: &Receiver| {
             let rekey = receiver.rekey.as_deref().expect("rekeying receiver");
-            assert!(rekey.ahead.len() as u64 <= skip, "{}", rekey.ahead.len());
+            assert!(rekey.ahead.len() as u64 <= budget, "{}", rekey.ahead.len());
             assert_eq!(
                 rekey.ratchet.epoch(),
                 receiver.epoch() + rekey.ahead.len() as u64,
@@ -1507,8 +1487,8 @@ mod tests {
             rekey.ahead.len() as u64
         };
         assert_eq!(check(&receiver), 0, "nothing is derived up front");
-        // A forgery at the sequence it was sealed at tries only the keys up
-        // to that sequence's epoch: it derives nothing.
+        // A forgery at the sequence it was sealed at opens under the
+        // current key only: it derives nothing.
         let mut forged = sensor.seal(b"forged").unwrap().1;
         forged[20] ^= 1;
         assert_eq!(
@@ -1516,14 +1496,25 @@ mod tests {
             Err(ReceiveError::Cipher(OpenError::TagMismatch))
         );
         assert_eq!(check(&receiver), 0);
-        // Rewriting the nonce to claim a far-ahead sequence reaches the
-        // whole budget, and no further.
-        forged[4..12].copy_from_slice(&(2 * MAX_SKIP).to_le_bytes());
         for round in 0..4u64 {
-            // A far-ahead forgery walks the whole budget and fills the
-            // queue...
-            assert!(receiver.receive(&forged).is_err());
-            assert_eq!(check(&receiver), skip);
+            // A forgery claiming a sequence past the budget is rejected
+            // without an open and derives nothing...
+            let cached = check(&receiver);
+            forged[4..12].copy_from_slice(&(sensor.next_sequence() + 2 * MAX_SKIP).to_le_bytes());
+            assert_eq!(
+                receiver.receive(&forged),
+                Err(ReceiveError::Cipher(OpenError::TagMismatch))
+            );
+            assert_eq!(check(&receiver), cached);
+            // ...one inside the budget derives exactly up to its epoch...
+            let ahead = 5 + round;
+            let claimed = 16 * (receiver.epoch() + ahead);
+            forged[4..12].copy_from_slice(&claimed.to_le_bytes());
+            assert_eq!(
+                receiver.receive(&forged),
+                Err(ReceiveError::Cipher(OpenError::TagMismatch))
+            );
+            assert_eq!(check(&receiver), ahead);
             // ...a brownout jump consumes the entries it passes...
             sensor.reboot_at(sensor.next_sequence() + 16 * (3 + round));
             let before = receiver.epoch();
@@ -1531,13 +1522,12 @@ mod tests {
                 .receive(&sensor.seal(b"genuine").unwrap().1)
                 .is_ok());
             assert_eq!(receiver.epoch(), before + 3 + round);
-            assert_eq!(check(&receiver), skip - 3 - round);
+            assert_eq!(check(&receiver), 2);
             // ...and in-order rotations take one entry each.
             for i in 0..40u8 {
                 assert!(receiver.receive(&sensor.seal(&[i; 8]).unwrap().1).is_ok());
                 check(&receiver);
             }
-            forged[4..12].copy_from_slice(&(sensor.next_sequence() + 2 * MAX_SKIP).to_le_bytes());
         }
     }
 

@@ -94,37 +94,6 @@ pub struct RecoveredState {
     /// Torn records in the ring. Each one's mark is unreadable, so recovery
     /// must presume each reserved (and consumed) one full block.
     pub torn_records: usize,
-    /// The highest key epoch among records that checksum. A torn epoch
-    /// record leaves this untouched: the rotation never committed, so the
-    /// sensor resumes on the previous epoch and re-rotates from its
-    /// watermark (safe, because sequence numbers are global across epochs
-    /// and never reused).
-    pub highest_valid_epoch: Option<u64>,
-}
-
-/// Tag bit distinguishing an epoch-rotation record from a sequence
-/// reservation mark in the shared slot ring.
-const EPOCH_TAG: u64 = 1 << 63;
-/// Bits of the packed record carrying the sequence reservation end.
-const EPOCH_SEQ_BITS: u32 = 40;
-const EPOCH_SEQ_MASK: u64 = (1 << EPOCH_SEQ_BITS) - 1;
-/// Bits carrying the epoch number (the remaining 23 below the tag).
-const EPOCH_MASK: u64 = (1 << 23) - 1;
-
-/// Packs an epoch-rotation record. The record carries *both* the epoch and
-/// the journal's current reservation end: rotation records walk the same
-/// ring as sequence marks, so each must re-anchor the sequence high-water
-/// mark — otherwise a burst of rotations could evict every reservation
-/// record and recovery would resume at 0, the exact nonce-reuse disaster
-/// the journal exists to prevent. 40 bits of sequence and 23 bits of epoch
-/// are far beyond anything a deployment reaches before re-provisioning.
-fn pack_epoch_record(epoch: u64, reserved_end: u64) -> u64 {
-    debug_assert!(epoch <= EPOCH_MASK, "epoch {epoch} overflows the record");
-    debug_assert!(
-        reserved_end <= EPOCH_SEQ_MASK,
-        "reservation end {reserved_end} overflows the record"
-    );
-    EPOCH_TAG | (epoch.min(EPOCH_MASK) << EPOCH_SEQ_BITS) | (reserved_end & EPOCH_SEQ_MASK)
 }
 
 /// A small simulated flash region organised as a ring of journal slots.
@@ -220,14 +189,6 @@ impl NvmStore {
             match slot {
                 Slot::Blank => {}
                 Slot::Torn => state.torn_records += 1,
-                Slot::Valid(record) if record & EPOCH_TAG != 0 => {
-                    let epoch = (record >> EPOCH_SEQ_BITS) & EPOCH_MASK;
-                    let mark = record & EPOCH_SEQ_MASK;
-                    state.highest_valid_epoch =
-                        Some(state.highest_valid_epoch.map_or(epoch, |e| e.max(epoch)));
-                    state.highest_valid_mark =
-                        Some(state.highest_valid_mark.map_or(mark, |m| m.max(mark)));
-                }
                 Slot::Valid(mark) => {
                     state.highest_valid_mark =
                         Some(state.highest_valid_mark.map_or(*mark, |m| m.max(*mark)));
@@ -279,9 +240,6 @@ pub struct JournalStats {
     pub reboots: usize,
     /// Sequence numbers retired unused by conservative recovery.
     pub sequences_skipped: u64,
-    /// Epoch-rotation records successfully persisted (a subset of
-    /// `flushes`).
-    pub epoch_records: usize,
 }
 
 /// Write-ahead sequence number reservation over an [`NvmStore`].
@@ -307,6 +265,10 @@ pub struct JournalStats {
 /// never more than `NvmStore::DEFAULT_SLOTS · K`, which must stay within
 /// the receiver's far-future guard (`MAX_SKIP`) for recovered
 /// traffic to be accepted. The defaults give 128 ≪ 1024.
+///
+/// Every record is a plain reservation mark. A rekeying sensor journals no
+/// epoch: its key epoch is `epoch_of` the recovered position, so recovery
+/// needs nothing else, and a rotation costs no flash write.
 pub struct SequenceJournal {
     nvm: NvmStore,
     block: u64,
@@ -315,9 +277,6 @@ pub struct SequenceJournal {
     reserved_end: u64,
     /// Next number to hand out (RAM only — lost on reboot).
     next: u64,
-    /// Highest key epoch committed to NVM (rebuilt from the store on
-    /// reboot, so a torn rotation record rolls back to the prior epoch).
-    epoch: u64,
     stats: JournalStats,
 }
 
@@ -342,7 +301,6 @@ impl SequenceJournal {
             block,
             reserved_end: next,
             next,
-            epoch: recovered.highest_valid_epoch.unwrap_or(0),
             stats: JournalStats::default(),
         }
     }
@@ -366,35 +324,6 @@ impl SequenceJournal {
     /// Exclusive end of the persisted reservation.
     pub fn reserved_end(&self) -> u64 {
         self.reserved_end
-    }
-
-    /// The highest key epoch committed to NVM.
-    pub fn epoch(&self) -> u64 {
-        self.epoch
-    }
-
-    /// Write-ahead commit of a key rotation: the epoch record is persisted
-    /// *before* the caller advances its ratchet or seals anything under
-    /// the new key, exactly like a sequence reservation. On failure the
-    /// rotation simply has not happened — the caller stays on the old
-    /// epoch, which is always safe because sequence numbers are global
-    /// across epochs (no `(key, nonce)` pair ever repeats either way).
-    ///
-    /// A target at or below the committed epoch is a no-op; epochs only
-    /// move forward.
-    ///
-    /// # Errors
-    ///
-    /// [`JournalError::NvmWriteFailed`] when every write attempt failed
-    /// its verify; the committed epoch is unchanged.
-    pub fn record_epoch(&mut self, epoch: u64) -> Result<(), JournalError> {
-        if epoch <= self.epoch {
-            return Ok(());
-        }
-        self.persist_mark(pack_epoch_record(epoch, self.reserved_end))?;
-        self.stats.epoch_records += 1;
-        self.epoch = epoch;
-        Ok(())
     }
 
     /// Replaces the store's fault rates from the next write on; rates of 0
@@ -423,22 +352,16 @@ impl SequenceJournal {
     /// [`JournalError::NvmWriteFailed`] when every write attempt failed its
     /// verify; no number is handed out.
     pub fn reserve_next(&mut self) -> Result<u64, JournalError> {
-        self.reserve_block()?;
-        self.next += 1;
-        Ok(self.next - 1)
-    }
-
-    /// [`reserve_next`](Self::reserve_next) without handing out a number.
-    pub(crate) fn reserve_block(&mut self) -> Result<(), JournalError> {
         if self.next == u64::MAX {
             return Err(JournalError::SequenceSpaceExhausted);
         }
         if self.next >= self.reserved_end {
             let new_end = self.reserved_end.saturating_add(self.block);
-            self.persist_record(new_end)?;
+            self.persist_mark(new_end)?;
             self.reserved_end = new_end;
         }
-        Ok(())
+        self.next += 1;
+        Ok(self.next - 1)
     }
 
     /// Simulates a power loss: RAM state is discarded and rebuilt from the
@@ -456,31 +379,12 @@ impl SequenceJournal {
         let skipped = resumed - self.next;
         self.next = resumed;
         self.reserved_end = resumed;
-        // The epoch is *not* maxed against RAM: a torn rotation record
-        // means the rotation never committed, and a real reboot would lose
-        // the RAM view of it. Rolling back is safe — sequences are global,
-        // so resealing under the previous epoch key cannot reuse a nonce —
-        // and the caller re-derives its ratchet at the recovered epoch.
-        self.epoch = recovered.highest_valid_epoch.unwrap_or(0);
         self.stats.reboots += 1;
         self.stats.sequences_skipped += skipped;
         // Checkpoint; a failure here is survivable (recovery stays sound,
         // the next reservation will retry the NVM anyway).
-        let _ = self.persist_record(resumed);
+        let _ = self.persist_mark(resumed);
         skipped
-    }
-
-    /// Writes one reservation record carrying `mark`. Once the journal has
-    /// rotated past epoch 0, every reservation record is written in the
-    /// packed epoch format: rotation records share the slot ring, so plain
-    /// marks could otherwise evict the epoch from the ring entirely and a
-    /// much later reboot would recover epoch 0.
-    fn persist_record(&mut self, mark: u64) -> Result<(), JournalError> {
-        if self.epoch > 0 {
-            self.persist_mark(pack_epoch_record(self.epoch, mark))
-        } else {
-            self.persist_mark(mark)
-        }
     }
 
     /// Writes one journal record, retrying failed attempts up to
@@ -667,7 +571,7 @@ mod tests {
         use crate::link::{chacha20poly1305_factory, Link, LinkStats, Receiver, Sensor};
         use crate::{FaultChannel, FaultPlan, RetryPolicy};
         let mut store = NvmStore::reliable();
-        assert!(store.write_mark(pack_epoch_record(2, 40)));
+        assert!(store.write_mark(40));
         let root = [9; 32];
         let sensor = Sensor::with_rekey(root, 16, 0, chacha20poly1305_factory)
             .with_journal(SequenceJournal::new(store, 8));
@@ -695,13 +599,12 @@ mod tests {
 
     #[test]
     fn a_store_from_another_interval_resumes_on_the_watermark_epoch() {
-        // An epoch-2 record at mark 40 fits interval 16, but at interval 32
-        // sequence 40 lies in epoch 1. Resuming on the journal's epoch
-        // would seal 40..63 under a key the receiver's capped probe never
-        // tries for them; the sensor resumes on the watermark instead.
+        // The store holds a position, never an epoch: mark 40 lies in
+        // epoch 2 at interval 16 but in epoch 1 at interval 32, and the
+        // sensor takes the epoch from its own schedule.
         use crate::link::{chacha20poly1305_factory, epoch_of, Receiver, Sensor};
         let mut store = NvmStore::reliable();
-        assert!(store.write_mark(pack_epoch_record(2, 40)));
+        assert!(store.write_mark(40));
         let root = [9; 32];
         let mut sensor = Sensor::with_rekey(root, 32, 0, chacha20poly1305_factory)
             .with_journal(SequenceJournal::new(store, 8));
@@ -758,118 +661,138 @@ mod tests {
         }
     }
 
+    /// A rekeying sensor (`interval`, phase 0) over a journal of `block`
+    /// on `nvm`.
+    fn rekeying_sensor(interval: u64, nvm: NvmStore, block: u64) -> crate::link::Sensor {
+        use crate::link::{chacha20poly1305_factory, Sensor};
+        Sensor::with_rekey([5; 32], interval, 0, chacha20poly1305_factory)
+            .with_journal(SequenceJournal::new(nvm, block))
+    }
+
     #[test]
-    fn epoch_record_commits_and_survives_reboot() {
-        let mut journal = SequenceJournal::new(NvmStore::reliable(), 8);
+    fn a_rotation_survives_reboot_without_an_epoch_record() {
+        use crate::link::epoch_of;
+        let mut sensor = rekeying_sensor(4, NvmStore::reliable(), 8);
         for _ in 0..5 {
-            journal.reserve_next().unwrap();
+            sensor.seal(b"x").unwrap();
         }
-        journal.record_epoch(1).unwrap();
-        assert_eq!(journal.epoch(), 1);
-        assert_eq!(journal.stats().epoch_records, 1);
-        journal.reboot();
-        assert_eq!(journal.epoch(), 1, "committed rotation survives power loss");
-        assert_eq!(journal.next(), 8, "sequence recovery is unaffected");
+        assert_eq!((sensor.epoch(), sensor.stats().rotations), (1, 1));
+        assert_eq!(
+            sensor.stats().journal_flushes,
+            1,
+            "one reservation, no epoch record"
+        );
+        sensor.reboot();
+        assert_eq!(sensor.next_sequence(), 8, "sequence recovery is unaffected");
+        assert_eq!(
+            sensor.epoch(),
+            epoch_of(8, 4, 0),
+            "resumed on the watermark"
+        );
+        assert_eq!(
+            sensor.stats().journal_flushes,
+            2,
+            "plus the recovery checkpoint"
+        );
     }
 
     #[test]
-    fn stale_epoch_targets_are_no_ops() {
-        let mut journal = SequenceJournal::new(NvmStore::reliable(), 8);
-        journal.record_epoch(3).unwrap();
-        let flushes = journal.stats().flushes;
-        journal.record_epoch(3).unwrap();
-        journal.record_epoch(1).unwrap();
-        assert_eq!(journal.epoch(), 3);
-        assert_eq!(journal.stats().flushes, flushes, "no redundant NVM writes");
-    }
-
-    #[test]
-    fn torn_rotation_record_rolls_back_to_the_previous_epoch() {
-        // The acceptance scenario: power dies *inside* the rotation
-        // journal write. The record tears, so recovery lands on the old
-        // epoch — and the sequence skip guarantees nothing sealed after
-        // recovery can collide with anything sealed before it.
+    fn a_torn_record_across_a_rotation_resumes_on_the_watermark_epoch() {
+        // Power dies right after the rotation: the only record tears, so
+        // recovery presumes its whole block consumed and lands past the
+        // rotation, on that position's watermark epoch.
+        use crate::link::epoch_of;
         let plan = NvmFaultPlan {
             fail_rate: 0.0,
             torn_rate: 1.0,
             seed: 13,
         };
-        let mut journal = SequenceJournal::new(NvmStore::new(plan), 8);
-        for _ in 0..3 {
-            journal.reserve_next().unwrap();
+        let mut sensor = rekeying_sensor(4, NvmStore::new(plan), 8);
+        for _ in 0..5 {
+            sensor.seal(b"x").unwrap();
         }
-        journal.record_epoch(1).unwrap();
-        assert_eq!(journal.epoch(), 1, "RAM sees the rotation pre-brownout");
-        let before = journal.next();
-        journal.reboot();
-        assert_eq!(journal.epoch(), 0, "torn rotation never committed");
+        assert_eq!(sensor.epoch(), 1, "sequence 4 rotated in RAM");
+        let before = sensor.next_sequence();
+        sensor.reboot();
+        assert_eq!(sensor.journal().unwrap().nvm_stats().writes_torn, 1);
         assert!(
-            journal.next() >= before,
+            sensor.next_sequence() >= before,
             "recovery still resumes past every handed-out sequence"
         );
+        assert_eq!(sensor.epoch(), epoch_of(sensor.next_sequence(), 4, 0));
     }
 
     #[test]
     fn a_rotation_burst_cannot_evict_the_sequence_mark() {
-        // More rotation records than ring slots between two reservations:
-        // each rotation record re-anchors the reservation end, so recovery
-        // must still resume past it instead of falling back to 0.
-        let mut journal = SequenceJournal::new(NvmStore::reliable(), 8);
-        for _ in 0..9 {
-            journal.reserve_next().unwrap();
+        // More rotations than ring slots between two reservations: a
+        // rotation writes nothing, so the ring holds only marks and
+        // recovery resumes past the reservation end.
+        let mut sensor = rekeying_sensor(1, NvmStore::reliable(), 32);
+        for _ in 0..(NvmStore::DEFAULT_SLOTS + 9) {
+            sensor.seal(b"x").unwrap();
         }
-        let reserved = journal.reserved_end();
-        for epoch in 1..=(NvmStore::DEFAULT_SLOTS as u64 + 2) {
-            journal.record_epoch(epoch).unwrap();
-        }
-        journal.reboot();
-        assert!(
-            journal.next() >= reserved,
-            "resumed at {} below the reservation end {reserved}",
-            journal.next()
+        assert_eq!(
+            sensor.stats().rotations,
+            NvmStore::DEFAULT_SLOTS + 8,
+            "every sequence opened an epoch"
         );
-        assert_eq!(journal.epoch(), NvmStore::DEFAULT_SLOTS as u64 + 2);
+        assert_eq!(sensor.stats().journal_flushes, 1, "one reservation only");
+        let reserved = sensor.journal().unwrap().reserved_end();
+        sensor.reboot();
+        assert!(
+            sensor.next_sequence() >= reserved,
+            "resumed at {} below the reservation end {reserved}",
+            sensor.next_sequence()
+        );
     }
 
     #[test]
     fn the_epoch_survives_ring_eviction_by_reservations() {
-        // After a rotation, enough reservation traffic wraps the ring and
-        // would evict a one-off epoch record; packed reservation records
-        // keep the epoch readable indefinitely.
-        let mut journal = SequenceJournal::new(NvmStore::reliable(), 4);
-        journal.record_epoch(3).unwrap();
+        // Enough reservation traffic to wrap the ring many times: the
+        // epoch is a function of the recovered position, so no record
+        // has to survive for it.
+        use crate::link::epoch_of;
+        let mut sensor = rekeying_sensor(4, NvmStore::reliable(), 4);
         for _ in 0..(4 * (NvmStore::DEFAULT_SLOTS as u64 + 4)) {
-            journal.reserve_next().unwrap();
+            sensor.seal(b"x").unwrap();
         }
-        journal.reboot();
-        assert_eq!(journal.epoch(), 3);
+        let before = sensor.epoch();
+        sensor.reboot();
+        assert!(
+            sensor.epoch() >= before,
+            "recovery never rolls the key back"
+        );
+        assert_eq!(sensor.epoch(), epoch_of(sensor.next_sequence(), 4, 0));
     }
 
     #[test]
     fn no_sequence_reuse_across_reboots_with_rotations_interleaved() {
+        use crate::link::epoch_of;
         let plan = NvmFaultPlan {
             fail_rate: 0.2,
             torn_rate: 0.3,
             seed: 17,
         };
-        let mut journal = SequenceJournal::new(NvmStore::new(plan), 8);
+        let mut sensor = rekeying_sensor(3, NvmStore::new(plan), 8);
         let mut driver = DetRng::seed_from_u64(23);
         let mut seen = std::collections::BTreeSet::new();
-        let mut epoch = 0u64;
         for _ in 0..2000 {
             if driver.gen_bool(0.05) {
-                journal.reboot();
-                epoch = journal.epoch();
+                sensor.reboot();
             }
-            if driver.gen_bool(0.03) {
-                epoch += 1;
-                let _ = journal.record_epoch(epoch);
-                epoch = journal.epoch();
-            }
-            if let Ok(seq) = journal.reserve_next() {
+            if let Ok((seq, _)) = sensor.seal(b"x") {
                 assert!(seen.insert(seq), "sequence {seq} handed out twice");
+                assert_eq!(
+                    sensor.epoch(),
+                    epoch_of(seq, 3, 0),
+                    "sealed off its watermark"
+                );
             }
         }
         assert!(seen.len() > 1000, "the soak must make real progress");
+        assert!(
+            sensor.stats().rotations > 300,
+            "the schedule fired throughout"
+        );
     }
 }

@@ -1,9 +1,9 @@
 //! Reference receivers for the transport's differential tests.
 //!
-//! [`NaiveReceiver`] is the rekeying receiver as it was before the epoch
-//! probe was capped: it tries the current key, the previous key and every
-//! future key up to the skip budget on every frame, whatever sequence the
-//! frame claims. Its replay check is [`NaiveWindow`], a set of every
+//! [`NaiveReceiver`] is the rekeying receiver as it was before it opened
+//! each frame under one key: it tries the current key, the previous key
+//! and every future key up to the skip budget on every frame, whatever
+//! sequence the frame claims. Its replay check is [`NaiveWindow`], a set of every
 //! accepted sequence number plus the highest one and the horizon below it,
 //! in place of `ReplayWindow`'s bitmap. `Receiver` must agree with it on
 //! every frame: the same `Result` (error values included), epoch, last
@@ -86,7 +86,7 @@ pub fn assert_windows_agree(sequences: impl IntoIterator<Item = u64>, size: u64,
     }
 }
 
-/// The uncapped trial-open receiver. `key_for(e)` builds the cipher of
+/// The trial-open receiver. `key_for(e)` builds the cipher of
 /// epoch `e`; a static-key receiver has `skip` 0 and never leaves epoch 0.
 pub struct NaiveReceiver {
     key_for: Box<dyn Fn(u64) -> Box<dyn Cipher>>,
@@ -161,13 +161,16 @@ impl NaiveReceiver {
         let opened = self.open(frame, &mut payload).inspect_err(|_| {
             self.stats.auth_failed += 1;
         })?;
-        let limit = self
+        // An empty window applies no limit.
+        if let Some(limit) = self
             .window
             .highest()
-            .map_or(self.max_skip, |h| h.saturating_add(self.max_skip));
-        if sequence > limit {
-            self.stats.far_future += 1;
-            return Err(ReceiveError::FarFuture { sequence, limit });
+            .map(|h| h.saturating_add(self.max_skip))
+        {
+            if sequence > limit {
+                self.stats.far_future += 1;
+                return Err(ReceiveError::FarFuture { sequence, limit });
+            }
         }
         self.window.observe(sequence).map_err(|e| {
             self.stats.replay_rejected += 1;

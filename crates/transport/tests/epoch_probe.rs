@@ -1,11 +1,11 @@
-//! Differential test of the rekeying receiver's epoch probe.
+//! Differential test of the rekeying receiver's key choice.
 //!
-//! `Receiver::with_rekey` caps every trial at the frame's watermark epoch
-//! and keeps the ciphers it derives for future epochs across frames. The
-//! reference (`common::NaiveReceiver`) does neither: it tries the current
-//! epoch, the previous epoch, then each future epoch up to the skip
-//! budget on every frame, and rebuilds every candidate key from the root
-//! with `EpochRatchet::at_epoch`. Its replay check is a set of accepted
+//! `Receiver::with_rekey` opens every frame under the one key of its
+//! watermark epoch and keeps the ciphers it derives for future epochs
+//! across frames. The reference (`common::NaiveReceiver`) does neither: it
+//! tries the current epoch, the previous epoch, then each future epoch up
+//! to the skip budget on every frame, and rebuilds every candidate key
+//! from the root with `EpochRatchet::at_epoch`. Its replay check is a set of accepted
 //! numbers instead of a bitmap. Both receivers see one seeded stream
 //! mixing in-order frames, previous-epoch stragglers, post-brownout jumps,
 //! burst losses, forgeries, replays from older epochs and frames sealed
@@ -23,7 +23,7 @@ use age_transport::{
 use common::{assert_windows_agree, NaiveReceiver};
 
 /// A seeded arrival stream for one sensor rotating every `interval`
-/// sequence numbers, with every kind of frame the probe has to handle.
+/// sequence numbers, with every kind of frame the receiver has to handle.
 fn stream(seed: u64, interval: u64, frames: usize) -> ([u8; 32], Vec<Vec<u8>>) {
     let secret = fleet_secret(seed);
     let root = sensor_root(&secret, 1);
@@ -119,12 +119,12 @@ fn stream(seed: u64, interval: u64, frames: usize) -> ([u8; 32], Vec<Vec<u8>>) {
 
 /// Feeds one stream to both receivers, comparing them after every frame,
 /// and the stream's sequence numbers to both replay windows. Returns the
-/// capped receiver's counters and the largest number of epochs it crossed
+/// one-key receiver's counters and the largest number of epochs it crossed
 /// in one step.
 fn differential_round(seed: u64, interval: u64, frames: usize) -> (ReceiverStats, u64) {
     let phase = seed % interval;
     let (root, stream) = stream(seed, interval, frames);
-    let mut capped = Receiver::with_rekey(root, interval, phase, chacha20poly1305_factory);
+    let mut receiver = Receiver::with_rekey(root, interval, phase, chacha20poly1305_factory);
     let mut naive = NaiveReceiver::rekeying(
         move |epoch| chacha20poly1305_factory(EpochRatchet::at_epoch(root, epoch).key()),
         interval,
@@ -133,13 +133,13 @@ fn differential_round(seed: u64, interval: u64, frames: usize) -> (ReceiverStats
     );
     let mut widest_step = 0;
     for (i, frame) in stream.iter().enumerate() {
-        let before = capped.epoch();
+        let before = receiver.epoch();
         let _ = naive.receive_beside(
-            &mut capped,
+            &mut receiver,
             frame,
             &format!("seed {seed}, interval {interval}, frame {i}"),
         );
-        widest_step = widest_step.max(capped.epoch() - before);
+        widest_step = widest_step.max(receiver.epoch() - before);
     }
     let probe = chacha20poly1305_factory([0; 32]);
     for size in [ReplayWindow::SIZE, 4] {
@@ -149,7 +149,7 @@ fn differential_round(seed: u64, interval: u64, frames: usize) -> (ReceiverStats
             &format!("seed {seed}, interval {interval}"),
         );
     }
-    (*capped.stats(), widest_step)
+    (*receiver.stats(), widest_step)
 }
 
 #[test]
@@ -162,7 +162,7 @@ fn cached_probe_matches_per_trial_derivation() {
         total.merge(&stats);
         widest_step = widest_step.max(widest);
     }
-    // The stream really exercised every branch of the probe.
+    // The stream really exercised every branch of the key choice.
     assert!(total.accepted > 0, "{total:?}");
     assert!(total.epoch_advances > 0, "{total:?}");
     assert!(total.epoch_behind > 0, "{total:?}");

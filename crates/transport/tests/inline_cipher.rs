@@ -71,8 +71,8 @@ fn hostile_stream(make: impl Fn() -> Sensor, seed: u64, frames: usize) -> Vec<Ve
                 sensor.reboot_at(sensor.next_sequence() + jump);
             }
             // A genuine frame from past the far-future guard and every
-            // rekeying receiver's probe budget (a replayed frame from a
-            // cloned sensor, say): rejected, after filling the probe cache.
+            // rekeying receiver's derivation budget (a replayed frame from
+            // a cloned sensor, say): rejected without an open.
             85 => {
                 let mut ghost = make();
                 ghost.reboot_at(

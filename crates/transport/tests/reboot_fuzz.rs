@@ -3,7 +3,7 @@
 //! corrupted mutants (truncations, extensions, bit flips) in a shuffled
 //! order, and the receiver must never panic, must accept every genuine
 //! frame exactly once, and must hand back byte-exact payloads. Beside it
-//! runs the uncapped reference (`common::NaiveReceiver`, a set-based
+//! runs the trial-open reference (`common::NaiveReceiver`, a set-based
 //! replay check), which must reach the same verdict on every frame.
 
 mod common;
@@ -168,8 +168,8 @@ fn receiver_survives_shuffled_corrupt_frames_across_a_reboot() {
 }
 
 /// Fuzzes the rotation window itself: repeated brownouts land between the
-/// epoch journal write and the first seal under the new key (and everywhere
-/// else), on NVM that tears or refuses records. Frames arrive in order with
+/// first seal under a new key and the radio (and everywhere else), on NVM
+/// that tears or refuses records. Frames arrive in order with
 /// corrupted mutants interleaved; the rekeying receiver must follow every
 /// epoch jump, accept every genuine frame exactly once with byte-exact
 /// payloads, and never authenticate a mutant.
@@ -186,9 +186,9 @@ fn rotation_fuzz_round(seed: u64) {
         let burst = rng.gen_range(2..=6);
         seal_window(&mut sensor, burst, &mut rng, &mut cases);
         // Half the brownouts strike *inside* the rotation window: the
-        // reservation and any due epoch record have just been journaled
-        // (perhaps torn on the way down) and a frame sealed, but nothing
-        // radiates under the new key.
+        // reservation has just been journaled (perhaps torn on the way
+        // down) and a frame sealed, but nothing radiates under the new
+        // key.
         if rng.gen_bool(0.5) {
             let _ = sensor.abort(b"never radiates", &mut Vec::new());
         } else {
@@ -208,8 +208,7 @@ fn rotation_fuzz_round(seed: u64) {
         }
     }
 
-    // Deferred rotations leave the sensor sealing behind its watermark
-    // epoch; the capped probe must still reach the reference's verdict.
+    // The one-key receiver must reach the trial-open reference's verdict.
     let mut receiver = Receiver::with_rekey(root, interval, 0, chacha20poly1305_factory);
     let mut naive = NaiveReceiver::rekeying(
         epoch_keys(root, chacha20poly1305_factory),
