@@ -57,9 +57,8 @@
 //! line per tick goes to `path`, and a Prometheus-style exposition of
 //! the final snapshot to `<path>.prom`. The stream is byte-identical at
 //! any shard/thread count — CI `cmp`s it at 1 vs 4 shards — and arming
-//! the monitor changes no `GATEWAY.json` byte. A monitored run records
-//! no wall-clock latency, so the per-shard p50/p99 columns read 0.
-//! Implies `--gateway`.
+//! the monitor changes no `GATEWAY.json` byte, nor any column of the
+//! per-shard table. Implies `--gateway`.
 //!
 //! `--postmortem <dir>` arms the monitor too: the first windowed alarm
 //! (or dirty nonce audit, or end-of-run gate failure) freezes the merged
@@ -331,7 +330,6 @@ fn main() {
         let start = Instant::now();
         let run = run_fleet(&config);
         print!("{}", run.report);
-        println!("shard occupancy: {:?} sessions", run.occupancy);
         println!("per-shard ingest:");
         print!("{}", age_gateway::shard_table(&run.shard_reports));
         print!("{}", run.leakage);

@@ -15,6 +15,10 @@ use age_transport::ReceiveError;
 /// Bytes of addressing header prepended to every sealed frame.
 pub const HEADER_LEN: usize = 8;
 
+/// The datagram ceiling: longer datagrams are dropped before the cipher
+/// runs, so oversized garbage cannot buy CPU time.
+pub const MAX_DATAGRAM_LEN: usize = 4096;
+
 /// One datagram as it arrives at the gateway, stamped with the virtual
 /// send time assigned by the fleet driver.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -63,12 +67,12 @@ pub enum HeaderError {
         /// Bytes actually received.
         len: usize,
     },
-    /// Longer than the configured datagram ceiling — dropped before the
-    /// cipher sees it so oversized garbage can't buy CPU time.
+    /// Longer than [`MAX_DATAGRAM_LEN`] — dropped before the cipher
+    /// sees it so oversized garbage can't buy CPU time.
     Oversized {
         /// Bytes actually received.
         len: usize,
-        /// The configured ceiling.
+        /// The ceiling.
         max: usize,
     },
 }

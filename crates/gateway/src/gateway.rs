@@ -12,7 +12,6 @@ use age_transport::ReceiverStats;
 
 use crate::frame::{sensor_id_of, FleetFrame, GatewayError};
 use crate::health::ShardReport;
-use crate::latency::LatencyHistogram;
 use crate::route::{derive_key, shard_of, stagger_phase};
 use crate::session::Session;
 use crate::shard::{CohortStats, Shard, ShardStats};
@@ -43,12 +42,13 @@ impl Cohort {
     }
 }
 
+/// The one stream label a gateway files its aggregated traffic under,
+/// in the leakage audit and the fleet report.
+pub const FLEET_LABEL: &str = "fleet";
+
 /// Everything a gateway needs to be rebuilt identically: the batch
 /// shape, the cohorts, the provisioning seed, and the shard count.
 pub struct GatewayConfig {
-    /// Stream label in the leakage report (the sweep uses cell labels
-    /// here; the fleet uses one label for all aggregated traffic).
-    pub label: String,
     /// Batch configuration shared by every cohort.
     pub batch: BatchConfig,
     /// Encoder cohorts; sessions reference these by index.
@@ -64,11 +64,6 @@ pub struct GatewayConfig {
     /// `None` (the default) keeps the legacy static keys and
     /// byte-identical artifacts.
     pub rekey_interval: Option<u64>,
-    /// Datagrams longer than this are dropped before the cipher runs.
-    pub max_datagram_len: usize,
-    /// Record wall-clock ingest latency per frame. Off by default:
-    /// latency is a diagnostic, never part of the deterministic report.
-    pub record_latency: bool,
     /// Windowed streaming leakage monitor; `None` (the default) scores
     /// nothing mid-run and adds nothing to the ingest path.
     pub monitor: Option<MonitorConfig>,
@@ -79,19 +74,15 @@ pub struct GatewayConfig {
 }
 
 impl GatewayConfig {
-    /// A config with the fleet defaults: label `"fleet"`, a 4 KiB
-    /// datagram ceiling, latency recording off, no streaming monitor,
-    /// and a 256-record flight recorder per shard.
+    /// A config with the fleet defaults: static keys, no streaming
+    /// monitor, and a 256-record flight recorder per shard.
     pub fn new(batch: BatchConfig, cohorts: Vec<Cohort>, fleet_seed: u64, shards: usize) -> Self {
         GatewayConfig {
-            label: "fleet".to_string(),
             batch,
             cohorts,
             fleet_seed,
             shards,
             rekey_interval: None,
-            max_datagram_len: 4096,
-            record_latency: false,
             monitor: None,
             recorder_capacity: 256,
         }
@@ -164,11 +155,6 @@ impl Gateway {
     /// Provisioned sessions across all shards.
     pub fn sessions(&self) -> u64 {
         self.shards.iter().map(|s| s.occupancy() as u64).sum()
-    }
-
-    /// Sessions per shard, in shard order — the load-balance view.
-    pub fn shard_occupancy(&self) -> Vec<usize> {
-        self.shards.iter().map(Shard::occupancy).collect()
     }
 
     /// Ingests one datagram on the caller's thread (the single-threaded
@@ -275,7 +261,6 @@ impl Gateway {
                 .count() as u64;
         }
         FleetReport {
-            label: self.config.label.clone(),
             sensors: self.sessions(),
             active_sensors,
             stats,
@@ -303,16 +288,6 @@ impl Gateway {
         total
     }
 
-    /// Merged wall-clock ingest latency across shards (empty unless
-    /// [`GatewayConfig::record_latency`] was set).
-    pub fn latency(&self) -> LatencyHistogram {
-        let mut merged = LatencyHistogram::new();
-        for shard in &self.shards {
-            merged.merge(&shard.latency);
-        }
-        merged
-    }
-
     /// Fleet-wide datagram counters — the commutative shard-stats fold
     /// without the session scan [`Gateway::fleet_report`] performs, so
     /// periodic health snapshots stay cheap at large fleets.
@@ -324,9 +299,9 @@ impl Gateway {
         stats
     }
 
-    /// Per-shard ingest accounting, in shard order — the load-imbalance
-    /// view `repro --gateway` prints. Unlike every merged report this is
-    /// *intentionally* shard-count-dependent.
+    /// Per-shard sessions and ingest accounting, in shard order — the
+    /// load-imbalance view `repro --gateway` prints. Unlike every merged
+    /// report this is *intentionally* shard-count-dependent.
     pub fn shard_reports(&self) -> Vec<ShardReport> {
         self.shards
             .iter()
@@ -335,8 +310,6 @@ impl Gateway {
                 shard,
                 sessions: slot.occupancy(),
                 stats: slot.stats,
-                p50_ingest_ns: slot.latency.p50_ns(),
-                p99_ingest_ns: slot.latency.p99_ns(),
             })
             .collect()
     }
@@ -386,7 +359,7 @@ impl Gateway {
             let streams = shard.cohorts.iter().zip(&shard.leakage);
             for (cohort, (stats, (sizes, gaps))) in self.config.cohorts.iter().zip(streams) {
                 if stats.sensors > 0 || !sizes.is_empty() {
-                    audit.absorb(&self.config.label, &cohort.name, sizes, gaps);
+                    audit.absorb(FLEET_LABEL, &cohort.name, sizes, gaps);
                 }
             }
         }
@@ -441,8 +414,6 @@ pub struct CohortReport {
 /// shard/thread configurations.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FleetReport {
-    /// The gateway's stream label.
-    pub label: String,
     /// Provisioned sensors.
     pub sensors: u64,
     /// Sensors with at least one accepted frame.
@@ -458,7 +429,7 @@ impl FleetReport {
     pub fn to_json(&self) -> String {
         let mut out = String::with_capacity(1024);
         out.push_str("{\n  \"version\": 1,\n  \"label\": ");
-        out.push_str(&JsonStr(&self.label).to_string());
+        out.push_str(&JsonStr(FLEET_LABEL).to_string());
         out.push_str(",\n  \"sensors\": ");
         out.push_str(&self.sensors.to_string());
         out.push_str(",\n  \"active_sensors\": ");
@@ -520,8 +491,7 @@ impl std::fmt::Display for FleetReport {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         writeln!(
             f,
-            "fleet '{}': {} sensors ({} active), {} frames in, {} accepted, {} rejected",
-            self.label,
+            "fleet '{FLEET_LABEL}': {} sensors ({} active), {} frames in, {} accepted, {} rejected",
             self.sensors,
             self.active_sensors,
             self.stats.frames,

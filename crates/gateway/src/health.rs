@@ -7,8 +7,8 @@
 //!   Every field is a commutative fold over shards (counters, window
 //!   scores, alarm states) or a pure function of virtual time, so the
 //!   JSONL stream is **byte-identical at any shard or thread count** —
-//!   CI `cmp`s it at 1 vs 4 shards. The latency quantiles are 0 in
-//!   those runs (latency recording is off wherever bytes are compared).
+//!   CI `cmp`s it at 1 vs 4 shards. The gateway reads no clock, so no
+//!   field can differ run to run.
 //! - [`ShardReport`] / [`shard_table`] — the per-shard ingest view.
 //!   *Intentionally* shard-count-dependent: its whole point is making
 //!   load imbalance visible without parsing `GATEWAY.json`.
@@ -47,24 +47,19 @@ pub struct ShardReport {
     pub sessions: usize,
     /// The shard's datagram counters.
     pub stats: ShardStats,
-    /// Median wall-clock ingest latency (0 unless latency recording).
-    pub p50_ingest_ns: u64,
-    /// p99 wall-clock ingest latency (0 unless latency recording).
-    pub p99_ingest_ns: u64,
 }
 
 /// Renders the per-shard table `repro --gateway` prints: one row per
-/// shard with frames, accepts, every rejection rung, and the latency
-/// quantiles.
+/// shard with its sessions, frames, accepts and every rejection rung.
 pub fn shard_table(reports: &[ShardReport]) -> String {
     let mut out = String::with_capacity(128 * (reports.len() + 1));
     out.push_str(
-        "shard sessions   frames accepted  trunc oversz unknown   auth replay future  noseq nodec   p50ns   p99ns\n",
+        "shard sessions   frames accepted  trunc oversz unknown   auth replay future  noseq nodec\n",
     );
     for report in reports {
         let s = &report.stats;
         out.push_str(&format!(
-            "{:>5} {:>8} {:>8} {:>8} {:>6} {:>6} {:>7} {:>6} {:>6} {:>6} {:>6} {:>5} {:>7} {:>7}\n",
+            "{:>5} {:>8} {:>8} {:>8} {:>6} {:>6} {:>7} {:>6} {:>6} {:>6} {:>6} {:>5}\n",
             report.shard,
             report.sessions,
             s.frames,
@@ -77,8 +72,6 @@ pub fn shard_table(reports: &[ShardReport]) -> String {
             s.far_future,
             s.missing_sequence,
             s.decode_failed,
-            report.p50_ingest_ns,
-            report.p99_ingest_ns,
         ));
     }
     out
@@ -115,10 +108,6 @@ pub struct HealthSnapshot {
     /// Arrivals per *virtual* second over this tick — the deterministic
     /// throughput figure (wall-clock frames/s lives in the bench).
     pub frames_per_vsec: f64,
-    /// Median ingest latency (0 unless latency recording is on).
-    pub p50_ingest_ns: u64,
-    /// p99 ingest latency (0 unless latency recording is on).
-    pub p99_ingest_ns: u64,
     /// Latest fully-closed window's scores per stream, cohort order.
     pub streams: Vec<StreamHealth>,
     /// Alarms raised so far, this tick's included.
@@ -153,8 +142,8 @@ impl HealthSnapshot {
         // byte-identical at any shard count.
         out.push_str(&format!(",\"rotations\":{}", self.stats.rotations));
         out.push_str(&format!(
-            ",\"delta_frames\":{},\"frames_per_vsec\":{:.3},\"p50_ingest_ns\":{},\"p99_ingest_ns\":{}",
-            self.delta_frames, self.frames_per_vsec, self.p50_ingest_ns, self.p99_ingest_ns,
+            ",\"delta_frames\":{},\"frames_per_vsec\":{:.3}",
+            self.delta_frames, self.frames_per_vsec,
         ));
         out.push_str(",\"windows\":[");
         for (i, stream) in self.streams.iter().enumerate() {
@@ -217,15 +206,6 @@ impl HealthSnapshot {
         out.push_str(&format!(
             "age_gateway_frames_per_virtual_second {:.3}\n",
             self.frames_per_vsec
-        ));
-        out.push_str("# TYPE age_gateway_ingest_latency_ns gauge\n");
-        out.push_str(&format!(
-            "age_gateway_ingest_latency_ns{{quantile=\"0.5\"}} {}\n",
-            self.p50_ingest_ns
-        ));
-        out.push_str(&format!(
-            "age_gateway_ingest_latency_ns{{quantile=\"0.99\"}} {}\n",
-            self.p99_ingest_ns
         ));
         out.push_str("# TYPE age_gateway_window_nmi gauge\n");
         for stream in &self.streams {
@@ -349,15 +329,11 @@ mod tests {
                 shard: 0,
                 sessions: 50,
                 stats: stats(),
-                p50_ingest_ns: 1024,
-                p99_ingest_ns: 8192,
             },
             ShardReport {
                 shard: 1,
                 sessions: 49,
                 stats: ShardStats::default(),
-                p50_ingest_ns: 0,
-                p99_ingest_ns: 0,
             },
         ];
         let table = shard_table(&reports);
@@ -365,7 +341,9 @@ mod tests {
         let row = table.lines().nth(1).expect("row 0");
         assert!(row.contains("100"), "frames column: {row}");
         assert!(row.contains("97"), "accepted column: {row}");
-        assert!(row.contains("8192"), "p99 column: {row}");
+        for line in table.lines() {
+            assert_eq!(line.split_whitespace().count(), 12, "columns: {line}");
+        }
     }
 
     mod exports {
@@ -379,8 +357,6 @@ mod tests {
                 stats: stats(),
                 delta_frames: 40,
                 frames_per_vsec: 80.0,
-                p50_ingest_ns: 0,
-                p99_ingest_ns: 0,
                 streams: vec![StreamHealth {
                     name: "AGE".to_string(),
                     window: 1,

@@ -90,15 +90,15 @@
 mod frame;
 mod gateway;
 mod health;
-mod latency;
 mod route;
 mod session;
 mod shard;
 mod table;
 
-pub use frame::{sensor_id_of, FleetFrame, GatewayError, HeaderError, HEADER_LEN};
-pub use gateway::{Cohort, CohortReport, FleetReport, Gateway, GatewayConfig};
+pub use frame::{
+    sensor_id_of, FleetFrame, GatewayError, HeaderError, HEADER_LEN, MAX_DATAGRAM_LEN,
+};
+pub use gateway::{Cohort, CohortReport, FleetReport, Gateway, GatewayConfig, FLEET_LABEL};
 pub use health::{render_postmortem, shard_table, HealthSnapshot, ShardReport, StreamHealth};
-pub use latency::LatencyHistogram;
 pub use route::{derive_key, derive_root, shard_of, stagger_phase};
 pub use shard::{CohortStats, ShardStats};

@@ -25,9 +25,10 @@ use age_telemetry::{
 };
 use age_transport::{ReceiveError, ReceiverStats};
 
-use crate::frame::{sensor_id_of, FleetFrame, GatewayError, HeaderError, HEADER_LEN};
+use crate::frame::{
+    sensor_id_of, FleetFrame, GatewayError, HeaderError, HEADER_LEN, MAX_DATAGRAM_LEN,
+};
 use crate::gateway::GatewayConfig;
-use crate::latency::LatencyHistogram;
 use crate::session::Session;
 use crate::table::SessionTable;
 
@@ -194,7 +195,6 @@ pub(crate) struct Shard {
     /// The accepted frames and nonce reuses the sessions' ledgers
     /// reported. Its seen-sets stay empty: those are the ledgers.
     pub(crate) nonces: FleetNonceAudit,
-    pub(crate) latency: LatencyHistogram,
     /// Windowed leakage monitor (present when the config enables it).
     pub(crate) monitor: Option<WindowedMonitor>,
     /// Ring of recent ingest events for postmortem dumps.
@@ -218,7 +218,6 @@ impl Shard {
             cohorts: vec![CohortStats::default(); config.cohorts.len()],
             leakage: vec![Default::default(); config.cohorts.len()],
             nonces: FleetNonceAudit::default(),
-            latency: LatencyHistogram::new(),
             monitor: config
                 .monitor
                 .map(|m| WindowedMonitor::new(m.window_us, config.cohorts.len())),
@@ -282,12 +281,7 @@ impl Shard {
         frame: &FleetFrame,
         config: &GatewayConfig,
     ) -> Result<u64, GatewayError> {
-        let started = config.record_latency.then(std::time::Instant::now);
         let result = self.ingest_inner(frame, config);
-        if let Some(t0) = started {
-            let ns = u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX);
-            self.latency.record(ns);
-        }
         self.observe_ingest(frame, &result);
         result
     }
@@ -360,11 +354,11 @@ impl Shard {
                 len: wire.len(),
             }));
         };
-        if wire.len() > config.max_datagram_len {
+        if wire.len() > MAX_DATAGRAM_LEN {
             self.stats.header_oversized += 1;
             return Err(GatewayError::Header(HeaderError::Oversized {
                 len: wire.len(),
-                max: config.max_datagram_len,
+                max: MAX_DATAGRAM_LEN,
             }));
         }
         let Some(session) = self.sessions.get_mut(sensor_id) else {

@@ -12,11 +12,10 @@
 use age_core::{AgeEncoder, Batch, BatchConfig, Encoder, StandardEncoder};
 use age_crypto::ChaCha20Poly1305;
 use age_fixed::Format;
-use age_gateway::{derive_key, Cohort, FleetFrame, Gateway, GatewayConfig};
+use age_gateway::{derive_key, Cohort, FleetFrame, Gateway, GatewayConfig, FLEET_LABEL as LABEL};
 use age_transport::Sensor;
 
 const SEED: u64 = 11;
-const LABEL: &str = "fleet";
 
 fn batch_cfg() -> BatchConfig {
     BatchConfig::new(25, 2, Format::new(16, 10).unwrap()).unwrap()

@@ -20,12 +20,12 @@ use age_crypto::ChaCha20Poly1305;
 use age_fixed::Format;
 use age_gateway::{
     derive_key, Cohort, FleetFrame, Gateway, GatewayConfig, GatewayError, HeaderError, HEADER_LEN,
+    MAX_DATAGRAM_LEN as MAX_DATAGRAM,
 };
 use age_telemetry::DetRng;
 use age_transport::{ReceiveError, Sensor};
 
 const SEED: u64 = 2022;
-const MAX_DATAGRAM: usize = 4096;
 
 fn batch_cfg() -> BatchConfig {
     BatchConfig::new(25, 2, Format::new(16, 10).unwrap()).unwrap()

@@ -129,7 +129,8 @@ fn provisioning_follows_the_pure_router() {
         .iter()
         .map(|&n| n as usize)
         .collect();
-    assert_eq!(gateway.shard_occupancy(), expected);
+    let sessions: Vec<usize> = gateway.shard_reports().iter().map(|r| r.sessions).collect();
+    assert_eq!(sessions, expected);
     assert_eq!(gateway.sessions(), 2000);
 }
 

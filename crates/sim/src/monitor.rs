@@ -3,34 +3,34 @@
 //!
 //! [`run_fleet`] synthesizes a fleet trace, provisions a gateway, drains
 //! the trace and scores it. Unmonitored, the trace drains in one
-//! [`Gateway::run`] with wall-clock ingest latency recorded. Armed with a
-//! [`MonitorConfig`], it drains in virtual-time segments (*ticks*,
-//! [`HEALTH_TICK_US`] apart) instead. After each tick it folds the shard
-//! monitors, scores every leakage window the tick closed, and emits one
-//! [`HealthSnapshot`] line — so a regression that begins mid-trace raises
-//! its alarm while frames are still in flight, which the end-of-run
-//! [`LeakageGate`] structurally cannot do. The first trigger (a windowed
-//! alarm, a dirty gateway nonce audit, or — failing those — an end-of-run
-//! gate failure) freezes the merged flight-recorder contents into a
-//! `POSTMORTEM.json` string.
+//! [`Gateway::run`]. Armed with a [`MonitorConfig`], it drains in
+//! virtual-time segments (*ticks*, [`HEALTH_TICK_US`] apart) instead.
+//! After each tick it folds the shard monitors, scores every leakage
+//! window the tick closed, and emits one [`HealthSnapshot`] line — so a
+//! regression that begins mid-trace raises its alarm while frames are
+//! still in flight, which the end-of-run [`LeakageGate`] structurally
+//! cannot do. The first trigger (a windowed alarm, a dirty gateway nonce
+//! audit, or — failing those — an end-of-run gate failure) freezes the
+//! merged flight-recorder contents into a `POSTMORTEM.json` string.
 //!
 //! Either way the run ends with the same verdicts: the leakage report
 //! with its gate stamped, and the seal-side and gateway-side nonce
 //! audits. The monitor only observes, so [`FleetRun::gateway_json`] is
 //! byte-identical monitored or not.
 //!
-//! Everything but the wall-clock fields is deterministic: the tick
-//! boundaries are virtual time, every per-tick rollup is a commutative
-//! fold over shards, and alarm p-values are seeded per
-//! `(window, stream)` — so `gateway_json`, `health_jsonl` and
-//! `postmortem` are byte-identical at any shard or thread count (pinned
-//! by `tests/monitor.rs` and `cmp`'d in CI).
+//! Everything but the two wall-clock seconds fields is deterministic:
+//! the gateway reads no clock, the tick boundaries are virtual time,
+//! every per-tick rollup is a commutative fold over shards, and alarm
+//! p-values are seeded per `(window, stream)` — so `gateway_json`,
+//! `health_jsonl`, `postmortem` and `shard_reports` are the same
+//! monitored or not, and all but `shard_reports` are byte-identical at
+//! any shard or thread count (pinned by `tests/monitor.rs` and `cmp`'d
+//! in CI).
 
 use std::time::Instant;
 
 use age_gateway::{
-    render_postmortem, FleetFrame, FleetReport, Gateway, HealthSnapshot, LatencyHistogram,
-    ShardReport, StreamHealth,
+    render_postmortem, FleetFrame, FleetReport, Gateway, HealthSnapshot, ShardReport, StreamHealth,
 };
 use age_telemetry::{Alarm, LeakageGate, LeakageReport, MonitorConfig, WindowedMonitor};
 
@@ -70,9 +70,9 @@ pub struct FleetRunConfig {
     /// Permutations for the end-of-run leakage report's p-values.
     pub permutations: usize,
     /// Streaming-monitor window shape and thresholds; `None` drains in
-    /// one shot and records latency. The end-of-run gate uses these
-    /// thresholds (the defaults when unmonitored), so the two layers
-    /// cannot silently disagree about what counts as a leak.
+    /// one shot. The end-of-run gate uses these thresholds (the
+    /// defaults when unmonitored), so the two layers cannot silently
+    /// disagree about what counts as a leak.
     pub monitor: Option<MonitorConfig>,
 }
 
@@ -124,17 +124,14 @@ pub fn corruption_scenario(sensors: u64, seed: u64) -> FleetRunConfig {
 }
 
 /// Everything one fleet run produces. The health fields are empty
-/// unless the run was monitored; `latency` is empty if it was.
+/// unless the run was monitored.
 #[derive(Debug)]
 pub struct FleetRun {
     /// The deterministic end-of-run fleet rollup.
     pub report: FleetReport,
-    /// Sessions per shard.
-    pub occupancy: Vec<usize>,
-    /// Per-shard ingest accounting (shard-count-dependent on purpose).
+    /// Per-shard sessions and ingest accounting (shard-count-dependent
+    /// on purpose).
     pub shard_reports: Vec<ShardReport>,
-    /// Merged wall-clock ingest latency (empty when monitored).
-    pub latency: LatencyHistogram,
     /// Wall-clock seconds spent synthesizing the traffic.
     pub generate_seconds: f64,
     /// Wall-clock seconds spent draining it.
@@ -233,9 +230,6 @@ pub fn run_fleet(config: &FleetRunConfig) -> FleetRun {
     let generate_seconds = generate_start.elapsed().as_secs_f64();
 
     let mut gateway_config = fleet_gateway_config(fleet, config.shards);
-    // Latency is wall-clock: recorded only when no health stream has to
-    // stay comparable across runs.
-    gateway_config.record_latency = config.monitor.is_none();
     gateway_config.monitor = config.monitor;
     gateway_config.recorder_capacity = RECORDER_CAPACITY;
     let mut gateway = provisioned_gateway(fleet, gateway_config);
@@ -278,9 +272,7 @@ pub fn run_fleet(config: &FleetRunConfig) -> FleetRun {
         .map_or(String::new(), |s| s.prometheus());
     FleetRun {
         report: gateway.fleet_report(),
-        occupancy: gateway.shard_occupancy(),
         shard_reports: gateway.shard_reports(),
-        latency: gateway.latency(),
         generate_seconds,
         ingest_seconds,
         leakage,
@@ -372,10 +364,6 @@ fn drain_in_ticks(
             stats,
             delta_frames,
             frames_per_vsec: delta_frames as f64 * 1e6 / HEALTH_TICK_US as f64,
-            // A monitored run records no wall-clock latency: the
-            // quantiles stay 0 so the stream compares across runs.
-            p50_ingest_ns: 0,
-            p99_ingest_ns: 0,
             streams,
             alarms_total: health.alarms.len() as u64,
             new_alarms,

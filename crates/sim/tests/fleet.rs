@@ -100,7 +100,7 @@ fn defended_cohort_is_constant_size_baseline_is_not() {
 fn shard_occupancy_partitions_the_fleet() {
     let config = FleetConfig::new(SENSORS, SEED);
     let gateway = provisioned_gateway(&config, fleet_gateway_config(&config, 8));
-    let occupancy = gateway.shard_occupancy();
+    let occupancy: Vec<usize> = gateway.shard_reports().iter().map(|r| r.sessions).collect();
     assert_eq!(occupancy.len(), 8);
     assert_eq!(occupancy.iter().sum::<usize>() as u64, SENSORS);
     assert!(

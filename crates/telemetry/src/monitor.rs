@@ -38,7 +38,12 @@
 
 #![cfg_attr(
     not(test),
-    deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::indexing_slicing
+    )
 )]
 
 use std::collections::BTreeMap;
@@ -304,11 +309,11 @@ impl WindowedMonitor {
                 .or_default()
                 .add(&std::mem::take(&mut self.current_traffic));
         }
-        for stream in 0..self.current_streams.len() {
-            if self.current_streams[stream].is_empty() {
+        for (stream, current) in self.current_streams.iter_mut().enumerate() {
+            if current.is_empty() {
                 continue;
             }
-            let counts = std::mem::take(&mut self.current_streams[stream]);
+            let counts = std::mem::take(current);
             let slot = self
                 .streams
                 .entry((self.current_window, stream))

@@ -16,7 +16,12 @@
 
 #![cfg_attr(
     not(test),
-    deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::indexing_slicing
+    )
 )]
 
 /// The ingest pipeline stage a frame ended at — `Accepted`, or the
@@ -145,8 +150,8 @@ impl FlightRecorder {
         }
         if self.ring.len() < self.capacity {
             self.ring.push(record);
-        } else {
-            self.ring[self.next] = record;
+        } else if let Some(slot) = self.ring.get_mut(self.next) {
+            *slot = record;
         }
         self.next += 1;
         if self.next == self.capacity {
@@ -162,7 +167,11 @@ impl FlightRecorder {
         } else {
             self.next
         };
-        self.ring[split..].iter().chain(self.ring[..split].iter())
+        let (newest, oldest) = self
+            .ring
+            .split_at_checked(split)
+            .unwrap_or((&[], self.ring.as_slice()));
+        oldest.iter().chain(newest)
     }
 }
 
