@@ -1,20 +1,26 @@
 //! ChaCha20 stream cipher, RFC 7539 variant (96-bit nonce, 32-bit counter).
 //!
-//! Keystream is produced four blocks at a time by [`keystream4`]: an SSE2
-//! pass on `x86_64` (the `sse2` submodule), four scalar [`block_words`]
-//! calls elsewhere. Both [`ChaCha20`] and [`crate::ChaCha20Poly1305`] go
-//! through it, so a 160-byte AEAD frame costs one pass: block 0 is the
-//! Poly1305 key and blocks 1–3 cover the payload.
+//! Keystream is produced four blocks at a time by [`keystream4`]: one AVX2
+//! pass (the `avx2` submodule) on an `x86_64` CPU that has AVX2, four
+//! scalar [`block_words`] calls on any other CPU. Both [`ChaCha20`] and
+//! [`crate::ChaCha20Poly1305`] go through it, so a 160-byte AEAD frame
+//! costs one pass: block 0 is the Poly1305 key and blocks 1–3 cover the
+//! payload.
 
 #![cfg_attr(
     not(test),
-    deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::indexing_slicing
+    )
 )]
 
 use crate::cipher::{Cipher, CipherKind, OpenError};
 
 #[cfg(target_arch = "x86_64")]
-mod sse2;
+mod avx2;
 
 /// Size of the RFC 7539 nonce in bytes.
 const NONCE_LEN: usize = 12;
@@ -136,31 +142,30 @@ pub(crate) fn base_state(key: &[u8; 32], counter: u32, nonce: &[u8; 12]) -> [u32
         1 => 0x3320_646e,
         2 => 0x7962_2d32,
         3 => 0x6b20_6574,
-        4..=11 => u32::from_le_bytes(key[i - 4]),
+        4..=11 => key.get(i - 4).map_or(0, |word| u32::from_le_bytes(*word)),
         12 => counter,
-        _ => u32::from_le_bytes(nonce[i - 13]),
+        _ => nonce
+            .get(i - 13)
+            .map_or(0, |word| u32::from_le_bytes(*word)),
     })
 }
 
 /// Four consecutive keystream blocks at counters `state[12]` to
 /// `state[12] + 3` (wrapping), block *l* in words `16 * l..16 * l + 16`.
 ///
-/// On `x86_64` this is one SSE2 pass (SSE2 is part of the baseline, so no
-/// runtime detection); elsewhere it is four [`block_words`] calls, which
-/// are also the reference the SSE2 pass is tested against.
+/// Each call checks for AVX2 once (`is_x86_feature_detected!` reads a
+/// cached flag): with it, this is one AVX2 pass; without it, and on every
+/// other architecture, it is [`scalar_keystream4`], the reference the
+/// AVX2 pass is tested against.
 pub(crate) fn keystream4(state: &[u32; 16]) -> [u32; 64] {
     #[cfg(target_arch = "x86_64")]
-    {
-        sse2::keystream4(state)
+    if let Some(blocks) = avx2::keystream4(state) {
+        return blocks;
     }
-    #[cfg(not(target_arch = "x86_64"))]
-    {
-        scalar_keystream4(state)
-    }
+    scalar_keystream4(state)
 }
 
 /// [`keystream4`] as four scalar [`block_words`] calls.
-#[cfg_attr(all(target_arch = "x86_64", not(test)), allow(dead_code))]
 fn scalar_keystream4(state: &[u32; 16]) -> [u32; 64] {
     let mut out = [0u32; 64];
     let mut lane = *state;
@@ -222,9 +227,10 @@ fn block_words(state: &[u32; 16]) -> [u32; 16] {
 /// The state rows are kept as four `[u32; 4]` lanes: a column round is one
 /// lane-wise quarter-round, and a diagonal round is the same operation after
 /// rotating rows b/c/d left by 1/2/3 lanes. This is a portable single-block
-/// path: it compiles to scalar rotates, not SIMD. Bulk keystream goes
-/// through [`keystream4`] instead; this path serves [`chacha20_block`], the
-/// KDF and the non-`x86_64` fallback.
+/// path: it compiles to scalar rotates, not SIMD. It serves
+/// [`chacha20_block`], the KDF and [`scalar_keystream4`], the four-block
+/// pass of a CPU without AVX2; every keystream byte [`ChaCha20`] and the
+/// AEAD use comes from a [`keystream4`] pass.
 pub(crate) fn permuted_words(state: &[u32; 16]) -> [u32; 16] {
     let [a0, a1, a2, a3, b0, b1, b2, b3, c0, c1, c2, c3, d0, d1, d2, d3] = *state;
     let mut a = [a0, a1, a2, a3];
@@ -253,21 +259,18 @@ pub(crate) fn permuted_words(state: &[u32; 16]) -> [u32; 16] {
 
 #[inline]
 fn lane_quarter_round(a: &mut [u32; 4], b: &mut [u32; 4], c: &mut [u32; 4], d: &mut [u32; 4]) {
-    for i in 0..4 {
-        a[i] = a[i].wrapping_add(b[i]);
-        d[i] = (d[i] ^ a[i]).rotate_left(16);
-    }
-    for i in 0..4 {
-        c[i] = c[i].wrapping_add(d[i]);
-        b[i] = (b[i] ^ c[i]).rotate_left(12);
-    }
-    for i in 0..4 {
-        a[i] = a[i].wrapping_add(b[i]);
-        d[i] = (d[i] ^ a[i]).rotate_left(8);
-    }
-    for i in 0..4 {
-        c[i] = c[i].wrapping_add(d[i]);
-        b[i] = (b[i] ^ c[i]).rotate_left(7);
+    add_xor_rotate(a, b, d, 16);
+    add_xor_rotate(c, d, b, 12);
+    add_xor_rotate(a, b, d, 8);
+    add_xor_rotate(c, d, b, 7);
+}
+
+/// One quarter-round step on four lanes: `x += y; z = (z ^ x) <<< rotation`.
+#[inline]
+fn add_xor_rotate(x: &mut [u32; 4], y: &[u32; 4], z: &mut [u32; 4], rotation: u32) {
+    for ((x, y), z) in x.iter_mut().zip(y).zip(z) {
+        *x = x.wrapping_add(*y);
+        *z = (*z ^ *x).rotate_left(rotation);
     }
 }
 
@@ -275,8 +278,10 @@ fn lane_quarter_round(a: &mut [u32; 4], b: &mut [u32; 4], c: &mut [u32; 4], d: &
 mod tests {
     use super::*;
 
-    /// The selected four-block pass equals four scalar block calls on raw
-    /// states, constants row included, with counters that wrap mid-pass.
+    /// The selected four-block pass, and the AVX2 pass called directly
+    /// when this CPU has AVX2, equal the scalar fallback's four block
+    /// calls on raw states, constants row included, with counters that
+    /// wrap mid-pass.
     #[test]
     fn keystream4_matches_scalar_blocks() {
         let mut seed = 0x9e37_79b9_u32;
@@ -291,7 +296,52 @@ mod tests {
             if case % 4 == 0 {
                 state[12] = u32::MAX - case / 4 % 4;
             }
-            assert_eq!(keystream4(&state), scalar_keystream4(&state), "{state:?}");
+            let blocks = scalar_keystream4(&state);
+            assert_eq!(keystream4(&state), blocks, "{state:?}");
+            #[cfg(target_arch = "x86_64")]
+            if let Some(simd) = avx2::keystream4(&state) {
+                assert_eq!(simd, blocks, "{state:?}");
+            }
+        }
+    }
+
+    /// The AEAD's frames do not depend on the backend that ran: for every
+    /// payload length 0..=600 (one, two and three passes; 160 and 328
+    /// bytes among them) `seal_into` equals a frame built from the scalar
+    /// fallback alone, and `open_into` returns the payload.
+    #[test]
+    fn aead_frames_match_the_scalar_backend() {
+        use crate::{ChaCha20Poly1305, Poly1305};
+
+        let mut sealed = Vec::new();
+        let mut opened = Vec::new();
+        for len in 0..=600usize {
+            let key: [u8; 32] = core::array::from_fn(|i| (i * 31 + len) as u8);
+            let sequence = (len as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+            let payload: Vec<u8> = (0..len).map(|i| (i * 7 + len) as u8).collect();
+
+            let mut nonce = [0u8; NONCE_LEN];
+            nonce[4..].copy_from_slice(&sequence.to_le_bytes());
+            let mut state = base_state(&key, 0, &nonce);
+            let poly_key: [u8; 32] = words_to_bytes(&scalar_keystream4(&state));
+            let mut ciphertext = payload.clone();
+            state[12] = 1;
+            for chunk in ciphertext.chunks_mut(256) {
+                xor_words(chunk, &scalar_keystream4(&state));
+                state[12] += 4;
+            }
+            let mut mac = Poly1305::new(&poly_key);
+            mac.update(&ciphertext);
+            mac.update(&[0u8; 16][..(16 - len % 16) % 16]);
+            mac.update(&[[0u8; 8], (len as u64).to_le_bytes()].concat());
+            let expected = [&nonce[..], &ciphertext, &mac.finalize()].concat();
+
+            let aead = ChaCha20Poly1305::new(key);
+            aead.seal_into(sequence, &payload, &mut sealed);
+            assert_eq!(sealed, expected, "len {len}");
+            aead.open_into(&expected, &mut opened)
+                .expect("authentic frame");
+            assert_eq!(opened, payload, "len {len}");
         }
     }
 

@@ -11,7 +11,12 @@
 
 #![cfg_attr(
     not(test),
-    deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::indexing_slicing
+    )
 )]
 
 const MASK44: u64 = (1 << 44) - 1;
@@ -58,7 +63,11 @@ fn limbs(value: u128) -> [u64; 3] {
 impl Poly1305 {
     /// Starts a MAC computation under a 32-byte one-time key.
     pub fn new(key: &[u8; 32]) -> Self {
-        let half = |at: usize| u128::from_le_bytes(core::array::from_fn(|i| key[at + i]));
+        let half = |at: usize| {
+            u128::from_le_bytes(core::array::from_fn(|i| {
+                key.get(at + i).copied().unwrap_or_default()
+            }))
+        };
         // r is clamped per the RFC.
         let r = limbs(half(0) & 0x0fff_fffc_0fff_fffc_0fff_fffc_0fff_ffff);
         Poly1305 {
@@ -102,10 +111,11 @@ impl Poly1305 {
     /// Feeds message bytes into the MAC.
     pub fn update(&mut self, mut data: &[u8]) {
         if self.buffered > 0 {
-            let want = (16 - self.buffered).min(data.len());
-            let (head, rest) = data.split_at(want);
-            self.buffer[self.buffered..self.buffered + want].copy_from_slice(head);
-            self.buffered += want;
+            let (head, rest) = data.split_at((16 - self.buffered).min(data.len()));
+            for (slot, byte) in self.buffer.iter_mut().skip(self.buffered).zip(head) {
+                *slot = *byte;
+            }
+            self.buffered += head.len();
             data = rest;
             if self.buffered < 16 {
                 return;
@@ -118,16 +128,21 @@ impl Poly1305 {
         for block in blocks {
             self.process(block, 1);
         }
-        self.buffer[..rest.len()].copy_from_slice(rest);
+        for (slot, byte) in self.buffer.iter_mut().zip(rest) {
+            *slot = *byte;
+        }
         self.buffered = rest.len();
     }
 
     /// Completes the computation and returns the 16-byte tag.
     pub fn finalize(mut self) -> [u8; 16] {
         if self.buffered > 0 {
-            let mut block = [0u8; 16];
-            block[..self.buffered].copy_from_slice(&self.buffer[..self.buffered]);
-            block[self.buffered] = 1; // padding bit inside the 16-byte window
+            // The buffered bytes, then the padding bit inside the 16-byte
+            // window, then zeros over whatever the buffer held before.
+            let mut block = self.buffer;
+            for (i, byte) in block.iter_mut().enumerate().skip(self.buffered) {
+                *byte = u8::from(i == self.buffered);
+            }
             self.process(&block, 0);
         }
 
