@@ -25,8 +25,11 @@ pub(crate) fn write_standard(batch: &Batch, cfg: &BatchConfig, w: &mut BitWriter
 /// With `exact`, the message must be exactly as long as its declared count
 /// implies; that is checked before any index or value is read. Without it,
 /// trailing bytes are ignored (the padded defense leaves zero padding after
-/// the payload). Each measurement's values decode in one
-/// [`BitReader::read_dequantized`] pass. On error `out`'s contents are
+/// the payload). The frame's bit budget is checked once, then one loop
+/// reads each row that fits, its index and then its values, at computed
+/// bit positions. If the frame ends inside a row, that row's index is still
+/// read and checked when it fits, and the error names its first field that
+/// does not fit, as per-field reads would. On error `out`'s contents are
 /// unspecified.
 pub(crate) fn decode_standard_into(
     message: &[u8],
@@ -50,21 +53,48 @@ pub(crate) fn decode_standard_into(
     }
     out.clear();
     let (indices, values) = out.parts_mut();
+    let (d, index_bits, width) = (cfg.features(), cfg.index_bits(), cfg.format().width());
+    let row_bits = usize::from(index_bits) + d * usize::from(width);
+    let rows = k.min(r.remaining_bits() / row_bits);
+    let step = cfg.format().step();
+    let mut pos = r.position();
     indices.reserve(k);
-    values.resize(k * cfg.features(), 0.0);
-    for measurement in values.chunks_exact_mut(cfg.features()) {
-        // `index_bits` can address past `max_len` when it is not a power of
-        // two, so a corrupted index must be range-checked explicitly.
-        let index = r.read_bits(cfg.index_bits())? as usize;
-        if index >= cfg.max_len() {
-            return Err(DecodeError::Corrupt("decoded index out of range"));
+    values.resize(k * d, 0.0);
+    for measurement in values.chunks_exact_mut(d).take(rows) {
+        let index = r.bits_at(pos, index_bits) as usize;
+        pos += usize::from(index_bits);
+        push_index(indices, index, cfg)?;
+        for slot in measurement {
+            *slot = r.signed_bits_at(pos, width) as f64 * step;
+            pos += usize::from(width);
         }
-        if indices.last().is_some_and(|&prev| prev >= index) {
-            return Err(DecodeError::Corrupt("decoded indices not increasing"));
-        }
-        indices.push(index);
-        r.read_dequantized(cfg.format(), measurement)?;
     }
+    if rows < k {
+        if r.check_at(pos, [index_bits]).is_ok() {
+            push_index(indices, r.bits_at(pos, index_bits) as usize, cfg)?;
+        }
+        let row = std::iter::once(index_bits).chain(std::iter::repeat_n(width, d));
+        r.check_at(pos, row)?;
+    }
+    Ok(())
+}
+
+/// Appends a decoded index after checking it against the batch range and
+/// the previous index.
+fn push_index(
+    indices: &mut Vec<usize>,
+    index: usize,
+    cfg: &BatchConfig,
+) -> Result<(), DecodeError> {
+    // `index_bits` can address past `max_len` when it is not a power of
+    // two, so a corrupted index must be range-checked explicitly.
+    if index >= cfg.max_len() {
+        return Err(DecodeError::Corrupt("decoded index out of range"));
+    }
+    if indices.last().is_some_and(|&prev| prev >= index) {
+        return Err(DecodeError::Corrupt("decoded indices not increasing"));
+    }
+    indices.push(index);
     Ok(())
 }
 

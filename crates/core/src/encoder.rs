@@ -377,11 +377,21 @@ impl crate::Encoder for AgeEncoder {
         let num_groups = usize::from(r.read_u8()?);
         groups.clear();
         widths.clear();
-        let mut total = 0usize;
-        for _ in 0..num_groups {
-            let count = r.read_bits(cfg.count_bits())? as usize;
-            let exponent = r.read_bits(EXP_BITS)? as u8;
-            let width = r.read_bits(WIDTH_BITS)? as u8;
+        // The directory: one read per entry, since count, exponent and
+        // width are adjacent on the wire, over the entries the frame holds.
+        // If the frame ends inside an entry, the error names that entry's
+        // first field that does not fit, as per-field reads would.
+        let entry_fields = [cfg.count_bits(), EXP_BITS, WIDTH_BITS];
+        let entry_bits: u8 = entry_fields.iter().sum();
+        let fits = num_groups.min(r.remaining_bits() / usize::from(entry_bits));
+        let mut pos = r.position();
+        let (mut total, mut data_bits) = (0usize, 0usize);
+        for _ in 0..fits {
+            let entry = r.bits_at(pos, entry_bits);
+            pos += usize::from(entry_bits);
+            let count = (entry >> (EXP_BITS + WIDTH_BITS)) as usize;
+            let exponent = ((entry >> WIDTH_BITS) & ((1 << EXP_BITS) - 1)) as u8;
+            let width = (entry & ((1 << WIDTH_BITS) - 1)) as u8;
             if exponent == 0 {
                 return Err(DecodeError::Corrupt("group exponent of zero"));
             }
@@ -389,27 +399,45 @@ impl crate::Encoder for AgeEncoder {
                 return Err(DecodeError::Corrupt("group width exceeds format maximum"));
             }
             total += count;
+            data_bits += count * d * usize::from(width);
             groups.push(Group { count, exponent });
             widths.push(width);
+        }
+        if fits < num_groups {
+            r.check_at(pos, entry_fields)?;
         }
         if total != k {
             return Err(DecodeError::Corrupt(
                 "group counts disagree with measurement count",
             ));
         }
-        // Each group's lane decodes straight into its pre-sized slice of the
-        // row-major values; a width-0 group keeps its zeros.
+        // The lanes, in one loop over all of them once their bit budget is
+        // checked: each group's values decode straight into its pre-sized
+        // slice of the row-major values; a width-0 group keeps its zeros.
+        // If the lanes overrun the frame, the error names the first value
+        // that does not fit, as per-field reads would.
+        if pos + data_bits > message.len() * 8 {
+            let fields = groups.iter().zip(widths.iter());
+            r.check_at(
+                pos,
+                fields.flat_map(|(g, &w)| std::iter::repeat_n(w, g.count * d)),
+            )?;
+        }
         values.resize(k * d, 0.0);
-        let mut t = 0usize;
+        let mut rest = values.as_mut_slice();
         for (g, &width) in groups.iter().zip(widths.iter()) {
-            let lane = &mut values[t * d..(t + g.count) * d];
-            t += g.count;
+            let (lane, tail) = rest.split_at_mut(g.count * d);
+            rest = tail;
             if width == 0 {
                 continue;
             }
             let fmt = Format::new(width, i16::from(width) - i16::from(g.exponent))
                 .map_err(|_| DecodeError::Corrupt("group width/exponent pair is invalid"))?;
-            r.read_dequantized(fmt, lane)?;
+            let step = fmt.step();
+            for slot in lane {
+                *slot = r.signed_bits_at(pos, width) as f64 * step;
+                pos += usize::from(width);
+            }
         }
         // By construction the indices are strictly increasing and the value
         // count is `k·d`; mirror the `Batch::new` consistency check anyway so

@@ -46,6 +46,8 @@
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 
+#![forbid(unsafe_code)]
+
 mod baselines;
 mod batch;
 mod compress;

@@ -10,7 +10,10 @@
 //!
 //! Inputs are seeded valid messages (widths 1–32, 1–6 features, `k` from 0
 //! to `max_len`, roomy, pruning and tight AGE targets, roomy and squeezed
-//! variant targets) and the byte-level mutations of `fuzz.rs`.
+//! variant targets) and the byte-level mutations of `fuzz.rs`, plus a
+//! deterministic boundary sweep that raises one header or directory field
+//! at a time so that the first field that no longer fits lands at every
+//! position of the AGE directory, the AGE lanes and the standard rows.
 
 mod common;
 
@@ -334,7 +337,8 @@ impl Reference {
 }
 
 /// Decodes `message` with both entry points (the second into a reused,
-/// dirty batch) and checks both against the reference.
+/// dirty batch), checks both against the reference and returns the
+/// reference's error, if any.
 fn check(
     enc: &dyn Encoder,
     reference: Reference,
@@ -343,13 +347,14 @@ fn check(
     reused: &mut Batch,
     scratch: &mut EncodeScratch,
     case: &str,
-) {
+) -> Option<DecodeError> {
     let want = exact(reference.decode(message, cfg));
     assert_eq!(exact(enc.decode(message, cfg)), want, "{case}: decode");
     let into = enc
         .decode_into(message, cfg, scratch, reused)
         .map(|()| reused.clone());
     assert_eq!(exact(into), want, "{case}: decode_into");
+    want.err()
 }
 
 #[test]
@@ -429,4 +434,190 @@ fn lane_decoders_match_the_per_field_references() {
         ends_in_last_word >= CASES / 2,
         "only {ends_in_last_word} AGE messages end in their final 8 bytes"
     );
+}
+
+/// Writes the low `bits` bits of `value` at bit `pos` of `message`, MSB
+/// first.
+fn set_field(message: &mut [u8], pos: usize, bits: u8, value: u64) {
+    for i in 0..usize::from(bits) {
+        let bit = (value >> (usize::from(bits) - 1 - i)) & 1;
+        let at = pos + i;
+        let mask = 0x80u8 >> (at % 8);
+        if bit == 1 {
+            message[at / 8] |= mask;
+        } else {
+            message[at / 8] &= !mask;
+        }
+    }
+}
+
+/// Reads the `bits`-bit field at bit `pos` of `message`, MSB first.
+fn get_field(message: &[u8], pos: usize, bits: u8) -> u64 {
+    (pos..pos + usize::from(bits)).fold(0, |acc, at| {
+        (acc << 1) | u64::from(message[at / 8] >> (7 - at % 8) & 1)
+    })
+}
+
+/// Where a decode error stopped: for truncations, which field ran out and
+/// how many of its bits were left.
+fn truncated_field(error: Option<DecodeError>) -> Option<(u8, usize)> {
+    match error {
+        Some(DecodeError::Truncated(e)) => Some((e.requested, e.remaining)),
+        _ => None,
+    }
+}
+
+/// Raises the fields that decide how far a decoder reads, one at a time,
+/// and compares `decode` and `decode_into` (values and errors) with the
+/// per-field references:
+///
+/// - AGE: the group count, to 255 over a frame whose bits after the real
+///   directory are refilled with valid empty entries (count 0, exponent 1,
+///   width 0), cut to one entry's worth of lengths, so the directory runs
+///   out at every bit of an entry; the same count, raised by one to four
+///   and to 255, over the real lanes; and each group's width, to every
+///   value the field holds (widths past 32 are refused). The unmodified
+///   frame cut to every length inside its lanes is a directory that
+///   claims more lane bits than the frame holds: the lanes run out at
+///   every byte.
+/// - Padded: a count that claims every row, on frames cut to one row's
+///   worth of lengths, so the rows run out at every bit of a row; the
+///   count raised past the rows and past `max_len`; and raised by one over
+///   the zero padding, cut inside the extra row.
+/// - Std: the count raised, which only changes the expected length.
+#[test]
+fn raised_fields_fail_where_the_per_field_references_do() {
+    let mut rng = DetRng::seed_from_u64(0xB0_0DA7);
+    let mut scratch = EncodeScratch::new();
+    let mut reused = Batch::empty();
+    // (field, bits left) pairs of the truncations the sweep reached.
+    let (mut directory, mut lanes, mut rows) = (Vec::new(), Vec::new(), Vec::new());
+    for case in 0..300 {
+        let (cfg, batch) = config_and_batch(&mut rng);
+        let mut check = |enc: &dyn Encoder, reference, input: &[u8], label: &str| {
+            let (reused, scratch) = (&mut reused, &mut scratch);
+            let label = format!("case {case} {} {label}", enc.name());
+            truncated_field(check(enc, reference, input, &cfg, reused, scratch, &label))
+        };
+        let count_bits = cfg.count_bits();
+        let entry_bits = usize::from(count_bits + EXP_BITS + WIDTH_BITS);
+        let count_at = K_BITS + cfg.max_len();
+        let directory_at = count_at + 8;
+        let min = AgeEncoder::min_target_bytes(&cfg);
+        let roomy = min + cfg.standard_message_bytes(batch.len());
+        for target in [roomy, tight_target(&cfg, &batch, roomy)] {
+            let age = |len| (AgeEncoder::new(len), Reference::Age { target_bytes: len });
+            let message = AgeEncoder::new(target)
+                .encode(&batch, &cfg)
+                .expect("valid batches encode");
+            let groups = get_field(&message, count_at, 8) as usize;
+            let directory_end = directory_at + groups * entry_bits;
+            let lanes_end = 8 * target - reference_age(&message, &cfg, target).1;
+
+            // 255 groups over refilled entries: the directory runs out.
+            let mut refilled = message.clone();
+            set_field(&mut refilled, count_at, 8, 255);
+            for at in (directory_end..8 * target).step_by(entry_bits) {
+                let entry = (1 << WIDTH_BITS) as u64;
+                let bits = (8 * target - at).min(entry_bits);
+                set_field(&mut refilled, at, bits as u8, entry >> (entry_bits - bits));
+            }
+            let first = directory_end / 8;
+            for len in first..=(first + entry_bits).min(target) {
+                let (enc, reference) = age(len);
+                let cut = &refilled[..len];
+                directory.extend(check(&enc, reference, cut, &format!("255 groups, {len} B")));
+            }
+            // A few more groups over the real lanes.
+            for raised_to in (groups + 1..=255).take(4).chain([255]) {
+                let mut raised = message.clone();
+                set_field(&mut raised, count_at, 8, raised_to as u64);
+                let (enc, reference) = age(target);
+                check(&enc, reference, &raised, &format!("{raised_to} groups"));
+            }
+            // The frame cut inside its lanes: the lanes run out. Again with
+            // the first group's width zeroed, so an empty lane precedes
+            // the one that runs out.
+            let mut unwidened = message.clone();
+            if groups > 1 {
+                let width_at = directory_at + entry_bits - usize::from(WIDTH_BITS);
+                set_field(&mut unwidened, width_at, WIDTH_BITS, 0);
+            }
+            for frame in [&message, &unwidened] {
+                for len in first..lanes_end.div_ceil(8) {
+                    let (enc, reference) = age(len);
+                    lanes.extend(check(&enc, reference, &frame[..len], &format!("{len} B")));
+                }
+            }
+            // Every width for each group.
+            for group in 0..groups {
+                let width_at = directory_at + (group + 1) * entry_bits - usize::from(WIDTH_BITS);
+                for width in 0..1u64 << WIDTH_BITS {
+                    let mut raised = message.clone();
+                    set_field(&mut raised, width_at, WIDTH_BITS, width);
+                    let (enc, reference) = age(target);
+                    let label = format!("group {group} width {width}");
+                    lanes.extend(check(&enc, reference, &raised, &label));
+                }
+            }
+        }
+
+        let message = StandardEncoder
+            .encode(&batch, &cfg)
+            .expect("valid batches encode");
+        // A count that claims rows the frame does not hold, then a count
+        // raised past the rows and past `max_len`.
+        let row_bits =
+            usize::from(cfg.index_bits()) + cfg.features() * usize::from(cfg.format().width());
+        for len in 0..=message.len().min(2 + row_bits) {
+            let (enc, reference) = (PaddedEncoder::new(len), Reference::Padded { pad_to: len });
+            rows.extend(check(&enc, reference, &message[..len], &format!("{len} B")));
+        }
+        let padded = PaddedEncoder::for_config(&cfg);
+        let padded_message = padded.encode(&batch, &cfg).expect("valid batches encode");
+        let pad_to = padded.pad_to();
+        for count in batch.len() + 1..=cfg.max_len() + 1 {
+            for (enc, reference, frame) in [
+                (
+                    &padded as &dyn Encoder,
+                    Reference::Padded { pad_to },
+                    &padded_message,
+                ),
+                (&StandardEncoder, Reference::Standard, &message),
+            ] {
+                let mut raised = frame.clone();
+                set_field(&mut raised, 0, K_BITS as u8, count as u64);
+                check(enc, reference, &raised, &format!("count {count}"));
+            }
+        }
+        // One row more than the frame holds, over the zero padding and cut
+        // inside that row: its index is read (0, out of order unless it is
+        // the first) before its values run out.
+        let mut raised = padded_message.clone();
+        set_field(&mut raised, 0, K_BITS as u8, batch.len() as u64 + 1);
+        for len in message.len()..=pad_to.min(message.len() + row_bits.div_ceil(8)) {
+            let (enc, reference) = (PaddedEncoder::new(len), Reference::Padded { pad_to: len });
+            rows.extend(check(&enc, reference, &raised[..len], &format!("{len} B")));
+        }
+    }
+    // The sweep reaches every bit of a directory entry's 6-bit exponent
+    // and width fields, and the first and last bit of a lane value and of
+    // a row's index or value field at every width.
+    for left in 0..usize::from(EXP_BITS) {
+        assert!(
+            directory.contains(&(EXP_BITS, left)),
+            "directory: {left} bits left"
+        );
+    }
+    for (what, seen, widths) in [("lane", &lanes, 2..=32u8), ("row", &rows, 1..=32)] {
+        for width in widths {
+            for left in [0, usize::from(width) - 1] {
+                let field = (width, left);
+                assert!(
+                    seen.contains(&field),
+                    "{what}: no {width}-bit field with {left} bits left"
+                );
+            }
+        }
+    }
 }

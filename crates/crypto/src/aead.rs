@@ -6,9 +6,12 @@
 //! Message framing: `nonce (12) || ciphertext || tag (16)` — 28 bytes of
 //! constant overhead, so AGE's fixed-length property passes through intact.
 //!
-//! One four-block keystream pass at counter 0 yields both the Poly1305 key
-//! (block 0) and the first 192 payload bytes (blocks 1–3), which covers a
-//! whole fleet frame; longer payloads continue at counter 4.
+//! The first keystream pass at counter 0 yields both the Poly1305 key
+//! (block 0) and the first payload bytes, and it is sized from the payload:
+//! up to 192 bytes (a fleet frame), one four-block pass covers blocks 1–3;
+//! up to 448 bytes (an Epilepsy AGE frame), one eight-block pass covers
+//! blocks 1–7; longer payloads take that pass and continue in eight-block
+//! passes from counter 8.
 
 #![cfg_attr(
     not(test),
@@ -20,7 +23,7 @@
     )
 )]
 
-use crate::chacha20::{base_state, keystream4, words_to_bytes, xor_keystream, xor_words};
+use crate::chacha20::{base_state, keystream, words_to_bytes, xor_keystream, xor_words, BlockPair};
 use crate::cipher::{Cipher, CipherKind, OpenError};
 use crate::poly1305::{tags_equal, Poly1305};
 
@@ -49,18 +52,23 @@ pub struct ChaCha20Poly1305 {
     key: [u8; 32],
 }
 
-/// The first keystream pass of a message: blocks 0–3 at counter 0, held on
-/// the stack.
-struct FirstPass {
+/// Payload bytes the four-block first pass covers (blocks 1–3); a longer
+/// payload takes the eight-block pass.
+const FOUR_BLOCK_PAYLOAD: usize = 192;
+
+/// The first keystream pass of a message: `PAIRS` block pairs at counter 0,
+/// held on the stack. `FirstPass::<2>` is the four-block pass and
+/// `FirstPass::<4>` the eight-block one.
+struct FirstPass<const PAIRS: usize> {
     state: [u32; 16],
-    blocks: [u32; 64],
+    blocks: [BlockPair; PAIRS],
 }
 
-impl FirstPass {
+impl<const PAIRS: usize> FirstPass<PAIRS> {
     fn new(key: &[u8; 32], nonce: &[u8; NONCE_LEN]) -> Self {
         let state = base_state(key, 0, nonce);
         FirstPass {
-            blocks: keystream4(&state),
+            blocks: keystream(&state),
             state,
         }
     }
@@ -68,17 +76,44 @@ impl FirstPass {
     /// The one-time Poly1305 key (RFC 7539 §2.6): the first 32 bytes of
     /// block 0.
     fn poly_key(&self) -> [u8; 32] {
-        words_to_bytes(&self.blocks)
+        words_to_bytes(self.blocks.as_flattened())
     }
 
     /// XORs the payload keystream (counter 1 onward) into `data`: blocks
-    /// 1–3 of this pass, then fresh passes from counter 4.
+    /// 1 to `2 * PAIRS - 1` of this pass, then fresh passes from counter
+    /// `2 * PAIRS`.
     fn apply(&self, data: &mut [u8]) {
-        let (head, tail) = data.split_at_mut(data.len().min(192));
-        xor_words(head, &self.blocks[16..]);
-        let mut next = self.state;
-        next[12] = 4;
-        xor_keystream(next, tail);
+        let payload = self.blocks.as_flattened().get(16..).unwrap_or_default();
+        let (head, tail) = data.split_at_mut(data.len().min(4 * payload.len()));
+        xor_words(head, payload);
+        if !tail.is_empty() {
+            let mut next = self.state;
+            next[12] = 2 * PAIRS as u32;
+            xor_keystream(next, tail);
+        }
+    }
+
+    /// Encrypts `body` in place and returns its tag.
+    fn seal(&self, body: &mut [u8]) -> [u8; TAG_LEN] {
+        self.apply(body);
+        tag(&self.poly_key(), body)
+    }
+
+    /// Checks `received` against `body`'s tag, then decrypts `body` into
+    /// `out`; no unauthenticated plaintext reaches `out`.
+    fn open(
+        &self,
+        body: &[u8],
+        received: &[u8; TAG_LEN],
+        out: &mut Vec<u8>,
+    ) -> Result<(), OpenError> {
+        if !tags_equal(&tag(&self.poly_key(), body), received) {
+            return Err(OpenError::TagMismatch);
+        }
+        out.clear();
+        out.extend_from_slice(body);
+        self.apply(out);
+        Ok(())
     }
 }
 
@@ -141,12 +176,13 @@ impl Cipher for ChaCha20Poly1305 {
         out.reserve(self.message_len(plaintext.len()));
         out.extend_from_slice(&nonce);
         out.extend_from_slice(plaintext);
-        let pass = FirstPass::new(&self.key, &nonce);
-        let poly_key = pass.poly_key();
         // The nonce was just written, so the body slice always exists.
         let body = out.get_mut(NONCE_LEN..).unwrap_or_default();
-        pass.apply(body);
-        let tag = tag(&poly_key, body);
+        let tag = if body.len() <= FOUR_BLOCK_PAYLOAD {
+            FirstPass::<2>::new(&self.key, &nonce).seal(body)
+        } else {
+            FirstPass::<4>::new(&self.key, &nonce).seal(body)
+        };
         out.extend_from_slice(&tag);
     }
 
@@ -161,16 +197,11 @@ impl Cipher for ChaCha20Poly1305 {
         let Some((body, received)) = rest.split_last_chunk::<TAG_LEN>() else {
             return Err(truncated);
         };
-        // Verify before decrypting: no unauthenticated plaintext reaches
-        // `out`.
-        let pass = FirstPass::new(&self.key, nonce);
-        if !tags_equal(&tag(&pass.poly_key(), body), received) {
-            return Err(OpenError::TagMismatch);
+        if body.len() <= FOUR_BLOCK_PAYLOAD {
+            FirstPass::<2>::new(&self.key, nonce).open(body, received, out)
+        } else {
+            FirstPass::<4>::new(&self.key, nonce).open(body, received, out)
         }
-        out.clear();
-        out.extend_from_slice(body);
-        pass.apply(out);
-        Ok(())
     }
 
     fn sequence_of(&self, message: &[u8]) -> Option<u64> {
@@ -190,7 +221,7 @@ mod tests {
         let nonce = [
             0x00, 0x00, 0x00, 0x00, 0x00, 0x01, 0x02, 0x03, 0x04, 0x05, 0x06, 0x07,
         ];
-        let poly_key = FirstPass::new(&key, &nonce).poly_key();
+        let poly_key = FirstPass::<2>::new(&key, &nonce).poly_key();
         // RFC 7539 §2.6.2 one-time key vector.
         let expected: [u8; 32] = [
             0x8a, 0xd5, 0xa0, 0x8b, 0x90, 0x5f, 0x81, 0xcc, 0x81, 0x50, 0x40, 0x27, 0x4a, 0xb2,
@@ -198,6 +229,8 @@ mod tests {
             0xfd, 0xd1, 0xa6, 0x46,
         ];
         assert_eq!(poly_key, expected);
+        // The eight-block first pass starts with the same block 0.
+        assert_eq!(FirstPass::<4>::new(&key, &nonce).poly_key(), expected);
     }
 
     #[test]

@@ -1,11 +1,13 @@
 //! ChaCha20 stream cipher, RFC 7539 variant (96-bit nonce, 32-bit counter).
 //!
-//! Keystream is produced four blocks at a time by [`keystream4`]: one AVX2
-//! pass (the `avx2` submodule) on an `x86_64` CPU that has AVX2, four
-//! scalar [`block_words`] calls on any other CPU. Both [`ChaCha20`] and
-//! [`crate::ChaCha20Poly1305`] go through it, so a 160-byte AEAD frame
-//! costs one pass: block 0 is the Poly1305 key and blocks 1–3 cover the
-//! payload.
+//! Keystream is produced in passes of four or eight blocks by [`keystream`]:
+//! one AVX2 pass (the `avx2` submodule, one kernel generic over its number
+//! of block pairs) on an `x86_64` CPU that has AVX2, four or eight scalar
+//! [`block_words`] calls on any other CPU. Both [`ChaCha20`] and
+//! [`crate::ChaCha20Poly1305`] go through it, and the AEAD sizes its first
+//! pass from the payload: a 160-byte fleet frame costs one four-block pass
+//! (block 0 is the Poly1305 key, blocks 1–3 cover the payload), a 328-byte
+//! Epilepsy frame one eight-block pass.
 
 #![cfg_attr(
     not(test),
@@ -56,8 +58,9 @@ impl ChaCha20 {
     /// Applies the keystream for (`key`, `nonce`, starting `counter`) to
     /// `data` in place. Encryption and decryption are the same operation.
     ///
-    /// The data is processed in 256-byte steps, one four-block keystream
-    /// pass each; the counter wraps like the in-state `u32` does.
+    /// The data is processed in eight-block (512-byte) keystream passes
+    /// while more than 256 bytes remain, and one four-block pass for the
+    /// rest; the counter wraps like the in-state `u32` does.
     pub fn apply_keystream(&self, nonce: &[u8; NONCE_LEN], counter: u32, data: &mut [u8]) {
         xor_keystream(base_state(&self.key, counter, nonce), data);
     }
@@ -150,38 +153,51 @@ pub(crate) fn base_state(key: &[u8; 32], counter: u32, nonce: &[u8; 12]) -> [u32
     })
 }
 
-/// Four consecutive keystream blocks at counters `state[12]` to
-/// `state[12] + 3` (wrapping), block *l* in words `16 * l..16 * l + 16`.
+/// Two consecutive keystream blocks, words `0..16` and `16..32`: the unit a
+/// keystream pass is counted in.
+pub(crate) type BlockPair = [u32; 32];
+
+/// One keystream pass of `PAIRS` block pairs: blocks at counters
+/// `state[12]` to `state[12] + 2 * PAIRS - 1` (wrapping), block *l* in
+/// words `16 * l..16 * l + 16` of the flattened pairs. The crate runs two
+/// passes, `keystream::<2>` (four blocks) and `keystream::<4>` (eight).
 ///
 /// Each call checks for AVX2 once (`is_x86_feature_detected!` reads a
 /// cached flag): with it, this is one AVX2 pass; without it, and on every
-/// other architecture, it is [`scalar_keystream4`], the reference the
-/// AVX2 pass is tested against.
-pub(crate) fn keystream4(state: &[u32; 16]) -> [u32; 64] {
+/// other architecture, it is [`scalar_keystream`], the reference the AVX2
+/// pass is tested against.
+pub(crate) fn keystream<const PAIRS: usize>(state: &[u32; 16]) -> [BlockPair; PAIRS] {
     #[cfg(target_arch = "x86_64")]
-    if let Some(blocks) = avx2::keystream4(state) {
+    if let Some(blocks) = avx2::keystream(state) {
         return blocks;
     }
-    scalar_keystream4(state)
+    scalar_keystream(state)
 }
 
-/// [`keystream4`] as four scalar [`block_words`] calls.
-fn scalar_keystream4(state: &[u32; 16]) -> [u32; 64] {
-    let mut out = [0u32; 64];
+/// [`keystream`] as `2 * PAIRS` scalar [`block_words`] calls.
+fn scalar_keystream<const PAIRS: usize>(state: &[u32; 16]) -> [BlockPair; PAIRS] {
+    let mut out = [[0u32; 32]; PAIRS];
     let mut lane = *state;
-    for block in out.as_chunks_mut::<16>().0 {
+    for block in out.as_flattened_mut().as_chunks_mut::<16>().0 {
         *block = block_words(&lane);
         lane[12] = lane[12].wrapping_add(1);
     }
     out
 }
 
-/// XORs `data` with the keystream starting at block `state[12]`, one
-/// [`keystream4`] pass per 256 bytes.
+/// XORs `data` with the keystream starting at block `state[12]`: one
+/// eight-block pass per 512 bytes while more than 256 remain, then one
+/// four-block pass for the rest.
 pub(crate) fn xor_keystream(mut state: [u32; 16], data: &mut [u8]) {
-    for chunk in data.chunks_mut(256) {
-        xor_words(chunk, &keystream4(&state));
-        state[12] = state[12].wrapping_add(4);
+    let mut rest = data;
+    while rest.len() > 256 {
+        let (chunk, tail) = rest.split_at_mut(rest.len().min(512));
+        xor_words(chunk, keystream::<4>(&state).as_flattened());
+        state[12] = state[12].wrapping_add(8);
+        rest = tail;
+    }
+    if !rest.is_empty() {
+        xor_words(rest, keystream::<2>(&state).as_flattened());
     }
 }
 
@@ -228,9 +244,9 @@ fn block_words(state: &[u32; 16]) -> [u32; 16] {
 /// lane-wise quarter-round, and a diagonal round is the same operation after
 /// rotating rows b/c/d left by 1/2/3 lanes. This is a portable single-block
 /// path: it compiles to scalar rotates, not SIMD. It serves
-/// [`chacha20_block`], the KDF and [`scalar_keystream4`], the four-block
-/// pass of a CPU without AVX2; every keystream byte [`ChaCha20`] and the
-/// AEAD use comes from a [`keystream4`] pass.
+/// [`chacha20_block`], the KDF and [`scalar_keystream`], the passes of a
+/// CPU without AVX2; every keystream byte [`ChaCha20`] and the AEAD use
+/// comes from a [`keystream`] pass.
 pub(crate) fn permuted_words(state: &[u32; 16]) -> [u32; 16] {
     let [a0, a1, a2, a3, b0, b1, b2, b3, c0, c1, c2, c3, d0, d1, d2, d3] = *state;
     let mut a = [a0, a1, a2, a3];
@@ -278,14 +294,27 @@ fn add_xor_rotate(x: &mut [u32; 4], y: &[u32; 4], z: &mut [u32; 4], rotation: u3
 mod tests {
     use super::*;
 
-    /// The selected four-block pass, and the AVX2 pass called directly
-    /// when this CPU has AVX2, equal the scalar fallback's four block
-    /// calls on raw states, constants row included, with counters that
-    /// wrap mid-pass.
+    /// Both passes, as selected and as the AVX2 instantiation called
+    /// directly when this CPU has AVX2, equal the scalar fallback's block
+    /// calls on raw states, constants row included, with the counter
+    /// wrapping after every block offset 0–7 of a pass.
     #[test]
-    fn keystream4_matches_scalar_blocks() {
+    fn keystream_passes_match_scalar_blocks() {
+        fn check<const PAIRS: usize>(state: &[u32; 16]) {
+            let blocks = scalar_keystream::<PAIRS>(state);
+            assert_eq!(
+                keystream::<PAIRS>(state),
+                blocks,
+                "{PAIRS} pairs, {state:?}"
+            );
+            #[cfg(target_arch = "x86_64")]
+            if let Some(simd) = avx2::keystream::<PAIRS>(state) {
+                assert_eq!(simd, blocks, "AVX2, {PAIRS} pairs, {state:?}");
+            }
+        }
+
         let mut seed = 0x9e37_79b9_u32;
-        for case in 0..2_000u32 {
+        for case in 0..4_000u32 {
             let mut state = [0u32; 16];
             for word in &mut state {
                 seed ^= seed << 13;
@@ -294,28 +323,26 @@ mod tests {
                 *word = seed;
             }
             if case % 4 == 0 {
-                state[12] = u32::MAX - case / 4 % 4;
+                // Block `case / 4 % 8` counts `u32::MAX`; the next wraps.
+                state[12] = u32::MAX - case / 4 % 8;
             }
-            let blocks = scalar_keystream4(&state);
-            assert_eq!(keystream4(&state), blocks, "{state:?}");
-            #[cfg(target_arch = "x86_64")]
-            if let Some(simd) = avx2::keystream4(&state) {
-                assert_eq!(simd, blocks, "{state:?}");
-            }
+            check::<2>(&state);
+            check::<4>(&state);
         }
     }
 
     /// The AEAD's frames do not depend on the backend that ran: for every
-    /// payload length 0..=600 (one, two and three passes; 160 and 328
-    /// bytes among them) `seal_into` equals a frame built from the scalar
-    /// fallback alone, and `open_into` returns the payload.
+    /// payload length 0..=1,500 (one, two and three passes; 160- and
+    /// 328-byte fleet and Epilepsy frames and 1,444-byte Std frames among
+    /// them) `seal_into` equals a frame built from scalar blocks alone, and
+    /// `open_into` returns the payload.
     #[test]
     fn aead_frames_match_the_scalar_backend() {
         use crate::{ChaCha20Poly1305, Poly1305};
 
         let mut sealed = Vec::new();
         let mut opened = Vec::new();
-        for len in 0..=600usize {
+        for len in 0..=1_500usize {
             let key: [u8; 32] = core::array::from_fn(|i| (i * 31 + len) as u8);
             let sequence = (len as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15);
             let payload: Vec<u8> = (0..len).map(|i| (i * 7 + len) as u8).collect();
@@ -323,12 +350,12 @@ mod tests {
             let mut nonce = [0u8; NONCE_LEN];
             nonce[4..].copy_from_slice(&sequence.to_le_bytes());
             let mut state = base_state(&key, 0, &nonce);
-            let poly_key: [u8; 32] = words_to_bytes(&scalar_keystream4(&state));
+            let poly_key: [u8; 32] = words_to_bytes(&block_words(&state));
             let mut ciphertext = payload.clone();
             state[12] = 1;
-            for chunk in ciphertext.chunks_mut(256) {
-                xor_words(chunk, &scalar_keystream4(&state));
-                state[12] += 4;
+            for chunk in ciphertext.chunks_mut(64) {
+                xor_words(chunk, &block_words(&state));
+                state[12] += 1;
             }
             let mut mac = Poly1305::new(&poly_key);
             mac.update(&ciphertext);

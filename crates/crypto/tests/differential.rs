@@ -1,4 +1,4 @@
-//! Differential tests for the four-block ChaCha20 keystream and the
+//! Differential tests for the four- and eight-block ChaCha20 keystream and the
 //! 64-bit-limb Poly1305 behind the AEAD.
 //!
 //! Every expected value here is self-generated: the fast paths are compared
@@ -144,10 +144,11 @@ fn random_bytes(rng: &mut DetRng, len: usize) -> Vec<u8> {
 
 // --- ChaCha20 --------------------------------------------------------------
 
-/// One 256-byte `apply_keystream` step is exactly one four-block keystream
-/// pass; over 10k seeded (key, nonce, counter) states it must equal four
-/// block-function calls at consecutive counters. Every tenth state starts
-/// in `u32::MAX - 3..=u32::MAX`, so one or more lanes wrap to counter 0.
+/// One 256-byte `apply_keystream` call is exactly one four-block keystream
+/// pass and one 512-byte call one eight-block pass; over 10k seeded (key,
+/// nonce, counter) states each must equal block-function calls at
+/// consecutive counters. Every tenth state starts in `u32::MAX - 7..=u32::MAX`,
+/// so one or more blocks wrap to counter 0.
 #[test]
 fn four_block_keystream_matches_four_block_calls() {
     let mut rng = DetRng::seed_from_u64(0xC4A4);
@@ -155,18 +156,20 @@ fn four_block_keystream_matches_four_block_calls() {
         let key: [u8; 32] = random_array(&mut rng);
         let nonce: [u8; 12] = random_array(&mut rng);
         let counter = if case % 10 == 0 {
-            u32::MAX - case / 10 % 4
+            u32::MAX - case / 10 % 8
         } else {
             rng.next_u64() as u32
         };
-        let mut keystream = [0u8; 256];
-        ChaCha20::new(key).apply_keystream(&nonce, counter, &mut keystream);
-        for (lane, block) in keystream.chunks_exact(64).enumerate() {
-            let expected = chacha20_block(&key, counter.wrapping_add(lane as u32), &nonce);
-            assert_eq!(
-                block, expected,
-                "case {case}, counter {counter}, lane {lane}"
-            );
+        for len in [256, 512] {
+            let mut keystream = vec![0u8; len];
+            ChaCha20::new(key).apply_keystream(&nonce, counter, &mut keystream);
+            for (lane, block) in keystream.chunks_exact(64).enumerate() {
+                let expected = chacha20_block(&key, counter.wrapping_add(lane as u32), &nonce);
+                assert_eq!(
+                    block, expected,
+                    "case {case}, counter {counter}, {len} bytes, lane {lane}"
+                );
+            }
         }
     }
 }
@@ -174,7 +177,8 @@ fn four_block_keystream_matches_four_block_calls() {
 // --- AEAD --------------------------------------------------------------------
 
 /// Seal is byte-identical to the reference for every plaintext length from
-/// 0 to 700 — one pass (≤ 192 B), two passes, three — and open inverts it.
+/// 0 to 700 — one four-block pass (≤ 192 B), one eight-block pass (≤ 448
+/// B), two passes — and open inverts it.
 #[test]
 fn seal_matches_reference_for_every_length_up_to_700() {
     let mut rng = DetRng::seed_from_u64(0xAEAD);

@@ -11,7 +11,10 @@
 //! lane that way in one pass. The reader is a bit cursor: each read loads
 //! the eight bytes under the cursor as one word and shifts the field out
 //! of it, and [`BitReader::read_dequantized`] decodes a whole fixed-point
-//! lane straight to `f64` that way. The wire format is identical to a
+//! lane straight to `f64` that way. A decoder that checks a frame's bit
+//! budget once ([`BitReader::check_at`]) can also read fields at computed
+//! bit positions ([`BitReader::bits_at`], [`BitReader::signed_bits_at`])
+//! without moving the cursor. The wire format is identical to a
 //! bit-at-a-time implementation (property tests in `tests/properties.rs`
 //! pin both sides against a reference oracle) — only the number of memory
 //! operations changes.
@@ -394,15 +397,9 @@ impl<'a> BitReader<'a> {
         let width = usize::from(fmt.width());
         let fits = out.len().min(self.remaining_bits() / width);
         let step = fmt.step();
-        // The field lands at the top of the shifted window and the
-        // arithmetic shift brings it down sign-extended. A field is at most
-        // `Format::MAX_WIDTH` = 32 bits and starts fewer than 8 bits into
-        // its window, so one window always holds it.
-        let shift = 64 - u32::from(fmt.width());
         let mut pos = self.pos;
         for slot in &mut out[..fits] {
-            let raw = ((self.window(pos / 8) << (pos % 8)) as i64) >> shift;
-            *slot = raw as f64 * step;
+            *slot = self.signed_bits_at(pos, fmt.width()) as f64 * step;
             pos += width;
         }
         self.pos = pos;
@@ -411,6 +408,62 @@ impl<'a> BitReader<'a> {
                 requested: fmt.width(),
                 remaining: self.remaining_bits(),
             });
+        }
+        Ok(())
+    }
+
+    /// Bits consumed so far: where the next read starts.
+    pub fn position(&self) -> usize {
+        self.pos
+    }
+
+    /// The `count`-bit field that starts `pos` bits into the stream, as
+    /// the low bits of a `u64`, most significant first; the cursor does not
+    /// move. A decoder that has checked its bit budget (with
+    /// [`BitReader::check_at`]) reads whole rows of fields this way at
+    /// positions it computes.
+    ///
+    /// `count` must be in `1..=57`: a field that starts fewer than 8 bits
+    /// into a byte and is at most 57 bits wide lies in the eight bytes from
+    /// that byte on, which one load fetches. Bits past the end of the
+    /// stream read as zero. Debug builds panic on a `count` outside
+    /// `1..=57`; wider fields need [`BitReader::read_bits`].
+    #[inline]
+    pub fn bits_at(&self, pos: usize, count: u8) -> u64 {
+        debug_assert!((1..=57).contains(&count), "field of {count} bits");
+        (self.window(pos / 8) << (pos % 8)) >> (64 - u32::from(count))
+    }
+
+    /// [`BitReader::bits_at`] read as a `count`-bit two's complement
+    /// integer: the field lands at the top of the shifted window and the
+    /// arithmetic shift brings it down sign-extended. Equal to
+    /// `Format::from_bits` of the field in any format `count` bits wide.
+    #[inline]
+    pub fn signed_bits_at(&self, pos: usize, count: u8) -> i64 {
+        debug_assert!((1..=57).contains(&count), "field of {count} bits");
+        ((self.window(pos / 8) << (pos % 8)) as i64) >> (64 - u32::from(count))
+    }
+
+    /// Checks that per-field reads of `fields` (bit counts, in order)
+    /// starting at bit `pos` all fit in the stream.
+    ///
+    /// # Errors
+    ///
+    /// Returns the error the first read that does not fit would return:
+    /// its bit count and the bits left before it.
+    pub fn check_at(
+        &self,
+        pos: usize,
+        fields: impl IntoIterator<Item = u8>,
+    ) -> Result<(), BitReaderError> {
+        let mut remaining = (self.bytes.len() * 8).saturating_sub(pos);
+        for count in fields {
+            remaining = remaining
+                .checked_sub(usize::from(count))
+                .ok_or(BitReaderError {
+                    requested: count,
+                    remaining,
+                })?;
         }
         Ok(())
     }

@@ -30,6 +30,8 @@
 //! # Ok::<(), age_fixed::FormatError>(())
 //! ```
 
+#![forbid(unsafe_code)]
+
 mod bits;
 mod format;
 

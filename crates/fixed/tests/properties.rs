@@ -465,3 +465,50 @@ fn read_dequantized_matches_the_per_field_loop() {
         }
     }
 }
+
+#[test]
+fn positional_reads_match_the_bit_serial_reader() {
+    // `bits_at` and `signed_bits_at` at every position of short random
+    // streams, every width 1..=57, against the bit-serial oracle (and
+    // `Format::from_bits` for the signed form); bits past the end read as
+    // zeros. `check_at` over random field lists returns what per-field
+    // `read_bits` calls from the same position return: `Ok` when all fit,
+    // else the first failing read's error.
+    let mut rng = DetRng::seed_from_u64(0xA7);
+    for len in 0..=12usize {
+        let bytes: Vec<u8> = (0..len).map(|_| rng.next_u64() as u8).collect();
+        let mut padded = bytes.clone();
+        padded.extend([0; 8]);
+        let r = BitReader::new(&bytes);
+        for pos in 0..=len * 8 {
+            for count in 1..=57u8 {
+                let case = format!("len={len} pos={pos} count={count}");
+                let got = r.bits_at(pos, count);
+                let mut slow = reference::SlowReader::new(&padded);
+                for _ in 0..pos {
+                    slow.read_bits(1);
+                }
+                let want = slow.read_bits(count);
+                assert_eq!(Some(got), want, "{case}");
+                if count <= Format::MAX_WIDTH {
+                    let fmt = Format::new(count, 0).expect("valid by construction");
+                    assert_eq!(r.signed_bits_at(pos, count), fmt.from_bits(got), "{case}");
+                }
+            }
+            for _ in 0..20 {
+                let fields: Vec<u8> = (0..rng.gen_range(0usize..6))
+                    .map(|_| rng.gen_range(0u32..=40) as u8)
+                    .collect();
+                let mut per_field = BitReader::new(&bytes);
+                for _ in 0..pos {
+                    per_field.read_bits(1).expect("inside the stream");
+                }
+                let want = fields
+                    .iter()
+                    .try_for_each(|&count| per_field.read_bits(count).map(drop));
+                let case = format!("len={len} pos={pos} fields={fields:?}");
+                assert_eq!(r.check_at(pos, fields.iter().copied()), want, "{case}");
+            }
+        }
+    }
+}
